@@ -126,16 +126,24 @@ let () =
     String.length k >= 6 && String.sub k 0 6 = "alloc_"
   in
   (* Which experiment registered the instrument: its ("experiment", ...)
-     label when present, else the [alloc] experiment (whose counters are
-     registered label-free) — so a budget regression names the experiment
-     to rerun without opening the JSON. *)
+     label when present, else the registered experiment its name starts
+     with ([alloc_*], [degree_*], [cache_*], ...) — so every regression
+     names the experiment to rerun without opening the JSON. *)
   let experiment_of obj =
-    match Json.member "labels" obj with
-    | Some labels ->
-      (match Json.member "experiment" labels with
-      | Some (Json.String e) -> e
-      | _ -> "alloc")
-    | None -> "alloc"
+    let labelled =
+      match Option.bind (Json.member "labels" obj) (Json.member "experiment") with
+      | Some (Json.String e) -> Some e
+      | _ -> None
+    in
+    match (labelled, Json.member "name" obj) with
+    | Some e, _ -> Some e
+    | None, Some (Json.String n) ->
+      let prefix = List.hd (String.split_on_char '_' n) in
+      if Workload.Registry.find prefix <> None then Some prefix else None
+    | None, _ -> None
+  in
+  let rerun bo =
+    match experiment_of bo with Some e -> Printf.sprintf "; rerun with --only %s" e | None -> ""
   in
   let exact_int section_name field k bo co =
     let bv = int_field field bo and cv = int_field field co in
@@ -143,18 +151,18 @@ let () =
       incr alloc_compared;
       if bv <> cv then
         problem
-          "allocation budget [%s] %s: %d -> %d minor words/op (exact match required; rerun \
-           with --only %s; see EXPERIMENTS.md)"
-          (experiment_of bo) k bv cv (experiment_of bo)
+          "allocation budget %s: %d -> %d minor words/op (exact match required%s; see \
+           EXPERIMENTS.md)"
+          k bv cv (rerun bo)
     end
     else if bv <> cv then
-      problem "%s %s: %s %d -> %d (exact match required)" section_name k field bv cv
+      problem "%s %s: %s %d -> %d (exact match required%s)" section_name k field bv cv (rerun bo)
   in
   let close_float section_name field k bo co =
     let bv = float_field field bo and cv = float_field field co in
     if not (close ~tol:!tol bv cv) then
-      problem "%s %s: %s %.6g -> %.6g (tolerance %.1f%%)" section_name k field bv cv
-        (100.0 *. !tol)
+      problem "%s %s: %s %.6g -> %.6g (tolerance %.1f%%%s)" section_name k field bv cv
+        (100.0 *. !tol) (rerun bo)
   in
   diff_section "counters" [ exact_int "counter" "value" ];
   diff_section "gauges" [ close_float "gauge" "value" ];
@@ -175,11 +183,10 @@ let () =
     dump "-" "removed (in baseline, missing from fresh run)" !removed;
     dump "+" "added (in fresh run, not in baseline)" !added;
     prerr_endline
-      "  deliberate change? regenerate with:\n\
+      "  deliberate change? regenerate both baselines with:\n\
       \      dune exec bench/main.exe -- --no-micro --scale 8 --json BENCH_BASELINE.json\n\
-      \  (single-experiment baselines — BENCH_JOIN / _REPAIR / _CACHE / _MCAST / _DEGREE /\n\
-      \   _DOMAINS / _BIGSCALE / _ALLOC — regenerate with the matching --only <name> flags\n\
-      \   from .github/workflows/ci.yml)";
+      \      dune exec bench/main.exe -- --no-micro --only join --scale 2 --json \
+       BENCH_JOIN_BASELINE.json";
     problem "instrument set drift: %d removed, %d added" (List.length !removed)
       (List.length !added)
   end;

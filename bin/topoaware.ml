@@ -33,17 +33,17 @@ let verbose_arg =
   let doc = "Enable debug logging of overlay construction and maintenance." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let scale_arg =
   let doc = "Divide workload sizes by $(docv) for quicker runs." in
-  let positive =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt positive 1 & info [ "scale" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "scale" ] ~docv:"N" ~doc)
 
 let seed_arg =
   let doc = "Random seed (experiments are deterministic given the seed)." in
@@ -65,7 +65,7 @@ let probe_window_arg =
   let doc =
     "Probe-plane concurrency: how many RTT probes fly at once (1 = sequential).      Changes modelled probe wall-clock only, never which probes are sent."
   in
-  Arg.(value & opt int 1 & info [ "probe-window" ] ~docv:"W" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "probe-window" ] ~docv:"W" ~doc)
 
 let domains_arg =
   let doc =
@@ -177,7 +177,7 @@ let topo_info_cmd =
 
 let nn_search_cmd =
   let budget_arg =
-    Arg.(value & opt int 10 & info [ "budget" ] ~docv:"N" ~doc:"RTT measurement budget.")
+    Arg.(value & opt positive_int 10 & info [ "budget" ] ~docv:"N" ~doc:"RTT measurement budget.")
   in
   let run variant latency seed scale budget probe_window =
     let oracle = Workload.Ctx.oracle ~scale variant latency in
@@ -241,34 +241,43 @@ let build_cmd =
   let run verbose variant latency seed scale strategy size probe_window domains =
     setup_logs verbose;
     let oracle = Workload.Ctx.oracle ~scale variant latency in
-    let b =
-      Builder.build oracle
-        {
-          Builder.default_config with
-          Builder.overlay_size = size / scale;
-          strategy;
-          probe = { Engine.Probe.default_config with Engine.Probe.window = probe_window };
-          domains;
-          seed;
-        }
-    in
-    let r = Measure.route_stretch b in
-    Format.fprintf ppf "overlay: %d nodes, strategy %s@." (size / scale)
-      (Strategy.to_string strategy);
-    Format.fprintf ppf "stretch: %a@." Prelude.Stats.pp_summary r.Measure.stretch;
-    Format.fprintf ppf "hops:    %a@." Prelude.Stats.pp_summary r.Measure.hops;
-    Format.fprintf ppf "neighbor quality: %a@." Prelude.Stats.pp_summary
-      (Measure.neighbor_quality b);
-    Format.fprintf ppf "probe plane: %d probes, %.0f ms modelled wall-clock at window %d@."
-      (Engine.Probe.probes b.Builder.prober)
-      (Engine.Probe.total_elapsed b.Builder.prober)
-      probe_window
+    let size = size / scale in
+    if size < 2 || size > Oracle.node_count oracle then
+      `Error
+        ( false,
+          Printf.sprintf "--nodes / --scale gives %d overlay nodes; need 2 to %d (the topology size)"
+            size (Oracle.node_count oracle) )
+    else begin
+      let b =
+        Builder.build oracle
+          {
+            Builder.default_config with
+            Builder.overlay_size = size;
+            strategy;
+            probe = { Engine.Probe.default_config with Engine.Probe.window = probe_window };
+            domains;
+            seed;
+          }
+      in
+      let r = Measure.route_stretch b in
+      Format.fprintf ppf "overlay: %d nodes, strategy %s@." size (Strategy.to_string strategy);
+      Format.fprintf ppf "stretch: %a@." Prelude.Stats.pp_summary r.Measure.stretch;
+      Format.fprintf ppf "hops:    %a@." Prelude.Stats.pp_summary r.Measure.hops;
+      Format.fprintf ppf "neighbor quality: %a@." Prelude.Stats.pp_summary
+        (Measure.neighbor_quality b);
+      Format.fprintf ppf "probe plane: %d probes, %.0f ms modelled wall-clock at window %d@."
+        (Engine.Probe.probes b.Builder.prober)
+        (Engine.Probe.total_elapsed b.Builder.prober)
+        probe_window;
+      `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "build" ~doc:"Build a topology-aware overlay and measure routing stretch")
     Term.(
-      const run $ verbose_arg $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ strategy_arg
-      $ size_arg $ probe_window_arg $ domains_arg)
+      ret
+        (const run $ verbose_arg $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ strategy_arg
+        $ size_arg $ probe_window_arg $ domains_arg))
 
 (* ---- churn ---- *)
 
@@ -307,7 +316,6 @@ let churn_cmd =
     else if staleness < 0.0 || staleness > 1.0 then `Error (false, "--staleness must be in [0,1]")
     else if shards < 1 then `Error (false, "--shards must be >= 1")
     else if digest_window < 0.0 then `Error (false, "--digest-window must be >= 0")
-    else if probe_window < 1 then `Error (false, "--probe-window must be >= 1")
     else if domains < 0 then `Error (false, "--domains must be >= 0")
     else begin
       setup_logs verbose;

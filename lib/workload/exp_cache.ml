@@ -26,18 +26,12 @@
 module Oracle = Topology.Oracle
 module Builder = Core.Builder
 module Strategy = Core.Strategy
-module Store = Softstate.Store
 module Cache = Engine.Cache
 module Probe = Engine.Probe
 module Metrics = Engine.Metrics
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Ring = Chord.Ring
-module Mesh = Pastry.Mesh
-module Dbj = Koorde.Debruijn
-module Landmarks = Landmark.Landmarks
 module Zone = Geometry.Zone
-module Point = Geometry.Point
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
 module Zipf = Prelude.Zipf
@@ -85,15 +79,6 @@ let digest_add acc key = acc + mix62 key
 (* Backends                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let builder_load_reset b =
-  let store = b.Builder.store in
-  Array.iter
-    (fun node ->
-      List.iter
-        (fun region -> Store.update_stats store ~region ~node ~load:0.0 ~capacity:1.0)
-        (Store.regions_of store node))
-    b.Builder.members
-
 (* eCAN / plain-CAN backends share the builder's substrate: homes come
    from CAN zone ownership of the key's hashed point, replica placement
    from a root-region soft-state lookup around the hot node's landmark
@@ -101,7 +86,6 @@ let builder_load_reset b =
    threshold — the §6 load/capacity fields doing service-layer work. *)
 let builder_backend ~name ~route b =
   let can = Ecan_exp.can b.Builder.ecan in
-  let store = b.Builder.store in
   let point_of_key key =
     let h = mix62 key in
     let x = float_of_int (h land 0x3FFFFFFF) /. 1073741824.0 in
@@ -114,19 +98,8 @@ let builder_backend ~name ~route b =
     home_of = (fun key -> Can_overlay.owner_of can (point_of_key key));
     route_to =
       (fun ~src ~dst -> route ~src (Zone.center (Can_overlay.node can dst).Can_overlay.zone));
-    near =
-      (fun ~node ~exclude ->
-        let vector = Builder.vector_of b node in
-        Store.lookup store ~region:[||] ~vector ~max_results:12 ~ttl:2 ~max_load:0.99 ()
-        |> List.find_map (fun (e : Store.Entry.t) ->
-               let c = e.Store.Entry.node in
-               if c <> node && (not (List.mem c exclude)) && Can_overlay.mem can c then Some c
-               else None));
-    publish_load =
-      (fun ~node ~load ->
-        List.iter
-          (fun region -> Store.update_stats store ~region ~node ~load ~capacity:1.0)
-          (Store.regions_of store node));
+    near = (fun ~node ~exclude -> List.nth_opt (Backend.map_candidates b ~node ~exclude) 0);
+    publish_load = Backend.publish_load b;
   }
 
 let ecan_backend ~name b =
@@ -136,85 +109,25 @@ let can_backend ~name b =
   let can = Ecan_exp.can b.Builder.ecan in
   builder_backend ~name ~route:(fun ~src p -> Can_overlay.route can ~src p) b
 
-(* Chord / Pastry get the same member population and the same
-   vector-then-probe neighbor selection the xover experiment uses; with
-   no soft-state plane of their own, replica placement is the physically
-   nearest member (the service-level optimum a map lookup approximates). *)
-let hybrid_pick oracle vector_of ~rtts ~node ~candidates =
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
-  in
-  let rec go best = function
-    | [] -> Option.map snd best
-    | c :: rest ->
-      let d = Oracle.measure oracle node c in
-      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
-  in
-  go None (List.filteri (fun i _ -> i < rtts) ranked)
-
-let oracle_near oracle members ~node ~exclude =
-  Array.fold_left
-    (fun best c ->
-      if c = node || List.mem c exclude then best
-      else
-        let d = Oracle.dist oracle node c in
-        match best with Some (bd, bc) when (bd, bc) <= (d, c) -> best | _ -> Some (d, c))
-    None members
-  |> Option.map snd
-
-let chord_backend ~seed oracle b =
-  let ring = Ring.create () in
-  let rng = Rng.create ((seed * 6007) + 1) in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) b.Builder.members;
-  Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates ->
-      hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates);
+(* Chord / Pastry / Koorde get the same member population and the shared
+   landmark-then-RTT selection (Koorde applies it to image-arc cover sets
+   of only ~k candidates per node); with no soft-state plane of their own,
+   replica placement is the physically nearest member (the service-level
+   optimum a map lookup approximates). *)
+let ring_backend ~seed oracle b i kind =
+  let be = Backend.create kind (Rng.create ((seed * 6007) + i + 1)) in
+  Array.iter be.Backend.add b.Builder.members;
+  be.Backend.rebuild ~pick:(fun ~node ~candidates ->
+      fst
+        (Backend.hybrid_pick oracle ~vector_of:(Builder.vector_of b) ~budget:5 ~node ~candidates));
   {
-    Cache.name = "chord";
-    member = (fun node -> Ring.mem ring node);
-    home_of = (fun key -> Ring.successor_node ring (mix62 key land ((1 lsl Ring.key_bits ring) - 1)));
-    route_to = (fun ~src ~dst -> Ring.route ring ~src ~key:(Ring.key_of ring dst));
-    near = oracle_near oracle b.Builder.members;
-    publish_load = (fun ~node:_ ~load:_ -> ());
-  }
-
-let pastry_backend ~seed oracle b =
-  let mesh = Mesh.create () in
-  let rng = Rng.create ((seed * 6007) + 2) in
-  Array.iter (fun id -> Mesh.add_node mesh ~rng id) b.Builder.members;
-  Mesh.build_tables mesh ~selector:(fun ~node ~prefix:_ ~candidates ->
-      hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates);
-  let space = 1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh) in
-  {
-    Cache.name = "pastry";
-    member = (fun node -> Mesh.mem mesh node);
-    home_of = (fun key -> Mesh.owner_of mesh (mix62 key mod space));
-    route_to = (fun ~src ~dst -> Mesh.route mesh ~src ~key:(Mesh.pastry_id mesh dst));
-    near = oracle_near oracle b.Builder.members;
-    publish_load = (fun ~node:_ ~load:_ -> ());
-  }
-
-(* Koorde joins the service comparison as the constant-degree row: the
-   same hybrid vector-then-probe selection, but applied to image-arc
-   cover sets of only ~k candidates per node. *)
-let koorde_backend ~seed oracle b =
-  let dbj = Dbj.create ~degree:4 () in
-  let rng = Rng.create ((seed * 6007) + 3) in
-  Array.iter (fun id -> Dbj.add_node dbj ~rng id) b.Builder.members;
-  Dbj.build_fingers dbj ~selector:(fun ~node ~arc:_ ~candidates ->
-      hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates);
-  {
-    Cache.name = "koorde";
-    member = (fun node -> Dbj.mem dbj node);
-    home_of =
-      (fun key -> Dbj.successor_node dbj (mix62 key land ((1 lsl Dbj.key_bits dbj) - 1)));
-    route_to = (fun ~src ~dst -> Dbj.route dbj ~src ~key:(Dbj.key_of dbj dst));
-    near = oracle_near oracle b.Builder.members;
+    Cache.name = be.Backend.name;
+    member = be.Backend.mem;
+    home_of = (fun key -> be.Backend.owner (mix62 key mod be.Backend.key_space));
+    route_to = (fun ~src ~dst -> be.Backend.route ~src ~key:(be.Backend.key_of dst));
+    near =
+      (fun ~node ~exclude ->
+        List.nth_opt (Backend.nearest oracle (be.Backend.node_ids ()) ~node ~exclude) 0);
     publish_load = (fun ~node:_ ~load:_ -> ());
   }
 
@@ -323,7 +236,7 @@ let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?met
   let reqs = schedule ~seed ~clients ~rounds ~universe ~zipf_s in
   let attach = Array.init clients (fun c -> b.Builder.members.(c mod size)) in
   let go ~label ~replicas backend =
-    builder_load_reset b;
+    Array.iter (fun node -> Backend.publish_load b ~node ~load:0.0) b.Builder.members;
     run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs backend
   in
   let aware = go ~label:"ecan aware" ~replicas (ecan_backend ~name:"ecan aware" b) in
@@ -331,15 +244,19 @@ let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?met
     go ~label:"ecan aware r1" ~replicas:1 (ecan_backend ~name:"ecan aware r1" b)
   in
   let can_row = go ~label:"can greedy" ~replicas (can_backend ~name:"can greedy" b) in
-  let chord_row = go ~label:"chord" ~replicas (chord_backend ~seed oracle b) in
-  let pastry_row = go ~label:"pastry" ~replicas (pastry_backend ~seed oracle b) in
-  let koorde_row = go ~label:"koorde" ~replicas (koorde_backend ~seed oracle b) in
+  let ring_rows =
+    List.mapi
+      (fun i kind ->
+        let backend = ring_backend ~seed oracle b i kind in
+        go ~label:backend.Cache.name ~replicas backend)
+      [ Backend.Chord; Backend.Pastry; Backend.Koorde 4 ]
+  in
   (* Same membership, same homes, same schedule — only the expressway
      tables change, so the latency delta is pure neighbor selection. *)
   Builder.rebuild_tables b Strategy.Random_pick;
   let random = go ~label:"ecan random" ~replicas (ecan_backend ~name:"ecan random" b) in
   Builder.rebuild_tables b b.Builder.config.Builder.strategy;
-  [ aware; random; can_row; chord_row; pastry_row; koorde_row; aware_norepl ]
+  (aware :: random :: can_row :: ring_rows) @ [ aware_norepl ]
 
 let record_stats metrics s =
   let labels = [ ("backend", s.label) ] in

@@ -8,9 +8,6 @@ module Store = Softstate.Store
 module Bus = Pubsub.Bus
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Ring = Chord.Ring
-module Mesh = Pastry.Mesh
-module Dbj = Koorde.Debruijn
 module Landmarks = Landmark.Landmarks
 module Rng = Prelude.Rng
 
@@ -38,6 +35,7 @@ let probe_period = 10_000.0
 let settle = 240_000.0
 let stab_period = 20_000.0 (* Chord/Pastry/Koorde periodic stabilisation *)
 let stretch_samples = 256
+let convergence_samples = 64
 let min_membership = 8 (* never churn the overlay below this *)
 
 let mean = function
@@ -103,142 +101,28 @@ let ecan_convergence ?(tolerance = 0.02) (b : Builder.t) =
       (Printf.sprintf "tables diverge from clean rebuild: %d dead/out-of-region, %d unfilled, %d spurious of %d slots"
          !invalid !missing !extra !slots)
 
-let chord_convergence ?(samples = 64) ~seed ring =
-  match Ring.check_invariants ring with
+(* Ring-like overlays: invariants and table completeness, then seeded
+   random routes must all end at the key's owner. *)
+let ring_convergence ~seed (be : Backend.t) =
+  match be.Backend.invariants () with
   | Error _ as e -> e
   | Ok () ->
-    let ids = Ring.node_ids ring in
-    if Array.length ids = 0 then Error "empty ring"
-    else begin
-      let bits = Ring.key_bits ring in
-      let space = 1 lsl bits in
-      let missing = ref 0 in
-      Array.iter
-        (fun id ->
-          let key = Ring.key_of ring id in
-          let filled = Ring.fingers ring id in
-          for i = 0 to bits - 1 do
-            let lo = (key + (1 lsl i)) land (space - 1) in
-            let members = Ring.arc_members ring ~lo ~span:(1 lsl i) in
-            if Array.exists (fun m -> m <> id) members && not (List.mem_assoc i filled) then
-              incr missing
-          done)
-        ids;
-      if !missing > 0 then
-        Error (Printf.sprintf "%d fingers unset for inhabited arcs" !missing)
-      else begin
-        let rng = Rng.create seed in
-        let bad = ref 0 in
-        for _ = 1 to samples do
-          let src = Rng.pick rng ids in
-          let key = Rng.int rng space in
-          match Ring.route ring ~src ~key with
-          | Some (_ :: _ as hops) when List.nth hops (List.length hops - 1) = Ring.successor_node ring key
-            -> ()
-          | _ -> incr bad
-        done;
-        if !bad = 0 then Ok ()
-        else Error (Printf.sprintf "%d of %d routes missed the key successor" !bad samples)
-      end
-    end
-
-let pastry_convergence ?(samples = 64) ~seed mesh =
-  match Mesh.check_invariants mesh with
-  | Error _ as e -> e
-  | Ok () ->
-    let ids = Mesh.node_ids mesh in
-    if Array.length ids = 0 then Error "empty mesh"
-    else begin
-      let nd = Mesh.num_digits mesh and db = Mesh.digit_bits mesh in
-      (* Count members under every prefix once, so the per-slot
-         inhabitation test is O(1). *)
-      let counts = Hashtbl.create 4096 in
-      Array.iter
-        (fun id ->
-          let pid = Mesh.pastry_id mesh id in
-          for r = 1 to nd do
-            let key = (r, pid lsr (db * (nd - r))) in
-            Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-          done)
-        ids;
-      let missing = ref 0 in
-      Array.iter
-        (fun id ->
-          let pid = Mesh.pastry_id mesh id in
-          let filled = Mesh.table_entries mesh id in
-          for r = 0 to nd - 1 do
-            let own = Mesh.digit mesh pid r in
-            for c = 0 to (1 lsl db) - 1 do
-              if c <> own then begin
-                let p = (pid lsr (db * (nd - r - 1))) land lnot ((1 lsl db) - 1) lor c in
-                let inhabited = Hashtbl.mem counts (r + 1, p) in
-                let have = List.exists (fun (rr, cc, _) -> rr = r && cc = c) filled in
-                if inhabited && not have then incr missing
-              end
-            done
-          done)
-        ids;
-      if !missing > 0 then
-        Error (Printf.sprintf "%d routing slots unfilled for inhabited prefixes" !missing)
-      else begin
-        let rng = Rng.create seed in
-        let space = 1 lsl (db * nd) in
-        let bad = ref 0 in
-        for _ = 1 to samples do
-          let src = Rng.pick rng ids in
-          let key = Rng.int rng space in
-          match Mesh.route mesh ~src ~key with
-          | Some (_ :: _ as hops) when List.nth hops (List.length hops - 1) = Mesh.owner_of mesh key
-            -> ()
-          | _ -> incr bad
-        done;
-        if !bad = 0 then Ok ()
-        else Error (Printf.sprintf "%d of %d routes missed the key owner" !bad samples)
-      end
-    end
-
-let koorde_convergence ?(samples = 64) ~seed dbj =
-  match Dbj.check_invariants dbj with
-  | Error _ as e -> e
-  | Ok () ->
-    let ids = Dbj.node_ids dbj in
+    let ids = be.Backend.node_ids () in
     if Array.length ids = 0 then Error "empty overlay"
     else begin
-      (* Every cover list must match what a clean rebuild would compute
-         from the current membership: the charge of the image-arc start
-         plus every member inside the arc. *)
-      let stale = ref 0 in
-      Array.iter
-        (fun id ->
-          if Dbj.size dbj > 1 then begin
-            let lo, span = Dbj.image_arc dbj id in
-            let expected = Hashtbl.create 8 in
-            Hashtbl.replace expected (Dbj.charge_node dbj lo) ();
-            Array.iter (fun m -> Hashtbl.replace expected m ()) (Dbj.arc_members dbj ~lo ~span);
-            let cover = Dbj.cover dbj id in
-            if
-              Array.length cover <> Hashtbl.length expected
-              || not (Array.for_all (fun c -> Hashtbl.mem expected c) cover)
-            then incr stale
-          end)
-        ids;
-      if !stale > 0 then
-        Error (Printf.sprintf "%d cover lists diverge from the membership" !stale)
-      else begin
-        let rng = Rng.create seed in
-        let space = 1 lsl Dbj.key_bits dbj in
-        let bad = ref 0 in
-        for _ = 1 to samples do
-          let src = Rng.pick rng ids in
-          let key = Rng.int rng space in
-          match Dbj.route dbj ~src ~key with
-          | Some (_ :: _ as hops)
-            when List.nth hops (List.length hops - 1) = Dbj.successor_node dbj key -> ()
-          | _ -> incr bad
-        done;
-        if !bad = 0 then Ok ()
-        else Error (Printf.sprintf "%d of %d routes missed the key successor" !bad samples)
-      end
+      let rng = Rng.create seed in
+      let bad = ref 0 in
+      for _ = 1 to convergence_samples do
+        let src = Rng.pick rng ids in
+        let key = Rng.int rng be.Backend.key_space in
+        match be.Backend.route ~src ~key with
+        | Some (_ :: _ as hops) when List.nth hops (List.length hops - 1) = be.Backend.owner key
+          -> ()
+        | _ -> incr bad
+      done;
+      if !bad = 0 then Ok ()
+      else
+        Error (Printf.sprintf "%d of %d routes missed the key owner" !bad convergence_samples)
     end
 
 (* ------------------------------------------------------------------ *)
@@ -378,33 +262,31 @@ let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
   (ecan_outcome, can_outcome)
 
 (* ------------------------------------------------------------------ *)
-(* Chord / Pastry under the same storm                                 *)
+(* Chord / Pastry / Koorde under the same storm                        *)
 (* ------------------------------------------------------------------ *)
 
-let hybrid_pick oracle vector_of ~rtts ~node ~candidates =
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
-  in
-  let rec go best = function
-    | [] -> best
-    | c :: rest ->
-      let d = Oracle.measure oracle node c in
-      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
-  in
-  match go None (List.filteri (fun i _ -> i < rtts) ranked) with
-  | Some (_, c) -> Some c
-  | None -> None
+let hybrid oracle ~vector_of ~node ~candidates =
+  fst (Backend.hybrid_pick oracle ~vector_of ~budget:5 ~node ~candidates)
 
-(* The Chord, Pastry and Koorde drivers share everything but the overlay
-   calls.  [pick] overrides the default hybrid selection (rtts = 5) —
-   the degree experiment injects budget-constrained policies here. *)
-let ring_like_outcome ~overlay ~size ~seed ~storm ~oracle ?pick:pick_override ops =
+(* Mean stretch of [stretch_samples] seeded random routes. *)
+let stretch_once oracle (be : Backend.t) probe_seed =
+  let rng = Rng.create probe_seed in
+  let ids = be.Backend.node_ids () in
+  let acc = ref [] in
+  for _ = 1 to stretch_samples do
+    let src = Rng.pick rng ids in
+    let key = Rng.int rng be.Backend.key_space in
+    match be.Backend.route ~src ~key with
+    | Some hops ->
+      let shortest = Oracle.dist oracle src (be.Backend.owner key) in
+      if shortest > 0.0 then acc := (Measure.path_latency oracle hops /. shortest) :: !acc
+    | None -> ()
+  done;
+  mean !acc
+
+let ring_outcome ~size ~seed ~storm ~pick:policy kind oracle =
+  let key_seed = match kind with Backend.Chord -> 9 | Pastry -> 10 | Koorde _ -> 11 in
+  let be = Backend.create kind (Rng.create ((seed * 2003) + key_seed)) in
   let member_rng = Rng.create (seed * 2003 + 1) in
   let all = Array.init (Oracle.node_count oracle) (fun i -> i) in
   let members = Rng.sample member_rng size all in
@@ -418,15 +300,14 @@ let ring_like_outcome ~overlay ~size ~seed ~storm ~oracle ?pick:pick_override op
       Hashtbl.replace vectors node v;
       v
   in
+  let policy = policy ~vector_of in
   let work = ref 0 in
   let pick ~node ~candidates =
     incr work;
-    match pick_override with
-    | Some f -> f ~node ~candidates
-    | None -> hybrid_pick oracle vector_of ~rtts:5 ~node ~candidates
+    policy ~node ~candidates
   in
-  let add, remove, rebuild, node_ids, stretch_once, convergence = ops ~pick in
-  Array.iter add members;
+  let rebuild () = be.Backend.rebuild ~pick in
+  Array.iter be.Backend.add members;
   rebuild ();
   work := 0;
   let joiner_set = Hashtbl.create 64 in
@@ -444,19 +325,19 @@ let ring_like_outcome ~overlay ~size ~seed ~storm ~oracle ?pick:pick_override op
     | Faults.Crash | Faults.Leave ->
       (* Without soft state there is nothing to leave gracefully: both are
          a membership loss repaired by the next stabilisation round. *)
-      let ids = node_ids () in
+      let ids = be.Backend.node_ids () in
       if Array.length ids > min_membership then begin
         let victim = Rng.pick drv ids in
         Faults.note faults (Printf.sprintf "%s node %d"
             (match ev.Faults.action with Faults.Crash -> "crash" | _ -> "leave") victim);
-        remove victim
+        be.Backend.remove victim
       end
     | Faults.Join ->
       if !next_join < Array.length joiners then begin
         let newcomer = joiners.(!next_join) in
         incr next_join;
         Faults.note faults (Printf.sprintf "join node %d" newcomer);
-        add newcomer
+        be.Backend.add newcomer
       end
     | Faults.Expire _ ->
       (* No soft-state plane in this driver; staleness has no analogue. *)
@@ -465,13 +346,13 @@ let ring_like_outcome ~overlay ~size ~seed ~storm ~oracle ?pick:pick_override op
   Faults.install faults ~sim ~plan:(Faults.plan faults storm) ~handler;
   ignore (Sim.every sim ~period:stab_period (fun () -> rebuild ()));
   let storm_end = storm.Faults.start +. storm.Faults.spread in
-  let before = stretch_once (seed * 2003 + 5) in
+  let before = stretch_once oracle be (seed * 2003 + 5) in
   Sim.run ~until:storm_end sim;
-  let at_storm = stretch_once (seed * 2003 + 6) in
+  let at_storm = stretch_once oracle be (seed * 2003 + 6) in
   let converged_at = ref Float.nan in
   let probe_timer = ref None in
   let probe () =
-    match convergence ~seed:(seed * 2003 + 7) with
+    match ring_convergence ~seed:(seed * 2003 + 7) be with
     | Ok () ->
       converged_at := Sim.now sim;
       Option.iter Sim.cancel !probe_timer
@@ -479,16 +360,16 @@ let ring_like_outcome ~overlay ~size ~seed ~storm ~oracle ?pick:pick_override op
   in
   probe_timer := Some (Sim.every sim ~period:probe_period probe);
   Sim.run ~until:(storm_end +. settle) sim;
-  let repaired = stretch_once (seed * 2003 + 8) in
+  let repaired = stretch_once oracle be (seed * 2003 + 8) in
   let converged, repair_ms =
     if Float.is_nan !converged_at then
-      match convergence ~seed:(seed * 2003 + 7) with
+      match ring_convergence ~seed:(seed * 2003 + 7) be with
       | Ok () -> (true, settle)
       | Error _ -> (false, Float.nan)
     else (true, !converged_at -. storm_end)
   in
   {
-    overlay;
+    overlay = String.capitalize_ascii be.Backend.name ^ "+stab";
     stretch_before = before;
     stretch_storm = at_storm;
     stretch_repaired = repaired;
@@ -498,98 +379,6 @@ let ring_like_outcome ~overlay ~size ~seed ~storm ~oracle ?pick:pick_override op
     drops = 0;
     converged;
   }
-
-let chord_outcome ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm) ?pick oracle =
-  let ring = Ring.create () in
-  let ring_rng = Rng.create (seed * 2003 + 9) in
-  ring_like_outcome ~overlay:"Chord+stab" ~size ~seed ~storm ~oracle ?pick (fun ~pick ->
-      let add id = Ring.add_node ring ~rng:ring_rng id in
-      let remove id = Ring.remove_node ring id in
-      let rebuild () =
-        Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates -> pick ~node ~candidates)
-      in
-      let node_ids () = Ring.node_ids ring in
-      let stretch_once probe_seed =
-        let rng = Rng.create probe_seed in
-        let ids = Ring.node_ids ring in
-        let acc = ref [] in
-        for _ = 1 to stretch_samples do
-          let src = Rng.pick rng ids in
-          let key = Rng.int rng (1 lsl Ring.key_bits ring) in
-          match Ring.route ring ~src ~key with
-          | Some hops ->
-            let owner = Ring.successor_node ring key in
-            let shortest = Oracle.dist oracle src owner in
-            if shortest > 0.0 then
-              acc := (Core.Measure.path_latency oracle hops /. shortest) :: !acc
-          | None -> ()
-        done;
-        mean !acc
-      in
-      let convergence ~seed = chord_convergence ~seed ring in
-      (add, remove, rebuild, node_ids, stretch_once, convergence))
-
-let pastry_outcome ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm) ?pick oracle =
-  let mesh = Mesh.create () in
-  let mesh_rng = Rng.create (seed * 2003 + 10) in
-  ring_like_outcome ~overlay:"Pastry+stab" ~size ~seed ~storm ~oracle ?pick (fun ~pick ->
-      let add id = Mesh.add_node mesh ~rng:mesh_rng id in
-      let remove id = Mesh.remove_node mesh id in
-      let rebuild () =
-        Mesh.build_tables mesh ~selector:(fun ~node ~prefix:_ ~candidates -> pick ~node ~candidates)
-      in
-      let node_ids () = Mesh.node_ids mesh in
-      let stretch_once probe_seed =
-        let rng = Rng.create probe_seed in
-        let ids = Mesh.node_ids mesh in
-        let space = 1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh) in
-        let acc = ref [] in
-        for _ = 1 to stretch_samples do
-          let src = Rng.pick rng ids in
-          let key = Rng.int rng space in
-          match Mesh.route mesh ~src ~key with
-          | Some hops ->
-            let owner = Mesh.owner_of mesh key in
-            let shortest = Oracle.dist oracle src owner in
-            if shortest > 0.0 then
-              acc := (Core.Measure.path_latency oracle hops /. shortest) :: !acc
-          | None -> ()
-        done;
-        mean !acc
-      in
-      let convergence ~seed = pastry_convergence ~seed mesh in
-      (add, remove, rebuild, node_ids, stretch_once, convergence))
-
-let koorde_outcome ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm) ?(degree = 4)
-    ?pick oracle =
-  let dbj = Dbj.create ~degree () in
-  let dbj_rng = Rng.create (seed * 2003 + 11) in
-  ring_like_outcome ~overlay:"Koorde+stab" ~size ~seed ~storm ~oracle ?pick (fun ~pick ->
-      let add id = Dbj.add_node dbj ~rng:dbj_rng id in
-      let remove id = Dbj.remove_node dbj id in
-      let rebuild () =
-        Dbj.build_fingers dbj ~selector:(fun ~node ~arc:_ ~candidates -> pick ~node ~candidates)
-      in
-      let node_ids () = Dbj.node_ids dbj in
-      let stretch_once probe_seed =
-        let rng = Rng.create probe_seed in
-        let ids = Dbj.node_ids dbj in
-        let acc = ref [] in
-        for _ = 1 to stretch_samples do
-          let src = Rng.pick rng ids in
-          let key = Rng.int rng (1 lsl Dbj.key_bits dbj) in
-          match Dbj.route dbj ~src ~key with
-          | Some hops ->
-            let owner = Dbj.successor_node dbj key in
-            let shortest = Oracle.dist oracle src owner in
-            if shortest > 0.0 then
-              acc := (Core.Measure.path_latency oracle hops /. shortest) :: !acc
-          | None -> ()
-        done;
-        mean !acc
-      in
-      let convergence ~seed = koorde_convergence ~seed dbj in
-      (add, remove, rebuild, node_ids, stretch_once, convergence))
 
 (* ------------------------------------------------------------------ *)
 (* The experiment                                                      *)
@@ -605,9 +394,10 @@ let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0)
     ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window ~probe_window ~domains
       oracle
   in
-  let chord_o = chord_outcome ~size ~seed ~storm oracle in
-  let pastry_o = pastry_outcome ~size ~seed ~storm oracle in
-  let koorde_o = koorde_outcome ~size ~seed ~storm oracle in
+  let ring kind = ring_outcome ~size ~seed ~storm ~pick:(hybrid oracle) kind oracle in
+  let chord_o = ring Backend.Chord in
+  let pastry_o = ring Backend.Pastry in
+  let koorde_o = ring (Backend.Koorde 4) in
   let table =
     Tableout.create
       ~title:

@@ -41,23 +41,11 @@ val ecan_convergence : ?tolerance:float -> Core.Builder.t -> (unit, string) resu
     be unfilled where the rebuild fills them, or be filled where the
     rebuild cannot. *)
 
-val chord_convergence : ?samples:int -> seed:int -> Chord.Ring.t -> (unit, string) result
-(** Convergence oracle for Chord: structural invariants hold, every arc
-    that has members other than the owner carries a finger (matching what
-    a clean [build_fingers] would produce), and [samples] (default 64)
-    seeded random routes all terminate at the key's successor. *)
-
-val pastry_convergence : ?samples:int -> seed:int -> Pastry.Mesh.t -> (unit, string) result
-(** Convergence oracle for Pastry: structural invariants hold, every
-    routing slot whose prefix region is inhabited is filled, and seeded
-    random routes all terminate at the key's owner. *)
-
-val koorde_convergence :
-  ?samples:int -> seed:int -> Koorde.Debruijn.t -> (unit, string) result
-(** Convergence oracle for Koorde: structural invariants hold, every
-    member's cover list matches a clean rebuild from the current
-    membership (arc charge plus image-arc members), and seeded random
-    routes all terminate at the key's successor. *)
+val ring_convergence : seed:int -> Backend.t -> (unit, string) result
+(** Convergence oracle for Chord, Pastry and Koorde: the backend's
+    invariants hold (structure plus table completeness, see
+    {!Backend.t}) and 64 seeded random routes all terminate at the key's
+    owner. *)
 
 val ecan_outcomes :
   ?size:int ->
@@ -93,36 +81,25 @@ val ecan_outcomes :
     neighbor-selection strategy — the degree experiment sweeps RTT
     budgets through it. *)
 
-val chord_outcome :
-  ?size:int ->
-  ?seed:int ->
-  ?storm:Engine.Faults.storm ->
-  ?pick:(node:int -> candidates:int array -> int option) ->
-  Topology.Oracle.t ->
-  outcome
-(** Chord under the same storm, repaired by periodic stabilisation (full
-    finger rebuild with landmark+RTT hybrid selection; [pick] overrides
-    the selection policy). *)
+val hybrid : Topology.Oracle.t -> vector_of:(int -> float array) -> Backend.pick
+(** The churn rows' selection policy: {!Backend.hybrid_pick} with a
+    budget of 5 RTT probes. *)
 
-val pastry_outcome :
-  ?size:int ->
-  ?seed:int ->
-  ?storm:Engine.Faults.storm ->
-  ?pick:(node:int -> candidates:int array -> int option) ->
+val ring_outcome :
+  size:int ->
+  seed:int ->
+  storm:Engine.Faults.storm ->
+  pick:(vector_of:(int -> float array) -> Backend.pick) ->
+  Backend.kind ->
   Topology.Oracle.t ->
   outcome
-(** Pastry under the same storm, repaired by periodic table rebuild. *)
-
-val koorde_outcome :
-  ?size:int ->
-  ?seed:int ->
-  ?storm:Engine.Faults.storm ->
-  ?degree:int ->
-  ?pick:(node:int -> candidates:int array -> int option) ->
-  Topology.Oracle.t ->
-  outcome
-(** Koorde under the same storm, repaired by periodic cover rebuild.
-    [degree] (default 4) is the de Bruijn fanout k. *)
+(** A Chord, Pastry or Koorde overlay of [size] members under the storm,
+    repaired by periodic stabilisation (a full table rebuild every 20 s).
+    [pick] builds the selection policy from this run's memoised
+    landmark vectors (15 landmarks drawn from the seed); {!hybrid} is the
+    churn experiment's own, the degree experiment injects budgeted and
+    random ones.  [repair_work] counts selection calls after the initial
+    build. *)
 
 val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
 (** The registry entry: default storm and channel, tsk-large/manual

@@ -25,13 +25,11 @@
    schedule for every (backend, k) cell; the same storm replays against
    every cell, so the k axis is the only thing moving. *)
 
-module Oracle = Topology.Oracle
 module Builder = Core.Builder
 module Strategy = Core.Strategy
 module Measure = Core.Measure
 module Metrics = Engine.Metrics
 module Faults = Engine.Faults
-module Landmarks = Landmark.Landmarks
 module Rng = Prelude.Rng
 
 let ks = [ 2; 4; 8; 16 ]
@@ -49,55 +47,26 @@ type row = {
   converged : bool;
 }
 
-(* Landmark vectors shared by the ring-like rows: same landmark choice
-   as [Exp_churn.ring_like_outcome] (seed * 2003 + 2), so the rtts = k
-   policy injected below agrees with the churn driver's own hybrid. *)
-let vector_cache oracle ~seed =
-  let lms = Landmarks.choose (Rng.create ((seed * 2003) + 2)) oracle 15 in
-  let tbl = Hashtbl.create 512 in
-  fun node ->
-    match Hashtbl.find_opt tbl node with
-    | Some v -> v
-    | None ->
-      let v = Landmarks.vector lms node in
-      Hashtbl.replace tbl node v;
-      v
-
-(* The xover/cache experiments' vector-then-probe selection, with the
-   probe budget as a parameter and every RTT measurement counted. *)
-let counted_hybrid oracle vector_of ~rtts probes ~node ~candidates =
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
-  in
-  let rec go best = function
-    | [] -> Option.map snd best
-    | c :: rest ->
-      incr probes;
-      let d = Oracle.measure oracle node c in
-      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
-  in
-  go None (List.filteri (fun i _ -> i < rtts) ranked)
-
 let random_pick rng ~node:_ ~candidates =
   if Array.length candidates = 0 then None else Some (Rng.pick rng candidates)
 
 (* One ring-like cell: run the churn driver twice on identical storms —
-   once with the counted budget-k hybrid (stretch, probes, repair), once
-   with random selection (its pre-storm stretch is the control). *)
-let ring_like_row ~name ~k ~seed outcome_of oracle =
-  let vector_of = vector_cache oracle ~seed in
+   once with the budget-k hybrid, its RTT probes counted (stretch, probes,
+   repair), once with random selection (its pre-storm stretch is the
+   control). *)
+let ring_like_row ~name ~k ~seed ~size ~storm kind oracle =
   let probes = ref 0 in
-  let aware_o =
-    outcome_of ~pick:(counted_hybrid oracle vector_of ~rtts:k probes)
+  let counted ~vector_of ~node ~candidates =
+    let pick, spent = Backend.hybrid_pick oracle ~vector_of ~budget:k ~node ~candidates in
+    probes := !probes + spent;
+    pick
   in
+  let aware_o = Exp_churn.ring_outcome ~size ~seed ~storm ~pick:counted kind oracle in
   let rng = Rng.create ((seed * 31) + k) in
-  let random_o = outcome_of ~pick:(random_pick rng) in
+  let random_o =
+    Exp_churn.ring_outcome ~size ~seed ~storm ~pick:(fun ~vector_of:_ -> random_pick rng) kind
+      oracle
+  in
   {
     backend = name;
     k;
@@ -163,24 +132,12 @@ let data ?(scale = 1) ?(seed = 11) () =
           converged = can_o.Exp_churn.converged;
         }
       in
-      let chord_row =
-        ring_like_row ~name:"chord" ~k ~seed
-          (fun ~pick -> Exp_churn.chord_outcome ~size ~seed ~storm ~pick oracle)
-          oracle
-      in
-      let pastry_row =
-        ring_like_row ~name:"pastry" ~k ~seed
-          (fun ~pick -> Exp_churn.pastry_outcome ~size ~seed ~storm ~pick oracle)
-          oracle
-      in
-      let koorde_row =
-        (* k is both the probe budget and the de Bruijn fanout: the
-           candidate set and the budget shrink together. *)
-        ring_like_row ~name:"koorde" ~k ~seed
-          (fun ~pick ->
-            Exp_churn.koorde_outcome ~size ~seed ~storm ~degree:k ~pick oracle)
-          oracle
-      in
+      let ring name kind = ring_like_row ~name ~k ~seed ~size ~storm kind oracle in
+      let chord_row = ring "chord" Backend.Chord in
+      let pastry_row = ring "pastry" Backend.Pastry in
+      (* k is both the probe budget and the de Bruijn fanout: the
+         candidate set and the budget shrink together. *)
+      let koorde_row = ring "koorde" (Backend.Koorde k) in
       [ ecan_row; can_row; chord_row; pastry_row; koorde_row ])
     ks
 

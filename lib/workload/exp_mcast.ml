@@ -31,14 +31,9 @@ module Probe = Engine.Probe
 module Repair = Engine.Repair
 module Metrics = Engine.Metrics
 module Trace = Engine.Trace
-module Store = Softstate.Store
 module Bus = Pubsub.Bus
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Ring = Chord.Ring
-module Mesh = Pastry.Mesh
-module Dbj = Koorde.Debruijn
-module Landmarks = Landmark.Landmarks
 module Zone = Geometry.Zone
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
@@ -143,7 +138,7 @@ let schedule ~seed ~subscribers ~joiners ~static_pubs ~churn_pubs ~crashes ~leav
 (* ------------------------------------------------------------------ *)
 
 (* One row = an Mcast backend plus the row-specific structure upkeep the
-   maintenance plane does not cover (Chord/Pastry keep their own
+   maintenance plane does not cover (Chord/Pastry/Koorde keep their own
    tables). *)
 type arm = {
   backend : Mcast.backend;
@@ -160,7 +155,6 @@ let no_upkeep (_ : int) = ()
    work for trees. *)
 let builder_arm ~name ~route b =
   let can = Ecan_exp.can b.Builder.ecan in
-  let store = b.Builder.store in
   {
     backend =
       {
@@ -170,20 +164,8 @@ let builder_arm ~name ~route b =
           (fun ~src ~dst ->
             if not (Can_overlay.mem can dst) then None
             else route ~src (Zone.center (Can_overlay.node can dst).Can_overlay.zone));
-        candidates =
-          (fun ~node ~exclude ->
-            let vector = Builder.vector_of b node in
-            Store.lookup store ~region:[||] ~vector ~max_results:12 ~ttl:2 ~max_load:0.99 ()
-            |> List.filter_map (fun (e : Store.Entry.t) ->
-                   let c = e.Store.Entry.node in
-                   if c <> node && (not (List.mem c exclude)) && Can_overlay.mem can c then
-                     Some c
-                   else None));
-        publish_load =
-          (fun ~node ~load ->
-            List.iter
-              (fun region -> Store.update_stats store ~region ~node ~load ~capacity:1.0)
-              (Store.regions_of store node));
+        candidates = Backend.map_candidates b;
+        publish_load = Backend.publish_load b;
       };
     on_remove = no_upkeep;
     on_join = no_upkeep;
@@ -196,127 +178,41 @@ let can_arm ~name b =
   let can = Ecan_exp.can b.Builder.ecan in
   builder_arm ~name ~route:(fun ~src p -> Can_overlay.route can ~src p) b
 
-(* Chord / Pastry: same member population, the xover/cache experiments'
-   vector-then-probe neighbor selection for their tables; with no
-   soft-state plane of their own, relay proposals are the physically
-   nearest members — the optimum a map lookup approximates. *)
-let hybrid_pick oracle vector_of ~rtts ~node ~candidates =
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
+(* Chord / Pastry / Koorde: same member population, the shared
+   landmark-then-RTT selection for their tables (Koorde over its ~k-wide
+   image-arc cover sets), rebuilt on every churn event; with no soft-state
+   plane of their own, relay proposals are the physically nearest
+   members — the optimum a map lookup approximates. *)
+let ring_arm ~seed oracle b i kind =
+  let be = Backend.create kind (Rng.create ((seed * 6007) + i + 1)) in
+  Array.iter be.Backend.add b.Builder.members;
+  let pick ~node ~candidates =
+    fst (Backend.hybrid_pick oracle ~vector_of:(Builder.vector_of b) ~budget:5 ~node ~candidates)
   in
-  let rec go best = function
-    | [] -> Option.map snd best
-    | c :: rest ->
-      let d = Oracle.measure oracle node c in
-      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
-  in
-  go None (List.filteri (fun i _ -> i < rtts) ranked)
-
-let oracle_candidates oracle ids ~node ~exclude =
-  Array.to_list (ids ())
-  |> List.filter (fun c -> c <> node && not (List.mem c exclude))
-  |> List.map (fun c -> (Oracle.dist oracle node c, c))
-  |> List.sort compare
-  |> List.filteri (fun i _ -> i < 12)
-  |> List.map snd
-
-let chord_arm ~seed oracle b =
-  let ring = Ring.create () in
-  let rng = Rng.create ((seed * 6007) + 1) in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) b.Builder.members;
-  let selector ~node ~arc:_ ~candidates =
-    hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates
-  in
-  Ring.build_fingers ring ~selector;
+  be.Backend.rebuild ~pick;
   {
     backend =
       {
-        Mcast.name = "chord";
-        member = (fun node -> Ring.mem ring node);
+        Mcast.name = be.Backend.name;
+        member = be.Backend.mem;
         route_to =
           (fun ~src ~dst ->
-            if not (Ring.mem ring dst) then None
-            else Ring.route ring ~src ~key:(Ring.key_of ring dst));
-        candidates = oracle_candidates oracle (fun () -> Ring.node_ids ring);
+            if not (be.Backend.mem dst) then None
+            else be.Backend.route ~src ~key:(be.Backend.key_of dst));
+        candidates =
+          (fun ~node ~exclude ->
+            Backend.nearest oracle (be.Backend.node_ids ()) ~node ~exclude
+            |> List.filteri (fun i _ -> i < 12));
         publish_load = (fun ~node:_ ~load:_ -> ());
       };
     on_remove =
       (fun v ->
-        Ring.remove_node ring v;
-        Ring.build_fingers ring ~selector);
+        be.Backend.remove v;
+        be.Backend.rebuild ~pick);
     on_join =
       (fun n ->
-        Ring.add_node ring ~rng n;
-        Ring.build_fingers ring ~selector);
-  }
-
-let pastry_arm ~seed oracle b =
-  let mesh = Mesh.create () in
-  let rng = Rng.create ((seed * 6007) + 2) in
-  Array.iter (fun id -> Mesh.add_node mesh ~rng id) b.Builder.members;
-  let selector ~node ~prefix:_ ~candidates =
-    hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates
-  in
-  Mesh.build_tables mesh ~selector;
-  {
-    backend =
-      {
-        Mcast.name = "pastry";
-        member = (fun node -> Mesh.mem mesh node);
-        route_to =
-          (fun ~src ~dst ->
-            if not (Mesh.mem mesh dst) then None
-            else Mesh.route mesh ~src ~key:(Mesh.pastry_id mesh dst));
-        candidates = oracle_candidates oracle (fun () -> Mesh.node_ids mesh);
-        publish_load = (fun ~node:_ ~load:_ -> ());
-      };
-    on_remove =
-      (fun v ->
-        Mesh.remove_node mesh v;
-        Mesh.build_tables mesh ~selector);
-    on_join =
-      (fun n ->
-        Mesh.add_node mesh ~rng n;
-        Mesh.build_tables mesh ~selector);
-  }
-
-(* Koorde: constant-degree row.  Same hybrid selection over the ~k-wide
-   image-arc cover sets; like Chord/Pastry it keeps its own structure, so
-   churn events rebuild the de Bruijn entries. *)
-let koorde_arm ~seed oracle b =
-  let dbj = Dbj.create ~degree:4 () in
-  let rng = Rng.create ((seed * 6007) + 3) in
-  Array.iter (fun id -> Dbj.add_node dbj ~rng id) b.Builder.members;
-  let selector ~node ~arc:_ ~candidates =
-    hybrid_pick oracle (Builder.vector_of b) ~rtts:5 ~node ~candidates
-  in
-  Dbj.build_fingers dbj ~selector;
-  {
-    backend =
-      {
-        Mcast.name = "koorde";
-        member = (fun node -> Dbj.mem dbj node);
-        route_to =
-          (fun ~src ~dst ->
-            if not (Dbj.mem dbj dst) then None
-            else Dbj.route dbj ~src ~key:(Dbj.key_of dbj dst));
-        candidates = oracle_candidates oracle (fun () -> Dbj.node_ids dbj);
-        publish_load = (fun ~node:_ ~load:_ -> ());
-      };
-    on_remove =
-      (fun v ->
-        Dbj.remove_node dbj v;
-        Dbj.build_fingers dbj ~selector);
-    on_join =
-      (fun n ->
-        Dbj.add_node dbj ~rng n;
-        Dbj.build_fingers dbj ~selector);
+        be.Backend.add n;
+        be.Backend.rebuild ~pick);
   }
 
 (* ------------------------------------------------------------------ *)
@@ -383,9 +279,9 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
     match kind with
     | Ecan_aware | Ecan_random -> ecan_arm ~name:label b
     | Can_greedy -> can_arm ~name:label b
-    | Chord_row -> chord_arm ~seed oracle b
-    | Pastry_row -> pastry_arm ~seed oracle b
-    | Koorde_row -> koorde_arm ~seed oracle b
+    | Chord_row -> ring_arm ~seed oracle b 0 Backend.Chord
+    | Pastry_row -> ring_arm ~seed oracle b 1 Backend.Pastry
+    | Koorde_row -> ring_arm ~seed oracle b 2 (Backend.Koorde 4)
   in
   let policy = match kind with Ecan_random -> Mcast.Random | _ -> Mcast.Aware in
   let tree =

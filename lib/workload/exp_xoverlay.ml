@@ -12,77 +12,47 @@ let landmark_count = 15
 let rtt_budget = 10
 let route_count = 2048
 
-type pick = node:int -> candidates:int array -> int option
+let random_pick rng : Backend.pick = fun ~node:_ ~candidates -> Some (Rng.pick rng candidates)
 
-let random_pick rng : pick = fun ~node:_ ~candidates -> Some (Rng.pick rng candidates)
-
-let optimal_pick oracle : pick =
+let optimal_pick oracle : Backend.pick =
  fun ~node ~candidates ->
   match Oracle.nearest oracle node candidates with
   | Some (best, _) -> Some best
   | None -> None
 
-(* The soft-state hybrid, idealised to its information content: the map of
-   a region, keyed by landmark numbers, returns the entries closest to the
-   querying node in landmark space; the node then probes the top few by
-   RTT.  (The storage mechanics are exercised by the eCAN experiments;
-   Chord/Pastry maps would hold the same entries keyed by landmark number
-   on the ring / under the prefix.) *)
-let hybrid_pick oracle vector_of : pick =
- fun ~node ~candidates ->
-  let qvec = vector_of node in
-  let ranked =
-    candidates
-    |> Array.to_list
-    |> List.filter (fun c -> c <> node)
-    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
-    |> List.sort compare
-    |> List.map snd
-  in
-  let rec probe best = function
-    | [] -> best
-    | c :: rest ->
-      let d = Oracle.measure oracle node c in
-      let best = match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c) in
-      probe best rest
-  in
-  match probe None (List.filteri (fun i _ -> i < rtt_budget) ranked) with
-  | Some (_, c) -> Some c
-  | None -> None
-
-let stretch_summary oracle routes =
-  let stretches =
-    List.filter_map
-      (fun (hops, shortest) ->
-        if shortest <= 0.0 then None
-        else begin
-          let rec latency acc = function
-            | a :: (b :: _ as rest) -> latency (acc +. Oracle.dist oracle a b) rest
-            | [ _ ] | [] -> acc
-          in
-          Some (latency 0.0 hops /. shortest)
-        end)
-      routes
-  in
-  Stats.summarize (Array.of_list stretches)
-
-let chord_stretch oracle members pick_name pick =
-  let rng = Rng.create 31337 in
-  let ring = Ring.create () in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) members;
-  Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates -> pick ~node ~candidates);
-  let route_rng = Rng.create 555 in
-  let routes = ref [] in
+(* Stretch of [route_count] seeded routes from random members to random
+   keys, each measured against the direct path to the key's owner. *)
+let sampled_stretch oracle members ~seed ~what ~route ~owner ~key_space =
+  let route_rng = Rng.create seed in
+  let stretches = ref [] in
   for _ = 1 to route_count do
     let src = Rng.pick route_rng members in
-    let key = Rng.int route_rng (1 lsl Ring.key_bits ring) in
-    match Ring.route ring ~src ~key with
+    let key = Rng.int route_rng key_space in
+    match route ~src ~key with
     | Some hops ->
-      let owner = Ring.successor_node ring key in
-      routes := (hops, Oracle.dist oracle src owner) :: !routes
-    | None -> failwith ("chord routing failed under " ^ pick_name)
+      let shortest = Oracle.dist oracle src (owner key) in
+      if shortest > 0.0 then
+        stretches := (Core.Measure.path_latency oracle hops /. shortest) :: !stretches
+    | None -> failwith (what ^ " routing failed")
   done;
-  stretch_summary oracle !routes
+  Stats.summarize (Array.of_list !stretches)
+
+(* Map-backed selection: probe every entry the map lookup returned (other
+   than the node itself) in lookup order and keep the RTT-nearest, the
+   earlier one on ties; a random candidate when the map had none. *)
+let map_pick oracle fallback_rng ~node ~candidates entries =
+  match List.filter (fun c -> c <> node) entries with
+  | [] -> Some (Rng.pick fallback_rng candidates)
+  | first :: rest ->
+    let best =
+      List.fold_left
+        (fun (bd, bc) c ->
+          let d = Oracle.measure oracle node c in
+          if bd <= d then (bd, bc) else (d, c))
+        (Oracle.measure oracle node first, first)
+        rest
+    in
+    Some (snd best)
 
 (* Chord with the soft-state map actually *stored on the ring* (appendix
    placement: entry key = landmark number scaled into the id space): finger
@@ -96,35 +66,13 @@ let chord_ringmap_stretch oracle members scheme vector_of =
   Array.iter (fun id -> Chord.Softmap.publish map ~node:id ~vector:(vector_of id)) members;
   let fallback_rng = Rng.create 31340 in
   Ring.build_fingers ring ~selector:(fun ~node ~arc ~candidates ->
-      let entries =
-        Chord.Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc
-          ~max_results:rtt_budget ~ttl:64 ()
-      in
-      let entries = List.filter (fun e -> e.Chord.Softmap.node <> node) entries in
-      match entries with
-      | [] -> Some (Rng.pick fallback_rng candidates)
-      | entries ->
-        let best = ref None in
-        List.iter
-          (fun (e : Chord.Softmap.entry) ->
-            let d = Oracle.measure oracle node e.Chord.Softmap.node in
-            match !best with
-            | Some (bd, _) when bd <= d -> ()
-            | _ -> best := Some (d, e.Chord.Softmap.node))
-          entries;
-        (match !best with Some (_, c) -> Some c | None -> None));
-  let route_rng = Rng.create 555 in
-  let routes = ref [] in
-  for _ = 1 to route_count do
-    let src = Rng.pick route_rng members in
-    let key = Rng.int route_rng (1 lsl Ring.key_bits ring) in
-    match Ring.route ring ~src ~key with
-    | Some hops ->
-      let owner = Ring.successor_node ring key in
-      routes := (hops, Oracle.dist oracle src owner) :: !routes
-    | None -> failwith "chord routing failed under ring-map hybrid"
-  done;
-  stretch_summary oracle !routes
+      Chord.Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc ~max_results:rtt_budget
+        ~ttl:64 ()
+      |> List.map (fun e -> e.Chord.Softmap.node)
+      |> map_pick oracle fallback_rng ~node ~candidates);
+  sampled_stretch oracle members ~seed:555 ~what:"chord ring-map hybrid"
+    ~route:(Ring.route ring) ~owner:(Ring.successor_node ring)
+    ~key_space:(1 lsl Ring.key_bits ring)
 
 (* Pastry with prefix-region maps actually stored on the mesh (appendix
    placement: entry id = region prefix ++ landmark-number digits). *)
@@ -136,75 +84,13 @@ let pastry_prefixmap_stretch oracle members scheme vector_of =
   Array.iter (fun id -> Pastry.Softmap.publish_all map ~node:id ~vector:(vector_of id)) members;
   let fallback_rng = Rng.create 31342 in
   Mesh.build_tables mesh ~selector:(fun ~node ~prefix ~candidates ->
-      let entries =
-        Pastry.Softmap.lookup map ~prefix ~vector:(vector_of node) ~max_results:rtt_budget
-          ~ttl:16 ()
-      in
-      let entries =
-        List.filter (fun (e : Pastry.Softmap.entry) -> e.Pastry.Softmap.node <> node) entries
-      in
-      match entries with
-      | [] -> Some (Rng.pick fallback_rng candidates)
-      | entries ->
-        let best = ref None in
-        List.iter
-          (fun (e : Pastry.Softmap.entry) ->
-            let d = Oracle.measure oracle node e.Pastry.Softmap.node in
-            match !best with
-            | Some (bd, _) when bd <= d -> ()
-            | _ -> best := Some (d, e.Pastry.Softmap.node))
-          entries;
-        (match !best with Some (_, c) -> Some c | None -> None));
-  let route_rng = Rng.create 556 in
-  let space = 1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh) in
-  let routes = ref [] in
-  for _ = 1 to route_count do
-    let src = Rng.pick route_rng members in
-    let key = Rng.int route_rng space in
-    match Mesh.route mesh ~src ~key with
-    | Some hops ->
-      let owner = Mesh.owner_of mesh key in
-      routes := (hops, Oracle.dist oracle src owner) :: !routes
-    | None -> failwith "pastry routing failed under prefix-map hybrid"
-  done;
-  stretch_summary oracle !routes
-
-let pastry_stretch oracle members pick_name pick =
-  let rng = Rng.create 31338 in
-  let mesh = Mesh.create () in
-  Array.iter (fun id -> Mesh.add_node mesh ~rng id) members;
-  Mesh.build_tables mesh ~selector:(fun ~node ~prefix:_ ~candidates -> pick ~node ~candidates);
-  let route_rng = Rng.create 556 in
-  let space = 1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh) in
-  let routes = ref [] in
-  for _ = 1 to route_count do
-    let src = Rng.pick route_rng members in
-    let key = Rng.int route_rng space in
-    match Mesh.route mesh ~src ~key with
-    | Some hops ->
-      let owner = Mesh.owner_of mesh key in
-      routes := (hops, Oracle.dist oracle src owner) :: !routes
-    | None -> failwith ("pastry routing failed under " ^ pick_name)
-  done;
-  stretch_summary oracle !routes
-
-let koorde_stretch oracle members pick_name pick =
-  let rng = Rng.create 31343 in
-  let dbj = Dbj.create ~degree:4 () in
-  Array.iter (fun id -> Dbj.add_node dbj ~rng id) members;
-  Dbj.build_fingers dbj ~selector:(fun ~node ~arc:_ ~candidates -> pick ~node ~candidates);
-  let route_rng = Rng.create 557 in
-  let routes = ref [] in
-  for _ = 1 to route_count do
-    let src = Rng.pick route_rng members in
-    let key = Rng.int route_rng (1 lsl Dbj.key_bits dbj) in
-    match Dbj.route dbj ~src ~key with
-    | Some hops ->
-      let owner = Dbj.successor_node dbj key in
-      routes := (hops, Oracle.dist oracle src owner) :: !routes
-    | None -> failwith ("koorde routing failed under " ^ pick_name)
-  done;
-  stretch_summary oracle !routes
+      Pastry.Softmap.lookup map ~prefix ~vector:(vector_of node) ~max_results:rtt_budget ~ttl:16
+        ()
+      |> List.map (fun (e : Pastry.Softmap.entry) -> e.Pastry.Softmap.node)
+      |> map_pick oracle fallback_rng ~node ~candidates);
+  sampled_stretch oracle members ~seed:556 ~what:"pastry prefix-map hybrid"
+    ~route:(Mesh.route mesh) ~owner:(Mesh.owner_of mesh)
+    ~key_space:(1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh))
 
 (* Koorde with the soft-state map stored on its own ring (same appendix
    placement as Chord — the identifier ring is the same structure): the
@@ -218,35 +104,13 @@ let koorde_ringmap_stretch oracle members scheme vector_of =
   Array.iter (fun id -> Koorde.Softmap.publish map ~node:id ~vector:(vector_of id)) members;
   let fallback_rng = Rng.create 31345 in
   Dbj.build_fingers dbj ~selector:(fun ~node ~arc ~candidates ->
-      let entries =
-        Koorde.Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc
-          ~max_results:rtt_budget ~ttl:64 ()
-      in
-      let entries = List.filter (fun e -> e.Koorde.Softmap.node <> node) entries in
-      match entries with
-      | [] -> Some (Rng.pick fallback_rng candidates)
-      | entries ->
-        let best = ref None in
-        List.iter
-          (fun (e : Koorde.Softmap.entry) ->
-            let d = Oracle.measure oracle node e.Koorde.Softmap.node in
-            match !best with
-            | Some (bd, _) when bd <= d -> ()
-            | _ -> best := Some (d, e.Koorde.Softmap.node))
-          entries;
-        (match !best with Some (_, c) -> Some c | None -> None));
-  let route_rng = Rng.create 557 in
-  let routes = ref [] in
-  for _ = 1 to route_count do
-    let src = Rng.pick route_rng members in
-    let key = Rng.int route_rng (1 lsl Dbj.key_bits dbj) in
-    match Dbj.route dbj ~src ~key with
-    | Some hops ->
-      let owner = Dbj.successor_node dbj key in
-      routes := (hops, Oracle.dist oracle src owner) :: !routes
-    | None -> failwith "koorde routing failed under ring-map hybrid"
-  done;
-  stretch_summary oracle !routes
+      Koorde.Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc ~max_results:rtt_budget
+        ~ttl:64 ()
+      |> List.map (fun e -> e.Koorde.Softmap.node)
+      |> map_pick oracle fallback_rng ~node ~candidates);
+  sampled_stretch oracle members ~seed:557 ~what:"koorde ring-map hybrid"
+    ~route:(Dbj.route dbj) ~owner:(Dbj.successor_node dbj)
+    ~key_space:(1 lsl Dbj.key_bits dbj)
 
 let run ?(scale = 1) ppf =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
@@ -269,22 +133,36 @@ let run ?(scale = 1) ppf =
   let strategies oracle =
     [
       ("random", random_pick (Rng.create 1));
-      ("hybrid", hybrid_pick oracle vector_of);
+      (* The soft-state hybrid, idealised to its information content: the
+         map of a region returns the entries closest to the querying node
+         in landmark space, and the node probes the top few by RTT.  The
+         map-backed rows below exercise the storage itself. *)
+      ( "hybrid",
+        fun ~node ~candidates ->
+          fst (Backend.hybrid_pick oracle ~vector_of ~budget:rtt_budget ~node ~candidates) );
       ("optimal", optimal_pick oracle);
     ]
   in
-  let row name runner =
+  (* One fresh overlay per (row, strategy): same member keys, same routes. *)
+  let row name kind ~key_seed ~route_seed =
     let cells =
       List.map
         (fun (pick_name, pick) ->
-          Tableout.cell_f (runner oracle members pick_name pick).Stats.mean)
+          let be = Backend.create kind (Rng.create key_seed) in
+          Array.iter be.Backend.add members;
+          be.Backend.rebuild ~pick;
+          let s =
+            sampled_stretch oracle members ~seed:route_seed ~what:(name ^ " " ^ pick_name)
+              ~route:be.Backend.route ~owner:be.Backend.owner ~key_space:be.Backend.key_space
+          in
+          Tableout.cell_f s.Stats.mean)
         (strategies oracle)
     in
     Tableout.add_row table (name :: cells)
   in
-  row "Chord" chord_stretch;
-  row "Pastry" pastry_stretch;
-  row "Koorde" koorde_stretch;
+  row "Chord" Backend.Chord ~key_seed:31337 ~route_seed:555;
+  row "Pastry" Backend.Pastry ~key_seed:31338 ~route_seed:556;
+  row "Koorde" (Backend.Koorde 4) ~key_seed:31343 ~route_seed:557;
   Tableout.render ppf table;
   (* The ring-map variant exercises the actual on-ring storage path. *)
   let scheme =

@@ -30,77 +30,42 @@ let log2f n = log (float_of_int (max 2 n)) /. log 2.
 
 (* ---- the five wrappers ---- *)
 
-let make_chord ~seed ~n =
-  let module Ring = Chord.Ring in
-  let rng = Rng.create seed in
-  let t = Ring.create () in
+(* Chord, Pastry and Koorde come from the workloads' own adapters,
+   stabilised under a seeded random selection policy. *)
+let of_backend ~seed ~n ~mean_hop_bound kind =
+  let module Backend = Workload.Backend in
+  let t = Backend.create kind (Rng.create seed) in
   for id = 0 to n - 1 do
-    Ring.add_node t ~rng id
+    t.Backend.add id
   done;
   let sel = Rng.create (seed + 1) in
-  let selector ~node:_ ~arc:_ ~candidates = Some (Rng.pick sel candidates) in
-  Ring.build_fingers t ~selector;
+  let pick ~node:_ ~candidates = Some (Rng.pick sel candidates) in
+  t.Backend.rebuild ~pick;
   {
-    name = "chord";
-    members = (fun () -> Ring.node_ids t);
-    route = (fun ~src ~key -> Ring.route t ~src ~key);
-    owner = (fun key -> Ring.successor_node t key);
-    key_space = 1 lsl Ring.key_bits t;
-    mean_hop_bound = (fun n -> (2. *. log2f n) +. 6.);
-    join = (fun id -> Ring.add_node t ~rng id);
-    leave = (fun id -> Ring.remove_node t id);
-    stabilize = (fun () -> Ring.build_fingers t ~selector);
-    invariants = (fun () -> Ring.check_invariants t);
+    name = t.Backend.name;
+    members = t.Backend.node_ids;
+    route = t.Backend.route;
+    owner = t.Backend.owner;
+    key_space = t.Backend.key_space;
+    mean_hop_bound;
+    join = t.Backend.add;
+    leave = t.Backend.remove;
+    stabilize = (fun () -> t.Backend.rebuild ~pick);
+    invariants = t.Backend.invariants;
   }
+
+let make_chord ~seed ~n =
+  of_backend ~seed ~n ~mean_hop_bound:(fun n -> (2. *. log2f n) +. 6.) Workload.Backend.Chord
 
 let make_pastry ~seed ~n =
-  let module Mesh = Pastry.Mesh in
-  let rng = Rng.create seed in
-  let t = Mesh.create () in
-  for id = 0 to n - 1 do
-    Mesh.add_node t ~rng id
-  done;
-  let sel = Rng.create (seed + 1) in
-  let selector ~node:_ ~prefix:_ ~candidates = Some (Rng.pick sel candidates) in
-  Mesh.build_tables t ~selector;
-  {
-    name = "pastry";
-    members = (fun () -> Mesh.node_ids t);
-    route = (fun ~src ~key -> Mesh.route t ~src ~key);
-    owner = (fun key -> Mesh.owner_of t key);
-    key_space = 1 lsl (Mesh.digit_bits t * Mesh.num_digits t);
-    mean_hop_bound = (fun n -> (2. *. log2f n) +. 6.);
-    join = (fun id -> Mesh.add_node t ~rng id);
-    leave = (fun id -> Mesh.remove_node t id);
-    stabilize = (fun () -> Mesh.build_tables t ~selector);
-    invariants = (fun () -> Mesh.check_invariants t);
-  }
+  of_backend ~seed ~n ~mean_hop_bound:(fun n -> (2. *. log2f n) +. 6.) Workload.Backend.Pastry
 
+(* log_k N digit hops plus successor corrections, which random preferred
+   entries make more frequent than the exact policy's O(1) *)
 let make_koorde ~seed ~n =
-  let module Dbj = Koorde.Debruijn in
-  let rng = Rng.create seed in
-  let degree = [| 2; 4; 8; 16 |].(seed mod 4) in
-  let t = Dbj.create ~degree () in
-  for id = 0 to n - 1 do
-    Dbj.add_node t ~rng id
-  done;
-  let sel = Rng.create (seed + 1) in
-  let selector ~node:_ ~arc:_ ~candidates = Some (Rng.pick sel candidates) in
-  Dbj.build_fingers t ~selector;
-  {
-    name = "koorde";
-    members = (fun () -> Dbj.node_ids t);
-    route = (fun ~src ~key -> Dbj.route t ~src ~key);
-    owner = (fun key -> Dbj.successor_node t key);
-    key_space = 1 lsl Dbj.key_bits t;
-    (* log_k N digit hops plus successor corrections, which random
-       preferred entries make more frequent than the exact policy's O(1) *)
-    mean_hop_bound = (fun n -> (2. *. log2f n) +. 8.);
-    join = (fun id -> Dbj.add_node t ~rng id);
-    leave = (fun id -> Dbj.remove_node t id);
-    stabilize = (fun () -> Dbj.build_fingers t ~selector);
-    invariants = (fun () -> Dbj.check_invariants t);
-  }
+  of_backend ~seed ~n
+    ~mean_hop_bound:(fun n -> (2. *. log2f n) +. 8.)
+    (Workload.Backend.Koorde [| 2; 4; 8; 16 |].(seed mod 4))
 
 (* CAN and eCAN route on points; keys map onto the unit square through a
    fixed 2 x 10-bit grid so the keyed interface is shared. *)

@@ -188,9 +188,11 @@ let qcheck_probe_phased_identity =
   QCheck.Test.make ~name:"probe: prefetch + replay matches the sequential path" ~count:25
     QCheck.(pair (int_range 0 10_000) (int_range 1 24))
     (fun (seed, batchlen) ->
-      let count = ref 0 in
+      (* [measure] runs on the pool's worker domains: the counter must be
+         atomic or concurrent increments get lost. *)
+      let count = Atomic.make 0 in
       let measure src dst =
-        incr count;
+        Atomic.incr count;
         1.0 +. float_of_int (((src * 31) + (dst * 17)) mod 97)
       in
       let config =
@@ -201,7 +203,7 @@ let qcheck_probe_phased_identity =
           cache_ttl = 500.0 }
       in
       let run pool =
-        count := 0;
+        Atomic.set count 0;
         let faults =
           Faults.create ~channel:{ Faults.loss = 0.15; delay_min = 0.0; delay_max = 30.0 }
             ~seed ()
@@ -214,7 +216,7 @@ let qcheck_probe_phased_identity =
               (Probe.run_batch p ~src:b ~dsts).Probe.results)
         in
         (batches, Probe.probes p, Probe.failures p, Probe.cache_hits p, Probe.cache_misses p,
-         Probe.cache_stale p, !count)
+         Probe.cache_stale p, Atomic.get count)
       in
       run None = run (Some (Dpool.get ~domains:4)))
 

@@ -8,8 +8,7 @@ module Faults = Engine.Faults
 module Oracle = Topology.Oracle
 module Builder = Core.Builder
 module Ecan_exp = Ecan.Expressway
-module Ring = Chord.Ring
-module Mesh = Pastry.Mesh
+module Backend = Workload.Backend
 module Exp_churn = Workload.Exp_churn
 module Can_overlay = Can.Overlay
 module Rng = Prelude.Rng
@@ -162,22 +161,22 @@ let test_chord_oracle () =
   let oracle = Lazy.force oracle in
   let rng = Rng.create 21 in
   let members = Rng.sample rng 64 (Array.init (Oracle.node_count oracle) (fun i -> i)) in
-  let ring = Ring.create () in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) members;
-  Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates -> first_candidate ~node ~candidates);
-  (match Exp_churn.chord_convergence ~seed:5 ring with
+  let ring = Backend.create Backend.Chord rng in
+  Array.iter ring.Backend.add members;
+  ring.Backend.rebuild ~pick:first_candidate;
+  (match Exp_churn.ring_convergence ~seed:5 ring with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("freshly built ring should converge: " ^ m));
   (* Tear out several members: their fingers vanish and fingers pointing
      at them are cleared, leaving inhabited arcs uncovered. *)
   for i = 0 to 7 do
-    Ring.remove_node ring members.(i)
+    ring.Backend.remove members.(i)
   done;
-  (match Exp_churn.chord_convergence ~seed:5 ring with
+  (match Exp_churn.ring_convergence ~seed:5 ring with
   | Ok () -> Alcotest.fail "unrepaired ring must not pass the oracle"
   | Error _ -> ());
-  Ring.build_fingers ring ~selector:(fun ~node ~arc:_ ~candidates -> first_candidate ~node ~candidates);
-  match Exp_churn.chord_convergence ~seed:5 ring with
+  ring.Backend.rebuild ~pick:first_candidate;
+  match Exp_churn.ring_convergence ~seed:5 ring with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("rebuilt ring should converge again: " ^ m)
 
@@ -185,30 +184,28 @@ let test_pastry_oracle () =
   let oracle = Lazy.force oracle in
   let rng = Rng.create 22 in
   let members = Rng.sample rng 64 (Array.init (Oracle.node_count oracle) (fun i -> i)) in
-  let mesh = Mesh.create () in
-  Array.iter (fun id -> Mesh.add_node mesh ~rng id) members;
-  let build () =
-    Mesh.build_tables mesh ~selector:(fun ~node ~prefix:_ ~candidates ->
-        first_candidate ~node ~candidates)
+  let mesh = Backend.create Backend.Pastry rng in
+  Array.iter mesh.Backend.add members;
+  (* Record every routing-table entry the build picks, so the removals
+     below are guaranteed to leave cleared slots. *)
+  let referenced = Hashtbl.create 64 in
+  let pick ~node ~candidates =
+    let c = first_candidate ~node ~candidates in
+    Option.iter (fun t -> Hashtbl.replace referenced t ()) c;
+    c
   in
-  build ();
-  (match Exp_churn.pastry_convergence ~seed:6 mesh with
+  mesh.Backend.rebuild ~pick;
+  (match Exp_churn.ring_convergence ~seed:6 mesh with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("freshly built mesh should converge: " ^ m));
-  (* Remove nodes that other members actually reference in their routing
-     tables, so the removals are guaranteed to leave cleared slots. *)
-  let referenced = Hashtbl.create 64 in
-  Array.iter
-    (fun id -> List.iter (fun (_, _, t) -> Hashtbl.replace referenced t ()) (Mesh.table_entries mesh id))
-    (Mesh.node_ids mesh);
   let victims = ref [] in
   Hashtbl.iter (fun t () -> if List.length !victims < 8 then victims := t :: !victims) referenced;
-  List.iter (fun v -> Mesh.remove_node mesh v) !victims;
-  (match Exp_churn.pastry_convergence ~seed:6 mesh with
+  List.iter mesh.Backend.remove !victims;
+  (match Exp_churn.ring_convergence ~seed:6 mesh with
   | Ok () -> Alcotest.fail "unrepaired mesh must not pass the oracle"
   | Error _ -> ());
-  build ();
-  match Exp_churn.pastry_convergence ~seed:6 mesh with
+  mesh.Backend.rebuild ~pick:first_candidate;
+  match Exp_churn.ring_convergence ~seed:6 mesh with
   | Ok () -> ()
   | Error m -> Alcotest.fail ("rebuilt mesh should converge again: " ^ m)
 
@@ -229,10 +226,14 @@ let test_ecan_storm_repairs () =
 
 let test_chord_pastry_storm_repairs () =
   let oracle = Lazy.force oracle in
-  let chord_o = Exp_churn.chord_outcome ~size:48 ~seed:5 ~storm:small_storm oracle in
+  let ring kind =
+    Exp_churn.ring_outcome ~size:48 ~seed:5 ~storm:small_storm ~pick:(Exp_churn.hybrid oracle)
+      kind oracle
+  in
+  let chord_o = ring Backend.Chord in
   Alcotest.(check bool) "Chord converges after the storm" true chord_o.Exp_churn.converged;
   Alcotest.(check bool) "stabilisation did work" true (chord_o.Exp_churn.repair_work > 0);
-  let pastry_o = Exp_churn.pastry_outcome ~size:48 ~seed:5 ~storm:small_storm oracle in
+  let pastry_o = ring Backend.Pastry in
   Alcotest.(check bool) "Pastry converges after the storm" true pastry_o.Exp_churn.converged;
   Alcotest.(check bool) "stabilisation did work" true (pastry_o.Exp_churn.repair_work > 0)
 
@@ -297,8 +298,11 @@ let test_storm_metrics_deterministic () =
   let run () = Exp_churn.ecan_outcomes ~size:48 ~seed:9 ~storm:small_storm ~channel:lossy oracle in
   let a = run () and b = run () in
   Alcotest.(check bool) "same seed, same metrics" true (a = b);
-  let c = Exp_churn.chord_outcome ~size:48 ~seed:9 ~storm:small_storm oracle in
-  let d = Exp_churn.chord_outcome ~size:48 ~seed:9 ~storm:small_storm oracle in
+  let chord () =
+    Exp_churn.ring_outcome ~size:48 ~seed:9 ~storm:small_storm ~pick:(Exp_churn.hybrid oracle)
+      Backend.Chord oracle
+  in
+  let c = chord () and d = chord () in
   Alcotest.(check bool) "chord metrics deterministic" true (c = d)
 
 let suite =

@@ -175,6 +175,57 @@ let test_rejects_bad_budget () =
   Alcotest.check_raises "budget 0" (Invalid_argument "Search.ers_curve: budget must be >= 1")
     (fun () -> ignore (Search.ers_curve oracle can ~query:0 ~budget:0))
 
+(* Reference model for [Workload.Backend.hybrid_pick]: the
+   vector-then-probe selector the workloads each used to carry, with the
+   probe budget as a parameter and every RTT measurement counted. *)
+let reference_hybrid oracle vector_of ~rtts probes ~node ~candidates =
+  let qvec = vector_of node in
+  let ranked =
+    candidates
+    |> Array.to_list
+    |> List.filter (fun c -> c <> node)
+    |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
+    |> List.sort compare
+    |> List.map snd
+  in
+  let rec go best = function
+    | [] -> Option.map snd best
+    | c :: rest ->
+      incr probes;
+      let d = Oracle.measure oracle node c in
+      go (match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, c)) rest
+  in
+  go None (List.filteri (fun i _ -> i < rtts) ranked)
+
+let picker_setup = lazy (setup ~seed:3)
+
+(* Candidate arrays may be empty, hold only the query, repeat nodes or
+   include the query; budgets run past the candidate count.  Coarse
+   one-dimensional vectors force ties in landmark distance, and the
+   manual latency model's small integer link weights force RTT ties. *)
+let qcheck_shared_picker_matches_reference =
+  QCheck.Test.make ~name:"Backend.hybrid_pick matches the reference selector" ~count:300
+    QCheck.(triple (int_range 0 1_000_000) (int_range 0 24) (int_range 1 30))
+    (fun (seed, len, budget) ->
+      let oracle, _, vectors, _ = Lazy.force picker_setup in
+      let n = Oracle.node_count oracle in
+      let rng = Rng.create seed in
+      let node = Rng.int rng n in
+      let coarse = 1 + Rng.int rng 4 in
+      let vector_of v =
+        if seed mod 3 = 0 then vectors.(v) else [| float_of_int (v mod coarse) |]
+      in
+      let candidates =
+        if seed mod 7 = 0 then Array.make (len mod 3) node
+        else Array.init len (fun _ -> if Rng.int rng 5 = 0 then node else Rng.int rng n)
+      in
+      let probes = ref 0 in
+      let expected = reference_hybrid oracle vector_of ~rtts:budget probes ~node ~candidates in
+      let pick, spent =
+        Workload.Backend.hybrid_pick oracle ~vector_of ~budget ~node ~candidates
+      in
+      pick = expected && spent = !probes)
+
 let suite =
   [
     Alcotest.test_case "true nearest = brute force" `Quick test_true_nearest;
@@ -186,4 +237,5 @@ let suite =
     Alcotest.test_case "stretch curve arithmetic" `Quick test_stretch_curve;
     Alcotest.test_case "curves are probe-window invariant" `Quick test_curves_window_invariant;
     Alcotest.test_case "budget validation" `Quick test_rejects_bad_budget;
+    QCheck_alcotest.to_alcotest qcheck_shared_picker_matches_reference;
   ]
