@@ -41,6 +41,14 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let non_negative_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a non-negative integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let scale_arg =
   let doc = "Divide workload sizes by $(docv) for quicker runs." in
   Arg.(value & opt positive_int 1 & info [ "scale" ] ~docv:"N" ~doc)
@@ -283,13 +291,13 @@ let build_cmd =
 
 let churn_cmd =
   let crashes_arg =
-    Arg.(value & opt int 8 & info [ "crashes" ] ~docv:"N" ~doc:"Fail-stop crashes in the storm.")
+    Arg.(value & opt non_negative_int 8 & info [ "crashes" ] ~docv:"N" ~doc:"Fail-stop crashes in the storm.")
   in
   let leaves_arg =
-    Arg.(value & opt int 8 & info [ "leaves" ] ~docv:"N" ~doc:"Graceful departures in the storm.")
+    Arg.(value & opt non_negative_int 8 & info [ "leaves" ] ~docv:"N" ~doc:"Graceful departures in the storm.")
   in
   let joins_arg =
-    Arg.(value & opt int 16 & info [ "joins" ] ~docv:"N" ~doc:"Joins in the storm.")
+    Arg.(value & opt non_negative_int 16 & info [ "joins" ] ~docv:"N" ~doc:"Joins in the storm.")
   in
   let loss_arg =
     Arg.(value & opt float 0.05

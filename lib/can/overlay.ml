@@ -16,11 +16,41 @@ type obs = {
   tracer : Engine.Trace.t option;
 }
 
+(* The members of one path prefix, oldest-indexed first, in a growable
+   array.  Removal compacts in place and keeps the order, so a re-indexed
+   node (a split owner, a merged sibling) moves to the newest end. *)
+module Members = struct
+  type t = { mutable ids : int array; mutable len : int }
+
+  let singleton id = { ids = Array.make 4 id; len = 1 }
+
+  let add m id =
+    if m.len = Array.length m.ids then begin
+      let ids = Array.make (2 * m.len) id in
+      Array.blit m.ids 0 ids 0 m.len;
+      m.ids <- ids
+    end;
+    m.ids.(m.len) <- id;
+    m.len <- m.len + 1
+
+  let remove m id =
+    let i = ref 0 in
+    while !i < m.len && m.ids.(!i) <> id do
+      incr i
+    done;
+    if !i < m.len then begin
+      Array.blit m.ids (!i + 1) m.ids !i (m.len - !i - 1);
+      m.len <- m.len - 1
+    end
+
+  let newest_first m = Array.init m.len (fun i -> m.ids.(m.len - 1 - i))
+end
+
 type t = {
   dims : int;
   nodes : (int, node) Hashtbl.t;
   by_path : (int, int) Hashtbl.t;  (* exact path key -> owner id *)
-  prefix_members : (int, int list ref) Hashtbl.t;  (* prefix key -> member ids *)
+  prefix_members : (int, Members.t) Hashtbl.t;  (* prefix key -> member ids *)
   mutable rep : int;  (* arbitrary live member, default routing start *)
   obs : obs option;
 }
@@ -45,25 +75,32 @@ let zone_of_path ~dims bits =
     bits;
   !z
 
+(* [f key] for the key of every prefix of [path], root first; each key
+   extends the previous one by a bit. *)
+let iter_prefix_keys path f =
+  let key = ref 1 in
+  f !key;
+  Array.iter
+    (fun b ->
+      key := (!key lsl 1) lor b;
+      f !key)
+    path
+
 let index_add t n =
   Hashtbl.replace t.by_path (path_key n.path (Array.length n.path)) n.id;
-  for len = 0 to Array.length n.path do
-    let key = path_key n.path len in
-    match Hashtbl.find_opt t.prefix_members key with
-    | Some l -> l := n.id :: !l
-    | None -> Hashtbl.replace t.prefix_members key (ref [ n.id ])
-  done
+  iter_prefix_keys n.path (fun key ->
+      match Hashtbl.find_opt t.prefix_members key with
+      | Some m -> Members.add m n.id
+      | None -> Hashtbl.replace t.prefix_members key (Members.singleton n.id))
 
 let index_remove t n =
   Hashtbl.remove t.by_path (path_key n.path (Array.length n.path));
-  for len = 0 to Array.length n.path do
-    let key = path_key n.path len in
-    match Hashtbl.find_opt t.prefix_members key with
-    | Some l ->
-      l := List.filter (fun id -> id <> n.id) !l;
-      if !l = [] then Hashtbl.remove t.prefix_members key
-    | None -> ()
-  done
+  iter_prefix_keys n.path (fun key ->
+      match Hashtbl.find_opt t.prefix_members key with
+      | Some m ->
+        Members.remove m n.id;
+        if m.Members.len = 0 then Hashtbl.remove t.prefix_members key
+      | None -> ())
 
 let make_obs ?metrics ?(labels = []) ?trace ~overlay () =
   Option.map
@@ -163,27 +200,26 @@ let path_of_point t ~depth point =
 let owner_of t point =
   if Array.length point <> t.dims then invalid_arg "Can.owner_of: dimension mismatch";
   let lo = Array.make t.dims 0.0 and hi = Array.make t.dims 1.0 in
-  let bits = Array.make max_depth 0 in
-  let rec descend depth =
+  (* [key] is the path key of the first [depth] bits of the point *)
+  let rec descend depth key =
     if depth > max_depth then failwith "Can.owner_of: tree deeper than max_depth"
     else begin
-      match Hashtbl.find_opt t.by_path (path_key bits depth) with
+      match Hashtbl.find_opt t.by_path key with
       | Some id -> id
       | None ->
         let dim = Zone.split_dim_at_depth t.dims depth in
         let mid = (lo.(dim) +. hi.(dim)) /. 2.0 in
         if point.(dim) >= mid then begin
           lo.(dim) <- mid;
-          bits.(depth) <- 1
+          descend (depth + 1) ((key lsl 1) lor 1)
         end
         else begin
           hi.(dim) <- mid;
-          bits.(depth) <- 0
-        end;
-        descend (depth + 1)
+          descend (depth + 1) (key lsl 1)
+        end
     end
   in
-  descend 0
+  descend 0 1
 
 let route_uninstrumented t ~src point =
   let visited = Hashtbl.create 32 in
@@ -412,7 +448,7 @@ let leave t id =
 
 let members_with_prefix t bits =
   match Hashtbl.find_opt t.prefix_members (path_key bits (Array.length bits)) with
-  | Some l -> Array.of_list !l
+  | Some m -> Members.newest_first m
   | None -> [||]
 
 let check_invariants t =

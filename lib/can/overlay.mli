@@ -99,7 +99,13 @@ val zone_of_path : dims:int -> int array -> Geometry.Zone.t
 
 val members_with_prefix : t -> int array -> int array
 (** Members whose path starts with the given bits (the population of a
-    high-order zone).  O(result). *)
+    high-order zone), as a fresh array.  O(result).
+
+    The order is newest-indexed first: a member moves to the front of
+    every prefix of its path when it joins, when its zone splits or
+    merges, and when it backfills a vacated zone.  Random selectors that
+    [Rng.pick] from this array depend on the order, so it is part of the
+    contract. *)
 
 val check_invariants : t -> (unit, string) result
 (** Testing hook: zones tile the space (volumes sum to 1, paths form an

@@ -353,79 +353,129 @@ let find t ~region ~node =
     | Some e when live t e -> Some e
     | Some _ | None -> None)
 
-let host_of t ~region ~vector =
-  let box = match Hashtbl.find_opt t.maps (region_key region) with
-    | Some m -> m.box
-    | None -> map_box t region
-  in
+let region_box t region =
+  match Hashtbl.find_opt t.maps (region_key region) with
+  | Some m -> m.box
+  | None -> map_box t region
+
+let host_in_box t box vector =
   Can_overlay.owner_of t.can (Number.position_in_zone t.scheme box vector)
 
-let lookup_route t ~from ~region ~vector =
-  let box =
-    match Hashtbl.find_opt t.maps (region_key region) with
-    | Some m -> m.box
-    | None -> map_box t region
-  in
-  Can_overlay.route t.can ~src:from (Number.position_in_zone t.scheme box vector)
+let host_of t ~region ~vector = host_in_box t (region_box t region) vector
 
-let sort_by_vector_distance vector entries =
-  let keyed =
-    List.map (fun (e : Entry.t) -> (Landmarks.vector_dist vector e.Entry.vector, e.Entry.node, e)) entries
-  in
-  List.map (fun (_, _, e) -> e) (List.sort compare keyed)
+let lookup_route t ~from ~region ~vector =
+  Can_overlay.route t.can ~src:from
+    (Number.position_in_zone t.scheme (region_box t region) vector)
+
+(* The lookup order: ascending (vector distance, node id).  A map holds
+   one entry per node, so this is a total order, and it is the order
+   [compare] gives on (distance, node, entry) tuples ([Float.compare]
+   orders floats, NaN included, as polymorphic compare does).  Inlined,
+   so the distances it reads from the top-k buffer stay unboxed. *)
+let[@inline] precedes d node d' node' =
+  let c = Float.compare d d' in
+  c < 0 || (c = 0 && node < node')
+
+(* The [cap] least (distance, entry) pairs offered so far, ascending.  The
+   arrays grow on demand up to [cap], so a large [max_results] costs
+   nothing until entries arrive. *)
+module Topk = struct
+  type t = {
+    cap : int;
+    mutable dist : float array;
+    mutable ents : Entry.t array;
+    mutable len : int;
+  }
+
+  let create cap = { cap; dist = [||]; ents = [||]; len = 0 }
+
+  let grow k (e : Entry.t) =
+    let size = min k.cap (max 8 (2 * k.len)) in
+    let dist = Array.make size 0.0 and ents = Array.make size e in
+    Array.blit k.dist 0 dist 0 k.len;
+    Array.blit k.ents 0 ents 0 k.len;
+    k.dist <- dist;
+    k.ents <- ents
+
+  let offer k d (e : Entry.t) =
+    let node = e.Entry.node in
+    let last = k.len - 1 in
+    (* [slot] is a free slot at the end, or the evicted maximum's *)
+    let slot =
+      if k.len < k.cap then begin
+        if k.len = Array.length k.ents then grow k e;
+        k.len <- k.len + 1;
+        last + 1
+      end
+      else if k.cap > 0 && precedes d node k.dist.(last) k.ents.(last).Entry.node then last
+      else -1
+    in
+    if slot >= 0 then begin
+      let i = ref slot in
+      while !i > 0 && precedes d node k.dist.(!i - 1) k.ents.(!i - 1).Entry.node do
+        k.dist.(!i) <- k.dist.(!i - 1);
+        k.ents.(!i) <- k.ents.(!i - 1);
+        decr i
+      done;
+      k.dist.(!i) <- d;
+      k.ents.(!i) <- e
+    end
+
+  let to_list k =
+    let rec go i acc = if i < 0 then acc else go (i - 1) (k.ents.(i) :: acc) in
+    go (k.len - 1) []
+end
 
 let lookup t ~region ~vector ?(max_results = 16) ?(ttl = 2) ?max_load () =
   match Hashtbl.find_opt t.maps (region_key region) with
   | None -> []
   | Some m ->
-    let start = host_of t ~region ~vector in
-    let collected = ref [] in
-    let seen_hosts = Hashtbl.create 32 in
+    let now = t.clock () in
+    let top = Topk.create max_results in
     let count = ref 0 in
     (* QoS consultation: with [max_load], entries whose piggybacked load
        statistic exceeds the bound are invisible to this lookup — an
        overloaded node never enters the candidate set. *)
-    let admissible (e : Entry.t) =
-      match max_load with None -> true | Some bound -> e.Entry.load <= bound
-    in
-    let visit host =
-      if not (Hashtbl.mem seen_hosts host) then begin
-        Hashtbl.replace seen_hosts host ();
-        match Hashtbl.find_opt m.by_host host with
-        | Some b ->
-          Bucket.iter
-            (fun e ->
-              if live t e && admissible e then begin
-                collected := e :: !collected;
-                incr count
-              end)
-            b
-        | None -> ()
+    let offer (e : Entry.t) =
+      if e.Entry.expires > now
+         && match max_load with None -> true | Some bound -> e.Entry.load <= bound
+      then begin
+        incr count;
+        Topk.offer top (Landmarks.vector_dist vector e.Entry.vector) e
       end
     in
+    let visit host =
+      match Hashtbl.find_opt m.by_host host with Some b -> Bucket.iter offer b | None -> ()
+    in
+    let start = host_in_box t m.box vector in
     visit start;
     (* Table 1's "define a TTL to search outside": widen ring by ring over
-       CAN neighbors whose zones still intersect the map box. *)
+       CAN neighbors whose zones still intersect the map box.  Each ring
+       is visited whole, so [count] holds every admissible live entry seen
+       so far.  A lookup visits about two hosts, so the visited set is a
+       list. *)
+    let seen = ref [ start ] in
     let frontier = ref [ start ] in
     let hops = ref 0 in
     while !count < max_results && !hops < ttl && !frontier <> [] do
       incr hops;
-      let next =
-        List.concat_map
-          (fun h ->
-            List.filter
-              (fun nid ->
-                (not (Hashtbl.mem seen_hosts nid))
-                && Zone.intersects m.box (Can_overlay.node t.can nid).Can_overlay.zone)
-              (Can_overlay.node t.can h).Can_overlay.neighbors)
-          !frontier
-      in
-      let next = List.sort_uniq compare next in
-      List.iter visit next;
-      frontier := next
+      let next = ref [] in
+      List.iter
+        (fun h ->
+          List.iter
+            (fun nid ->
+              if (not (List.mem nid !seen))
+                 && Zone.intersects m.box (Can_overlay.node t.can nid).Can_overlay.zone
+              then begin
+                seen := nid :: !seen;
+                next := nid :: !next
+              end)
+            (Can_overlay.node t.can h).Can_overlay.neighbors)
+        !frontier;
+      List.iter visit !next;
+      frontier := !next
     done;
-    let sorted = sort_by_vector_distance vector !collected in
-    List.filteri (fun i _ -> i < max_results) sorted
+    Topk.to_list top
 
 let region_entries t region =
   match Hashtbl.find_opt t.maps (region_key region) with

@@ -151,8 +151,17 @@ val lookup :
     querying node's landmark vector; collect its live entries for the
     region; if fewer than [max_results] (default 16) were found, widen the
     search to hosts up to [ttl] (default 2) CAN hops away inside the map
-    box.  Results are sorted by landmark-space distance to [vector],
-    closest first, truncated to [max_results].
+    box.  Results are ordered by landmark-space distance to [vector],
+    closest first, ties broken by ascending node id (a map holds one
+    entry per node, so the order is total), truncated to [max_results].
+    The widening stops on the count of every admissible live entry seen,
+    not on the truncated result.
+
+    The lookup keeps only the best [max_results] entries as it goes, in
+    a bounded buffer.  So the entries it examines cost no allocation
+    beyond one boxed distance each.  What it allocates is its result list
+    plus fixed per-call scratch: the hashed position, the buffer and one
+    cell per visited host.
 
     [max_load] consults the load statistics piggybacked on the entries
     ({!Entry.t.load}, kept fresh by {!update_stats}): entries whose load

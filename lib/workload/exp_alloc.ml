@@ -14,9 +14,12 @@
 
    The budgets are words per op, truncated: [alloc_minor_words_per_route]
    (one eCAN expressway route), [alloc_minor_words_per_sweep] (one TTL
-   sweep purging a 64-entry burst) and [alloc_minor_words_per_sssp] (one
+   sweep purging a 64-entry burst), [alloc_minor_words_per_sssp] (one
    single-source shortest-path run of the kind [Oracle.build] issues in
-   a loop).  Counts are toolchain-sensitive: regenerate the baselines
+   a loop), [alloc_minor_words_per_lookup] (one Table 1 soft-state
+   lookup, the per-slot read of a table fill) and
+   [alloc_minor_words_per_join] (one CAN join into a 256-member
+   overlay).  Counts are toolchain-sensitive: regenerate the baselines
    after a compiler upgrade (see EXPERIMENTS.md). *)
 
 module Ts = Topology.Transit_stub
@@ -37,6 +40,9 @@ let sweep_rounds = 16
 let sweep_burst = 64 (* entries expiring per measured sweep *)
 let sweep_ttl = 1_000.0
 let sssp_runs = 64
+let lookup_samples = 64 (* distinct seeded query vectors *)
+let lookup_runs = 256
+let join_rounds = 16 (* fresh 256-member CANs, one measured join each *)
 
 let vector_of node = Array.init 5 (fun i -> float_of_int ((node * ((7 * i) + 3)) mod 400))
 
@@ -50,12 +56,17 @@ let words_per_op ~runs f =
   done;
   int_of_float (Gc.minor_words () -. before) / runs
 
-let route_op () =
-  let rng = Rng.create 31 in
+(* A [substrate]-member 2-d CAN joined at seeded random points. *)
+let substrate_can seed =
+  let rng = Rng.create seed in
   let can = Can_overlay.create ~dims:2 0 in
   for id = 1 to substrate - 1 do
     ignore (Can_overlay.join can id (Point.random rng 2))
   done;
+  can
+
+let route_op () =
+  let can = substrate_can 31 in
   let e = Ecan_exp.create ~span_bits:2 can in
   let sel = Rng.create 32 in
   Ecan_exp.build_tables e ~selector:(fun ~node:_ ~region:_ ~candidates ->
@@ -72,11 +83,7 @@ let route_op () =
       ignore (Ecan_exp.route e ~src point))
 
 let sweep_op () =
-  let rng = Rng.create 41 in
-  let can = Can_overlay.create ~dims:2 0 in
-  for id = 1 to substrate - 1 do
-    ignore (Can_overlay.join can id (Point.random rng 2))
-  done;
+  let can = substrate_can 41 in
   let clock = ref 0.0 in
   let store =
     Store.create ~shards:4 ~default_ttl:sweep_ttl
@@ -115,16 +122,55 @@ let sssp_op () =
       Dijkstra.distances_into ws g (!src mod n) out;
       incr src)
 
+(* Every member published into every enclosing span-2 region; the
+   measured lookups read the root map with the default result bound and
+   TTL. *)
+let lookup_op () =
+  let can = substrate_can 51 in
+  let store =
+    Store.create ~pool:(Engine.Dpool.get ~domains:1)
+      ~scheme:(Number.default_scheme ~max_latency:400.0 ())
+      can
+  in
+  for node = 0 to substrate - 1 do
+    Store.publish_all store ~span_bits:2 ~node ~vector:(vector_of node)
+  done;
+  let qrng = Rng.create 52 in
+  let queries = Array.init lookup_samples (fun _ -> Array.init 5 (fun _ -> Rng.float qrng 400.0)) in
+  let cursor = ref 0 in
+  words_per_op ~runs:lookup_runs (fun () ->
+      let vector = queries.(!cursor mod lookup_samples) in
+      incr cursor;
+      ignore (Store.lookup store ~region:[||] ~vector ()))
+
+(* A join changes the overlay, so each round rebuilds the same substrate
+   outside the measured window and times one join at a fresh point. *)
+let join_op () =
+  let prng = Rng.create 62 in
+  let total = ref 0.0 in
+  for _ = 1 to join_rounds do
+    let can = substrate_can 61 in
+    let point = Point.random prng 2 in
+    let before = Gc.minor_words () in
+    ignore (Can_overlay.join can substrate point);
+    total := !total +. (Gc.minor_words () -. before)
+  done;
+  int_of_float !total / join_rounds
+
 let run ?(scale = 1) ppf =
   ignore scale;
   let route_words = route_op () in
   let sweep_words = sweep_op () in
   let sssp_words = sssp_op () in
+  let lookup_words = lookup_op () in
+  let join_words = join_op () in
   let metrics = Metrics.global in
   let c name v = Metrics.add (Metrics.counter metrics name) v in
   c "alloc_minor_words_per_route" route_words;
   c "alloc_minor_words_per_sweep" sweep_words;
   c "alloc_minor_words_per_sssp" sssp_words;
+  c "alloc_minor_words_per_lookup" lookup_words;
+  c "alloc_minor_words_per_join" join_words;
   Metrics.set
     (Metrics.gauge metrics "alloc_sweep_words_per_entry")
     (float_of_int sweep_words /. float_of_int sweep_burst);
@@ -132,14 +178,18 @@ let run ?(scale = 1) ppf =
     Tableout.create
       ~title:
         (Printf.sprintf
-           "Allocation budget: minor words per hot-path op (%d routes, %d sweeps x %d entries, %d SSSP)"
-           route_runs sweep_rounds sweep_burst sssp_runs)
+           "Allocation budget: minor words per hot-path op (%d routes, %d sweeps x %d entries, %d \
+            SSSP, %d lookups, %d joins)"
+           route_runs sweep_rounds sweep_burst sssp_runs lookup_runs join_rounds)
       ~columns:[ "op"; "minor words/op" ]
   in
   Tableout.add_row table [ "ecan route (1 message)"; Tableout.cell_i route_words ];
   Tableout.add_row table
     [ Printf.sprintf "ttl sweep (%d expired)" sweep_burst; Tableout.cell_i sweep_words ];
   Tableout.add_row table [ "dijkstra sssp (reused workspace)"; Tableout.cell_i sssp_words ];
+  Tableout.add_row table [ "soft-state lookup (root map)"; Tableout.cell_i lookup_words ];
+  Tableout.add_row table
+    [ Printf.sprintf "can join (%d members)" substrate; Tableout.cell_i join_words ];
   Tableout.render ppf table;
   Format.fprintf ppf
     "  exact budgets: gated by bench/compare.exe's allocation-budget section (integer equality).@."

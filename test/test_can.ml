@@ -119,6 +119,188 @@ let test_members_with_prefix () =
       Alcotest.(check int) "left members have bit 0" 0 n.Can_overlay.path.(0))
     left
 
+(* The prefix index's order is observable: random selectors [Rng.pick]
+   from [members_with_prefix], so the order fixes which member they draw.
+   These arrays were captured from the list-backed index (newest-indexed
+   first) on a seeded 64-node CAN after joins and leaves, six of them
+   backfilling; the array-backed index must return them unchanged. *)
+let prefix_order_golden =
+  [
+    ( "",
+      [| 12; 55; 60; 71; 58; 65; 70; 8; 69; 54; 68; 35; 67; 11; 41; 64; 38; 57; 27; 61; 50; 10;
+         40; 63; 1; 62; 23; 22; 59; 3; 31; 56; 7; 53; 52; 2; 51; 49; 47; 24; 46; 45; 44; 25;
+         43; 42; 30; 39; 37; 15; 36; 14; 34; 13; 32; 29; 9; 28; 26; 20; 6; 19; 18; 4; 16 |] );
+    ( "0",
+      [| 12; 55; 71; 65; 68; 35; 41; 50; 63; 1; 62; 23; 22; 59; 3; 31; 56; 7; 52; 2; 46; 34;
+         13; 29; 9; 28; 20; 6; 19; 4 |] );
+    ( "1",
+      [| 60; 58; 70; 8; 69; 54; 67; 11; 64; 38; 57; 27; 61; 10; 40; 53; 51; 49; 47; 24; 45; 44;
+         25; 43; 42; 30; 39; 37; 15; 36; 14; 32; 26; 18; 16 |] );
+    ("00", [| 55; 71; 68; 35; 50; 63; 1; 22; 59; 3; 56; 7; 46; 28; 20; 6; 4 |]);
+    ("01", [| 12; 65; 41; 62; 23; 31; 52; 2; 34; 13; 29; 9; 19 |]);
+    ("10", [| 60; 58; 40; 45; 44; 25; 43; 42; 30; 37; 15; 36; 14; 32; 26; 18 |]);
+    ("11", [| 70; 8; 69; 54; 67; 11; 64; 38; 57; 27; 61; 10; 53; 51; 49; 47; 24; 39; 16 |]);
+    ("000", [| 55; 59; 3; 56; 7; 20; 6; 4 |]);
+    ("001", [| 71; 68; 35; 50; 63; 1; 22; 46; 28 |]);
+    ("010", [| 65; 31; 34; 13; 29; 9; 19 |]);
+    ("011", [| 12; 41; 62; 23; 52; 2 |]);
+    ("100", [| 60; 40; 44; 25; 43; 37; 15; 26 |]);
+    ("101", [| 58; 45; 42; 30; 36; 14; 32; 18 |]);
+    ("110", [| 64; 38; 57; 27; 61; 10; 51; 49; 47; 24; 39 |]);
+    ("111", [| 70; 8; 69; 54; 67; 11; 53; 16 |]);
+    ("0000", [| 59; 3; 20; 6 |]);
+    ("0001", [| 55; 56; 7; 4 |]);
+    ("0010", [| 71; 68; 35; 50; 22; 46; 28 |]);
+    ("0011", [| 63; 1 |]);
+    ("0100", [| 34; 13; 19 |]);
+    ("0101", [| 65; 31; 29; 9 |]);
+    ("0110", [| 12; 41; 52; 2 |]);
+    ("0111", [| 62; 23 |]);
+    ("1000", [| 60; 40; 44; 25; 43; 26 |]);
+    ("1001", [| 37; 15 |]);
+    ("1010", [| 42; 30; 36; 14; 32 |]);
+    ("1011", [| 58; 45; 18 |]);
+    ("1100", [| 57; 27; 61; 10; 49 |]);
+    ("1101", [| 64; 38; 51; 47; 24; 39 |]);
+    ("1110", [| 67; 11; 16 |]);
+    ("1111", [| 70; 8; 69; 54; 53 |]);
+    ("00000", [| 59; 3 |]);
+    ("00001", [| 20; 6 |]);
+    ("00010", [| 56; 7 |]);
+    ("00011", [| 55; 4 |]);
+    ("00100", [| 71; 68; 35; 22 |]);
+    ("00101", [| 50; 46; 28 |]);
+    ("00110", [| 63 |]);
+    ("00111", [| 1 |]);
+    ("01000", [| 19 |]);
+    ("01001", [| 34; 13 |]);
+    ("01010", [| 9 |]);
+    ("01011", [| 65; 31; 29 |]);
+    ("01100", [| 12; 41 |]);
+    ("01101", [| 52; 2 |]);
+    ("01110", [| 62 |]);
+    ("01111", [| 23 |]);
+    ("10000", [| 60; 43 |]);
+    ("10001", [| 40; 44; 25; 26 |]);
+    ("10010", [| 37 |]);
+    ("10011", [| 15 |]);
+    ("10100", [| 42; 30; 32 |]);
+    ("10101", [| 36; 14 |]);
+    ("10110", [| 58; 45 |]);
+    ("10111", [| 18 |]);
+    ("11000", [| 57; 10 |]);
+    ("11001", [| 27; 61; 49 |]);
+    ("11010", [| 64; 38; 51 |]);
+    ("11011", [| 47; 24; 39 |]);
+    ("11100", [| 67; 11 |]);
+    ("11101", [| 16 |]);
+    ("11110", [| 70; 8 |]);
+    ("11111", [| 69; 54; 53 |]);
+    ("000000", [| 3 |]);
+    ("000001", [| 59 |]);
+    ("000010", [| 20 |]);
+    ("000011", [| 6 |]);
+    ("000100", [| 56 |]);
+    ("000101", [| 7 |]);
+    ("000110", [| 55 |]);
+    ("000111", [| 4 |]);
+    ("001000", [| 68; 35 |]);
+    ("001001", [| 71; 22 |]);
+    ("001010", [| 28 |]);
+    ("001011", [| 50; 46 |]);
+    ("010010", [| 34 |]);
+    ("010011", [| 13 |]);
+    ("010110", [| 29 |]);
+    ("010111", [| 65; 31 |]);
+    ("011000", [| 12 |]);
+    ("011001", [| 41 |]);
+    ("011010", [| 2 |]);
+    ("011011", [| 52 |]);
+    ("100000", [| 60 |]);
+    ("100001", [| 43 |]);
+    ("100010", [| 40; 26 |]);
+    ("100011", [| 44; 25 |]);
+    ("101000", [| 42; 30 |]);
+    ("101001", [| 32 |]);
+    ("101010", [| 14 |]);
+    ("101011", [| 36 |]);
+    ("101100", [| 45 |]);
+    ("101101", [| 58 |]);
+    ("110000", [| 10 |]);
+    ("110001", [| 57 |]);
+    ("110010", [| 27 |]);
+    ("110011", [| 61; 49 |]);
+    ("110100", [| 51 |]);
+    ("110101", [| 64; 38 |]);
+    ("110110", [| 47; 24 |]);
+    ("110111", [| 39 |]);
+    ("111000", [| 67 |]);
+    ("111001", [| 11 |]);
+    ("111100", [| 70 |]);
+    ("111101", [| 8 |]);
+    ("111110", [| 69; 54 |]);
+    ("111111", [| 53 |]);
+    ("0010000", [| 68 |]);
+    ("0010001", [| 35 |]);
+    ("0010010", [| 71 |]);
+    ("0010011", [| 22 |]);
+    ("0010110", [| 50 |]);
+    ("0010111", [| 46 |]);
+    ("0101110", [| 65 |]);
+    ("0101111", [| 31 |]);
+    ("1000100", [| 26 |]);
+    ("1000101", [| 40 |]);
+    ("1000110", [| 25 |]);
+    ("1000111", [| 44 |]);
+    ("1010000", [| 42 |]);
+    ("1010001", [| 30 |]);
+    ("1100110", [| 61 |]);
+    ("1100111", [| 49 |]);
+    ("1101010", [| 38 |]);
+    ("1101011", [| 64 |]);
+    ("1101100", [| 24 |]);
+    ("1101101", [| 47 |]);
+    ("1111100", [| 54 |]);
+    ("1111101", [| 69 |]);
+  ]
+
+let test_prefix_order_pinned () =
+  let rng = Rng.create 64 in
+  let t = Can_overlay.create ~dims:2 0 in
+  for id = 1 to 63 do
+    ignore (Can_overlay.join t id (Point.random rng 2))
+  done;
+  let backfills = ref 0 in
+  let leave id =
+    match (Can_overlay.leave t id).Can_overlay.backfilled with
+    | Some _ -> incr backfills
+    | None -> ()
+  in
+  List.iter leave [ 5; 17; 33; 48 ];
+  for id = 64 to 71 do
+    ignore (Can_overlay.join t id (Point.random rng 2))
+  done;
+  List.iter leave [ 0; 21; 66 ];
+  Alcotest.(check int) "backfilling leaves in the sequence" 6 !backfills;
+  let bits_of s = Array.init (String.length s) (fun i -> Char.code s.[i] - Char.code '0') in
+  List.iter
+    (fun (prefix, expect) ->
+      Alcotest.(check (array int)) ("members of prefix \"" ^ prefix ^ "\"") expect
+        (Can_overlay.members_with_prefix t (bits_of prefix)))
+    prefix_order_golden;
+  (* the golden list covers every prefix of every member's path *)
+  Array.iter
+    (fun id ->
+      let path = (Can_overlay.node t id).Can_overlay.path in
+      for len = 0 to Array.length path do
+        let key =
+          String.concat "" (List.map string_of_int (Array.to_list (Array.sub path 0 len)))
+        in
+        Alcotest.(check bool) ("prefix \"" ^ key ^ "\" pinned") true
+          (List.mem_assoc key prefix_order_golden)
+      done)
+    (Can_overlay.node_ids t)
+
 let test_leave_simple () =
   let t = Can_overlay.create ~dims:2 0 in
   ignore (Can_overlay.join t 1 [| 0.75; 0.5 |]);
@@ -190,6 +372,7 @@ let suite =
     Alcotest.test_case "path of point" `Quick test_path_of_point;
     Alcotest.test_case "zone of path contains point" `Quick test_zone_of_path_roundtrip;
     Alcotest.test_case "prefix membership" `Quick test_members_with_prefix;
+    Alcotest.test_case "prefix index order pinned" `Quick test_prefix_order_pinned;
     Alcotest.test_case "leave (pair)" `Quick test_leave_simple;
     Alcotest.test_case "leave (many)" `Quick test_leave_many;
     Alcotest.test_case "leave everyone" `Quick test_leave_everyone;

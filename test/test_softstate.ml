@@ -351,6 +351,113 @@ let qcheck_sweep_matches_scan_model =
       !ok && sweep_and_compare () && Hashtbl.length model = 0
       && Store.check_invariants store = Ok ())
 
+(* Reference model of [Store.lookup]: the collect-then-sort procedure,
+   rebuilt from public functions.  A host's bucket is the region's live
+   entries whose cached host it is; the rings widen over CAN neighbours
+   whose zones meet the map box; every admissible entry found is sorted
+   by (distance, node, entry) with [compare] and the list truncated. *)
+let reference_lookup store ~region ~vector ~max_results ~ttl ~max_load =
+  match Store.region_entries store region with
+  | [] -> []
+  | live ->
+    let can = Store.can store in
+    let box = Store.map_box store region in
+    let admissible (e : Store.Entry.t) =
+      match max_load with None -> true | Some bound -> e.Store.Entry.load <= bound
+    in
+    let seen = Hashtbl.create 32 and collected = ref [] and count = ref 0 in
+    let visit host =
+      if not (Hashtbl.mem seen host) then begin
+        Hashtbl.replace seen host ();
+        List.iter
+          (fun (e : Store.Entry.t) ->
+            if e.Store.Entry.host = host && admissible e then begin
+              collected := e :: !collected;
+              incr count
+            end)
+          live
+      end
+    in
+    let start = Store.host_of store ~region ~vector in
+    visit start;
+    let frontier = ref [ start ] and hops = ref 0 in
+    while !count < max_results && !hops < ttl && !frontier <> [] do
+      incr hops;
+      let next =
+        List.concat_map
+          (fun h ->
+            List.filter
+              (fun nid ->
+                (not (Hashtbl.mem seen nid))
+                && Zone.intersects box (Can_overlay.node can nid).Can_overlay.zone)
+              (Can_overlay.node can h).Can_overlay.neighbors)
+          !frontier
+        |> List.sort_uniq compare
+      in
+      List.iter visit next;
+      frontier := next
+    done;
+    List.map
+      (fun (e : Store.Entry.t) ->
+        (Landmark.Landmarks.vector_dist vector e.Store.Entry.vector, e.Store.Entry.node, e))
+      !collected
+    |> List.sort compare
+    |> List.map (fun (_, _, e) -> e)
+    |> List.filteri (fun i _ -> i < max_results)
+
+(* Vectors on a coarse integer grid, half of them drawn from a small pool:
+   duplicate vectors and equal distances are common, so the node-id
+   tie-break decides many positions. *)
+let grid_vector rng pool =
+  if Rng.chance rng 0.5 then pool.(Rng.int rng (Array.length pool))
+  else Array.init 5 (fun _ -> float_of_int (10 * Rng.int rng 4))
+
+let qcheck_lookup_matches_reference =
+  QCheck.Test.make ~name:"lookup = collect-then-sort reference model, order and entries" ~count:60
+    QCheck.(triple (int_range 0 10_000) (int_range 1 4) (int_range 8 48))
+    (fun (seed, shards, n) ->
+      let store, can, now, rng = setup ~shards ~ttl:100.0 ~n ~seed () in
+      let pool = Array.init 4 (fun _ -> Array.init 5 (fun _ -> float_of_int (10 * Rng.int rng 4))) in
+      let publish node =
+        if Rng.chance rng 0.7 then
+          Store.publish_all store ~span_bits:(1 + Rng.int rng 2) ~node ~vector:(grid_vector rng pool)
+        else Store.publish store ~region:[||] ~node ~vector:(grid_vector rng pool);
+        if Rng.chance rng 0.5 then
+          Store.update_stats store ~region:[||] ~node ~load:(Rng.float rng 1.0) ~capacity:1.0
+      in
+      (* early entries expire unless re-published; expired ones stay in
+         the maps, unswept *)
+      for node = 0 to n - 1 do
+        publish node
+      done;
+      now := 60.0;
+      for node = 0 to n - 1 do
+        if Rng.chance rng 0.4 then publish node
+      done;
+      now := 120.0;
+      if Rng.chance rng 0.5 then begin
+        for id = n to n + 3 do
+          ignore (Can_overlay.join can id (Point.random rng 2))
+        done;
+        ignore (Can_overlay.leave can (Rng.int rng n));
+        Store.rehost store
+      end;
+      let regions = [| [||]; [| 0 |]; [| 1 |]; [| 0; 1 |]; [| 1; 1 |]; [| 1; 0; 1; 1; 0 |] |] in
+      let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
+      List.for_all
+        (fun _ ->
+          let region = regions.(Rng.int rng (Array.length regions)) in
+          let vector = grid_vector rng pool in
+          let max_results =
+            match Rng.int rng 4 with 0 -> 0 | 1 -> 1 | 2 -> 2 + Rng.int rng 8 | _ -> 4 * n
+          in
+          let ttl = Rng.int rng 4 in
+          let max_load = if Rng.chance rng 0.3 then Some (Rng.float rng 1.0) else None in
+          same
+            (Store.lookup store ~region ~vector ~max_results ~ttl ?max_load ())
+            (reference_lookup store ~region ~vector ~max_results ~ttl ~max_load))
+        (List.init 12 Fun.id))
+
 let qcheck_host_index_consistent =
   QCheck.Test.make ~name:"hosting matches CAN ownership after random publishes" ~count:20
     QCheck.(pair (int_range 0 500) (int_range 5 40))
@@ -382,4 +489,5 @@ let suite =
     Alcotest.test_case "per-shard sweeps partition expiry" `Quick test_shard_sweep_partition;
     QCheck_alcotest.to_alcotest qcheck_sweep_matches_scan_model;
     QCheck_alcotest.to_alcotest qcheck_host_index_consistent;
+    QCheck_alcotest.to_alcotest qcheck_lookup_matches_reference;
   ]
