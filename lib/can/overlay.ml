@@ -8,14 +8,6 @@ type node = {
   mutable neighbors : int list;
 }
 
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  join_hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
 (* The members of one path prefix, oldest-indexed first, in a growable
    array.  Removal compacts in place and keeps the order, so a re-indexed
    node (a split owner, a merged sibling) moves to the newest end. *)
@@ -52,7 +44,8 @@ type t = {
   by_path : (int, int) Hashtbl.t;  (* exact path key -> owner id *)
   prefix_members : (int, Members.t) Hashtbl.t;  (* prefix key -> member ids *)
   mutable rep : int;  (* arbitrary live member, default routing start *)
-  obs : obs option;
+  obs : Engine.Route_obs.t;
+  join_hops : Engine.Metrics.histogram option;
 }
 
 let max_depth = 60
@@ -102,43 +95,7 @@ let index_remove t n =
         if m.Members.len = 0 then Hashtbl.remove t.prefix_members key
       | None -> ())
 
-let make_obs ?metrics ?(labels = []) ?trace ~overlay () =
-  Option.map
-    (fun m ->
-      let labels = ("overlay", overlay) :: labels in
-      {
-        requests = Engine.Metrics.counter m ~labels "route_requests";
-        failures = Engine.Metrics.counter m ~labels "route_failures";
-        hops = Engine.Metrics.histogram m ~labels "route_hops";
-        join_hops = Engine.Metrics.histogram m ~labels "join_hops";
-        tracer = trace;
-      })
-    metrics
-
-(* Account one finished [route] call: hop histogram + per-hop spans on
-   success, a failure counter otherwise.  Identity on the result. *)
-let observe_route t result =
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec go = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              go rest
-            | [ _ ] | [] -> ()
-          in
-          go hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
-  result
-
-let create ?metrics ?labels ?trace ~dims first =
+let create ?metrics ?(labels = []) ?trace ~dims first =
   if dims < 1 then invalid_arg "Can.create: dims must be >= 1";
   let t =
     {
@@ -147,7 +104,11 @@ let create ?metrics ?labels ?trace ~dims first =
       by_path = Hashtbl.create 64;
       prefix_members = Hashtbl.create 64;
       rep = first;
-      obs = make_obs ?metrics ?labels ?trace ~overlay:"can" ();
+      obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"can";
+      join_hops =
+        Option.map
+          (fun m -> Engine.Metrics.histogram m ~labels:(("overlay", "can") :: labels) "join_hops")
+          metrics;
     }
   in
   let n = { id = first; zone = Zone.full dims; path = [||]; neighbors = [] } in
@@ -247,7 +208,7 @@ let route_uninstrumented t ~src point =
 
 let route t ~src point =
   if Array.length point <> t.dims then invalid_arg "Can.route: dimension mismatch";
-  observe_route t (route_uninstrumented t ~src point)
+  Engine.Route_obs.observe t.obs (route_uninstrumented t ~src point)
 
 let route_proximity t ~dist ~src point =
   if Array.length point <> t.dims then invalid_arg "Can.route_proximity: dimension mismatch";
@@ -307,9 +268,7 @@ let join t ?start id point =
     | Some hops -> hops
     | None -> failwith "Can.join: routing failed"
   in
-  Option.iter
-    (fun o -> Engine.Metrics.observe o.join_hops (float_of_int (List.length hops - 1)))
-    t.obs;
+  Option.iter (fun h -> Engine.Metrics.observe h (float_of_int (List.length hops - 1))) t.join_hops;
   let owner = node t (List.nth hops (List.length hops - 1)) in
   let depth = Array.length owner.path in
   if depth >= max_depth then failwith "Can.join: max split depth exceeded";

@@ -1,260 +1,127 @@
-module Rng = Prelude.Rng
-
-type node_state = { id : int; key : int; mutable fingers : int option array }
-
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
 type t = {
-  key_bits : int;
-  ring : int;  (* 2^key_bits *)
-  nodes : (int, node_state) Hashtbl.t;
-  keys : (int, int) Hashtbl.t;  (* ring key -> node id *)
-  mutable sorted : (int * int) array;  (* (key, id), sorted by key *)
-  mutable dirty : bool;
-  obs : obs option;
+  keys : Keyring.t;
+  fingers : (int, int option array) Hashtbl.t;  (* node -> level -> finger *)
+  obs : Engine.Route_obs.t;
 }
 
 type selector = node:int -> arc:int * int -> candidates:int array -> int option
 
 let create ?metrics ?(labels = []) ?trace ?(key_bits = 30) () =
   if key_bits < 4 || key_bits > 50 then invalid_arg "Chord.create: key_bits out of [4,50]";
-  let obs =
-    Option.map
-      (fun m ->
-        let labels = ("overlay", "chord") :: labels in
-        {
-          requests = Engine.Metrics.counter m ~labels "route_requests";
-          failures = Engine.Metrics.counter m ~labels "route_failures";
-          hops = Engine.Metrics.histogram m ~labels "route_hops";
-          tracer = trace;
-        })
-      metrics
-  in
-  {
-    key_bits;
-    ring = 1 lsl key_bits;
-    nodes = Hashtbl.create 64;
-    keys = Hashtbl.create 64;
-    sorted = [||];
-    dirty = false;
-    obs;
-  }
+  let obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"chord" in
+  { keys = Keyring.create ~key_bits; fingers = Hashtbl.create 64; obs }
 
-let key_bits t = t.key_bits
-let size t = Hashtbl.length t.nodes
-let mem t id = Hashtbl.mem t.nodes id
+let keyring t = t.keys
+let key_bits t = Keyring.key_bits t.keys
+let size t = Keyring.size t.keys
+let mem t id = Keyring.mem t.keys id
+let node_ids t = Keyring.node_ids t.keys
+let key_of t id = Keyring.key_of t.keys id
+let successor_node t key = Keyring.successor_node t.keys key
+let arc_members t ~lo ~span = Keyring.arc_members t.keys ~lo ~span
 
-let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
+let fingers_of t id =
+  match Hashtbl.find_opt t.fingers id with
+  | Some f -> f
   | None -> invalid_arg "Chord: not a member"
-
-let key_of t id = (node t id).key
-
-let node_ids t =
-  let arr = Array.make (size t) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun id _ ->
-      arr.(!i) <- id;
-      incr i)
-    t.nodes;
-  arr
-
-let index t =
-  if t.dirty then begin
-    let arr = Array.make (size t) (0, 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun id n ->
-        arr.(!i) <- (n.key, id);
-        incr i)
-      t.nodes;
-    Array.sort compare arr;
-    t.sorted <- arr;
-    t.dirty <- false
-  end;
-  t.sorted
 
 let add_node t ~rng id =
   if mem t id then invalid_arg "Chord.add_node: already a member";
-  let rec fresh_key () =
-    let k = Rng.int rng t.ring in
-    if Hashtbl.mem t.keys k then fresh_key () else k
-  in
-  let key = fresh_key () in
-  Hashtbl.replace t.nodes id { id; key; fingers = Array.make t.key_bits None };
-  Hashtbl.replace t.keys key id;
-  t.dirty <- true
+  Keyring.add t.keys id ~key:(Keyring.fresh_key t.keys rng);
+  Hashtbl.replace t.fingers id (Array.make (key_bits t) None)
 
 let remove_node t id =
-  let n = node t id in
-  Hashtbl.remove t.nodes id;
-  Hashtbl.remove t.keys n.key;
-  t.dirty <- true;
+  if not (mem t id) then invalid_arg "Chord: not a member";
+  Keyring.remove t.keys id;
+  Hashtbl.remove t.fingers id;
   Hashtbl.iter
-    (fun _ other ->
-      Array.iteri
-        (fun i -> function Some f when f = id -> other.fingers.(i) <- None | _ -> ())
-        other.fingers)
-    t.nodes
-
-(* First member at ring position >= key (clockwise), wrapping. *)
-let successor_node t key =
-  let arr = index t in
-  let n = Array.length arr in
-  if n = 0 then failwith "Chord.successor_node: empty ring";
-  let key = ((key mod t.ring) + t.ring) mod t.ring in
-  (* binary search for the first entry with fst >= key *)
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fst arr.(mid) >= key then hi := mid else lo := mid + 1
-  done;
-  snd arr.(if !lo = n then 0 else !lo)
-
-let arc_members t ~lo ~span =
-  if span <= 0 then [||]
-  else begin
-    let arr = index t in
-    let n = Array.length arr in
-    if n = 0 then [||]
-    else begin
-      let lo = ((lo mod t.ring) + t.ring) mod t.ring in
-      let first_geq key =
-        let a = ref 0 and b = ref n in
-        while !a < !b do
-          let mid = (!a + !b) / 2 in
-          if fst arr.(mid) >= key then b := mid else a := mid + 1
-        done;
-        !a
-      in
-      let collect lo hi =
-        (* members with key in [lo, hi) where lo <= hi, no wrap *)
-        let start = first_geq lo and stop = first_geq hi in
-        Array.to_list (Array.sub arr start (stop - start))
-      in
-      let members =
-        if lo + span <= t.ring then collect lo (lo + span)
-        else collect lo t.ring @ collect 0 (lo + span - t.ring)
-      in
-      Array.of_list (List.map snd members)
-    end
-  end
+    (fun _ fingers ->
+      Array.iteri (fun i -> function Some f when f = id -> fingers.(i) <- None | _ -> ()) fingers)
+    t.fingers
 
 let build_fingers t ~selector =
-  Hashtbl.iter
-    (fun id n ->
-      n.fingers <- Array.make t.key_bits None;
-      for i = 0 to t.key_bits - 1 do
+  let bits = key_bits t and ring = Keyring.ring_size t.keys in
+  Keyring.iter
+    (fun id key ->
+      let fingers = Array.make bits None in
+      Hashtbl.replace t.fingers id fingers;
+      for i = 0 to bits - 1 do
         let span = 1 lsl i in
-        let lo = (n.key + span) mod t.ring in
+        let lo = (key + span) mod ring in
         let candidates = arc_members t ~lo ~span in
         let candidates = Array.of_seq (Seq.filter (fun c -> c <> id) (Array.to_seq candidates)) in
-        if Array.length candidates > 0 then n.fingers.(i) <- selector ~node:id ~arc:(lo, span) ~candidates
+        if Array.length candidates > 0 then
+          fingers.(i) <- selector ~node:id ~arc:(lo, span) ~candidates
       done)
-    t.nodes
+    t.keys
 
 let fingers t id =
-  let n = node t id in
   let acc = ref [] in
-  Array.iteri (fun i -> function Some f -> acc := (i, f) :: !acc | None -> ()) n.fingers;
+  Array.iteri (fun i -> function Some f -> acc := (i, f) :: !acc | None -> ()) (fingers_of t id);
   List.rev !acc
-
-(* x in (a, b] on the ring; the whole ring when a = b. *)
-let between_oc t a b x =
-  let norm v = ((v mod t.ring) + t.ring) mod t.ring in
-  let a = norm a and b = norm b and x = norm x in
-  if a = b then true else if a < b then a < x && x <= b else x > a || x <= b
-
-let clockwise t from target = ((target - from) mod t.ring + t.ring) mod t.ring
 
 let route t ~src ~key =
   if not (mem t src) then invalid_arg "Chord.route: source not a member";
-  let owner = successor_node t key in
+  let ring = t.keys in
+  let owner = Keyring.successor_node ring key in
   let rec go u acc guard =
-    if u.id = owner then Some (List.rev (u.id :: acc))
+    if u = owner then Some (List.rev (u :: acc))
     else if guard <= 0 then None
     else begin
-      let succ = successor_node t (u.key + 1) in
-      if between_oc t u.key (key_of t succ) key then go (node t succ) (u.id :: acc) (guard - 1)
+      let ukey = Keyring.key_of ring u in
+      let succ = Keyring.successor_node ring (ukey + 1) in
+      if Keyring.between_oc ring ukey (Keyring.key_of ring succ) key then
+        go succ (u :: acc) (guard - 1)
       else begin
         (* closest preceding finger: minimises remaining clockwise distance
            while staying strictly between u and the key *)
         let best = ref None in
         let consider v =
-          if v <> u.id && between_oc t u.key (key - 1) (key_of t v) then begin
-            let d = clockwise t (key_of t v) key in
+          let vkey = Keyring.key_of ring v in
+          if v <> u && Keyring.between_oc ring ukey (key - 1) vkey then begin
+            let d = Keyring.clockwise ring vkey key in
             match !best with
             | Some (bd, _) when bd <= d -> ()
             | _ -> best := Some (d, v)
           end
         in
-        Array.iter (function Some v -> consider v | None -> ()) u.fingers;
+        Array.iter (function Some v -> consider v | None -> ()) (fingers_of t u);
         consider succ;
         match !best with
-        | Some (_, v) -> go (node t v) (u.id :: acc) (guard - 1)
-        | None -> go (node t succ) (u.id :: acc) (guard - 1)
+        | Some (_, v) -> go v (u :: acc) (guard - 1)
+        | None -> go succ (u :: acc) (guard - 1)
       end
     end
   in
-  let result = go (node t src) [] (4 * size t) in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec spans = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              spans rest
-            | [ _ ] | [] -> ()
-          in
-          spans hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
-  result
+  Engine.Route_obs.observe t.obs (go src [] (4 * size t))
 
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let ids = node_ids t in
-  let* () =
-    Array.fold_left
-      (fun acc id ->
-        let* () = acc in
-        let n = node t id in
-        let* () =
-          if successor_node t n.key = id then Ok ()
-          else err "node %d is not the successor of its own key" id
-        in
-        let rec check_fingers i =
-          if i >= t.key_bits then Ok ()
-          else begin
-            match n.fingers.(i) with
-            | None -> check_fingers (i + 1)
-            | Some f ->
-              if not (mem t f) then err "node %d finger %d points at dead node %d" id i f
-              else begin
-                let span = 1 lsl i in
-                let lo = (n.key + span) mod t.ring in
-                let fk = key_of t f in
-                let inside = clockwise t lo fk < span in
-                if inside then check_fingers (i + 1)
-                else err "node %d finger %d outside its arc" id i
-              end
-          end
-        in
-        check_fingers 0)
-      (Ok ()) ids
-  in
-  Ok ()
+  let ring = t.keys in
+  Array.fold_left
+    (fun acc id ->
+      let* () = acc in
+      let key = key_of t id in
+      let* () =
+        if successor_node t key = id then Ok ()
+        else err "node %d is not the successor of its own key" id
+      in
+      let fingers = fingers_of t id in
+      let rec check_fingers i =
+        if i >= Array.length fingers then Ok ()
+        else begin
+          match fingers.(i) with
+          | None -> check_fingers (i + 1)
+          | Some f ->
+            if not (mem t f) then err "node %d finger %d points at dead node %d" id i f
+            else begin
+              let span = 1 lsl i in
+              let lo = (key + span) mod Keyring.ring_size ring in
+              if Keyring.clockwise ring lo (key_of t f) < span then check_fingers (i + 1)
+              else err "node %d finger %d outside its arc" id i
+            end
+        end
+      in
+      check_fingers 0)
+    (Ok ()) (node_ids t)

@@ -7,7 +7,8 @@
     choice within the arc is free, which is the hook the paper's
     soft-state hybrid selection plugs into (landmark numbers are stored as
     keys on the ring, so arc members close in landmark number are stored
-    close together). *)
+    close together).  Membership and placement live in a {!Keyring.t};
+    this module adds the fingers and the routing on top. *)
 
 type t
 
@@ -30,6 +31,10 @@ val create :
     [overlay=chord] plus any extra [labels].  With [trace], successful
     routes emit one [Route_hop] span per forwarding step. *)
 
+val keyring : t -> Keyring.t
+(** The identifier ring underneath, shared, not copied: membership
+    changes made here show through it. *)
+
 val key_bits : t -> int
 val size : t -> int
 
@@ -47,12 +52,9 @@ val key_of : t -> int -> int
 (** Ring key of a member. *)
 
 val successor_node : t -> int -> int
-(** [successor_node t key] is the member owning ring position [key] (the
-    first member clockwise from [key]).  Raises [Failure] on an empty
-    ring. *)
-
 val arc_members : t -> lo:int -> span:int -> int array
-(** Members whose ring keys fall in [[lo, lo+span)] (mod ring size). *)
+(** {!Keyring.successor_node} and {!Keyring.arc_members} on
+    {!keyring}. *)
 
 val build_fingers : t -> selector:selector -> unit
 (** (Re)build every member's finger table with the given selection

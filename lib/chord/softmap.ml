@@ -9,7 +9,7 @@ type entry = {
 }
 
 type t = {
-  ring : Ring.t;
+  ring : Keyring.t;
   scheme : Number.scheme;
   by_host : (int, entry list ref) Hashtbl.t;
   by_node : (int, entry) Hashtbl.t;
@@ -17,15 +17,13 @@ type t = {
 
 let create ~scheme ring = { ring; scheme; by_host = Hashtbl.create 64; by_node = Hashtbl.create 64 }
 
-let ring t = t.ring
-
 let store_key_of t vector =
   let u = Number.to_unit t.scheme (Number.number t.scheme vector) in
-  let ring_size = 1 lsl Ring.key_bits t.ring in
+  let ring_size = Keyring.ring_size t.ring in
   let k = int_of_float (u *. float_of_int ring_size) in
   if k >= ring_size then ring_size - 1 else k
 
-let host_of t key = Ring.successor_node t.ring key
+let host_of t key = Keyring.successor_node t.ring key
 
 let host_add t host entry =
   match Hashtbl.find_opt t.by_host host with
@@ -47,7 +45,7 @@ let unpublish t node =
   | None -> ()
 
 let publish t ~node ~vector =
-  if Ring.size t.ring = 0 then invalid_arg "Softmap.publish: empty ring";
+  if Keyring.size t.ring = 0 then invalid_arg "Softmap.publish: empty ring";
   unpublish t node;
   let store_key = store_key_of t vector in
   let e = { node; vector = Array.copy vector; number = Number.number t.scheme vector; store_key } in
@@ -61,18 +59,13 @@ let rehome t =
 let entries_at t host =
   match Hashtbl.find_opt t.by_host host with Some l -> !l | None -> []
 
-let in_arc t ~lo ~span key =
-  let ring_size = 1 lsl Ring.key_bits t.ring in
-  let d = ((key - lo) mod ring_size + ring_size) mod ring_size in
-  d < span
-
 let lookup t ~vector ?in_arc:arc ?(max_results = 16) ?(ttl = 32) () =
-  if Ring.size t.ring = 0 then []
+  if Keyring.size t.ring = 0 then []
   else begin
     let accepts e =
       match arc with
       | None -> true
-      | Some (lo, span) -> in_arc t ~lo ~span (Ring.key_of t.ring e.node)
+      | Some (lo, span) -> Keyring.clockwise t.ring lo (Keyring.key_of t.ring e.node) < span
     in
     let collected = ref [] in
     let count = ref 0 in
@@ -89,7 +82,7 @@ let lookup t ~vector ?in_arc:arc ?(max_results = 16) ?(ttl = 32) () =
           end)
         (entries_at t !host);
       incr hops;
-      let next = Ring.successor_node t.ring (Ring.key_of t.ring !host + 1) in
+      let next = Keyring.successor_node t.ring (Keyring.key_of t.ring !host + 1) in
       if next = start then continue := false else host := next
     done;
     !collected

@@ -1,13 +1,6 @@
 module Can_overlay = Can.Overlay
 module Zone = Geometry.Zone
 
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
 type t = {
   can : Can_overlay.t;
   span_bits : int;
@@ -17,25 +10,14 @@ type t = {
          Routing is a coordinator-side operation (no caller routes from a
          pool worker), so one scratch table per expressway is safe and
          saves a fresh table per routed message. *)
-  obs : obs option;
+  obs : Engine.Route_obs.t;
 }
 
 type selector = node:int -> region:int array -> candidates:int array -> int option
 
 let create ?metrics ?(labels = []) ?trace ?(span_bits = 2) can =
   if span_bits < 1 || span_bits > 8 then invalid_arg "Ecan.create: span_bits out of [1,8]";
-  let obs =
-    Option.map
-      (fun m ->
-        let labels = ("overlay", "ecan") :: labels in
-        {
-          requests = Engine.Metrics.counter m ~labels "route_requests";
-          failures = Engine.Metrics.counter m ~labels "route_failures";
-          hops = Engine.Metrics.histogram m ~labels "route_hops";
-          tracer = trace;
-        })
-      metrics
-  in
+  let obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"ecan" in
   { can; span_bits; tables = Hashtbl.create 256; scratch_visited = Hashtbl.create 64; obs }
 
 let can t = t.can
@@ -203,23 +185,4 @@ let route t ~src point =
       else go (Can_overlay.node canvas next) (u.Can_overlay.id :: acc) (guard - 1)
     end
   in
-  let result = go (Can_overlay.node canvas src) [] (4 * Can_overlay.size canvas) in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec spans = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              spans rest
-            | [ _ ] | [] -> ()
-          in
-          spans hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
-  result
+  Engine.Route_obs.observe t.obs (go (Can_overlay.node canvas src) [] (4 * Can_overlay.size canvas))

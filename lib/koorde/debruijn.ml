@@ -1,32 +1,19 @@
-module Rng = Prelude.Rng
+module Keyring = Chord.Keyring
 
 type node_state = {
-  id : int;
-  key : int;
   mutable cover : int array;
       (* de Bruijn entry fingers: charge of the image-arc start first,
          then the members whose keys fall inside the image arc *)
   mutable preferred : int option;  (* policy-chosen entry among [cover] *)
 }
 
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
 type t = {
-  key_bits : int;
+  keys : Keyring.t;
   degree : int;
   digit_bits : int;  (* log2 degree *)
   digits : int;  (* key_bits / digit_bits *)
-  ring : int;  (* 2^key_bits *)
-  nodes : (int, node_state) Hashtbl.t;
-  keys : (int, int) Hashtbl.t;  (* ring key -> node id *)
-  mutable sorted : (int * int) array;  (* (key, id), sorted by key *)
-  mutable dirty : bool;
-  obs : obs option;
+  states : (int, node_state) Hashtbl.t;
+  obs : Engine.Route_obs.t;
 }
 
 type selector = node:int -> arc:int * int -> candidates:int array -> int option
@@ -44,173 +31,75 @@ let create ?metrics ?(labels = []) ?trace ?(key_bits = 24) ?(degree = 2) () =
   let digit_bits = log2i degree in
   if key_bits mod digit_bits <> 0 then
     invalid_arg "Koorde.create: key_bits must be a multiple of log2 degree";
-  let obs =
-    Option.map
-      (fun m ->
-        let labels = ("overlay", "koorde") :: labels in
-        {
-          requests = Engine.Metrics.counter m ~labels "route_requests";
-          failures = Engine.Metrics.counter m ~labels "route_failures";
-          hops = Engine.Metrics.histogram m ~labels "route_hops";
-          tracer = trace;
-        })
-      metrics
-  in
   {
-    key_bits;
+    keys = Keyring.create ~key_bits;
     degree;
     digit_bits;
     digits = key_bits / digit_bits;
-    ring = 1 lsl key_bits;
-    nodes = Hashtbl.create 64;
-    keys = Hashtbl.create 64;
-    sorted = [||];
-    dirty = false;
-    obs;
+    states = Hashtbl.create 64;
+    obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"koorde";
   }
 
-let key_bits t = t.key_bits
+let keyring t = t.keys
+let key_bits t = Keyring.key_bits t.keys
 let degree t = t.degree
-let size t = Hashtbl.length t.nodes
-let mem t id = Hashtbl.mem t.nodes id
+let size t = Keyring.size t.keys
+let mem t id = Keyring.mem t.keys id
+let node_ids t = Keyring.node_ids t.keys
+let key_of t id = Keyring.key_of t.keys id
+let successor_node t key = Keyring.successor_node t.keys key
+let charge_node t pos = Keyring.charge_node t.keys pos
+let arc_members t ~lo ~span = Keyring.arc_members t.keys ~lo ~span
 
-let node t id =
-  match Hashtbl.find_opt t.nodes id with
-  | Some n -> n
+let state t id =
+  match Hashtbl.find_opt t.states id with
+  | Some st -> st
   | None -> invalid_arg "Koorde: not a member"
-
-let key_of t id = (node t id).key
-
-let node_ids t =
-  let arr = Array.make (size t) 0 in
-  let i = ref 0 in
-  Hashtbl.iter
-    (fun id _ ->
-      arr.(!i) <- id;
-      incr i)
-    t.nodes;
-  arr
-
-let index t =
-  if t.dirty then begin
-    let arr = Array.make (size t) (0, 0) in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun id n ->
-        arr.(!i) <- (n.key, id);
-        incr i)
-      t.nodes;
-    Array.sort compare arr;
-    t.sorted <- arr;
-    t.dirty <- false
-  end;
-  t.sorted
 
 let add_node_at t id ~key =
   if mem t id then invalid_arg "Koorde.add_node_at: already a member";
-  if key < 0 || key >= t.ring then invalid_arg "Koorde.add_node_at: key out of range";
-  if Hashtbl.mem t.keys key then invalid_arg "Koorde.add_node_at: key taken";
-  Hashtbl.replace t.nodes id { id; key; cover = [||]; preferred = None };
-  Hashtbl.replace t.keys key id;
-  t.dirty <- true
+  if key < 0 || key >= Keyring.ring_size t.keys then
+    invalid_arg "Koorde.add_node_at: key out of range";
+  if Keyring.key_taken t.keys key then invalid_arg "Koorde.add_node_at: key taken";
+  Keyring.add t.keys id ~key;
+  Hashtbl.replace t.states id { cover = [||]; preferred = None }
 
 let add_node t ~rng id =
   if mem t id then invalid_arg "Koorde.add_node: already a member";
-  let rec fresh_key () =
-    let k = Rng.int rng t.ring in
-    if Hashtbl.mem t.keys k then fresh_key () else k
-  in
-  add_node_at t id ~key:(fresh_key ())
+  add_node_at t id ~key:(Keyring.fresh_key t.keys rng)
 
 let remove_node t id =
-  let n = node t id in
-  Hashtbl.remove t.nodes id;
-  Hashtbl.remove t.keys n.key;
-  t.dirty <- true;
+  if not (mem t id) then invalid_arg "Koorde: not a member";
+  Keyring.remove t.keys id;
+  Hashtbl.remove t.states id;
   Hashtbl.iter
     (fun _ other ->
       if Array.exists (fun c -> c = id) other.cover then
         other.cover <- Array.of_seq (Seq.filter (fun c -> c <> id) (Array.to_seq other.cover));
       match other.preferred with Some p when p = id -> other.preferred <- None | _ -> ())
-    t.nodes
+    t.states
 
-let first_geq arr key =
-  let n = Array.length arr in
-  let a = ref 0 and b = ref n in
-  while !a < !b do
-    let mid = (!a + !b) / 2 in
-    if fst arr.(mid) >= key then b := mid else a := mid + 1
-  done;
-  !a
-
-(* First member at ring position >= key (clockwise), wrapping. *)
-let successor_node t key =
-  let arr = index t in
-  let n = Array.length arr in
-  if n = 0 then failwith "Koorde.successor_node: empty ring";
-  let key = ((key mod t.ring) + t.ring) mod t.ring in
-  let i = first_geq arr key in
-  snd arr.(if i = n then 0 else i)
-
-(* Member whose domain (own key, successor key] contains [pos] — the node
-   responsible for hosting imaginary position [pos] on its way to the
-   owner.  This is the predecessor of [successor_node pos]. *)
-let charge_node t pos =
-  let arr = index t in
-  let n = Array.length arr in
-  if n = 0 then failwith "Koorde.charge_node: empty ring";
-  let pos = ((pos mod t.ring) + t.ring) mod t.ring in
-  let i = first_geq arr pos in
-  snd arr.((i - 1 + n) mod n)
-
-let arc_members t ~lo ~span =
-  if span <= 0 then [||]
+(* Length of the domain (key, successor key] of the member at [key]; the
+   whole ring for a singleton. *)
+let domain_span t key =
+  let ring = Keyring.ring_size t.keys in
+  if size t = 1 then ring
   else begin
-    let arr = index t in
-    let n = Array.length arr in
-    if n = 0 then [||]
-    else begin
-      let lo = ((lo mod t.ring) + t.ring) mod t.ring in
-      let collect lo hi =
-        (* members with key in [lo, hi) where lo <= hi, no wrap *)
-        let start = first_geq arr lo and stop = first_geq arr hi in
-        Array.to_list (Array.sub arr start (stop - start))
-      in
-      let members =
-        if lo + span <= t.ring then collect lo (lo + span)
-        else collect lo t.ring @ collect 0 (lo + span - t.ring)
-      in
-      Array.of_list (List.map snd members)
-    end
-  end
-
-(* x in (a, b] on the ring; the whole ring when a = b. *)
-let between_oc t a b x =
-  let norm v = ((v mod t.ring) + t.ring) mod t.ring in
-  let a = norm a and b = norm b and x = norm x in
-  if a = b then true else if a < b then a < x && x <= b else x > a || x <= b
-
-let clockwise t from target = ((target - from) mod t.ring + t.ring) mod t.ring
-
-(* Length of [id]'s domain (own key, successor key]; the whole ring for a
-   singleton. *)
-let domain_span t n =
-  if size t = 1 then t.ring
-  else begin
-    let succ = successor_node t (n.key + 1) in
-    let l = clockwise t n.key (key_of t succ) in
-    if l = 0 then t.ring else l
+    let succ = successor_node t (key + 1) in
+    let l = Keyring.clockwise t.keys key (key_of t succ) in
+    if l = 0 then ring else l
   end
 
 let image_arc t id =
-  let n = node t id in
-  let lo = t.degree * ((n.key + 1) mod t.ring) mod t.ring in
-  let span = min t.ring (t.degree * domain_span t n) in
+  let key = key_of t id and ring = Keyring.ring_size t.keys in
+  let lo = t.degree * ((key + 1) mod ring) mod ring in
+  let span = min ring (t.degree * domain_span t key) in
   (lo, span)
 
 let build_fingers t ~selector =
-  Hashtbl.iter
-    (fun id n ->
+  Keyring.iter
+    (fun id _ ->
+      let n = state t id in
       if size t = 1 then begin
         n.cover <- [||];
         n.preferred <- None
@@ -236,103 +125,88 @@ let build_fingers t ~selector =
           (if Array.length candidates > 0 then selector ~node:id ~arc:(lo, span) ~candidates
            else None)
       end)
-    t.nodes
+    t.keys
 
-let cover t id = Array.copy (node t id).cover
-let preferred t id = (node t id).preferred
+let cover t id = Array.copy (state t id).cover
+let preferred t id = (state t id).preferred
 
-(* The node to contact for imaginary position [pos]: the policy-chosen
-   preferred entry when it does not overshoot [pos] along the image arc,
-   the exact charge node otherwise. *)
-let entry_for t n pos =
+(* The node to contact for imaginary position [pos] from member [id]: its
+   policy-chosen preferred entry when that does not overshoot [pos] along
+   the image arc, the exact charge node otherwise. *)
+let entry_for t id pos =
   let exact = charge_node t pos in
-  if exact = n.id then exact
-  else
+  if exact = id then exact
+  else begin
+    let n = state t id in
     match n.preferred with
-    | Some p when p <> n.id && mem t p ->
+    | Some p when p <> id && mem t p ->
       if p = exact then p
       else if Array.length n.cover > 0 && n.cover.(0) = p then p
       else begin
-        let lo = t.degree * ((n.key + 1) mod t.ring) mod t.ring in
-        if clockwise t lo (key_of t p) < clockwise t lo pos then p else exact
+        let ring = Keyring.ring_size t.keys in
+        let lo = t.degree * ((key_of t id + 1) mod ring) mod ring in
+        if Keyring.clockwise t.keys lo (key_of t p) < Keyring.clockwise t.keys lo pos then p
+        else exact
       end
     | _ -> exact
+  end
 
 let route t ~src ~key =
   if not (mem t src) then invalid_arg "Koorde.route: source not a member";
-  let key = ((key mod t.ring) + t.ring) mod t.ring in
+  let ring = Keyring.ring_size t.keys in
+  let key = ((key mod ring) + ring) mod ring in
   let owner = successor_node t key in
   let g = t.digit_bits in
   (* Best imaginary start: the fewest digits j such that some position in
      the source's domain agrees with the key's top (digits - j) digits,
      i.e. i0 = key >> (j*g)  (mod degree^(digits-j)) for an i0 we own. *)
   let start_state m =
-    let l = domain_span t m in
-    let a = (m.key + 1) mod t.ring in
+    let mkey = key_of t m in
+    let l = domain_span t mkey in
+    let a = (mkey + 1) mod ring in
     let rec find j =
       let s = 1 lsl ((t.digits - j) * g) in
       let r = key lsr (j * g) in
       let offset = ((r - a) mod s + s) mod s in
-      if offset < l then ((a + offset) mod t.ring, j) else find (j + 1)
+      if offset < l then ((a + offset) mod ring, j) else find (j + 1)
     in
     find 0
   in
   let rec go m i rem acc guard =
-    if m.id = owner then Some (List.rev (m.id :: acc))
+    if m = owner then Some (List.rev (m :: acc))
     else if guard <= 0 then None
     else begin
-      let succ = successor_node t (m.key + 1) in
-      if between_oc t m.key (key_of t succ) key then
-        go (node t succ) i rem (m.id :: acc) (guard - 1)
-      else if rem > 0 && between_oc t m.key (key_of t succ) i then begin
+      let mkey = key_of t m in
+      let succ = successor_node t (mkey + 1) in
+      let succ_key = key_of t succ in
+      if Keyring.between_oc t.keys mkey succ_key key then go succ i rem (m :: acc) (guard - 1)
+      else if rem > 0 && Keyring.between_oc t.keys mkey succ_key i then begin
         (* consume the next digit of the key, top-first *)
         let digit = (key lsr ((rem - 1) * g)) land (t.degree - 1) in
-        let i' = ((i * t.degree) land (t.ring - 1)) lor digit in
+        let i' = ((i * t.degree) land (ring - 1)) lor digit in
         let next = entry_for t m i' in
-        if next = m.id then go m i' (rem - 1) acc guard
-        else go (node t next) i' (rem - 1) (m.id :: acc) (guard - 1)
+        if next = m then go m i' (rem - 1) acc guard
+        else go next i' (rem - 1) (m :: acc) (guard - 1)
       end
-      else go (node t succ) i rem (m.id :: acc) (guard - 1)
+      else go succ i rem (m :: acc) (guard - 1)
     end
   in
-  let result =
-    let m = node t src in
-    if size t = 1 then Some [ src ]
-    else begin
-      let i0, j = start_state m in
-      go m i0 j [] ((4 * size t) + (2 * t.digits))
-    end
-  in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec spans = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              spans rest
-            | [ _ ] | [] -> ()
-          in
-          spans hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
-  result
+  Engine.Route_obs.observe t.obs
+    (if size t = 1 then Some [ src ]
+     else begin
+       let i0, j = start_state src in
+       go src i0 j [] ((4 * size t) + (2 * t.digits))
+     end)
 
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
-  let ids = node_ids t in
   Array.fold_left
     (fun acc id ->
       let* () = acc in
-      let n = node t id in
+      let n = state t id in
       let* () =
-        if successor_node t n.key = id then Ok ()
+        if successor_node t (key_of t id) = id then Ok ()
         else err "node %d is not the successor of its own key" id
       in
       let* () =
@@ -350,10 +224,10 @@ let check_invariants t =
         else begin
           let c = n.cover.(i) in
           if not (mem t c) then err "node %d cover entry %d is dead" id c
-          else if i > 0 && clockwise t lo (key_of t c) >= span then
+          else if i > 0 && Keyring.clockwise t.keys lo (key_of t c) >= span then
             err "node %d cover entry %d outside its image arc" id c
           else check_cover (i + 1)
         end
       in
       check_cover 0)
-    (Ok ()) ids
+    (Ok ()) (node_ids t)

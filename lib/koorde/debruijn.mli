@@ -21,7 +21,11 @@
     proximity-neighbor-selection hook), and routing uses it whenever it
     does not overshoot the wanted position, paying successor corrections
     to reach the exact charge.  With only ~k candidates per node, this is
-    the constant-degree frontier of the paper's generality claim. *)
+    the constant-degree frontier of the paper's generality claim.
+
+    Membership and placement live in a {!Chord.Keyring.t}, the same
+    identifier ring Chord uses; this module adds the cover, the preferred
+    entry and the de Bruijn routing on top. *)
 
 type t
 
@@ -48,6 +52,10 @@ val create :
     [overlay=koorde] plus any extra [labels].  With [trace], successful
     routes emit one [Route_hop] span per forwarding step. *)
 
+val keyring : t -> Chord.Keyring.t
+(** The identifier ring underneath, shared, not copied: membership
+    changes made here show through it (e.g. to a {!Chord.Softmap.t}). *)
+
 val key_bits : t -> int
 val degree : t -> int
 val size : t -> int
@@ -72,18 +80,10 @@ val key_of : t -> int -> int
 (** Ring key of a member. *)
 
 val successor_node : t -> int -> int
-(** [successor_node t key] is the member owning ring position [key] (the
-    first member clockwise from [key]).  Raises [Failure] on an empty
-    overlay. *)
-
 val charge_node : t -> int -> int
-(** [charge_node t pos] is the member whose domain
-    [(own key, successor key]] contains [pos] — the node a de Bruijn hop
-    for imaginary position [pos] lands on.  Raises [Failure] on an empty
-    overlay. *)
-
 val arc_members : t -> lo:int -> span:int -> int array
-(** Members whose ring keys fall in [[lo, lo+span)] (mod ring size). *)
+(** {!Chord.Keyring.successor_node}, {!Chord.Keyring.charge_node} and
+    {!Chord.Keyring.arc_members} on {!keyring}. *)
 
 val image_arc : t -> int -> int * int
 (** [(lo, span)] of a member's de Bruijn image arc: the ring positions

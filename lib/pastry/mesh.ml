@@ -7,13 +7,6 @@ type node_state = {
   mutable leaves : int array;
 }
 
-type obs = {
-  requests : Engine.Metrics.counter;
-  failures : Engine.Metrics.counter;
-  hops : Engine.Metrics.histogram;
-  tracer : Engine.Trace.t option;
-}
-
 type t = {
   digit_bits : int;
   num_digits : int;
@@ -25,7 +18,7 @@ type t = {
   prefix_members : (int, int list ref) Hashtbl.t;  (* (len, prefix) key -> ids *)
   mutable sorted : (int * int) array;  (* (pid, id) *)
   mutable dirty : bool;
-  obs : obs option;
+  obs : Engine.Route_obs.t;
 }
 
 type selector = node:int -> prefix:int array -> candidates:int array -> int option
@@ -37,18 +30,6 @@ let create ?metrics ?(labels = []) ?trace ?(digit_bits = 2) ?(num_digits = 15) ?
   if digit_bits * num_digits > 50 then invalid_arg "Pastry.create: id space too large";
   if leaf_radius < 1 then invalid_arg "Pastry.create: leaf_radius must be >= 1";
   let id_bits = digit_bits * num_digits in
-  let obs =
-    Option.map
-      (fun m ->
-        let labels = ("overlay", "pastry") :: labels in
-        {
-          requests = Engine.Metrics.counter m ~labels "route_requests";
-          failures = Engine.Metrics.counter m ~labels "route_failures";
-          hops = Engine.Metrics.histogram m ~labels "route_hops";
-          tracer = trace;
-        })
-      metrics
-  in
   {
     digit_bits;
     num_digits;
@@ -60,7 +41,7 @@ let create ?metrics ?(labels = []) ?trace ?(digit_bits = 2) ?(num_digits = 15) ?
     prefix_members = Hashtbl.create 64;
     sorted = [||];
     dirty = false;
-    obs;
+    obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"pastry";
   }
 
 let digit_bits t = t.digit_bits
@@ -287,26 +268,7 @@ let route t ~src ~key =
       | None -> None
     end
   in
-  let result = go (node t src) [] (4 * size t) in
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.requests;
-    (match result with
-    | Some hops ->
-      Engine.Metrics.observe o.hops (float_of_int (List.length hops - 1));
-      Option.iter
-        (fun tr ->
-          let rec spans = function
-            | a :: (b :: _ as rest) ->
-              Engine.Trace.emit tr ~peer:b Engine.Trace.Route_hop ~node:a;
-              spans rest
-            | [ _ ] | [] -> ()
-          in
-          spans hops)
-        o.tracer
-    | None -> Engine.Metrics.incr o.failures));
-  result
+  Engine.Route_obs.observe t.obs (go (node t src) [] (4 * size t))
 
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in

@@ -159,9 +159,16 @@ val lookup :
 
     The lookup keeps only the best [max_results] entries as it goes, in
     a bounded buffer.  So the entries it examines cost no allocation
-    beyond one boxed distance each.  What it allocates is its result list
-    plus fixed per-call scratch: the hashed position, the buffer and one
-    cell per visited host.
+    beyond one boxed distance (2 words) each.  The rest is the result
+    list, fixed per-call scratch (the hashed position, the buffer and
+    the scan closures), and per visited host two list cells (the
+    visited set and the ring frontier) plus the option its bucket lookup
+    returns, about 8 words; each widening ring adds its own closures.
+    On the [alloc] experiment's fixture (256-member CAN, root map,
+    default bounds) a lookup that stays on its start host and examines
+    16 entries allocates 253 words; the fixture's lookups visit 1 to 12
+    hosts, mostly 4 to 6, and average 331 words
+    ([alloc_minor_words_per_lookup]).
 
     [max_load] consults the load statistics piggybacked on the entries
     ({!Entry.t.load}, kept fresh by {!update_stats}): entries whose load

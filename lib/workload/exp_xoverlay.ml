@@ -2,6 +2,8 @@ module Oracle = Topology.Oracle
 module Ring = Chord.Ring
 module Mesh = Pastry.Mesh
 module Dbj = Koorde.Debruijn
+module Keyring = Chord.Keyring
+module Softmap = Chord.Softmap
 module Landmarks = Landmark.Landmarks
 module Number = Landmark.Number
 module Stats = Prelude.Stats
@@ -54,25 +56,34 @@ let map_pick oracle fallback_rng ~node ~candidates entries =
     in
     Some (snd best)
 
-(* Chord with the soft-state map actually *stored on the ring* (appendix
-   placement: entry key = landmark number scaled into the id space): finger
-   selection does a real map lookup constrained to the finger arc, then
+(* Chord or Koorde with the soft-state map actually *stored on the
+   identifier ring* (appendix placement: entry key = landmark number scaled
+   into the id space): each slot's selection does a real map lookup
+   constrained to its arc (a Chord finger arc, a de Bruijn image arc), then
    probes the returned candidates by RTT. *)
-let chord_ringmap_stretch oracle members scheme vector_of =
-  let rng = Rng.create 31339 in
-  let ring = Ring.create () in
-  Array.iter (fun id -> Ring.add_node ring ~rng id) members;
-  let map = Chord.Softmap.create ~scheme ring in
-  Array.iter (fun id -> Chord.Softmap.publish map ~node:id ~vector:(vector_of id)) members;
-  let fallback_rng = Rng.create 31340 in
-  Ring.build_fingers ring ~selector:(fun ~node ~arc ~candidates ->
-      Chord.Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc ~max_results:rtt_budget
-        ~ttl:64 ()
-      |> List.map (fun e -> e.Chord.Softmap.node)
+let ringmap_stretch oracle members scheme vector_of kind ~key_seed ~fallback_seed ~route_seed =
+  let rng = Rng.create key_seed in
+  let name, keys, build_fingers, route =
+    match kind with
+    | Backend.Chord ->
+      let ring = Ring.create () in
+      Array.iter (fun id -> Ring.add_node ring ~rng id) members;
+      ("chord", Ring.keyring ring, Ring.build_fingers ring, Ring.route ring)
+    | Backend.Koorde degree ->
+      let dbj = Dbj.create ~degree () in
+      Array.iter (fun id -> Dbj.add_node dbj ~rng id) members;
+      ("koorde", Dbj.keyring dbj, Dbj.build_fingers dbj, Dbj.route dbj)
+    | Backend.Pastry -> invalid_arg "Exp_xoverlay.ringmap_stretch: Pastry has no identifier ring"
+  in
+  let map = Softmap.create ~scheme keys in
+  Array.iter (fun id -> Softmap.publish map ~node:id ~vector:(vector_of id)) members;
+  let fallback_rng = Rng.create fallback_seed in
+  build_fingers ~selector:(fun ~node ~arc ~candidates ->
+      Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc ~max_results:rtt_budget ~ttl:64 ()
+      |> List.map (fun e -> e.Softmap.node)
       |> map_pick oracle fallback_rng ~node ~candidates);
-  sampled_stretch oracle members ~seed:555 ~what:"chord ring-map hybrid"
-    ~route:(Ring.route ring) ~owner:(Ring.successor_node ring)
-    ~key_space:(1 lsl Ring.key_bits ring)
+  sampled_stretch oracle members ~seed:route_seed ~what:(name ^ " ring-map hybrid") ~route
+    ~owner:(Keyring.successor_node keys) ~key_space:(Keyring.ring_size keys)
 
 (* Pastry with prefix-region maps actually stored on the mesh (appendix
    placement: entry id = region prefix ++ landmark-number digits). *)
@@ -91,26 +102,6 @@ let pastry_prefixmap_stretch oracle members scheme vector_of =
   sampled_stretch oracle members ~seed:556 ~what:"pastry prefix-map hybrid"
     ~route:(Mesh.route mesh) ~owner:(Mesh.owner_of mesh)
     ~key_space:(1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh))
-
-(* Koorde with the soft-state map stored on its own ring (same appendix
-   placement as Chord — the identifier ring is the same structure): the
-   preferred de Bruijn entry is selected through a real map lookup
-   constrained to the image arc, then RTT probes. *)
-let koorde_ringmap_stretch oracle members scheme vector_of =
-  let rng = Rng.create 31344 in
-  let dbj = Dbj.create ~degree:4 () in
-  Array.iter (fun id -> Dbj.add_node dbj ~rng id) members;
-  let map = Koorde.Softmap.create ~scheme dbj in
-  Array.iter (fun id -> Koorde.Softmap.publish map ~node:id ~vector:(vector_of id)) members;
-  let fallback_rng = Rng.create 31345 in
-  Dbj.build_fingers dbj ~selector:(fun ~node ~arc ~candidates ->
-      Koorde.Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc ~max_results:rtt_budget
-        ~ttl:64 ()
-      |> List.map (fun e -> e.Koorde.Softmap.node)
-      |> map_pick oracle fallback_rng ~node ~candidates);
-  sampled_stretch oracle members ~seed:557 ~what:"koorde ring-map hybrid"
-    ~route:(Dbj.route dbj) ~owner:(Dbj.successor_node dbj)
-    ~key_space:(1 lsl Dbj.key_bits dbj)
 
 let run ?(scale = 1) ppf =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
@@ -170,7 +161,10 @@ let run ?(scale = 1) ppf =
       ~max_latency:(Number.calibrate_max_latency oracle (Landmarks.nodes lms))
       ()
   in
-  let ringmap = chord_ringmap_stretch oracle members scheme vector_of in
+  let ringmap =
+    ringmap_stretch oracle members scheme vector_of Backend.Chord ~key_seed:31339
+      ~fallback_seed:31340 ~route_seed:555
+  in
   Format.fprintf ppf
     "  Chord with the map stored on the ring itself: stretch %.3f (vs idealised hybrid above)@."
     ringmap.Stats.mean;
@@ -178,7 +172,10 @@ let run ?(scale = 1) ppf =
   Format.fprintf ppf
     "  Pastry with maps stored under the prefixes:   stretch %.3f (vs idealised hybrid above)@."
     prefixmap.Stats.mean;
-  let koordemap = koorde_ringmap_stretch oracle members scheme vector_of in
+  let koordemap =
+    ringmap_stretch oracle members scheme vector_of (Backend.Koorde 4) ~key_seed:31344
+      ~fallback_seed:31345 ~route_seed:557
+  in
   Format.fprintf ppf
     "  Koorde with the map stored on its ring:       stretch %.3f (vs idealised hybrid above)@."
     koordemap.Stats.mean

@@ -10,6 +10,7 @@
 module Rng = Prelude.Rng
 module Point = Geometry.Point
 module Metrics = Engine.Metrics
+module Trace = Engine.Trace
 module Dpool = Engine.Dpool
 module Json = Prelude.Json
 
@@ -241,6 +242,131 @@ let test_deterministic_json (name, make) () =
   let c = workload_json make ~seed:97 ~domains:4 in
   Alcotest.(check string) (name ^ " domains 1 vs 4 is byte-identical") a c
 
+(* ---- route accounting: every overlay reports its routes through the
+   same observer (route_requests / route_failures / route_hops labeled
+   overlay=<name>, one Route_hop span per forwarding step) ---- *)
+
+(* Each overlay built directly with a registry and a tracer and
+   stabilised under a seeded random policy: its members, its key space
+   and its keyed route. *)
+type instrumented =
+  metrics:Metrics.t -> trace:Trace.t -> int array * int * (src:int -> key:int -> int list option)
+
+let instrumented_can ~n : instrumented =
+ fun ~metrics ~trace ->
+  let rng = Rng.create 41 in
+  let t = Can.Overlay.create ~metrics ~trace ~dims:2 0 in
+  for id = 1 to n - 1 do
+    ignore (Can.Overlay.join t id (Point.random rng 2))
+  done;
+  ( Can.Overlay.node_ids t,
+    1 lsl can_key_bits,
+    fun ~src ~key -> Can.Overlay.route t ~src (point_of_key key) )
+
+let instrumented_ecan ~n : instrumented =
+ fun ~metrics ~trace ->
+  let rng = Rng.create 41 and sel = Rng.create 42 in
+  let t = Can.Overlay.create ~dims:2 0 in
+  for id = 1 to n - 1 do
+    ignore (Can.Overlay.join t id (Point.random rng 2))
+  done;
+  let e = Ecan.Expressway.create ~metrics ~trace t in
+  Ecan.Expressway.build_tables e ~selector:(fun ~node:_ ~region:_ ~candidates ->
+      Some (Rng.pick sel candidates));
+  ( Can.Overlay.node_ids t,
+    1 lsl can_key_bits,
+    fun ~src ~key -> Ecan.Expressway.route e ~src (point_of_key key) )
+
+let instrumented_chord ~n : instrumented =
+ fun ~metrics ~trace ->
+  let module Ring = Chord.Ring in
+  let rng = Rng.create 41 and sel = Rng.create 42 in
+  let t = Ring.create ~metrics ~trace () in
+  for id = 0 to n - 1 do
+    Ring.add_node t ~rng id
+  done;
+  Ring.build_fingers t ~selector:(fun ~node:_ ~arc:_ ~candidates -> Some (Rng.pick sel candidates));
+  (Ring.node_ids t, 1 lsl Ring.key_bits t, Ring.route t)
+
+let instrumented_pastry ~n : instrumented =
+ fun ~metrics ~trace ->
+  let module Mesh = Pastry.Mesh in
+  let rng = Rng.create 41 and sel = Rng.create 42 in
+  let t = Mesh.create ~metrics ~trace () in
+  for id = 0 to n - 1 do
+    Mesh.add_node t ~rng id
+  done;
+  Mesh.build_tables t ~selector:(fun ~node:_ ~prefix:_ ~candidates ->
+      Some (Rng.pick sel candidates));
+  (Mesh.node_ids t, 1 lsl (Mesh.digit_bits t * Mesh.num_digits t), Mesh.route t)
+
+let instrumented_koorde ~n : instrumented =
+ fun ~metrics ~trace ->
+  let module Dbj = Koorde.Debruijn in
+  let rng = Rng.create 41 and sel = Rng.create 42 in
+  let t = Dbj.create ~metrics ~trace ~degree:4 () in
+  for id = 0 to n - 1 do
+    Dbj.add_node t ~rng id
+  done;
+  Dbj.build_fingers t ~selector:(fun ~node:_ ~arc:_ ~candidates -> Some (Rng.pick sel candidates));
+  (Dbj.node_ids t, 1 lsl Dbj.key_bits t, Dbj.route t)
+
+let instrumented_overlays =
+  [
+    ("can", instrumented_can ~n:48);
+    ("ecan", instrumented_ecan ~n:48);
+    ("chord", instrumented_chord ~n:48);
+    ("pastry", instrumented_pastry ~n:48);
+    ("koorde", instrumented_koorde ~n:48);
+  ]
+
+let rec forwarding_steps = function
+  | a :: (b :: _ as rest) -> (a, b) :: forwarding_steps rest
+  | [ _ ] | [] -> []
+
+let test_route_accounting (name, (build : instrumented)) () =
+  let metrics = Metrics.create () and trace = Trace.create () in
+  let members, key_space, route = build ~metrics ~trace in
+  let rng = Rng.create 43 in
+  let queries = 64 in
+  let results =
+    List.init queries (fun _ ->
+        let src = Rng.pick rng members in
+        route ~src ~key:(Rng.int rng key_space))
+  in
+  let routes = List.filter_map Fun.id results in
+  let route_instruments =
+    List.filter
+      (fun (e : Metrics.snapshot_entry) -> String.starts_with ~prefix:"route_" e.Metrics.name)
+      (Metrics.snapshot metrics)
+  in
+  Alcotest.(check (list (pair string (list (pair string string)))))
+    "route instruments, labeled overlay=<name>"
+    [
+      ("route_failures", [ ("overlay", name) ]);
+      ("route_hops", [ ("overlay", name) ]);
+      ("route_requests", [ ("overlay", name) ]);
+    ]
+    (List.map
+       (fun (e : Metrics.snapshot_entry) -> (e.Metrics.name, e.Metrics.labels))
+       route_instruments);
+  let labels = [ ("overlay", name) ] in
+  Alcotest.(check int) "requests = queries issued" queries
+    (Metrics.count (Metrics.counter metrics ~labels "route_requests"));
+  Alcotest.(check int) "failures = queries that returned None" (queries - List.length routes)
+    (Metrics.count (Metrics.counter metrics ~labels "route_failures"));
+  Alcotest.(check (array (float 0.0)))
+    "one hop-count sample per success"
+    (Array.of_list (List.map (fun hops -> float_of_int (List.length hops - 1)) routes))
+    (Metrics.samples (Metrics.histogram metrics ~labels "route_hops"));
+  let spans = Trace.spans trace in
+  Alcotest.(check bool) "every span is a route hop" true
+    (List.for_all (fun (s : Trace.span) -> s.Trace.kind = Trace.Route_hop) spans);
+  Alcotest.(check (list (pair int int)))
+    "one span per forwarding step: sum of (hops - 1)"
+    (List.concat_map forwarding_steps routes)
+    (List.map (fun (s : Trace.span) -> (s.Trace.node, s.Trace.peer)) spans)
+
 let suite =
   List.concat_map
     (fun entry ->
@@ -255,3 +381,9 @@ let suite =
           (test_deterministic_json entry);
       ])
     backends
+  @ List.map
+      (fun entry ->
+        Alcotest.test_case
+          (fst entry ^ ": route metrics and spans match the queries")
+          `Quick (test_route_accounting entry))
+      instrumented_overlays

@@ -1,5 +1,6 @@
-(* Tests for the extension modules: GNP coordinates, the Chord ring map,
-   proximity routing, hill climbing, ranked search and hosting stats. *)
+(* Tests for the extension modules: GNP coordinates, the ring map (on
+   Chord and Koorde), proximity routing, hill climbing, ranked search and
+   hosting stats. *)
 
 module Oracle = Topology.Oracle
 module Ts = Topology.Transit_stub
@@ -7,7 +8,9 @@ module Coordinates = Landmark.Coordinates
 module Landmarks = Landmark.Landmarks
 module Number = Landmark.Number
 module Ring = Chord.Ring
+module Keyring = Chord.Keyring
 module Softmap = Chord.Softmap
+module Dbj = Koorde.Debruijn
 module Can_overlay = Can.Overlay
 module Search = Proximity.Search
 module Store = Softstate.Store
@@ -81,41 +84,58 @@ let test_coords_positioning_better_than_chance () =
   let med = Prelude.Stats.percentile errors 50.0 in
   Alcotest.(check bool) (Printf.sprintf "median pair error %.3f < 0.8" med) true (med < 0.8)
 
-(* ---- chord soft map ---- *)
+(* ---- ring soft map, on both overlays with an identifier ring ---- *)
 
-let softmap_fixture ~seed =
-  let o = Lazy.force oracle in
-  let rng = Rng.create seed in
+(* An overlay built on a [Keyring]: its ring, how a member leaves, and an
+   arc its selection would filter lookups on. *)
+type ring_overlay = { keys : Keyring.t; leave : int -> unit; arc : int * int }
+
+let chord_overlay rng n =
   let ring = Ring.create () in
-  let n = Oracle.node_count o in
   for id = 0 to n - 1 do
     Ring.add_node ring ~rng id
   done;
+  let keys = Ring.keyring ring in
+  { keys; leave = Ring.remove_node ring; arc = (0, Keyring.ring_size keys / 4) }
+
+(* degree 4, arc = node 0's de Bruijn image arc *)
+let koorde_overlay rng n =
+  let dbj = Dbj.create ~degree:4 () in
+  for id = 0 to n - 1 do
+    Dbj.add_node dbj ~rng id
+  done;
+  { keys = Dbj.keyring dbj; leave = Dbj.remove_node dbj; arc = Dbj.image_arc dbj 0 }
+
+let softmap_fixture make ~seed =
+  let o = Lazy.force oracle in
+  let rng = Rng.create seed in
+  let n = Oracle.node_count o in
+  let overlay = make rng n in
   let lms = Landmarks.choose rng o 6 in
   let scheme =
     Number.default_scheme ~max_latency:(Number.calibrate_max_latency o (Landmarks.nodes lms)) ()
   in
-  let map = Softmap.create ~scheme ring in
+  let map = Softmap.create ~scheme overlay.keys in
   let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
   Array.iteri (fun node vector -> Softmap.publish map ~node ~vector) vectors;
-  (o, ring, map, vectors)
+  (overlay, map, vectors)
 
-let test_softmap_publish_hosts () =
-  let _, ring, map, vectors = softmap_fixture ~seed:3 in
+let hosted_at map host node =
+  List.exists (fun (e : Softmap.entry) -> e.Softmap.node = node) (Softmap.entries_at map host)
+
+let test_softmap_publish_hosts make () =
+  let overlay, map, vectors = softmap_fixture make ~seed:3 in
   (* every entry is hosted by the successor of its store key *)
   Array.iteri
     (fun node vector ->
-      let key = Softmap.store_key_of map vector in
-      let host = Ring.successor_node ring key in
-      let hosted = Softmap.entries_at map host in
+      let host = Keyring.successor_node overlay.keys (Softmap.store_key_of map vector) in
       Alcotest.(check bool)
         (Printf.sprintf "node %d hosted at successor of its landmark key" node)
-        true
-        (List.exists (fun (e : Softmap.entry) -> e.Softmap.node = node) hosted))
+        true (hosted_at map host node))
     vectors
 
-let test_softmap_lookup_returns_closest () =
-  let _, _, map, vectors = softmap_fixture ~seed:4 in
+let test_softmap_lookup_returns_closest make () =
+  let _, map, vectors = softmap_fixture make ~seed:4 in
   let query = vectors.(0) in
   let results = Softmap.lookup map ~vector:query ~max_results:5 () in
   Alcotest.(check bool) "found something" true (results <> []);
@@ -123,34 +143,51 @@ let test_softmap_lookup_returns_closest () =
   let dists = List.map (fun (e : Softmap.entry) -> Landmarks.vector_dist query e.Softmap.vector) results in
   Alcotest.(check (list (float 1e-9))) "sorted" (List.sort compare dists) dists
 
-let test_softmap_arc_filter () =
-  let _, ring, map, vectors = softmap_fixture ~seed:5 in
-  let ring_size = 1 lsl Ring.key_bits ring in
-  let lo = 0 and span = ring_size / 4 in
-  let results = Softmap.lookup map ~vector:vectors.(0) ~in_arc:(lo, span) ~max_results:20 ~ttl:200 () in
+let test_softmap_arc_filter make () =
+  let overlay, map, vectors = softmap_fixture make ~seed:5 in
+  let keys = overlay.keys in
+  let lo, span = overlay.arc in
+  let max_results = 20 in
+  let results =
+    Softmap.lookup map ~vector:vectors.(0) ~in_arc:(lo, span) ~max_results ~ttl:200 ()
+  in
   List.iter
     (fun (e : Softmap.entry) ->
-      let k = Ring.key_of ring e.Softmap.node in
-      Alcotest.(check bool) "owner inside the arc" true (k >= lo && k < lo + span))
-    results
+      let k = Keyring.key_of keys e.Softmap.node in
+      Alcotest.(check bool) "owner inside the arc" true (Keyring.clockwise keys lo k < span))
+    results;
+  (* the walk covers the whole ring, so every owner in the arc is found *)
+  let in_arc = Array.length (Keyring.arc_members keys ~lo ~span) in
+  Alcotest.(check bool) "arc inhabited" true (in_arc > 0);
+  Alcotest.(check int) "every arc owner up to max_results" (min max_results in_arc)
+    (List.length results)
 
-let test_softmap_unpublish_and_rehome () =
-  let _, ring, map, vectors = softmap_fixture ~seed:6 in
+let test_softmap_unpublish_and_rehome make () =
+  let overlay, map, vectors = softmap_fixture make ~seed:6 in
   Softmap.unpublish map 0;
   let results = Softmap.lookup map ~vector:vectors.(0) ~max_results:1000 ~ttl:1000 () in
   Alcotest.(check bool) "unpublished node gone" true
     (not (List.exists (fun (e : Softmap.entry) -> e.Softmap.node = 0) results));
   (* membership churn + rehome keeps hosting consistent *)
-  Ring.remove_node ring 1;
+  overlay.leave 1;
   Softmap.rehome map;
   Array.iteri
     (fun node vector ->
       if node > 1 then begin
-        let host = Ring.successor_node ring (Softmap.store_key_of map vector) in
-        Alcotest.(check bool) "rehomed correctly" true
-          (List.exists (fun (e : Softmap.entry) -> e.Softmap.node = node) (Softmap.entries_at map host))
+        let host = Keyring.successor_node overlay.keys (Softmap.store_key_of map vector) in
+        Alcotest.(check bool) "rehomed correctly" true (hosted_at map host node)
       end)
     vectors
+
+let softmap_cases prefix make =
+  [
+    Alcotest.test_case (prefix ^ "ring map hosting") `Quick (test_softmap_publish_hosts make);
+    Alcotest.test_case (prefix ^ "ring map lookup sorted") `Quick
+      (test_softmap_lookup_returns_closest make);
+    Alcotest.test_case (prefix ^ "ring map arc filter") `Quick (test_softmap_arc_filter make);
+    Alcotest.test_case (prefix ^ "ring map unpublish/rehome") `Quick
+      (test_softmap_unpublish_and_rehome make);
+  ]
 
 (* ---- pastry prefix map ---- *)
 
@@ -366,10 +403,9 @@ let suite =
     Alcotest.test_case "coordinates arithmetic" `Quick test_coords_estimate;
     Alcotest.test_case "landmark embedding converges" `Quick test_coords_embedding_fits_landmarks;
     Alcotest.test_case "client positioning accuracy" `Quick test_coords_positioning_better_than_chance;
-    Alcotest.test_case "ring map hosting" `Quick test_softmap_publish_hosts;
-    Alcotest.test_case "ring map lookup sorted" `Quick test_softmap_lookup_returns_closest;
-    Alcotest.test_case "ring map arc filter" `Quick test_softmap_arc_filter;
-    Alcotest.test_case "ring map unpublish/rehome" `Quick test_softmap_unpublish_and_rehome;
+  ]
+  @ softmap_cases "" chord_overlay
+  @ [
     Alcotest.test_case "pastry map store ids" `Quick test_pastry_map_store_ids;
     Alcotest.test_case "pastry map region lookup" `Quick test_pastry_map_lookup_region_only;
     Alcotest.test_case "pastry map unpublish/rehome" `Quick test_pastry_map_unpublish_rehome;
@@ -380,3 +416,4 @@ let suite =
     Alcotest.test_case "hill climbing local minima" `Quick test_hill_climb_stops_at_local_minimum;
     Alcotest.test_case "hosting statistics" `Quick test_hosting_stats;
   ]
+  @ softmap_cases "koorde " koorde_overlay

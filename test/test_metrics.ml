@@ -1,5 +1,6 @@
 (* Tests for the observability layer: Engine.Metrics registry semantics,
-   deterministic JSON output, and the Engine.Trace ring buffer. *)
+   deterministic JSON output, the Engine.Trace ring buffer and the
+   Engine.Route_obs route observer. *)
 
 module Metrics = Engine.Metrics
 module Trace = Engine.Trace
@@ -193,6 +194,33 @@ let test_trace_jsonl () =
     Alcotest.(check (option (float 1e-9))) "dur in us" (Some 250.0) (num "dur");
     Alcotest.(check (option (float 1e-9))) "tid is node" (Some 3.0) (num "tid")
 
+(* ---- route observer ---- *)
+
+let test_route_obs () =
+  let m = Metrics.create () and t = Trace.create () in
+  let obs = Engine.Route_obs.create (Some m) ~labels:[ ("k", "v") ] ~trace:(Some t) ~overlay:"x" in
+  let path = Some [ 1; 2; 3 ] in
+  Alcotest.(check bool) "result returned unchanged" true
+    (Engine.Route_obs.observe obs path == path);
+  ignore (Engine.Route_obs.observe obs None);
+  ignore (Engine.Route_obs.observe obs (Some [ 4 ]));
+  let labels = [ ("overlay", "x"); ("k", "v") ] in
+  Alcotest.(check int) "requests" 3 (Metrics.count (Metrics.counter m ~labels "route_requests"));
+  Alcotest.(check int) "failures" 1 (Metrics.count (Metrics.counter m ~labels "route_failures"));
+  Alcotest.(check (array (float 0.0)))
+    "hops per success" [| 2.0; 0.0 |]
+    (Metrics.samples (Metrics.histogram m ~labels "route_hops"));
+  Alcotest.(check int) "three instruments" 3 (Metrics.size m);
+  Alcotest.(check (list (pair int int)))
+    "one Route_hop span per forwarding step" [ (1, 2); (2, 3) ]
+    (List.map (fun s -> (s.Trace.node, s.Trace.peer)) (Trace.spans t));
+  (* without a registry: nothing recorded, the tracer ignored *)
+  let t' = Trace.create () in
+  let inert = Engine.Route_obs.create None ~labels:[] ~trace:(Some t') ~overlay:"x" in
+  Alcotest.(check bool) "inert returns the result" true
+    (Engine.Route_obs.observe inert path == path);
+  Alcotest.(check int) "inert emits no span" 0 (Trace.emitted t')
+
 let suite =
   [
     Alcotest.test_case "interning canonicalizes labels" `Quick test_interning;
@@ -206,4 +234,5 @@ let suite =
     Alcotest.test_case "trace basics" `Quick test_trace_basic;
     Alcotest.test_case "trace ring wraparound" `Quick test_trace_wraparound;
     Alcotest.test_case "trace JSONL is Chrome-trace shaped" `Quick test_trace_jsonl;
+    Alcotest.test_case "route observer accounting" `Quick test_route_obs;
   ]

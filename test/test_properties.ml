@@ -10,7 +10,7 @@ module Point = Geometry.Point
 module Hilbert = Geometry.Hilbert
 module Zcurve = Geometry.Zcurve
 module Can_overlay = Can.Overlay
-module Ring = Chord.Ring
+module Keyring = Chord.Keyring
 module Sim = Engine.Sim
 
 (* Random connected weighted graph for Dijkstra properties. *)
@@ -220,53 +220,86 @@ let qcheck_can_prefix_membership_bruteforce =
       in
       fast = brute)
 
-let qcheck_chord_arc_bruteforce =
-  QCheck.Test.make ~name:"arc_members = brute-force key scan" ~count:30
-    QCheck.(triple (int_range 0 10_000) (int_range 1 50) (pair (int_range 0 1_000_000) (int_range 1 1_000_000)))
-    (fun (seed, n, (lo_raw, span_raw)) ->
-      let rng = Rng.create seed in
-      let t = Ring.create () in
-      for id = 0 to n - 1 do
-        Ring.add_node t ~rng id
-      done;
-      let ring = 1 lsl Ring.key_bits t in
-      let lo = lo_raw mod ring and span = 1 + (span_raw mod (ring - 1)) in
-      let fast = List.sort compare (Array.to_list (Ring.arc_members t ~lo ~span)) in
+(* The identifier ring under Chord and Koorde, checked against a
+   brute-force scan of its members at both overlays' default key widths,
+   given as (key bits, test-name prefix). *)
+let chord_width = (30, "")
+let koorde_width = (24, "24-bit ring: ")
+
+let keyring_of ~key_bits seed n =
+  let rng = Rng.create seed in
+  let t = Keyring.create ~key_bits in
+  for id = 0 to n - 1 do
+    Keyring.add t id ~key:(Keyring.fresh_key t rng)
+  done;
+  t
+
+(* The member minimising [dist] among those [keep] accepts; the first in
+   member order on ties. *)
+let brute_argmin t ?(keep = fun _ -> true) dist =
+  Array.fold_left
+    (fun best id ->
+      if not (keep id) then best
+      else
+        match best with
+        | Some (bd, _) when bd <= dist id -> best
+        | _ -> Some (dist id, id))
+    None (Keyring.node_ids t)
+  |> Option.map snd
+
+(* A ring position from a raw draw: half the time anywhere on the ring,
+   half the time on or next to a member key, where off-by-one slips in
+   the binary searches show. *)
+let position t raw =
+  let ring = Keyring.ring_size t in
+  if raw mod 2 = 0 then raw * ((ring / 1_000_000) + 1) mod ring
+  else begin
+    let ids = Keyring.node_ids t in
+    let key = Keyring.key_of t ids.(raw / 2 mod Array.length ids) in
+    Keyring.clockwise t 0 (key + (raw / 2 mod 3) - 1)
+  end
+
+let qcheck_keyring_arc_bruteforce (key_bits, prefix) =
+  QCheck.Test.make ~name:(prefix ^ "arc_members = brute-force key scan") ~count:30
+    QCheck.(triple (int_range 0 10_000) (int_range 1 50) (pair (int_range 0 1_000_000) (int_range 0 1_000_000)))
+    (fun (seed, n, (lo_raw, hi_raw)) ->
+      let t = keyring_of ~key_bits seed n in
+      let lo = position t lo_raw in
+      let span =
+        match Keyring.clockwise t lo (position t hi_raw) with 0 -> Keyring.ring_size t | d -> d
+      in
+      let fast = List.sort compare (Array.to_list (Keyring.arc_members t ~lo ~span)) in
       let brute =
         List.sort compare
           (List.filter
-             (fun id ->
-               let k = Ring.key_of t id in
-               let d = ((k - lo) mod ring + ring) mod ring in
-               d < span)
-             (Array.to_list (Ring.node_ids t)))
+             (fun id -> Keyring.clockwise t lo (Keyring.key_of t id) < span)
+             (Array.to_list (Keyring.node_ids t)))
       in
       fast = brute)
 
-let qcheck_chord_successor_bruteforce =
-  QCheck.Test.make ~name:"successor_node = brute-force clockwise minimum" ~count:30
+let qcheck_keyring_successor_bruteforce (key_bits, prefix) =
+  QCheck.Test.make ~name:(prefix ^ "successor_node = brute-force clockwise minimum") ~count:30
     QCheck.(triple (int_range 0 10_000) (int_range 1 40) (int_range 0 1_000_000))
     (fun (seed, n, key_raw) ->
-      let rng = Rng.create seed in
-      let t = Ring.create () in
-      for id = 0 to n - 1 do
-        Ring.add_node t ~rng id
-      done;
-      let ring = 1 lsl Ring.key_bits t in
-      let key = key_raw mod ring in
-      let clockwise from target = ((target - from) mod ring + ring) mod ring in
-      let brute =
-        Array.fold_left
-          (fun best id ->
-            let d = clockwise key (Ring.key_of t id) in
-            match best with
-            | Some (bd, _) when bd <= d -> best
-            | _ -> Some (d, id))
-          None (Ring.node_ids t)
+      let t = keyring_of ~key_bits seed n in
+      let key = position t key_raw in
+      brute_argmin t (fun id -> Keyring.clockwise t key (Keyring.key_of t id))
+      = Some (Keyring.successor_node t key))
+
+let qcheck_keyring_charge_bruteforce (key_bits, prefix) =
+  QCheck.Test.make ~name:(prefix ^ "charge_node = predecessor of successor_node") ~count:30
+    QCheck.(triple (int_range 0 10_000) (int_range 1 40) (int_range 0 1_000_000))
+    (fun (seed, n, key_raw) ->
+      let t = keyring_of ~key_bits seed n in
+      let key = position t key_raw in
+      let succ = Keyring.successor_node t key in
+      (* the predecessor: the member nearest [succ] counter-clockwise *)
+      let pred =
+        brute_argmin t
+          ~keep:(fun id -> n = 1 || id <> succ)
+          (fun id -> Keyring.clockwise t (Keyring.key_of t id) (Keyring.key_of t succ))
       in
-      match brute with
-      | Some (_, expect) -> Ring.successor_node t key = expect
-      | None -> false)
+      pred = Some (Keyring.charge_node t key))
 
 let qcheck_store_lookup_subset =
   QCheck.Test.make ~name:"store lookup returns a subset of the region's live entries" ~count:20
@@ -378,7 +411,11 @@ let suite =
       qcheck_sim_fires_sorted;
       qcheck_can_owner_total;
       qcheck_can_prefix_membership_bruteforce;
-      qcheck_chord_arc_bruteforce;
-      qcheck_chord_successor_bruteforce;
+      qcheck_keyring_arc_bruteforce chord_width;
+      qcheck_keyring_successor_bruteforce chord_width;
       qcheck_store_lookup_subset;
+      qcheck_keyring_charge_bruteforce chord_width;
+      qcheck_keyring_arc_bruteforce koorde_width;
+      qcheck_keyring_successor_bruteforce koorde_width;
+      qcheck_keyring_charge_bruteforce koorde_width;
     ]
