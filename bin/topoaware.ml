@@ -320,10 +320,13 @@ let churn_cmd =
   in
   let run verbose seed scale crashes leaves joins loss staleness shards digest_window
       probe_window domains =
-    if loss < 0.0 || loss > 1.0 then `Error (false, "--loss must be in [0,1]")
-    else if staleness < 0.0 || staleness > 1.0 then `Error (false, "--staleness must be in [0,1]")
+    (* written so that NaN fails every range test *)
+    let in_unit x = x >= 0.0 && x <= 1.0 in
+    if not (in_unit loss) then `Error (false, "--loss must be in [0,1]")
+    else if not (in_unit staleness) then `Error (false, "--staleness must be in [0,1]")
     else if shards < 1 then `Error (false, "--shards must be >= 1")
-    else if digest_window < 0.0 then `Error (false, "--digest-window must be >= 0")
+    else if not (Float.is_finite digest_window && digest_window >= 0.0) then
+      `Error (false, "--digest-window must be finite and >= 0")
     else if domains < 0 then `Error (false, "--domains must be >= 0")
     else begin
       setup_logs verbose;

@@ -31,6 +31,12 @@ type item = { it_event : event; it_sub : subscription; it_delay : float }
 
 type batch = { mutable items : item list (* newest first *) }
 
+(* A region's subscriptions, newest first.  An unsubscribe only flips
+   [active] and counts the subscription dead; the list is compacted,
+   order kept, once the dead outnumber the live, so each unsubscribe is
+   amortised O(1). *)
+type region_subs = { mutable subs : subscription list; mutable live : int; mutable dead : int }
+
 type obs = {
   n_sent : Engine.Metrics.counter;
   n_delivered : Engine.Metrics.counter;
@@ -46,7 +52,7 @@ type t = {
   latency : host:int -> subscriber:int -> float;
   channel : float -> float option;
   mutable digest_window : float;
-  subs : (int, subscription list ref) Hashtbl.t;  (* region key -> subscriptions *)
+  regions : (int, region_subs) Hashtbl.t;  (* region key -> subscriptions *)
   pending : (int * int, batch) Hashtbl.t;  (* (subscriber, region key) -> open digest *)
   mutable next_id : int;
   mutable sent : int;
@@ -82,7 +88,8 @@ let add_event_note buf = function
 
 let create ?metrics ?(labels = []) ?trace ?sim ?(latency = fun ~host:_ ~subscriber:_ -> 0.0)
     ?(channel = fun delay -> Some delay) ?(digest_window = 0.0) store =
-  if digest_window < 0.0 then invalid_arg "Bus.create: digest_window must be >= 0";
+  if not (Float.is_finite digest_window && digest_window >= 0.0) then
+    invalid_arg "Bus.create: digest_window must be finite and >= 0";
   let obs =
     Option.map
       (fun m ->
@@ -102,7 +109,7 @@ let create ?metrics ?(labels = []) ?trace ?sim ?(latency = fun ~host:_ ~subscrib
     latency;
     channel;
     digest_window;
-    subs = Hashtbl.create 64;
+    regions = Hashtbl.create 64;
     pending = Hashtbl.create 64;
     next_id = 0;
     sent = 0;
@@ -123,7 +130,8 @@ let digest_window t = t.digest_window
    re-tune (Maintenance's ?adapt) never reorders already-scheduled
    deliveries. *)
 let set_digest_window t w =
-  if w < 0.0 then invalid_arg "Bus.set_digest_window: window must be >= 0";
+  if not (Float.is_finite w && w >= 0.0) then
+    invalid_arg "Bus.set_digest_window: window must be finite and >= 0";
   t.digest_window <- w
 
 let store t = t.store
@@ -141,24 +149,31 @@ let subscribe t ~subscriber ~region ~condition ~handler =
   in
   t.next_id <- t.next_id + 1;
   let key = region_key region in
-  (match Hashtbl.find_opt t.subs key with
-  | Some l -> l := sub :: !l
-  | None -> Hashtbl.replace t.subs key (ref [ sub ]));
+  (match Hashtbl.find_opt t.regions key with
+  | Some r ->
+    r.subs <- sub :: r.subs;
+    r.live <- r.live + 1
+  | None -> Hashtbl.replace t.regions key { subs = [ sub ]; live = 1; dead = 0 });
   sub
 
 let unsubscribe t sub =
-  sub.active <- false;
-  let key = region_key sub.region in
-  match Hashtbl.find_opt t.subs key with
-  | Some l ->
-    l := List.filter (fun s -> s.id <> sub.id) !l;
-    if !l = [] then Hashtbl.remove t.subs key
-  | None -> ()
+  if sub.active then begin
+    sub.active <- false;
+    let key = region_key sub.region in
+    match Hashtbl.find_opt t.regions key with
+    | Some r ->
+      r.live <- r.live - 1;
+      r.dead <- r.dead + 1;
+      if r.live = 0 then Hashtbl.remove t.regions key
+      else if r.dead > r.live then begin
+        r.subs <- List.filter (fun s -> s.active) r.subs;
+        r.dead <- 0
+      end
+    | None -> ()
+  end
 
 let subscription_count t ~region =
-  match Hashtbl.find_opt t.subs (region_key region) with
-  | Some l -> List.length (List.filter (fun s -> s.active) !l)
-  | None -> 0
+  match Hashtbl.find_opt t.regions (region_key region) with Some r -> r.live | None -> 0
 
 let matches sub ~vector event =
   match (sub.condition, event) with
@@ -261,12 +276,14 @@ let deliver t sub ~host event =
   | Some _ | None -> deliver_immediate t sub ~host event
 
 let notify t ~region ~vector ~host event =
-  match Hashtbl.find_opt t.subs (region_key region) with
+  match Hashtbl.find_opt t.regions (region_key region) with
   | None -> ()
-  | Some l ->
+  | Some r ->
+    (* [r.subs] is read once: subscriptions a handler adds or compacts
+       away mid-dispatch do not change this dispatch's order. *)
     List.iter
       (fun sub -> if sub.active && matches sub ~vector event then deliver t sub ~host event)
-      !l
+      r.subs
 
 let host_for t ~region ~vector =
   if Can.Overlay.size (Store.can t.store) = 0 then -1

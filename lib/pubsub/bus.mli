@@ -51,7 +51,8 @@ val create :
     (fault injection — see {!Engine.Faults.perturb}).  Default: deliver
     with the base delay.
 
-    [digest_window] (default 0, must be >= 0) batches notification
+    [digest_window] (default 0, must be finite and >= 0, else
+    [Invalid_argument]) batches notification
     delivery: with a positive window and a [sim], every notification for
     the same (subscriber, region) arriving within the window is coalesced
     into a single scheduled engine event — a {e digest} — delivered
@@ -97,8 +98,8 @@ val digest_window : t -> float
 (** The virtual-time coalescing window currently in force. *)
 
 val set_digest_window : t -> float -> unit
-(** Change the coalescing window (must be >= 0; 0 reverts to per-
-    notification delivery).  Takes effect for digests {e opened} after
+(** Change the coalescing window (must be finite and >= 0, else
+    [Invalid_argument]; 0 reverts to per-notification delivery).  Takes effect for digests {e opened} after
     the call — digests already open flush at their original schedule, so
     a mid-run re-tune (the adaptive maintenance controller) never
     reorders deliveries that were already scheduled. *)
@@ -112,9 +113,15 @@ val subscribe :
   subscription
 
 val unsubscribe : t -> subscription -> unit
+(** Deactivate a subscription: it receives nothing from now on, including
+    notifications already in flight or waiting in a digest.  Unsubscribing
+    twice is a no-op.  Amortised O(1): the subscription is only marked
+    dead, and a region's list is compacted, in its dispatch order, once
+    its dead subscriptions outnumber the live ones.  A region with no live
+    subscription left is dropped. *)
 
 val subscription_count : t -> region:int array -> int
-(** Active subscriptions on a region. *)
+(** Active subscriptions on a region (a stored count, O(1)). *)
 
 val publish : t -> region:int array -> node:int -> vector:float array -> unit
 (** {!Softstate.Store.publish} + condition evaluation. *)

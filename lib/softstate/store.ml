@@ -73,7 +73,20 @@ type region_map = {
    priority). *)
 type hrec = { hr_key : int; hr_entry : Entry.t }
 
-type shard = { expiry : hrec Heap.t }
+(* A host's record in a shard's host index: the keys of the shard's maps
+   where the host has a bucket, and the CAN node record and path array
+   the host had when the record was made.  [Can.Overlay] makes a new node
+   record on every join, and gives a member a new path array on every
+   zone change without writing one in place; a member only takes over an
+   array that was a leaving node's.  So while the host's node and path
+   are physically these, it has been a member throughout and its zone is
+   unchanged, and every entry in those buckets still lies in it. *)
+type host_rec = { node : Can_overlay.node; placed : int array; mutable keys : int list }
+
+type shard = {
+  expiry : hrec Heap.t;
+  hosts : (int, host_rec) Hashtbl.t;  (* host -> its buckets in this shard *)
+}
 
 type obs = {
   publishes : Engine.Metrics.counter;
@@ -147,7 +160,9 @@ let create ?metrics ?(labels = []) ?trace ?pool ?(shards = 1) ?(condense = 1.0)
     clock;
     maps = Hashtbl.create 256;
     regions = Hashtbl.create 256;
-    shards = Array.init shards (fun _ -> { expiry = Heap.create ~capacity:256 () });
+    shards =
+      Array.init shards (fun _ ->
+          { expiry = Heap.create ~capacity:256 (); hosts = Hashtbl.create 64 });
     node_index = Hashtbl.create 256;
     pool = (match pool with Some p -> p | None -> Engine.Dpool.default ());
     obs;
@@ -210,13 +225,21 @@ let live t (e : Entry.t) = e.Entry.expires > t.clock ()
 let schedule_expiry t ~key m (e : Entry.t) =
   Heap.push t.shards.(m.shard).expiry e.Entry.expires { hr_key = key; hr_entry = e }
 
-let host_add m host entry =
+(* [host] owns the entry's position now.  A new bucket goes on the host's
+   record, made now if the host has none. *)
+let host_add t ~key m host entry =
   match Hashtbl.find_opt m.by_host host with
   | Some b -> Bucket.add b entry
   | None ->
     let b = Bucket.create () in
     Bucket.add b entry;
-    Hashtbl.replace m.by_host host b
+    Hashtbl.replace m.by_host host b;
+    let hosts = t.shards.(m.shard).hosts in
+    (match Hashtbl.find hosts host with
+    | hr -> hr.keys <- key :: hr.keys
+    | exception Not_found ->
+      let node = Can_overlay.node t.can host in
+      Hashtbl.replace hosts host { node; placed = node.Can_overlay.path; keys = [ key ] })
 
 (* Emptied buckets stay in the table: a host that cycles between zero and
    a few entries reuses its bucket's backing array instead of
@@ -277,7 +300,7 @@ let publish t ~region ~node ~vector =
     }
   in
   Hashtbl.replace m.entries node entry;
-  host_add m host entry;
+  host_add t ~key m host entry;
   index_add t node ~key entry;
   schedule_expiry t ~key m entry;
   match t.obs with
@@ -671,25 +694,49 @@ let inject_staleness t ~rng ~fraction =
     t.maps;
   !aged
 
+(* A host that left, or whose node record or path array is not the one
+   on its record, is stale: its entries may lie outside its zone.  All
+   stale buckets are detached before any entry is re-placed, so a
+   re-placed entry never lands in a bucket that is about to be
+   detached. *)
+let rehost_shard t i =
+  let hosts = t.shards.(i).hosts in
+  let stale =
+    Hashtbl.fold
+      (fun host hr acc ->
+        match Can_overlay.node t.can host with
+        | n when n == hr.node && n.Can_overlay.path == hr.placed -> acc
+        | _ | (exception Not_found) -> (host, hr) :: acc)
+      hosts []
+  in
+  let detached =
+    List.concat_map
+      (fun (host, hr) ->
+        Hashtbl.remove hosts host;
+        List.map
+          (fun key ->
+            let m = Hashtbl.find t.maps key in
+            let b = Hashtbl.find m.by_host host in
+            Hashtbl.remove m.by_host host;
+            (key, m, b))
+          hr.keys)
+      stale
+  in
+  List.iter
+    (fun (key, m, b) ->
+      Bucket.iter
+        (fun (e : Entry.t) ->
+          e.Entry.host <- Can_overlay.owner_of t.can e.Entry.position;
+          host_add t ~key m e.Entry.host e)
+        b)
+    detached
+
 let rehost t =
-  (* Embarrassingly parallel by shard: task i rebuilds the host index of
-     exactly the maps shard i owns, so no two tasks ever touch the same
-     map.  [owner_of] is a pure read of the overlay, and the per-map work
-     is independent of iteration order, so the rebuilt indexes are
-     identical to the sequential pass regardless of pool size. *)
-  ignore
-    (pool_run t (Array.length t.shards) (fun i ->
-         Hashtbl.iter
-           (fun _ m ->
-             if m.shard = i then begin
-               Hashtbl.reset m.by_host;
-               Hashtbl.iter
-                 (fun _ (e : Entry.t) ->
-                   e.Entry.host <- Can_overlay.owner_of t.can e.Entry.position;
-                   host_add m e.Entry.host e)
-                 m.entries
-             end)
-           t.maps))
+  (* Shard-disjoint: task i re-places entries of the maps shard i owns and
+     writes only their buckets and shard i's host index.  [owner_of] is a
+     pure read of the overlay, and bucket order is unobservable, so the
+     result is independent of the pool size. *)
+  ignore (pool_run t (Array.length t.shards) (rehost_shard t))
 
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
@@ -731,10 +778,17 @@ let check_invariants t =
               end)
             m.entries (Ok ())
         in
-        (* no orphans in the host index *)
+        (* no orphans in the host index; every bucket is on its host's
+           record in the owning shard *)
+        let hosts = t.shards.(m.shard).hosts in
         Hashtbl.fold
-          (fun _ (b : Bucket.t) acc ->
+          (fun host (b : Bucket.t) acc ->
             let* () = acc in
+            let* () =
+              match Hashtbl.find_opt hosts host with
+              | Some hr when List.mem key hr.keys -> Ok ()
+              | Some _ | None -> err "bucket of host %d missing from its shard's host index" host
+            in
             let rec go i =
               if i >= b.Bucket.len then Ok ()
               else if Hashtbl.mem m.entries b.Bucket.arr.(i).Entry.node then go (i + 1)
@@ -743,6 +797,26 @@ let check_invariants t =
             go 0)
           m.by_host (Ok ()))
       t.maps (Ok ())
+  in
+  (* every host-index record names buckets that exist *)
+  let* () =
+    Array.fold_left
+      (fun acc shard ->
+        let* () = acc in
+        Hashtbl.fold
+          (fun host hr acc ->
+            let* () = acc in
+            if
+              List.for_all
+                (fun key ->
+                  match Hashtbl.find_opt t.maps key with
+                  | Some m -> Hashtbl.mem m.by_host host
+                  | None -> false)
+                hr.keys
+            then Ok ()
+            else err "host index of host %d names a missing bucket" host)
+          shard.hosts (Ok ()))
+      (Ok ()) t.shards
   in
   (* no orphans in the reverse index *)
   let* () =

@@ -236,11 +236,24 @@ val inject_staleness : t -> rng:Prelude.Rng.t -> fraction:float -> int
 
 val rehost : t -> unit
 (** Recompute entry hosting after overlay membership changed (zones moved).
-    Positions are stable; only the position->owner assignment is redone.
-    Shard-parallel: task [i] rebuilds the host indexes of exactly the maps
-    shard [i] owns, so no two tasks share a map and the result is
+    Positions are stable; only the position->owner assignment is redone,
+    and only where it can have changed: the entries held by a host that
+    left the overlay, or whose zone changed since its entries were
+    placed, are re-placed with [owner_of]; every other entry keeps its
+    host untouched.  A join therefore re-places about the splitting
+    owner's entries and a leave those of the two or three hosts it
+    merged or moved, not every entry of every map.  A host counts as
+    moved when its CAN node record or path array is not physically the
+    one it had when it was first given a bucket or last re-placed
+    ([Can.Overlay] makes a new node record on every join and a new path
+    array on every zone change, and never writes one in place).
+
+    Shard-parallel, one pool batch of shard-count tasks: task [i] reads
+    and writes only shard [i]'s host index and the buckets of the maps
+    shard [i] owns, so no two tasks share state and the result is
     independent of the pool size. *)
 
 val check_invariants : t -> (unit, string) result
 (** Entry positions lie in their map boxes; hosting matches CAN ownership;
-    per-host index agrees with the maps. *)
+    per-host index agrees with the maps, and each shard's host index
+    names exactly the buckets its maps hold. *)

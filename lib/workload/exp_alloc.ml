@@ -17,10 +17,14 @@
    sweep purging a 64-entry burst), [alloc_minor_words_per_sssp] (one
    single-source shortest-path run of the kind [Oracle.build] issues in
    a loop), [alloc_minor_words_per_lookup] (one Table 1 soft-state
-   lookup, the per-slot read of a table fill) and
+   lookup, the per-slot read of a table fill),
    [alloc_minor_words_per_join] (one CAN join into a 256-member
-   overlay).  Counts are toolchain-sensitive: regenerate the baselines
-   after a compiler upgrade (see EXPERIMENTS.md). *)
+   overlay), [alloc_minor_words_per_rehost] (one [Store.rehost] after
+   such a join, every member published) and
+   [alloc_minor_words_per_resubscribe] (one [Bus.unsubscribe] plus one
+   [Bus.subscribe] in a region with 256 subscribers).  Counts are
+   toolchain-sensitive: regenerate the baselines after a compiler upgrade
+   (see EXPERIMENTS.md). *)
 
 module Ts = Topology.Transit_stub
 module Graph = Topology.Graph
@@ -28,6 +32,7 @@ module Dijkstra = Topology.Dijkstra
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
 module Store = Softstate.Store
+module Bus = Pubsub.Bus
 module Number = Landmark.Number
 module Point = Geometry.Point
 module Rng = Prelude.Rng
@@ -43,6 +48,8 @@ let sssp_runs = 64
 let lookup_samples = 64 (* distinct seeded query vectors *)
 let lookup_runs = 256
 let join_rounds = 16 (* fresh 256-member CANs, one measured join each *)
+let rehost_rounds = 16 (* fresh published stores, one measured rehost each *)
+let resubscribe_runs = 1024
 
 let vector_of node = Array.init 5 (fun i -> float_of_int ((node * ((7 * i) + 3)) mod 400))
 
@@ -157,6 +164,50 @@ let join_op () =
   done;
   int_of_float !total / join_rounds
 
+(* The lookup fixture's store (every member published into every
+   enclosing span-2 region); each round rebuilds it, joins one node at a
+   fresh point, and times the rehost that follows. *)
+let rehost_op () =
+  let prng = Rng.create 72 in
+  let total = ref 0.0 in
+  for _ = 1 to rehost_rounds do
+    let can = substrate_can 71 in
+    let store =
+      Store.create ~pool:(Engine.Dpool.get ~domains:1)
+        ~scheme:(Number.default_scheme ~max_latency:400.0 ())
+        can
+    in
+    for node = 0 to substrate - 1 do
+      Store.publish_all store ~span_bits:2 ~node ~vector:(vector_of node)
+    done;
+    ignore (Can_overlay.join can substrate (Point.random prng 2));
+    let before = Gc.minor_words () in
+    Store.rehost store;
+    total := !total +. (Gc.minor_words () -. before)
+  done;
+  int_of_float !total / rehost_rounds
+
+(* [substrate] subscriptions on the root region; each run replaces the
+   next one round-robin, so the region always holds [substrate]. *)
+let resubscribe_op () =
+  let store =
+    Store.create ~pool:(Engine.Dpool.get ~domains:1)
+      ~scheme:(Number.default_scheme ~max_latency:400.0 ())
+      (substrate_can 81)
+  in
+  let bus = Bus.create store in
+  let handler _ = () in
+  let subscribe subscriber =
+    Bus.subscribe bus ~subscriber ~region:[||] ~condition:Bus.Any_new_entry ~handler
+  in
+  let subs = Array.init substrate subscribe in
+  let cursor = ref 0 in
+  words_per_op ~runs:resubscribe_runs (fun () ->
+      let i = !cursor mod substrate in
+      incr cursor;
+      Bus.unsubscribe bus subs.(i);
+      subs.(i) <- subscribe i)
+
 let run ?(scale = 1) ppf =
   ignore scale;
   let route_words = route_op () in
@@ -164,6 +215,8 @@ let run ?(scale = 1) ppf =
   let sssp_words = sssp_op () in
   let lookup_words = lookup_op () in
   let join_words = join_op () in
+  let rehost_words = rehost_op () in
+  let resubscribe_words = resubscribe_op () in
   let metrics = Metrics.global in
   let c name v = Metrics.add (Metrics.counter metrics name) v in
   c "alloc_minor_words_per_route" route_words;
@@ -171,6 +224,8 @@ let run ?(scale = 1) ppf =
   c "alloc_minor_words_per_sssp" sssp_words;
   c "alloc_minor_words_per_lookup" lookup_words;
   c "alloc_minor_words_per_join" join_words;
+  c "alloc_minor_words_per_rehost" rehost_words;
+  c "alloc_minor_words_per_resubscribe" resubscribe_words;
   Metrics.set
     (Metrics.gauge metrics "alloc_sweep_words_per_entry")
     (float_of_int sweep_words /. float_of_int sweep_burst);
@@ -179,8 +234,9 @@ let run ?(scale = 1) ppf =
       ~title:
         (Printf.sprintf
            "Allocation budget: minor words per hot-path op (%d routes, %d sweeps x %d entries, %d \
-            SSSP, %d lookups, %d joins)"
-           route_runs sweep_rounds sweep_burst sssp_runs lookup_runs join_rounds)
+            SSSP, %d lookups, %d joins, %d rehosts, %d resubscribes)"
+           route_runs sweep_rounds sweep_burst sssp_runs lookup_runs join_rounds rehost_rounds
+           resubscribe_runs)
       ~columns:[ "op"; "minor words/op" ]
   in
   Tableout.add_row table [ "ecan route (1 message)"; Tableout.cell_i route_words ];
@@ -190,6 +246,12 @@ let run ?(scale = 1) ppf =
   Tableout.add_row table [ "soft-state lookup (root map)"; Tableout.cell_i lookup_words ];
   Tableout.add_row table
     [ Printf.sprintf "can join (%d members)" substrate; Tableout.cell_i join_words ];
+  Tableout.add_row table [ "store rehost (after 1 join)"; Tableout.cell_i rehost_words ];
+  Tableout.add_row table
+    [
+      Printf.sprintf "bus resubscribe (%d subscribers)" substrate;
+      Tableout.cell_i resubscribe_words;
+    ];
   Tableout.render ppf table;
   Format.fprintf ppf
     "  exact budgets: gated by bench/compare.exe's allocation-budget section (integer equality).@."

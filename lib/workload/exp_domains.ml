@@ -109,7 +109,8 @@ let run_once ~scale ~domains =
     ignore (Probe.run_batch prober ~src:(b mod substrate) ~dsts);
     purged := !purged + List.length (Store.sweep_expired store)
   done;
-  (* Membership change: zones move, every entry is rehosted. *)
+  (* Membership change: the owner that splits for the newcomer moves,
+     and the rehost re-places the entries it held. *)
   ignore (Can_overlay.join can substrate (Point.random rng 2));
   Store.rehost store;
   let stats = Store.hosting_stats store in

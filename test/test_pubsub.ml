@@ -406,6 +406,99 @@ let qcheck_digest_same_multiset =
       let multiset log = List.sort compare (List.map (fun (s, e, _) -> (s, e)) log) in
       s1 = s2 && d1 = d2 && x1 = x2 && multiset seed_log = multiset digest_log)
 
+(* Non-finite windows are rejected: an infinite window would never flush
+   a digest. *)
+let test_rejects_non_finite_window () =
+  let bus, _, _ = setup ~seed:11 () in
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun w ->
+      let name = Printf.sprintf "window %F" w in
+      rejects ("create, " ^ name) (fun () -> ignore (Bus.create ~digest_window:w (Bus.store bus)));
+      rejects ("set_digest_window, " ^ name) (fun () -> Bus.set_digest_window bus w))
+    [ Float.infinity; Float.neg_infinity; Float.nan; -1.0 ];
+  Alcotest.(check (float 0.0)) "window unchanged" 0.0 (Bus.digest_window bus)
+
+(* Random subscribe/unsubscribe sequences against a plain-list model:
+   per region, the live subscriptions newest first, an unsubscribe
+   filtering its subscription out.  Delivery is synchronous, so a handler
+   that unsubscribes another subscription acts inside the dispatch; the
+   victims include already-removed subscriptions. *)
+let qcheck_bus_matches_list_model =
+  QCheck.Test.make ~name:"subscribe/unsubscribe = plain-list model, order and counts" ~count:200
+    QCheck.(pair (int_range 0 10_000) (int_range 20 200))
+    (fun (seed, steps) ->
+      let rng = Rng.create seed in
+      let can = Can_overlay.create ~dims:2 0 in
+      for id = 1 to 7 do
+        ignore (Can_overlay.join can id (Point.random rng 2))
+      done;
+      let bus = Bus.create (Store.create ~scheme can) in
+      let regions = [| [||]; [| 1 |] |] in
+      (* subscription [i]: its bus handle, region index, and the label it
+         unsubscribes when it fires, if any *)
+      let subs = ref [||] in
+      let model = Array.make 2 [] in
+      let active = Hashtbl.create 64 in
+      let log = ref [] and model_log = ref [] in
+      let model_unsubscribe i =
+        if Hashtbl.mem active i then begin
+          Hashtbl.remove active i;
+          let _, r, _ = !subs.(i) in
+          model.(r) <- List.filter (fun j -> j <> i) model.(r)
+        end
+      in
+      let subscribe r =
+        let i = Array.length !subs in
+        let victim = if i > 0 && Rng.chance rng 0.3 then Some (Rng.int rng i) else None in
+        let handler _ =
+          log := i :: !log;
+          Option.iter (fun v -> let h, _, _ = !subs.(v) in Bus.unsubscribe bus h) victim
+        in
+        let h = Bus.subscribe bus ~subscriber:i ~region:regions.(r) ~condition:Bus.Any_new_entry ~handler in
+        subs := Array.append !subs [| (h, r, victim) |];
+        Hashtbl.replace active i ();
+        model.(r) <- i :: model.(r)
+      in
+      let next_node = ref 100 in
+      let publish r =
+        Bus.publish bus ~region:regions.(r) ~node:!next_node ~vector:(vec rng);
+        incr next_node;
+        List.iter
+          (fun i ->
+            if Hashtbl.mem active i then begin
+              model_log := i :: !model_log;
+              let _, _, victim = !subs.(i) in
+              Option.iter model_unsubscribe victim
+            end)
+          model.(r)
+      in
+      let ok = ref true in
+      for _ = 1 to steps do
+        let r = Rng.int rng 2 in
+        (match Rng.int rng 5 with
+        | 0 | 1 -> subscribe r
+        | 2 | 3 ->
+          let n = Array.length !subs in
+          if n > 0 then begin
+            let i = Rng.int rng n in
+            let h, _, _ = !subs.(i) in
+            Bus.unsubscribe bus h;
+            model_unsubscribe i
+          end
+        | _ -> publish r);
+        ok :=
+          !ok && !log = !model_log
+          && Array.for_all
+               (fun r -> Bus.subscription_count bus ~region:regions.(r) = List.length model.(r))
+               [| 0; 1 |]
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "any-new-entry condition" `Quick test_any_new_entry;
@@ -424,4 +517,6 @@ let suite =
     Alcotest.test_case "digest skips early unsubscriber" `Quick test_digest_unsubscribe_before_flush;
     Alcotest.test_case "digest window 0 = seed path" `Quick test_digest_window_zero_is_seed_path;
     QCheck_alcotest.to_alcotest qcheck_digest_same_multiset;
+    Alcotest.test_case "non-finite digest window rejected" `Quick test_rejects_non_finite_window;
+    QCheck_alcotest.to_alcotest qcheck_bus_matches_list_model;
   ]

@@ -238,6 +238,42 @@ let test_rehost_after_churn () =
   Store.rehost store;
   check_ok (Store.check_invariants store)
 
+(* A host that leaves, rejoins and then takes back by backfill the very
+   path array it held before, all between two rehosts: the entries it
+   was given while it held its rejoin zone must still be re-placed. *)
+let test_rehost_rejoined_host_backfill () =
+  let store, can, _, rng = setup ~condense:8.0 ~n:40 ~seed:21 () in
+  let depth id = Array.length (Can_overlay.node can id).Can_overlay.path in
+  let ids () = List.sort compare (Array.to_list (Can_overlay.node_ids can)) in
+  let deepest () = List.fold_left (fun acc id -> max acc (depth id)) 0 (ids ()) in
+  let publish_batch base =
+    for k = 0 to 199 do
+      Store.publish store ~region:[||] ~node:(base + k) ~vector:(vec rng)
+    done
+  in
+  publish_batch 1000;
+  Store.rehost store;
+  (* a shallow host leaves: the deepest member backfills its zone *)
+  let h =
+    List.find (fun id -> depth id < deepest () && Store.entries_at_host store id > 0) (ids ())
+  in
+  let d =
+    match (Can_overlay.leave can h).Can_overlay.backfilled with
+    | Some d -> d
+    | None -> Alcotest.fail "expected a backfill"
+  in
+  (* h rejoins by splitting a deepest member with a higher id, so the
+     next leave picks h to backfill d *)
+  let owner = List.find (fun id -> depth id = deepest () && id > h) (ids ()) in
+  let zone = (Can_overlay.node can owner).Can_overlay.zone in
+  ignore (Can_overlay.join can h (Zone.subzone zone (Point.random rng 2)));
+  publish_batch 2000;
+  Alcotest.(check bool) "rejoined host holds entries" true (Store.entries_at_host store h > 0);
+  let effect = Can_overlay.leave can d in
+  Alcotest.(check (option int)) "h backfills d" (Some h) effect.Can_overlay.backfilled;
+  Store.rehost store;
+  check_ok (Store.check_invariants store)
+
 let test_republish_preserves_stats () =
   let store, _, _, rng = setup ~seed:16 () in
   Store.publish store ~region:[||] ~node:1 ~vector:(vec rng);
@@ -468,6 +504,129 @@ let qcheck_host_index_consistent =
       done;
       Store.check_invariants store = Ok ())
 
+(* Incremental [rehost] against a from-scratch reference: after any mix
+   of joins, leaves and store writes, every live entry's cached host is
+   the owner of its position, and each member hosts exactly the live
+   entries whose positions it owns.  The script forces a merge and then a
+   split of the same host between two rehosts, and a rehost with nothing
+   changed. *)
+let qcheck_rehost_matches_reference =
+  QCheck.Test.make ~name:"incremental rehost = from-scratch owner_of reference" ~count:60
+    QCheck.(triple (int_range 0 10_000) bool (int_range 8 40))
+    (fun (seed, four, n) ->
+      let store, can, now, rng = setup ~shards:(if four then 4 else 1) ~ttl:50.0 ~n ~seed () in
+      let regions = Hashtbl.create 16 in
+      let next_id = ref n in
+      let publish node =
+        if Can_overlay.mem can node && Rng.chance rng 0.7 then
+          Store.publish_all store ~span_bits:(1 + Rng.int rng 2) ~node ~vector:(vec rng)
+        else begin
+          let region = List.nth regions_under_test (Rng.int rng 6) in
+          Store.publish store ~region ~node ~vector:(vec rng)
+        end;
+        List.iter (fun r -> Hashtbl.replace regions r ()) (Store.regions_of store node)
+      in
+      let store_write () =
+        match Rng.int rng 4 with
+        | 0 | 1 -> publish (Rng.int rng !next_id)
+        | 2 ->
+          let region = List.nth regions_under_test (Rng.int rng 6) in
+          Store.unpublish store ~region ~node:(Rng.int rng !next_id)
+        | _ ->
+          now := !now +. 20.0;
+          ignore (Store.sweep_expired store)
+      in
+      (* Departed ids rejoin too: a rejoined host can later take back,
+         by backfill, the path array it held before it left. *)
+      let departed = ref [] in
+      let join_at point =
+        match !departed with
+        | id :: rest when Rng.chance rng 0.5 ->
+          departed := rest;
+          ignore (Can_overlay.join can id point)
+        | _ ->
+          ignore (Can_overlay.join can !next_id point);
+          incr next_id
+      in
+      let leave_node id =
+        ignore (Can_overlay.leave can id);
+        departed := id :: !departed
+      in
+      let leave () =
+        let ids = Can_overlay.node_ids can in
+        if Array.length ids > 2 then leave_node (Rng.pick rng ids)
+      in
+      (* The deepest member leaves into its sibling leaf, which then splits
+         for a newcomer: one host's zone merges and splits again. *)
+      let merge_then_split () =
+        let ids = Can_overlay.node_ids can in
+        let depth id = Array.length (Can_overlay.node can id).Can_overlay.path in
+        let deepest = Array.fold_left (fun acc id -> max acc (depth id)) 0 ids in
+        if Array.length ids > 2 && deepest > 0 then begin
+          let x = List.find (fun id -> depth id = deepest) (Array.to_list ids) in
+          let effect = Can_overlay.leave can x in
+          departed := x :: !departed;
+          store_write ();
+          let zone = (Can_overlay.node can effect.Can_overlay.survivor).Can_overlay.zone in
+          join_at (Zone.subzone zone (Point.random rng 2))
+        end
+      in
+      let hosting () =
+        Hashtbl.fold
+          (fun region () acc ->
+            List.map
+              (fun (e : Store.Entry.t) -> (region, e.Store.Entry.node, e.Store.Entry.host))
+              (Store.region_entries store region)
+            @ acc)
+          regions []
+        |> List.sort compare
+      in
+      let matches_reference () =
+        let owned = Hashtbl.create 64 in
+        let hosts_ok =
+          Hashtbl.fold
+            (fun region () ok ->
+              List.fold_left
+                (fun ok (e : Store.Entry.t) ->
+                  let owner = Can_overlay.owner_of can e.Store.Entry.position in
+                  Hashtbl.replace owned owner
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt owned owner));
+                  ok && e.Store.Entry.host = owner)
+                ok (Store.region_entries store region))
+            regions true
+        in
+        hosts_ok
+        && Array.for_all
+             (fun id ->
+               Store.entries_at_host store id
+               = Option.value ~default:0 (Hashtbl.find_opt owned id))
+             (Can_overlay.node_ids can)
+        && Store.check_invariants store = Ok ()
+      in
+      for node = 0 to n - 1 do
+        publish node
+      done;
+      let ok = ref true in
+      for round = 0 to 7 do
+        (match round with
+        | 0 -> ()
+        | 1 -> merge_then_split ()
+        | _ ->
+          for _ = 0 to Rng.int rng 3 do
+            if Rng.chance rng 0.5 then join_at (Point.random rng 2) else leave ();
+            for _ = 0 to Rng.int rng 2 do
+              store_write ()
+            done
+          done);
+        Store.rehost store;
+        let before = hosting () in
+        ok := !ok && matches_reference ();
+        (* nothing changed: a second rehost moves nothing *)
+        Store.rehost store;
+        ok := !ok && hosting () = before && matches_reference ()
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "publish and find" `Quick test_publish_find;
@@ -485,9 +644,11 @@ let suite =
     Alcotest.test_case "load statistics" `Quick test_update_stats;
     Alcotest.test_case "lookup routes reach the host" `Quick test_lookup_route_reaches_host;
     Alcotest.test_case "rehost after churn" `Quick test_rehost_after_churn;
+    Alcotest.test_case "rehost after a rejoin and backfill" `Quick test_rehost_rejoined_host_backfill;
     Alcotest.test_case "re-publish preserves load stats" `Quick test_republish_preserves_stats;
     Alcotest.test_case "per-shard sweeps partition expiry" `Quick test_shard_sweep_partition;
     QCheck_alcotest.to_alcotest qcheck_sweep_matches_scan_model;
     QCheck_alcotest.to_alcotest qcheck_host_index_consistent;
     QCheck_alcotest.to_alcotest qcheck_lookup_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_rehost_matches_reference;
   ]
