@@ -38,9 +38,57 @@ module Members = struct
   let newest_first m = Array.init m.len (fun i -> m.ids.(m.len - 1 - i))
 end
 
+(* A route's visited set and hop buffer, reused from route to route.
+   Node [v] is visited in the current route iff [seen.(v) = stamp], so
+   starting a route is one increment instead of a fresh table. *)
+module Cursor = struct
+  type t = {
+    mutable seen : int array;
+    mutable stamp : int;
+    mutable hops : int array;
+    mutable len : int;
+  }
+
+  let create () = { seen = [||]; stamp = 0; hops = Array.make 16 0; len = 0 }
+
+  let start c =
+    c.stamp <- c.stamp + 1;
+    c.len <- 0
+
+  let visited c id = id >= 0 && id < Array.length c.seen && Array.unsafe_get c.seen id = c.stamp
+
+  let push c id =
+    if id >= Array.length c.seen then begin
+      let seen = Array.make (max (id + 1) (2 * Array.length c.seen)) 0 in
+      Array.blit c.seen 0 seen 0 (Array.length c.seen);
+      c.seen <- seen
+    end;
+    c.seen.(id) <- c.stamp;
+    if c.len = Array.length c.hops then begin
+      let hops = Array.make (2 * c.len) 0 in
+      Array.blit c.hops 0 hops 0 c.len;
+      c.hops <- hops
+    end;
+    c.hops.(c.len) <- id;
+    c.len <- c.len + 1
+
+  let last c = c.hops.(c.len - 1)
+
+  let hops c =
+    let acc = ref [] in
+    for i = c.len - 1 downto 0 do
+      acc := c.hops.(i) :: !acc
+    done;
+    !acc
+end
+
 type t = {
   dims : int;
   nodes : (int, node) Hashtbl.t;
+  mutable by_id : node array;
+      (* dense id -> node view of [nodes] ([absent] where no member);
+         written only by [create], [join] and [leave] *)
+  cursor : Cursor.t;  (* the visited set and hops of this overlay's own routes *)
   by_path : (int, int) Hashtbl.t;  (* exact path key -> owner id *)
   prefix_members : (int, Members.t) Hashtbl.t;  (* prefix key -> member ids *)
   mutable rep : int;  (* arbitrary live member, default routing start *)
@@ -49,6 +97,16 @@ type t = {
 }
 
 let max_depth = 60
+
+let absent = { id = -1; zone = Zone.full 1; path = [||]; neighbors = [] }
+
+let set_node t id n =
+  if id >= Array.length t.by_id then begin
+    let by_id = Array.make (max (id + 1) (2 * Array.length t.by_id)) absent in
+    Array.blit t.by_id 0 by_id 0 (Array.length t.by_id);
+    t.by_id <- by_id
+  end;
+  t.by_id.(id) <- n
 
 (* A path (bit string, MSB first) encoded as an int with a leading
    sentinel bit, so different lengths never collide. *)
@@ -97,10 +155,13 @@ let index_remove t n =
 
 let create ?metrics ?(labels = []) ?trace ~dims first =
   if dims < 1 then invalid_arg "Can.create: dims must be >= 1";
+  if first < 0 then invalid_arg "Can.create: negative node id";
   let t =
     {
       dims;
       nodes = Hashtbl.create 64;
+      by_id = Array.make (max 64 (first + 1)) absent;
+      cursor = Cursor.create ();
       by_path = Hashtbl.create 64;
       prefix_members = Hashtbl.create 64;
       rep = first;
@@ -113,13 +174,19 @@ let create ?metrics ?(labels = []) ?trace ~dims first =
   in
   let n = { id = first; zone = Zone.full dims; path = [||]; neighbors = [] } in
   Hashtbl.replace t.nodes first n;
+  set_node t first n;
   index_add t n;
   t
 
 let dims t = t.dims
 let size t = Hashtbl.length t.nodes
-let mem t id = Hashtbl.mem t.nodes id
-let node t id = Hashtbl.find t.nodes id
+let mem t id = id >= 0 && id < Array.length t.by_id && Array.unsafe_get t.by_id id != absent
+
+let node t id =
+  if id < 0 || id >= Array.length t.by_id then raise Not_found;
+  let n = Array.unsafe_get t.by_id id in
+  if n == absent then raise Not_found;
+  n
 
 let node_ids t =
   let arr = Array.make (size t) 0 in
@@ -138,25 +205,38 @@ let path_bit ~dims zone depth point =
 
 (* The split walk only ever narrows one dimension per level and only the
    bounds of that dimension are consulted, so both descents below track
-   per-dimension lo/hi in two flat arrays instead of allocating two zone
-   records per split (Zone.split copies both bound arrays twice).  The
-   produced bits are identical: the midpoint and the chosen half are
-   computed from the same float values Zone.split would have stored. *)
+   per-dimension lo/hi instead of allocating two zone records per split
+   (Zone.split copies both bound arrays twice).  The produced bits are
+   identical: the midpoint and the chosen half are computed from the same
+   float values Zone.split would have stored.  Dimension [dim] is split
+   at depths [dim], [dim + dims], ... and its bounds depend on no other
+   dimension, so [path_of_point_into] fills the bits one dimension at a
+   time with two float locals; [owner_of] interleaves the dimensions and
+   keeps them in two flat arrays. *)
 
-let path_of_point t ~depth point =
+let path_of_point_into t point bits =
   if Array.length point <> t.dims then invalid_arg "Can.path_of_point: dimension mismatch";
-  let lo = Array.make t.dims 0.0 and hi = Array.make t.dims 1.0 in
-  Array.init depth (fun d ->
-      let dim = Zone.split_dim_at_depth t.dims d in
-      let mid = (lo.(dim) +. hi.(dim)) /. 2.0 in
+  let depth = Array.length bits in
+  for dim = 0 to min t.dims depth - 1 do
+    let lo = ref 0.0 and hi = ref 1.0 and d = ref dim in
+    while !d < depth do
+      let mid = (!lo +. !hi) /. 2.0 in
       if point.(dim) >= mid then begin
-        lo.(dim) <- mid;
-        1
+        lo := mid;
+        bits.(!d) <- 1
       end
       else begin
-        hi.(dim) <- mid;
-        0
-      end)
+        hi := mid;
+        bits.(!d) <- 0
+      end;
+      d := !d + t.dims
+    done
+  done
+
+let path_of_point t ~depth point =
+  let bits = Array.make depth 0 in
+  path_of_point_into t point bits;
+  bits
 
 let owner_of t point =
   if Array.length point <> t.dims then invalid_arg "Can.owner_of: dimension mismatch";
@@ -182,71 +262,111 @@ let owner_of t point =
   in
   descend 0 1
 
-let route_uninstrumented t ~src point =
-  let visited = Hashtbl.create 32 in
-  let rec go u acc =
-    if Zone.contains u.zone point then Some (List.rev (u.id :: acc))
-    else begin
-      Hashtbl.replace visited u.id ();
-      let best = ref None in
-      let consider id =
-        if not (Hashtbl.mem visited id) then begin
-          let v = node t id in
-          let d = Zone.min_torus_dist v.zone point in
-          match !best with
-          | Some (bd, bid, _) when (bd, bid) <= (d, id) -> ()
-          | _ -> best := Some (d, id, v)
+(* [Zone.min_torus_dist zone point], computed inline so the distance
+   stays an unboxed float.  The operations are Zone's and Point's, in the
+   same order; [if b > a then a else b] is [Float.min a b] on the
+   non-negative, non-NaN axis distances that occur here. *)
+let[@inline] zone_dist zone point =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length point - 1 do
+    let p = point.(i) and lo = zone.Zone.lo.(i) and hi = zone.Zone.hi.(i) in
+    let d =
+      if p >= lo && p <= hi then 0.0
+      else begin
+        let a = Float.abs (p -. lo) in
+        let a = if 1.0 -. a > a then a else 1.0 -. a in
+        let b = Float.abs (p -. hi) in
+        let b = if 1.0 -. b > b then b else 1.0 -. b in
+        if b > a then a else b
+      end
+    in
+    acc := !acc +. (d *. d)
+  done;
+  sqrt !acc
+
+let[@inline] nonempty = function [] -> false | _ :: _ -> true
+
+(* The neighbor scans below are while-loops over the list with float and
+   int refs that no closure captures, so the refs stay unboxed locals and
+   a scan allocates nothing. *)
+let greedy_step t c ~revisit u point =
+  let ns = ref u.neighbors in
+  let best_d = ref infinity and best_id = ref (-1) in
+  let any_d = ref infinity and any_id = ref (-1) in
+  while nonempty !ns do
+    match !ns with
+    | [] -> ()
+    | vid :: rest ->
+      ns := rest;
+      let unvisited = not (Cursor.visited c vid) in
+      if unvisited || revisit then begin
+        let d = zone_dist (node t vid).zone point in
+        if unvisited && (!best_id < 0 || d < !best_d || (d = !best_d && vid < !best_id)) then begin
+          best_d := d;
+          best_id := vid
+        end;
+        if !any_id < 0 || d < !any_d || (d = !any_d && vid < !any_id) then begin
+          any_d := d;
+          any_id := vid
         end
-      in
-      List.iter consider u.neighbors;
-      match !best with
-      | None -> None
-      | Some (_, _, v) -> go v (u.id :: acc)
-    end
-  in
-  go (node t src) []
+      end
+  done;
+  if !best_id >= 0 || not revisit then !best_id else !any_id
+
+let rec greedy_walk t c point u =
+  Cursor.push c u.id;
+  Zone.contains u.zone point
+  ||
+  let next = greedy_step t c ~revisit:false u point in
+  next >= 0 && greedy_walk t c point (node t next)
+
+(* Greedy routing on the overlay's own cursor; [true] when the owner of
+   [point] was reached, with the hops in [t.cursor]. *)
+let route_walk t ~src point =
+  Cursor.start t.cursor;
+  greedy_walk t t.cursor point (node t src)
 
 let route t ~src point =
   if Array.length point <> t.dims then invalid_arg "Can.route: dimension mismatch";
-  Engine.Route_obs.observe t.obs (route_uninstrumented t ~src point)
+  Engine.Route_obs.observe t.obs
+    (if route_walk t ~src point then Some (Cursor.hops t.cursor) else None)
+
+(* Among unvisited neighbors strictly closer to the target, maximise
+   geometric progress per unit of physical latency (the classic CAN
+   proximity-forwarding metric), ties to the lower id; otherwise fall
+   back to the greedy step. *)
+let rec proximity_walk t c ~dist point u =
+  Cursor.push c u.id;
+  Zone.contains u.zone point
+  ||
+  let here = zone_dist u.zone point in
+  let ns = ref u.neighbors in
+  let best_r = ref 0.0 and best_id = ref (-1) in
+  while nonempty !ns do
+    match !ns with
+    | [] -> ()
+    | vid :: rest ->
+      ns := rest;
+      if not (Cursor.visited c vid) then begin
+        let zd = zone_dist (node t vid).zone point in
+        if zd < here then begin
+          let pd = Float.max 1e-9 (dist u.id vid) in
+          let ratio = (here -. zd) /. pd in
+          if !best_id < 0 || ratio > !best_r || (ratio = !best_r && vid < !best_id) then begin
+            best_r := ratio;
+            best_id := vid
+          end
+        end
+      end
+  done;
+  let next = if !best_id >= 0 then !best_id else greedy_step t c ~revisit:false u point in
+  next >= 0 && proximity_walk t c ~dist point (node t next)
 
 let route_proximity t ~dist ~src point =
   if Array.length point <> t.dims then invalid_arg "Can.route_proximity: dimension mismatch";
-  let visited = Hashtbl.create 32 in
-  let rec go u acc =
-    if Zone.contains u.zone point then Some (List.rev (u.id :: acc))
-    else begin
-      Hashtbl.replace visited u.id ();
-      let here = Zone.min_torus_dist u.zone point in
-      (* Among neighbors strictly closer to the target, maximise geometric
-         progress per unit of physical latency (the classic CAN
-         proximity-forwarding metric); otherwise fall back to the
-         geometrically closest unvisited neighbor. *)
-      let best_proximal = ref None and best_greedy = ref None in
-      List.iter
-        (fun id ->
-          if not (Hashtbl.mem visited id) then begin
-            let v = node t id in
-            let zd = Zone.min_torus_dist v.zone point in
-            (if zd < here then begin
-               let pd = Float.max 1e-9 (dist u.id id) in
-               let ratio = (here -. zd) /. pd in
-               match !best_proximal with
-               | Some (br, bid, _) when (br, -bid) >= (ratio, -id) -> ()
-               | _ -> best_proximal := Some (ratio, id, v)
-             end);
-            match !best_greedy with
-            | Some (bd, bid, _) when (bd, bid) <= (zd, id) -> ()
-            | _ -> best_greedy := Some (zd, id, v)
-          end)
-        u.neighbors;
-      match (!best_proximal, !best_greedy) with
-      | Some (_, _, v), _ -> go v (u.id :: acc)
-      | None, Some (_, _, v) -> go v (u.id :: acc)
-      | None, None -> None
-    end
-  in
-  go (node t src) []
+  Cursor.start t.cursor;
+  if proximity_walk t t.cursor ~dist point (node t src) then Some (Cursor.hops t.cursor)
+  else None
 
 let unlink t a b =
   let na = node t a and nb = node t b in
@@ -258,18 +378,17 @@ let link a b =
   b.neighbors <- a.id :: b.neighbors
 
 let join t ?start id point =
+  if id < 0 then invalid_arg "Can.join: negative node id";
   if mem t id then invalid_arg "Can.join: node already a member";
   if Array.length point <> t.dims then invalid_arg "Can.join: dimension mismatch";
   let start = match start with Some s -> s | None -> t.rep in
   (* Joins route internally but are accounted separately ([join_hops]) so
      the [route_hops] histogram only reflects explicit lookups. *)
-  let hops =
-    match route_uninstrumented t ~src:start point with
-    | Some hops -> hops
-    | None -> failwith "Can.join: routing failed"
-  in
-  Option.iter (fun h -> Engine.Metrics.observe h (float_of_int (List.length hops - 1))) t.join_hops;
-  let owner = node t (List.nth hops (List.length hops - 1)) in
+  if not (route_walk t ~src:start point) then failwith "Can.join: routing failed";
+  let c = t.cursor in
+  let hops = Cursor.hops c in
+  Option.iter (fun h -> Engine.Metrics.observe h (float_of_int (c.Cursor.len - 1))) t.join_hops;
+  let owner = node t (Cursor.last c) in
   let depth = Array.length owner.path in
   if depth >= max_depth then failwith "Can.join: max split depth exceeded";
   let lower, upper = Zone.split owner.zone (Zone.split_dim_at_depth t.dims depth) in
@@ -283,6 +402,7 @@ let join t ?start id point =
   index_add t owner;
   let newcomer = { id; zone = new_zone; path = Array.append (Array.sub owner.path 0 depth) [| bit |]; neighbors = [] } in
   Hashtbl.replace t.nodes id newcomer;
+  set_node t id newcomer;
   index_add t newcomer;
   List.iter
     (fun cid ->
@@ -347,6 +467,7 @@ let leave t id =
   let x = node t id in
   let finish_removal () =
     Hashtbl.remove t.nodes id;
+    t.by_id.(id) <- absent;
     if t.rep = id then
       Hashtbl.iter (fun nid _ -> t.rep <- nid) t.nodes
   in
@@ -455,6 +576,17 @@ let check_invariants t =
             else Ok ())
           (Ok ()) all)
       (Ok ()) all
+  in
+  let* () =
+    (* The dense id array is a view of the member table. *)
+    let dense = Array.fold_left (fun acc n -> if n != absent then acc + 1 else acc) 0 t.by_id in
+    if dense <> size t then err "id array holds %d nodes, member table %d" dense (size t)
+    else
+      Hashtbl.fold
+        (fun id n acc ->
+          let* () = acc in
+          if t.by_id.(id) == n then Ok () else err "id array disagrees at %d" id)
+        t.nodes (Ok ())
   in
   let* () =
     (* Prefix index agrees with the node set. *)

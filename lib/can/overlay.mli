@@ -38,14 +38,20 @@ val create :
     [route_failures] counters and [route_hops] / [join_hops] histograms,
     labeled [overlay=can] plus any extra [labels].  With [trace], every
     successful {!route} additionally emits one [Route_hop] span per
-    forwarding step. *)
+    forwarding step.
+
+    Node ids are non-negative ([Invalid_argument] otherwise): {!node} and
+    {!mem} read a dense id-indexed array beside the member table. *)
 
 val dims : t -> int
 val size : t -> int
 
 val mem : t -> int -> bool
+(** O(1): an array load.  [false] for negative ids, ids beyond every
+    member's and departed ids. *)
+
 val node : t -> int -> node
-(** Raises [Not_found] for non-members. *)
+(** O(1), like {!mem}.  Raises [Not_found] for non-members. *)
 
 val node_ids : t -> int array
 (** Current members, in unspecified order. *)
@@ -59,7 +65,7 @@ val join : t -> ?start:int -> int -> Geometry.Point.t -> int list
     routes from [start] (default: the first member) to the owner of [p],
     whose zone splits; the newcomer takes the half containing [p].
     Returns the logical route walked (node ids, start to old owner).
-    Raises [Invalid_argument] if [id] is already a member. *)
+    Raises [Invalid_argument] if [id] is negative or already a member. *)
 
 type leave_effect = {
   survivor : int;  (** node whose zone grew by the merge *)
@@ -75,11 +81,48 @@ val leave : t -> int -> leave_effect
     effect names the nodes whose zones (and hence routing state) changed,
     so higher layers can rebuild their tables. *)
 
+(** {2 Routing}
+
+    Every route of an overlay ({!route}, {!route_proximity} and the walk
+    inside {!join}) shares one {!Cursor.t} of the overlay: a
+    generation-stamped visited set and a hop buffer, so a route allocates
+    only the hop list it returns.  Routing is therefore coordinator-only:
+    no route may run from a [Dpool] task (none does), and a [dist]
+    callback must not route on the same overlay. *)
+
+module Cursor : sig
+  type t
+  (** A route's visited set and hop buffer, reused from route to route.
+      Starting a route is one stamp increment, not a fresh table. *)
+
+  val create : unit -> t
+
+  val start : t -> unit
+  (** Begin a route: nothing visited, no hops. *)
+
+  val push : t -> int -> unit
+  (** Append a hop and mark it visited.  Ids must be non-negative. *)
+
+  val visited : t -> int -> bool
+  (** Pushed since the last {!start}. *)
+
+  val hops : t -> int list
+  (** The hops pushed since the last {!start}, in order, as a fresh
+      list. *)
+end
+
+val greedy_step : t -> Cursor.t -> revisit:bool -> node -> Geometry.Point.t -> int
+(** [greedy_step t c ~revisit u p] is one greedy CAN hop from [u] toward
+    [p]: the neighbor not visited by [c] whose zone is nearest [p] on the
+    torus, ties to the lower id.  When every neighbor is visited it is
+    [-1], or with [revisit] the nearest neighbor overall (same tie
+    rule); [-1] also when [u] has no neighbors.  Allocates nothing. *)
+
 val route : t -> src:int -> Geometry.Point.t -> int list option
 (** Greedy routing from [src] to the owner of a point.  Returns the hop
     list including both endpoints ([None] only if greedy forwarding fails,
-    which does not happen on consistent state).  Each hop goes to the
-    neighbor whose zone is closest to the target on the torus. *)
+    which does not happen on consistent state).  Each hop is a
+    {!greedy_step} without revisits. *)
 
 val route_proximity :
   t -> dist:(int -> int -> float) -> src:int -> Geometry.Point.t -> int list option
@@ -93,6 +136,11 @@ val route_proximity :
 val path_of_point : t -> depth:int -> Geometry.Point.t -> int array
 (** First [depth] split bits of the point's location — the target "digit
     string" used by eCAN expressway routing. *)
+
+val path_of_point_into : t -> Geometry.Point.t -> int array -> unit
+(** [path_of_point_into t p bits] writes the first [Array.length bits]
+    split bits of [p] into [bits], the same bits as {!path_of_point}, and
+    allocates nothing. *)
 
 val zone_of_path : dims:int -> int array -> Geometry.Zone.t
 (** The dyadic box a path denotes. *)
@@ -110,4 +158,5 @@ val members_with_prefix : t -> int array -> int array
 val check_invariants : t -> (unit, string) result
 (** Testing hook: zones tile the space (volumes sum to 1, paths form an
     exact prefix-free tree cover), every node's zone matches its path,
-    neighbor lists are symmetric and geometrically correct. *)
+    neighbor lists are symmetric and geometrically correct, and the dense
+    id array holds exactly the members. *)

@@ -5,11 +5,11 @@ type t = {
   can : Can_overlay.t;
   span_bits : int;
   tables : (int, int option array array) Hashtbl.t;  (* node -> row -> digit -> entry *)
-  scratch_visited : (int, unit) Hashtbl.t;
-      (* per-route visited set, cleared at the top of every [route] call.
-         Routing is a coordinator-side operation (no caller routes from a
-         pool worker), so one scratch table per expressway is safe and
-         saves a fresh table per routed message. *)
+  cursor : Can_overlay.Cursor.t;
+  target : int array;
+      (* The route cursor: visit stamps, hop buffer and the target's
+         [max_depth] split bits, reused by every [route] of this
+         expressway (routing is coordinator-only, see the .mli). *)
   obs : Engine.Route_obs.t;
 }
 
@@ -18,7 +18,14 @@ type selector = node:int -> region:int array -> candidates:int array -> int opti
 let create ?metrics ?(labels = []) ?trace ?(span_bits = 2) can =
   if span_bits < 1 || span_bits > 8 then invalid_arg "Ecan.create: span_bits out of [1,8]";
   let obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"ecan" in
-  { can; span_bits; tables = Hashtbl.create 256; scratch_visited = Hashtbl.create 64; obs }
+  {
+    can;
+    span_bits;
+    tables = Hashtbl.create 256;
+    cursor = Can_overlay.Cursor.create ();
+    target = Array.make Can_overlay.max_depth 0;
+    obs;
+  }
 
 let can t = t.can
 let span_bits t = t.span_bits
@@ -109,80 +116,53 @@ let table_size t id =
         Array.fold_left (fun acc -> function Some _ -> acc + 1 | None -> acc) acc slots)
       0 tbl
 
+(* The expressway hop from [u]: at the first row where [u]'s digit
+   differs from the target's, the table entry into the target's sibling
+   region, if it is a live, unvisited node other than [u]; -1 otherwise.
+   Entries can dangle briefly after a departure (repair is asynchronous),
+   so dead targets count as missing. *)
+let express_step t (u : Can_overlay.node) =
+  let path = u.Can_overlay.path in
+  let nrows = Array.length path / t.span_bits in
+  let row = ref 0 in
+  while !row < nrows && digit_of_bits t path !row = digit_of_bits t t.target !row do
+    incr row
+  done;
+  if !row >= nrows then -1
+  else
+    match Hashtbl.find t.tables u.Can_overlay.id with
+    | exception Not_found -> -1
+    | tbl -> (
+      if !row >= Array.length tbl then -1
+      else
+        match tbl.(!row).(digit_of_bits t t.target !row) with
+        | Some v
+          when (not (Can_overlay.Cursor.visited t.cursor v))
+               && v <> u.Can_overlay.id
+               && Can_overlay.mem t.can v ->
+          v
+        | _ -> -1)
+
+(* Express hop when one helps, else a greedy CAN hop that may revisit
+   when an expressway hop has landed amid visited zones; [guard] bounds
+   the walk. *)
+let rec walk t point (u : Can_overlay.node) guard =
+  Can_overlay.Cursor.push t.cursor u.Can_overlay.id;
+  Zone.contains u.Can_overlay.zone point
+  || guard > 0
+     &&
+     let next =
+       match express_step t u with
+       | -1 -> Can_overlay.greedy_step t.can t.cursor ~revisit:true u point
+       | v -> v
+     in
+     next >= 0 && walk t point (Can_overlay.node t.can next) (guard - 1)
+
 let route t ~src point =
-  let canvas = t.can in
-  if Array.length point <> Can_overlay.dims canvas then
+  if Array.length point <> Can_overlay.dims t.can then
     invalid_arg "Ecan.route: dimension mismatch";
-  let target_bits = Can_overlay.path_of_point canvas ~depth:Can_overlay.max_depth point in
-  let target_digit row = digit_of_bits t target_bits row in
-  let visited = t.scratch_visited in
-  Hashtbl.clear visited;
-  let greedy_step u =
-    (* One CAN hop toward the target: nearest unvisited neighbor zone
-       (ties to the lowest id); when an expressway hop has landed amid
-       already-visited zones, permit revisits (the hop guard bounds the
-       walk).  Written as a while-loop over the neighbor list with
-       sentinel int/float locals — no closure captures the refs, so they
-       compile to unboxed mutable locals and the scan allocates
-       nothing. *)
-    let ns = ref u.Can_overlay.neighbors in
-    let best_d = ref infinity and best_id = ref (-1) in
-    let any_d = ref infinity and any_id = ref (-1) in
-    while !ns <> [] do
-      match !ns with
-      | [] -> ()
-      | vid :: rest ->
-        ns := rest;
-        let v = Can_overlay.node canvas vid in
-        let d = Zone.min_torus_dist v.Can_overlay.zone point in
-        if
-          (not (Hashtbl.mem visited vid))
-          && (!best_id < 0 || d < !best_d || (d = !best_d && vid < !best_id))
-        then begin
-          best_d := d;
-          best_id := vid
-        end;
-        if !any_id < 0 || d < !any_d || (d = !any_d && vid < !any_id) then begin
-          any_d := d;
-          any_id := vid
-        end
-    done;
-    if !best_id >= 0 then !best_id else !any_id
-  in
-  let express_step u =
-    (* First row where our digit differs from the target's: take the
-       table entry into the target's sibling region if we have one.
-       Returns the next node id, or -1 for none. *)
-    let nrows = Array.length (Can_overlay.node canvas u.Can_overlay.id).Can_overlay.path / t.span_bits in
-    let rec scan row =
-      if row >= nrows then -1
-      else begin
-        let own = digit_of_bits t u.Can_overlay.path row in
-        let tgt = target_digit row in
-        if own = tgt then scan (row + 1)
-        else begin
-          (* Entries can dangle briefly after a departure (repair is
-             asynchronous); treat dead targets as missing. *)
-          match entry t u.Can_overlay.id ~row ~digit:tgt with
-          | Some v
-            when (not (Hashtbl.mem visited v))
-                 && v <> u.Can_overlay.id
-                 && Can_overlay.mem canvas v ->
-            v
-          | _ -> -1
-        end
-      end
-    in
-    scan 0
-  in
-  let rec go u acc guard =
-    if Zone.contains u.Can_overlay.zone point then Some (List.rev (u.Can_overlay.id :: acc))
-    else if guard <= 0 then None
-    else begin
-      Hashtbl.replace visited u.Can_overlay.id ();
-      let next = match express_step u with -1 -> greedy_step u | v -> v in
-      if next < 0 then None
-      else go (Can_overlay.node canvas next) (u.Can_overlay.id :: acc) (guard - 1)
-    end
-  in
-  Engine.Route_obs.observe t.obs (go (Can_overlay.node canvas src) [] (4 * Can_overlay.size canvas))
+  Can_overlay.path_of_point_into t.can point t.target;
+  Can_overlay.Cursor.start t.cursor;
+  let reached = walk t point (Can_overlay.node t.can src) (4 * Can_overlay.size t.can) in
+  Engine.Route_obs.observe t.obs
+    (if reached then Some (Can_overlay.Cursor.hops t.cursor) else None)

@@ -68,8 +68,18 @@ val build_tables : t -> selector:selector -> unit
 
 val route : t -> src:int -> Geometry.Point.t -> int list option
 (** Expressway routing: hop along the table entry that extends the shared
-    digit prefix with the target; fall back to a greedy CAN hop when no
-    table entry helps.  Returns the hop list including both endpoints. *)
+    digit prefix with the target; fall back to a greedy CAN hop
+    ({!Can.Overlay.greedy_step} with revisits) when no table entry helps.
+    Entries that point at departed, visited or the current node count as
+    missing.  Returns the hop list including both endpoints, or [None]
+    after [4 * size] hops without reaching the owner.
+
+    Each expressway owns one route cursor — the target's split bits, a
+    {!Can.Overlay.Cursor.t} of visit stamps and a hop buffer — reused by
+    every route, so a route allocates only the list it returns.  Routing
+    is therefore coordinator-only: no route may run from a [Dpool] task
+    (none does today).  Expressways over the same CAN have separate
+    cursors and may route in any interleaving. *)
 
 val table_size : t -> int -> int
 (** Number of filled entries (routing state) of a node. *)

@@ -119,7 +119,7 @@ let replicas_of t key = Option.value ~default:[] (Hashtbl.find_opt t.copies key)
 let stored_keys t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.copies [])
 
-let load_of t node = Option.value ~default:0 (Hashtbl.find_opt t.window_load node)
+let load_of t node = try Hashtbl.find t.window_load node with Not_found -> 0
 
 let path_ms t = function
   | [] | [ _ ] -> 0.0
@@ -192,25 +192,47 @@ let replicate_hot t node served =
         | Some _ | None -> ())
     (hottest_keys t node t.config.hot_keys)
 
+type score = { over : bool; ms : float; id : int }  (* over: at or past the threshold *)
+
+let score t ~client node =
+  let ms = match t.rtt ~src:client ~dst:node with Some r -> r | None -> infinity in
+  { over = load_of t node >= t.config.load_threshold; ms; id = node }
+
+let by_rtt a b =
+  let c = Float.compare a.ms b.ms in
+  if c <> 0 then c else Int.compare a.id b.id
+
+let by_pref a b =
+  let c = Bool.compare a.over b.over in
+  if c <> 0 then c else by_rtt a b
+
 (* Rank the key's copies for a client: cool (below-threshold) copies
    before hot ones, then by client->copy RTT (unknown RTT last), ties to
-   the lower id.  The first reachable copy in this order serves. *)
+   the lower id.  The first reachable copy in this order serves; [shed]
+   says it is not the RTT-nearest copy.  [t.rtt] is called once per
+   holder, in holder order. *)
 let rank_copies t ~client holders =
-  let score node =
-    let r = match t.rtt ~src:client ~dst:node with Some r -> r | None -> infinity in
-    let hot = if load_of t node >= t.config.load_threshold then 1 else 0 in
-    (hot, r, node)
-  in
-  let scored = List.map (fun n -> (score n, n)) holders in
-  let by_pref = List.sort compare scored in
-  let by_rtt = List.sort (fun ((_, ra, ia), _) ((_, rb, ib), _) -> compare (ra, ia) (rb, ib)) scored in
-  let order = List.map snd by_pref in
-  let shed =
-    match (order, by_rtt) with
-    | first :: _, (_, nearest) :: _ -> first <> nearest
-    | _ -> false
-  in
-  (order, shed)
+  match holders with
+  | [] -> ([], false)
+  | [ node ] ->
+    ignore (score t ~client node);
+    (holders, false)
+  | _ :: _ :: _ ->
+    let scored = List.map (score t ~client) holders in
+    let order = List.sort by_pref scored in
+    let nearest =
+      List.fold_left (fun m s -> if by_rtt s m < 0 then s else m) (List.hd scored) scored
+    in
+    (List.map (fun s -> s.id) order, (List.hd order).id <> nearest.id)
+
+(* The holders that are still members, calling [member] once per holder
+   in order; the list itself when none has gone. *)
+let rec live_holders member = function
+  | [] -> []
+  | node :: rest as holders ->
+    let alive = member node in
+    let rest' = live_holders member rest in
+    if not alive then rest' else if rest' == rest then holders else node :: rest'
 
 let emit_request t ~client ~served_by ~latency note key =
   Option.iter
@@ -249,8 +271,9 @@ let miss t ~client ~key =
 let request t ~client ~key =
   if not (t.backend.member client) then invalid_arg "Cache.request: client is not a member";
   roll_window t;
-  let holders = List.filter t.backend.member (replicas_of t key) in
-  if holders <> replicas_of t key && holders <> [] then Hashtbl.replace t.copies key holders;
+  let stored = replicas_of t key in
+  let holders = live_holders t.backend.member stored in
+  if holders != stored && holders <> [] then Hashtbl.replace t.copies key holders;
   match holders with
   | [] -> miss t ~client ~key
   | holders ->

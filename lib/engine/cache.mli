@@ -141,6 +141,14 @@ val failovers : t -> int
 
 val replications : t -> int
 
+val rank_copies : t -> client:int -> int list -> int list * bool
+(** [rank_copies t ~client holders] is the order in which {!request}
+    tries the copies on [holders] for [client] — cool (below-threshold)
+    copies before hot ones, then by the [rtt] ranking ([None] last), ties
+    to the lower id — and whether the first of them is not the
+    RTT-nearest copy (a shed).  Calls [rtt] once per holder, in list
+    order.  Exposed for tests. *)
+
 val check_invariants : t -> (unit, string) result
 (** Copy lists are duplicate-free, never exceed [config.replicas], and
     every listed holder was a member when listed (holders are only

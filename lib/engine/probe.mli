@@ -120,7 +120,9 @@ val run_batch : t -> src:int -> dsts:int array -> batch
     hits resolve instantly without occupying a window slot. *)
 
 val rtt : t -> src:int -> dst:int -> (float, failure) result
-(** One-probe {!run_batch}. *)
+(** One-probe {!run_batch}: the same result, counters, [probe_batch_ms]
+    sample, spans, {!total_elapsed} and single clock read.  A fresh
+    cache hit is served without building the batch. *)
 
 val submit : t -> src:int -> dst:int -> ((float, failure) result -> unit) -> unit
 (** Asynchronous probe: the callback fires on the prober's simulation at

@@ -13,7 +13,10 @@
    leg, per the DESIGN.md §12 pool-size-transparency contract.
 
    The budgets are words per op, truncated: [alloc_minor_words_per_route]
-   (one eCAN expressway route), [alloc_minor_words_per_sweep] (one TTL
+   (one eCAN expressway route), [alloc_minor_words_per_can_route] (one
+   greedy CAN route, as [Store.lookup_route] issues it),
+   [alloc_minor_words_per_rtt_hit] (one [Probe.rtt] served from a fresh
+   RTT cache entry, metrics on), [alloc_minor_words_per_sweep] (one TTL
    sweep purging a 64-entry burst), [alloc_minor_words_per_sssp] (one
    single-source shortest-path run of the kind [Oracle.build] issues in
    a loop), [alloc_minor_words_per_lookup] (one Table 1 soft-state
@@ -50,6 +53,8 @@ let lookup_runs = 256
 let join_rounds = 16 (* fresh 256-member CANs, one measured join each *)
 let rehost_rounds = 16 (* fresh published stores, one measured rehost each *)
 let resubscribe_runs = 1024
+let rtt_pairs = 64 (* distinct cached (src, dst) pairs *)
+let rtt_runs = 1024
 
 let vector_of node = Array.init 5 (fun i -> float_of_int ((node * ((7 * i) + 3)) mod 400))
 
@@ -88,6 +93,52 @@ let route_op () =
       let src, point = queries.(!cursor mod route_samples) in
       incr cursor;
       ignore (Ecan_exp.route e ~src point))
+
+(* The lookup fixture's store; each query routes from a seeded member to
+   the map host of a seeded vector in a seeded region. *)
+let can_route_op () =
+  let can = substrate_can 91 in
+  let store =
+    Store.create ~pool:(Engine.Dpool.get ~domains:1)
+      ~scheme:(Number.default_scheme ~max_latency:400.0 ())
+      can
+  in
+  for node = 0 to substrate - 1 do
+    Store.publish_all store ~span_bits:2 ~node ~vector:(vector_of node)
+  done;
+  let members = Can_overlay.node_ids can in
+  let qrng = Rng.create 92 in
+  let regions = [| [||]; [| 0; 1 |]; [| 1; 1; 0; 1 |] |] in
+  let queries =
+    Array.init route_samples (fun _ ->
+        ( Rng.pick qrng members,
+          Rng.pick qrng regions,
+          Array.init 5 (fun _ -> Rng.float qrng 400.0) ))
+  in
+  let cursor = ref 0 in
+  words_per_op ~runs:route_runs (fun () ->
+      let from, region, vector = queries.(!cursor mod route_samples) in
+      incr cursor;
+      ignore (Store.lookup_route store ~from ~region ~vector))
+
+(* A prober with metrics and a never-expiring RTT cache, every pair
+   measured once before the measured window, so each measured call is a
+   fresh hit. *)
+let rtt_hit_op () =
+  let prober =
+    Engine.Probe.create ~metrics:(Metrics.create ())
+      ~config:{ Engine.Probe.default_config with Engine.Probe.cache_ttl = infinity }
+      ~measure:(fun src dst -> float_of_int (1 + ((src * 7) + dst) mod 50))
+      ()
+  in
+  let prng = Rng.create 102 in
+  let pairs = Array.init rtt_pairs (fun _ -> (Rng.int prng substrate, Rng.int prng substrate)) in
+  Array.iter (fun (src, dst) -> ignore (Engine.Probe.rtt prober ~src ~dst)) pairs;
+  let cursor = ref 0 in
+  words_per_op ~runs:rtt_runs (fun () ->
+      let src, dst = pairs.(!cursor mod rtt_pairs) in
+      incr cursor;
+      ignore (Engine.Probe.rtt prober ~src ~dst))
 
 let sweep_op () =
   let can = substrate_can 41 in
@@ -211,6 +262,8 @@ let resubscribe_op () =
 let run ?(scale = 1) ppf =
   ignore scale;
   let route_words = route_op () in
+  let can_route_words = can_route_op () in
+  let rtt_hit_words = rtt_hit_op () in
   let sweep_words = sweep_op () in
   let sssp_words = sssp_op () in
   let lookup_words = lookup_op () in
@@ -220,6 +273,8 @@ let run ?(scale = 1) ppf =
   let metrics = Metrics.global in
   let c name v = Metrics.add (Metrics.counter metrics name) v in
   c "alloc_minor_words_per_route" route_words;
+  c "alloc_minor_words_per_can_route" can_route_words;
+  c "alloc_minor_words_per_rtt_hit" rtt_hit_words;
   c "alloc_minor_words_per_sweep" sweep_words;
   c "alloc_minor_words_per_sssp" sssp_words;
   c "alloc_minor_words_per_lookup" lookup_words;
@@ -233,13 +288,15 @@ let run ?(scale = 1) ppf =
     Tableout.create
       ~title:
         (Printf.sprintf
-           "Allocation budget: minor words per hot-path op (%d routes, %d sweeps x %d entries, %d \
-            SSSP, %d lookups, %d joins, %d rehosts, %d resubscribes)"
-           route_runs sweep_rounds sweep_burst sssp_runs lookup_runs join_rounds rehost_rounds
+           "Allocation budget: minor words per hot-path op (%d routes of each kind, %d RTT hits, %d \
+            sweeps x %d entries, %d SSSP, %d lookups, %d joins, %d rehosts, %d resubscribes)"
+           route_runs rtt_runs sweep_rounds sweep_burst sssp_runs lookup_runs join_rounds rehost_rounds
            resubscribe_runs)
       ~columns:[ "op"; "minor words/op" ]
   in
   Tableout.add_row table [ "ecan route (1 message)"; Tableout.cell_i route_words ];
+  Tableout.add_row table [ "can route (store lookup_route)"; Tableout.cell_i can_route_words ];
+  Tableout.add_row table [ "probe rtt (fresh cache hit)"; Tableout.cell_i rtt_hit_words ];
   Tableout.add_row table
     [ Printf.sprintf "ttl sweep (%d expired)" sweep_burst; Tableout.cell_i sweep_words ];
   Tableout.add_row table [ "dijkstra sssp (reused workspace)"; Tableout.cell_i sssp_words ];

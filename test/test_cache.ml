@@ -416,6 +416,84 @@ let test_exp_cache_metrics_deterministic () =
     && contains "cache_request_ms" json1
     && contains "cache_replications" json1)
 
+(* ------------------------------------------------------------------ *)
+(* Copy ranking against the polymorphic-compare reference              *)
+(* ------------------------------------------------------------------ *)
+
+(* [rank_copies] as it was written with tuple scores and polymorphic
+   [compare]; [load] and [rtt] are the cache's. *)
+let ref_rank_copies ~rtt ~load ~threshold ~client holders =
+  let score node =
+    let r = match rtt ~src:client ~dst:node with Some r -> r | None -> infinity in
+    let hot = if load node >= threshold then 1 else 0 in
+    (hot, r, node)
+  in
+  let scored = List.map (fun n -> (score n, n)) holders in
+  let by_pref = List.sort compare scored in
+  let by_rtt = List.sort (fun ((_, ra, ia), _) ((_, rb, ib), _) -> compare (ra, ia) (rb, ib)) scored in
+  let order = List.map snd by_pref in
+  let shed =
+    match (order, by_rtt) with
+    | first :: _, (_, nearest) :: _ -> first <> nearest
+    | _ -> false
+  in
+  (order, shed)
+
+(* 1-4 holders among 8 nodes, RTTs from a three-value palette plus
+   unknown (equal and infinite RTTs are common), and each node's window
+   load driven to a random level around the threshold by requests for
+   the key it is home of. *)
+let qcheck_rank_copies_matches_reference =
+  QCheck.Test.make ~name:"rank_copies = polymorphic-compare reference, rtt call order included"
+    ~count:300
+    QCheck.(pair seed_gen (int_range 1 3))
+    (fun (seed, threshold) ->
+      let rng = Rng.create seed in
+      let nodes = 8 in
+      let palette = [| Some 10.0; Some 20.0; Some 20.0; Some 35.5; None |] in
+      let table = Array.init nodes (fun _ -> Array.init nodes (fun _ -> Rng.pick rng palette)) in
+      let log = ref [] in
+      let rtt ~src ~dst =
+        log := dst :: !log;
+        table.(src).(dst)
+      in
+      let backend =
+        {
+          Cache.name = "stub";
+          member = (fun n -> n >= 0 && n < nodes);
+          home_of = (fun key -> key mod nodes);
+          route_to = (fun ~src ~dst -> Some [ src; dst ]);
+          near = (fun ~node:_ ~exclude:_ -> None);
+          publish_load = (fun ~node:_ ~load:_ -> ());
+        }
+      in
+      let cache =
+        Cache.create ~rtt
+          ~config:{ Cache.default_config with Cache.load_threshold = threshold }
+          ~link:(fun _ _ -> 1.0)
+          backend
+      in
+      for node = 0 to nodes - 1 do
+        for _ = 1 to Rng.int rng (threshold + 2) do
+          ignore (Cache.request cache ~client:0 ~key:node)
+        done
+      done;
+      List.for_all
+        (fun _ ->
+          let client = Rng.int rng nodes in
+          let pool = Array.init nodes Fun.id in
+          Rng.shuffle rng pool;
+          let holders = Array.to_list (Array.sub pool 0 (1 + Rng.int rng 4)) in
+          log := [];
+          let got = Cache.rank_copies cache ~client holders in
+          let got_log = !log in
+          log := [];
+          let expected =
+            ref_rank_copies ~rtt ~load:(Cache.load_of cache) ~threshold ~client holders
+          in
+          got = expected && got_log = !log)
+        (List.init 20 Fun.id))
+
 let suite =
   [
     Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
@@ -439,4 +517,5 @@ let suite =
         qcheck_hit_rate_order_independent;
         qcheck_replication_bounded;
         qcheck_cross_backend;
+        qcheck_rank_copies_matches_reference;
       ]

@@ -356,6 +356,45 @@ let test_churn_interleaved () =
   Alcotest.(check int) "tracked membership" (List.length !members) (Can_overlay.size t);
   check_ok (Can_overlay.check_invariants t)
 
+let not_found f = match f () with _ -> false | exception Not_found -> true
+
+(* [node] and [mem] read a dense id-indexed array: every id outside the
+   membership, in or beyond the array, must read as absent. *)
+let test_node_mem_edges () =
+  let t, rng = build ~dims:2 ~n:16 ~seed:9 in
+  let absent id =
+    Alcotest.(check bool) (Printf.sprintf "mem %d" id) false (Can_overlay.mem t id);
+    Alcotest.(check bool) (Printf.sprintf "node %d raises" id) true
+      (not_found (fun () -> Can_overlay.node t id))
+  in
+  absent (-1);
+  absent min_int;
+  absent 16;
+  absent 1_000_000;
+  absent max_int;
+  Alcotest.check_raises "negative join" (Invalid_argument "Can.join: negative node id") (fun () ->
+      ignore (Can_overlay.join t (-3) (Point.random rng 2)));
+  Alcotest.check_raises "negative create" (Invalid_argument "Can.create: negative node id")
+    (fun () -> ignore (Can_overlay.create ~dims:2 (-1)));
+  (* a departed id reads as absent, and a rejoin installs the new record *)
+  ignore (Can_overlay.leave t 5);
+  absent 5;
+  let p = [| 0.3; 0.7 |] in
+  ignore (Can_overlay.join t 5 p);
+  Alcotest.(check bool) "rejoined mem" true (Can_overlay.mem t 5);
+  let n = Can_overlay.node t 5 in
+  Alcotest.(check int) "rejoined record" 5 n.Can_overlay.id;
+  Alcotest.(check bool) "rejoined zone holds the join point" true (Zone.contains n.Can_overlay.zone p);
+  (* ids far beyond the initial array grow it *)
+  ignore (Can_overlay.join t 5000 [| 0.9; 0.1 |]);
+  Alcotest.(check bool) "far id mem" true (Can_overlay.mem t 5000);
+  absent 4999;
+  absent 5001;
+  Array.iter
+    (fun id -> Alcotest.(check int) "node id" id (Can_overlay.node t id).Can_overlay.id)
+    (Can_overlay.node_ids t);
+  check_ok (Can_overlay.check_invariants t)
+
 (* Generic hop-bound and churn-invariant properties live in the shared
    backend-conformance suite (test_conformance.ml); the remaining route
    test here asserts the CAN-specific neighbor-link structure. *)
@@ -377,4 +416,5 @@ let suite =
     Alcotest.test_case "leave (many)" `Quick test_leave_many;
     Alcotest.test_case "leave everyone" `Quick test_leave_everyone;
     Alcotest.test_case "interleaved churn" `Slow test_churn_interleaved;
+    Alcotest.test_case "node and mem outside the membership" `Quick test_node_mem_edges;
   ]

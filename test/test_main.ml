@@ -10,6 +10,7 @@ let () =
       ("landmark", Test_landmark.suite);
       ("can", Test_can.suite);
       ("ecan", Test_ecan.suite);
+      ("routing", Test_routing.suite);
       ("chord", Test_chord.suite);
       ("pastry", Test_pastry.suite);
       ("koorde", Test_koorde.suite);

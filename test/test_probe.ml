@@ -146,6 +146,86 @@ let qcheck_cache_equivalence =
       && List.length (calls_b ()) = distinct
       && Probe.cache_hits cached = List.length plan - distinct)
 
+(* [rtt] serves a fresh cache hit without building a batch; it must be
+   indistinguishable from the one-probe batch.  Twin probers see the same
+   (src, dst, clock) script, one through [rtt] and one through
+   [run_batch ~dsts:[|dst|]], and must agree on everything observable:
+   results, counts, modelled time, histogram samples, spans, measurement
+   calls and clock reads. *)
+let qcheck_rtt_is_one_probe_batch =
+  let twin ~config ~pool ~loss now =
+    let reads = ref 0 and calls = ref 0 in
+    let metrics = Metrics.create () and trace = Engine.Trace.create () in
+    let faults =
+      if loss > 0.0 then
+        Some (Faults.create ~channel:{ Faults.loss; delay_min = 0.0; delay_max = 20.0 } ~seed:7 ())
+      else None
+    in
+    let measure a b =
+      incr calls;
+      float_of_int ((((a * 31) + (b * 7)) mod 23) + 1)
+    in
+    let clock () =
+      incr reads;
+      !now
+    in
+    (Probe.create ~metrics ~trace ?faults ?pool ~clock ~config ~measure (), metrics, trace, reads, calls)
+  in
+  QCheck.Test.make ~name:"rtt = one-probe run_batch, cache hits included" ~count:150
+    QCheck.(pair (int_range 0 10_000) (int_range 1 60))
+    (fun (seed, steps) ->
+      let rng = Rng.create seed in
+      let ttls = [| 0.0; 0.0; 30.0; 200.0; infinity |] in
+      let config =
+        cfg ~window:(1 + Rng.int rng 3)
+          ~timeout:(if Rng.chance rng 0.5 then infinity else 15.0)
+          ~retries:(Rng.int rng 3)
+          ~cache_ttl:ttls.(Rng.int rng (Array.length ttls))
+          ()
+      in
+      let pool = if Rng.chance rng 0.5 then Some (Engine.Dpool.get ~domains:2) else None in
+      let loss = if Rng.chance rng 0.5 then 0.0 else 0.3 in
+      let now = ref 0.0 in
+      let a, ma, ta, reads_a, calls_a = twin ~config ~pool ~loss now in
+      let b, mb, tb, reads_b, calls_b = twin ~config ~pool ~loss now in
+      let same_state () =
+        Probe.probes a = Probe.probes b
+        && Probe.failures a = Probe.failures b
+        && Probe.cache_hits a = Probe.cache_hits b
+        && Probe.cache_misses a = Probe.cache_misses b
+        && Probe.cache_stale a = Probe.cache_stale b
+        && Int64.equal
+             (Int64.bits_of_float (Probe.total_elapsed a))
+             (Int64.bits_of_float (Probe.total_elapsed b))
+        && !reads_a = !reads_b
+        && !calls_a = !calls_b
+      in
+      let step () =
+        (* advances cross the TTLs: none, within, past *)
+        (now :=
+           !now
+           +.
+           match Rng.int rng 4 with
+           | 0 -> 0.0
+           | 1 -> Rng.float rng 20.0
+           | 2 -> 25.0 +. Rng.float rng 200.0
+           | _ -> 30.0);
+        if Rng.chance rng 0.05 then begin
+          let node = Rng.int rng 5 in
+          Probe.invalidate a node;
+          Probe.invalidate b node
+        end;
+        let src = Rng.int rng 5 and dst = Rng.int rng 5 in
+        let ra = Probe.rtt a ~src ~dst in
+        let rb = (Probe.run_batch b ~src ~dsts:[| dst |]).Probe.results.(0) in
+        ra = rb && same_state ()
+      in
+      let samples m = Metrics.samples (Metrics.histogram m "probe_batch_ms") in
+      List.for_all (fun _ -> step ()) (List.init steps Fun.id)
+      && samples ma = samples mb
+      && Prelude.Json.to_string (Metrics.to_json ma) = Prelude.Json.to_string (Metrics.to_json mb)
+      && Engine.Trace.spans ta = Engine.Trace.spans tb)
+
 let test_submit_batch_async () =
   let sim = Sim.create () in
   let p = Probe.create ~sim ~config:(cfg ~window:4 ()) ~measure:(fun _ dst -> float_of_int dst) () in
@@ -229,4 +309,5 @@ let suite =
     Alcotest.test_case "metrics instruments" `Quick test_metrics_instruments;
     Alcotest.test_case "vector_via = vector" `Quick test_vector_via_equivalence;
     QCheck_alcotest.to_alcotest qcheck_cache_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_rtt_is_one_probe_batch;
   ]
