@@ -28,7 +28,7 @@ let load ~role path =
       (if role = "baseline" then
          "\n\
           \  (checked-in baselines live at the repo root; generate one with:\n\
-          \      dune exec bench/main.exe -- --no-micro [--only EXP] --scale 8 --json FILE)"
+          \      dune exec bench/main.exe -- [--only EXP] --scale 8 --json FILE)"
        else "");
   let ic = try open_in_bin path with Sys_error e -> fail "%s" e in
   let s = really_input_string ic (in_channel_length ic) in
@@ -184,8 +184,8 @@ let () =
     dump "+" "added (in fresh run, not in baseline)" !added;
     prerr_endline
       "  deliberate change? regenerate both baselines with:\n\
-      \      dune exec bench/main.exe -- --no-micro --scale 8 --json BENCH_BASELINE.json\n\
-      \      dune exec bench/main.exe -- --no-micro --only join --scale 2 --json \
+      \      dune exec bench/main.exe -- --scale 8 --json BENCH_BASELINE.json\n\
+      \      dune exec bench/main.exe -- --only join --scale 2 --json \
        BENCH_JOIN_BASELINE.json";
     problem "instrument set drift: %d removed, %d added" (List.length !removed)
       (List.length !added)

@@ -501,86 +501,86 @@ let trace_cmd =
          & info [ "lookups" ] ~docv:"N" ~doc:"Routed lookups issued after the run (route spans).")
   in
   let run verbose variant latency seed scale size until lookups out =
-    if until <= 0.0 then `Error (false, "--until must be positive")
-    else begin
-      setup_logs verbose;
-      let oracle = Workload.Ctx.oracle ~scale variant latency in
-      let sim = Engine.Sim.create () in
-      let tracer = Engine.Trace.create ~clock:(fun () -> Engine.Sim.now sim) () in
-      let faults = Engine.Faults.create ~trace:tracer ~seed:(seed + 1) () in
-      (* Spans ride on the instrumented paths, so the run needs a registry
-         even though only the tracer's output is dumped. *)
-      let metrics = Engine.Metrics.create () in
-      let size = max 16 (size / scale) in
-      let b =
-        Builder.build ~metrics ~trace:tracer
-          ~clock:(fun () -> Engine.Sim.now sim)
-          oracle
-          { Builder.default_config with Builder.overlay_size = size; ttl = 60_000.0; seed }
-      in
-      let can = Ecan.Expressway.can b.Builder.ecan in
-      let m =
-        Core.Maintenance.start ~sim ~metrics ~trace:tracer ~refresh_period:20_000.0
-          ~sweep_period:5_000.0 ~channel:(Engine.Faults.perturb faults) b
-      in
-      Core.Maintenance.subscribe_all_slots m;
-      (* A small storm inside the horizon so the dump shows fault, sweep
-         and notification spans, not just refresh traffic. *)
-      let storm =
-        {
-          Engine.Faults.default_storm with
-          Engine.Faults.crashes = 2;
-          leaves = 2;
-          joins = 4;
-          expire_bursts = 1;
-          start = until /. 4.0;
-          spread = until /. 2.0;
-        }
-      in
-      let joiners =
-        Array.of_seq
-          (Seq.filter
-             (fun i -> not (Can_overlay.mem can i))
-             (Seq.init (Oracle.node_count oracle) (fun i -> i)))
-      in
-      let next_join = ref 0 in
-      let drv = Rng.create (seed + 2) in
-      let handler (ev : Engine.Faults.event) =
-        match ev.Engine.Faults.action with
-        | Engine.Faults.Crash ->
-          let ids = Can_overlay.node_ids can in
-          if Array.length ids > 8 then Core.Maintenance.node_crashes m (Rng.pick drv ids)
-        | Engine.Faults.Leave ->
-          let ids = Can_overlay.node_ids can in
-          if Array.length ids > 8 then Core.Maintenance.node_departs m (Rng.pick drv ids)
-        | Engine.Faults.Join ->
-          if !next_join < Array.length joiners then begin
-            Core.Maintenance.node_joins m joiners.(!next_join);
-            incr next_join
-          end
-        | Engine.Faults.Expire fraction ->
-          ignore (Softstate.Store.inject_staleness b.Builder.store ~rng:drv ~fraction)
-      in
-      Engine.Faults.install faults ~sim ~plan:(Engine.Faults.plan faults storm) ~handler;
-      Engine.Sim.run ~until sim;
-      let ids = Can_overlay.node_ids can in
-      for _ = 1 to lookups do
-        ignore
-          (Ecan.Expressway.route b.Builder.ecan ~src:(Rng.pick drv ids)
-             (Geometry.Point.random drv b.Builder.config.Builder.dims))
-      done;
-      Core.Maintenance.stop m;
-      (match out with
-      | Some path ->
-        let oc = open_out path in
+    if not (Float.is_finite until && until > 0.0) then
+      `Error (false, "--until must be finite and positive")
+    else
+      (* Open the output before the run, so an unwritable path fails fast. *)
+      match Option.fold ~none:stdout ~some:open_out out with
+      | exception Sys_error e -> `Error (false, "cannot write --out: " ^ e)
+      | oc ->
+        setup_logs verbose;
+        let oracle = Workload.Ctx.oracle ~scale variant latency in
+        let sim = Engine.Sim.create () in
+        let tracer = Engine.Trace.create ~clock:(fun () -> Engine.Sim.now sim) () in
+        let faults = Engine.Faults.create ~trace:tracer ~seed:(seed + 1) () in
+        (* Spans ride on the instrumented paths, so the run needs a registry
+           even though only the tracer's output is dumped. *)
+        let metrics = Engine.Metrics.create () in
+        let size = max 16 (size / scale) in
+        let b =
+          Builder.build ~metrics ~trace:tracer
+            ~clock:(fun () -> Engine.Sim.now sim)
+            oracle
+            { Builder.default_config with Builder.overlay_size = size; ttl = 60_000.0; seed }
+        in
+        let can = Ecan.Expressway.can b.Builder.ecan in
+        let m =
+          Core.Maintenance.start ~sim ~metrics ~trace:tracer ~refresh_period:20_000.0
+            ~sweep_period:5_000.0 ~channel:(Engine.Faults.perturb faults) b
+        in
+        Core.Maintenance.subscribe_all_slots m;
+        (* A small storm inside the horizon so the dump shows fault, sweep
+           and notification spans, not just refresh traffic. *)
+        let storm =
+          {
+            Engine.Faults.default_storm with
+            Engine.Faults.crashes = 2;
+            leaves = 2;
+            joins = 4;
+            expire_bursts = 1;
+            start = until /. 4.0;
+            spread = until /. 2.0;
+          }
+        in
+        let joiners =
+          Array.of_seq
+            (Seq.filter
+               (fun i -> not (Can_overlay.mem can i))
+               (Seq.init (Oracle.node_count oracle) (fun i -> i)))
+        in
+        let next_join = ref 0 in
+        let drv = Rng.create (seed + 2) in
+        let handler (ev : Engine.Faults.event) =
+          match ev.Engine.Faults.action with
+          | Engine.Faults.Crash ->
+            let ids = Can_overlay.node_ids can in
+            if Array.length ids > 8 then Core.Maintenance.node_crashes m (Rng.pick drv ids)
+          | Engine.Faults.Leave ->
+            let ids = Can_overlay.node_ids can in
+            if Array.length ids > 8 then Core.Maintenance.node_departs m (Rng.pick drv ids)
+          | Engine.Faults.Join ->
+            if !next_join < Array.length joiners then begin
+              Core.Maintenance.node_joins m joiners.(!next_join);
+              incr next_join
+            end
+          | Engine.Faults.Expire fraction ->
+            ignore (Softstate.Store.inject_staleness b.Builder.store ~rng:drv ~fraction)
+        in
+        Engine.Faults.install faults ~sim ~plan:(Engine.Faults.plan faults storm) ~handler;
+        Engine.Sim.run ~until sim;
+        let ids = Can_overlay.node_ids can in
+        for _ = 1 to lookups do
+          ignore
+            (Ecan.Expressway.route b.Builder.ecan ~src:(Rng.pick drv ids)
+               (Geometry.Point.random drv b.Builder.config.Builder.dims))
+        done;
+        Core.Maintenance.stop m;
         output_string oc (Engine.Trace.to_jsonl tracer);
-        close_out oc
-      | None -> print_string (Engine.Trace.to_jsonl tracer));
-      Logs.info (fun f ->
-          f "traced %d spans (%d dropped by ring wraparound)" (Engine.Trace.length tracer)
-            (Engine.Trace.dropped tracer));
-      `Ok ()
-    end
+        if out <> None then close_out oc;
+        Logs.info (fun f ->
+            f "traced %d spans (%d dropped by ring wraparound)" (Engine.Trace.length tracer)
+              (Engine.Trace.dropped tracer));
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "trace"

@@ -447,22 +447,22 @@ let remove_member t node ~retract =
   List.iter (drop_slot_subs t) own_keys
 
 (* The victim-tagged fault span [Engine.Repair.analyze] resolves: node =
-   victim, note = the fault kind, at = the injection instant.  (The plan
-   spans [Engine.Faults] emits carry node = -1 — victims are picked
-   driver-side, so only here is the victim known.) *)
-let emit_fault_span t node ~note =
+   victim, at = the injection instant.  (The plan spans [Engine.Faults]
+   emits carry node = -1 — victims are picked driver-side, so only here
+   is the victim known.) *)
+let emit_fault_span t node fault =
   match t.tracer with
-  | Some tr -> Engine.Trace.emit tr ~at:(Sim.now t.sim) ~note Engine.Trace.Fault_inject ~node
+  | Some tr -> Engine.Trace.emit tr ~at:(Sim.now t.sim) (Engine.Trace.Fault_inject fault) ~node
   | None -> ()
 
 let node_departs t node =
-  emit_fault_span t node ~note:"leave";
+  emit_fault_span t node Engine.Trace.Leave;
   remove_member t node ~retract:true
 
 let node_crashes t node =
   t.crashes <- t.crashes + 1;
   (match t.counters with Some c -> Engine.Metrics.incr c.c_crashes | None -> ());
-  emit_fault_span t node ~note:"crash";
+  emit_fault_span t node Engine.Trace.Crash;
   Hashtbl.replace t.crash_at node (Sim.now t.sim);
   remove_member t node ~retract:false
 

@@ -45,8 +45,8 @@ val start :
     [maintenance_reselections] / [maintenance_refreshes] /
     [maintenance_crashes] counters mirroring {!reselections} /
     {!refreshes} / {!crashes}.  With [trace], every {!node_crashes} /
-    {!node_departs} call also emits a victim-tagged [Fault_inject] span
-    (node = victim, note = ["crash"] / ["leave"]) — the anchor
+    {!node_departs} call also emits a victim-tagged [Fault_inject Crash]
+    / [Fault_inject Leave] span (node = victim) — the anchor
     {!Engine.Repair.analyze} correlates repair traffic against.
 
     [adapt] (default off) turns on adaptive maintenance: an

@@ -186,8 +186,7 @@ let replicate_hot t node served =
           Option.iter (fun o -> Metrics.incr o.o_replications) t.obs;
           Option.iter
             (fun tr ->
-              Trace.emit tr ~peer:target ~note:(string_of_int key) Trace.Cache_replicate
-                ~node)
+              Trace.emit tr ~peer:target (Trace.Cache_replicate { key }) ~node)
             t.trace
         | Some _ | None -> ())
     (hottest_keys t node t.config.hot_keys)
@@ -234,11 +233,11 @@ let rec live_holders member = function
     let rest' = live_holders member rest in
     if not alive then rest' else if rest' == rest then holders else node :: rest'
 
-let emit_request t ~client ~served_by ~latency note key =
+let emit_request t ~client ~served_by ~latency outcome key =
   Option.iter
     (fun tr ->
-      Printf.bprintf (Trace.note_buffer tr) "%s:%d" note key;
-      Trace.emit_noted tr ~dur:latency ~peer:served_by Trace.Cache_request ~node:client)
+      Trace.emit tr ~dur:latency ~peer:served_by (Trace.Cache_request { outcome; key })
+        ~node:client)
     t.trace
 
 let finish t ~client ~key ~served_by ~hit ~shed ~hops ~latency =
@@ -252,7 +251,8 @@ let finish t ~client ~key ~served_by ~hit ~shed ~hops ~latency =
       if shed then Metrics.incr o.o_sheds;
       Metrics.observe o.o_latency latency)
     t.obs;
-  emit_request t ~client ~served_by ~latency (if not hit then "miss" else if shed then "shed" else "hit") key;
+  let outcome = if not hit then Trace.Miss else if shed then Trace.Shed else Trace.Hit in
+  emit_request t ~client ~served_by ~latency outcome key;
   let served = bump_load t served_by key in
   if t.config.replicas > 1 && served mod t.config.load_threshold = 0 then
     replicate_hot t served_by served;

@@ -69,11 +69,13 @@ let note t line =
 let trace t = List.rev t.lines
 let trace_digest t = Buffer.contents t.buf
 
-let action_name = function
-  | Crash -> "crash"
-  | Leave -> "leave"
-  | Join -> "join"
-  | Expire f -> Printf.sprintf "expire %.3f" f
+let trace_fault = function
+  | Crash -> Trace.Crash
+  | Leave -> Trace.Leave
+  | Join -> Trace.Join
+  | Expire f -> Trace.Expire f
+
+let action_name a = Trace.fault_label (trace_fault a)
 
 let plan t storm =
   if storm.spread < 0.0 then invalid_arg "Faults.plan: negative spread";
@@ -96,7 +98,7 @@ let install t ~sim ~plan ~handler =
              note t (Printf.sprintf "fire t=%.6f %s" (Sim.now sim) (action_name e.action));
              Option.iter
                (fun tr ->
-                 Trace.emit tr ~at:(Sim.now sim) ~note:(action_name e.action) Trace.Fault_inject
+                 Trace.emit tr ~at:(Sim.now sim) (Trace.Fault_inject (trace_fault e.action))
                    ~node:(-1))
                t.tracer;
              handler e)))
@@ -108,7 +110,7 @@ let perturb t base =
   if t.channel.loss > 0.0 && Rng.chance t.chan_rng t.channel.loss then begin
     t.dropped <- t.dropped + 1;
     note t (Printf.sprintf "msg %d drop" n);
-    Option.iter (fun tr -> Trace.emit tr ~note:"channel drop" Trace.Fault_inject ~node:(-1)) t.tracer;
+    Option.iter (fun tr -> Trace.emit tr (Trace.Fault_inject Trace.Channel_drop) ~node:(-1)) t.tracer;
     None
   end
   else begin

@@ -303,8 +303,8 @@ let regraft t node =
       t.obs;
     Option.iter
       (fun tr ->
-        Printf.bprintf (Trace.note_buffer tr) "dead:%d" lost;
-        Trace.emit_noted tr ~dur:latency ~peer:v.parent Trace.Mcast_regraft ~node)
+        Trace.emit tr ~dur:latency ~peer:v.parent (Trace.Mcast_regraft { lost_parent = lost })
+          ~node)
       t.trace;
     observe_depth t node
   | Some _ | None -> invalid_arg "Mcast.regraft: not an orphan"
@@ -360,8 +360,7 @@ let publish t =
         t.obs;
       Option.iter
         (fun tr ->
-          Printf.bprintf (Trace.note_buffer tr) "pub:%d" seq;
-          Trace.emit_noted tr ~dur:latency ~peer:v.parent Trace.Mcast_deliver ~node)
+          Trace.emit tr ~dur:latency ~peer:v.parent (Trace.Mcast_deliver { publish = seq }) ~node)
         t.trace
     | _ -> ());
     List.iter

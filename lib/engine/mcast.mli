@@ -112,8 +112,8 @@ val create :
     [mcast_delivery_ms] / [mcast_stretch] / [mcast_link_stress] /
     [mcast_regraft_ms] / [mcast_tree_depth] histograms (plus any
     [labels]).  With [trace], every delivery emits an [Mcast_deliver]
-    span and every regraft an [Mcast_regraft] span (note
-    [dead:<lost parent>] — the victim tag the repair analyzer keys on).
+    span and every regraft an [Mcast_regraft] span whose [lost_parent]
+    names the dead parent — the victim the repair analyzer keys on.
 
     Raises [Invalid_argument] if [degree < 1] or [root] is not a
     member. *)

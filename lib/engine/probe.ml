@@ -291,9 +291,9 @@ let run_batch_from t ~start ~src ~dsts =
           cache_store t ~src ~dst ~at:slot_end rtt;
           Option.iter
             (fun tr ->
-              Printf.bprintf (Trace.note_buffer tr) "q=%g;try=%d" (slot_start -. start)
-                attempts;
-              Trace.emit_noted tr ~at:slot_start ~dur:rtt ~peer:dst Trace.Rtt_probe ~node:src)
+              let queued = { Trace.queue_ms = slot_start -. start; attempt = attempts } in
+              Trace.emit tr ~at:slot_start ~dur:rtt ~peer:dst (Trace.Rtt_probe (Some queued))
+                ~node:src)
             t.tracer
         | Error _ ->
           t.failures <- t.failures + 1;

@@ -42,24 +42,6 @@ type report = {
   unrepaired : int;
 }
 
-(* "<tag>:<entry>@<region>" — the Bus note convention. *)
-let parse_notify note =
-  match (String.index_opt note ':', String.index_opt note '@') with
-  | Some i, Some j when j > i + 1 ->
-    (match int_of_string_opt (String.sub note (i + 1) (j - i - 1)) with
-    | Some entry ->
-      Some (String.sub note 0 i, entry, String.sub note (j + 1) (String.length note - j - 1))
-    | None -> None)
-  | _ -> None
-
-let fault_of_span (s : Trace.span) =
-  if s.Trace.kind <> Trace.Fault_inject || s.Trace.node < 0 then None
-  else
-    match s.Trace.note with
-    | "crash" -> Some { victim = s.Trace.node; kind = Crash; injected_at = s.Trace.at }
-    | "leave" -> Some { victim = s.Trace.node; kind = Leave; injected_at = s.Trace.at }
-    | _ -> None
-
 (* Mutable accumulator per fault, frozen into a record at the end. *)
 type acc = {
   a_fault : fault;
@@ -82,27 +64,32 @@ let analyze spans =
   let accs = ref [] (* reversed *) in
   let by_victim : (int, acc list) Hashtbl.t = Hashtbl.create 16 in
   let regions_of : (int, (string, unit) Hashtbl.t) Hashtbl.t = Hashtbl.create 64 in
+  (* A fault span with a victim ([node >= 0]) is resolved; the plan-level
+     ones [Faults] emits have none. *)
+  let add_fault (s : Trace.span) kind =
+    let victim = s.Trace.node in
+    let a =
+      {
+        a_fault = { victim; kind; injected_at = s.Trace.at };
+        a_detected = Float.nan;
+        a_first = Float.nan;
+        a_last = Float.nan;
+        a_notifies = 0;
+        a_sweeps = 0;
+        a_republishes = 0;
+        a_regrafts = [];
+      }
+    in
+    accs := a :: !accs;
+    Hashtbl.replace by_victim victim
+      (a :: Option.value ~default:[] (Hashtbl.find_opt by_victim victim))
+  in
   List.iter
     (fun (s : Trace.span) ->
-      (match fault_of_span s with
-      | Some f ->
-        let a =
-          {
-            a_fault = f;
-            a_detected = Float.nan;
-            a_first = Float.nan;
-            a_last = Float.nan;
-            a_notifies = 0;
-            a_sweeps = 0;
-            a_republishes = 0;
-            a_regrafts = [];
-          }
-        in
-        accs := a :: !accs;
-        Hashtbl.replace by_victim f.victim
-          (a :: Option.value ~default:[] (Hashtbl.find_opt by_victim f.victim))
-      | None -> ());
-      if s.Trace.kind = Trace.Map_publish && s.Trace.peer >= 0 then begin
+      match s.Trace.kind with
+      | Trace.Fault_inject Trace.Crash when s.Trace.node >= 0 -> add_fault s Crash
+      | Trace.Fault_inject Trace.Leave when s.Trace.node >= 0 -> add_fault s Leave
+      | Trace.Map_publish { region } when s.Trace.peer >= 0 ->
         let set =
           match Hashtbl.find_opt regions_of s.Trace.peer with
           | Some set -> set
@@ -111,8 +98,8 @@ let analyze spans =
             Hashtbl.replace regions_of s.Trace.peer set;
             set
         in
-        Hashtbl.replace set s.Trace.note ()
-      end)
+        Hashtbl.replace set (Trace.region_label region) ()
+      | _ -> ())
     spans;
   let accs = List.rev !accs in
   let victim_regions v =
@@ -126,46 +113,36 @@ let analyze spans =
     | Some l -> List.find_opt (fun a -> a.a_fault.injected_at <= at) l
   in
   (* Pass 2: departure notifications about a victim are its repair
-     traffic; a tree regraft tagged [dead:<victim>] is the victim's
-     structural repair (Mcast emits the span when the orphaned subtree
-     re-attaches; [dur] is the orphanhood duration). *)
+     traffic; a tree regraft that lost the victim as parent is the
+     victim's structural repair (Mcast emits the span when the orphaned
+     subtree re-attaches; [dur] is the orphanhood duration). *)
   List.iter
     (fun (s : Trace.span) ->
-      if s.Trace.kind = Trace.Mcast_regraft then begin
-        match
-          if String.length s.Trace.note > 5 && String.sub s.Trace.note 0 5 = "dead:" then
-            int_of_string_opt
-              (String.sub s.Trace.note 5 (String.length s.Trace.note - 5))
-          else None
-        with
-        | Some victim ->
-          (match owner_of ~victim ~at:s.Trace.at with
-          | Some a -> a.a_regrafts <- s.Trace.dur :: a.a_regrafts
-          | None -> ())
-        | None -> ()
-      end;
-      if s.Trace.kind = Trace.Notify then
-        match parse_notify s.Trace.note with
-        | Some ("dep", entry, region) ->
-          (match owner_of ~victim:entry ~at:s.Trace.at with
-          | Some a ->
-            let set = victim_regions entry in
-            if Hashtbl.length set = 0 || Hashtbl.mem set region then begin
-              let sent = s.Trace.at and delivered = s.Trace.at +. s.Trace.dur in
-              a.a_notifies <- a.a_notifies + 1;
-              if Float.is_nan a.a_detected || sent < a.a_detected then a.a_detected <- sent;
-              if Float.is_nan a.a_first || delivered < a.a_first then a.a_first <- delivered;
-              if Float.is_nan a.a_last || delivered > a.a_last then a.a_last <- delivered
-            end
-          | None -> ())
-        | Some _ | None -> ())
+      match s.Trace.kind with
+      | Trace.Mcast_regraft { lost_parent } ->
+        (match owner_of ~victim:lost_parent ~at:s.Trace.at with
+        | Some a -> a.a_regrafts <- s.Trace.dur :: a.a_regrafts
+        | None -> ())
+      | Trace.Notify { change = Trace.Departed; entry; region } ->
+        (match owner_of ~victim:entry ~at:s.Trace.at with
+        | Some a ->
+          let set = victim_regions entry in
+          if Hashtbl.length set = 0 || Hashtbl.mem set (Trace.region_label region) then begin
+            let sent = s.Trace.at and delivered = s.Trace.at +. s.Trace.dur in
+            a.a_notifies <- a.a_notifies + 1;
+            if Float.is_nan a.a_detected || sent < a.a_detected then a.a_detected <- sent;
+            if Float.is_nan a.a_first || delivered < a.a_first then a.a_first <- delivered;
+            if Float.is_nan a.a_last || delivered > a.a_last then a.a_last <- delivered
+          end
+        | None -> ())
+      | _ -> ())
     spans;
   (* Pass 3: sweeps waited on (injection .. detection] and republishes
      into the victim's regions up to full repair. *)
   List.iter
     (fun (s : Trace.span) ->
       match s.Trace.kind with
-      | Trace.Ttl_sweep ->
+      | Trace.Ttl_sweep _ ->
         List.iter
           (fun a ->
             if
@@ -174,7 +151,8 @@ let analyze spans =
               && s.Trace.at <= a.a_detected
             then a.a_sweeps <- a.a_sweeps + 1)
           accs
-      | Trace.Map_publish when s.Trace.peer >= 0 ->
+      | Trace.Map_publish { region } when s.Trace.peer >= 0 ->
+        let region = Trace.region_label region in
         List.iter
           (fun a ->
             if
@@ -182,7 +160,7 @@ let analyze spans =
               && s.Trace.peer <> a.a_fault.victim
               && s.Trace.at > a.a_fault.injected_at
               && s.Trace.at <= a.a_last
-              && Hashtbl.mem (victim_regions a.a_fault.victim) s.Trace.note
+              && Hashtbl.mem (victim_regions a.a_fault.victim) region
             then a.a_republishes <- a.a_republishes + 1)
           accs
       | _ -> ())

@@ -13,23 +13,26 @@
     {2 Correlation rules}
 
     The analyzer consumes a span list (usually [Trace.spans tracer]) and
-    keys on the note conventions the engine's emitters follow:
+    matches the typed payloads the engine's emitters attach:
 
-    - a [Fault_inject] span with [node >= 0] and note ["crash"] or
-      ["leave"] is a {e resolved fault}: the subject node is the victim
+    - a [Fault_inject Crash] or [Fault_inject Leave] span with
+      [node >= 0] is a {e resolved fault}: the subject node is the victim
       and [at] is the injection time ({!Core.Maintenance.node_crashes} /
-      [node_departs] emit these);
-    - a [Map_publish] span names the published member in [peer] and the
-      region in [note]; the set of regions a victim ever published into is
-      its {e region set};
-    - a [Notify] span's note is ["<tag>:<entry>@<region>"] with [tag] one
-      of [pub]/[dep]/[load] ({!Pubsub.Bus}); a [dep] notification about
-      the victim, sent at or after the injection (and, when the victim's
-      region set is known, in one of its regions), is {e repair traffic}:
-      its [at] is the send time (the instant the system {e detected} the
-      fault) and [at +. dur] the delivery time;
+      [node_departs] emit these; the plan-level spans of
+      {!Engine.Faults} have [node = -1] and are not faults);
+    - a [Map_publish {region}] span names the published member in
+      [peer]; the set of regions a victim ever published into is its
+      {e region set};
+    - a [Notify {change = Departed; entry; region}] span ({!Pubsub.Bus})
+      about the victim, sent at or after the injection (and, when the
+      victim's region set is known, in one of its regions), is
+      {e repair traffic}: its [at] is the send time (the instant the
+      system {e detected} the fault) and [at +. dur] the delivery time.
+      [Published] and [Load_changed] notifications never are;
     - [Ttl_sweep] spans between injection and detection are the sweep
-      passes the detection had to wait for.
+      passes the detection had to wait for;
+    - an [Mcast_regraft {lost_parent}] span is structural repair of the
+      fault whose victim is [lost_parent].
 
     Per fault the analyzer reports detection time (first correlated
     notification sent), first-notify and last-notify delivery times (last
@@ -51,7 +54,9 @@ type fault = {
 
 type record = {
   fault : fault;
-  regions : string list;  (** victim's region set, sorted (may be empty) *)
+  regions : string list;
+      (** victim's region set as {!Engine.Trace.region_label}s, sorted (may be
+          empty) *)
   detected_at : float;  (** send time of the first correlated notification; nan if unrepaired *)
   first_notify : float;  (** earliest delivery completion; nan if unrepaired *)
   last_notify : float;  (** latest delivery completion = full repair; nan if unrepaired *)
@@ -60,7 +65,7 @@ type record = {
   republishes : int;  (** [Map_publish] spans into the victim's regions in (injection, last_notify] *)
   regraft_ms : float list;
       (** orphanhood durations of [Mcast_regraft] spans whose
-          [dead:<victim>] note names this fault's victim (attributed to
+          [lost_parent] is this fault's victim (attributed to
           the latest fault at or before the span, like notifications) —
           the {e structural} repair latency when the victim was a
           dissemination-tree interior node; [[]] when no tree was

@@ -1,11 +1,11 @@
 (** Ring-buffer event tracer with a typed span taxonomy.
 
-    A tracer records {e spans} — timestamped, typed events with a subject
-    node, an optional peer and a free-form note — into a fixed-capacity
-    ring buffer.  Recording is O(1) and allocation-light, so hot paths
-    (per-hop routing, per-probe measurement) can trace unconditionally;
-    when the buffer wraps, the oldest spans are overwritten and counted in
-    {!dropped}.
+    A tracer records {e spans} — timestamped events with a subject node,
+    an optional peer and a payload typed by the span's kind — into a
+    fixed-capacity ring buffer.  Recording is O(1) and allocation-light,
+    so hot paths (per-hop routing, per-probe measurement) can trace
+    unconditionally; when the buffer wraps, the oldest spans are
+    overwritten and counted in {!dropped}.
 
     Timestamps come from the injected [clock] (pass
     [fun () -> Sim.now sim] to trace virtual time) unless the caller
@@ -13,34 +13,56 @@
     trace-event format ([chrome://tracing] / Perfetto load it directly);
     see the [topoaware trace] subcommand. *)
 
+type change = Published | Departed | Load_changed
+type fault = Crash | Leave | Join | Expire of float | Channel_drop
+type queued = { queue_ms : float; attempt : int }
+type outcome = Hit | Miss | Shed
+
+(** What a span records, with its payload.  The note each payload is
+    rendered as in {!span_json} is in brackets.  Region paths are shared
+    with the emitter, which passes a store-owned or freshly cut path and
+    never writes to it afterwards. *)
 type kind =
   | Route_hop  (** one overlay forwarding step; [node] -> [peer] *)
-  | Rtt_probe  (** one RTT measurement; [dur] is the measured RTT *)
-  | Map_publish  (** a soft-state entry was (re)published; [note] is the region *)
-  | Notify  (** a pub/sub notification; [dur] is the delivery delay *)
-  | Ttl_sweep  (** a TTL sweep ran; [note] is the purge count *)
-  | Fault_inject  (** a fault-plan event fired or a message was perturbed *)
-  | Cache_request
+  | Rtt_probe of queued option
+      (** one RTT measurement; [dur] is the measured RTT.  {!Engine.Probe} adds
+          the slot wait and the attempts taken [[q=<queue_ms>;try=<attempt>]] *)
+  | Map_publish of { region : int array }
+      (** a soft-state entry was (re)published; [node] = map host, [peer]
+          = described member [[<region label>]] *)
+  | Notify of { change : change; entry : int; region : int array }
+      (** a pub/sub notification about [entry] in [region]; [node] = map
+          host, [peer] = subscriber, [dur] = delivery delay
+          [[<pub|dep|load>:<entry>@<region label>]] *)
+  | Ttl_sweep of { purged : int }  (** a TTL sweep ran [[<purged> purged]] *)
+  | Fault_inject of fault
+      (** a fault fired or a message was dropped; [node] = the victim, or
+          -1 for a plan event whose victim is picked later [[<fault label>]] *)
+  | Cache_request of { outcome : outcome; key : int }
       (** one cache request served; [node] = client, [peer] = serving
-          replica, [dur] = delivered latency, [note] = [hit:<key>] /
-          [miss:<key>] / [shed:<key>] *)
-  | Cache_replicate
+          replica, [dur] = delivered latency [[<hit|miss|shed>:<key>]] *)
+  | Cache_replicate of { key : int }
       (** a hot entry was copied; [node] = overloaded source, [peer] =
-          new replica host, [note] = the key *)
-  | Mcast_deliver
-      (** one dissemination-tree delivery; [node] = subscriber, [peer] =
-          its tree parent, [dur] = root-to-subscriber delivery latency,
-          [note] = [pub:<publish index>] *)
-  | Mcast_regraft
+          new replica host [[<key>]] *)
+  | Mcast_deliver of { publish : int }
+      (** one tree delivery of the [publish]-th publish; [node] =
+          subscriber, [peer] = its tree parent, [dur] = root-to-subscriber
+          latency [[pub:<publish>]] *)
+  | Mcast_regraft of { lost_parent : int }
       (** an orphaned subtree re-attached; [node] = the orphan's root,
-          [peer] = its new parent, [dur] = orphanhood duration (parent
-          loss to re-graft), [note] = [dead:<lost parent>] — the victim
-          tag {!Engine.Repair.analyze} correlates against *)
+          [peer] = its new parent, [dur] = orphanhood duration
+          [[dead:<lost_parent>]] *)
 
 val kind_name : kind -> string
 (** ["route_hop"], ["rtt_probe"], ["map_publish"], ["notify"],
     ["ttl_sweep"], ["fault_inject"], ["cache_request"],
     ["cache_replicate"], ["mcast_deliver"], ["mcast_regraft"]. *)
+
+val region_label : int array -> string
+(** The path bits concatenated (["01"]), or ["root"] for the empty path. *)
+
+val fault_label : fault -> string
+(** ["crash"], ["leave"], ["join"], ["expire %.3f"], ["channel drop"]. *)
 
 type span = {
   seq : int;  (** global emission index, 0-based, never reused *)
@@ -49,7 +71,6 @@ type span = {
   kind : kind;
   node : int;  (** subject overlay node; -1 for system-wide events *)
   peer : int;  (** counterpart node; -1 when not applicable *)
-  note : string;  (** free-form detail; [""] when not applicable *)
 }
 
 type t
@@ -62,23 +83,9 @@ val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
     [clock] (default: frozen at 0) supplies [at] when {!emit} is not given
     one. *)
 
-val emit : t -> ?at:float -> ?dur:float -> ?peer:int -> ?note:string -> kind -> node:int -> unit
+val emit : t -> ?at:float -> ?dur:float -> ?peer:int -> kind -> node:int -> unit
 (** Record one span.  [at] defaults to [clock ()], [dur] to 0, [peer] to
-    -1, [note] to [""]. *)
-
-val note_buffer : t -> Buffer.t
-(** The tracer's reusable note-construction buffer, cleared.  Hot
-    emitters build the note here (e.g. with [Printf.bprintf], which
-    writes directly into the buffer) and then call {!emit_noted} — one
-    exactly-sized string allocation per span instead of [sprintf]'s
-    intermediate buffer plus string.  The buffer is private to the
-    tracer: fill it and emit before anything else can touch the
-    tracer. *)
-
-val emit_noted : t -> ?at:float -> ?dur:float -> ?peer:int -> kind -> node:int -> unit
-(** {!emit} with [note] taken from the current contents of
-    {!note_buffer}.  The produced span is byte-identical to passing the
-    equivalent [sprintf] string to {!emit}. *)
+    -1. *)
 
 val spans : t -> span list
 (** Retained spans, oldest first (at most [capacity]; earlier spans may
@@ -93,14 +100,10 @@ val length : t -> int
 val dropped : t -> int
 (** Spans lost to ring wraparound, [emitted - length]. *)
 
-val capacity : t -> int
-
 val span_json : span -> Prelude.Json.t
 (** One Chrome trace event (["ph": "X"], [ts]/[dur] in microseconds,
-    [tid] = node, [args] holds [seq]/[peer]/[note]). *)
+    [tid] = node, [args] holds [seq], [peer] when >= 0, and [note], the
+    payload rendered as text, unless it is empty). *)
 
 val to_jsonl : t -> string
 (** All retained spans as JSON Lines, one {!span_json} object per line. *)
-
-val pp_jsonl : Format.formatter -> t -> unit
-(** Print {!to_jsonl} to a formatter. *)

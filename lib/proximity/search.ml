@@ -24,7 +24,7 @@ let observe_probe obs ~query node d =
   | Some o ->
     Engine.Metrics.incr o.n_probes;
     Option.iter
-      (fun tr -> Engine.Trace.emit tr ~dur:d ~peer:node Engine.Trace.Rtt_probe ~node:query)
+      (fun tr -> Engine.Trace.emit tr ~dur:d ~peer:node (Engine.Trace.Rtt_probe None) ~node:query)
       o.tracer
 
 let true_nearest oracle ~query ~candidates =

@@ -47,7 +47,7 @@ val ers_curve :
     All curve functions take the same observability knobs: with
     [metrics], each RTT measurement increments an [rtt_probes] counter
     labeled [algo=<algorithm>] plus any extra [labels]; with [trace],
-    each measurement emits an [Rtt_probe] span (node = query, peer =
+    each measurement emits an [Rtt_probe None] span (node = query, peer =
     probed node, dur = measured RTT).
 
     With [prober], measurements drain through the probe plane instead of

@@ -64,27 +64,20 @@ type t = {
 
 let region_key bits = Array.fold_left (fun acc b -> (acc lsl 1) lor b) 1 bits
 
-(* Same naming as Softstate.Store's Map_publish spans, so trace analyses
-   ([Engine.Repair]) can join notifications against publishes by region.
-   The note a notification's Notify span carries is
-   "<tag>:<entry>@<region>" — enough to correlate the span back to the
-   subject entry.  Built in the tracer's reused scratch buffer: one
-   Notify span per delivery makes this a hot formatting path under storm
-   workloads. *)
-let add_region_label buf bits =
-  if Array.length bits = 0 then Buffer.add_string buf "root"
-  else Array.iter (fun b -> Buffer.add_string buf (string_of_int b)) bits
-
-let add_event_note buf = function
-  | Entry_published { region; entry_node } ->
-    Printf.bprintf buf "pub:%d@" entry_node;
-    add_region_label buf region
-  | Entry_departed { region; entry_node } ->
-    Printf.bprintf buf "dep:%d@" entry_node;
-    add_region_label buf region
-  | Load_changed { region; entry_node; _ } ->
-    Printf.bprintf buf "load:%d@" entry_node;
-    add_region_label buf region
+(* A delivery's Notify span names the subject entry and its region, so
+   trace analyses ([Engine.Repair]) can join it against the Map_publish
+   spans of the same region. *)
+let trace_notify tr ~dur ~host sub event =
+  let kind =
+    match event with
+    | Entry_published { region; entry_node } ->
+      Engine.Trace.Notify { change = Published; entry = entry_node; region }
+    | Entry_departed { region; entry_node } ->
+      Engine.Trace.Notify { change = Departed; entry = entry_node; region }
+    | Load_changed { region; entry_node; _ } ->
+      Engine.Trace.Notify { change = Load_changed; entry = entry_node; region }
+  in
+  Engine.Trace.emit tr ~dur ~peer:sub.subscriber kind ~node:host
 
 let create ?metrics ?(labels = []) ?trace ?sim ?(latency = fun ~host:_ ~subscriber:_ -> 0.0)
     ?(channel = fun delay -> Some delay) ?(digest_window = 0.0) store =
@@ -209,8 +202,7 @@ let deliver_immediate t sub ~host event =
     let total = Float.max 0.0 total in
     (match t.obs with
     | Some { tracer = Some tr; _ } ->
-      add_event_note (Engine.Trace.note_buffer tr) event;
-      Engine.Trace.emit_noted tr ~dur:total ~peer:sub.subscriber Engine.Trace.Notify ~node:host
+      trace_notify tr ~dur:total ~host sub event
     | Some { tracer = None; _ } | None -> ());
     (match t.sim with
     | None -> fire 0.0
@@ -264,8 +256,7 @@ let deliver_digest t sim sub ~host event =
       let delay = total +. t.digest_window in
       (match t.obs with
       | Some { tracer = Some tr; _ } ->
-        add_event_note (Engine.Trace.note_buffer tr) event;
-        Engine.Trace.emit_noted tr ~dur:delay ~peer:sub.subscriber Engine.Trace.Notify ~node:host
+        trace_notify tr ~dur:delay ~host sub event
       | Some { tracer = None; _ } | None -> ());
       ignore
         (Sim.schedule sim ~delay (fun () -> flush_digest t sim ~subscriber:sub.subscriber ~key)))

@@ -71,11 +71,11 @@ val create :
     events on the digest path) and a [notify_digest_size] histogram
     (notifications per digest).  With [trace], every notification (or
     digest) that survives the channel emits a [Notify] span (node = map
-    host, peer = subscriber, dur = delivery delay) whose note names the
-    subject entry as ["<tag>:<entry>@<region>"] with [tag] one of
-    [pub]/[dep]/[load] — the convention {!Engine.Repair} keys on to
-    correlate repair traffic with injected faults (a digest's span
-    carries its opening notification's note). *)
+    host, peer = subscriber, dur = delivery delay) whose
+    [{change; entry; region}] payload names the event's kind, subject
+    entry and region — the fields {!Engine.Repair} matches to correlate
+    repair traffic with injected faults (a digest's span carries its
+    opening notification's payload). *)
 
 val store : t -> Softstate.Store.t
 

@@ -121,10 +121,6 @@ type t = {
 let region_key bits =
   Array.fold_left (fun acc b -> (acc lsl 1) lor b) 1 bits
 
-let region_name bits =
-  if Array.length bits = 0 then "root"
-  else String.concat "" (Array.to_list (Array.map string_of_int bits))
-
 (* The key is the sentinel-prefixed region path, so taking it mod the
    shard count spreads regions by their prefix bits; sibling regions land
    on different shards and each shard's heap is swept independently. *)
@@ -309,8 +305,7 @@ let publish t ~region ~node ~vector =
     Engine.Metrics.incr o.publishes;
     Option.iter
       (fun tr ->
-        Engine.Trace.emit tr ~peer:node ~note:(region_name region) Engine.Trace.Map_publish
-          ~node:host)
+        Engine.Trace.emit tr ~peer:node (Engine.Trace.Map_publish { region }) ~node:host)
       o.tracer
 
 let enclosing_regions ~span_bits path =
@@ -636,8 +631,7 @@ let observe_sweep t ~visited ~purged =
     Engine.Metrics.add o.expired (List.length purged);
     Option.iter
       (fun tr ->
-        Printf.bprintf (Engine.Trace.note_buffer tr) "%d purged" (List.length purged);
-        Engine.Trace.emit_noted tr Engine.Trace.Ttl_sweep ~node:(-1))
+        Engine.Trace.emit tr (Engine.Trace.Ttl_sweep { purged = List.length purged }) ~node:(-1))
       o.tracer
 
 let sweep_shard t i =

@@ -83,9 +83,9 @@ val create :
     depends only on the data and the shard count — never on the pool
     size — so they stay byte-identical between single- and multi-domain
     runs and serve as regression gates on the parallel plumbing.  With
-    [trace], every {!publish} emits a [Map_publish] span (node = map
-    host, peer = described node, note = region path bits) and every
-    sweep emits a [Ttl_sweep] span noting the purge count. *)
+    [trace], every {!publish} emits a [Map_publish {region}] span (node
+    = map host, peer = described node) and every sweep a
+    [Ttl_sweep {purged}] span. *)
 
 val can : t -> Can.Overlay.t
 val scheme : t -> Landmark.Number.scheme

@@ -158,7 +158,7 @@ let test_drop_regraft_latency () =
   let expected_orphans = Mcast.children t victim in
   now := 100.0;
   (* The victim crashed: record the fault the analyzer will attribute. *)
-  Trace.emit tracer ~note:"crash" Trace.Fault_inject ~node:victim;
+  Trace.emit tracer (Trace.Fault_inject Trace.Crash) ~node:victim;
   Hashtbl.replace gone victim ();
   Alcotest.(check bool) "drop detaches" true (Mcast.drop_member t victim);
   Alcotest.(check (list int)) "children orphaned" expected_orphans (Mcast.orphans t);
@@ -177,13 +177,20 @@ let test_drop_regraft_latency () =
   (* The regraft spans carry the dead parent and the orphanhood duration,
      and the analyzer attributes them to the crash. *)
   let spans = Trace.spans tracer in
-  let regraft_spans = List.filter (fun s -> s.Trace.kind = Trace.Mcast_regraft) spans in
+  let regraft_spans =
+    List.filter_map
+      (fun s ->
+        match s.Trace.kind with
+        | Trace.Mcast_regraft { lost_parent } -> Some (lost_parent, s.Trace.dur)
+        | _ -> None)
+      spans
+  in
   Alcotest.(check int) "one span per orphan" (List.length expected_orphans)
     (List.length regraft_spans);
   List.iter
-    (fun s ->
-      Alcotest.(check string) "victim tag" (Printf.sprintf "dead:%d" victim) s.Trace.note;
-      Alcotest.(check (float 1e-9)) "orphanhood duration" 350.0 s.Trace.dur)
+    (fun (lost_parent, dur) ->
+      Alcotest.(check int) "lost parent" victim lost_parent;
+      Alcotest.(check (float 1e-9)) "orphanhood duration" 350.0 dur)
     regraft_spans;
   let report = Repair.analyze spans in
   Alcotest.(check int) "analyzer found the regrafts"

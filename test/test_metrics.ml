@@ -151,7 +151,9 @@ let test_trace_basic () =
   now := 5.0;
   Trace.emit t Trace.Route_hop ~node:1 ~peer:2;
   now := 9.0;
-  Trace.emit t ~dur:3.0 ~note:"x" Trace.Notify ~node:4;
+  Trace.emit t ~dur:3.0
+    (Trace.Notify { change = Trace.Departed; entry = 7; region = [| 1; 0 |] })
+    ~node:4;
   Alcotest.(check int) "emitted" 2 (Trace.emitted t);
   match Trace.spans t with
   | [ a; b ] ->
@@ -159,27 +161,42 @@ let test_trace_basic () =
     Alcotest.(check int) "peer" 2 a.Trace.peer;
     Alcotest.(check int) "seq increments" 1 b.Trace.seq;
     Alcotest.(check (float 0.0)) "dur" 3.0 b.Trace.dur;
-    Alcotest.(check string) "note" "x" b.Trace.note
+    (match b.Trace.kind with
+    | Trace.Notify { change = Trace.Departed; entry; region } ->
+      Alcotest.(check int) "entry" 7 entry;
+      Alcotest.(check (array int)) "region" [| 1; 0 |] region
+    | _ -> Alcotest.fail "expected a departure Notify payload")
   | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l)
 
 let test_trace_wraparound () =
   let t = Trace.create ~capacity:4 () in
   for i = 0 to 9 do
-    Trace.emit t ~at:(float_of_int i) Trace.Ttl_sweep ~node:i
+    Trace.emit t ~at:(float_of_int i) (Trace.Ttl_sweep { purged = i }) ~node:i
   done;
   Alcotest.(check int) "emitted" 10 (Trace.emitted t);
   Alcotest.(check int) "length capped" 4 (Trace.length t);
   Alcotest.(check int) "dropped" 6 (Trace.dropped t);
   let nodes = List.map (fun s -> s.Trace.node) (Trace.spans t) in
+  let purged =
+    List.map
+      (fun s -> match s.Trace.kind with Trace.Ttl_sweep { purged } -> purged | _ -> -1)
+      (Trace.spans t)
+  in
+  Alcotest.(check (list int)) "payloads travel with their spans" [ 6; 7; 8; 9 ] purged;
   (* Oldest spans were overwritten; the survivors are the last 4, in
      emission order. *)
   Alcotest.(check (list int)) "newest retained oldest-first" [ 6; 7; 8; 9 ] nodes;
   let seqs = List.map (fun s -> s.Trace.seq) (Trace.spans t) in
   Alcotest.(check (list int)) "seq never reused" [ 6; 7; 8; 9 ] seqs
 
+let json_note j =
+  Option.bind (Json.member "args" j) (fun a -> Option.bind (Json.member "note" a) Json.to_string_opt)
+
 let test_trace_jsonl () =
   let t = Trace.create () in
-  Trace.emit t ~at:1.5 ~dur:0.25 ~peer:7 ~note:"r" Trace.Rtt_probe ~node:3;
+  Trace.emit t ~at:1.5 ~dur:0.25 ~peer:7
+    (Trace.Rtt_probe (Some { Trace.queue_ms = 0.5; attempt = 2 }))
+    ~node:3;
   let lines = String.split_on_char '\n' (String.trim (Trace.to_jsonl t)) in
   Alcotest.(check int) "one line per span" 1 (List.length lines);
   match Json.of_string (List.hd lines) with
@@ -192,7 +209,125 @@ let test_trace_jsonl () =
     (* Chrome trace events use microseconds; sim time is milliseconds. *)
     Alcotest.(check (option (float 1e-9))) "ts in us" (Some 1500.0) (num "ts");
     Alcotest.(check (option (float 1e-9))) "dur in us" (Some 250.0) (num "dur");
-    Alcotest.(check (option (float 1e-9))) "tid is node" (Some 3.0) (num "tid")
+    Alcotest.(check (option (float 1e-9))) "tid is node" (Some 3.0) (num "tid");
+    Alcotest.(check (option string)) "payload rendered as the note" (Some "q=0.5;try=2")
+      (json_note j)
+
+(* Reference model for the note renderer: every note format written out
+   independently of [Trace].  Trace consumers and the byte-identity of
+   [topoaware trace] dumps depend on these exact strings. *)
+let ref_region bits =
+  if Array.length bits = 0 then "root"
+  else String.concat "" (List.map string_of_int (Array.to_list bits))
+
+let ref_note = function
+  | Trace.Route_hop | Trace.Rtt_probe None -> ""
+  | Trace.Rtt_probe (Some { Trace.queue_ms; attempt }) ->
+    Printf.sprintf "q=%g;try=%d" queue_ms attempt
+  | Trace.Map_publish { region } -> ref_region region
+  | Trace.Notify { change; entry; region } ->
+    let tag =
+      match change with Trace.Published -> "pub" | Trace.Departed -> "dep" | Trace.Load_changed -> "load"
+    in
+    Printf.sprintf "%s:%d@%s" tag entry (ref_region region)
+  | Trace.Ttl_sweep { purged } -> Printf.sprintf "%d purged" purged
+  | Trace.Fault_inject Trace.Crash -> "crash"
+  | Trace.Fault_inject Trace.Leave -> "leave"
+  | Trace.Fault_inject Trace.Join -> "join"
+  | Trace.Fault_inject (Trace.Expire f) -> Printf.sprintf "expire %.3f" f
+  | Trace.Fault_inject Trace.Channel_drop -> "channel drop"
+  | Trace.Cache_request { outcome; key } ->
+    let tag = match outcome with Trace.Hit -> "hit" | Trace.Miss -> "miss" | Trace.Shed -> "shed" in
+    Printf.sprintf "%s:%d" tag key
+  | Trace.Cache_replicate { key } -> string_of_int key
+  | Trace.Mcast_deliver { publish } -> Printf.sprintf "pub:%d" publish
+  | Trace.Mcast_regraft { lost_parent } -> Printf.sprintf "dead:%d" lost_parent
+
+let gen_kind =
+  QCheck.Gen.(
+    let id = int_range 0 100_000 in
+    let region = map Array.of_list (list_size (int_range 0 12) (int_range 0 1)) in
+    let ms = oneof [ map float_of_int (int_range 0 5000); float_range 0.0 1e6 ] in
+    oneof
+      [
+        return Trace.Route_hop;
+        return (Trace.Rtt_probe None);
+        map2 (fun queue_ms attempt -> Trace.Rtt_probe (Some { Trace.queue_ms; attempt })) ms
+          (int_range 1 5);
+        map (fun region -> Trace.Map_publish { region }) region;
+        map3
+          (fun change entry region -> Trace.Notify { change; entry; region })
+          (oneofl [ Trace.Published; Trace.Departed; Trace.Load_changed ])
+          id region;
+        map (fun purged -> Trace.Ttl_sweep { purged }) (int_range 0 10_000);
+        map
+          (fun f -> Trace.Fault_inject f)
+          (oneof
+             [
+               oneofl [ Trace.Crash; Trace.Leave; Trace.Join; Trace.Channel_drop ];
+               map (fun f -> Trace.Expire f) (float_range 0.0 1.0);
+             ]);
+        map2
+          (fun outcome key -> Trace.Cache_request { outcome; key })
+          (oneofl [ Trace.Hit; Trace.Miss; Trace.Shed ])
+          id;
+        map (fun key -> Trace.Cache_replicate { key }) id;
+        map (fun publish -> Trace.Mcast_deliver { publish }) id;
+        map (fun lost_parent -> Trace.Mcast_regraft { lost_parent }) id;
+      ])
+
+let qcheck_note_reference =
+  QCheck.Test.make ~name:"span_json notes match the reference note formats" ~count:1000
+    (QCheck.make ~print:(fun k -> Trace.kind_name k ^ " " ^ ref_note k) gen_kind)
+    (fun kind ->
+      let s = { Trace.seq = 0; at = 0.0; dur = 0.0; kind; node = 1; peer = 2 } in
+      let expected = ref_note kind in
+      json_note (Trace.span_json s) = if expected = "" then None else Some expected)
+
+(* One literal line per kind pins the whole event shape, including the
+   cache and multicast kinds [topoaware trace] never emits. *)
+let test_trace_jsonl_literals () =
+  let line ?(peer = 4) kind =
+    Json.to_string
+      (Trace.span_json { Trace.seq = 9; at = 2.5; dur = 0.125; kind; node = 3; peer })
+  in
+  let expect name note kind =
+    let note = if note = "" then "" else Printf.sprintf {|,"note":"%s"|} note in
+    Alcotest.(check string) name
+      (Printf.sprintf
+         {|{"name":"%s","cat":"topo","ph":"X","ts":2500.0,"dur":125.0,"pid":0,"tid":3,"args":{"seq":9,"peer":4%s}}|}
+         name note)
+      (line kind)
+  in
+  expect "route_hop" "" Trace.Route_hop;
+  expect "rtt_probe" "" (Trace.Rtt_probe None);
+  expect "rtt_probe" "q=12.75;try=3"
+    (Trace.Rtt_probe (Some { Trace.queue_ms = 12.75; attempt = 3 }));
+  expect "map_publish" "root" (Trace.Map_publish { region = [||] });
+  expect "map_publish" "0110" (Trace.Map_publish { region = [| 0; 1; 1; 0 |] });
+  expect "notify" "pub:42@01"
+    (Trace.Notify { change = Trace.Published; entry = 42; region = [| 0; 1 |] });
+  expect "notify" "dep:7@root"
+    (Trace.Notify { change = Trace.Departed; entry = 7; region = [||] });
+  expect "notify" "load:5@1"
+    (Trace.Notify { change = Trace.Load_changed; entry = 5; region = [| 1 |] });
+  expect "ttl_sweep" "3 purged" (Trace.Ttl_sweep { purged = 3 });
+  expect "fault_inject" "crash" (Trace.Fault_inject Trace.Crash);
+  expect "fault_inject" "leave" (Trace.Fault_inject Trace.Leave);
+  expect "fault_inject" "join" (Trace.Fault_inject Trace.Join);
+  expect "fault_inject" "expire 0.100" (Trace.Fault_inject (Trace.Expire 0.1));
+  expect "fault_inject" "channel drop" (Trace.Fault_inject Trace.Channel_drop);
+  expect "cache_request" "hit:11" (Trace.Cache_request { outcome = Trace.Hit; key = 11 });
+  expect "cache_request" "miss:12"
+    (Trace.Cache_request { outcome = Trace.Miss; key = 12 });
+  expect "cache_request" "shed:13"
+    (Trace.Cache_request { outcome = Trace.Shed; key = 13 });
+  expect "cache_replicate" "14" (Trace.Cache_replicate { key = 14 });
+  expect "mcast_deliver" "pub:2" (Trace.Mcast_deliver { publish = 2 });
+  expect "mcast_regraft" "dead:8" (Trace.Mcast_regraft { lost_parent = 8 });
+  Alcotest.(check string) "no peer, no note"
+    {|{"name":"route_hop","cat":"topo","ph":"X","ts":2500.0,"dur":125.0,"pid":0,"tid":3,"args":{"seq":9}}|}
+    (line ~peer:(-1) Trace.Route_hop)
 
 (* ---- route observer ---- *)
 
@@ -234,5 +369,7 @@ let suite =
     Alcotest.test_case "trace basics" `Quick test_trace_basic;
     Alcotest.test_case "trace ring wraparound" `Quick test_trace_wraparound;
     Alcotest.test_case "trace JSONL is Chrome-trace shaped" `Quick test_trace_jsonl;
+    QCheck_alcotest.to_alcotest qcheck_note_reference;
+    Alcotest.test_case "one literal JSONL line per span kind" `Quick test_trace_jsonl_literals;
     Alcotest.test_case "route observer accounting" `Quick test_route_obs;
   ]

@@ -19,8 +19,15 @@ module Ecan_exp = Ecan.Expressway
 module Exp_repair = Workload.Exp_repair
 module Json = Prelude.Json
 
-let span ?(dur = 0.0) ?(node = -1) ?(peer = -1) ?(note = "") ~seq ~at kind =
-  { Trace.seq; at; dur; kind; node; peer; note }
+let span ?(dur = 0.0) ?(node = -1) ?(peer = -1) ~seq ~at kind =
+  { Trace.seq; at; dur; kind; node; peer }
+
+let crash = Trace.Fault_inject Trace.Crash
+let leave = Trace.Fault_inject Trace.Leave
+let publish region = Trace.Map_publish { region }
+let notify change entry region = Trace.Notify { change; entry; region }
+let dep = notify Trace.Departed
+let sweep purged = Trace.Ttl_sweep { purged }
 
 (* ---- hand-built correlation cases ---- *)
 
@@ -28,11 +35,11 @@ let span ?(dur = 0.0) ?(node = -1) ?(peer = -1) ?(note = "") ~seq ~at kind =
 let test_single_crash () =
   let spans =
     [
-      span ~seq:0 ~at:50.0 ~node:7 ~peer:7 ~note:"01" Trace.Map_publish;
-      span ~seq:1 ~at:100.0 ~node:7 ~note:"crash" Trace.Fault_inject;
-      span ~seq:2 ~at:130.0 ~node:(-1) ~note:"2 purged" Trace.Ttl_sweep;
-      span ~seq:3 ~at:130.0 ~dur:20.0 ~node:3 ~peer:4 ~note:"dep:7@01" Trace.Notify;
-      span ~seq:4 ~at:130.0 ~dur:45.0 ~node:3 ~peer:5 ~note:"dep:7@01" Trace.Notify;
+      span ~seq:0 ~at:50.0 ~node:7 ~peer:7 (publish [| 0; 1 |]);
+      span ~seq:1 ~at:100.0 ~node:7 crash;
+      span ~seq:2 ~at:130.0 ~node:(-1) (sweep 2);
+      span ~seq:3 ~at:130.0 ~dur:20.0 ~node:3 ~peer:4 (dep 7 [| 0; 1 |]);
+      span ~seq:4 ~at:130.0 ~dur:45.0 ~node:3 ~peer:5 (dep 7 [| 0; 1 |]);
     ]
   in
   let r = Repair.analyze spans in
@@ -48,17 +55,23 @@ let test_single_crash () =
   Alcotest.(check (list string)) "region set" [ "01" ] rec0.Repair.regions
 
 (* A fault with no matching notifications stays unrepaired; notifications
-   about other nodes or sent before the injection never attach to it. *)
+   about other nodes, sent before the injection or not about a departure
+   never attach to it, and a plan-level fault span (node -1, as
+   [Faults.install] emits) is not a resolved fault. *)
 let test_unrepaired_and_misattribution () =
   let spans =
     [
-      span ~seq:0 ~at:10.0 ~dur:5.0 ~node:3 ~peer:4 ~note:"dep:7@root" Trace.Notify;
+      span ~seq:0 ~at:10.0 ~dur:5.0 ~node:3 ~peer:4 (dep 7 [||]);
       (* pre-injection: must not count *)
-      span ~seq:1 ~at:100.0 ~node:7 ~note:"crash" Trace.Fault_inject;
-      span ~seq:2 ~at:150.0 ~dur:5.0 ~node:3 ~peer:4 ~note:"dep:9@root" Trace.Notify;
+      span ~seq:1 ~at:100.0 ~node:7 crash;
+      span ~seq:2 ~at:150.0 ~dur:5.0 ~node:3 ~peer:4 (dep 9 [||]);
       (* other victim *)
-      span ~seq:3 ~at:150.0 ~dur:5.0 ~node:3 ~peer:4 ~note:"pub:7@root" Trace.Notify;
-      (* wrong tag *)
+      span ~seq:3 ~at:150.0 ~dur:5.0 ~node:3 ~peer:4 (notify Trace.Published 7 [||]);
+      (* wrong change *)
+      span ~seq:4 ~at:100.0 crash;
+      (* the plan-level twin of the crash: no victim *)
+      span ~seq:5 ~at:160.0 ~dur:5.0 ~node:3 ~peer:4 (notify Trace.Load_changed 7 [||]);
+      (* a load change of the victim is not repair traffic *)
     ]
   in
   let r = Repair.analyze spans in
@@ -73,10 +86,10 @@ let test_unrepaired_and_misattribution () =
 let test_reinjection_attribution () =
   let spans =
     [
-      span ~seq:0 ~at:100.0 ~node:7 ~note:"crash" Trace.Fault_inject;
-      span ~seq:1 ~at:120.0 ~dur:10.0 ~node:3 ~peer:4 ~note:"dep:7@root" Trace.Notify;
-      span ~seq:2 ~at:500.0 ~node:7 ~note:"leave" Trace.Fault_inject;
-      span ~seq:3 ~at:530.0 ~dur:10.0 ~node:3 ~peer:4 ~note:"dep:7@root" Trace.Notify;
+      span ~seq:0 ~at:100.0 ~node:7 crash;
+      span ~seq:1 ~at:120.0 ~dur:10.0 ~node:3 ~peer:4 (dep 7 [||]);
+      span ~seq:2 ~at:500.0 ~node:7 leave;
+      span ~seq:3 ~at:530.0 ~dur:10.0 ~node:3 ~peer:4 (dep 7 [||]);
     ]
   in
   let r = Repair.analyze spans in
@@ -94,11 +107,11 @@ let test_reinjection_attribution () =
 let test_region_restriction () =
   let spans =
     [
-      span ~seq:0 ~at:10.0 ~node:7 ~peer:7 ~note:"00" Trace.Map_publish;
-      span ~seq:1 ~at:100.0 ~node:7 ~note:"crash" Trace.Fault_inject;
-      span ~seq:2 ~at:150.0 ~dur:5.0 ~node:3 ~peer:4 ~note:"dep:7@11" Trace.Notify;
+      span ~seq:0 ~at:10.0 ~node:7 ~peer:7 (publish [| 0; 0 |]);
+      span ~seq:1 ~at:100.0 ~node:7 crash;
+      span ~seq:2 ~at:150.0 ~dur:5.0 ~node:3 ~peer:4 (dep 7 [| 1; 1 |]);
       (* foreign region: ignored *)
-      span ~seq:3 ~at:180.0 ~dur:5.0 ~node:3 ~peer:4 ~note:"dep:7@00" Trace.Notify;
+      span ~seq:3 ~at:180.0 ~dur:5.0 ~node:3 ~peer:4 (dep 7 [| 0; 0 |]);
     ]
   in
   let r = Repair.analyze spans in
@@ -112,14 +125,14 @@ let test_region_restriction () =
 let test_republish_count () =
   let spans =
     [
-      span ~seq:0 ~at:10.0 ~node:7 ~peer:7 ~note:"0" Trace.Map_publish;
-      span ~seq:1 ~at:100.0 ~node:7 ~note:"crash" Trace.Fault_inject;
-      span ~seq:2 ~at:110.0 ~node:3 ~peer:9 ~note:"0" Trace.Map_publish;
+      span ~seq:0 ~at:10.0 ~node:7 ~peer:7 (publish [| 0 |]);
+      span ~seq:1 ~at:100.0 ~node:7 crash;
+      span ~seq:2 ~at:110.0 ~node:3 ~peer:9 (publish [| 0 |]);
       (* counted *)
-      span ~seq:3 ~at:115.0 ~node:3 ~peer:9 ~note:"1" Trace.Map_publish;
+      span ~seq:3 ~at:115.0 ~node:3 ~peer:9 (publish [| 1 |]);
       (* foreign region *)
-      span ~seq:4 ~at:120.0 ~dur:10.0 ~node:3 ~peer:4 ~note:"dep:7@0" Trace.Notify;
-      span ~seq:5 ~at:500.0 ~node:3 ~peer:9 ~note:"0" Trace.Map_publish;
+      span ~seq:4 ~at:120.0 ~dur:10.0 ~node:3 ~peer:4 (dep 7 [| 0 |]);
+      span ~seq:5 ~at:500.0 ~node:3 ~peer:9 (publish [| 0 |]);
       (* after repair *)
     ]
   in
@@ -141,9 +154,9 @@ let test_dist_of () =
 let test_record_metrics () =
   let spans =
     [
-      span ~seq:0 ~at:100.0 ~node:7 ~note:"crash" Trace.Fault_inject;
-      span ~seq:1 ~at:120.0 ~dur:10.0 ~node:3 ~peer:4 ~note:"dep:7@root" Trace.Notify;
-      span ~seq:2 ~at:200.0 ~node:9 ~note:"leave" Trace.Fault_inject;
+      span ~seq:0 ~at:100.0 ~node:7 crash;
+      span ~seq:1 ~at:120.0 ~dur:10.0 ~node:3 ~peer:4 (dep 7 [||]);
+      span ~seq:2 ~at:200.0 ~node:9 leave;
     ]
   in
   let m = Metrics.create () in
@@ -170,21 +183,19 @@ let arbitrary_spans =
       let fault_span seq =
         map2
           (fun v (at, crash) ->
-            span ~seq ~at ~node:v ~note:(if crash then "crash" else "leave") Trace.Fault_inject)
+            span ~seq ~at ~node:v (Trace.Fault_inject (if crash then Trace.Crash else Trace.Leave)))
           victim (pair time bool)
       in
       let notify_span seq =
         map2
           (fun v (at, dur) ->
-            span ~seq ~at ~dur ~node:0 ~peer:1
-              ~note:(Printf.sprintf "dep:%d@root" v)
-              Trace.Notify)
+            span ~seq ~at ~dur ~node:0 ~peer:1 (dep v [||]))
           victim
           (pair time (map float_of_int (int_range 0 100)))
       in
-      let sweep_span seq = map (fun at -> span ~seq ~at ~note:"1 purged" Trace.Ttl_sweep) time in
+      let sweep_span seq = map (fun at -> span ~seq ~at (sweep 1)) time in
       let publish_span seq =
-        map2 (fun v at -> span ~seq ~at ~node:0 ~peer:v ~note:"root" Trace.Map_publish) victim time
+        map2 (fun v at -> span ~seq ~at ~node:0 ~peer:v (publish [||])) victim time
       in
       let any seq = oneof [ fault_span seq; notify_span seq; sweep_span seq; publish_span seq ] in
       sized (fun n ->
@@ -201,8 +212,9 @@ let qcheck_partition_and_monotone =
         List.length
           (List.filter
              (fun (s : Trace.span) ->
-               s.Trace.kind = Trace.Fault_inject && s.Trace.node >= 0
-               && (s.Trace.note = "crash" || s.Trace.note = "leave"))
+               match s.Trace.kind with
+               | Trace.Fault_inject (Trace.Crash | Trace.Leave) -> s.Trace.node >= 0
+               | _ -> false)
              spans)
       in
       let repaired = List.filter Repair.repaired r.Repair.records in
