@@ -10,11 +10,15 @@ type node = {
 
 (* The members of one path prefix, oldest-indexed first, in a growable
    array.  Removal compacts in place and keeps the order, so a re-indexed
-   node (a split owner, a merged sibling) moves to the newest end. *)
+   node (a split owner, a merged sibling) moves to the newest end.
+   [newest] caches the newest-first snapshot that [newest_first] hands
+   out; [add] and [remove], the only writers, drop it ([[||]]: a set in
+   the index is never empty), and a snapshot is never written after it
+   is built, so arrays handed out earlier keep their contents. *)
 module Members = struct
-  type t = { mutable ids : int array; mutable len : int }
+  type t = { mutable ids : int array; mutable len : int; mutable newest : int array }
 
-  let singleton id = { ids = Array.make 4 id; len = 1 }
+  let singleton id = { ids = Array.make 4 id; len = 1; newest = [||] }
 
   let add m id =
     if m.len = Array.length m.ids then begin
@@ -23,7 +27,8 @@ module Members = struct
       m.ids <- ids
     end;
     m.ids.(m.len) <- id;
-    m.len <- m.len + 1
+    m.len <- m.len + 1;
+    m.newest <- [||]
 
   let remove m id =
     let i = ref 0 in
@@ -32,10 +37,19 @@ module Members = struct
     done;
     if !i < m.len then begin
       Array.blit m.ids (!i + 1) m.ids !i (m.len - !i - 1);
-      m.len <- m.len - 1
+      m.len <- m.len - 1;
+      m.newest <- [||]
     end
 
-  let newest_first m = Array.init m.len (fun i -> m.ids.(m.len - 1 - i))
+  let newest_first m =
+    if Array.length m.newest = 0 then begin
+      let a = Array.make m.len 0 in
+      for i = 0 to m.len - 1 do
+        a.(i) <- m.ids.(m.len - 1 - i)
+      done;
+      m.newest <- a
+    end;
+    m.newest
 end
 
 (* A route's visited set and hop buffer, reused from route to route.

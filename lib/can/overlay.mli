@@ -145,9 +145,37 @@ val path_of_point_into : t -> Geometry.Point.t -> int array -> unit
 val zone_of_path : dims:int -> int array -> Geometry.Zone.t
 (** The dyadic box a path denotes. *)
 
+module Members : sig
+  type t
+  (** The members of one path prefix, the set behind
+      {!members_with_prefix}.  Exposed so its snapshot contract can be
+      tested on its own; the overlay keeps one per prefix. *)
+
+  val singleton : int -> t
+
+  val add : t -> int -> unit
+  (** Append a member at the newest end. *)
+
+  val remove : t -> int -> unit
+  (** Drop a member, keeping the others' order; absent ids are ignored. *)
+
+  val newest_first : t -> int array
+  (** The members, newest first: a snapshot built on the first call after
+      an {!add} or a {!remove} that changed the set and shared by every
+      call until the next one.  Read-only; later changes replace it and
+      never write to it. *)
+end
+
 val members_with_prefix : t -> int array -> int array
 (** Members whose path starts with the given bits (the population of a
-    high-order zone), as a fresh array.  O(result).
+    high-order zone).  O(result) on the first call after a membership
+    change, O(depth) after that.
+
+    The array is a shared snapshot, not a copy: two calls with no join
+    or leave in between return the physically same array, so callers
+    must treat it as read-only.  The next {!join} or {!leave} that
+    changes the prefix's membership makes the following call return a
+    fresh array; arrays handed out earlier keep their contents.
 
     The order is newest-indexed first: a member moves to the front of
     every prefix of its path when it joins, when its zone splits or

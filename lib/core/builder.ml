@@ -61,6 +61,19 @@ type t = {
 
 let vector_of t node = Hashtbl.find t.vectors node
 
+(* [take_others ~node entries out 0] writes the first entries of
+   [entries] that are not [node]'s own into [out], in order, until [out]
+   is full, and returns how many it wrote. *)
+let rec take_others ~node entries out i =
+  match entries with
+  | (e : Store.Entry.t) :: rest when i < Array.length out ->
+    if e.Store.Entry.node = node then take_others ~node rest out i
+    else begin
+      out.(i) <- e;
+      take_others ~node rest out (i + 1)
+    end
+  | _ -> i
+
 (* Common shape of the soft-state strategies: one map lookup, then at most
    [rtts] RTT probes, choosing the candidate minimising [score]. *)
 let lookup_probe_selector t ~rtts ~lookup_results ~lookup_ttl ~score : Ecan_exp.selector =
@@ -69,33 +82,37 @@ let lookup_probe_selector t ~rtts ~lookup_results ~lookup_ttl ~score : Ecan_exp.
   let entries =
     Store.lookup t.store ~region ~vector ~max_results:lookup_results ~ttl:lookup_ttl ()
   in
-  let probes =
-    List.filteri (fun i _ -> i < rtts)
-      (List.filter (fun (e : Store.Entry.t) -> e.Store.Entry.node <> node) entries)
+  let probed =
+    match entries with
+    | [] -> [||]
+    | first :: _ -> Array.make (min rtts (List.length entries)) first
   in
-  match probes with
-  | [] ->
+  match take_others ~node entries probed 0 with
+  | 0 ->
     (* An empty map (nothing published yet, or over-condensed past the
        lookup's TTL reach): degrade to a blind pick. *)
     Some (Rng.pick t.rng candidates)
-  | probes ->
+  | n ->
     (* The candidate probes form one batch through the probe plane: at
        window 1 this is the seed's sequential measurement loop, at wider
        windows the slot's selection cost collapses toward the max RTT. *)
-    let dsts = Array.of_list (List.map (fun (e : Store.Entry.t) -> e.Store.Entry.node) probes) in
+    let dsts = Array.make n 0 in
+    for i = 0 to n - 1 do
+      dsts.(i) <- probed.(i).Store.Entry.node
+    done;
     let batch = Engine.Probe.run_batch t.prober ~src:node ~dsts in
-    let best = ref None in
-    List.iteri
-      (fun i (e : Store.Entry.t) ->
-        match batch.Engine.Probe.results.(i) with
-        | Error _ -> ()
-        | Ok rtt ->
-          let s = score ~rtt ~entry:e in
-          (match !best with
-          | Some (bs, _) when bs <= s -> ()
-          | _ -> best := Some (s, e.Store.Entry.node)))
-      probes;
-    (match !best with Some (_, n) -> Some n | None -> None)
+    let best = ref (-1) and best_score = ref infinity in
+    for i = 0 to n - 1 do
+      match batch.Engine.Probe.results.(i) with
+      | Error _ -> ()
+      | Ok rtt ->
+        let s = score ~rtt ~entry:probed.(i) in
+        if !best < 0 || not (!best_score <= s) then begin
+          best := i;
+          best_score := s
+        end
+    done;
+    if !best < 0 then None else Some dsts.(!best)
 
 let selector t strategy : Ecan_exp.selector =
   match strategy with

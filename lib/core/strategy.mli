@@ -23,10 +23,14 @@ type t =
   | Optimal
 
 val hybrid : ?lookup_results:int -> ?lookup_ttl:int -> rtts:int -> unit -> t
-(** [Hybrid] with defaults [lookup_results = max 16 rtts], [lookup_ttl = 2]. *)
+(** [Hybrid] with defaults [lookup_results = max 16 rtts], [lookup_ttl = 2].
+    Raises [Invalid_argument] if [rtts < 1], [lookup_results < 1] or
+    [lookup_ttl < 0]. *)
 
 val load_aware :
   ?lookup_results:int -> ?lookup_ttl:int -> ?load_weight:float -> rtts:int -> unit -> t
-(** [Load_aware] with the same lookup defaults and [load_weight = 1.0]. *)
+(** [Load_aware] with the same lookup defaults and [load_weight = 1.0].
+    Raises [Invalid_argument] under the same conditions as {!hybrid}, or
+    if [load_weight < 0]. *)
 
 val to_string : t -> string

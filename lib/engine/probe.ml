@@ -43,7 +43,7 @@ type t = {
   faults : Faults.t option;
   pool : Dpool.t option;
       (* when present, batch measurements are prefetched in parallel and
-         the classic sequential schedule replayed against the memo *)
+         the classic sequential schedule replayed against them *)
   cache : (int * int, cache_entry) Hashtbl.t;
   obs : instruments option;
   dobs : (Metrics.counter * Metrics.counter) option;
@@ -116,8 +116,8 @@ let create ?metrics ?(labels = []) ?trace ?faults ?sim ?clock ?pool
 
 let config t = t.config
 
-let obs_incr t f = match t.obs with Some o -> Metrics.incr (f o) | None -> ()
-let obs_observe t f v = match t.obs with Some o -> Metrics.observe (f o) v | None -> ()
+let[@inline] obs_incr t f = match t.obs with Some o -> Metrics.incr (f o) | None -> ()
+let[@inline] obs_observe t f v = match t.obs with Some o -> Metrics.observe (f o) v | None -> ()
 
 (* The cache is keyed directionally: re-probing the same destination from
    the same source is the reuse pattern (selection and maintenance re-rank
@@ -153,7 +153,7 @@ let cached_fresh t ~src ~dst ~now =
   | Some e -> e.expires > now
   | None -> false
 
-let cache_store t ~src ~dst ~at rtt =
+let[@inline] cache_store t ~src ~dst ~at rtt =
   if t.config.cache_ttl > 0.0 then
     Hashtbl.replace t.cache (src, dst) { rtt; expires = at +. t.config.cache_ttl }
 
@@ -165,67 +165,50 @@ let invalidate t node =
   in
   List.iter (Hashtbl.remove t.cache) doomed
 
-(* One probe's attempt schedule starting when its window slot frees at
-   [at]: measure, let the channel decide the attempt's fate, and either
-   complete or burn the timeout + backoff and try again.  Returns the
-   outcome together with the slot's release time and the attempts spent. *)
-let run_attempts t ~measure ~src ~dst ~at =
-  let cfg = t.config in
-  (* A lost probe with an infinite timeout would never be detected; model
-     detection as instant so the schedule stays finite. *)
-  let detect = if Float.is_finite cfg.timeout then cfg.timeout else 0.0 in
-  let rec go k at =
-    let rtt = measure src dst in
-    obs_incr t (fun o -> o.i_measured);
-    let fate =
-      match t.faults with None -> Some rtt | Some f -> Faults.perturb f rtt
-    in
-    match fate with
-    | Some d when d <= cfg.timeout -> (Ok d, at +. d, k)
-    | fate ->
-      (match fate with
-      | None -> obs_incr t (fun o -> o.i_losses)
-      | Some _ -> obs_incr t (fun o -> o.i_timeouts));
-      let at = at +. detect in
-      if k > cfg.retries then (Error { src; dst; attempts = k }, at, k)
-      else begin
-        obs_incr t (fun o -> o.i_retries);
-        go (k + 1) (at +. (cfg.backoff *. (2.0 ** float_of_int (k - 1))))
-      end
-  in
-  go 1 at
-
 (* Phase 1 of a pool-backed batch: measure every {e unique, uncached}
-   destination in parallel and memoise the RTTs.  The replay (phase 2)
-   consumes each memo entry on that destination's {e first} measurement
-   and calls [t.measure] directly for any further attempt or duplicate —
-   so as long as the measurement function is deterministic per pair (and
-   domain-safe), the RTT values, the total call count against the
-   underlying oracle, and every downstream decision are byte-identical to
-   the sequential path; only which domain performed a call changes.
+   destination in parallel into flat arrays.  The replay (phase 2)
+   consumes each prefetched RTT on that destination's {e first}
+   measurement and calls [t.measure] directly for any further attempt or
+   duplicate — so as long as the measurement function is deterministic
+   per pair (and domain-safe), the RTT values, the total call count
+   against the underlying oracle, and every downstream decision are
+   byte-identical to the sequential path; only which domain performed a
+   call changes.
 
    Chunking is fixed at [prefetch_chunk] destinations per task, so the
    dispatch structure (and the [domain_*] counters) depends only on the
    batch contents, never on the pool size. *)
 let prefetch_chunk = 8
 
+type prefetched = {
+  uniq : int array;  (* the first [count] are the unique destinations, first occurrence first *)
+  count : int;
+  rtts : float array;  (* [rtts.(i)]: the measured RTT to [uniq.(i)] *)
+  consumed : Bytes.t;  (* byte [i] is set once the replay has used [rtts.(i)] *)
+}
+
+let nothing_prefetched = { uniq = [||]; count = 0; rtts = [||]; consumed = Bytes.empty }
+
+(* Batches are a handful of candidates or landmarks, so membership is a
+   scan of the destinations found so far. *)
 let prefetch t ~src ~dsts ~now =
   match t.pool with
-  | None -> None
-  | Some _ when Array.length dsts < 2 -> None (* fewer than two to prefetch *)
-  | Some pool ->
-    let seen = Hashtbl.create 16 in
-    let uniq = ref [] in
-    Array.iter
-      (fun dst ->
-        if (not (Hashtbl.mem seen dst)) && not (cached_fresh t ~src ~dst ~now) then begin
-          Hashtbl.replace seen dst ();
-          uniq := dst :: !uniq
-        end)
-      dsts;
-    let uniq = Array.of_list (List.rev !uniq) in
-    let n = Array.length uniq in
-    if n < 2 then None
+  | Some pool when Array.length dsts >= 2 ->
+    let uniq = Array.make (Array.length dsts) 0 in
+    let count = ref 0 in
+    for j = 0 to Array.length dsts - 1 do
+      let dst = dsts.(j) in
+      let i = ref 0 in
+      while !i < !count && uniq.(!i) <> dst do
+        incr i
+      done;
+      if !i = !count && not (cached_fresh t ~src ~dst ~now) then begin
+        uniq.(!count) <- dst;
+        incr count
+      end
+    done;
+    let n = !count in
+    if n < 2 then nothing_prefetched
     else begin
       let tasks = (n + prefetch_chunk - 1) / prefetch_chunk in
       (match t.dobs with
@@ -233,75 +216,106 @@ let prefetch t ~src ~dsts ~now =
         Metrics.incr batches;
         Metrics.add task_count tasks
       | None -> ());
-      let slices =
-        Dpool.run pool tasks (fun j ->
-            let lo = j * prefetch_chunk in
-            let hi = min n (lo + prefetch_chunk) in
-            Array.init (hi - lo) (fun k -> t.measure src uniq.(lo + k)))
-      in
-      let memo = Hashtbl.create n in
-      Array.iteri
-        (fun j slice ->
-          Array.iteri
-            (fun k rtt -> Hashtbl.replace memo uniq.((j * prefetch_chunk) + k) rtt)
-            slice)
-        slices;
-      Some memo
+      (* Each task writes its own chunk of [rtts]; the pool's latch
+         publishes them before [Dpool.run] returns. *)
+      let rtts = Array.make n 0.0 in
+      ignore
+        (Dpool.run pool tasks (fun j ->
+             for k = j * prefetch_chunk to min n ((j + 1) * prefetch_chunk) - 1 do
+               rtts.(k) <- t.measure src uniq.(k)
+             done));
+      { uniq; count = n; rtts; consumed = Bytes.make n '\000' }
     end
+  | Some _ | None -> nothing_prefetched
+
+(* The replay's measurement of [dst]: the prefetched RTT the first time,
+   a real measurement for any retry or duplicate, so the oracle sees the
+   sequential path's call count exactly. *)
+let[@inline] measure_once t pf ~src ~dst =
+  let i = ref 0 in
+  while !i < pf.count && pf.uniq.(!i) <> dst do
+    incr i
+  done;
+  if !i < pf.count && Bytes.get pf.consumed !i = '\000' then begin
+    Bytes.set pf.consumed !i '\001';
+    pf.rtts.(!i)
+  end
+  else t.measure src dst
 
 let run_batch_from t ~start ~src ~dsts =
+  let cfg = t.config in
+  (* A lost probe with an infinite timeout would never be detected; model
+     detection as instant so the schedule stays finite. *)
+  let detect = if Float.is_finite cfg.timeout then cfg.timeout else 0.0 in
   let n = Array.length dsts in
   let results = Array.make n (Error { src; dst = -1; attempts = 0 }) in
-  let w = max 1 (min t.config.window (max n 1)) in
+  let w = max 1 (min cfg.window (max n 1)) in
   let slots = Array.make w start in
   let finished = ref start in
-  let memo = prefetch t ~src ~dsts ~now:start in
-  (* First measurement of a destination consumes its memo entry; retries
-     and duplicates fall through to the real measurement function, so the
-     oracle sees the sequential path's call count exactly. *)
-  let measure =
-    match memo with
-    | None -> t.measure
-    | Some memo ->
-      fun s d ->
-        (match Hashtbl.find_opt memo d with
-        | Some rtt ->
-          Hashtbl.remove memo d;
-          rtt
-        | None -> t.measure s d)
-  in
-  Array.iteri
-    (fun j dst ->
-      t.probes <- t.probes + 1;
-      obs_incr t (fun o -> o.i_submitted);
-      match cache_find t ~src ~dst ~now:start with
-      | Some rtt ->
-        (* Served from memory: no slot, no time, no measurement. *)
-        results.(j) <- Ok rtt
-      | None ->
-        let si = ref 0 in
-        for i = 1 to w - 1 do
-          if slots.(i) < slots.(!si) then si := i
-        done;
-        let slot_start = slots.(!si) in
-        obs_observe t (fun o -> o.i_queue_wait) (slot_start -. start);
-        let outcome, slot_end, attempts = run_attempts t ~measure ~src ~dst ~at:slot_start in
-        (match outcome with
-        | Ok rtt ->
-          cache_store t ~src ~dst ~at:slot_end rtt;
-          Option.iter
-            (fun tr ->
-              let queued = { Trace.queue_ms = slot_start -. start; attempt = attempts } in
-              Trace.emit tr ~at:slot_start ~dur:rtt ~peer:dst (Trace.Rtt_probe (Some queued))
-                ~node:src)
-            t.tracer
-        | Error _ ->
-          t.failures <- t.failures + 1;
-          obs_incr t (fun o -> o.i_failures));
-        results.(j) <- outcome;
-        slots.(!si) <- slot_end;
-        if slot_end > !finished then finished := slot_end)
-    dsts;
+  let pf = prefetch t ~src ~dsts ~now:start in
+  for j = 0 to n - 1 do
+    let dst = dsts.(j) in
+    t.probes <- t.probes + 1;
+    obs_incr t (fun o -> o.i_submitted);
+    match cache_find t ~src ~dst ~now:start with
+    | Some rtt ->
+      (* Served from memory: no slot, no time, no measurement. *)
+      results.(j) <- Ok rtt
+    | None ->
+      let si = ref 0 in
+      for i = 1 to w - 1 do
+        if slots.(i) < slots.(!si) then si := i
+      done;
+      let slot_start = slots.(!si) in
+      obs_observe t (fun o -> o.i_queue_wait) (slot_start -. start);
+      (* The attempt schedule from the slot's start: measure, let the
+         channel decide the attempt's fate, and either complete or burn
+         the timeout + backoff and try again. *)
+      let at = ref slot_start and attempts = ref 0 and rtt = ref 0.0 and ok = ref false in
+      while (not !ok) && !attempts <= cfg.retries do
+        incr attempts;
+        rtt := measure_once t pf ~src ~dst;
+        obs_incr t (fun o -> o.i_measured);
+        let delivered =
+          match t.faults with
+          | None -> true
+          | Some f -> (
+            match Faults.perturb f !rtt with
+            | Some d ->
+              rtt := d;
+              true
+            | None -> false)
+        in
+        if delivered && !rtt <= cfg.timeout then begin
+          at := !at +. !rtt;
+          ok := true
+        end
+        else begin
+          if delivered then obs_incr t (fun o -> o.i_timeouts) else obs_incr t (fun o -> o.i_losses);
+          at := !at +. detect;
+          if !attempts <= cfg.retries then begin
+            obs_incr t (fun o -> o.i_retries);
+            at := !at +. (cfg.backoff *. (2.0 ** float_of_int (!attempts - 1)))
+          end
+        end
+      done;
+      if !ok then begin
+        cache_store t ~src ~dst ~at:!at !rtt;
+        results.(j) <- Ok !rtt;
+        match t.tracer with
+        | Some tr ->
+          let queued = { Trace.queue_ms = slot_start -. start; attempt = !attempts } in
+          Trace.emit tr ~at:slot_start ~dur:!rtt ~peer:dst (Trace.Rtt_probe (Some queued)) ~node:src
+        | None -> ()
+      end
+      else begin
+        t.failures <- t.failures + 1;
+        obs_incr t (fun o -> o.i_failures);
+        results.(j) <- Error { src; dst; attempts = !attempts }
+      end;
+      slots.(!si) <- !at;
+      if !at > !finished then finished := !at
+  done;
   obs_observe t (fun o -> o.i_batch_ms) (!finished -. start);
   t.total_elapsed <- t.total_elapsed +. (!finished -. start);
   { results; started = start; finished = !finished }

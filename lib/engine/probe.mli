@@ -32,9 +32,10 @@
 
     With a domain [pool], a batch runs as {e prefetch + ordered replay}
     (DESIGN.md §12): unique uncached destinations are measured in
-    parallel into a memo, then the classic sequential schedule replays
-    verbatim, consuming each memo entry on that destination's first
-    measurement.  Every result, counter, trace span and the underlying
+    parallel into flat arrays (destinations, RTTs, consumed flags), then
+    the classic sequential schedule replays verbatim, consuming each
+    prefetched RTT on that destination's first measurement.  Pools of
+    every size, one domain included, take this same path.  Every result, counter, trace span and the underlying
     oracle's call count stay byte-identical to the pool-less path;
     parallelism only changes which domain performs a measurement.  This
     requires the measurement function to be deterministic per [(src,
@@ -117,7 +118,15 @@ val run_batch : t -> src:int -> dsts:int array -> batch
     batch's wall-clock cost under the window/timeout/retry schedule.  The
     measurements happen now (in submission order, cache hits excepted);
     the returned {!batch} carries the modelled completion time.  Cache
-    hits resolve instantly without occupying a window slot. *)
+    hits resolve instantly without occupying a window slot.
+
+    Destinations may repeat.  With a pool, the prefetch measures each
+    destination that is uncached at submission once, and only when at
+    least two such destinations exist; a retry or a repeat that misses
+    the cache measures again on the calling domain, as the pool-less path
+    does.  Apart from what metrics, tracing, faults and the cache record,
+    the replay allocates per probe only its result, and the prefetch
+    three arrays of the batch's length. *)
 
 val rtt : t -> src:int -> dst:int -> (float, failure) result
 (** One-probe {!run_batch}: the same result, counters, [probe_batch_ms]

@@ -1,7 +1,6 @@
 module Zone = Geometry.Zone
 module Can_overlay = Can.Overlay
 module Number = Landmark.Number
-module Landmarks = Landmark.Landmarks
 module Heap = Prelude.Heap
 
 module Entry = struct
@@ -415,7 +414,8 @@ module Topk = struct
     k.dist <- dist;
     k.ents <- ents
 
-  let offer k d (e : Entry.t) =
+  (* Inlined into [lookup], so [d] arrives unboxed. *)
+  let[@inline] offer k d (e : Entry.t) =
     let node = e.Entry.node in
     let last = k.len - 1 in
     (* [slot] is a free slot at the end, or the evicted maximum's *)
@@ -459,7 +459,17 @@ let lookup t ~region ~vector ?(max_results = 16) ?(ttl = 2) ?max_load () =
          && match max_load with None -> true | Some bound -> e.Entry.load <= bound
       then begin
         incr count;
-        Topk.offer top (Landmarks.vector_dist vector e.Entry.vector) e
+        (* [Landmarks.vector_dist], inlined: the same operations in the
+           same order, without boxing the distance across the call. *)
+        let v = e.Entry.vector in
+        if Array.length vector <> Array.length v then
+          invalid_arg "Landmarks.vector_dist: length mismatch";
+        let acc = ref 0.0 in
+        for i = 0 to Array.length vector - 1 do
+          let d = vector.(i) -. v.(i) in
+          acc := !acc +. (d *. d)
+        done;
+        Topk.offer top (sqrt !acc) e
       end
     in
     let visit host =

@@ -25,13 +25,18 @@
    overlay), [alloc_minor_words_per_rehost] (one [Store.rehost] after
    such a join, every member published) and
    [alloc_minor_words_per_resubscribe] (one [Bus.unsubscribe] plus one
-   [Bus.subscribe] in a region with 256 subscribers).  Counts are
+   [Bus.subscribe] in a region with 256 subscribers) and
+   [alloc_minor_words_per_slot_select] (one table-fill slot: the
+   region's [Can.Overlay.members_with_prefix] plus one Hybrid
+   [Builder.selector] call on a published 256-member build).  Counts are
    toolchain-sensitive: regenerate the baselines after a compiler upgrade
    (see EXPERIMENTS.md). *)
 
 module Ts = Topology.Transit_stub
 module Graph = Topology.Graph
 module Dijkstra = Topology.Dijkstra
+module Oracle = Topology.Oracle
+module Builder = Core.Builder
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
 module Store = Softstate.Store
@@ -55,6 +60,8 @@ let rehost_rounds = 16 (* fresh published stores, one measured rehost each *)
 let resubscribe_runs = 1024
 let rtt_pairs = 64 (* distinct cached (src, dst) pairs *)
 let rtt_runs = 1024
+let slot_samples = 64 (* distinct seeded (node, region) table slots *)
+let slot_runs = 256
 
 let vector_of node = Array.init 5 (fun i -> float_of_int ((node * ((7 * i) + 3)) mod 400))
 
@@ -169,8 +176,11 @@ let sweep_op () =
   done;
   int_of_float !total / sweep_rounds
 
+(* The 432-node transit-stub topology of the SSSP and slot fixtures. *)
+let small_topology () = Ts.generate (Rng.create 7) (Ts.tsk_large ~latency:Ts.Manual ~scale:16 ())
+
 let sssp_op () =
-  let topo = Ts.generate (Rng.create 7) (Ts.tsk_large ~latency:Ts.Manual ~scale:16 ()) in
+  let topo = small_topology () in
   let g = topo.Ts.graph in
   let n = Graph.node_count g in
   let ws = Dijkstra.Workspace.create n in
@@ -259,6 +269,39 @@ let resubscribe_op () =
       Bus.unsubscribe bus subs.(i);
       subs.(i) <- subscribe i)
 
+(* A [substrate]-member build with the default Hybrid strategy on a
+   pinned 1-domain pool, every member published.  A second table fill
+   with the same selector records the slots a fill visits; each run
+   selects one of 64 seeded ones exactly as [Ecan_exp.build_table_for]
+   does: the region's members, then the selector. *)
+let slot_select_op () =
+  let b =
+    Builder.build
+      (Oracle.build (small_topology ()))
+      {
+        Builder.default_config with
+        Builder.overlay_size = substrate;
+        landmark_count = 8;
+        domains = 1;
+        seed = 112;
+      }
+  in
+  let select = Builder.selector b b.Builder.config.Builder.strategy in
+  let slots = ref [] in
+  Ecan_exp.build_tables b.Builder.ecan ~selector:(fun ~node ~region ~candidates ->
+      slots := (node, region) :: !slots;
+      select ~node ~region ~candidates);
+  let slots = Array.of_list !slots in
+  let srng = Rng.create 113 in
+  let samples = Array.init slot_samples (fun _ -> Rng.pick srng slots) in
+  let can = Ecan_exp.can b.Builder.ecan in
+  let cursor = ref 0 in
+  words_per_op ~runs:slot_runs (fun () ->
+      let node, region = samples.(!cursor mod slot_samples) in
+      incr cursor;
+      let candidates = Can_overlay.members_with_prefix can region in
+      ignore (select ~node ~region ~candidates))
+
 let run ?(scale = 1) ppf =
   ignore scale;
   let route_words = route_op () in
@@ -270,6 +313,7 @@ let run ?(scale = 1) ppf =
   let join_words = join_op () in
   let rehost_words = rehost_op () in
   let resubscribe_words = resubscribe_op () in
+  let slot_select_words = slot_select_op () in
   let metrics = Metrics.global in
   let c name v = Metrics.add (Metrics.counter metrics name) v in
   c "alloc_minor_words_per_route" route_words;
@@ -281,6 +325,7 @@ let run ?(scale = 1) ppf =
   c "alloc_minor_words_per_join" join_words;
   c "alloc_minor_words_per_rehost" rehost_words;
   c "alloc_minor_words_per_resubscribe" resubscribe_words;
+  c "alloc_minor_words_per_slot_select" slot_select_words;
   Metrics.set
     (Metrics.gauge metrics "alloc_sweep_words_per_entry")
     (float_of_int sweep_words /. float_of_int sweep_burst);
@@ -289,9 +334,10 @@ let run ?(scale = 1) ppf =
       ~title:
         (Printf.sprintf
            "Allocation budget: minor words per hot-path op (%d routes of each kind, %d RTT hits, %d \
-            sweeps x %d entries, %d SSSP, %d lookups, %d joins, %d rehosts, %d resubscribes)"
+            sweeps x %d entries, %d SSSP, %d lookups, %d joins, %d rehosts, %d resubscribes, %d \
+            slot selections)"
            route_runs rtt_runs sweep_rounds sweep_burst sssp_runs lookup_runs join_rounds rehost_rounds
-           resubscribe_runs)
+           resubscribe_runs slot_runs)
       ~columns:[ "op"; "minor words/op" ]
   in
   Tableout.add_row table [ "ecan route (1 message)"; Tableout.cell_i route_words ];
@@ -309,6 +355,8 @@ let run ?(scale = 1) ppf =
       Printf.sprintf "bus resubscribe (%d subscribers)" substrate;
       Tableout.cell_i resubscribe_words;
     ];
+  Tableout.add_row table
+    [ Printf.sprintf "slot select (hybrid, %d members)" substrate; Tableout.cell_i slot_select_words ];
   Tableout.render ppf table;
   Format.fprintf ppf
     "  exact budgets: gated by bench/compare.exe's allocation-budget section (integer equality).@."

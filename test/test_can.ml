@@ -119,6 +119,48 @@ let test_members_with_prefix () =
       Alcotest.(check int) "left members have bit 0" 0 n.Can_overlay.path.(0))
     left
 
+(* [members_with_prefix] hands out one shared snapshot per prefix until
+   a join or leave changes that prefix's members; a replaced snapshot
+   keeps the contents it was handed out with. *)
+let test_prefix_snapshot_sharing () =
+  (* the set itself: every change that alters it replaces the snapshot *)
+  let module M = Can_overlay.Members in
+  let m = M.singleton 5 in
+  M.add m 6;
+  M.add m 7;
+  let s1 = M.newest_first m in
+  Alcotest.(check (array int)) "newest first" [| 7; 6; 5 |] s1;
+  Alcotest.(check bool) "set snapshot shared" true (s1 == M.newest_first m);
+  M.remove m 6;
+  let s2 = M.newest_first m in
+  Alcotest.(check bool) "fresh set snapshot after a remove" true (s2 != s1);
+  Alcotest.(check (array int)) "remove keeps the order" [| 7; 5 |] s2;
+  Alcotest.(check (array int)) "replaced set snapshot unchanged" [| 7; 6; 5 |] s1;
+  M.remove m 42;
+  Alcotest.(check bool) "removing an absent id keeps the snapshot" true (s2 == M.newest_first m);
+  M.add m 8;
+  Alcotest.(check (array int)) "fresh set snapshot after an add" [| 8; 7; 5 |] (M.newest_first m);
+  (* the overlay's prefixes, through joins and leaves *)
+  let t, _ = build ~dims:2 ~n:32 ~seed:53 in
+  let left () = Can_overlay.members_with_prefix t [| 0 |] in
+  let a = left () in
+  Alcotest.(check bool) "same array while membership holds" true (a == left ());
+  let a_contents = Array.copy a in
+  (* the first split is along dimension 0, so x < 0.5 lies under prefix 0 *)
+  ignore (Can_overlay.join t 32 [| 0.25; 0.625 |]);
+  let b = left () in
+  Alcotest.(check bool) "fresh array after a join" true (b != a);
+  Alcotest.(check (array int)) "earlier snapshot unchanged by the join" a_contents a;
+  Alcotest.(check bool) "the joiner is listed" true (Array.mem 32 b);
+  Alcotest.(check bool) "same array again" true (b == left ());
+  let b_contents = Array.copy b in
+  ignore (Can_overlay.leave t 32);
+  let c = left () in
+  Alcotest.(check bool) "fresh array after a leave" true (c != b);
+  Alcotest.(check (array int)) "earlier snapshot unchanged by the leave" b_contents b;
+  Alcotest.(check bool) "the leaver is gone" false (Array.mem 32 c);
+  Alcotest.(check bool) "same array after the leave" true (c == left ())
+
 (* The prefix index's order is observable: random selectors [Rng.pick]
    from [members_with_prefix], so the order fixes which member they draw.
    These arrays were captured from the list-backed index (newest-indexed
@@ -412,6 +454,8 @@ let suite =
     Alcotest.test_case "zone of path contains point" `Quick test_zone_of_path_roundtrip;
     Alcotest.test_case "prefix membership" `Quick test_members_with_prefix;
     Alcotest.test_case "prefix index order pinned" `Quick test_prefix_order_pinned;
+    Alcotest.test_case "prefix snapshots shared until membership changes" `Quick
+      test_prefix_snapshot_sharing;
     Alcotest.test_case "leave (pair)" `Quick test_leave_simple;
     Alcotest.test_case "leave (many)" `Quick test_leave_many;
     Alcotest.test_case "leave everyone" `Quick test_leave_everyone;

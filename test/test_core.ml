@@ -260,6 +260,28 @@ let test_strategy_validation () =
   Alcotest.(check string) "random print" "random" (Strategy.to_string Strategy.Random_pick);
   Alcotest.(check string) "optimal print" "optimal" (Strategy.to_string Strategy.Optimal)
 
+(* A lookup bound below 1 or a negative lookup TTL would make every slot
+   a blind random pick; both constructors refuse them, and accept the
+   smallest legal values. *)
+let check_lookup_validation name make =
+  Alcotest.check_raises "lookup_results 0"
+    (Invalid_argument (name ^ ": lookup_results must be >= 1"))
+    (fun () -> ignore (make ~lookup_results:0 ~lookup_ttl:2));
+  Alcotest.check_raises "lookup_results -3"
+    (Invalid_argument (name ^ ": lookup_results must be >= 1"))
+    (fun () -> ignore (make ~lookup_results:(-3) ~lookup_ttl:2));
+  Alcotest.check_raises "lookup_ttl -1" (Invalid_argument (name ^ ": lookup_ttl must be >= 0"))
+    (fun () -> ignore (make ~lookup_results:16 ~lookup_ttl:(-1)));
+  ignore (make ~lookup_results:1 ~lookup_ttl:0)
+
+let test_hybrid_lookup_validation () =
+  check_lookup_validation "Strategy.hybrid" (fun ~lookup_results ~lookup_ttl ->
+      Strategy.hybrid ~lookup_results ~lookup_ttl ~rtts:4 ())
+
+let test_load_aware_lookup_validation () =
+  check_lookup_validation "Strategy.load_aware" (fun ~lookup_results ~lookup_ttl ->
+      Strategy.load_aware ~lookup_results ~lookup_ttl ~rtts:4 ())
+
 let test_maintenance_adopts_newcomers () =
   let o = Lazy.force oracle in
   let sim = Sim.create () in
@@ -343,5 +365,9 @@ let suite =
     Alcotest.test_case "liveness polling retracts dead state" `Quick
       test_liveness_polling_retracts_dead_entries;
     Alcotest.test_case "strategy validation" `Quick test_strategy_validation;
+    Alcotest.test_case "hybrid rejects an empty or negative lookup" `Quick
+      test_hybrid_lookup_validation;
+    Alcotest.test_case "load-aware rejects an empty or negative lookup" `Quick
+      test_load_aware_lookup_validation;
     Alcotest.test_case "join cost vs probe window" `Quick test_join_cost_windows;
   ]

@@ -151,18 +151,27 @@ let qcheck_cache_equivalence =
    (src, dst, clock) script, one through [rtt] and one through
    [run_batch ~dsts:[|dst|]], and must agree on everything observable:
    results, counts, modelled time, histogram samples, spans, measurement
-   calls and clock reads. *)
+   calls and clock reads.
+
+   Some steps submit a multi-destination batch to both instead, with
+   duplicate destinations and destinations fresh in the cache.  Two more
+   probers replay the batch script: one without a pool (the sequential
+   path) and one on a pool of the other size (1 or 4).  A pooled prober
+   must match the sequential path on everything but its [domain_*]
+   counters, which only pools keep and which must not depend on the
+   pool's size. *)
 let qcheck_rtt_is_one_probe_batch =
   let twin ~config ~pool ~loss now =
-    let reads = ref 0 and calls = ref 0 in
+    let reads = ref 0 and calls = Atomic.make 0 in
     let metrics = Metrics.create () and trace = Engine.Trace.create () in
     let faults =
       if loss > 0.0 then
         Some (Faults.create ~channel:{ Faults.loss; delay_min = 0.0; delay_max = 20.0 } ~seed:7 ())
       else None
     in
+    (* called from worker domains by a pool's prefetch, hence atomic *)
     let measure a b =
-      incr calls;
+      Atomic.incr calls;
       float_of_int ((((a * 31) + (b * 7)) mod 23) + 1)
     in
     let clock () =
@@ -183,22 +192,31 @@ let qcheck_rtt_is_one_probe_batch =
           ~cache_ttl:ttls.(Rng.int rng (Array.length ttls))
           ()
       in
-      let pool = if Rng.chance rng 0.5 then Some (Engine.Dpool.get ~domains:2) else None in
+      let pool, other_pool =
+        let size n = Some (Engine.Dpool.get ~domains:n) in
+        match Rng.int rng 3 with 0 -> (None, None) | 1 -> (size 1, size 4) | _ -> (size 4, size 1)
+      in
       let loss = if Rng.chance rng 0.5 then 0.0 else 0.3 in
       let now = ref 0.0 in
       let a, ma, ta, reads_a, calls_a = twin ~config ~pool ~loss now in
       let b, mb, tb, reads_b, calls_b = twin ~config ~pool ~loss now in
-      let same_state () =
-        Probe.probes a = Probe.probes b
-        && Probe.failures a = Probe.failures b
-        && Probe.cache_hits a = Probe.cache_hits b
-        && Probe.cache_misses a = Probe.cache_misses b
-        && Probe.cache_stale a = Probe.cache_stale b
+      let s, ms, ts, reads_s, calls_s = twin ~config ~pool:None ~loss now in
+      let o, mo, t_o, reads_o, calls_o = twin ~config ~pool:other_pool ~loss now in
+      let same (p, reads_p, calls_p) (q, reads_q, calls_q) =
+        Probe.probes p = Probe.probes q
+        && Probe.failures p = Probe.failures q
+        && Probe.cache_hits p = Probe.cache_hits q
+        && Probe.cache_misses p = Probe.cache_misses q
+        && Probe.cache_stale p = Probe.cache_stale q
         && Int64.equal
-             (Int64.bits_of_float (Probe.total_elapsed a))
-             (Int64.bits_of_float (Probe.total_elapsed b))
-        && !reads_a = !reads_b
-        && !calls_a = !calls_b
+             (Int64.bits_of_float (Probe.total_elapsed p))
+             (Int64.bits_of_float (Probe.total_elapsed q))
+        && !reads_p = !reads_q
+        && Atomic.get calls_p = Atomic.get calls_q
+      in
+      let same_state () =
+        let bb = (b, reads_b, calls_b) in
+        same (a, reads_a, calls_a) bb && same bb (s, reads_s, calls_s) && same bb (o, reads_o, calls_o)
       in
       let step () =
         (* advances cross the TTLs: none, within, past *)
@@ -212,19 +230,44 @@ let qcheck_rtt_is_one_probe_batch =
            | _ -> 30.0);
         if Rng.chance rng 0.05 then begin
           let node = Rng.int rng 5 in
-          Probe.invalidate a node;
-          Probe.invalidate b node
+          List.iter (fun p -> Probe.invalidate p node) [ a; b; s; o ]
         end;
-        let src = Rng.int rng 5 and dst = Rng.int rng 5 in
-        let ra = Probe.rtt a ~src ~dst in
-        let rb = (Probe.run_batch b ~src ~dsts:[| dst |]).Probe.results.(0) in
-        ra = rb && same_state ()
+        let src = Rng.int rng 5 in
+        let batch p dsts = (Probe.run_batch p ~src ~dsts).Probe.results in
+        let agree =
+          if Rng.chance rng 0.3 then begin
+            (* up to 14 destinations among 12: duplicates, repeats of
+               earlier (cached) pairs and more than one prefetch chunk *)
+            let dsts = Array.init (2 + Rng.int rng 13) (fun _ -> Rng.int rng 12) in
+            let rb = batch b dsts in
+            batch a dsts = rb && batch s dsts = rb && batch o dsts = rb
+          end
+          else begin
+            let dst = Rng.int rng 5 in
+            let ra = Probe.rtt a ~src ~dst in
+            let rb = batch b [| dst |] in
+            [| ra |] = rb && batch s [| dst |] = rb && batch o [| dst |] = rb
+          end
+        in
+        agree && same_state ()
       in
       let samples m = Metrics.samples (Metrics.histogram m "probe_batch_ms") in
+      let json m = Prelude.Json.to_string (Metrics.to_json m) in
+      let without_domains m =
+        List.filter
+          (fun (e : Metrics.snapshot_entry) ->
+            not (String.length e.Metrics.name >= 7 && String.sub e.Metrics.name 0 7 = "domain_"))
+          (Metrics.snapshot m)
+      in
       List.for_all (fun _ -> step ()) (List.init steps Fun.id)
       && samples ma = samples mb
-      && Prelude.Json.to_string (Metrics.to_json ma) = Prelude.Json.to_string (Metrics.to_json mb)
-      && Engine.Trace.spans ta = Engine.Trace.spans tb)
+      && samples ms = samples mb
+      && json ma = json mb
+      && json mo = json mb
+      && without_domains ms = without_domains mb
+      && Engine.Trace.spans ta = Engine.Trace.spans tb
+      && Engine.Trace.spans ts = Engine.Trace.spans tb
+      && Engine.Trace.spans t_o = Engine.Trace.spans tb)
 
 let test_submit_batch_async () =
   let sim = Sim.create () in
