@@ -121,15 +121,6 @@ let stored_keys t =
 
 let load_of t node = try Hashtbl.find t.window_load node with Not_found -> 0
 
-let path_ms t = function
-  | [] | [ _ ] -> 0.0
-  | hops ->
-    let rec go acc = function
-      | a :: (b :: _ as rest) -> go (acc +. t.link a b) rest
-      | [ _ ] | [] -> acc
-    in
-    go 0.0 hops
-
 let roll_window t =
   if Float.is_finite t.config.window then begin
     let now = t.clock () in
@@ -263,7 +254,7 @@ let miss t ~client ~key =
   match t.backend.route_to ~src:client ~dst:home with
   | None -> failwith "Cache.request: key home unroutable"
   | Some hops_list ->
-    let latency = path_ms t hops_list +. t.config.origin_ms in
+    let latency = Route_obs.latency t.link hops_list +. t.config.origin_ms in
     Hashtbl.replace t.copies key [ home ];
     finish t ~client ~key ~served_by:home ~hit:false ~shed:false
       ~hops:(List.length hops_list - 1) ~latency
@@ -296,7 +287,7 @@ let request t ~client ~key =
           end;
           finish t ~client ~key ~served_by:copy ~hit:true ~shed
             ~hops:(List.length hops_list - 1)
-            ~latency:(path_ms t hops_list)
+            ~latency:(Route_obs.latency t.link hops_list)
         | None ->
           (* unreachable copy: prune it and fail over to the next *)
           Hashtbl.replace t.copies key

@@ -309,15 +309,6 @@ let regraft t node =
     observe_depth t node
   | Some _ | None -> invalid_arg "Mcast.regraft: not an orphan"
 
-let path_ms t = function
-  | [] | [ _ ] -> 0.0
-  | hops ->
-    let rec go acc = function
-      | a :: (b :: _ as rest) -> go (acc +. t.link a b) rest
-      | [ _ ] | [] -> acc
-    in
-    go 0.0 hops
-
 let count_stress t hops =
   let rec go = function
     | a :: (b :: _ as rest) ->
@@ -347,7 +338,7 @@ let publish t =
     | Some v when v.subscriber ->
       let uni =
         match t.backend.route_to ~src:t.root ~dst:node with
-        | Some hops -> path_ms t hops
+        | Some hops -> Route_obs.latency t.link hops
         | None -> 0.0
       in
       let stretch = if uni > 0.0 then latency /. uni else 1.0 in
@@ -368,7 +359,7 @@ let publish t =
         match t.backend.route_to ~src:node ~dst:child with
         | Some hops ->
           count_stress t hops;
-          walk child (latency +. path_ms t hops)
+          walk child (latency +. Route_obs.latency t.link hops)
         | None -> miss_subtree child)
       (children t node)
   in

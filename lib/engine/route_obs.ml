@@ -19,6 +19,12 @@ let create metrics ~labels ~trace ~overlay =
       })
     metrics
 
+let rec fold_links link acc = function
+  | a :: (b :: _ as rest) -> fold_links link (acc +. link a b) rest
+  | [ _ ] | [] -> acc
+
+let latency link hops = fold_links link 0.0 hops
+
 let rec emit_hops tr = function
   | a :: (b :: _ as rest) ->
     Trace.emit tr ~peer:b Trace.Route_hop ~node:a;

@@ -50,3 +50,7 @@ val run_custom :
     headline comparison gauges in {!Engine.Metrics.global}. *)
 
 val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
+
+val backend_of : Backend.service -> Engine.Cache.backend
+(** The cache rows' projection of the shared service adapter: [near] is
+    the head of [candidates]; the other fields carry over. *)

@@ -268,21 +268,16 @@ let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
 let hybrid oracle ~vector_of ~node ~candidates =
   fst (Backend.hybrid_pick oracle ~vector_of ~budget:5 ~node ~candidates)
 
-(* Mean stretch of [stretch_samples] seeded random routes. *)
+(* Mean stretch of [stretch_samples] seeded random routes; routes that
+   fail mid-storm are skipped. *)
 let stretch_once oracle (be : Backend.t) probe_seed =
-  let rng = Rng.create probe_seed in
-  let ids = be.Backend.node_ids () in
-  let acc = ref [] in
-  for _ = 1 to stretch_samples do
-    let src = Rng.pick rng ids in
-    let key = Rng.int rng be.Backend.key_space in
-    match be.Backend.route ~src ~key with
-    | Some hops ->
-      let shortest = Oracle.dist oracle src (be.Backend.owner key) in
-      if shortest > 0.0 then acc := (Measure.path_latency oracle hops /. shortest) :: !acc
-    | None -> ()
-  done;
-  mean !acc
+  let samples, _failed =
+    Measure.sample_routes oracle (Rng.create probe_seed) (be.Backend.node_ids ())
+      ~count:stretch_samples
+      (Measure.Keys { key_space = be.Backend.key_space; owner = be.Backend.owner })
+      (fun ~src key -> be.Backend.route ~src ~key)
+  in
+  mean (Measure.stretches samples)
 
 let ring_outcome ~size ~seed ~storm ~pick:policy kind oracle =
   let key_seed = match kind with Backend.Chord -> 9 | Pastry -> 10 | Koorde _ -> 11 in

@@ -34,7 +34,6 @@ module Trace = Engine.Trace
 module Bus = Pubsub.Bus
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Zone = Geometry.Zone
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
 
@@ -134,85 +133,20 @@ let schedule ~seed ~subscribers ~joiners ~static_pubs ~churn_pubs ~crashes ~leav
     grid
 
 (* ------------------------------------------------------------------ *)
-(* Backend arms                                                        *)
+(* Backends                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One row = an Mcast backend plus the row-specific structure upkeep the
+(* The rows' shared service adapters ({!Backend.service}), projected
+   onto the tree's backend; the row-specific structure upkeep the
    maintenance plane does not cover (Chord/Pastry/Koorde keep their own
-   tables). *)
-type arm = {
-  backend : Mcast.backend;
-  on_remove : int -> unit;
-  on_join : int -> unit;
-}
-
-let no_upkeep (_ : int) = ()
-
-(* eCAN / plain CAN: routes from the builder's substrate, relay
-   proposals from a root-region soft-state lookup around the subscriber's
-   landmark vector that skips overloaded hosts, fanout load published
-   back into the maps — [Store.lookup ~max_load] doing the §6 placement
-   work for trees. *)
-let builder_arm ~name ~route b =
-  let can = Ecan_exp.can b.Builder.ecan in
+   tables) stays on the service. *)
+let backend_of (s : Backend.service) =
   {
-    backend =
-      {
-        Mcast.name;
-        member = (fun node -> Can_overlay.mem can node);
-        route_to =
-          (fun ~src ~dst ->
-            if not (Can_overlay.mem can dst) then None
-            else route ~src (Zone.center (Can_overlay.node can dst).Can_overlay.zone));
-        candidates = Backend.map_candidates b;
-        publish_load = Backend.publish_load b;
-      };
-    on_remove = no_upkeep;
-    on_join = no_upkeep;
-  }
-
-let ecan_arm ~name b =
-  builder_arm ~name ~route:(fun ~src p -> Ecan_exp.route b.Builder.ecan ~src p) b
-
-let can_arm ~name b =
-  let can = Ecan_exp.can b.Builder.ecan in
-  builder_arm ~name ~route:(fun ~src p -> Can_overlay.route can ~src p) b
-
-(* Chord / Pastry / Koorde: same member population, the shared
-   landmark-then-RTT selection for their tables (Koorde over its ~k-wide
-   image-arc cover sets), rebuilt on every churn event; with no soft-state
-   plane of their own, relay proposals are the physically nearest
-   members — the optimum a map lookup approximates. *)
-let ring_arm ~seed oracle b i kind =
-  let be = Backend.create kind (Rng.create ((seed * 6007) + i + 1)) in
-  Array.iter be.Backend.add b.Builder.members;
-  let pick ~node ~candidates =
-    fst (Backend.hybrid_pick oracle ~vector_of:(Builder.vector_of b) ~budget:5 ~node ~candidates)
-  in
-  be.Backend.rebuild ~pick;
-  {
-    backend =
-      {
-        Mcast.name = be.Backend.name;
-        member = be.Backend.mem;
-        route_to =
-          (fun ~src ~dst ->
-            if not (be.Backend.mem dst) then None
-            else be.Backend.route ~src ~key:(be.Backend.key_of dst));
-        candidates =
-          (fun ~node ~exclude ->
-            Backend.nearest oracle (be.Backend.node_ids ()) ~node ~exclude
-            |> List.filteri (fun i _ -> i < 12));
-        publish_load = (fun ~node:_ ~load:_ -> ());
-      };
-    on_remove =
-      (fun v ->
-        be.Backend.remove v;
-        be.Backend.rebuild ~pick);
-    on_join =
-      (fun n ->
-        be.Backend.add n;
-        be.Backend.rebuild ~pick);
+    Mcast.name = s.Backend.name;
+    member = s.Backend.member;
+    route_to = s.Backend.route_to;
+    candidates = s.Backend.candidates;
+    publish_load = s.Backend.publish_load;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -275,13 +209,17 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
   let rtt ~src ~dst =
     match Probe.rtt prober ~src ~dst with Ok r -> Some r | Error _ -> None
   in
-  let arm =
+  let service =
     match kind with
-    | Ecan_aware | Ecan_random -> ecan_arm ~name:label b
-    | Can_greedy -> can_arm ~name:label b
-    | Chord_row -> ring_arm ~seed oracle b 0 Backend.Chord
-    | Pastry_row -> ring_arm ~seed oracle b 1 Backend.Pastry
-    | Koorde_row -> ring_arm ~seed oracle b 2 (Backend.Koorde 4)
+    | Ecan_aware | Ecan_random ->
+      Backend.builder_service ~name:label ~route:(Ecan_exp.route b.Builder.ecan) b
+    | Can_greedy ->
+      Backend.builder_service ~name:label
+        ~route:(Can_overlay.route (Ecan_exp.can b.Builder.ecan))
+        b
+    | Chord_row -> Backend.ring_service ~seed b Backend.Chord
+    | Pastry_row -> Backend.ring_service ~seed b Backend.Pastry
+    | Koorde_row -> Backend.ring_service ~seed b (Backend.Koorde 4)
   in
   let policy = match kind with Ecan_random -> Mcast.Random | _ -> Mcast.Aware in
   let tree =
@@ -289,7 +227,7 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
       ~clock:(fun () -> Sim.now sim)
       ~rtt
       ~config:{ Mcast.degree; policy; seed = (seed * 3307) + 5 }
-      ~link:(Oracle.dist oracle) ~root:b.Builder.members.(0) arm.backend
+      ~link:(Oracle.dist oracle) ~root:b.Builder.members.(0) (backend_of service)
   in
   (* Detection wiring: every tree node watches its parent's root-region
      entry on the bus.  The watch firing is the instant the soft-state
@@ -367,17 +305,17 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
       end
     | Crash v ->
       Maintenance.node_crashes m v;
-      arm.on_remove v;
+      service.Backend.on_remove v;
       ignore (Mcast.drop_member tree v);
       sync_watches ()
     | Leave v ->
       Maintenance.node_departs m v;
-      arm.on_remove v;
+      service.Backend.on_remove v;
       ignore (Mcast.drop_member tree v);
       sync_watches ()
     | Join n ->
       Maintenance.node_joins m n;
-      arm.on_join n;
+      service.Backend.on_join n;
       Mcast.subscribe tree n;
       sync_watches ()
   in

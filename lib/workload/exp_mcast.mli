@@ -43,6 +43,11 @@ type stats = {
           [Mcast_regraft] trace spans by {!Engine.Repair.analyze} *)
 }
 
+val backend_of : Backend.service -> Engine.Mcast.backend
+(** The tree rows' projection of the shared service adapter: every
+    field but [home_of] and the upkeep hooks carries over; the rows
+    apply [on_remove]/[on_join] themselves on each churn event. *)
+
 val data :
   ?scale:int ->
   ?seed:int ->

@@ -498,6 +498,58 @@ let qcheck_rank_copies_matches_reference =
           got = expected && got_log = !log)
         (List.init 20 Fun.id))
 
+(* Both service experiments project the same adapter: for every row
+   kind, the cache's replica host is the mcast's first relay proposal.
+   Each side gets its own adapter, built as the experiments build them. *)
+let test_service_projections_agree () =
+  let module Builder = Core.Builder in
+  let module Backend = Workload.Backend in
+  let oracle =
+    Workload.Ctx.oracle ~scale:exp_scale Workload.Ctx.Tsk_large Topology.Transit_stub.Manual
+  in
+  let b =
+    Builder.build oracle
+      {
+        Builder.default_config with
+        Builder.overlay_size = 40;
+        strategy = Core.Strategy.hybrid ~rtts:5 ();
+        seed = 5;
+      }
+  in
+  let rows =
+    [
+      ( "ecan",
+        fun () ->
+          Backend.builder_service ~name:"ecan" ~route:(Ecan.Expressway.route b.Builder.ecan) b );
+      ( "can",
+        fun () ->
+          Backend.builder_service ~name:"can"
+            ~route:(Can.Overlay.route (Ecan.Expressway.can b.Builder.ecan))
+            b );
+      ("chord", fun () -> Backend.ring_service ~seed:3 b Backend.Chord);
+      ("pastry", fun () -> Backend.ring_service ~seed:3 b Backend.Pastry);
+      ("koorde", fun () -> Backend.ring_service ~seed:3 b (Backend.Koorde 4));
+    ]
+  in
+  let members = b.Builder.members in
+  List.iter
+    (fun (name, make) ->
+      let cache = Workload.Exp_cache.backend_of (make ()) in
+      let mcast = Workload.Exp_mcast.backend_of (make ()) in
+      let proposed = ref 0 in
+      Array.iteri
+        (fun i node ->
+          List.iter
+            (fun exclude ->
+              let head = List.nth_opt (mcast.Engine.Mcast.candidates ~node ~exclude) 0 in
+              if head <> None then incr proposed;
+              Alcotest.(check (option int)) (name ^ ": near = head of candidates") head
+                (cache.Cache.near ~node ~exclude))
+            [ []; [ members.((i + 1) mod Array.length members) ] ])
+        members;
+      Alcotest.(check bool) (name ^ ": some node has candidates") true (!proposed > 0))
+    rows
+
 let suite =
   [
     Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
@@ -523,3 +575,7 @@ let suite =
         qcheck_cross_backend;
         qcheck_rank_copies_matches_reference;
       ]
+  @ [
+      Alcotest.test_case "cache and mcast project one service adapter" `Quick
+        test_service_projections_agree;
+    ]

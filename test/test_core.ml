@@ -346,6 +346,159 @@ let test_join_cost_windows () =
   Alcotest.(check bool) "selection phase never slower at window L" true
     (con.Builder.selection_ms <= seq.Builder.selection_ms)
 
+(* ------------------------------------------------------------------ *)
+(* Measure.sample_routes against the loops it replaced                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Test-local copies of the per-experiment loops the sampler replaced:
+   the pair draw of [Measure.route_stretch] (raises on a failed route)
+   and the key draw of the xover rows (raise) and the churn rows (skip),
+   each with its own hop-pair latency fold. *)
+let ref_latency oracle hops =
+  let rec go acc = function
+    | a :: (b :: _ as rest) -> go (acc +. Oracle.dist oracle a b) rest
+    | [ _ ] | [] -> acc
+  in
+  go 0.0 hops
+
+let ref_pair_loop oracle rng ids ~count route =
+  if Array.length ids < 2 then invalid_arg "Measure: need at least two members";
+  let samples = ref [] in
+  for _ = 1 to count do
+    let src = Rng.pick rng ids in
+    let rec draw_dst () =
+      let d = Rng.pick rng ids in
+      if d = src then draw_dst () else d
+    in
+    let dst = draw_dst () in
+    match route ~src dst with
+    | Some hops ->
+      samples :=
+        {
+          Measure.src;
+          dst;
+          hops = List.length hops - 1;
+          latency = ref_latency oracle hops;
+          shortest = Oracle.dist oracle src dst;
+        }
+        :: !samples
+    | None -> failwith "Measure: routing failed"
+  done;
+  let stretches =
+    List.filter_map
+      (fun (s : Measure.sample) ->
+        if s.Measure.shortest > 0.0 then Some (s.Measure.latency /. s.Measure.shortest) else None)
+      !samples
+  in
+  ( !samples,
+    Prelude.Stats.summarize (Array.of_list stretches),
+    Prelude.Stats.summarize
+      (Array.of_list
+         (List.map (fun (s : Measure.sample) -> float_of_int s.Measure.hops) !samples)) )
+
+let ref_key_loop oracle rng ids ~count ~key_space ~owner ~skip route =
+  let acc = ref [] in
+  for _ = 1 to count do
+    let src = Rng.pick rng ids in
+    let key = Rng.int rng key_space in
+    match route ~src key with
+    | Some hops ->
+      let shortest = Oracle.dist oracle src (owner key) in
+      if shortest > 0.0 then acc := (ref_latency oracle hops /. shortest) :: !acc
+    | None -> if not skip then failwith "routing failed"
+  done;
+  !acc
+
+(* A small random connected graph over [n] nodes, as a dense oracle. *)
+let graph_oracle seed n =
+  let rng = Rng.create seed in
+  let edges =
+    List.init (n - 1) (fun i -> (Rng.int rng (i + 1), i + 1, Rng.float_in rng 1.0 20.0))
+  in
+  Oracle.of_graph (Topology.Graph.make n edges)
+
+(* A route callback that draws its inner hops from its own rng — so the
+   two loops must call it equally often and in the same order — and
+   fails when [(src + target + hops) mod fail_every = 0] (never for 0). *)
+let flaky_route ~seed ~fail_every n ~last =
+  let rng = Rng.create seed in
+  fun ~src target ->
+    let inner = Rng.int rng 4 in
+    if fail_every > 0 && (src + target + inner) mod fail_every = 0 then None
+    else Some ((src :: List.init inner (fun _ -> Rng.int rng n)) @ [ last target ])
+
+let same a b = compare a b = 0
+
+(* Both loops ran from equal rngs; equal next draws = equal end states. *)
+let same_rng_end r1 r2 = same (Rng.bits64 r1, Rng.bits64 r1) (Rng.bits64 r2, Rng.bits64 r2)
+
+let outcome f = match f () with v -> Ok v | exception (Failure _ | Invalid_argument _) -> Error ()
+
+let qcheck_sampler_pairs =
+  QCheck.Test.make ~name:"sample_routes Pairs = the pair-draw loop it replaced" ~count:300
+    QCheck.(quad (int_range 0 100_000) (int_range 1 12) (int_range 0 40) (int_range 0 9))
+    (fun (seed, n, count, fail_every) ->
+      let oracle = graph_oracle seed n in
+      let ids = Array.init n Fun.id in
+      let run f =
+        let rng = Rng.create (seed + 1) in
+        let route = flaky_route ~seed:(seed + 2) ~fail_every n ~last:Fun.id in
+        (outcome (fun () -> f rng route), rng)
+      in
+      let old, old_rng = run (fun rng route -> ref_pair_loop oracle rng ids ~count route) in
+      let fresh, fresh_rng =
+        run (fun rng route ->
+            let samples, failed = Measure.sample_routes oracle rng ids ~count Measure.Pairs route in
+            if failed > 0 then failwith "Measure: routing failed";
+            let r = Measure.report samples in
+            (r.Measure.samples, r.Measure.stretch, r.Measure.hops))
+      in
+      match (old, fresh) with
+      | Ok o, Ok f -> same o f && same_rng_end old_rng fresh_rng
+      | Error (), Error () -> true
+      | Ok _, Error () | Error (), Ok _ -> false)
+
+let qcheck_sampler_keys =
+  QCheck.Test.make ~name:"sample_routes Keys = the key-draw loops it replaced (skip and raise)"
+    ~count:300
+    QCheck.(
+      quad (int_range 0 100_000) (int_range 1 12) (int_range 0 40)
+        (pair (int_range 1 64) (int_range 0 9)))
+    (fun (seed, n, count, (key_space, fail_every)) ->
+      let oracle = graph_oracle seed n in
+      let ids = Array.init n Fun.id in
+      (* [owner] may be the source itself: a zero-distance sample with no stretch. *)
+      let owner key = key * 7 mod n in
+      let run f =
+        let rng = Rng.create (seed + 1) in
+        let route = flaky_route ~seed:(seed + 2) ~fail_every n ~last:owner in
+        (outcome (fun () -> f rng route), rng)
+      in
+      let sampled rng route =
+        Measure.sample_routes oracle rng ids ~count (Measure.Keys { key_space; owner }) route
+      in
+      let check ~skip =
+        let old, old_rng =
+          run (fun rng route -> ref_key_loop oracle rng ids ~count ~key_space ~owner ~skip route)
+        in
+        let fresh, fresh_rng =
+          run (fun rng route ->
+              let samples, failed = sampled rng route in
+              if failed > 0 && not skip then failwith "routing failed";
+              Measure.stretches samples)
+        in
+        match (old, fresh) with
+        | Ok o, Ok f ->
+          same o f
+          && same
+               (Prelude.Stats.summarize (Array.of_list o))
+               (Prelude.Stats.summarize (Array.of_list f))
+          && same_rng_end old_rng fresh_rng
+        | Error (), Error () -> true
+        | Ok _, Error () | Error (), Ok _ -> false
+      in
+      check ~skip:true && check ~skip:false)
+
 let suite =
   [
     Alcotest.test_case "build basics" `Quick test_build_basics;
@@ -370,4 +523,6 @@ let suite =
     Alcotest.test_case "load-aware rejects an empty or negative lookup" `Quick
       test_load_aware_lookup_validation;
     Alcotest.test_case "join cost vs probe window" `Quick test_join_cost_windows;
+    QCheck_alcotest.to_alcotest qcheck_sampler_pairs;
+    QCheck_alcotest.to_alcotest qcheck_sampler_keys;
   ]
