@@ -95,12 +95,3 @@ let position ?(iterations = 500) t rng ~measured =
 let position_node ?iterations t rng oracle node =
   let measured = Array.map (fun lm -> Oracle.measure oracle node lm) t.landmark_nodes in
   position ?iterations t rng ~measured
-
-let position_via ?iterations t rng prober node =
-  let batch = Engine.Probe.run_batch prober ~src:node ~dsts:t.landmark_nodes in
-  (* A failed probe becomes a 0 measurement, which [descend] skips: the
-     fit simply uses one fewer anchor. *)
-  let measured =
-    Array.map (function Ok rtt -> rtt | Error _ -> 0.0) batch.Engine.Probe.results
-  in
-  position ?iterations t rng ~measured

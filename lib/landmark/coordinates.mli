@@ -35,13 +35,6 @@ val position : ?iterations:int -> t -> Prelude.Rng.t -> measured:float array -> 
 val position_node : ?iterations:int -> t -> Prelude.Rng.t -> Topology.Oracle.t -> int -> float array
 (** Measure the node's landmark RTTs (counted) and fit its coordinate. *)
 
-val position_via : ?iterations:int -> t -> Prelude.Rng.t -> Engine.Probe.t -> int -> float array
-(** Like {!position_node}, but the landmark probes are issued as one
-    concurrent batch through the probe plane (the prober must wrap the
-    same oracle).  A probe that exhausts its retries contributes a 0
-    measurement, which the fit skips — the node is positioned against the
-    landmarks that answered. *)
-
 val estimate : float array -> float array -> float
 (** Estimated network distance between two coordinates. *)
 

@@ -79,11 +79,6 @@ let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty array";
   arr.(int t (Array.length arr))
 
-let pick_list t l =
-  match l with
-  | [] -> invalid_arg "Rng.pick_list: empty list"
-  | _ -> List.nth l (int t (List.length l))
-
 let sample t k arr =
   let n = Array.length arr in
   if k > n then invalid_arg "Rng.sample: k exceeds population";

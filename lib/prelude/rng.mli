@@ -48,9 +48,6 @@ val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array.  Raises [Invalid_argument] on
     an empty array. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
 val sample : t -> int -> 'a array -> 'a array
 (** [sample t k arr] draws [k] distinct elements uniformly without
     replacement.  Raises [Invalid_argument] if [k > Array.length arr]. *)

@@ -183,8 +183,6 @@ let pool_run_on t ~slot f =
   Engine.Dpool.run_on t.pool ~slot f
 
 let can t = t.can
-let scheme t = t.scheme
-let condense t = t.condense
 let shard_count t = Array.length t.shards
 let shard_of_region t region = shard_of_key t (region_key region)
 
@@ -662,23 +660,6 @@ let sweep_expired t =
   purged
 
 let expire_sweep t = List.length (sweep_expired t)
-
-let expire_node t node =
-  let now = t.clock () in
-  let aged = ref 0 in
-  match Hashtbl.find_opt t.node_index node with
-  | None -> 0
-  | Some inner ->
-    Hashtbl.iter
-      (fun key e ->
-        if live t e then begin
-          e.Entry.expires <- now;
-          (* re-stamp in the heap so the next sweep visits it *)
-          schedule_expiry t ~key (Hashtbl.find t.maps key) e;
-          incr aged
-        end)
-      inner;
-    !aged
 
 let inject_staleness t ~rng ~fraction =
   if fraction < 0.0 || fraction > 1.0 then

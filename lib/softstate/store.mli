@@ -88,8 +88,6 @@ val create :
     [Ttl_sweep {purged}] span. *)
 
 val can : t -> Can.Overlay.t
-val scheme : t -> Landmark.Number.scheme
-val condense : t -> float
 
 val shard_count : t -> int
 (** Number of expiry shards the store was created with. *)
@@ -224,11 +222,6 @@ val sweep_shard : t -> int -> (int array * Entry.t) list
     unit of work a maintenance plane schedules independently per shard so
     no single sweep touches the whole store.  The scan runs on the
     shard's home pool slot, the purges apply on the calling domain. *)
-
-val expire_node : t -> int -> int
-(** Fault injection: age every live entry describing the node so it is
-    expired as of now (invisible to lookups, purged by the next sweep).
-    Returns how many entries were aged. *)
 
 val inject_staleness : t -> rng:Prelude.Rng.t -> fraction:float -> int
 (** Fault injection: age a random [fraction] of all live entries to
