@@ -497,26 +497,36 @@ let trace_cmd =
          & info [ "until" ] ~docv:"MS" ~doc:"Simulated horizon in milliseconds.")
   in
   let lookups_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt non_negative_int 32
          & info [ "lookups" ] ~docv:"N" ~doc:"Routed lookups issued after the run (route spans).")
   in
   let run verbose variant latency seed scale size until lookups out =
+    let oracle = lazy (Workload.Ctx.oracle ~scale variant latency) in
+    (* Sizes below 16 run 16 nodes, so the storm always has members to spare. *)
+    let overlay_size = max 16 (size / scale) in
     if not (Float.is_finite until && until > 0.0) then
       `Error (false, "--until must be finite and positive")
+    else if size < 1 then `Error (false, Printf.sprintf "--nodes must be >= 1, got %d" size)
+    else if overlay_size > Oracle.node_count (Lazy.force oracle) then
+      `Error
+        ( false,
+          Printf.sprintf
+            "--nodes / --scale gives %d overlay nodes; need at most %d (the topology size)"
+            overlay_size (Oracle.node_count (Lazy.force oracle)) )
     else
       (* Open the output before the run, so an unwritable path fails fast. *)
       match Option.fold ~none:stdout ~some:open_out out with
       | exception Sys_error e -> `Error (false, "cannot write --out: " ^ e)
       | oc ->
         setup_logs verbose;
-        let oracle = Workload.Ctx.oracle ~scale variant latency in
+        let oracle = Lazy.force oracle in
         let sim = Engine.Sim.create () in
         let tracer = Engine.Trace.create ~clock:(fun () -> Engine.Sim.now sim) () in
         let faults = Engine.Faults.create ~trace:tracer ~seed:(seed + 1) () in
         (* Spans ride on the instrumented paths, so the run needs a registry
            even though only the tracer's output is dumped. *)
         let metrics = Engine.Metrics.create () in
-        let size = max 16 (size / scale) in
+        let size = overlay_size in
         let b =
           Builder.build ~metrics ~trace:tracer
             ~clock:(fun () -> Engine.Sim.now sim)
