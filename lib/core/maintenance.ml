@@ -4,7 +4,6 @@ module Store = Softstate.Store
 module Oracle = Topology.Oracle
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
-module Zone = Geometry.Zone
 
 let log_src = Logs.Src.create "topo.maintenance" ~doc:"Soft-state upkeep and pub/sub repair"
 
@@ -51,12 +50,10 @@ let overlay_latency builder ~host ~subscriber =
   let ecan = builder.Builder.ecan in
   let can = Ecan_exp.can ecan in
   if host < 0 || (not (Can_overlay.mem can host)) || not (Can_overlay.mem can subscriber) then 0.0
-  else begin
-    let target = Zone.center (Can_overlay.node can subscriber).Can_overlay.zone in
-    match Ecan_exp.route ecan ~src:host target with
+  else
+    match Measure.to_member can (Ecan_exp.route ecan) ~src:host subscriber with
     | Some hops -> Measure.path_latency builder.Builder.oracle hops
     | None -> Oracle.dist builder.Builder.oracle host subscriber
-  end
 
 (* A refresh cycle is a re-publication: live entries get their TTL bumped
    in place (stats preserved), and entries that expired (or were injected
