@@ -5,6 +5,9 @@
     Probes-to-reach-target come from the Figures 3/4 curves; the
     soft-state side counts the actual messages of a node's join
     (landmark measurements, per-region publishes, one map lookup and the
-    RTT probes). *)
+    RTT probes).  The join row is also recorded as [experiment=cost]
+    gauges: [cost_join_rtt_probes], [cost_join_map_publishes],
+    [cost_join_slots_filled], [cost_join_lookups] and
+    [cost_join_lookup_hops_mean]. *)
 
 val run : ?scale:int -> Format.formatter -> unit
