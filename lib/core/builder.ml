@@ -202,25 +202,23 @@ let join_node t node =
   { vector_ms = e1 -. e0; selection_ms = e2 -. e1 }
 
 (* Table slots whose entry targets one of the relocated nodes but whose
-   region no longer contains that target (zone takeover moves nodes). *)
+   region no longer contains that target (zone takeover moves nodes).
+   Both callers pass a leave's survivor and backfilled node, which are
+   live whenever any table is left to scan: [Can.Overlay.leave] names the
+   leaver itself as survivor only when it was the last member.  So the
+   membership half of [in_region] never decides a slot here. *)
 let stale_slots t relocated =
-  let can = Ecan_exp.can t.ecan in
-  let in_region region target =
-    let path = (Can_overlay.node can target).Can_overlay.path in
-    Array.length path >= Array.length region
-    && Array.for_all2 ( = ) region (Array.sub path 0 (Array.length region))
-  in
   Array.fold_left
     (fun acc id ->
       List.fold_left
         (fun acc (row, digit, target) ->
           if List.mem target relocated then begin
             let region = Ecan_exp.region_prefix t.ecan id ~row ~digit in
-            if in_region region target then acc else (id, row, digit) :: acc
+            if Ecan_exp.in_region t.ecan ~region target then acc else (id, row, digit) :: acc
           end
           else acc)
         acc (Ecan_exp.entries t.ecan id))
-    [] (Can_overlay.node_ids can)
+    [] (Can_overlay.node_ids (Ecan_exp.can t.ecan))
 
 let clear_stale_entries t relocated =
   List.iter

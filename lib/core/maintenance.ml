@@ -40,7 +40,6 @@ type t = {
   tracer : Engine.Trace.t option;
   mutable reselections : int;
   mutable refreshes : int;
-  mutable crashes : int;
   mutable stopped : bool;
   counters : counters option;
   adapt_obs : adapt_obs option;
@@ -227,7 +226,6 @@ let start ~sim ?metrics ?labels ?trace ?(refresh_period = 200_000.0)
       tracer = trace;
       reselections = 0;
       refreshes = 0;
-      crashes = 0;
       stopped = false;
       counters;
       adapt_obs;
@@ -250,7 +248,6 @@ let bus t = t.bus
 
 let reselections t = t.reselections
 let refreshes t = t.refreshes
-let crashes t = t.crashes
 let refresh_period t = t.refresh_period
 let sweep_period t = t.sweep_period
 let controller t = t.adapt
@@ -346,27 +343,11 @@ let enable_liveness_polling t ?(period = 300_000.0) ~is_alive () =
   let timer = Sim.every t.sim ~period poll in
   t.timers <- timer :: t.timers
 
-let subscribe_all_slots t =
-  let ecan = t.builder.Builder.ecan in
-  let can = Ecan_exp.can ecan in
-  Array.iter
-    (fun node ->
-      for row = 0 to Ecan_exp.rows ecan node - 1 do
-        let own = Ecan_exp.own_digit ecan node ~row in
-        for digit = 0 to (1 lsl Ecan_exp.span_bits ecan) - 1 do
-          if digit <> own then watch_slot t ~node ~row ~digit
-        done
-      done)
-    (Can_overlay.node_ids can)
-
 let watch_all_slots_of t node =
-  let ecan = t.builder.Builder.ecan in
-  for row = 0 to Ecan_exp.rows ecan node - 1 do
-    let own = Ecan_exp.own_digit ecan node ~row in
-    for digit = 0 to (1 lsl Ecan_exp.span_bits ecan) - 1 do
-      if digit <> own then watch_slot t ~node ~row ~digit
-    done
-  done
+  Ecan_exp.iter_slots t.builder.Builder.ecan node (watch_slot t ~node)
+
+let subscribe_all_slots t =
+  Array.iter (watch_all_slots_of t) (Can_overlay.node_ids (Ecan_exp.can t.builder.Builder.ecan))
 
 let node_joins t node =
   let builder = t.builder in
@@ -457,47 +438,31 @@ let node_departs t node =
   remove_member t node ~retract:true
 
 let node_crashes t node =
-  t.crashes <- t.crashes + 1;
   (match t.counters with Some c -> Engine.Metrics.incr c.c_crashes | None -> ());
   emit_fault_span t node Engine.Trace.Crash;
   Hashtbl.replace t.crash_at node (Sim.now t.sim);
   remove_member t node ~retract:false
 
 let audit_tables t =
-  let repaired = ref 0 in
   let ecan = t.builder.Builder.ecan in
   let can = Ecan_exp.can ecan in
   Array.iter
     (fun node ->
-      for row = 0 to Ecan_exp.rows ecan node - 1 do
-        let own = Ecan_exp.own_digit ecan node ~row in
-        for digit = 0 to (1 lsl Ecan_exp.span_bits ecan) - 1 do
-          if digit <> own then begin
-            let region = Ecan_exp.region_prefix ecan node ~row ~digit in
-            let wants_repair =
-              match Ecan_exp.entry ecan node ~row ~digit with
-              | Some target ->
-                (* Dead or relocated-out-of-region representative. *)
-                (not (Can_overlay.mem can target))
-                ||
-                let path = (Can_overlay.node can target).Can_overlay.path in
-                Array.length path < Array.length region
-                || not (Array.for_all2 ( = ) region (Array.sub path 0 (Array.length region)))
-              | None ->
-                (* Unfilled slot whose region has members: a publish
-                   notification was lost. *)
-                Array.length (Can_overlay.members_with_prefix can region) > 0
-            in
-            if wants_repair then begin
-              incr repaired;
-              reselect_slot t ~node ~row ~digit
-            end
-          end
-        done
-      done)
-    (Can_overlay.node_ids can);
-  !repaired
+      Ecan_exp.iter_slots ecan node (fun ~row ~digit ->
+          let region = Ecan_exp.region_prefix ecan node ~row ~digit in
+          let wants_repair =
+            match Ecan_exp.entry ecan node ~row ~digit with
+            | Some target ->
+              (* Dead or relocated-out-of-region representative. *)
+              not (Ecan_exp.in_region ecan ~region target)
+            | None ->
+              (* Unfilled slot whose region has members: a publish
+                 notification was lost. *)
+              Array.length (Can_overlay.members_with_prefix can region) > 0
+          in
+          if wants_repair then reselect_slot t ~node ~row ~digit))
+    (Can_overlay.node_ids can)
 
 let enable_table_audit t ?(period = 400_000.0) () =
-  let timer = Sim.every t.sim ~period (fun () -> ignore (audit_tables t)) in
+  let timer = Sim.every t.sim ~period (fun () -> audit_tables t) in
   t.timers <- timer :: t.timers

@@ -55,6 +55,23 @@ let region_prefix t id ~row ~digit =
   done;
   prefix
 
+let iter_slots t id f =
+  let path = (Can_overlay.node t.can id).Can_overlay.path in
+  for row = 0 to (Array.length path / t.span_bits) - 1 do
+    let own = digit_of_bits t path row in
+    for digit = 0 to fan t - 1 do
+      if digit <> own then f ~row ~digit
+    done
+  done
+
+let in_region t ~region target =
+  Can_overlay.mem t.can target
+  &&
+  let path = (Can_overlay.node t.can target).Can_overlay.path in
+  let len = Array.length region in
+  let rec agrees i = i >= len || (path.(i) = region.(i) && agrees (i + 1)) in
+  Array.length path >= len && agrees 0
+
 let table t id =
   match Hashtbl.find_opt t.tables id with
   | Some tbl -> tbl
@@ -92,17 +109,11 @@ let entries t id =
 let build_table_for t ~selector id =
   Hashtbl.remove t.tables id;
   let tbl = table t id in
-  for row = 0 to Array.length tbl - 1 do
-    let own = own_digit t id ~row in
-    for digit = 0 to fan t - 1 do
-      if digit <> own then begin
-        let region = region_prefix t id ~row ~digit in
-        let candidates = Can_overlay.members_with_prefix t.can region in
-        if Array.length candidates > 0 then
-          tbl.(row).(digit) <- selector ~node:id ~region ~candidates
-      end
-    done
-  done
+  iter_slots t id (fun ~row ~digit ->
+      let region = region_prefix t id ~row ~digit in
+      let candidates = Can_overlay.members_with_prefix t.can region in
+      if Array.length candidates > 0 then
+        tbl.(row).(digit) <- selector ~node:id ~region ~candidates)
 
 let build_tables t ~selector =
   Array.iter (build_table_for t ~selector) (Can_overlay.node_ids t.can)

@@ -50,6 +50,17 @@ val own_digit : t -> int -> row:int -> int
 val region_prefix : t -> int -> row:int -> digit:int -> int array
 (** The path prefix of the sibling region a table slot points into. *)
 
+val iter_slots : t -> int -> (row:int -> digit:int -> unit) -> unit
+(** [iter_slots t id f] calls [f ~row ~digit] for every slot of [id]'s
+    table under its current path: rows ascending, digits ascending,
+    skipping the node's own digit at each row.  [f] must not change the
+    node's membership or zone. *)
+
+val in_region : t -> region:int array -> int -> bool
+(** [in_region t ~region target]: [target] is a live member whose path
+    starts with [region] — the test for "this slot's entry still belongs
+    to the slot". *)
+
 val entry : t -> int -> row:int -> digit:int -> int option
 (** Current table entry, [None] if unfilled or never built. *)
 

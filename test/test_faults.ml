@@ -133,12 +133,7 @@ let test_ecan_oracle_detects_corruption () =
      slots whose regions are inhabited. *)
   Array.iter
     (fun id ->
-      for row = 0 to Ecan_exp.rows ecan id - 1 do
-        let own = Ecan_exp.own_digit ecan id ~row in
-        for digit = 0 to (1 lsl Ecan_exp.span_bits ecan) - 1 do
-          if digit <> own then Ecan_exp.set_entry ecan id ~row ~digit None
-        done
-      done)
+      Ecan_exp.iter_slots ecan id (fun ~row ~digit -> Ecan_exp.set_entry ecan id ~row ~digit None))
     (Can_overlay.node_ids can);
   (match Exp_churn.ecan_convergence b with
   | Ok () -> Alcotest.fail "emptied tables must not pass the oracle"
