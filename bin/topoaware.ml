@@ -533,7 +533,6 @@ let trace_cmd =
             oracle
             { Builder.default_config with Builder.overlay_size = size; ttl = 60_000.0; seed }
         in
-        let can = Ecan.Expressway.can b.Builder.ecan in
         let m =
           Core.Maintenance.start ~sim ~metrics ~trace:tracer ~refresh_period:20_000.0
             ~sweep_period:5_000.0 ~channel:(Engine.Faults.perturb faults) b
@@ -552,33 +551,10 @@ let trace_cmd =
             spread = until /. 2.0;
           }
         in
-        let joiners =
-          Array.of_seq
-            (Seq.filter
-               (fun i -> not (Can_overlay.mem can i))
-               (Seq.init (Oracle.node_count oracle) (fun i -> i)))
-        in
-        let next_join = ref 0 in
         let drv = Rng.create (seed + 2) in
-        let handler (ev : Engine.Faults.event) =
-          match ev.Engine.Faults.action with
-          | Engine.Faults.Crash ->
-            let ids = Can_overlay.node_ids can in
-            if Array.length ids > 8 then Core.Maintenance.node_crashes m (Rng.pick drv ids)
-          | Engine.Faults.Leave ->
-            let ids = Can_overlay.node_ids can in
-            if Array.length ids > 8 then Core.Maintenance.node_departs m (Rng.pick drv ids)
-          | Engine.Faults.Join ->
-            if !next_join < Array.length joiners then begin
-              Core.Maintenance.node_joins m joiners.(!next_join);
-              incr next_join
-            end
-          | Engine.Faults.Expire fraction ->
-            ignore (Softstate.Store.inject_staleness b.Builder.store ~rng:drv ~fraction)
-        in
-        Engine.Faults.install faults ~sim ~plan:(Engine.Faults.plan faults storm) ~handler;
+        Workload.Exp_churn.install_ecan_storm faults ~sim ~storm ~rng:drv m b;
         Engine.Sim.run ~until sim;
-        let ids = Can_overlay.node_ids can in
+        let ids = Can_overlay.node_ids (Ecan.Expressway.can b.Builder.ecan) in
         for _ = 1 to lookups do
           ignore
             (Ecan.Expressway.route b.Builder.ecan ~src:(Rng.pick drv ids)

@@ -1,13 +1,9 @@
-module Oracle = Topology.Oracle
 module Builder = Core.Builder
 module Maintenance = Core.Maintenance
 module Sim = Engine.Sim
 module Faults = Engine.Faults
 module Repair = Engine.Repair
-module Store = Softstate.Store
 module Bus = Pubsub.Bus
-module Can_overlay = Can.Overlay
-module Ecan_exp = Ecan.Expressway
 module Rng = Prelude.Rng
 
 type config = {
@@ -40,7 +36,6 @@ type result = {
    the knob is inert). *)
 let ttl = 30_000.0
 let settle = 60_000.0
-let min_membership = 8
 let shards = 4
 
 let storm =
@@ -139,49 +134,13 @@ let run_one ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg =
   let b =
     Builder.build ~metrics ~labels ~trace:tracer ~clock:(fun () -> Sim.now sim) oracle bconfig
   in
-  let can = Ecan_exp.can b.Builder.ecan in
   let m =
     Maintenance.start ~sim ~metrics ~labels ~trace:tracer ~refresh_period:cfg.refresh
       ~sweep_period:cfg.sweep ~channel:(Faults.perturb faults) ~digest_window:cfg.digest_window
       ?adapt:cfg.adapt b
   in
   Maintenance.subscribe_all_slots m;
-  let joiners =
-    Array.of_seq
-      (Seq.filter
-         (fun i -> not (Can_overlay.mem can i))
-         (Seq.init (Oracle.node_count oracle) (fun i -> i)))
-  in
-  let next_join = ref 0 in
-  let drv = Rng.create ((seed * 3001) + 3) in
-  let handler (ev : Faults.event) =
-    match ev.Faults.action with
-    | Faults.Crash ->
-      let ids = Can_overlay.node_ids can in
-      if Array.length ids > min_membership then begin
-        let victim = Rng.pick drv ids in
-        Faults.note faults (Printf.sprintf "crash node %d" victim);
-        Maintenance.node_crashes m victim
-      end
-    | Faults.Leave ->
-      let ids = Can_overlay.node_ids can in
-      if Array.length ids > min_membership then begin
-        let victim = Rng.pick drv ids in
-        Faults.note faults (Printf.sprintf "leave node %d" victim);
-        Maintenance.node_departs m victim
-      end
-    | Faults.Join ->
-      if !next_join < Array.length joiners then begin
-        let newcomer = joiners.(!next_join) in
-        incr next_join;
-        Faults.note faults (Printf.sprintf "join node %d" newcomer);
-        Maintenance.node_joins m newcomer
-      end
-    | Faults.Expire fraction ->
-      let aged = Store.inject_staleness b.Builder.store ~rng:drv ~fraction in
-      Faults.note faults (Printf.sprintf "staleness injected into %d entries" aged)
-  in
-  Faults.install faults ~sim ~plan:(Faults.plan faults storm) ~handler;
+  Exp_churn.install_ecan_storm faults ~sim ~storm ~rng:(Rng.create ((seed * 3001) + 3)) m b;
   Sim.run ~until:(storm.Faults.start +. storm.Faults.spread +. settle) sim;
   let bus = Maintenance.bus m in
   let notifications = Bus.sent_count bus and drops = Bus.dropped_count bus in
