@@ -30,13 +30,11 @@ type channel = { loss : float; delay_min : float; delay_max : float }
 let reliable = { loss = 0.0; delay_min = 0.0; delay_max = 0.0 }
 
 type t = {
-  seed : int;
   channel : channel;
   plan_rng : Rng.t;
   chan_rng : Rng.t;
   buf : Buffer.t;
   tracer : Trace.t option;
-  mutable lines : string list;  (* reversed *)
   mutable messages : int;
   mutable dropped : int;
 }
@@ -48,25 +46,19 @@ let create ?(channel = reliable) ?trace ~seed () =
     invalid_arg "Faults.create: need 0 <= delay_min <= delay_max";
   let root = Rng.create seed in
   {
-    seed;
     channel;
     plan_rng = Rng.split root;
     chan_rng = Rng.split root;
     buf = Buffer.create 1024;
     tracer = trace;
-    lines = [];
     messages = 0;
     dropped = 0;
   }
 
-let seed t = t.seed
-
 let note t line =
-  t.lines <- line :: t.lines;
   Buffer.add_string t.buf line;
   Buffer.add_char t.buf '\n'
 
-let trace t = List.rev t.lines
 let trace_digest t = Buffer.contents t.buf
 
 let trace_fault = function

@@ -57,8 +57,6 @@ val create : ?channel:channel -> ?trace:Trace.t -> seed:int -> unit -> t
     [Fault_inject] span (the textual trace of {!trace_digest} is
     unaffected). *)
 
-val seed : t -> int
-
 val plan : t -> storm -> event list
 (** Draw a fault plan for the storm, sorted by time (ties keep generation
     order).  Deterministic: the same injector seed and storm always yield
@@ -83,9 +81,6 @@ val dropped : t -> int
 
 val note : t -> string -> unit
 (** Append a driver-side resolution (e.g. ["crash 17"]) to the trace. *)
-
-val trace : t -> string list
-(** The decision trace so far, in chronological order. *)
 
 val trace_digest : t -> string
 (** The whole trace as one string — byte-identical across replays of the
