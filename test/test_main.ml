@@ -29,4 +29,5 @@ let () =
       ("properties", Test_properties.suite);
       ("perf", Test_perf.suite);
       ("edges", Test_edges.suite);
+      ("storm", Test_storm.suite);
     ]
