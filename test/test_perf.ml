@@ -191,4 +191,4 @@ let suite =
   @ List.map
       (fun name ->
         Alcotest.test_case ("fixture identity: " ^ name) `Slow (test_fixture_identity name))
-      [ "storm"; "churn"; "cache"; "repair"; "domains" ]
+      [ "storm"; "churn"; "cache"; "repair"; "domains"; "mcast"; "degree" ]
