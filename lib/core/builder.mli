@@ -98,9 +98,18 @@ val join_node : t -> int -> join_cost
 val stale_slots : t -> int list -> (int * int * int) list
 (** Table slots [(node, row, digit)] whose entry targets one of the given
     relocated members but whose region no longer contains that target —
-    the residue a zone takeover leaves in other nodes' tables. *)
+    the residue a zone takeover leaves in other nodes' tables.  Read from
+    the reverse-entry index ({!Ecan.Expressway.referrers}), so the cost
+    follows the relocated members' referrers, not the overlay size.
+
+    Order contract: holders in reverse {!Can.Overlay.node_ids} order,
+    then [(row, digit)] ascending within a holder — the order a fold over
+    every member's table gives.  Re-selection consumes the list in this
+    order (its probes and the rng's fallback picks), so seeded outputs
+    depend on it. *)
 
 val leave_node : t -> int -> unit
 (** Dynamic departure (proactive policy): retract soft state, remove from
     the CAN, rehost the remaining entries and clear dangling table
-    entries. *)
+    entries (the departed node's referrers, read from the reverse-entry
+    index). *)

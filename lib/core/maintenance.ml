@@ -34,7 +34,8 @@ type t = {
   mutable refresh_timer : Sim.timer option;
   mutable sweep_timers : Sim.timer list;
   mutable timers : Sim.timer list;  (* liveness polling, table audit *)
-  slot_subs : (int * int * int, Bus.subscription list) Hashtbl.t;
+  watches : (int, Bus.subscription list array) Hashtbl.t;
+      (* node -> its slots' live subscriptions, by slot [row * fan + digit] *)
   crash_at : (int, float) Hashtbl.t;  (* victim -> injection time *)
   adapt : Engine.Repair.controller option;
   tracer : Engine.Trace.t option;
@@ -69,10 +70,9 @@ let refresh_all t =
       let len = Array.length path / span_bits * span_bits in
       let rec go l =
         if l >= 0 then begin
-          let region = Array.sub path 0 l in
-          (match Store.find store ~region ~node with
-          | Some _ -> Store.refresh store ~region ~node
-          | None -> Bus.publish t.bus ~region ~node ~vector:(Builder.vector_of builder node));
+          if not (Store.refresh_prefix store ~path ~len:l ~node) then
+            Bus.publish t.bus ~region:(Array.sub path 0 l) ~node
+              ~vector:(Builder.vector_of builder node);
           t.refreshes <- t.refreshes + 1;
           (match t.counters with
           | Some c -> Engine.Metrics.incr c.c_refreshes
@@ -220,7 +220,7 @@ let start ~sim ?metrics ?labels ?trace ?(refresh_period = 200_000.0)
       refresh_timer = None;
       sweep_timers = [];
       timers = [];
-      slot_subs = Hashtbl.create 256;
+      watches = Hashtbl.create 256;
       crash_at = Hashtbl.create 16;
       adapt = controller;
       tracer = trace;
@@ -252,12 +252,42 @@ let refresh_period t = t.refresh_period
 let sweep_period t = t.sweep_period
 let controller t = t.adapt
 
-let drop_slot_subs t key =
-  match Hashtbl.find_opt t.slot_subs key with
-  | Some subs ->
-    List.iter (Bus.unsubscribe t.bus) subs;
-    Hashtbl.remove t.slot_subs key
-  | None -> ()
+let slot_index t ~row ~digit = (row lsl Ecan_exp.span_bits t.builder.Builder.ecan) lor digit
+
+let drop_slot_subs t ~node ~row ~digit =
+  match Hashtbl.find t.watches node with
+  | exception Not_found -> ()
+  | slots ->
+    let i = slot_index t ~row ~digit in
+    if i < Array.length slots then begin
+      List.iter (Bus.unsubscribe t.bus) slots.(i);
+      slots.(i) <- []
+    end
+
+let set_slot_subs t ~node ~row ~digit subs =
+  let i = slot_index t ~row ~digit in
+  let slots =
+    match Hashtbl.find t.watches node with
+    | slots when i < Array.length slots -> slots
+    | exception Not_found ->
+      let rows = Ecan_exp.rows t.builder.Builder.ecan node in
+      let slots = Array.make (max (i + 1) (slot_index t ~row:rows ~digit:0)) [] in
+      Hashtbl.replace t.watches node slots;
+      slots
+    | old ->
+      let slots = Array.make (i + 1) [] in
+      Array.blit old 0 slots 0 (Array.length old);
+      Hashtbl.replace t.watches node slots;
+      slots
+  in
+  slots.(i) <- subs
+
+let drop_node_subs t node =
+  match Hashtbl.find t.watches node with
+  | exception Not_found -> ()
+  | slots ->
+    Array.iter (List.iter (Bus.unsubscribe t.bus)) slots;
+    Hashtbl.remove t.watches node
 
 let stop t =
   t.stopped <- true;
@@ -267,8 +297,8 @@ let stop t =
   t.sweep_timers <- [];
   List.iter Sim.cancel t.timers;
   t.timers <- [];
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.slot_subs [] in
-  List.iter (drop_slot_subs t) keys
+  Hashtbl.iter (fun _ slots -> Array.iter (List.iter (Bus.unsubscribe t.bus)) slots) t.watches;
+  Hashtbl.reset t.watches
 
 (* Re-run selection for one slot and renew its subscriptions. *)
 let rec reselect_slot t ~node ~row ~digit =
@@ -302,8 +332,7 @@ let rec reselect_slot t ~node ~row ~digit =
    landmark space, or the departure of the current representative, both
    trigger re-selection. *)
 and watch_slot t ~node ~row ~digit =
-  let key = (node, row, digit) in
-  drop_slot_subs t key;
+  drop_slot_subs t ~node ~row ~digit;
   let ecan = t.builder.Builder.ecan in
   if row < Ecan_exp.rows ecan node && digit <> Ecan_exp.own_digit ecan node ~row then begin
     let region = Ecan_exp.region_prefix ecan node ~row ~digit in
@@ -328,7 +357,7 @@ and watch_slot t ~node ~row ~digit =
       | None ->
         [ Bus.subscribe t.bus ~subscriber:node ~region ~condition:Bus.Any_new_entry ~handler ]
     in
-    Hashtbl.replace t.slot_subs key subs
+    set_slot_subs t ~node ~row ~digit subs
   end
 
 let enable_liveness_polling t ?(period = 300_000.0) ~is_alive () =
@@ -419,10 +448,7 @@ let remove_member t node ~retract =
     (Builder.stale_slots builder
        (effect.Can_overlay.survivor :: Option.to_list effect.Can_overlay.backfilled));
   (* The departed node's own subscriptions die with it. *)
-  let own_keys =
-    Hashtbl.fold (fun ((n, _, _) as k) _ acc -> if n = node then k :: acc else acc) t.slot_subs []
-  in
-  List.iter (drop_slot_subs t) own_keys
+  drop_node_subs t node
 
 (* The victim-tagged fault span [Engine.Repair.analyze] resolves: node =
    victim, at = the injection instant.  (The plan spans [Engine.Faults]

@@ -93,7 +93,11 @@ val subscribe_all_slots : t -> unit
 
 val node_departs : t -> int -> unit
 (** Proactive departure of a member: retract its soft state (notifying
-    watchers), remove it from the overlay, rehost entries. *)
+    watchers), remove it from the overlay, rehost entries.  Like
+    {!node_crashes}, it re-selects only the slots the takeover left
+    stale ({!Builder.stale_slots}) and drops only the departed node's
+    own watches, which are kept per node: its cost follows what the
+    departure touches, not the overlay size. *)
 
 val node_crashes : t -> int -> unit
 (** Fail-stop failure: the member vanishes from the overlay (the

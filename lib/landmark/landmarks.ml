@@ -56,3 +56,19 @@ let vector_dist a b =
     acc := !acc +. (d *. d)
   done;
   sqrt !acc
+
+(* The sum runs in [vector_dist]'s order.  It may stop once the partial
+   sum [acc] has [sqrt acc > d]: the terms are non-negative or NaN, so
+   the full sum is at least [acc] (rounding is monotone) or NaN, and
+   either way [vector_dist a b <= d] is false.  [d *. d] only screens
+   for that test, which decides. *)
+let within a b d =
+  if Array.length a <> Array.length b then invalid_arg "Landmarks.vector_dist: length mismatch";
+  let dd = d *. d and n = Array.length a in
+  let acc = ref 0.0 and i = ref 0 in
+  while !i < n && not (!acc > dd && sqrt !acc > d) do
+    let x = a.(!i) -. b.(!i) in
+    acc := !acc +. (x *. x);
+    incr i
+  done;
+  !i = n && sqrt !acc <= d

@@ -54,3 +54,9 @@ val ordering_bin_count : ?k:int -> unit -> int
 val vector_dist : float array -> float array -> float
 (** Euclidean distance between two landmark vectors (the landmark-space
     proximity estimate). *)
+
+val within : float array -> float array -> float -> bool
+(** [within a b d] is [vector_dist a b <= d] for every input, NaN and
+    infinities included, but stops summing once a partial sum proves the
+    distance exceeds [d].  Raises [Invalid_argument] on a length
+    mismatch, as {!vector_dist} does. *)

@@ -31,11 +31,24 @@ type item = { it_event : event; it_sub : subscription; it_delay : float }
 
 type batch = { mutable items : item list (* newest first *) }
 
-(* A region's subscriptions, newest first.  An unsubscribe only flips
-   [active] and counts the subscription dead; the list is compacted,
-   order kept, once the dead outnumber the live, so each unsubscribe is
-   amortised O(1). *)
-type region_subs = { mutable subs : subscription list; mutable live : int; mutable dead : int }
+(* A region's subscriptions, indexed by the events they can match.
+   [Any_new_entry] and [Closer_than] watches live in [near], oldest
+   first, so a publish walks it backwards (newest first).  An unsubscribe
+   there only flips [active] and counts the watch dead; [near] is
+   compacted in place, order kept, once the dead outnumber the live and
+   no dispatch is walking it ([walking]), so each unsubscribe is
+   amortised O(1).  [Departure_of] and [Load_above] watches are keyed by
+   the watched node, newest first, in two tables, and leave their list
+   at once.  [live] counts every kind. *)
+type region_subs = {
+  mutable near : subscription array;
+  mutable near_len : int;
+  mutable near_dead : int;
+  mutable walking : int;  (* dispatches currently walking [near] *)
+  departs : (int, subscription list) Hashtbl.t;  (* watched node -> its watches *)
+  loads : (int, subscription list) Hashtbl.t;  (* watched node -> its watches *)
+  mutable live : int;
+}
 
 type obs = {
   n_sent : Engine.Metrics.counter;
@@ -129,6 +142,26 @@ let set_digest_window t w =
 
 let store t = t.store
 
+let new_region () =
+  {
+    near = [||];
+    near_len = 0;
+    near_dead = 0;
+    walking = 0;
+    departs = Hashtbl.create 8;
+    loads = Hashtbl.create 1;
+    live = 0;
+  }
+
+let add_watch by_node watched sub =
+  let others = try Hashtbl.find by_node watched with Not_found -> [] in
+  Hashtbl.replace by_node watched (sub :: others)
+
+let remove_watch by_node watched sub =
+  match List.filter (fun s -> s != sub) (Hashtbl.find by_node watched) with
+  | [] -> Hashtbl.remove by_node watched
+  | rest -> Hashtbl.replace by_node watched rest
+
 let subscribe t ~subscriber ~region ~condition ~handler =
   let sub =
     {
@@ -142,43 +175,69 @@ let subscribe t ~subscriber ~region ~condition ~handler =
   in
   t.next_id <- t.next_id + 1;
   let key = region_key region in
-  (match Hashtbl.find_opt t.regions key with
-  | Some r ->
-    r.subs <- sub :: r.subs;
-    r.live <- r.live + 1
-  | None -> Hashtbl.replace t.regions key { subs = [ sub ]; live = 1; dead = 0 });
+  let r =
+    match Hashtbl.find t.regions key with
+    | r -> r
+    | exception Not_found ->
+      let r = new_region () in
+      Hashtbl.replace t.regions key r;
+      r
+  in
+  r.live <- r.live + 1;
+  (match condition with
+  | Any_new_entry | Closer_than _ ->
+    if r.near_len = Array.length r.near then begin
+      let near = Array.make (max 4 (2 * r.near_len)) sub in
+      Array.blit r.near 0 near 0 r.near_len;
+      r.near <- near
+    end;
+    r.near.(r.near_len) <- sub;
+    r.near_len <- r.near_len + 1
+  | Departure_of watched -> add_watch r.departs watched sub
+  | Load_above { watched; _ } -> add_watch r.loads watched sub);
   sub
+
+let near_live r = r.near_len - r.near_dead
+
+(* Squeeze the dead out of [near] in place, order kept, once they
+   outnumber the live and no dispatch is walking it.  The vacated tail
+   is overwritten with a live entry so it keeps no dead one reachable. *)
+let maybe_compact_near r =
+  if r.walking = 0 && r.near_dead > near_live r then begin
+    let j = ref 0 in
+    for i = 0 to r.near_len - 1 do
+      let s = r.near.(i) in
+      if s.active then begin
+        r.near.(!j) <- s;
+        incr j
+      end
+    done;
+    if !j > 0 then Array.fill r.near !j (r.near_len - !j) r.near.(0) else r.near <- [||];
+    r.near_len <- !j;
+    r.near_dead <- 0
+  end
 
 let unsubscribe t sub =
   if sub.active then begin
     sub.active <- false;
     let key = region_key sub.region in
-    match Hashtbl.find_opt t.regions key with
-    | Some r ->
+    match Hashtbl.find t.regions key with
+    | exception Not_found -> ()
+    | r ->
       r.live <- r.live - 1;
-      r.dead <- r.dead + 1;
       if r.live = 0 then Hashtbl.remove t.regions key
-      else if r.dead > r.live then begin
-        r.subs <- List.filter (fun s -> s.active) r.subs;
-        r.dead <- 0
+      else begin
+        match sub.condition with
+        | Any_new_entry | Closer_than _ ->
+          r.near_dead <- r.near_dead + 1;
+          maybe_compact_near r
+        | Departure_of watched -> remove_watch r.departs watched sub
+        | Load_above { watched; _ } -> remove_watch r.loads watched sub
       end
-    | None -> ()
   end
 
 let subscription_count t ~region =
   match Hashtbl.find_opt t.regions (region_key region) with Some r -> r.live | None -> 0
-
-let matches sub ~vector event =
-  match (sub.condition, event) with
-  | Any_new_entry, Entry_published _ -> true
-  | Closer_than (mine, d), Entry_published _ ->
-    (match vector with
-    | Some v -> Landmarks.vector_dist mine v <= d
-    | None -> false)
-  | Load_above { watched; threshold }, Load_changed { entry_node; load; _ } ->
-    watched = entry_node && load > threshold
-  | Departure_of watched, Entry_departed { entry_node; _ } -> watched = entry_node
-  | (Any_new_entry | Closer_than _ | Load_above _ | Departure_of _), _ -> false
 
 (* The seed delivery path: one scheduled engine event per notification.
    Used whenever the digest window is zero (the default) or there is no
@@ -266,15 +325,52 @@ let deliver t sub ~host event =
   | Some sim when t.digest_window > 0.0 -> deliver_digest t sim sub ~host event
   | Some _ | None -> deliver_immediate t sub ~host event
 
+(* Each event kind reads only the index that can match it, once:
+   subscriptions a handler adds mid-dispatch are not visited, and [near]
+   is not compacted while a dispatch walks it, so the deliveries and
+   their order are those of a newest-first walk over every subscription
+   of the region. *)
+let walk_near t r ~vector ~host event =
+  let near = r.near in
+  for i = r.near_len - 1 downto 0 do
+    let sub = near.(i) in
+    if sub.active
+       &&
+       match sub.condition with
+       | Closer_than (mine, d) -> (
+         match vector with Some v -> Landmarks.within mine v d | None -> false)
+       | Any_new_entry | Load_above _ | Departure_of _ -> true
+    then deliver t sub ~host event
+  done
+
 let notify t ~region ~vector ~host event =
-  match Hashtbl.find_opt t.regions (region_key region) with
-  | None -> ()
-  | Some r ->
-    (* [r.subs] is read once: subscriptions a handler adds or compacts
-       away mid-dispatch do not change this dispatch's order. *)
-    List.iter
-      (fun sub -> if sub.active && matches sub ~vector event then deliver t sub ~host event)
-      r.subs
+  match Hashtbl.find t.regions (region_key region) with
+  | exception Not_found -> ()
+  | r -> (
+    match event with
+    | Entry_published _ ->
+      r.walking <- r.walking + 1;
+      (match walk_near t r ~vector ~host event with
+      | () -> r.walking <- r.walking - 1
+      | exception e ->
+        r.walking <- r.walking - 1;
+        raise e);
+      maybe_compact_near r
+    | Entry_departed { entry_node; _ } -> (
+      match Hashtbl.find r.departs entry_node with
+      | exception Not_found -> ()
+      | subs -> List.iter (fun sub -> if sub.active then deliver t sub ~host event) subs)
+    | Load_changed { entry_node; load; _ } -> (
+      match Hashtbl.find r.loads entry_node with
+      | exception Not_found -> ()
+      | subs ->
+        List.iter
+          (fun sub ->
+            match sub.condition with
+            | Load_above { threshold; _ } when sub.active && load > threshold ->
+              deliver t sub ~host event
+            | Any_new_entry | Closer_than _ | Load_above _ | Departure_of _ -> ())
+          subs))
 
 let host_for t ~region ~vector =
   if Can.Overlay.size (Store.can t.store) = 0 then -1

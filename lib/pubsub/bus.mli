@@ -7,7 +7,12 @@
     through the bus evaluate the region's subscriptions and deliver
     matching notifications, after a delivery latency, through the
     discrete-event engine (notifications ride the overlay in the paper;
-    the latency function models that dissemination cost). *)
+    the latency function models that dissemination cost).
+
+    An event visits only the subscriptions its kind can match: a publish
+    walks the region's [Any_new_entry] and [Closer_than] watches, a
+    departure or a load change only the watchers of that node.  Matches
+    are handed to the channel newest subscription first. *)
 
 type event =
   | Entry_published of { region : int array; entry_node : int }
@@ -115,10 +120,13 @@ val subscribe :
 val unsubscribe : t -> subscription -> unit
 (** Deactivate a subscription: it receives nothing from now on, including
     notifications already in flight or waiting in a digest.  Unsubscribing
-    twice is a no-op.  Amortised O(1): the subscription is only marked
-    dead, and a region's list is compacted, in its dispatch order, once
-    its dead subscriptions outnumber the live ones.  A region with no live
-    subscription left is dropped. *)
+    twice is a no-op.  A region indexes its subscriptions by the events
+    they can match.  An [Any_new_entry] or [Closer_than] subscription is
+    only marked dead, in amortised O(1): the region's publish array is
+    compacted in place, order kept, once its dead outnumber its live and
+    no dispatch is walking it.  A [Departure_of] or [Load_above]
+    subscription leaves its watched node's list at once, in time linear
+    in that list.  A region with no live subscription left is dropped. *)
 
 val subscription_count : t -> region:int array -> int
 (** Active subscriptions on a region (a stored count, O(1)). *)

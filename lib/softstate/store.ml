@@ -117,8 +117,14 @@ type t = {
 }
 
 (* Same encoding as Can.Overlay: sentinel bit + path bits. *)
-let region_key bits =
-  Array.fold_left (fun acc b -> (acc lsl 1) lor b) 1 bits
+let prefix_key path len =
+  let acc = ref 1 in
+  for i = 0 to len - 1 do
+    acc := (!acc lsl 1) lor path.(i)
+  done;
+  !acc
+
+let region_key bits = prefix_key bits (Array.length bits)
 
 (* The key is the sentinel-prefixed region path, so taking it mod the
    shard count spreads regions by their prefix bits; sibling regions land
@@ -346,14 +352,24 @@ let with_live_entry t ~region ~node f =
     | Some e when live t e -> f e
     | Some _ | None -> ())
 
-let refresh t ~region ~node =
-  with_live_entry t ~region ~node (fun e ->
+(* One probe: the map by the prefix's key, then the entry. *)
+let refresh_prefix t ~path ~len ~node =
+  if len < 0 || len > Array.length path then invalid_arg "Store.refresh_prefix: len out of range";
+  let key = prefix_key path len in
+  match Hashtbl.find t.maps key with
+  | exception Not_found -> false
+  | m -> (
+    match Hashtbl.find m.entries node with
+    | e when live t e ->
       e.Entry.expires <- t.clock () +. t.default_ttl;
       (* Lazy heap discipline: push a record at the new stamp; the record
          from the previous stamp pops as stale. *)
-      let key = region_key region in
-      schedule_expiry t ~key (Hashtbl.find t.maps key) e;
-      match t.obs with None -> () | Some o -> Engine.Metrics.incr o.refreshes)
+      schedule_expiry t ~key m e;
+      (match t.obs with None -> () | Some o -> Engine.Metrics.incr o.refreshes);
+      true
+    | _ | (exception Not_found) -> false)
+
+let refresh t ~region ~node = refresh_prefix t ~path:region ~len:(Array.length region) ~node
 
 let update_stats t ~region ~node ~load ~capacity =
   with_live_entry t ~region ~node (fun e ->

@@ -116,9 +116,16 @@ val unpublish : t -> region:int array -> node:int -> unit
 val unpublish_everywhere : t -> int -> unit
 (** Drop every entry describing a node, across all regions. *)
 
-val refresh : t -> region:int array -> node:int -> unit
-(** Re-stamp the entry's expiry at [now + default_ttl]; no-op if the
-    entry is absent or already expired and swept. *)
+val refresh : t -> region:int array -> node:int -> bool
+(** Re-stamp the entry's expiry at [now + default_ttl] and return
+    [true]; return [false], changing nothing, if the entry is absent or
+    already expired.  One map probe: a caller that wants "refresh, else
+    re-publish" needs no {!find} first. *)
+
+val refresh_prefix : t -> path:int array -> len:int -> node:int -> bool
+(** [refresh_prefix t ~path ~len ~node] is
+    [refresh t ~region:(Array.sub path 0 len) ~node] without building the
+    region.  Raises [Invalid_argument] unless [0 <= len <= length path]. *)
 
 val update_stats : t -> region:int array -> node:int -> load:float -> capacity:float -> unit
 (** Update the load statistics piggybacked on an entry. *)

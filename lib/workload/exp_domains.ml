@@ -101,7 +101,7 @@ let run_once ~scale ~domains =
     if b > 0 then
       for p = 0 to (publishers / 4) - 1 do
         let node = 1_000 + ((b - 1) * publishers) + p in
-        Store.refresh store ~region:(region_of p) ~node
+        ignore (Store.refresh store ~region:(region_of p) ~node)
       done;
     (* One probe batch per burst: duplicate and repeat destinations mix
        cache hits, prefetched fresh pairs and lossy retries. *)

@@ -154,7 +154,7 @@ let store_workload ~seed ~pool =
     if b > 0 then
       for p = 0 to 15 do
         if Rng.chance rng 0.3 then
-          Store.refresh store ~region:(region_of p) ~node:(1_000 + ((b - 1) * 16) + p)
+          ignore (Store.refresh store ~region:(region_of p) ~node:(1_000 + ((b - 1) * 16) + p))
       done;
     let purged = Store.sweep_expired store in
     purge_log :=

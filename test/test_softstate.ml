@@ -81,7 +81,8 @@ let test_refresh_extends () =
   let store, _, now, rng = setup ~ttl:50.0 ~seed:5 () in
   Store.publish store ~region:[||] ~node:1 ~vector:(vec rng);
   now := 40.0;
-  Store.refresh store ~region:[||] ~node:1;
+  Alcotest.(check bool) "refresh finds the live entry" true
+    (Store.refresh store ~region:[||] ~node:1);
   now := 80.0;
   Alcotest.(check bool) "alive thanks to refresh" true
     (Store.find store ~region:[||] ~node:1 <> None);
@@ -372,8 +373,9 @@ let qcheck_sweep_matches_scan_model =
           Hashtbl.replace model (key region node) (!now +. ttl)
         | 2 ->
           let region = pick_region () and node = pick_node () in
-          Store.refresh store ~region ~node;
+          let refreshed = Store.refresh store ~region ~node in
           let k = key region node in
+          if refreshed <> model_live k then ok := false;
           if model_live k then Hashtbl.replace model k (!now +. ttl)
         | 3 ->
           let region = pick_region () and node = pick_node () in
