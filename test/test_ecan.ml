@@ -128,6 +128,55 @@ let test_span_bits_3 () =
 
 (* Generic routing/owner properties live in the shared
    backend-conformance suite (test_conformance.ml). *)
+(* The reverse-entry index against a scan of every table, through
+   states the builder never reaches: tables left stale while the CAN
+   churns (rows beyond a shrunk path, departed holders), overwrites, and
+   entries naming departed nodes.  [referrers] must return exactly the
+   live slots (member holder, row under the current path) that point at
+   each target. *)
+let qcheck_referrers_match_scan =
+  QCheck.Test.make ~name:"referrers = scan of every table, through churn" ~count:60
+    QCheck.(triple (int_range 1 3) (int_range 4 40) (int_bound 10_000))
+    (fun (span_bits, n, seed) ->
+      let e, rng = build ~span_bits ~n ~seed () in
+      let can = Ecan.can e in
+      let next = ref n and ok = ref true in
+      let check () =
+        let scanned = Array.make (!next + 1) [] in
+        Array.iter
+          (fun id ->
+            List.iter
+              (fun (row, digit, target) ->
+                scanned.(target) <- (id, row, digit) :: scanned.(target))
+              (Ecan.entries e id))
+          (Can_overlay.node_ids can);
+        for target = 0 to !next do
+          if List.sort compare (Ecan.referrers e target) <> List.sort compare scanned.(target)
+          then ok := false
+        done
+      in
+      for _ = 1 to 40 do
+        let ids = Can_overlay.node_ids can in
+        (match Rng.int rng 4 with
+        | 0 ->
+          ignore (Can_overlay.join can !next (Point.random rng 2));
+          incr next
+        | 1 when Array.length ids > 2 -> ignore (Can_overlay.leave can (Rng.pick rng ids))
+        | 2 -> Ecan.build_table_for e ~selector:(random_selector rng) (Rng.pick rng ids)
+        | _ ->
+          let id = Rng.pick rng ids in
+          let rows = Ecan.rows e id in
+          if rows > 0 then begin
+            let value = if Rng.chance rng 0.2 then None else Some (Rng.int rng !next) in
+            try
+              Ecan.set_entry e id ~row:(Rng.int rng rows)
+                ~digit:(Rng.int rng (1 lsl span_bits)) value
+            with Invalid_argument _ -> ()
+          end);
+        check ()
+      done;
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "digit extraction" `Quick test_digits;
@@ -137,4 +186,5 @@ let suite =
     Alcotest.test_case "fallback without tables" `Quick test_route_without_tables_falls_back;
     Alcotest.test_case "set_entry / table_size" `Quick test_set_entry_and_table_size;
     Alcotest.test_case "span_bits = 3" `Quick test_span_bits_3;
+    QCheck_alcotest.to_alcotest qcheck_referrers_match_scan;
   ]

@@ -190,6 +190,49 @@ let qcheck_physically_close_nodes_have_close_vectors =
       let cross = Landmarks.vector_dist (v stub0.(0)) (v stub_last.(0)) in
       same <= cross +. 1e-9)
 
+(* [within] stops summing early; its answer must be [vector_dist]'s
+   comparison for every input.  Components mix small integers (exact
+   ties), arbitrary floats, signed zeros, infinities and NaN; the bound
+   is drawn from the same specials, from the pair's exact distance and
+   its floating-point neighbours, and from arbitrary floats. *)
+let qcheck_within_matches_vector_dist =
+  let special = [| 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity |] in
+  let component =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map float_of_int (int_range (-3) 3));
+          (4, float_range (-500.0) 500.0);
+          (1, oneofa special);
+        ])
+  in
+  let case =
+    QCheck.Gen.(
+      int_range 0 8 >>= fun n ->
+      triple (array_size (return n) component) (array_size (return n) component)
+        (pair (int_range 0 4) (float_range (-10.0) 800.0)))
+  in
+  let print (a, b, (k, x)) =
+    let pp v = String.concat "; " (Array.to_list (Array.map Float.to_string v)) in
+    Printf.sprintf "[|%s|] [|%s|] bound kind %d (%g)" (pp a) (pp b) k x
+  in
+  QCheck.Test.make ~name:"within = vector_dist <= d, NaN and infinities included" ~count:2000
+    (QCheck.make ~print case) (fun (a, b, (k, x)) ->
+      let exact = Landmarks.vector_dist a b in
+      let d =
+        match k with
+        | 0 -> special.(int_of_float (Float.abs x) mod Array.length special)
+        | 1 -> exact
+        | 2 -> Float.pred exact
+        | 3 -> Float.succ exact
+        | _ -> x
+      in
+      Landmarks.within a b d = (exact <= d))
+
+let test_within_length_mismatch () =
+  Alcotest.check_raises "mismatch" (Invalid_argument "Landmarks.vector_dist: length mismatch")
+    (fun () -> ignore (Landmarks.within [| 1.0 |] [| 1.0; 2.0 |] 5.0))
+
 let suite =
   [
     Alcotest.test_case "choose landmarks" `Quick test_choose_landmarks;
@@ -206,4 +249,6 @@ let suite =
     Alcotest.test_case "latency bound calibration" `Quick test_calibrate_max_latency;
     Alcotest.test_case "z-curve scheme" `Quick test_zcurve_scheme;
     QCheck_alcotest.to_alcotest qcheck_physically_close_nodes_have_close_vectors;
+    QCheck_alcotest.to_alcotest qcheck_within_matches_vector_dist;
+    Alcotest.test_case "within rejects a length mismatch" `Quick test_within_length_mismatch;
   ]
