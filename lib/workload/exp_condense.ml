@@ -1,6 +1,5 @@
 module Builder = Core.Builder
 module Strategy = Core.Strategy
-module Measure = Core.Measure
 module Store = Softstate.Store
 
 let rates = [ 0.0625; 0.25; 1.0; 2.0; 4.0; 8.0 ]
@@ -31,17 +30,14 @@ let fig16 ?(scale = 1) ppf =
           }
       in
       let hosting = Store.hosting_stats b.Builder.store in
-      let stretch =
-        (Measure.route_stretch ~pairs:measure_pairs b).Measure.stretch.Prelude.Stats.mean
-      in
       (* Headline numbers per reduction rate go to the global registry. *)
       let labels = [ ("condense", Printf.sprintf "%.4f" condense) ] in
-      let g name v =
-        Engine.Metrics.set (Engine.Metrics.gauge Engine.Metrics.global ~labels name) v
+      let stretch =
+        Sweep.mean
+          (Sweep.route ~pairs:measure_pairs b ~record:(Sweep.Gauge ("condense_stretch", labels)))
       in
-      g "condense_entries_per_host" hosting.Prelude.Stats.mean;
-      g "condense_hosting_nodes" (float_of_int hosting.Prelude.Stats.count);
-      g "condense_stretch" stretch;
+      Sweep.gauge ~labels "condense_entries_per_host" hosting.Prelude.Stats.mean;
+      Sweep.gauge ~labels "condense_hosting_nodes" (float_of_int hosting.Prelude.Stats.count);
       Tableout.add_row table
         [
           Printf.sprintf "%.2f" condense;

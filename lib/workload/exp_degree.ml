@@ -27,7 +27,6 @@
 
 module Builder = Core.Builder
 module Strategy = Core.Strategy
-module Measure = Core.Measure
 module Metrics = Engine.Metrics
 module Faults = Engine.Faults
 module Rng = Prelude.Rng
@@ -94,10 +93,7 @@ let data ?(scale = 1) ?(seed = 11) () =
         seed = (seed * 1009) + 2;
       }
   in
-  let ecan_random =
-    (Measure.route_stretch ~pairs:stretch_pairs random_b).Measure.stretch
-      .Prelude.Stats.mean
-  in
+  let ecan_random = Sweep.mean (Sweep.route ~pairs:stretch_pairs random_b) in
   List.concat_map
     (fun k ->
       (* The eCAN stack reports under experiment=degree / k=<k> labels so

@@ -1,14 +1,10 @@
 module Builder = Core.Builder
 module Strategy = Core.Strategy
-module Measure = Core.Measure
 
 let sizes = [ 512; 1024; 2048; 4096; 8192 ]
 let rtt_budget = 10
 let landmark_count = 15
 let measure_pairs = 1024
-
-let mean_stretch builder =
-  (Measure.route_stretch ~pairs:measure_pairs builder).Measure.stretch.Prelude.Stats.mean
 
 let figure ~title ~scale latency ppf =
   let table =
@@ -41,24 +37,21 @@ let figure ~title ~scale latency ppf =
               seed = 42 + n;
             }
         in
-        let random = mean_stretch b in
-        Builder.rebuild_tables b (Strategy.hybrid ~rtts:rtt_budget ());
-        let hybrid = mean_stretch b in
         (* Per-configuration means go to the global registry. *)
-        let g strategy v =
-          Engine.Metrics.set
-            (Engine.Metrics.gauge Engine.Metrics.global
-               ~labels:
-                 [
-                   ("variant", Ctx.variant_name variant);
-                   ("nodes", string_of_int size);
-                   ("strategy", strategy);
-                 ]
-               "scale_stretch")
-            v
+        let cell ?fill strategy =
+          Sweep.mean
+            (Sweep.route ?fill ~pairs:measure_pairs b
+               ~record:
+                 (Sweep.Gauge
+                    ( "scale_stretch",
+                      [
+                        ("variant", Ctx.variant_name variant);
+                        ("nodes", string_of_int size);
+                        ("strategy", strategy);
+                      ] )))
         in
-        g "random" random;
-        g "hybrid" hybrid;
+        let random = cell "random" in
+        let hybrid = cell ~fill:(Strategy.hybrid ~rtts:rtt_budget ()) "hybrid" in
         (hybrid, random)
       in
       let large_hybrid, large_random = cells Ctx.Tsk_large in

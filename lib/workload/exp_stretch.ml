@@ -1,25 +1,10 @@
 module Builder = Core.Builder
 module Strategy = Core.Strategy
-module Measure = Core.Measure
 
 let overlay_size = 4096
 let rtt_budgets = [ 1; 2; 5; 10; 20; 40 ]
 let landmark_counts = [ 10; 20 ]
 let measure_pairs = 2048
-
-(* Each measured configuration also lands its per-pair stretch samples in
-   the global registry ([route_stretch] histograms keyed by figure,
-   landmark count and RTT budget) so [bench --json] exports the full
-   distributions, not just the table's means. *)
-let mean_stretch ~labels builder =
-  let report = Measure.route_stretch ~pairs:measure_pairs builder in
-  let hist = Engine.Metrics.histogram Engine.Metrics.global ~labels "route_stretch" in
-  List.iter
-    (fun (s : Measure.sample) ->
-      if s.Measure.shortest > 0.0 then
-        Engine.Metrics.observe hist (s.Measure.latency /. s.Measure.shortest))
-    report.Measure.samples;
-  report.Measure.stretch.Prelude.Stats.mean
 
 let figure ~fig ~title ~scale variant latency ppf =
   let oracle = Ctx.oracle ~scale variant latency in
@@ -45,30 +30,28 @@ let figure ~fig ~title ~scale variant latency ppf =
     @ [ "optimal" ]
   in
   let table = Tableout.create ~title ~columns in
+  (* Each cell's per-pair stretches go to a [route_stretch] histogram
+     keyed by figure, landmark count and RTT budget. *)
+  let cell ~fill landmark_count rtts b =
+    Tableout.cell_f
+      (Sweep.mean
+         (Sweep.route ~fill ~pairs:measure_pairs b
+            ~record:
+              (Sweep.Histogram
+                 [ ("fig", fig); ("landmarks", string_of_int landmark_count); ("rtts", rtts) ])))
+  in
   (* The optimal curve is flat in the RTT budget. *)
   let lm_ref, reference = List.hd builders in
-  Builder.rebuild_tables reference Strategy.Optimal;
-  let optimal =
-    mean_stretch reference
-      ~labels:[ ("fig", fig); ("landmarks", string_of_int lm_ref); ("rtts", "optimal") ]
-  in
+  let optimal = cell ~fill:Strategy.Optimal lm_ref "optimal" reference in
   List.iter
     (fun rtts ->
       let cells =
         List.map
           (fun (landmark_count, b) ->
-            Builder.rebuild_tables b (Strategy.hybrid ~rtts ());
-            Tableout.cell_f
-              (mean_stretch b
-                 ~labels:
-                   [
-                     ("fig", fig);
-                     ("landmarks", string_of_int landmark_count);
-                     ("rtts", string_of_int rtts);
-                   ]))
+            cell ~fill:(Strategy.hybrid ~rtts ()) landmark_count (string_of_int rtts) b)
           builders
       in
-      Tableout.add_row table ((Tableout.cell_i rtts :: cells) @ [ Tableout.cell_f optimal ]))
+      Tableout.add_row table ((Tableout.cell_i rtts :: cells) @ [ optimal ]))
     rtt_budgets;
   Tableout.render ppf table
 

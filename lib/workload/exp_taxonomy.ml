@@ -96,7 +96,7 @@ let run ?(scale = 1) ppf =
         seed = 42;
       }
   in
-  let report = Measure.route_stretch ~pairs:route_count b in
+  let report = Sweep.route ~pairs:route_count b in
   let pns =
     {
       stretch = report.Measure.stretch;
@@ -112,10 +112,7 @@ let run ?(scale = 1) ppf =
       ~columns:[ "technique"; "stretch"; "p90 stretch"; "hops"; "max neighbors" ]
   in
   let row name o =
-    Engine.Metrics.set
-      (Engine.Metrics.gauge Engine.Metrics.global
-         ~labels:[ ("experiment", "taxonomy"); ("technique", name) ]
-         "taxonomy_stretch")
+    Sweep.gauge ~labels:[ ("experiment", "taxonomy"); ("technique", name) ] "taxonomy_stretch"
       o.stretch.Stats.mean;
     Tableout.add_row table
       [
