@@ -8,7 +8,9 @@
      dune exec bench/main.exe -- --json out.json -- also dump the metrics
                                                     registry as JSON
 
-   Any other argument, or a flag without its value, is an error (exit 2). *)
+   Any other argument, a flag without its value, an unknown experiment
+   or a --json file that cannot be opened for writing is an error
+   (exit 2), reported before any experiment runs. *)
 
 module Registry = Workload.Registry
 
@@ -41,23 +43,37 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let ppf = Format.std_formatter in
-  (match !only with
-  | Some id ->
-    (match Registry.find id with
-    | Some e -> e.Registry.run ~scale:!scale ppf
-    | None ->
-      Format.fprintf ppf "unknown experiment %S; known:@." id;
-      List.iter (fun e -> Format.fprintf ppf "  %s@." e.Registry.name) Registry.all;
-      exit 1)
-  | None -> Registry.run_all ~scale:!scale ppf);
+  let run =
+    match !only with
+    | None -> Registry.run_all ~scale:!scale
+    | Some id ->
+      (match Registry.find id with
+      | Some e -> e.Registry.run ~scale:!scale
+      | None ->
+        Format.eprintf "unknown experiment %S; known:@." id;
+        List.iter (fun e -> Format.eprintf "  %s@." e.Registry.name) Registry.all;
+        exit 2)
+  in
+  (* Open the dump before any experiment runs, so an unwritable path
+     fails at once instead of after the whole suite. *)
+  let json =
+    Option.map
+      (fun path ->
+        match open_out path with
+        | oc -> (path, oc)
+        | exception Sys_error e ->
+          Format.eprintf "cannot write --json file: %s@." e;
+          exit 2)
+      !json
+  in
+  run ppf;
   (* The experiments record into the process-global registry as they run;
      the dump is deterministic (sorted instruments, fixed float format),
      so same-seed runs produce byte-identical files. *)
-  match !json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Prelude.Json.to_string (Engine.Metrics.to_json Engine.Metrics.global));
-    output_char oc '\n';
-    close_out oc;
-    Format.fprintf ppf "metrics written to %s@." path
+  Option.iter
+    (fun (path, oc) ->
+      output_string oc (Prelude.Json.to_string (Engine.Metrics.to_json Engine.Metrics.global));
+      output_char oc '\n';
+      close_out oc;
+      Format.fprintf ppf "metrics written to %s@." path)
+    json
