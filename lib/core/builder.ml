@@ -21,7 +21,6 @@ type config = {
   ttl : float;
   shards : int;
   curve : Landmark.Number.curve;
-  index_dims : int;
   probe : Engine.Probe.config;
   domains : int;
   seed : int;
@@ -38,7 +37,6 @@ let default_config =
     ttl = 600_000.0;
     shards = 1;
     curve = Number.Hilbert_curve;
-    index_dims = 3;
     probe = Engine.Probe.default_config;
     domains = 0;
     seed = 42;
@@ -133,8 +131,8 @@ let build ?metrics ?labels ?trace ?(clock = fun () -> 0.0) oracle config =
   if config.overlay_size < 1 then invalid_arg "Builder.build: overlay_size must be >= 1";
   if config.overlay_size > Oracle.node_count oracle then
     invalid_arg "Builder.build: overlay larger than the topology";
-  if config.landmark_count < config.index_dims then
-    invalid_arg "Builder.build: need at least index_dims landmarks";
+  if config.landmark_count < 3 then
+    invalid_arg "Builder.build: need at least 3 landmarks";
   let rng = Rng.create config.seed in
   let member_rng = Rng.split rng in
   let join_rng = Rng.split rng in
@@ -148,10 +146,7 @@ let build ?metrics ?labels ?trace ?(clock = fun () -> 0.0) oracle config =
   let ecan = Ecan_exp.create ?metrics ?labels ?trace ~span_bits:config.span_bits can in
   let landmarks = Landmarks.choose landmark_rng oracle config.landmark_count in
   let max_latency = Number.calibrate_max_latency oracle (Landmarks.nodes landmarks) in
-  let scheme =
-    { (Number.default_scheme ~curve:config.curve ~max_latency ()) with
-      Number.index_dims = min config.index_dims config.landmark_count }
-  in
+  let scheme = Number.default_scheme ~curve:config.curve ~max_latency () in
   if config.domains < 0 then invalid_arg "Builder.build: domains must be >= 0";
   (* domains = 0 defers to the ambient pool (TOPOAWARE_DOMAINS or a
      Dpool.set_default override); n >= 1 pins an interned n-domain pool.

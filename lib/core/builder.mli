@@ -11,12 +11,13 @@ type config = {
   span_bits : int;  (** eCAN digit width, k = 2^span_bits zones per higher order *)
   overlay_size : int;  (** number of overlay members *)
   landmark_count : int;
+      (** at least 3: landmark numbers index a vector's first 3 components
+          ({!Landmark.Number.default_scheme}) *)
   strategy : Strategy.t;
   condense : float;  (** map condense/reduction rate *)
   ttl : float;  (** soft-state entry lifetime, ms *)
   shards : int;  (** soft-state expiry shards (see {!Softstate.Store.create}) *)
   curve : Landmark.Number.curve;  (** space-filling curve for landmark numbers *)
-  index_dims : int;  (** landmark-vector-index components *)
   probe : Engine.Probe.config;
       (** probe-plane configuration shared by every RTT measurement the
           overlay spends (landmark vectors, per-slot selection) *)
@@ -33,8 +34,8 @@ type config = {
 val default_config : config
 (** Table 2 defaults: 2-d eCAN, span 2, 4096 members, 15 landmarks,
     [Hybrid {rtts = 10}], condense 1.0, ttl 600,000 ms, 1 shard, Hilbert,
-    index_dims 3, probe {!Engine.Probe.default_config} (sequential,
-    uncached — the seed path), domains 0 (ambient pool), seed 42. *)
+    probe {!Engine.Probe.default_config} (sequential, uncached — the seed
+    path), domains 0 (ambient pool), seed 42. *)
 
 type join_cost = {
   vector_ms : float;  (** modelled wall-clock of the landmark-vector batch *)

@@ -105,7 +105,6 @@ let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?rtt
   }
 
 let config t = t.config
-let backend_name t = t.backend.name
 let requests t = t.requests
 let hits t = t.hits
 let misses t = t.misses

@@ -110,7 +110,6 @@ val create :
     Raises [Invalid_argument] on out-of-range config fields. *)
 
 val config : t -> config
-val backend_name : t -> string
 
 val request : t -> client:int -> key:int -> outcome
 (** Serve one request.  Raises [Invalid_argument] if [client] is not a

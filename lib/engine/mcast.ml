@@ -2,8 +2,6 @@ module Rng = Prelude.Rng
 
 type policy = Aware | Random
 
-let policy_name = function Aware -> "aware" | Random -> "random"
-
 type backend = {
   name : string;
   member : int -> bool;
@@ -113,7 +111,6 @@ let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?rtt
   t
 
 let config t = t.config
-let backend_name t = t.backend.name
 let root t = t.root
 let size t = Hashtbl.length t.nodes
 let publishes t = t.publish_seq

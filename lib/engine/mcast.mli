@@ -43,8 +43,6 @@
 
 type policy = Aware | Random
 
-val policy_name : policy -> string
-(** ["aware"] / ["random"]. *)
 
 type backend = {
   name : string;  (** label for metrics/tables, e.g. ["ecan"] *)
@@ -119,7 +117,6 @@ val create :
     member. *)
 
 val config : t -> config
-val backend_name : t -> string
 val root : t -> int
 
 val subscribe : t -> int -> unit
@@ -166,10 +163,6 @@ val parent_of : t -> int -> int option
 
 val children : t -> int -> int list
 (** A node's children in attach order; [[]] if absent. *)
-
-val depth_of : t -> int -> int
-(** Edges from the root ([0] for the root itself); [-1] for orphaned
-    subtrees and absent nodes. *)
 
 val size : t -> int
 val publishes : t -> int

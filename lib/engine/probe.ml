@@ -38,7 +38,6 @@ type cache_entry = { rtt : float; expires : float }
 type t = {
   config : config;
   measure : int -> int -> float;
-  sim : Sim.t option;
   clock : unit -> float;
   faults : Faults.t option;
   pool : Dpool.t option;
@@ -58,19 +57,13 @@ type t = {
   mutable total_elapsed : float;
 }
 
-let create ?metrics ?(labels = []) ?trace ?faults ?sim ?clock ?pool
+let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0) ?pool
     ?(config = default_config) ~measure () =
   if config.window < 1 then invalid_arg "Probe.create: window must be >= 1";
   if not (config.timeout > 0.0) then invalid_arg "Probe.create: timeout must be positive";
   if config.retries < 0 then invalid_arg "Probe.create: retries must be >= 0";
   if config.backoff < 0.0 then invalid_arg "Probe.create: backoff must be >= 0";
   if config.cache_ttl < 0.0 then invalid_arg "Probe.create: cache_ttl must be >= 0";
-  let clock =
-    match (clock, sim) with
-    | Some c, _ -> c
-    | None, Some sim -> fun () -> Sim.now sim
-    | None, None -> fun () -> 0.0
-  in
   let obs =
     Option.map
       (fun m ->
@@ -98,7 +91,6 @@ let create ?metrics ?(labels = []) ?trace ?faults ?sim ?clock ?pool
   {
     config;
     measure;
-    sim;
     clock;
     faults;
     pool;
@@ -342,21 +334,6 @@ let rtt t ~src ~dst =
     t.total_elapsed <- t.total_elapsed +. none;
     Ok e.rtt
   | _ | (exception Not_found) -> (run_batch_from t ~start ~src ~dsts:[| dst |]).results.(0)
-
-let the_sim t =
-  match t.sim with
-  | Some sim -> sim
-  | None -> invalid_arg "Probe.submit: prober has no simulation"
-
-let submit_batch t ~src ~dsts k =
-  let sim = the_sim t in
-  let b = run_batch t ~src ~dsts in
-  ignore (Sim.schedule sim ~delay:(elapsed b) (fun () -> k b))
-
-let submit t ~src ~dst k =
-  let sim = the_sim t in
-  let b = run_batch t ~src ~dsts:[| dst |] in
-  ignore (Sim.schedule sim ~delay:(elapsed b) (fun () -> k b.results.(0)))
 
 let probes t = t.probes
 let failures t = t.failures

@@ -1,10 +1,12 @@
-(** Asynchronous RTT probe plane.
+(** Synchronous RTT probe plane.
 
     Every RTT measurement a node spends — landmark-vector probing at join,
     per-slot candidate selection, nearest-neighbor search — goes through a
     {e prober}: a simulated-time subsystem that owns the measurement
     function and models what issuing those probes over a real network
-    costs in wall-clock time.
+    costs in wall-clock time.  Probing is one synchronous step:
+    {!run_batch} and {!rtt} measure at once and return the modelled
+    completion time; nothing is scheduled on a simulation.
 
     A prober admits probes through a configurable {e concurrency window}
     of [window] in-flight probes per submitted operation; probes beyond
@@ -83,7 +85,6 @@ val create :
   ?labels:Metrics.labels ->
   ?trace:Trace.t ->
   ?faults:Faults.t ->
-  ?sim:Sim.t ->
   ?clock:(unit -> float) ->
   ?pool:Dpool.t ->
   ?config:config ->
@@ -93,8 +94,8 @@ val create :
     measurement-budget counter).
 
     [faults] perturbs each attempt through {!Faults.perturb} (loss and
-    extra delay).  [sim] enables {!submit}/{!submit_batch} and provides
-    the default clock; [clock] overrides it (default: frozen at 0).
+    extra delay).  [clock] stamps each batch's start (default: frozen at
+    0; pass [fun () -> Sim.now sim] to run under the engine).
 
     [pool] turns {!run_batch} into prefetch + ordered replay (see the
     module header); omitted, every measurement runs inline on the calling
@@ -133,14 +134,6 @@ val rtt : t -> src:int -> dst:int -> (float, failure) result
     sample, spans, {!total_elapsed} and single clock read.  A fresh
     cache hit is served without building the batch. *)
 
-val submit : t -> src:int -> dst:int -> ((float, failure) result -> unit) -> unit
-(** Asynchronous probe: the callback fires on the prober's simulation at
-    the probe's modelled completion time.  Raises [Invalid_argument] if
-    the prober has no [sim]. *)
-
-val submit_batch : t -> src:int -> dsts:int array -> (batch -> unit) -> unit
-(** Asynchronous {!run_batch}: the callback fires at [batch.finished]. *)
-
 val probes : t -> int
 (** Probes submitted so far (cache hits included). *)
 
@@ -160,6 +153,6 @@ val invalidate : t -> int -> unit
     stale-fresh. *)
 
 val total_elapsed : t -> float
-(** Sum of modelled batch wall-clock times over every synchronous
+(** Sum of modelled batch wall-clock times over every
     {!run_batch}/{!rtt} so far.  Consumers bracket an operation with two
     reads to attribute modelled latency to it (e.g. a node join). *)

@@ -75,11 +75,8 @@ type span = {
 
 type t
 
-val default_capacity : int
-(** 65,536 spans. *)
-
 val create : ?capacity:int -> ?clock:(unit -> float) -> unit -> t
-(** Fresh tracer.  [capacity] (default {!default_capacity}) must be >= 1;
+(** Fresh tracer.  [capacity] (default 65,536 spans) must be >= 1;
     [clock] (default: frozen at 0) supplies [at] when {!emit} is not given
     one. *)
 

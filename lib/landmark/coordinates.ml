@@ -50,10 +50,13 @@ let descend ~rate ~max_step x anchors measured =
     x.(i) <- x.(i) -. (scale *. grad.(i))
   done
 
-let embed_landmarks ?(dims = 5) ?(iterations = 2000) rng oracle landmark_nodes =
+(* Coordinate-space dimensions and landmark-fit descent rounds. *)
+let dims = 5
+let iterations = 2000
+
+let embed_landmarks rng oracle landmark_nodes =
   let l = Array.length landmark_nodes in
   if l < 2 then invalid_arg "Coordinates.embed_landmarks: need at least two landmarks";
-  if dims < 1 then invalid_arg "Coordinates.embed_landmarks: dims must be >= 1";
   let measured =
     Array.map
       (fun a -> Array.map (fun b -> if a = b then 0.0 else Oracle.measure oracle a b) landmark_nodes)

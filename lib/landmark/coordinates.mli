@@ -17,16 +17,10 @@ type t = {
   landmark_coords : float array array;
 }
 
-val embed_landmarks :
-  ?dims:int ->
-  ?iterations:int ->
-  Prelude.Rng.t ->
-  Topology.Oracle.t ->
-  int array ->
-  t
+val embed_landmarks : Prelude.Rng.t -> Topology.Oracle.t -> int array -> t
 (** [embed_landmarks rng oracle landmark_nodes] measures all landmark
-    pairs ([measure], counted) and fits coordinates ([dims] defaults to 5,
-    [iterations] to 2000). *)
+    pairs ([measure], counted) and fits 5-dimensional coordinates in 2000
+    descent rounds. *)
 
 val position : ?iterations:int -> t -> Prelude.Rng.t -> measured:float array -> float array
 (** Fit a coordinate for a node given its measured RTTs to the landmarks

@@ -10,7 +10,6 @@ type node_state = {
 type t = {
   digit_bits : int;
   num_digits : int;
-  leaf_radius : int;
   id_bits : int;
   id_space : int;
   nodes : (int, node_state) Hashtbl.t;
@@ -23,17 +22,14 @@ type t = {
 
 type selector = node:int -> prefix:int array -> candidates:int array -> int option
 
-let create ?metrics ?(labels = []) ?trace ?(digit_bits = 2) ?(num_digits = 15) ?(leaf_radius = 4)
-    () =
+let create ?metrics ?(labels = []) ?trace ?(digit_bits = 2) ?(num_digits = 15) () =
   if digit_bits < 1 || digit_bits > 4 then invalid_arg "Pastry.create: digit_bits out of [1,4]";
   if num_digits < 2 then invalid_arg "Pastry.create: num_digits must be >= 2";
   if digit_bits * num_digits > 50 then invalid_arg "Pastry.create: id space too large";
-  if leaf_radius < 1 then invalid_arg "Pastry.create: leaf_radius must be >= 1";
   let id_bits = digit_bits * num_digits in
   {
     digit_bits;
     num_digits;
-    leaf_radius;
     id_bits;
     id_space = 1 lsl id_bits;
     nodes = Hashtbl.create 64;
@@ -164,13 +160,16 @@ let members_with_prefix t digits =
   | Some l -> Array.of_list !l
   | None -> [||]
 
+(* Leaves on each side of a node in id order: 8 leaves in all. *)
+let leaf_radius = 4
+
 let rebuild_leaves t =
   let arr = index t in
   let n = Array.length arr in
   Array.iteri
     (fun i (_, id) ->
       let node = node t id in
-      let radius = min t.leaf_radius ((n - 1) / 2) in
+      let radius = min leaf_radius ((n - 1) / 2) in
       let acc = ref [] in
       for k = 1 to radius do
         acc := snd arr.((i + k) mod n) :: snd arr.(((i - k) mod n + n) mod n) :: !acc

@@ -21,11 +21,11 @@ val create :
   ?trace:Engine.Trace.t ->
   ?digit_bits:int ->
   ?num_digits:int ->
-  ?leaf_radius:int ->
   unit ->
   t
-(** Defaults: 2-bit digits (base 4), 15 digits (30-bit ids), leaf radius 4
-    (8 leaves).
+(** Defaults: 2-bit digits (base 4), 15 digits (30-bit ids).  The leaf
+    set is the 4 nearest ids on each side (8 leaves, fewer in rings of
+    under 9 members).
 
     With [metrics], {!route} maintains [route_requests] /
     [route_failures] counters and a [route_hops] histogram labeled

@@ -101,7 +101,6 @@ type t = {
   can : Can_overlay.t;
   scheme : Number.scheme;
   condense : float;
-  base_fraction : float;
   default_ttl : float;
   clock : unit -> float;
   maps : (int, region_map) Hashtbl.t;  (* region path key *)
@@ -132,11 +131,9 @@ let region_key bits = prefix_key bits (Array.length bits)
 let shard_of_key t key = key mod Array.length t.shards
 
 let create ?metrics ?(labels = []) ?trace ?pool ?(shards = 1) ?(condense = 1.0)
-    ?(base_fraction = 0.125) ?(default_ttl = 600_000.0) ?(clock = fun () -> 0.0) ~scheme can =
+    ?(default_ttl = 600_000.0) ?(clock = fun () -> 0.0) ~scheme can =
   if shards < 1 then invalid_arg "Store.create: shards must be >= 1";
   if condense <= 0.0 then invalid_arg "Store.create: condense must be positive";
-  if not (base_fraction > 0.0 && base_fraction <= 1.0) then
-    invalid_arg "Store.create: base_fraction out of (0,1]";
   if default_ttl <= 0.0 then invalid_arg "Store.create: ttl must be positive";
   let obs =
     Option.map
@@ -156,7 +153,6 @@ let create ?metrics ?(labels = []) ?trace ?pool ?(shards = 1) ?(condense = 1.0)
     can;
     scheme;
     condense;
-    base_fraction;
     default_ttl;
     clock;
     maps = Hashtbl.create 256;
@@ -192,7 +188,10 @@ let can t = t.can
 let shard_count t = Array.length t.shards
 let shard_of_region t region = shard_of_key t (region_key region)
 
-let map_fraction t = Float.min 1.0 (t.condense *. t.base_fraction)
+(* The map's volume fraction of its region at condense rate 1. *)
+let base_fraction = 0.125
+
+let map_fraction t = Float.min 1.0 (t.condense *. base_fraction)
 
 let map_box t region =
   let zone = Can_overlay.zone_of_path ~dims:(Can_overlay.dims t.can) region in

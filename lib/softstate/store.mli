@@ -39,7 +39,6 @@ val create :
   ?pool:Engine.Dpool.t ->
   ?shards:int ->
   ?condense:float ->
-  ?base_fraction:float ->
   ?default_ttl:float ->
   ?clock:(unit -> float) ->
   scheme:Landmark.Number.scheme ->
@@ -63,10 +62,9 @@ val create :
 
     [condense] (default 1.0) is the paper's map condense/reduction rate:
     the map of a region occupies the sub-box of the region with volume
-    fraction [min (condense *. base_fraction) 1.0].  [base_fraction]
-    (default 1/8) is the fraction at rate 1; raising [condense] above 1
-    "enlarges the map" to spread entries over more hosts, lowering
-    entries-per-node (Fig. 16).
+    fraction [min (condense /. 8) 1.0], so 1/8 at rate 1.  Raising
+    [condense] above 1 "enlarges the map" to spread entries over more
+    hosts, lowering entries-per-node (Fig. 16).
 
     [default_ttl] (default 600,000 ms = 10 min) is the soft-state
     lifetime; [clock] defaults to a frozen clock at 0 (pass

@@ -4,7 +4,6 @@
 type topology_variant = Tsk_large | Tsk_small
 
 val variant_name : topology_variant -> string
-val latency_name : Topology.Transit_stub.latency_model -> string
 
 val params :
   topology_variant -> Topology.Transit_stub.latency_model -> Topology.Transit_stub.params

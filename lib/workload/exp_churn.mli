@@ -32,11 +32,11 @@ type outcome = {
   converged : bool;
 }
 
-val ecan_convergence : ?tolerance:float -> Core.Builder.t -> (unit, string) result
+val ecan_convergence : Core.Builder.t -> (unit, string) result
 (** Convergence oracle for the eCAN: snapshot the (post-churn) expressway
     tables, rebuild them from scratch under the builder's strategy,
     compare, and restore the snapshot.  Passes when the churned tables
-    match the clean rebuild within [tolerance] (default 0.02): at most
+    match the clean rebuild within 2%: at most
     that fraction of slots may hold a dead / out-of-region representative,
     be unfilled where the rebuild fills them, or be filled where the
     rebuild cannot. *)

@@ -45,12 +45,6 @@ val adaptive : config
     (refresh clamped below the soft-state TTL so live entries never
     flap). *)
 
-val adaptive_p90 : config
-(** Like {!adaptive}, but the controller decides on the delivered
-    window's 90th percentile ([sample_pct = 90] — the lossy channel's
-    stray worst sample no longer whipsaws the periods) and additionally
-    tunes the bus digest window inside [10, 100] ms. *)
-
 val run_one : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config -> result
 (** One storm under one configuration.  Deterministic: the same (scale,
     seed, config) always yields the same report and — with a fresh
@@ -58,6 +52,7 @@ val run_one : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config -> 
     to {!Engine.Metrics.global}. *)
 
 val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
-(** The whole sweep ({!grid} plus {!adaptive} and {!adaptive_p90}) into
-    one table, with the adaptive row's p99 compared against the
-    hand-picked constants'. *)
+(** The whole sweep into one table: {!grid}, {!adaptive}, and an
+    adaptive run that decides on the delivered window's 90th percentile
+    and also tunes the bus digest window.  The adaptive row's p99 is
+    compared against the hand-picked constants'. *)

@@ -192,18 +192,18 @@ let test_store_map_box_fraction () =
     ignore (Can_overlay.join can id (Point.random rng 2))
   done;
   let scheme = Number.default_scheme ~max_latency:100.0 () in
-  let check ~condense ~base expected_fraction =
-    let store = Store.create ~condense ~base_fraction:base ~scheme can in
+  let check ~condense expected_fraction =
+    let store = Store.create ~condense ~scheme can in
     let region = [| 0; 1 |] in
     let region_vol = Zone.volume (Can_overlay.zone_of_path ~dims:2 region) in
     Alcotest.(check (float 1e-9))
-      (Printf.sprintf "volume fraction c=%g b=%g" condense base)
+      (Printf.sprintf "volume fraction c=%g" condense)
       (expected_fraction *. region_vol)
       (Zone.volume (Store.map_box store region))
   in
-  check ~condense:1.0 ~base:0.125 0.125;
-  check ~condense:4.0 ~base:0.125 0.5;
-  check ~condense:100.0 ~base:0.125 1.0
+  check ~condense:1.0 0.125;
+  check ~condense:4.0 0.5;
+  check ~condense:100.0 1.0
 
 let test_store_host_of_matches_owner () =
   let rng = Rng.create 11 in

@@ -1,9 +1,8 @@
 (* Tests for the probe plane: window queueing arithmetic, the window-1
-   sequential-equivalence contract, retries/timeouts, the TTL'd RTT cache
-   and the async submission path. *)
+   sequential-equivalence contract, retries/timeouts and the TTL'd RTT
+   cache. *)
 
 module Probe = Engine.Probe
-module Sim = Engine.Sim
 module Faults = Engine.Faults
 module Metrics = Engine.Metrics
 module Oracle = Topology.Oracle
@@ -269,25 +268,6 @@ let qcheck_rtt_is_one_probe_batch =
       && Engine.Trace.spans ts = Engine.Trace.spans tb
       && Engine.Trace.spans t_o = Engine.Trace.spans tb)
 
-let test_submit_batch_async () =
-  let sim = Sim.create () in
-  let p = Probe.create ~sim ~config:(cfg ~window:4 ()) ~measure:(fun _ dst -> float_of_int dst) () in
-  let fired = ref None in
-  Probe.submit_batch p ~src:0 ~dsts:[| 25; 75; 50 |] (fun b ->
-      fired := Some (Sim.now sim, b));
-  Alcotest.(check bool) "callback waits for the simulation" true (!fired = None);
-  Sim.run ~until:1000.0 sim;
-  match !fired with
-  | None -> Alcotest.fail "callback never fired"
-  | Some (at, b) ->
-    Alcotest.(check (float 1e-9)) "fires at the batch completion time" b.Probe.finished at;
-    Alcotest.(check (float 1e-9)) "wide window prices the max" 75.0 (Probe.elapsed b)
-
-let test_submit_requires_sim () =
-  let p = Probe.create ~measure:(fun _ _ -> 1.0) () in
-  Alcotest.check_raises "no sim" (Invalid_argument "Probe.submit: prober has no simulation")
-    (fun () -> Probe.submit p ~src:0 ~dst:1 (fun _ -> ()))
-
 let test_config_validation () =
   let measure _ _ = 1.0 in
   Alcotest.check_raises "window" (Invalid_argument "Probe.create: window must be >= 1")
@@ -346,8 +326,6 @@ let suite =
     Alcotest.test_case "timeout without faults" `Quick test_timeout_without_faults;
     Alcotest.test_case "cache hit and stale" `Quick test_cache_hit_and_stale;
     Alcotest.test_case "cache invalidate" `Quick test_cache_invalidate;
-    Alcotest.test_case "submit_batch async" `Quick test_submit_batch_async;
-    Alcotest.test_case "submit requires sim" `Quick test_submit_requires_sim;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "metrics instruments" `Quick test_metrics_instruments;
     Alcotest.test_case "vector_via = vector" `Quick test_vector_via_equivalence;
