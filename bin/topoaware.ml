@@ -131,35 +131,41 @@ let gen_topology_cmd =
          & info [ "out" ] ~docv:"FILE" ~doc:"Save the generated topology to $(docv).")
   in
   let run variant latency seed scale out =
-    let params =
-      match variant with
-      | Workload.Ctx.Tsk_large -> Ts.tsk_large ~latency ~scale ()
-      | Workload.Ctx.Tsk_small -> Ts.tsk_small ~latency ~scale ()
-    in
-    let topo = Ts.generate (Rng.create seed) params in
-    let g = topo.Ts.graph in
-    Format.fprintf ppf "params: %a@." Ts.pp_params params;
-    Format.fprintf ppf "nodes: %d  edges: %d  connected: %b@." (Graph.node_count g)
-      (Graph.edge_count g) (Graph.is_connected g);
-    Format.fprintf ppf "transit nodes: %d  stub domains: %d@."
-      (Array.length topo.Ts.transit_nodes)
-      (Array.length topo.Ts.stub_members);
-    let oracle = Oracle.build topo in
-    let rng = Rng.create (seed + 1) in
-    let samples = Array.init 1000 (fun _ ->
-        Oracle.dist oracle (Rng.int rng (Graph.node_count g)) (Rng.int rng (Graph.node_count g)))
-    in
-    Format.fprintf ppf "pairwise latency: %a@." Prelude.Stats.pp_summary
-      (Prelude.Stats.summarize samples);
-    match out with
-    | Some path ->
-      Topology.Serialize.save topo path;
-      Format.fprintf ppf "saved to %s@." path
-    | None -> ()
+    (* Open the output before generating, so an unwritable path fails fast. *)
+    match Option.map (fun path -> (path, open_out path)) out with
+    | exception Sys_error e -> `Error (false, "cannot write --out: " ^ e)
+    | out ->
+      let params =
+        match variant with
+        | Workload.Ctx.Tsk_large -> Ts.tsk_large ~latency ~scale ()
+        | Workload.Ctx.Tsk_small -> Ts.tsk_small ~latency ~scale ()
+      in
+      let topo = Ts.generate (Rng.create seed) params in
+      let g = topo.Ts.graph in
+      Format.fprintf ppf "params: %a@." Ts.pp_params params;
+      Format.fprintf ppf "nodes: %d  edges: %d  connected: %b@." (Graph.node_count g)
+        (Graph.edge_count g) (Graph.is_connected g);
+      Format.fprintf ppf "transit nodes: %d  stub domains: %d@."
+        (Array.length topo.Ts.transit_nodes)
+        (Array.length topo.Ts.stub_members);
+      let oracle = Oracle.build topo in
+      let rng = Rng.create (seed + 1) in
+      let samples = Array.init 1000 (fun _ ->
+          Oracle.dist oracle (Rng.int rng (Graph.node_count g)) (Rng.int rng (Graph.node_count g)))
+      in
+      Format.fprintf ppf "pairwise latency: %a@." Prelude.Stats.pp_summary
+        (Prelude.Stats.summarize samples);
+      (match out with
+      | Some (path, oc) ->
+        output_string oc (Topology.Serialize.to_string topo);
+        close_out oc;
+        Format.fprintf ppf "saved to %s@." path
+      | None -> ());
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "gen-topology" ~doc:"Generate a transit-stub topology and print statistics")
-    Term.(const run $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ out_arg)
+    Term.(ret (const run $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ out_arg))
 
 (* ---- topo-info ---- *)
 
