@@ -239,6 +239,22 @@ let unsubscribe t sub =
 let subscription_count t ~region =
   match Hashtbl.find_opt t.regions (region_key region) with Some r -> r.live | None -> 0
 
+(* One notification onto the channel: the sent count, the latency floor,
+   the channel's draw and, on a loss, the drop count.  Returns the
+   channel's delay, or [None] when it drops the notification.  Callers
+   floor the delay at 0 themselves: the channel's own [Some] is passed
+   on, so a send allocates nothing beyond what the channel does. *)
+let send t sub ~host =
+  t.sent <- t.sent + 1;
+  (match t.obs with None -> () | Some o -> Engine.Metrics.incr o.n_sent);
+  let base = Float.max 0.0 (t.latency ~host ~subscriber:sub.subscriber) in
+  let verdict = t.channel base in
+  if Option.is_none verdict then begin
+    t.dropped <- t.dropped + 1;
+    match t.obs with None -> () | Some o -> Engine.Metrics.incr o.n_dropped
+  end;
+  verdict
+
 (* The seed delivery path: one scheduled engine event per notification.
    Used whenever the digest window is zero (the default) or there is no
    simulation to batch within. *)
@@ -250,13 +266,8 @@ let deliver_immediate t sub ~host event =
       sub.handler { subscriber = sub.subscriber; event; delivered_at = at }
     end
   in
-  t.sent <- t.sent + 1;
-  (match t.obs with None -> () | Some o -> Engine.Metrics.incr o.n_sent);
-  let base = Float.max 0.0 (t.latency ~host ~subscriber:sub.subscriber) in
-  match t.channel base with
-  | None ->
-    t.dropped <- t.dropped + 1;
-    (match t.obs with None -> () | Some o -> Engine.Metrics.incr o.n_dropped)
+  match send t sub ~host with
+  | None -> ()
   | Some total ->
     let total = Float.max 0.0 total in
     (match t.obs with
@@ -296,13 +307,8 @@ let flush_digest t sim ~subscriber ~key =
    a single message whose delivery delay is the opening notification's
    channel delay plus the window. *)
 let deliver_digest t sim sub ~host event =
-  t.sent <- t.sent + 1;
-  (match t.obs with None -> () | Some o -> Engine.Metrics.incr o.n_sent);
-  let base = Float.max 0.0 (t.latency ~host ~subscriber:sub.subscriber) in
-  match t.channel base with
-  | None ->
-    t.dropped <- t.dropped + 1;
-    (match t.obs with None -> () | Some o -> Engine.Metrics.incr o.n_dropped)
+  match send t sub ~host with
+  | None -> ()
   | Some total ->
     let total = Float.max 0.0 total in
     let key = region_key sub.region in
