@@ -16,6 +16,16 @@ let oracle t = t.oracle
 
 let vector t node = Array.map (fun lm -> Topology.Oracle.measure t.oracle node lm) t.nodes
 
+let vector_memo t =
+  let vectors = Hashtbl.create 256 in
+  fun node ->
+    match Hashtbl.find_opt vectors node with
+    | Some v -> v
+    | None ->
+      let v = vector t node in
+      Hashtbl.replace vectors node v;
+      v
+
 let vector_via t prober node =
   let batch = Engine.Probe.run_batch prober ~src:node ~dsts:t.nodes in
   Array.map

@@ -74,15 +74,7 @@ let run ?(scale = 1) ppf =
   let lms = Landmarks.choose rng oracle landmark_count in
   let max_latency = Number.calibrate_max_latency oracle (Landmarks.nodes lms) in
   let scheme = Number.default_scheme ~max_latency () in
-  let vectors = Hashtbl.create size in
-  let vector_of node =
-    match Hashtbl.find_opt vectors node with
-    | Some v -> v
-    | None ->
-      let v = Landmarks.vector lms node in
-      Hashtbl.replace vectors node v;
-      v
-  in
+  let vector_of = Landmarks.vector_memo lms in
   let uniform = build_overlay oracle ~size ~point_of:(fun rng _ -> Geometry.Point.random rng 2) in
   let tacan =
     build_overlay oracle ~size ~point_of:(fun rng node -> tacan_point scheme rng (vector_of node))

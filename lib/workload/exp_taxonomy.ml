@@ -1,6 +1,5 @@
 module Oracle = Topology.Oracle
 module Can_overlay = Can.Overlay
-module Zone = Geometry.Zone
 module Point = Geometry.Point
 module Landmarks = Landmark.Landmarks
 module Number = Landmark.Number
@@ -56,29 +55,14 @@ let run ?(scale = 1) ppf =
   let scheme =
     Number.default_scheme ~max_latency:(Number.calibrate_max_latency oracle (Landmarks.nodes lms)) ()
   in
-  let vectors = Hashtbl.create size in
-  let vector_of node =
-    match Hashtbl.find_opt vectors node with
-    | Some v -> v
-    | None ->
-      let v = Landmarks.vector lms node in
-      Hashtbl.replace vectors node v;
-      v
-  in
+  let vector_of = Landmarks.vector_memo lms in
   (* (1) topology-blind baseline: uniform layout + greedy routing *)
   let uniform = build_can members ~point_of:(fun rng _ -> Point.random rng 2) in
   let baseline = measure_can oracle uniform (Can_overlay.route uniform) in
   (* (2) geographic layout: landmark-positioned joins, greedy routing *)
-  let tacan_point rng vector =
-    let cell = Number.position_in_zone scheme (Zone.full 2) vector in
-    let half = 0.5 /. float_of_int (1 lsl scheme.Number.zone_bits) in
-    Array.map
-      (fun c ->
-        let v = c +. Rng.float_in rng (-.half) half in
-        if v < 0.0 then 0.0 else if v >= 1.0 then Float.pred 1.0 else v)
-      cell
+  let geo =
+    build_can members ~point_of:(fun rng node -> Exp_tacan.tacan_point scheme rng (vector_of node))
   in
-  let geo = build_can members ~point_of:(fun rng node -> tacan_point rng (vector_of node)) in
   let geographic = measure_can oracle geo (Can_overlay.route geo) in
   (* (3) proximity routing: uniform layout, latency-aware forwarding *)
   let proximity_routing =
