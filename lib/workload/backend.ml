@@ -217,6 +217,15 @@ type service = {
   on_join : int -> unit;
 }
 
+let service_rtt ?metrics ~labels ~clock oracle =
+  let prober =
+    Engine.Probe.create ?metrics ~labels ~clock
+      ~config:{ Engine.Probe.default_config with Engine.Probe.cache_ttl = 600_000.0 }
+      ~measure:(Oracle.measure oracle) ()
+  in
+  fun ~src ~dst ->
+    match Engine.Probe.rtt prober ~src ~dst with Ok r -> Some r | Error _ -> None
+
 let mix62 k =
   let z = Int64.add (Int64.of_int k) 0x9E3779B97F4A7C15L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in

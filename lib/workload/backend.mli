@@ -85,6 +85,20 @@ type service = {
   on_join : int -> unit;  (** row-specific upkeep after a member joins *)
 }
 
+val service_rtt :
+  ?metrics:Engine.Metrics.t ->
+  labels:Engine.Metrics.labels ->
+  clock:(unit -> float) ->
+  Topology.Oracle.t ->
+  src:int ->
+  dst:int ->
+  float option
+(** [service_rtt ~labels ~clock oracle] is the RTT the service rows rank
+    copies and relays by: a fresh prober over [oracle] (its [probe_*]
+    instruments under [labels] when [metrics] is given) that caches each
+    measured RTT for 600 s of [clock] time.  A probe that exhausts its
+    retries answers [None]. *)
+
 val mix62 : int -> int
 (** SplitMix64 finalizer, truncated to 62 bits: spreads consecutive key
     ids over the key space so homes are uniform whatever the key order. *)

@@ -18,7 +18,6 @@ module Ts = Topology.Transit_stub
 module Oracle = Topology.Oracle
 module Graph = Topology.Graph
 module Rng = Prelude.Rng
-module Metrics = Engine.Metrics
 
 (* Same fixed seed as Ctx: the rows are physical networks, grown rather
    than shared (the cache would pin ~100 MB of oracle per row). *)
@@ -85,7 +84,7 @@ let run ?(scale = 1) ppf =
     (fun r ->
       let o = r.outcome in
       let labels = [ ("nodes", string_of_int r.nodes) ] in
-      let g name v = Metrics.set (Metrics.gauge Metrics.global ~labels name) v in
+      let g = Sweep.gauge ~labels in
       g "bigscale_stretch_before" o.Exp_churn.stretch_before;
       g "bigscale_stretch_storm" o.Exp_churn.stretch_storm;
       g "bigscale_stretch_repaired" o.Exp_churn.stretch_repaired;

@@ -27,7 +27,6 @@ module Oracle = Topology.Oracle
 module Builder = Core.Builder
 module Strategy = Core.Strategy
 module Cache = Engine.Cache
-module Probe = Engine.Probe
 module Metrics = Engine.Metrics
 module Can_overlay = Can.Overlay
 module Ecan_exp = Ecan.Expressway
@@ -104,20 +103,11 @@ type stats = {
   key_digest : int;
 }
 
-let probe_cache_ttl = 600_000.0
-
 let run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs backend =
   let now = ref 0.0 in
   let clock () = !now in
   let labels = [ ("experiment", "cache"); ("backend", label) ] in
-  let prober =
-    Probe.create ?metrics ~labels ~clock
-      ~config:{ Probe.default_config with Probe.cache_ttl = probe_cache_ttl }
-      ~measure:(Oracle.measure oracle) ()
-  in
-  let rtt ~src ~dst =
-    match Probe.rtt prober ~src ~dst with Ok r -> Some r | Error _ -> None
-  in
+  let rtt = Backend.service_rtt ?metrics ~labels ~clock oracle in
   let cache =
     Cache.create ?metrics ~labels ?trace ~clock ~rtt
       ~config:
@@ -162,20 +152,22 @@ let run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~req
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let sizes ~scale =
+(* Overlay size, clients, key universe, rounds and replication
+   threshold.  A requested client count replaces the default one (which
+   is capped at the overlay size); the threshold follows the default. *)
+let sizes ~scale ?clients () =
   let scale = max 1 scale in
   let size = max 64 (512 / scale) in
-  let clients = max 16 (512 / scale) in
+  let default_clients = max 16 (512 / scale) in
   let universe = max 64 (4096 / scale) in
   let rounds = max 24 (1024 / scale) in
-  let threshold = max 8 (clients * rounds / 256) in
-  (size, min clients size, universe, rounds, threshold)
+  let threshold = max 8 (default_clients * rounds / 256) in
+  let clients = match clients with Some c -> max 1 c | None -> min default_clients size in
+  (size, clients, universe, rounds, threshold)
 
-let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?metrics ?trace ()
-    =
+let rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace
+    (size, clients, universe, rounds, threshold) =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
-  let size, default_clients, universe, rounds, threshold = sizes ~scale in
-  let clients = match clients with Some c -> max 1 c | None -> default_clients in
   let b =
     Builder.build oracle
       {
@@ -214,6 +206,10 @@ let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?met
   Builder.rebuild_tables b b.Builder.config.Builder.strategy;
   (aware :: random :: can_row :: ring_rows) @ [ aware_norepl ]
 
+let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?metrics ?trace ()
+    =
+  rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace (sizes ~scale ?clients ())
+
 let record_stats metrics s =
   let labels = [ ("backend", s.label) ] in
   let g name v = Metrics.set (Metrics.gauge metrics ~labels name) v in
@@ -225,9 +221,8 @@ let record_stats metrics s =
 
 let run_custom ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ppf =
   let metrics = Metrics.global in
-  let stats = data ~scale ~seed ~zipf_s ?clients ~replicas ~metrics () in
-  let size, default_clients, universe, rounds, threshold = sizes ~scale in
-  let clients = match clients with Some c -> max 1 c | None -> default_clients in
+  let ((size, clients, universe, rounds, threshold) as dims) = sizes ~scale ?clients () in
+  let stats = rows ~scale ~seed ~zipf_s ~replicas ~metrics dims in
   let table =
     Tableout.create
       ~title:

@@ -73,11 +73,7 @@ let run ?(scale = 1) ppf =
   in
   (* The join row goes to the global registry as gauges, so the bench
      snapshot holds this experiment. *)
-  let g name v =
-    Engine.Metrics.set
-      (Engine.Metrics.gauge Engine.Metrics.global ~labels:[ ("experiment", "cost") ] name)
-      v
-  in
+  let g = Sweep.gauge ~labels:[ ("experiment", "cost") ] in
   g "cost_join_rtt_probes" (float_of_int rtt_messages);
   g "cost_join_map_publishes" (float_of_int regions);
   g "cost_join_slots_filled" (float_of_int slots);

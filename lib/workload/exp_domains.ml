@@ -137,7 +137,7 @@ let run ?(scale = 1) ppf =
   (* Deterministic facts go to the global registry (and hence the bench
      gate); wall-clock stays in the table below. *)
   let labels = [ ("experiment", "domains") ] in
-  let g name v = Metrics.set (Metrics.gauge Metrics.global ~labels name) v in
+  let g = Sweep.gauge ~labels in
   g "domains_identical" (if identical then 1.0 else 0.0);
   g "domains_entries" (float_of_int base.entries);
   g "domains_purged" (float_of_int base.purged);

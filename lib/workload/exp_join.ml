@@ -108,11 +108,9 @@ let run ?(scale = 1) ppf =
   let within_2x =
     List.for_all (fun s -> s.max_lmk > 0.0 && s.vector_ms <= 2.0 *. s.max_lmk) con
   in
-  Metrics.set (Metrics.gauge Metrics.global ~labels:[ ("experiment", "join") ] "join_vector_speedup")
-    speedup;
-  Metrics.set
-    (Metrics.gauge Metrics.global ~labels:[ ("experiment", "join") ] "join_probe_counts_equal")
-    (if counts_equal then 1.0 else 0.0);
+  let labels = [ ("experiment", "join") ] in
+  Sweep.gauge ~labels "join_vector_speedup" speedup;
+  Sweep.gauge ~labels "join_probe_counts_equal" (if counts_equal then 1.0 else 0.0);
   Format.fprintf ppf
     "  Vector phase collapses %.1f ms -> %.1f ms (%.1fx) when the %d landmark probes@.\
     \  fly concurrently; probe counts identical across windows: %b; window-%d vector@.\

@@ -27,7 +27,6 @@ module Builder = Core.Builder
 module Maintenance = Core.Maintenance
 module Sim = Engine.Sim
 module Mcast = Engine.Mcast
-module Probe = Engine.Probe
 module Repair = Engine.Repair
 module Metrics = Engine.Metrics
 module Trace = Engine.Trace
@@ -55,10 +54,18 @@ let storm_end = 100_000.0
 let pubs_end = 135_000.0
 let horizon = 150_000.0
 
-let sizes ~scale =
+let min_group = 4
+
+(* Overlay size, group size and the publish and fault counts.  A
+   requested group size is clamped to [min_group, size - 1]. *)
+let sizes ~scale ?group_size () =
   let scale = max 1 scale in
   let size = max 24 (96 / scale) in
-  let group = max 8 (min (size - 1) (64 / scale)) in
+  let group =
+    match group_size with
+    | Some g -> max min_group (min g (size - 1))
+    | None -> max 8 (min (size - 1) (64 / scale))
+  in
   let static_pubs = max 6 (16 / scale) in
   let churn_pubs = max 12 (48 / scale) in
   let crashes = max 3 (12 / scale) in
@@ -77,8 +84,6 @@ type action =
   | Join of int
 
 type event = { at : float; action : action }
-
-let min_group = 4
 
 (* Victims and newcomers are resolved here, once, by walking the merged
    event grid in time order against a simulated group roster — so every
@@ -171,13 +176,9 @@ type stats = {
   regraft : Repair.dist;  (* orphanhood durations via the trace analyzer *)
 }
 
-let probe_cache_ttl = 600_000.0
-
 type kind = Ecan_aware | Ecan_random | Can_greedy | Chord_row | Pastry_row | Koorde_row
 
-let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label kind =
-  let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
-  let size, _, _, _, _, _, _ = sizes ~scale in
+let run_row ?metrics ~domains ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind =
   let sim = Sim.create () in
   let tracer = Trace.create ~capacity:(1 lsl 17) ~clock:(fun () -> Sim.now sim) () in
   let labels = [ ("experiment", "mcast"); ("backend", label) ] in
@@ -200,15 +201,7 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
   in
   Maintenance.subscribe_all_slots m;
   let bus = Maintenance.bus m in
-  let prober =
-    Probe.create ?metrics ~labels
-      ~clock:(fun () -> Sim.now sim)
-      ~config:{ Probe.default_config with Probe.cache_ttl = probe_cache_ttl }
-      ~measure:(Oracle.measure oracle) ()
-  in
-  let rtt ~src ~dst =
-    match Probe.rtt prober ~src ~dst with Ok r -> Some r | Error _ -> None
-  in
+  let rtt = Backend.service_rtt ?metrics ~labels ~clock:(fun () -> Sim.now sim) oracle in
   let service =
     match kind with
     | Ecan_aware | Ecan_random ->
@@ -351,16 +344,10 @@ let run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label k
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?(domains = 0) ?metrics
-    () =
+let rows ~scale ~seed ~degree ?policy ~domains ?metrics
+    (size, group_size, static_pubs, churn_pubs, crashes, leaves, joins) =
   if degree < 1 then invalid_arg "Exp_mcast: degree must be >= 1";
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
-  let size, default_group, static_pubs, churn_pubs, crashes, leaves, joins = sizes ~scale in
-  let group_size =
-    match group_size with
-    | Some g -> max min_group (min g (size - 1))
-    | None -> default_group
-  in
   (* One throwaway build resolves the shared member population (a pure
      function of oracle + config + seed) so the churn schedule can be
      derived before — and identically for — every row. *)
@@ -387,7 +374,7 @@ let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?(domains =
   let events =
     schedule ~seed ~subscribers ~joiners ~static_pubs ~churn_pubs ~crashes ~leaves ~joins
   in
-  let rows =
+  let row_kinds =
     (match policy with
     | Some Mcast.Aware -> [ (Ecan_aware, "ecan aware") ]
     | Some Mcast.Random -> [ (Ecan_random, "ecan random") ]
@@ -401,8 +388,12 @@ let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?(domains =
   in
   List.map
     (fun (kind, label) ->
-      run_row ?metrics ~domains ~scale ~seed ~degree ~subscribers ~events ~label kind)
-    rows
+      run_row ?metrics ~domains ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind)
+    row_kinds
+
+let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?(domains = 0) ?metrics
+    () =
+  rows ~scale ~seed ~degree ?policy ~domains ?metrics (sizes ~scale ?group_size ())
 
 let pct arr p = if Array.length arr = 0 then Float.nan else Stats.percentile arr p
 
@@ -426,13 +417,10 @@ let record_stats metrics s =
 
 let run_custom ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ppf =
   let metrics = Metrics.global in
-  let stats = data ~scale ~seed ?group_size ~degree ?policy ~metrics () in
-  let size, default_group, static_pubs, churn_pubs, crashes, leaves, joins = sizes ~scale in
-  let group_size =
-    match group_size with
-    | Some g -> max min_group (min g (size - 1))
-    | None -> default_group
+  let ((size, group_size, static_pubs, churn_pubs, crashes, leaves, joins) as dims) =
+    sizes ~scale ?group_size ()
   in
+  let stats = rows ~scale ~seed ~degree ?policy ~domains:0 ~metrics dims in
   let table =
     Tableout.create
       ~title:

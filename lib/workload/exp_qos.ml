@@ -109,10 +109,7 @@ let run ?(scale = 1) ppf =
       ~columns:[ "selection"; "stretch"; "max load/cap"; "p99 load/cap"; "p90 load/cap" ]
   in
   let row name (stretch : Stats.summary) (load : Stats.summary) =
-    Engine.Metrics.set
-      (Engine.Metrics.gauge Engine.Metrics.global
-         ~labels:[ ("experiment", "qos"); ("selection", name) ]
-         "qos_stretch")
+    Sweep.gauge ~labels:[ ("experiment", "qos"); ("selection", name) ] "qos_stretch"
       stretch.Stats.mean;
     Tableout.add_row table
       [

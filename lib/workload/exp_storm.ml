@@ -149,7 +149,7 @@ let run ?(scale = 1) ppf =
   in
   let record s =
     let labels = [ ("mode", s.mode) ] in
-    let g name v = Metrics.set (Metrics.gauge Metrics.global ~labels name) v in
+    let g = Sweep.gauge ~labels in
     g "storm_entries" (float_of_int s.entries);
     g "storm_sched_events" (float_of_int s.scheduled);
     g "storm_sweep1_visited" (float_of_int s.first_visited);
@@ -161,7 +161,7 @@ let run ?(scale = 1) ppf =
   row seed_stats;
   row digest_stats;
   let ratio = float_of_int seed_stats.scheduled /. float_of_int (max 1 digest_stats.scheduled) in
-  Metrics.set (Metrics.gauge Metrics.global "storm_sched_ratio") ratio;
+  Sweep.gauge "storm_sched_ratio" ratio;
   Tableout.render ppf table;
   Format.fprintf ppf
     "  sched events: engine delivery events (digest mode batches per subscriber+region) — %.1fx fewer.@."

@@ -8,7 +8,6 @@ module Landmarks = Landmark.Landmarks
 module Number = Landmark.Number
 module Stats = Prelude.Stats
 module Rng = Prelude.Rng
-module Metrics = Engine.Metrics
 
 let overlay_size = 1024
 let landmark_count = 15
@@ -18,11 +17,8 @@ let route_count = 2048
 (* Every mean-stretch cell goes to the global registry as an
    [xover_stretch] gauge, so the bench snapshot holds this experiment. *)
 let record ~overlay ~pick (s : Stats.summary) =
-  Metrics.set
-    (Metrics.gauge Metrics.global
-       ~labels:[ ("experiment", "xover"); ("overlay", overlay); ("pick", pick) ]
-       "xover_stretch")
-    s.Stats.mean
+  Sweep.gauge ~labels:[ ("experiment", "xover"); ("overlay", overlay); ("pick", pick) ]
+    "xover_stretch" s.Stats.mean
 
 let random_pick rng : Backend.pick = fun ~node:_ ~candidates -> Some (Rng.pick rng candidates)
 
