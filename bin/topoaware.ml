@@ -202,16 +202,16 @@ let nn_search_cmd =
       ignore (Can_overlay.join can id (Geometry.Point.random rng 2))
     done;
     let lms = Landmarks.choose rng oracle 15 in
-    let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
-    let all = Array.init n (fun i -> i) in
-    let query = Rng.int rng n in
-    let nearest, optimal = Search.true_nearest oracle ~query ~candidates:all in
-    Format.fprintf ppf "query node %d; true nearest %d at %.2f ms@." query nearest optimal;
     let prober =
       Engine.Probe.create
         ~config:{ Engine.Probe.default_config with Engine.Probe.window = probe_window }
         ~measure:(Oracle.measure oracle) ()
     in
+    let vectors = Array.init n (Landmarks.vector_via lms prober) in
+    let all = Array.init n (fun i -> i) in
+    let query = Rng.int rng n in
+    let nearest, optimal = Search.true_nearest oracle ~query ~candidates:all in
+    Format.fprintf ppf "query node %d; true nearest %d at %.2f ms@." query nearest optimal;
     let last name (c : Search.curve) =
       let k = Array.length c.Search.dist - 1 in
       Format.fprintf ppf
@@ -220,13 +220,11 @@ let nn_search_cmd =
         (c.Search.dist.(k) /. optimal)
         (k + 1) c.Search.elapsed
     in
-    last "ers" (Search.ers_curve ~prober oracle can ~query ~budget);
+    last "ers" (Search.ers_curve prober can ~query ~budget);
     last "landmark"
-      (Search.hybrid_curve ~prober oracle ~vector_of:(fun v -> vectors.(v)) ~candidates:all
-         ~query ~budget:1);
+      (Search.hybrid_curve prober ~vector_of:(Array.get vectors) ~candidates:all ~query ~budget:1);
     last "hybrid"
-      (Search.hybrid_curve ~prober oracle ~vector_of:(fun v -> vectors.(v)) ~candidates:all
-         ~query ~budget)
+      (Search.hybrid_curve prober ~vector_of:(Array.get vectors) ~candidates:all ~query ~budget)
   in
   Cmd.v
     (Cmd.info "nn-search" ~doc:"Run one nearest-neighbor search with all three algorithms")
@@ -360,21 +358,6 @@ let churn_cmd =
       ret
         (const run $ verbose_arg $ seed_arg $ scale_arg $ crashes_arg $ leaves_arg $ joins_arg
         $ loss_arg $ stale_arg $ shards_arg $ digest_arg $ probe_window_arg $ domains_arg))
-
-(* ---- domains ---- *)
-
-let domains_cmd =
-  let run verbose scale =
-    setup_logs verbose;
-    Workload.Exp_domains.run ~scale ppf
-  in
-  Cmd.v
-    (Cmd.info "domains"
-       ~doc:
-         "Run the domain-parallel hosting workload at pool sizes 1, 2 and 4, verify the \
-          metrics JSON is byte-identical across them (the DESIGN.md §12 determinism \
-          contract) and print the wall-clock speedup table")
-    Term.(const run $ verbose_arg $ scale_arg)
 
 (* ---- repair ---- *)
 
@@ -588,4 +571,4 @@ let trace_cmd =
 let () =
   let doc = "Topology-aware overlay construction using global soft-state (ICDCS 2003)" in
   let info = Cmd.info "topoaware" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ list_cmd; experiment_cmd; gen_topology_cmd; topo_info_cmd; nn_search_cmd; build_cmd; churn_cmd; repair_cmd; cache_cmd; mcast_cmd; degree_cmd; domains_cmd; trace_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ list_cmd; experiment_cmd; gen_topology_cmd; topo_info_cmd; nn_search_cmd; build_cmd; churn_cmd; repair_cmd; cache_cmd; mcast_cmd; degree_cmd; trace_cmd ]))

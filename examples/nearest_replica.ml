@@ -10,6 +10,7 @@
 
 module Ts = Topology.Transit_stub
 module Oracle = Topology.Oracle
+module Probe = Engine.Probe
 module Can_overlay = Can.Overlay
 module Store = Softstate.Store
 module Landmarks = Landmark.Landmarks
@@ -39,7 +40,9 @@ let () =
     Number.default_scheme ~max_latency:(Number.calibrate_max_latency oracle (Landmarks.nodes lms)) ()
   in
   let store = Store.create ~scheme can in
-  let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
+  (* Every RTT a node spends goes through a prober. *)
+  let prober = Probe.create ~measure:(Oracle.measure oracle) () in
+  let vectors = Array.init n (Landmarks.vector_via lms prober) in
 
   (* Replicas publish themselves into the root map. *)
   let all = Array.init n (fun i -> i) in
@@ -69,8 +72,10 @@ let () =
         List.fold_left
           (fun best (e : Store.Entry.t) ->
             incr probes_used;
-            let d = Oracle.measure oracle client e.Store.Entry.node in
-            match best with Some (bd, _) when bd <= d -> best | _ -> Some (d, e.Store.Entry.node))
+            match Probe.rtt prober ~src:client ~dst:e.Store.Entry.node with
+            | Ok d when (match best with Some (bd, _) -> d < bd | None -> true) ->
+              Some (d, e.Store.Entry.node)
+            | Ok _ | Error _ -> best)
           None entries
       in
       match chosen with

@@ -7,16 +7,9 @@ type backend = {
   publish_load : node:int -> load:float -> unit;
 }
 
-type config = {
-  replicas : int;
-  load_threshold : int;
-  window : float;
-  origin_ms : float;
-  hot_keys : int;
-}
+type config = { replicas : int; load_threshold : int; origin_ms : float; hot_keys : int }
 
-let default_config =
-  { replicas = 1; load_threshold = 64; window = infinity; origin_ms = 150.0; hot_keys = 4 }
+let default_config = { replicas = 1; load_threshold = 64; origin_ms = 150.0; hot_keys = 4 }
 
 type outcome = {
   key : int;
@@ -44,13 +37,11 @@ type t = {
   config : config;
   link : int -> int -> float;
   rtt : src:int -> dst:int -> float option;
-  clock : unit -> float;
   obs : observer option;
   trace : Trace.t option;
   copies : (int, int list) Hashtbl.t;  (* key -> holders, placement order *)
-  window_load : (int, int) Hashtbl.t;  (* node -> served this window *)
-  hot : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* node -> key -> window count *)
-  mutable window_start : float;
+  served : (int, int) Hashtbl.t;  (* node -> requests served *)
+  hot : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* node -> key -> requests served *)
   mutable max_load : int;
   mutable requests : int;
   mutable hits : int;
@@ -60,11 +51,10 @@ type t = {
   mutable replications : int;
 }
 
-let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?rtt
-    ?(config = default_config) ~link backend =
+let create ?metrics ?(labels = []) ?trace ?clock:_ ?rtt ?(config = default_config) ~link
+    backend =
   if config.replicas < 1 then invalid_arg "Cache.create: replicas must be >= 1";
   if config.load_threshold < 1 then invalid_arg "Cache.create: load_threshold must be >= 1";
-  if config.window <= 0.0 then invalid_arg "Cache.create: window must be positive";
   if config.origin_ms < 0.0 then invalid_arg "Cache.create: origin_ms must be >= 0";
   if config.hot_keys < 1 then invalid_arg "Cache.create: hot_keys must be >= 1";
   let obs =
@@ -88,13 +78,11 @@ let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?rtt
     config;
     link;
     rtt;
-    clock;
     obs;
     trace;
     copies = Hashtbl.create 1024;
-    window_load = Hashtbl.create 256;
+    served = Hashtbl.create 256;
     hot = Hashtbl.create 256;
-    window_start = clock ();
     max_load = 0;
     requests = 0;
     hits = 0;
@@ -118,21 +106,11 @@ let replicas_of t key = Option.value ~default:[] (Hashtbl.find_opt t.copies key)
 let stored_keys t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.copies [])
 
-let load_of t node = try Hashtbl.find t.window_load node with Not_found -> 0
-
-let roll_window t =
-  if Float.is_finite t.config.window then begin
-    let now = t.clock () in
-    if now -. t.window_start >= t.config.window then begin
-      t.window_start <- now;
-      Hashtbl.reset t.window_load;
-      Hashtbl.reset t.hot
-    end
-  end
+let load_of t node = try Hashtbl.find t.served node with Not_found -> 0
 
 let bump_load t node key =
   let served = 1 + load_of t node in
-  Hashtbl.replace t.window_load node served;
+  Hashtbl.replace t.served node served;
   let per_key =
     match Hashtbl.find_opt t.hot node with
     | Some h -> h
@@ -148,7 +126,7 @@ let bump_load t node key =
   end;
   served
 
-(* Hottest keys of a node this window: count descending, key ascending —
+(* Hottest keys of a node: count descending, key ascending —
    a total order, so the scan is deterministic. *)
 let hottest_keys t node limit =
   match Hashtbl.find_opt t.hot node with
@@ -260,7 +238,6 @@ let miss t ~client ~key =
 
 let request t ~client ~key =
   if not (t.backend.member client) then invalid_arg "Cache.request: client is not a member";
-  roll_window t;
   let stored = replicas_of t key in
   let holders = live_holders t.backend.member stored in
   if holders != stored && holders <> [] then Hashtbl.replace t.copies key holders;

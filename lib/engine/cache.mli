@@ -27,8 +27,8 @@
     on a miss — the service-level number the paper's stretch metric never
     shows.
 
-    Load is accounted per serving node over a (virtual-time) window.
-    When a node's window count crosses [load_threshold] (and again at
+    Load is counted per serving node over the cache's lifetime.  When a
+    node's count crosses [load_threshold] (and again at
     every further multiple), its hottest keys are copied to a near host
     chosen by the backend ([near]), bounded by [replicas] copies per key;
     the node's load is pushed through [publish_load] first, so a backend
@@ -37,8 +37,8 @@
     [replicas = 1] the whole replication plane is inert: no placement
     lookups, no load publishes, no [Cache_replicate] spans.
 
-    Everything is deterministic: ranking ties break on node ids, table
-    iterations are sorted, and all timing comes from the injected clock. *)
+    Everything is deterministic: ranking ties break on node ids and table
+    iterations are sorted; the cache reads no clock. *)
 
 type backend = {
   name : string;  (** label for metrics/tables, e.g. ["ecan"] *)
@@ -51,24 +51,21 @@ type backend = {
       (** replica placement: a member topologically near [node], not in
           [exclude]; [None] when no host qualifies *)
   publish_load : node:int -> load:float -> unit;
-      (** feed a node's normalized window load (1.0 = at threshold) to
+      (** feed a node's normalized load (1.0 = at threshold) to
           the backend's load store; called before placement lookups *)
 }
 
 type config = {
   replicas : int;  (** max copies per key, >= 1; 1 disables replication *)
-  load_threshold : int;
-      (** window requests that mark a serving node hot, >= 1 *)
-  window : float;
-      (** load-accounting window, ms; [infinity] = never reset *)
+  load_threshold : int;  (** requests served that mark a node hot, >= 1 *)
   origin_ms : float;  (** modelled origin-fetch penalty on a miss, >= 0 *)
   hot_keys : int;
       (** hottest keys considered for copying per overload event, >= 1 *)
 }
 
 val default_config : config
-(** [replicas = 1], [load_threshold = 64], [window = infinity],
-    [origin_ms = 150.0], [hot_keys = 4]. *)
+(** [replicas = 1], [load_threshold = 64], [origin_ms = 150.0],
+    [hot_keys = 4]. *)
 
 type outcome = {
   key : int;
@@ -97,8 +94,8 @@ val create :
     [Topology.Oracle.dist]); [rtt] ranks replicas from the client's side
     ([None] = currently unreachable/unknown, ranked last; defaults to
     [link] wrapped in [Some]) — pass the probe plane's cached
-    measurement here.  [clock] (default frozen at 0) drives the load
-    window.
+    measurement here.  [clock] is accepted and never read: the cache
+    keeps no time.
 
     With [metrics], the cache maintains [cache_requests] / [cache_hits] /
     [cache_misses] / [cache_sheds] / [cache_failovers] /
@@ -125,10 +122,10 @@ val stored_keys : t -> int list
 (** Keys with at least one copy, ascending. *)
 
 val load_of : t -> int -> int
-(** Requests served by a node in the current window. *)
+(** Requests served by a node so far. *)
 
 val max_load : t -> int
-(** Highest per-node window load seen over the cache's lifetime. *)
+(** Most requests served by a single node so far. *)
 
 val requests : t -> int
 val hits : t -> int

@@ -297,7 +297,7 @@ let run_batch_from t ~start ~src ~dsts =
         match t.tracer with
         | Some tr ->
           let queued = { Trace.queue_ms = slot_start -. start; attempt = !attempts } in
-          Trace.emit tr ~at:slot_start ~dur:!rtt ~peer:dst (Trace.Rtt_probe (Some queued)) ~node:src
+          Trace.emit tr ~at:slot_start ~dur:!rtt ~peer:dst (Trace.Rtt_probe queued) ~node:src
         | None -> ()
       end
       else begin

@@ -1,12 +1,19 @@
 (** Synchronous RTT probe plane.
 
     Every RTT measurement a node spends — landmark-vector probing at join,
-    per-slot candidate selection, nearest-neighbor search — goes through a
-    {e prober}: a simulated-time subsystem that owns the measurement
-    function and models what issuing those probes over a real network
-    costs in wall-clock time.  Probing is one synchronous step:
-    {!run_batch} and {!rtt} measure at once and return the modelled
+    per-slot candidate selection, nearest-neighbor search, landmark
+    embedding — goes through a {e prober}: a simulated-time subsystem that
+    owns the measurement function and models what issuing those probes
+    over a real network costs in wall-clock time.  No other code in the
+    libraries calls a measurement function.  Probing is one synchronous
+    step: {!run_batch} and {!rtt} measure at once and return the modelled
     completion time; nothing is scheduled on a simulation.
+
+    A {e plain} prober, [create ~measure:(Topology.Oracle.measure oracle) ()],
+    has the default config and no metrics, trace, faults or pool: it
+    measures exactly what a direct loop over the measurement function
+    would, in the same order, and returns each value unchanged.  The
+    experiments that need RTTs but not their price create one per row.
 
     A prober admits probes through a configurable {e concurrency window}
     of [window] in-flight probes per submitted operation; probes beyond

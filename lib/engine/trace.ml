@@ -7,7 +7,7 @@ type outcome = Hit | Miss | Shed
 
 type kind =
   | Route_hop
-  | Rtt_probe of queued option
+  | Rtt_probe of queued
   | Map_publish of { region : int array }
   | Notify of { change : change; entry : int; region : int array }
   | Ttl_sweep of { purged : int }
@@ -42,8 +42,8 @@ let fault_label = function
 
 (* The one place a payload becomes text: the JSONL export's [note]. *)
 let note = function
-  | Route_hop | Rtt_probe None -> ""
-  | Rtt_probe (Some { queue_ms; attempt }) -> Printf.sprintf "q=%g;try=%d" queue_ms attempt
+  | Route_hop -> ""
+  | Rtt_probe { queue_ms; attempt } -> Printf.sprintf "q=%g;try=%d" queue_ms attempt
   | Map_publish { region } -> region_label region
   | Notify { change; entry; region } ->
     let tag = match change with Published -> "pub" | Departed -> "dep" | Load_changed -> "load" in

@@ -24,9 +24,10 @@ type outcome = Hit | Miss | Shed
     never writes to it afterwards. *)
 type kind =
   | Route_hop  (** one overlay forwarding step; [node] -> [peer] *)
-  | Rtt_probe of queued option
-      (** one RTT measurement; [dur] is the measured RTT.  {!Engine.Probe} adds
-          the slot wait and the attempts taken [[q=<queue_ms>;try=<attempt>]] *)
+  | Rtt_probe of queued
+      (** one RTT measurement by {!Engine.Probe}; [dur] is the measured RTT,
+          the payload the slot wait and the attempts taken
+          [[q=<queue_ms>;try=<attempt>]] *)
   | Map_publish of { region : int array }
       (** a soft-state entry was (re)published; [node] = map host, [peer]
           = described member [[<region label>]] *)

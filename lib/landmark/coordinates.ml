@@ -1,5 +1,4 @@
 module Rng = Prelude.Rng
-module Oracle = Topology.Oracle
 
 type t = {
   dims : int;
@@ -54,14 +53,14 @@ let descend ~rate ~max_step x anchors measured =
 let dims = 5
 let iterations = 2000
 
-let embed_landmarks rng oracle landmark_nodes =
+let embed_landmarks rng prober landmark_nodes =
   let l = Array.length landmark_nodes in
   if l < 2 then invalid_arg "Coordinates.embed_landmarks: need at least two landmarks";
-  let measured =
-    Array.map
-      (fun a -> Array.map (fun b -> if a = b then 0.0 else Oracle.measure oracle a b) landmark_nodes)
-      landmark_nodes
+  let rtt a b =
+    if a = b then 0.0
+    else match Engine.Probe.rtt prober ~src:a ~dst:b with Ok d -> d | Error _ -> infinity
   in
+  let measured = Array.map (fun a -> Array.map (rtt a) landmark_nodes) landmark_nodes in
   (* Initialise randomly at the scale of the measured distances. *)
   let scale =
     Array.fold_left (fun acc row -> Array.fold_left Float.max acc row) 1.0 measured
@@ -94,7 +93,3 @@ let position ?(iterations = 500) t rng ~measured =
     descend ~rate ~max_step x t.landmark_coords measured
   done;
   x
-
-let position_node ?iterations t rng oracle node =
-  let measured = Array.map (fun lm -> Oracle.measure oracle node lm) t.landmark_nodes in
-  position ?iterations t rng ~measured

@@ -17,17 +17,15 @@ type t = {
   landmark_coords : float array array;
 }
 
-val embed_landmarks : Prelude.Rng.t -> Topology.Oracle.t -> int array -> t
-(** [embed_landmarks rng oracle landmark_nodes] measures all landmark
-    pairs ([measure], counted) and fits 5-dimensional coordinates in 2000
-    descent rounds. *)
+val embed_landmarks : Prelude.Rng.t -> Engine.Probe.t -> int array -> t
+(** [embed_landmarks rng prober landmark_nodes] measures every ordered
+    landmark pair through [prober] (one {!Engine.Probe.rtt} each, row by
+    row; a pair whose probe fails reads [infinity]) and fits
+    5-dimensional coordinates in 2000 descent rounds. *)
 
 val position : ?iterations:int -> t -> Prelude.Rng.t -> measured:float array -> float array
 (** Fit a coordinate for a node given its measured RTTs to the landmarks
-    (in landmark order). *)
-
-val position_node : ?iterations:int -> t -> Prelude.Rng.t -> Topology.Oracle.t -> int -> float array
-(** Measure the node's landmark RTTs (counted) and fit its coordinate. *)
+    (in landmark order), e.g. its [Landmarks.vector_via] vector. *)
 
 val estimate : float array -> float array -> float
 (** Estimated network distance between two coordinates. *)

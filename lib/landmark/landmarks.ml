@@ -1,36 +1,29 @@
-type t = { nodes : int array; oracle : Topology.Oracle.t }
-
-let of_nodes oracle nodes =
-  if Array.length nodes < 1 then invalid_arg "Landmarks.of_nodes: need at least one landmark";
-  { nodes = Array.copy nodes; oracle }
+type t = { nodes : int array }
 
 let choose rng oracle l =
   let n = Topology.Oracle.node_count oracle in
   if l < 1 || l > n then invalid_arg "Landmarks.choose: bad landmark count";
   let all = Array.init n (fun i -> i) in
-  of_nodes oracle (Prelude.Rng.sample rng l all)
+  { nodes = Prelude.Rng.sample rng l all }
 
 let count t = Array.length t.nodes
 let nodes t = Array.copy t.nodes
-let oracle t = t.oracle
-
-let vector t node = Array.map (fun lm -> Topology.Oracle.measure t.oracle node lm) t.nodes
-
-let vector_memo t =
-  let vectors = Hashtbl.create 256 in
-  fun node ->
-    match Hashtbl.find_opt vectors node with
-    | Some v -> v
-    | None ->
-      let v = vector t node in
-      Hashtbl.replace vectors node v;
-      v
 
 let vector_via t prober node =
   let batch = Engine.Probe.run_batch prober ~src:node ~dsts:t.nodes in
   Array.map
     (function Ok rtt -> rtt | Error _ -> Float.infinity)
     batch.Engine.Probe.results
+
+let vector_memo t prober =
+  let vectors = Hashtbl.create 256 in
+  fun node ->
+    match Hashtbl.find_opt vectors node with
+    | Some v -> v
+    | None ->
+      let v = vector_via t prober node in
+      Hashtbl.replace vectors node v;
+      v
 
 let ordering vec =
   let idx = Array.init (Array.length vec) (fun i -> i) in

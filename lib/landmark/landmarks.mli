@@ -15,29 +15,24 @@ val choose : Prelude.Rng.t -> Topology.Oracle.t -> int -> t
 
 val count : t -> int
 val nodes : t -> int array
-val oracle : t -> Topology.Oracle.t
-
-val vector : t -> int -> float array
-(** [vector t node] is the node's landmark vector (RTT to each landmark,
-    in landmark order).  Each call performs [count t] RTT measurements
-    (counted by the oracle's measurement counter), issued sequentially. *)
-
-val vector_memo : t -> int -> float array
-(** [vector_memo t] is {!vector} behind a table of its own: a node's
-    vector is measured on the first call for that node and read from the
-    table on every later one. *)
 
 val vector_via : t -> Engine.Probe.t -> int -> float array
-(** Same vector, but the [count t] probes go through the probe plane as
-    one batch, so their wall-clock cost is modelled under the prober's
-    concurrency window (completion = max RTT when the window covers the
-    landmark set).  The prober must wrap this landmark set's oracle
-    ([Engine.Probe.create ~measure:(Topology.Oracle.measure (oracle t))]).
-    A probe that exhausts its retries yields [infinity] in that component
-    (the landmark looks unreachable, i.e. maximally far).  With the
-    default prober configuration (window 1, no cache, reliable channel)
-    the result, measurement count and measurement order are identical to
-    {!vector}. *)
+(** [vector_via t prober node] is the node's landmark vector: its RTT to
+    each landmark, in landmark order, measured by [prober] as one batch
+    of [count t] probes from [node].  The prober owns the measurement
+    function (typically [Topology.Oracle.measure oracle], so the probes
+    feed the oracle's measurement counter) and models the batch's
+    wall-clock under its concurrency window (completion = max RTT when
+    the window covers the landmark set, the sum at window 1).  A probe
+    that exhausts its retries yields [infinity] in that component (the
+    landmark looks unreachable, i.e. maximally far).  With a default
+    prober (window 1, no cache, reliable channel) the vector is the
+    landmark RTTs measured one after another in landmark order. *)
+
+val vector_memo : t -> Engine.Probe.t -> int -> float array
+(** [vector_memo t prober] is {!vector_via} behind a table of its own: a
+    node's vector is measured on the first call for that node and read
+    from the table on every later one. *)
 
 val ordering : float array -> int array
 (** [ordering vec] is the landmark-ordering representation used by

@@ -5,27 +5,13 @@ module Probe = Engine.Probe
 
 type curve = { found : int array; dist : float array; elapsed : float }
 
-type obs = { n_probes : Engine.Metrics.counter; tracer : Engine.Trace.t option }
-
-let make_obs ?metrics ?(labels = []) ?trace ~algo () =
+(* The [rtt_probes] counter of one search, bumped once per probe. *)
+let probe_counter ?metrics ?(labels = []) ~algo () =
   Option.map
-    (fun m ->
-      {
-        n_probes = Engine.Metrics.counter m ~labels:(("algo", algo) :: labels) "rtt_probes";
-        tracer = trace;
-      })
+    (fun m -> Engine.Metrics.counter m ~labels:(("algo", algo) :: labels) "rtt_probes")
     metrics
 
-let count_probe obs = match obs with None -> () | Some o -> Engine.Metrics.incr o.n_probes
-
-let observe_probe obs ~query node d =
-  match obs with
-  | None -> ()
-  | Some o ->
-    Engine.Metrics.incr o.n_probes;
-    Option.iter
-      (fun tr -> Engine.Trace.emit tr ~dur:d ~peer:node (Engine.Trace.Rtt_probe None) ~node:query)
-      o.tracer
+let count_probe counter = Option.iter Engine.Metrics.incr counter
 
 let true_nearest oracle ~query ~candidates =
   match Oracle.nearest oracle query candidates with
@@ -37,53 +23,34 @@ let rec take k = function
   | _ -> []
 
 (* Fold a sequence of probe batches into a best-so-far curve, spending at
-   most [budget] measurements.  Batches model message phases: without a
-   prober they are simply flattened into the seed's sequential measurement
-   loop; with one, each batch drains through the probe plane (results and
-   measurement order are identical — the plane only adds the modelled
-   wall-clock, accumulated into [curve.elapsed]).  A probe the plane fails
-   (retry exhaustion under an injected channel) still spends budget but
-   cannot improve the best-so-far. *)
-let curve_of_batches ?obs ?prober oracle ~query ~budget batches =
+   most [budget] measurements.  Batches model message phases: each drains
+   through the probe plane, which measures in submission order and prices
+   the batch under its window; the modelled wall-clock accumulates into
+   [curve.elapsed].  A probe the plane fails (retry exhaustion under an
+   injected channel) still spends budget but cannot improve the
+   best-so-far. *)
+let curve_of_batches ?counter prober ~query ~budget batches =
   let found = ref [] and dist = ref [] in
   let best_node = ref (-1) and best_dist = ref infinity in
   let spent = ref 0 and wall = ref 0.0 in
-  let record node = function
-    | Some d ->
-      if d < !best_dist then begin
-        best_dist := d;
-        best_node := node
-      end;
-      found := !best_node :: !found;
-      dist := !best_dist :: !dist
-    | None ->
-      found := !best_node :: !found;
-      dist := !best_dist :: !dist
-  in
   List.iter
     (fun batch ->
-      let batch = if !spent >= budget then [] else take (budget - !spent) batch in
-      match (batch, prober) with
-      | [], _ -> ()
-      | batch, None ->
-        List.iter
-          (fun node ->
-            incr spent;
-            let d = Oracle.measure oracle query node in
-            wall := !wall +. d;
-            observe_probe obs ~query node d;
-            record node (Some d))
-          batch
-      | batch, Some p ->
-        let b = Probe.run_batch p ~src:query ~dsts:(Array.of_list batch) in
+      match if !spent >= budget then [] else take (budget - !spent) batch with
+      | [] -> ()
+      | batch ->
+        let b = Probe.run_batch prober ~src:query ~dsts:(Array.of_list batch) in
         wall := !wall +. Probe.elapsed b;
         List.iteri
           (fun i node ->
             incr spent;
-            count_probe obs;
-            match b.Probe.results.(i) with
-            | Ok d -> record node (Some d)
-            | Error _ -> record node None)
+            count_probe counter;
+            (match b.Probe.results.(i) with
+            | Ok d when d < !best_dist ->
+              best_dist := d;
+              best_node := node
+            | Ok _ | Error _ -> ());
+            found := !best_node :: !found;
+            dist := !best_dist :: !dist)
           batch)
     batches;
   {
@@ -92,10 +59,10 @@ let curve_of_batches ?obs ?prober oracle ~query ~budget batches =
     elapsed = !wall;
   }
 
-let ers_curve ?metrics ?labels ?trace ?prober oracle can ~query ~budget =
+let ers_curve ?metrics ?labels prober can ~query ~budget =
   if not (Can_overlay.mem can query) then invalid_arg "Search.ers_curve: query not a member";
   if budget < 1 then invalid_arg "Search.ers_curve: budget must be >= 1";
-  let obs = make_obs ?metrics ?labels ?trace ~algo:"ers" () in
+  let counter = probe_counter ?metrics ?labels ~algo:"ers" () in
   (* Breadth-first rings over the CAN neighbor graph; each ring is one
      batch (its members are known before any of them is probed). *)
   let visited = Hashtbl.create 64 in
@@ -120,12 +87,11 @@ let ers_curve ?metrics ?labels ?trace ?prober oracle can ~query ~budget =
       ring := next
     end
   done;
-  curve_of_batches ?obs ?prober oracle ~query ~budget (List.rev !batches)
+  curve_of_batches ?counter prober ~query ~budget (List.rev !batches)
 
-let ranked_curve ?metrics ?labels ?trace ?prober ?(algo = "ranked") oracle ~score ~candidates
-    ~query ~budget =
+let ranked_curve ?metrics ?labels ?(algo = "ranked") prober ~score ~candidates ~query ~budget =
   if budget < 1 then invalid_arg "Search.ranked_curve: budget must be >= 1";
-  let obs = make_obs ?metrics ?labels ?trace ~algo () in
+  let counter = probe_counter ?metrics ?labels ~algo () in
   let ranked =
     candidates
     |> Array.to_list
@@ -136,38 +102,38 @@ let ranked_curve ?metrics ?labels ?trace ?prober ?(algo = "ranked") oracle ~scor
   in
   (* Pre-selection knows the whole ranking up front: the probes form a
      single batch. *)
-  curve_of_batches ?obs ?prober oracle ~query ~budget [ take budget ranked ]
+  curve_of_batches ?counter prober ~query ~budget [ take budget ranked ]
 
-let hybrid_curve ?metrics ?labels ?trace ?prober oracle ~vector_of ~candidates ~query ~budget =
+let hybrid_curve ?metrics ?labels prober ~vector_of ~candidates ~query ~budget =
   if budget < 1 then invalid_arg "Search.hybrid_curve: budget must be >= 1";
   let qvec = vector_of query in
-  ranked_curve ?metrics ?labels ?trace ?prober ~algo:"hybrid" oracle
+  ranked_curve ?metrics ?labels ~algo:"hybrid" prober
     ~score:(fun c -> Landmarks.vector_dist qvec (vector_of c))
     ~candidates ~query ~budget
 
-let hill_climb_curve ?metrics ?labels ?trace oracle can ~query ~budget =
+let hill_climb_curve ?metrics ?labels prober can ~query ~budget =
   if not (Can_overlay.mem can query) then
     invalid_arg "Search.hill_climb_curve: query not a member";
   if budget < 1 then invalid_arg "Search.hill_climb_curve: budget must be >= 1";
-  let obs = make_obs ?metrics ?labels ?trace ~algo:"hill_climb" () in
+  let counter = probe_counter ?metrics ?labels ~algo:"hill_climb" () in
   (* Walk to the best neighbor while it improves; each neighbor probe
      costs one measurement.  Stops at local minima. *)
   let found = ref [] and dist = ref [] in
   let best_node = ref (-1) and best_dist = ref infinity in
-  let spent = ref 0 and wall = ref 0.0 in
+  let spent = ref 0 and start = Probe.total_elapsed prober in
   let probe node =
     if !spent < budget then begin
       incr spent;
-      let d = Oracle.measure oracle query node in
-      wall := !wall +. d;
-      observe_probe obs ~query node d;
-      if d < !best_dist then begin
+      count_probe counter;
+      let d = Result.to_option (Probe.rtt prober ~src:query ~dst:node) in
+      (match d with
+      | Some d when d < !best_dist ->
         best_dist := d;
         best_node := node
-      end;
+      | Some _ | None -> ());
       found := !best_node :: !found;
       dist := !best_dist :: !dist;
-      Some d
+      d
     end
     else None
   in
@@ -198,7 +164,7 @@ let hill_climb_curve ?metrics ?labels ?trace oracle can ~query ~budget =
   {
     found = Array.of_list (List.rev !found);
     dist = Array.of_list (List.rev !dist);
-    elapsed = !wall;
+    elapsed = Probe.total_elapsed prober -. start;
   }
 
 let stretch_curve { dist; _ } ~optimal =

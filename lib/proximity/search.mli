@@ -17,10 +17,8 @@ type curve = {
   found : int array;  (** [found.(i)]: best node after [i+1] measurements *)
   dist : float array;  (** physical distance to [found.(i)] *)
   elapsed : float;
-      (** modelled wall-clock cost (ms) of the probes: the sum of measured
-          RTTs on the direct sequential path, the probe plane's batch
-          schedule when drained through [?prober] (a window-1 prober
-          prices identically to the sequential path) *)
+      (** modelled wall-clock cost (ms) of the probes under the prober's
+          schedule: the sum of the measured RTTs for a window-1 prober *)
 }
 (** Best-so-far trajectory; both arrays have length = measurements
     actually spent (at most the budget). *)
@@ -32,9 +30,7 @@ val true_nearest : Topology.Oracle.t -> query:int -> candidates:int array -> int
 val ers_curve :
   ?metrics:Engine.Metrics.t ->
   ?labels:Engine.Metrics.labels ->
-  ?trace:Engine.Trace.t ->
-  ?prober:Engine.Probe.t ->
-  Topology.Oracle.t ->
+  Engine.Probe.t ->
   Can.Overlay.t ->
   query:int ->
   budget:int ->
@@ -44,26 +40,21 @@ val ers_curve :
     every ring member until the budget runs out.  Deterministic (rings
     scanned in node-id order).
 
-    All curve functions take the same observability knobs: with
-    [metrics], each RTT measurement increments an [rtt_probes] counter
-    labeled [algo=<algorithm>] plus any extra [labels]; with [trace],
-    each measurement emits an [Rtt_probe None] span (node = query, peer =
-    probed node, dur = measured RTT).
-
-    With [prober], measurements drain through the probe plane instead of
-    hitting the oracle directly: each breadth-first ring (one batch for
-    the pre-selection searches) is issued concurrently under the prober's
-    window, and the modelled wall-clock accumulates into [curve.elapsed].
-    Budget accounting, probe order and probed values are unchanged for
-    any window, so the curve itself is identical — the plane only prices
-    it.  The prober must wrap the same oracle. *)
+    Every curve function measures through its prober, which owns the
+    measurement function: each breadth-first ring (one batch for the
+    pre-selection searches) is issued concurrently under the prober's
+    window, and the modelled wall-clock accumulates into
+    [curve.elapsed].  Budget accounting, probe order and probed values
+    do not depend on the window, so the curve itself is the same for
+    every window — the plane only prices it.  A probe the prober fails
+    spends budget without improving the best-so-far.  With [metrics],
+    each probe increments an [rtt_probes] counter labeled
+    [algo=<algorithm>] plus any extra [labels]. *)
 
 val hybrid_curve :
   ?metrics:Engine.Metrics.t ->
   ?labels:Engine.Metrics.labels ->
-  ?trace:Engine.Trace.t ->
-  ?prober:Engine.Probe.t ->
-  Topology.Oracle.t ->
+  Engine.Probe.t ->
   vector_of:(int -> float array) ->
   candidates:int array ->
   query:int ->
@@ -77,35 +68,33 @@ val hybrid_curve :
 val ranked_curve :
   ?metrics:Engine.Metrics.t ->
   ?labels:Engine.Metrics.labels ->
-  ?trace:Engine.Trace.t ->
-  ?prober:Engine.Probe.t ->
   ?algo:string ->
-  Topology.Oracle.t ->
+  Engine.Probe.t ->
   score:(int -> float) ->
   candidates:int array ->
   query:int ->
   budget:int ->
   curve
 (** Generalised pre-selection: probe candidates in ascending [score]
-    order.  {!hybrid_curve} is [ranked_curve] with the landmark-vector
-    distance as score; the §5.5 optimisations (landmark groups,
-    hierarchical landmark spaces) plug in their own scores.  [algo]
-    (default ["ranked"]) names the algorithm in the [rtt_probes] metric
-    label. *)
+    order, ties to the lower node id.  {!hybrid_curve} is [ranked_curve]
+    with the landmark-vector distance as score; the §5.5 optimisations
+    (landmark groups, hierarchical landmark spaces) plug in their own
+    scores.  [algo] (default ["ranked"]) names the algorithm in the
+    [rtt_probes] metric label. *)
 
 val hill_climb_curve :
   ?metrics:Engine.Metrics.t ->
   ?labels:Engine.Metrics.labels ->
-  ?trace:Engine.Trace.t ->
-  Topology.Oracle.t ->
+  Engine.Probe.t ->
   Can.Overlay.t ->
   query:int ->
   budget:int ->
   curve
 (** Hill climbing over overlay links (the "heuristic approach" of §1):
-    probe the current node's CAN neighbors and move to the closest; stop
-    at a local minimum even if budget remains — exhibiting exactly the
-    local-minimum pitfall the paper warns about. *)
+    probe the current node's CAN neighbors one {!Engine.Probe.rtt} at a
+    time and move to the closest; stop at a local minimum even if budget
+    remains — exhibiting exactly the local-minimum pitfall the paper
+    warns about. *)
 
 val stretch_curve : curve -> optimal:float -> float array
 (** Pointwise [dist /. optimal]; when the optimal distance is 0 the

@@ -174,10 +174,8 @@ let create kind rng =
 (* Selection and placement                                             *)
 (* ------------------------------------------------------------------ *)
 
-let hybrid_pick oracle ~vector_of ~budget ~node ~candidates =
-  let curve =
-    Proximity.Search.hybrid_curve oracle ~vector_of ~candidates ~query:node ~budget
-  in
+let hybrid_pick prober ~vector_of ~budget ~node ~candidates =
+  let curve = Proximity.Search.hybrid_curve prober ~vector_of ~candidates ~query:node ~budget in
   let probes = Array.length curve.Proximity.Search.found in
   ((if probes = 0 then None else Some curve.Proximity.Search.found.(probes - 1)), probes)
 
@@ -264,8 +262,9 @@ let ring_service ~seed b kind =
   let index = match kind with Chord -> 0 | Pastry -> 1 | Koorde _ -> 2 in
   let be = create kind (Prelude.Rng.create ((seed * 6007) + index + 1)) in
   Array.iter be.add b.Builder.members;
+  let prober = Engine.Probe.create ~measure:(Oracle.measure oracle) () in
   let pick ~node ~candidates =
-    fst (hybrid_pick oracle ~vector_of:(Builder.vector_of b) ~budget:5 ~node ~candidates)
+    fst (hybrid_pick prober ~vector_of:(Builder.vector_of b) ~budget:5 ~node ~candidates)
   in
   be.rebuild ~pick;
   {

@@ -46,7 +46,7 @@ val create : kind -> Prelude.Rng.t -> t
     draws member keys from the rng. *)
 
 val hybrid_pick :
-  Topology.Oracle.t ->
+  Engine.Probe.t ->
   vector_of:(int -> float array) ->
   budget:int ->
   node:int ->
@@ -54,8 +54,8 @@ val hybrid_pick :
   int option * int
 (** The paper's selection step on top of {!Proximity.Search.hybrid_curve}:
     rank [candidates] (minus [node]) by landmark-vector distance, probe
-    the first [budget] by RTT, keep the nearest (the earlier one on
-    ties).  Returns the pick — [None] when no candidate other than
+    the first [budget] through the prober, keep the nearest (the earlier
+    one on ties).  Returns the pick — [None] when no candidate other than
     [node] exists — and the number of RTT probes spent.  [budget] must be
     >= 1. *)
 
@@ -120,7 +120,9 @@ val builder_service :
 val ring_service : seed:int -> Core.Builder.t -> kind -> service
 (** A Chord, Pastry or Koorde row over the builder's members, keys drawn
     from a rng seeded by [seed] and the kind, tables built with
-    {!hybrid_pick} (budget 5) on the builder's landmark vectors.
+    {!hybrid_pick} (budget 5) on the builder's landmark vectors through
+    one plain prober of the row's own (default configuration, no
+    instruments).
     Candidates are the physically nearest members (ground truth, as the
     ring rows have no soft-state plane), [publish_load] is a no-op, and
     [on_remove]/[on_join] update the membership and rebuild every

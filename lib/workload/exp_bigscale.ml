@@ -10,9 +10,9 @@
    precomputation (one Dijkstra per stub member plus the core all-pairs)
    and distance queries against the flat layouts.
 
-   Wall-clock build/run times are printed but never recorded (they are
-   not deterministic); every recorded metric is labelled with the node
-   count and is byte-identical across runs and domain-pool sizes. *)
+   Every printed cell and recorded metric is deterministic: the metrics
+   are labelled with the node count and are byte-identical across runs
+   and domain-pool sizes. *)
 
 module Ts = Topology.Transit_stub
 module Oracle = Topology.Oracle
@@ -45,24 +45,15 @@ let topo_params exponent =
     latency = Ts.Manual;
   }
 
-type row = {
-  exponent : int;
-  nodes : int;
-  build_s : float;  (** wall-clock: generate + oracle precompute *)
-  run_s : float;  (** wall-clock: the churn storm + settle window *)
-  outcome : Exp_churn.outcome;
-}
+type row = { exponent : int; nodes : int; outcome : Exp_churn.outcome }
 
 let run_row ~size exponent =
-  let t0 = Unix.gettimeofday () in
   let topo = Ts.generate (Rng.create topo_seed) (topo_params exponent) in
   let oracle = Oracle.build topo in
-  let t1 = Unix.gettimeofday () in
   let nodes = Graph.node_count topo.Ts.graph in
   let labels = [ ("experiment", "bigscale"); ("nodes", string_of_int nodes) ] in
   let outcome, _can = Exp_churn.ecan_outcomes ~size ~seed:11 ~labels oracle in
-  let t2 = Unix.gettimeofday () in
-  { exponent; nodes; build_s = t1 -. t0; run_s = t2 -. t1; outcome }
+  { exponent; nodes; outcome }
 
 let run ?(scale = 1) ppf =
   let scale = max 1 scale in
@@ -78,7 +69,7 @@ let run ?(scale = 1) ppf =
            "Big-scale churn: default storm over a %d-member eCAN on 2^e-node physical networks"
            size)
       ~columns:
-        [ "2^e nodes"; "build s"; "storm s"; "stretch pre"; "storm"; "repaired"; "repair ms"; "ok" ]
+        [ "2^e nodes"; "stretch pre"; "storm"; "repaired"; "repair ms"; "ok" ]
   in
   List.iter
     (fun r ->
@@ -94,8 +85,6 @@ let run ?(scale = 1) ppf =
       Tableout.add_row table
         [
           Printf.sprintf "2^%d = %d" r.exponent r.nodes;
-          Printf.sprintf "%.2f" r.build_s;
-          Printf.sprintf "%.2f" r.run_s;
           Tableout.cell_f o.Exp_churn.stretch_before;
           Tableout.cell_f o.Exp_churn.stretch_storm;
           Tableout.cell_f o.Exp_churn.stretch_repaired;
@@ -105,7 +94,4 @@ let run ?(scale = 1) ppf =
         ])
     rows;
   Tableout.render ppf table;
-  Format.fprintf ppf
-    "  build: topology generation + oracle precompute (one SSSP per stub member + core all-pairs).@.";
-  Format.fprintf ppf
-    "  wall-clock columns are printed only; recorded metrics are deterministic and labelled nodes=N.@."
+  Format.fprintf ppf "  recorded metrics are labelled nodes=N.@."

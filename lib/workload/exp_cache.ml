@@ -109,7 +109,7 @@ let run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~req
   let labels = [ ("experiment", "cache"); ("backend", label) ] in
   let rtt = Backend.service_rtt ?metrics ~labels ~clock oracle in
   let cache =
-    Cache.create ?metrics ~labels ?trace ~clock ~rtt
+    Cache.create ?metrics ~labels ?trace ~rtt
       ~config:
         {
           Cache.default_config with
@@ -154,15 +154,15 @@ let run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~req
 
 (* Overlay size, clients, key universe, rounds and replication
    threshold.  A requested client count replaces the default one (which
-   is capped at the overlay size); the threshold follows the default. *)
+   is capped at the overlay size); the threshold follows the client
+   count, so the busiest nodes cross it whatever the count. *)
 let sizes ~scale ?clients () =
   let scale = max 1 scale in
   let size = max 64 (512 / scale) in
-  let default_clients = max 16 (512 / scale) in
   let universe = max 64 (4096 / scale) in
   let rounds = max 24 (1024 / scale) in
-  let threshold = max 8 (default_clients * rounds / 256) in
-  let clients = match clients with Some c -> max 1 c | None -> min default_clients size in
+  let clients = match clients with Some c -> max 1 c | None -> min (max 16 (512 / scale)) size in
+  let threshold = max 8 (clients * rounds / 256) in
   (size, clients, universe, rounds, threshold)
 
 let rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace

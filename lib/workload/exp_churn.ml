@@ -287,8 +287,8 @@ let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
 (* Chord / Pastry / Koorde under the same storm                        *)
 (* ------------------------------------------------------------------ *)
 
-let hybrid oracle ~vector_of ~node ~candidates =
-  fst (Backend.hybrid_pick oracle ~vector_of ~budget:5 ~node ~candidates)
+let hybrid ~prober ~vector_of ~node ~candidates =
+  fst (Backend.hybrid_pick prober ~vector_of ~budget:5 ~node ~candidates)
 
 (* Mean stretch of [stretch_samples] seeded random routes; routes that
    fail mid-storm are skipped. *)
@@ -308,8 +308,8 @@ let ring_outcome ~size ~seed ~storm ~pick:policy kind oracle =
   let all = Array.init (Oracle.node_count oracle) (fun i -> i) in
   let members = Rng.sample member_rng size all in
   let lms = Landmarks.choose (Rng.create (seed * 2003 + 2)) oracle 15 in
-  let vector_of = Landmarks.vector_memo lms in
-  let policy = policy ~vector_of in
+  let prober = Engine.Probe.create ~measure:(Oracle.measure oracle) () in
+  let policy = policy ~prober ~vector_of:(Landmarks.vector_memo lms prober) in
   let work = ref 0 in
   let pick ~node ~candidates =
     incr work;
@@ -367,7 +367,7 @@ let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0)
     ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window ~probe_window ~domains
       oracle
   in
-  let ring kind = ring_outcome ~size ~seed ~storm ~pick:(hybrid oracle) kind oracle in
+  let ring kind = ring_outcome ~size ~seed ~storm ~pick:hybrid kind oracle in
   let chord_o = ring Backend.Chord in
   let pastry_o = ring Backend.Pastry in
   let koorde_o = ring (Backend.Koorde 4) in

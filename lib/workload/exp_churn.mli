@@ -147,7 +147,7 @@ val ecan_outcomes :
     neighbor-selection strategy — the degree experiment sweeps RTT
     budgets through it. *)
 
-val hybrid : Topology.Oracle.t -> vector_of:(int -> float array) -> Backend.pick
+val hybrid : prober:Engine.Probe.t -> vector_of:(int -> float array) -> Backend.pick
 (** The churn rows' selection policy: {!Backend.hybrid_pick} with a
     budget of 5 RTT probes. *)
 
@@ -155,14 +155,16 @@ val ring_outcome :
   size:int ->
   seed:int ->
   storm:Engine.Faults.storm ->
-  pick:(vector_of:(int -> float array) -> Backend.pick) ->
+  pick:(prober:Engine.Probe.t -> vector_of:(int -> float array) -> Backend.pick) ->
   Backend.kind ->
   Topology.Oracle.t ->
   outcome
 (** A Chord, Pastry or Koorde overlay of [size] members under the storm,
     repaired by periodic stabilisation (a full table rebuild every 20 s).
-    [pick] builds the selection policy from this run's memoised
-    landmark vectors (15 landmarks drawn from the seed); {!hybrid} is the
+    [pick] builds the selection policy from this run's plain prober
+    (default configuration, no instruments; every RTT of the row goes
+    through it) and memoised landmark vectors (15 landmarks drawn from
+    the seed, measured by that prober); {!hybrid} is the
     churn experiment's own, the degree experiment injects budgeted and
     random ones.  [repair_work] counts selection calls after the initial
     build. *)

@@ -19,10 +19,9 @@ let run ?(scale = 1) ppf =
   let all = Array.init n (fun i -> i) in
   let nodes = Rng.sample rng size all in
   let lms = Landmarks.choose rng oracle landmark_count in
-  let embedding = Coordinates.embed_landmarks rng oracle (Landmarks.nodes lms) in
-  (* Drain the landmark probes through a full-width probe plane: the
-     vectors are identical to the sequential path, the plane just prices
-     each batch at the slowest member RTT instead of the sum. *)
+  (* Every probe drains through one full-width probe plane: the vectors
+     are those of sequential probing, the plane just prices each batch at
+     the slowest member RTT instead of the sum. *)
   let prober =
     Engine.Probe.create
       ~config:{ Engine.Probe.default_config with Engine.Probe.window = landmark_count }
@@ -30,14 +29,18 @@ let run ?(scale = 1) ppf =
   in
   let vectors = Hashtbl.create size and coords = Hashtbl.create size in
   Array.iter
+    (fun node -> Hashtbl.replace vectors node (Landmarks.vector_via lms prober node))
+    nodes;
+  let vectors_ms = Engine.Probe.total_elapsed prober in
+  let embedding = Coordinates.embed_landmarks rng prober (Landmarks.nodes lms) in
+  Array.iter
     (fun node ->
-      let v = Landmarks.vector_via lms prober node in
-      Hashtbl.replace vectors node v;
-      Hashtbl.replace coords node (Coordinates.position ~iterations:200 embedding rng ~measured:v))
+      Hashtbl.replace coords node
+        (Coordinates.position ~iterations:200 embedding rng ~measured:(Hashtbl.find vectors node)))
     nodes;
   Format.fprintf ppf
     "@.  %d landmark vectors measured concurrently: %.0f ms modelled wall-clock (sequential would sum every RTT)@."
-    size (Engine.Probe.total_elapsed prober);
+    size vectors_ms;
   (* 1. raw estimation accuracy over random pairs *)
   let errors =
     Array.init estimate_pairs (fun _ ->
@@ -59,7 +62,7 @@ let run ?(scale = 1) ppf =
   let avg signal =
     Sweep.nn_average ~budgets
       (Sweep.nn_stretch oracle ~candidates:nodes ~queries (fun query ->
-           Search.hybrid_curve oracle ~vector_of:signal ~candidates:nodes ~query
+           Search.hybrid_curve prober ~vector_of:signal ~candidates:nodes ~query
              ~budget:(List.fold_left max 1 budgets)))
   in
   let by_vector = avg (fun node -> Hashtbl.find vectors node) in

@@ -55,16 +55,17 @@ let random_pick rng ~node:_ ~candidates =
    control). *)
 let ring_like_row ~name ~k ~seed ~size ~storm kind oracle =
   let probes = ref 0 in
-  let counted ~vector_of ~node ~candidates =
-    let pick, spent = Backend.hybrid_pick oracle ~vector_of ~budget:k ~node ~candidates in
+  let counted ~prober ~vector_of ~node ~candidates =
+    let pick, spent = Backend.hybrid_pick prober ~vector_of ~budget:k ~node ~candidates in
     probes := !probes + spent;
     pick
   in
   let aware_o = Exp_churn.ring_outcome ~size ~seed ~storm ~pick:counted kind oracle in
   let rng = Rng.create ((seed * 31) + k) in
   let random_o =
-    Exp_churn.ring_outcome ~size ~seed ~storm ~pick:(fun ~vector_of:_ -> random_pick rng) kind
-      oracle
+    Exp_churn.ring_outcome ~size ~seed ~storm
+      ~pick:(fun ~prober:_ ~vector_of:_ -> random_pick rng)
+      kind oracle
   in
   {
     backend = name;

@@ -9,11 +9,8 @@
    metrics registry; the experiment then compares the rendered JSON of
    the three registries byte for byte.  DESIGN.md §12 promises they
    cannot differ; the [domains_identical] gauge (and the bench gate over
-   it) holds the implementation to that promise.
-
-   Wall-clock per run is printed for the speedup table but never
-   recorded as a metric — real time is the one thing the contract does
-   NOT pin down. *)
+   it) holds the implementation to that promise.  Nothing here reads the
+   wall clock: the table depends on the scale alone. *)
 
 module Sim = Engine.Sim
 module Metrics = Engine.Metrics
@@ -51,11 +48,9 @@ type one = {
   entries : int;
   purged : int;
   probes : int;
-  wall_s : float;
 }
 
 let run_once ~scale ~domains =
-  let t0 = Unix.gettimeofday () in
   let metrics = Metrics.create () in
   let labels = [ ("experiment", "domains") ] in
   let pool = Dpool.get ~domains in
@@ -127,15 +122,14 @@ let run_once ~scale ~domains =
     entries = !entries;
     purged = !purged;
     probes = Probe.probes prober;
-    wall_s = Unix.gettimeofday () -. t0;
   }
 
 let run ?(scale = 1) ppf =
   let runs = List.map (fun d -> run_once ~scale ~domains:d) [ 1; 2; 4 ] in
   let base = List.hd runs in
   let identical = List.for_all (fun r -> String.equal r.json base.json) runs in
-  (* Deterministic facts go to the global registry (and hence the bench
-     gate); wall-clock stays in the table below. *)
+  (* The deterministic facts go to the global registry (and hence the
+     bench gate). *)
   let labels = [ ("experiment", "domains") ] in
   let g = Sweep.gauge ~labels in
   g "domains_identical" (if identical then 1.0 else 0.0);
@@ -148,21 +142,17 @@ let run ?(scale = 1) ppf =
         (Printf.sprintf
            "Domain-parallel hosting: %d entries, %d purged, %d probes, %d shards — metrics JSON compared byte-for-byte across pool sizes"
            base.entries base.purged base.probes shards)
-      ~columns:[ "domains"; "wall s"; "speedup"; "metrics JSON" ]
+      ~columns:[ "domains"; "metrics JSON" ]
   in
   List.iter
     (fun r ->
       Tableout.add_row table
         [
           string_of_int r.domains;
-          Printf.sprintf "%.3f" r.wall_s;
-          Printf.sprintf "%.2fx" (base.wall_s /. Float.max 1e-9 r.wall_s);
           (if String.equal r.json base.json then "identical" else "DIVERGED");
         ])
     runs;
   Tableout.render ppf table;
   Format.fprintf ppf
-    "  wall-clock is host-dependent (real speedup needs >= 2 cores) and is never recorded@.";
-  Format.fprintf ppf
-    "  as a metric; the [domains_identical] gauge asserts the DESIGN.md §12 contract.@.";
+    "  the [domains_identical] gauge asserts the DESIGN.md §12 contract.@.";
   if not identical then failwith "domains experiment: metrics diverged across pool sizes"

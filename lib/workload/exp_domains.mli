@@ -1,5 +1,4 @@
-(** Domain-parallel hosting: byte-identity across pool sizes, plus a
-    wall-clock speedup table.
+(** Domain-parallel hosting: byte-identity across pool sizes.
 
     Runs one seeded maintenance-heavy workload (sharded soft-state
     publishes/refreshes/sweeps, pool-backed probe batches over a lossy
@@ -8,8 +7,8 @@
     rendered registries byte for byte — the executable form of the
     DESIGN.md §12 determinism contract.  Records [domains_identical]
     (1.0 on byte-identity) and the workload's deterministic totals to
-    the global registry; prints, but never records, per-run wall-clock
-    and speedup.  Fails loudly if any pool size diverges. *)
+    the global registry and prints the per-pool-size verdicts.  Fails
+    loudly if any pool size diverges. *)
 
 val run : ?scale:int -> Format.formatter -> unit
 (** The registry entry.  [scale] divides the workload size (default

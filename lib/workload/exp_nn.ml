@@ -19,16 +19,17 @@ let stretch_curves ?metrics ?labels ~seed ~query_count ~ers_budget ~hybrid_budge
     ignore (Can_overlay.join can id (Point.random rng 2))
   done;
   let lms = Landmarks.choose rng oracle landmark_count in
-  let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
+  let prober = Engine.Probe.create ~measure:(Oracle.measure oracle) () in
+  let vectors = Array.init n (Landmarks.vector_via lms prober) in
   let all = Array.init n (fun i -> i) in
   let queries = Rng.sample rng (min query_count n) all in
   let stretch = Sweep.nn_stretch oracle ~candidates:all ~queries in
   let ers =
-    stretch (fun query -> Search.ers_curve ?metrics ?labels oracle can ~query ~budget:ers_budget)
+    stretch (fun query -> Search.ers_curve ?metrics ?labels prober can ~query ~budget:ers_budget)
   in
   let hybrid =
     stretch (fun query ->
-        Search.hybrid_curve ?metrics ?labels oracle ~vector_of:(Array.get vectors) ~candidates:all
+        Search.hybrid_curve ?metrics ?labels prober ~vector_of:(Array.get vectors) ~candidates:all
           ~query ~budget:hybrid_budget)
   in
   (ers, hybrid)

@@ -29,8 +29,11 @@ let nn_ablation ~scale oracle ppf =
   let size = max 256 (population / scale) in
   let nodes = Rng.sample rng size (Array.init n (fun i -> i)) in
   let lms = Landmarks.choose rng oracle landmark_count in
+  let prober = Engine.Probe.create ~measure:(Oracle.measure oracle) () in
   let vectors = Hashtbl.create size in
-  Array.iter (fun node -> Hashtbl.replace vectors node (Landmarks.vector lms node)) nodes;
+  Array.iter
+    (fun node -> Hashtbl.replace vectors node (Landmarks.vector_via lms prober node))
+    nodes;
   let vec node = Hashtbl.find vectors node in
   (* a CAN over the population, for the link-walking heuristics *)
   let can = Can_overlay.create ~dims:2 nodes.(0) in
@@ -45,7 +48,7 @@ let nn_ablation ~scale oracle ppf =
   let max_budget = List.fold_left max 1 budgets in
   let plain =
     avg (fun query ->
-        Search.hybrid_curve oracle ~vector_of:vec ~candidates:nodes ~query ~budget:max_budget)
+        Search.hybrid_curve prober ~vector_of:vec ~candidates:nodes ~query ~budget:max_budget)
   in
   let grouped =
     (* best per-group match: a candidate matching the query well on ANY
@@ -53,7 +56,7 @@ let nn_ablation ~scale oracle ppf =
        single unlucky group *)
     avg (fun query ->
         let qv = vec query in
-        Search.ranked_curve oracle
+        Search.ranked_curve prober
           ~score:(fun c ->
             let cv = vec c in
             let best = ref infinity in
@@ -70,16 +73,16 @@ let nn_ablation ~scale oracle ppf =
     let coarse = 5 in
     avg (fun query ->
         let qv = vec query in
-        Search.ranked_curve oracle
+        Search.ranked_curve prober
           ~score:(fun c ->
             let cv = vec c in
             (1000.0 *. sub_dist qv cv 0 coarse) +. sub_dist qv cv coarse landmark_count)
           ~candidates:nodes ~query ~budget:max_budget)
   in
   let hill =
-    avg (fun query -> Search.hill_climb_curve oracle can ~query ~budget:max_budget)
+    avg (fun query -> Search.hill_climb_curve prober can ~query ~budget:max_budget)
   in
-  let ers = avg (fun query -> Search.ers_curve oracle can ~query ~budget:max_budget) in
+  let ers = avg (fun query -> Search.ers_curve prober can ~query ~budget:max_budget) in
   let table =
     Tableout.create
       ~title:

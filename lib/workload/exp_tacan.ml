@@ -74,7 +74,9 @@ let run ?(scale = 1) ppf =
   let lms = Landmarks.choose rng oracle landmark_count in
   let max_latency = Number.calibrate_max_latency oracle (Landmarks.nodes lms) in
   let scheme = Number.default_scheme ~max_latency () in
-  let vector_of = Landmarks.vector_memo lms in
+  let vector_of =
+    Landmarks.vector_memo lms (Engine.Probe.create ~measure:(Oracle.measure oracle) ())
+  in
   let uniform = build_overlay oracle ~size ~point_of:(fun rng _ -> Geometry.Point.random rng 2) in
   let tacan =
     build_overlay oracle ~size ~point_of:(fun rng node -> tacan_point scheme rng (vector_of node))

@@ -55,7 +55,9 @@ let run ?(scale = 1) ppf =
   let scheme =
     Number.default_scheme ~max_latency:(Number.calibrate_max_latency oracle (Landmarks.nodes lms)) ()
   in
-  let vector_of = Landmarks.vector_memo lms in
+  let vector_of =
+    Landmarks.vector_memo lms (Engine.Probe.create ~measure:(Oracle.measure oracle) ())
+  in
   (* (1) topology-blind baseline: uniform layout + greedy routing *)
   let uniform = build_can members ~point_of:(fun rng _ -> Point.random rng 2) in
   let baseline = measure_can oracle uniform (Can_overlay.route uniform) in

@@ -41,26 +41,30 @@ let sampled_stretch oracle members ~seed ~what ~route ~owner ~key_space =
 (* Map-backed selection: probe every entry the map lookup returned (other
    than the node itself) in lookup order and keep the RTT-nearest, the
    earlier one on ties; a random candidate when the map had none. *)
-let map_pick oracle fallback_rng ~node ~candidates entries =
-  match List.filter (fun c -> c <> node) entries with
-  | [] -> Some (Rng.pick fallback_rng candidates)
-  | first :: rest ->
-    let best =
-      List.fold_left
-        (fun (bd, bc) c ->
-          let d = Oracle.measure oracle node c in
-          if bd <= d then (bd, bc) else (d, c))
-        (Oracle.measure oracle node first, first)
-        rest
+let map_pick prober fallback_rng ~node ~candidates entries =
+  match Array.of_list (List.filter (fun c -> c <> node) entries) with
+  | [||] -> Some (Rng.pick fallback_rng candidates)
+  | probed ->
+    let rank c =
+      let i = ref 0 in
+      while probed.(!i) <> c do
+        incr i
+      done;
+      float_of_int !i
     in
-    Some (snd best)
+    let curve =
+      Proximity.Search.ranked_curve prober ~score:rank ~candidates:probed ~query:node
+        ~budget:(Array.length probed)
+    in
+    Some curve.Proximity.Search.found.(Array.length probed - 1)
 
 (* Chord or Koorde with the soft-state map actually *stored on the
    identifier ring* (appendix placement: entry key = landmark number scaled
    into the id space): each slot's selection does a real map lookup
    constrained to its arc (a Chord finger arc, a de Bruijn image arc), then
    probes the returned candidates by RTT. *)
-let ringmap_stretch oracle members scheme vector_of kind ~key_seed ~fallback_seed ~route_seed =
+let ringmap_stretch oracle prober members scheme vector_of kind ~key_seed ~fallback_seed
+    ~route_seed =
   let rng = Rng.create key_seed in
   let name, keys, build_fingers, route =
     match kind with
@@ -80,13 +84,13 @@ let ringmap_stretch oracle members scheme vector_of kind ~key_seed ~fallback_see
   build_fingers ~selector:(fun ~node ~arc ~candidates ->
       Softmap.lookup map ~vector:(vector_of node) ~in_arc:arc ~max_results:rtt_budget ~ttl:64 ()
       |> List.map (fun e -> e.Softmap.node)
-      |> map_pick oracle fallback_rng ~node ~candidates);
+      |> map_pick prober fallback_rng ~node ~candidates);
   sampled_stretch oracle members ~seed:route_seed ~what:(name ^ " ring-map hybrid") ~route
     ~owner:(Keyring.successor_node keys) ~key_space:(Keyring.ring_size keys)
 
 (* Pastry with prefix-region maps actually stored on the mesh (appendix
    placement: entry id = region prefix ++ landmark-number digits). *)
-let pastry_prefixmap_stretch oracle members scheme vector_of =
+let pastry_prefixmap_stretch oracle prober members scheme vector_of =
   let rng = Rng.create 31341 in
   let mesh = Mesh.create () in
   Array.iter (fun id -> Mesh.add_node mesh ~rng id) members;
@@ -97,7 +101,7 @@ let pastry_prefixmap_stretch oracle members scheme vector_of =
       Pastry.Softmap.lookup map ~prefix ~vector:(vector_of node) ~max_results:rtt_budget ~ttl:16
         ()
       |> List.map (fun (e : Pastry.Softmap.entry) -> e.Pastry.Softmap.node)
-      |> map_pick oracle fallback_rng ~node ~candidates);
+      |> map_pick prober fallback_rng ~node ~candidates);
   sampled_stretch oracle members ~seed:556 ~what:"pastry prefix-map hybrid"
     ~route:(Mesh.route mesh) ~owner:(Mesh.owner_of mesh)
     ~key_space:(1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh))
@@ -109,8 +113,9 @@ let run ?(scale = 1) ppf =
   let all = Array.init (Oracle.node_count oracle) (fun i -> i) in
   let members = Rng.sample rng size all in
   let lms = Landmarks.choose rng oracle landmark_count in
+  let prober = Engine.Probe.create ~measure:(Oracle.measure oracle) () in
   let vectors = Hashtbl.create size in
-  Array.iter (fun m -> Hashtbl.replace vectors m (Landmarks.vector lms m)) members;
+  Array.iter (fun m -> Hashtbl.replace vectors m (Landmarks.vector_via lms prober m)) members;
   let vector_of node = Hashtbl.find vectors node in
   let table =
     Tableout.create
@@ -120,7 +125,7 @@ let run ?(scale = 1) ppf =
            size)
       ~columns:[ "overlay"; "random"; "hybrid (lmk+RTT)"; "optimal" ]
   in
-  let strategies oracle =
+  let strategies () =
     [
       ("random", random_pick (Rng.create 1));
       (* The soft-state hybrid, idealised to its information content: the
@@ -129,7 +134,7 @@ let run ?(scale = 1) ppf =
          map-backed rows below exercise the storage itself. *)
       ( "hybrid",
         fun ~node ~candidates ->
-          fst (Backend.hybrid_pick oracle ~vector_of ~budget:rtt_budget ~node ~candidates) );
+          fst (Backend.hybrid_pick prober ~vector_of ~budget:rtt_budget ~node ~candidates) );
       ("optimal", optimal_pick oracle);
     ]
   in
@@ -147,7 +152,7 @@ let run ?(scale = 1) ppf =
           in
           record ~overlay:(String.lowercase_ascii name) ~pick:pick_name s;
           Tableout.cell_f s.Stats.mean)
-        (strategies oracle)
+        (strategies ())
     in
     Tableout.add_row table (name :: cells)
   in
@@ -162,20 +167,20 @@ let run ?(scale = 1) ppf =
       ()
   in
   let ringmap =
-    ringmap_stretch oracle members scheme vector_of Backend.Chord ~key_seed:31339
+    ringmap_stretch oracle prober members scheme vector_of Backend.Chord ~key_seed:31339
       ~fallback_seed:31340 ~route_seed:555
   in
   record ~overlay:"chord" ~pick:"stored map" ringmap;
   Format.fprintf ppf
     "  Chord with the map stored on the ring itself: stretch %.3f (vs idealised hybrid above)@."
     ringmap.Stats.mean;
-  let prefixmap = pastry_prefixmap_stretch oracle members scheme vector_of in
+  let prefixmap = pastry_prefixmap_stretch oracle prober members scheme vector_of in
   record ~overlay:"pastry" ~pick:"stored map" prefixmap;
   Format.fprintf ppf
     "  Pastry with maps stored under the prefixes:   stretch %.3f (vs idealised hybrid above)@."
     prefixmap.Stats.mean;
   let koordemap =
-    ringmap_stretch oracle members scheme vector_of (Backend.Koorde 4) ~key_seed:31344
+    ringmap_stretch oracle prober members scheme vector_of (Backend.Koorde 4) ~key_seed:31344
       ~fallback_seed:31345 ~route_seed:557
   in
   record ~overlay:"koorde" ~pick:"stored map" koordemap;

@@ -30,6 +30,9 @@ let topo_params =
 
 let oracle = lazy (Oracle.build (Ts.generate (Rng.create 11) topo_params))
 
+(* A default prober over the fixture topology: window 1, no cache. *)
+let plain o = Engine.Probe.create ~measure:(Oracle.measure o) ()
+
 (* ---- coordinates ---- *)
 
 let test_coords_estimate () =
@@ -43,7 +46,7 @@ let test_coords_embedding_fits_landmarks () =
   let o = Lazy.force oracle in
   let rng = Rng.create 1 in
   let lms = Landmarks.choose rng o 8 in
-  let t = Coordinates.embed_landmarks rng o (Landmarks.nodes lms) in
+  let t = Coordinates.embed_landmarks rng (plain o) (Landmarks.nodes lms) in
   Alcotest.(check int) "dims" 5 t.Coordinates.dims;
   (* Embedding error between landmarks should be moderate (<60% median). *)
   let nodes = t.Coordinates.landmark_nodes in
@@ -69,9 +72,13 @@ let test_coords_positioning_better_than_chance () =
   let o = Lazy.force oracle in
   let rng = Rng.create 2 in
   let lms = Landmarks.choose rng o 8 in
-  let t = Coordinates.embed_landmarks rng o (Landmarks.nodes lms) in
+  let prober = plain o in
+  let t = Coordinates.embed_landmarks rng prober (Landmarks.nodes lms) in
   let n = Oracle.node_count o in
-  let coords = Array.init n (fun node -> Coordinates.position_node t rng o node) in
+  let coords =
+    Array.init n (fun node ->
+        Coordinates.position t rng ~measured:(Landmarks.vector_via lms prober node))
+  in
   let errors =
     Array.init 300 (fun _ ->
         let a = Rng.int rng n and b = Rng.int rng n in
@@ -116,7 +123,7 @@ let softmap_fixture make ~seed =
     Number.default_scheme ~max_latency:(Number.calibrate_max_latency o (Landmarks.nodes lms)) ()
   in
   let map = Softmap.create ~scheme overlay.keys in
-  let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
+  let vectors = Array.init n (Landmarks.vector_via lms (plain o)) in
   Array.iteri (fun node vector -> Softmap.publish map ~node ~vector) vectors;
   (overlay, map, vectors)
 
@@ -207,7 +214,7 @@ let pastry_fixture ~seed =
     Number.default_scheme ~max_latency:(Number.calibrate_max_latency o (Landmarks.nodes lms)) ()
   in
   let map = Psoftmap.create ~scheme mesh in
-  let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
+  let vectors = Array.init n (Landmarks.vector_via lms (plain o)) in
   Array.iteri (fun node vector -> Psoftmap.publish_all map ~node ~vector) vectors;
   (o, mesh, map, vectors)
 
@@ -358,7 +365,9 @@ let test_ranked_curve_respects_order () =
   let candidates = Array.init n (fun i -> i) in
   let query = 5 in
   let curve =
-    Search.ranked_curve o ~score:(fun c -> Oracle.dist o query c) ~candidates ~query ~budget:3
+    Search.ranked_curve (plain o)
+      ~score:(fun c -> Oracle.dist o query c)
+      ~candidates ~query ~budget:3
   in
   let _, optimal = Search.true_nearest o ~query ~candidates in
   Alcotest.(check (float 1e-12)) "oracle score finds optimum immediately" optimal
@@ -368,7 +377,7 @@ let test_hill_climb_stops_at_local_minimum () =
   let o = Lazy.force oracle in
   let n = Oracle.node_count o in
   let can, _ = can_fixture ~seed:9 ~n in
-  let curve = Search.hill_climb_curve o can ~query:0 ~budget:500 in
+  let curve = Search.hill_climb_curve (plain o) can ~query:0 ~budget:500 in
   let spent = Array.length curve.Search.dist in
   Alcotest.(check bool) "spends something" true (spent >= 1);
   (* monotone best-so-far *)

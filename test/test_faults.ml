@@ -222,8 +222,7 @@ let test_ecan_storm_repairs () =
 let test_chord_pastry_storm_repairs () =
   let oracle = Lazy.force oracle in
   let ring kind =
-    Exp_churn.ring_outcome ~size:48 ~seed:5 ~storm:small_storm ~pick:(Exp_churn.hybrid oracle)
-      kind oracle
+    Exp_churn.ring_outcome ~size:48 ~seed:5 ~storm:small_storm ~pick:Exp_churn.hybrid kind oracle
   in
   let chord_o = ring Backend.Chord in
   Alcotest.(check bool) "Chord converges after the storm" true chord_o.Exp_churn.converged;
@@ -294,7 +293,7 @@ let test_storm_metrics_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check bool) "same seed, same metrics" true (a = b);
   let chord () =
-    Exp_churn.ring_outcome ~size:48 ~seed:9 ~storm:small_storm ~pick:(Exp_churn.hybrid oracle)
+    Exp_churn.ring_outcome ~size:48 ~seed:9 ~storm:small_storm ~pick:Exp_churn.hybrid
       Backend.Chord oracle
   in
   let c = chord () and d = chord () in

@@ -21,6 +21,9 @@ let topo_params =
 
 let oracle = lazy (Oracle.build (Ts.generate (Rng.create 3) topo_params))
 
+(* A node's landmark vector through a default prober over [o]. *)
+let vector lms o = Landmarks.vector_via lms (Engine.Probe.create ~measure:(Oracle.measure o) ())
+
 let test_choose_landmarks () =
   let o = Lazy.force oracle in
   let lms = Landmarks.choose (Rng.create 1) o 8 in
@@ -38,21 +41,21 @@ let test_vector_semantics () =
   let o = Lazy.force oracle in
   let lms = Landmarks.choose (Rng.create 2) o 6 in
   let nodes = Landmarks.nodes lms in
-  let v = Landmarks.vector lms 5 in
+  let v = vector lms o 5 in
   Alcotest.(check int) "vector length" 6 (Array.length v);
   Array.iteri
     (fun i lm ->
       Alcotest.(check (float 1e-9)) "component is RTT to landmark" (Oracle.dist o 5 lm) v.(i))
     nodes;
   (* a landmark's own vector has a zero at its own position *)
-  let self = Landmarks.vector lms nodes.(0) in
+  let self = vector lms o nodes.(0) in
   Alcotest.(check (float 0.0)) "self distance" 0.0 self.(0)
 
 let test_vector_counts_measurements () =
   let o = Lazy.force oracle in
   let lms = Landmarks.choose (Rng.create 3) o 7 in
   Oracle.reset_measurements o;
-  ignore (Landmarks.vector lms 4);
+  ignore (vector lms o 4);
   Alcotest.(check int) "one RTT per landmark" 7 (Oracle.measurements o);
   Oracle.reset_measurements o
 
@@ -185,7 +188,7 @@ let qcheck_physically_close_nodes_have_close_vectors =
       let lms = Landmarks.choose (Rng.create (seed + 1)) o 8 in
       let stub0 = topo.Ts.stub_members.(0) in
       let stub_last = topo.Ts.stub_members.(Array.length topo.Ts.stub_members - 1) in
-      let v a = Landmarks.vector lms a in
+      let v = vector lms o in
       let same = Landmarks.vector_dist (v stub0.(0)) (v stub0.(1)) in
       let cross = Landmarks.vector_dist (v stub0.(0)) (v stub_last.(0)) in
       same <= cross +. 1e-9)

@@ -195,7 +195,7 @@ let json_note j =
 let test_trace_jsonl () =
   let t = Trace.create () in
   Trace.emit t ~at:1.5 ~dur:0.25 ~peer:7
-    (Trace.Rtt_probe (Some { Trace.queue_ms = 0.5; attempt = 2 }))
+    (Trace.Rtt_probe { Trace.queue_ms = 0.5; attempt = 2 })
     ~node:3;
   let lines = String.split_on_char '\n' (String.trim (Trace.to_jsonl t)) in
   Alcotest.(check int) "one line per span" 1 (List.length lines);
@@ -221,8 +221,8 @@ let ref_region bits =
   else String.concat "" (List.map string_of_int (Array.to_list bits))
 
 let ref_note = function
-  | Trace.Route_hop | Trace.Rtt_probe None -> ""
-  | Trace.Rtt_probe (Some { Trace.queue_ms; attempt }) ->
+  | Trace.Route_hop -> ""
+  | Trace.Rtt_probe { Trace.queue_ms; attempt } ->
     Printf.sprintf "q=%g;try=%d" queue_ms attempt
   | Trace.Map_publish { region } -> ref_region region
   | Trace.Notify { change; entry; region } ->
@@ -251,8 +251,7 @@ let gen_kind =
     oneof
       [
         return Trace.Route_hop;
-        return (Trace.Rtt_probe None);
-        map2 (fun queue_ms attempt -> Trace.Rtt_probe (Some { Trace.queue_ms; attempt })) ms
+        map2 (fun queue_ms attempt -> Trace.Rtt_probe { Trace.queue_ms; attempt }) ms
           (int_range 1 5);
         map (fun region -> Trace.Map_publish { region }) region;
         map3
@@ -300,9 +299,7 @@ let test_trace_jsonl_literals () =
       (line kind)
   in
   expect "route_hop" "" Trace.Route_hop;
-  expect "rtt_probe" "" (Trace.Rtt_probe None);
-  expect "rtt_probe" "q=12.75;try=3"
-    (Trace.Rtt_probe (Some { Trace.queue_ms = 12.75; attempt = 3 }));
+  expect "rtt_probe" "q=12.75;try=3" (Trace.Rtt_probe { Trace.queue_ms = 12.75; attempt = 3 });
   expect "map_publish" "root" (Trace.Map_publish { region = [||] });
   expect "map_publish" "0110" (Trace.Map_publish { region = [| 0; 1; 1; 0 |] });
   expect "notify" "pub:42@01"

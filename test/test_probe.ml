@@ -289,33 +289,96 @@ let test_metrics_instruments () =
   Alcotest.(check int) "batch histogram" 1
     (Metrics.observations (Metrics.histogram m "probe_batch_ms"))
 
+(* Reference models for the direct landmark loops the probe plane
+   replaced: a node's vector and the landmark-to-landmark matrix, each
+   RTT measured with [Oracle.measure] in landmark order. *)
+let reference_vector oracle lms node =
+  Array.map (fun lm -> Oracle.measure oracle node lm) (Landmarks.nodes lms)
+
+let reference_matrix oracle landmarks =
+  Array.map
+    (fun a -> Array.map (fun b -> if a = b then 0.0 else Oracle.measure oracle a b) landmarks)
+    landmarks
+
+let landmark_oracle =
+  lazy
+    (Oracle.build
+       (Ts.generate (Rng.create 3)
+          {
+            Ts.transit_domains = 2;
+            transit_nodes_per_domain = 2;
+            stubs_per_transit_node = 2;
+            stub_size = 6;
+            extra_domain_edges = 1;
+            extra_edge_fraction = 0.3;
+            latency = Ts.Gtitm_random;
+          }))
+
+(* [f ()] and the oracle measurements it spent. *)
+let spending oracle f =
+  let before = Oracle.measurements oracle in
+  let v = f () in
+  (v, Oracle.measurements oracle - before)
+
 (* The consumer-facing contract: a default-configured prober wired to the
-   oracle reproduces Landmarks.vector byte for byte, measurement count
-   included. *)
+   oracle measures a landmark vector exactly as the direct loop does,
+   measurement count included. *)
 let test_vector_via_equivalence () =
-  let topo =
-    Ts.generate (Rng.create 3)
-      {
-        Ts.transit_domains = 2;
-        transit_nodes_per_domain = 2;
-        stubs_per_transit_node = 2;
-        stub_size = 6;
-        extra_domain_edges = 1;
-        extra_edge_fraction = 0.3;
-        latency = Ts.Gtitm_random;
-      }
-  in
-  let oracle = Oracle.build topo in
+  let oracle = Lazy.force landmark_oracle in
   let lms = Landmarks.choose (Rng.create 4) oracle 5 in
-  let node = 17 in
-  Oracle.reset_measurements oracle;
-  let seq = Landmarks.vector lms node in
-  let seq_count = Oracle.measurements oracle in
   let p = Probe.create ~measure:(Oracle.measure oracle) () in
-  Oracle.reset_measurements oracle;
-  let via = Landmarks.vector_via lms p node in
-  Alcotest.(check (array (float 0.0))) "identical vector" seq via;
-  Alcotest.(check int) "identical measurement count" seq_count (Oracle.measurements oracle)
+  let want, want_n = spending oracle (fun () -> reference_vector oracle lms 17) in
+  let got, got_n = spending oracle (fun () -> Landmarks.vector_via lms p 17) in
+  Alcotest.(check (array (float 0.0))) "identical vector" want got;
+  Alcotest.(check int) "identical measurement count" want_n got_n
+
+let qcheck_vector_via_matches_reference =
+  QCheck.Test.make ~name:"vector_via on a default prober = the direct landmark loop" ~count:200
+    QCheck.(triple (int_range 0 1_000_000) (int_range 1 12) (int_range 0 1_000))
+    (fun (seed, l, node) ->
+      let oracle = Lazy.force landmark_oracle in
+      let node = node mod Oracle.node_count oracle in
+      let lms = Landmarks.choose (Rng.create seed) oracle l in
+      let p = Probe.create ~measure:(Oracle.measure oracle) () in
+      let want = spending oracle (fun () -> reference_vector oracle lms node) in
+      let got = spending oracle (fun () -> Landmarks.vector_via lms p node) in
+      want = got)
+
+(* The embedding's measured matrix is observed through the measurement
+   function: every off-diagonal pair, row by row, with the reference's
+   value; the fit itself does not depend on the prober's window. *)
+let qcheck_embed_measures_reference_matrix =
+  QCheck.Test.make ~name:"embed_landmarks measures the direct landmark matrix" ~count:20
+    QCheck.(pair (int_range 0 1_000_000) (int_range 2 8))
+    (fun (seed, l) ->
+      let oracle = Lazy.force landmark_oracle in
+      let landmarks = Landmarks.nodes (Landmarks.choose (Rng.create seed) oracle l) in
+      let want, want_n = spending oracle (fun () -> reference_matrix oracle landmarks) in
+      let embed window =
+        let log = ref [] in
+        let measure a b =
+          let d = Oracle.measure oracle a b in
+          log := (a, b, d) :: !log;
+          d
+        in
+        let p = Probe.create ~config:(cfg ~window ()) ~measure () in
+        let t, n =
+          spending oracle (fun () ->
+              Landmark.Coordinates.embed_landmarks (Rng.create seed) p landmarks)
+        in
+        (t, n, List.rev !log)
+      in
+      let expected_log =
+        List.concat
+          (List.init l (fun i ->
+               List.filter_map
+                 (fun j ->
+                   if j = i then None else Some (landmarks.(i), landmarks.(j), want.(i).(j)))
+                 (List.init l Fun.id)))
+      in
+      let t1, n1, log1 = embed 1 and tl, _, _ = embed l in
+      n1 = want_n && log1 = expected_log
+      && t1.Landmark.Coordinates.landmark_coords = tl.Landmark.Coordinates.landmark_coords)
 
 let suite =
   [
@@ -329,6 +392,8 @@ let suite =
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "metrics instruments" `Quick test_metrics_instruments;
     Alcotest.test_case "vector_via = vector" `Quick test_vector_via_equivalence;
+    QCheck_alcotest.to_alcotest qcheck_vector_via_matches_reference;
+    QCheck_alcotest.to_alcotest qcheck_embed_measures_reference_matrix;
     QCheck_alcotest.to_alcotest qcheck_cache_equivalence;
     QCheck_alcotest.to_alcotest qcheck_rtt_is_one_probe_batch;
   ]

@@ -19,6 +19,9 @@ let topo_params =
     latency = Ts.Manual;
   }
 
+(* A default prober: window 1, no cache, reliable channel. *)
+let plain oracle = Engine.Probe.create ~measure:(Oracle.measure oracle) ()
+
 (* Oracle + a CAN of the whole topology + landmark vectors, as in the
    paper's §4 evaluation setting. *)
 let setup ~seed =
@@ -31,7 +34,7 @@ let setup ~seed =
     ignore (Can_overlay.join can id (Point.random rng 2))
   done;
   let lms = Landmarks.choose rng oracle 6 in
-  let vectors = Array.init n (fun node -> Landmarks.vector lms node) in
+  let vectors = Array.init n (Landmarks.vector_via lms (plain oracle)) in
   (oracle, can, vectors, Rng.create (seed + 1))
 
 let all_nodes oracle = Array.init (Oracle.node_count oracle) (fun i -> i)
@@ -58,9 +61,9 @@ let test_curves_monotone_nonincreasing () =
         Alcotest.(check bool) (name ^ " best-so-far never worsens") true (d.(i) <= d.(i - 1))
       done
     in
-    check "ers" (Search.ers_curve oracle can ~query ~budget:40);
+    check "ers" (Search.ers_curve (plain oracle) can ~query ~budget:40);
     check "hybrid"
-      (Search.hybrid_curve oracle
+      (Search.hybrid_curve (plain oracle)
          ~vector_of:(fun v -> vectors.(v))
          ~candidates:(all_nodes oracle) ~query ~budget:40)
   done
@@ -68,7 +71,7 @@ let test_curves_monotone_nonincreasing () =
 let test_measurement_accounting () =
   let oracle, can, _, _ = setup ~seed:3 in
   Oracle.reset_measurements oracle;
-  let curve = Search.ers_curve oracle can ~query:0 ~budget:25 in
+  let curve = Search.ers_curve (plain oracle) can ~query:0 ~budget:25 in
   Alcotest.(check int) "exactly budget measurements" (Array.length curve.Search.dist)
     (Oracle.measurements oracle);
   Alcotest.(check bool) "budget respected" true (Array.length curve.Search.dist <= 25)
@@ -81,7 +84,7 @@ let test_hybrid_converges_to_optimum () =
     let query = Rng.int rng (Oracle.node_count oracle) in
     let _, optimal = Search.true_nearest oracle ~query ~candidates in
     let curve =
-      Search.hybrid_curve oracle
+      Search.hybrid_curve (plain oracle)
         ~vector_of:(fun v -> vectors.(v))
         ~candidates ~query
         ~budget:(Array.length candidates)
@@ -102,9 +105,11 @@ let test_hybrid_beats_ers_at_small_budget () =
     let query = Rng.int rng (Oracle.node_count oracle) in
     let _, optimal = Search.true_nearest oracle ~query ~candidates in
     let last (c : Search.curve) = c.Search.dist.(Array.length c.Search.dist - 1) in
-    let ers = last (Search.ers_curve oracle can ~query ~budget) in
+    let ers = last (Search.ers_curve (plain oracle) can ~query ~budget) in
     let hyb =
-      last (Search.hybrid_curve oracle ~vector_of:(fun v -> vectors.(v)) ~candidates ~query ~budget)
+      last
+        (Search.hybrid_curve (plain oracle) ~vector_of:(Array.get vectors) ~candidates ~query
+           ~budget)
     in
     if optimal > 0.0 then begin
       total_ers := !total_ers +. (ers /. optimal);
@@ -120,7 +125,7 @@ let test_ers_explores_rings () =
   let oracle, can, _, _ = setup ~seed:6 in
   (* first probes must be the query's direct CAN neighbors, in id order *)
   let query = 0 in
-  let curve = Search.ers_curve oracle can ~query ~budget:3 in
+  let curve = Search.ers_curve (plain oracle) can ~query ~budget:3 in
   let neighbors = List.sort compare (Can_overlay.node can query).Can_overlay.neighbors in
   Oracle.reset_measurements oracle;
   let expected_first = List.hd neighbors in
@@ -134,46 +139,124 @@ let test_stretch_curve () =
   Alcotest.(check (array (float 1e-9))) "stretch" [| 2.0; 1.0 |]
     (Search.stretch_curve curve ~optimal:5.0)
 
-let test_curves_window_invariant () =
-  (* Draining the probes through the probe plane must never change what a
-     curve finds — any window only re-prices the wall-clock. *)
+(* Reference models for the direct measurement loops the search used to
+   run beside the probe plane: the probe order of each algorithm, and a
+   sequential fold that measures each probe with [Oracle.measure], keeps
+   the best so far (the earlier node on ties) and prices the curve at the
+   sum of its RTTs. *)
+let reference_curve oracle ~query order =
+  let steps, wall =
+    List.fold_left
+      (fun (steps, wall) node ->
+        let d = Oracle.measure oracle query node in
+        let best = match steps with (_, bd) :: _ when bd <= d -> List.hd steps | _ -> (node, d) in
+        (best :: steps, wall +. d))
+      ([], 0.0) order
+  in
+  let steps = Array.of_list (List.rev steps) in
+  { Search.found = Array.map fst steps; dist = Array.map snd steps; elapsed = wall }
+
+let neighbors can v = List.sort compare (Can_overlay.node can v).Can_overlay.neighbors
+
+(* Breadth-first rings in node-id order, cut at the budget. *)
+let reference_ers_order can ~query ~budget =
+  let visited = Hashtbl.create 64 in
+  Hashtbl.replace visited query ();
+  let rec rings acc = function
+    | [] -> List.rev acc
+    | ring ->
+      let ring = List.sort_uniq compare (List.filter (fun v -> not (Hashtbl.mem visited v)) ring) in
+      List.iter (fun v -> Hashtbl.replace visited v ()) ring;
+      rings (List.rev_append ring acc) (List.concat_map (neighbors can) ring)
+  in
+  List.filteri (fun i _ -> i < budget) (rings [] (neighbors can query))
+
+let reference_hybrid_order vector_of ~candidates ~query ~budget =
+  let qvec = vector_of query in
+  Array.to_list candidates
+  |> List.filter (fun c -> c <> query)
+  |> List.map (fun c -> (Landmarks.vector_dist qvec (vector_of c), c))
+  |> List.sort compare
+  |> List.filteri (fun i _ -> i < budget)
+  |> List.map snd
+
+(* Probe the current node's unvisited neighbors, move to the closest
+   while it improves. *)
+let reference_hill_order oracle can ~query ~budget =
+  let visited = Hashtbl.create 32 and probed = ref [] in
+  Hashtbl.replace visited query ();
+  let rec climb at current =
+    let improved = ref None in
+    List.iter
+      (fun v ->
+        if (not (Hashtbl.mem visited v)) && List.length !probed < budget then begin
+          Hashtbl.replace visited v ();
+          probed := v :: !probed;
+          let d = Oracle.dist oracle query v in
+          match !improved with
+          | Some (bd, _) when bd <= d -> ()
+          | _ -> if d < current then improved := Some (d, v)
+        end
+        else Hashtbl.replace visited v ())
+      (neighbors can at);
+    match !improved with
+    | Some (d, v) when List.length !probed < budget -> climb v d
+    | _ -> ()
+  in
+  climb query infinity;
+  List.rev !probed
+
+let test_curves_match_reference_at_every_window () =
+  (* Any window only re-prices the wall-clock: each curve finds, measures
+     and spends exactly what the direct sequential loop does, and a
+     window-1 prober prices it at the sum of the RTTs. *)
   let oracle, can, vectors, rng = setup ~seed:8 in
   let candidates = all_nodes oracle in
-  let prober window =
-    Engine.Probe.create
-      ~config:{ Engine.Probe.default_config with Engine.Probe.window }
-      ~measure:(Oracle.measure oracle) ()
-  in
+  let vector_of = Array.get vectors in
   for _ = 1 to 3 do
     let query = Rng.int rng (Oracle.node_count oracle) in
-    let check name plain (curve_of : prober:Engine.Probe.t -> Search.curve) =
-      let seq = curve_of ~prober:(prober 1) in
-      let con = curve_of ~prober:(prober 8) in
-      Alcotest.(check (array int)) (name ^ ": window 1 finds as without prober")
-        plain.Search.found seq.Search.found;
-      Alcotest.(check (array (float 0.0))) (name ^ ": window 1 prices as without prober")
-        plain.Search.dist seq.Search.dist;
-      Alcotest.(check (float 1e-9)) (name ^ ": unpriced = window-1 wall-clock")
-        plain.Search.elapsed seq.Search.elapsed;
-      Alcotest.(check (array int)) (name ^ ": window invariant") seq.Search.found con.Search.found;
-      Alcotest.(check bool) (name ^ ": wider window is never slower") true
-        (con.Search.elapsed <= seq.Search.elapsed)
+    let check name order curve_of =
+      let spent f =
+        let before = Oracle.measurements oracle in
+        let c = f () in
+        (c, Oracle.measurements oracle - before)
+      in
+      let want, want_spent = spent (fun () -> reference_curve oracle ~query order) in
+      List.iter
+        (fun window ->
+          let prober =
+            Engine.Probe.create
+              ~config:{ Engine.Probe.default_config with Engine.Probe.window }
+              ~measure:(Oracle.measure oracle) ()
+          in
+          let got, got_spent = spent (fun () -> curve_of prober) in
+          let at = Printf.sprintf "%s, window %d: " name window in
+          Alcotest.(check (array int)) (at ^ "found") want.Search.found got.Search.found;
+          Alcotest.(check (array (float 0.0))) (at ^ "dist") want.Search.dist got.Search.dist;
+          Alcotest.(check int) (at ^ "measurements") want_spent got_spent;
+          if window = 1 then
+            Alcotest.(check (float 1e-9)) (at ^ "sum of RTTs") want.Search.elapsed
+              got.Search.elapsed
+          else
+            Alcotest.(check bool) (at ^ "never slower than window 1") true
+              (got.Search.elapsed <= want.Search.elapsed +. 1e-9))
+        [ 1; 2; 8 ]
     in
     check "ers"
-      (Search.ers_curve oracle can ~query ~budget:20)
-      (fun ~prober -> Search.ers_curve ~prober oracle can ~query ~budget:20);
+      (reference_ers_order can ~query ~budget:20)
+      (fun prober -> Search.ers_curve prober can ~query ~budget:20);
     check "hybrid"
-      (Search.hybrid_curve oracle ~vector_of:(fun v -> vectors.(v)) ~candidates ~query ~budget:20)
-      (fun ~prober ->
-        Search.hybrid_curve ~prober oracle
-          ~vector_of:(fun v -> vectors.(v))
-          ~candidates ~query ~budget:20)
+      (reference_hybrid_order vector_of ~candidates ~query ~budget:20)
+      (fun prober -> Search.hybrid_curve prober ~vector_of ~candidates ~query ~budget:20);
+    check "hill climb"
+      (reference_hill_order oracle can ~query ~budget:20)
+      (fun prober -> Search.hill_climb_curve prober can ~query ~budget:20)
   done
 
 let test_rejects_bad_budget () =
   let oracle, can, _, _ = setup ~seed:7 in
   Alcotest.check_raises "budget 0" (Invalid_argument "Search.ers_curve: budget must be >= 1")
-    (fun () -> ignore (Search.ers_curve oracle can ~query:0 ~budget:0))
+    (fun () -> ignore (Search.ers_curve (plain oracle) can ~query:0 ~budget:0))
 
 (* Reference model for [Workload.Backend.hybrid_pick]: the
    vector-then-probe selector the workloads each used to carry, with the
@@ -222,7 +305,7 @@ let qcheck_shared_picker_matches_reference =
       let probes = ref 0 in
       let expected = reference_hybrid oracle vector_of ~rtts:budget probes ~node ~candidates in
       let pick, spent =
-        Workload.Backend.hybrid_pick oracle ~vector_of ~budget ~node ~candidates
+        Workload.Backend.hybrid_pick (plain oracle) ~vector_of ~budget ~node ~candidates
       in
       pick = expected && spent = !probes)
 
@@ -235,7 +318,8 @@ let suite =
     Alcotest.test_case "hybrid beats ERS at small budgets" `Slow test_hybrid_beats_ers_at_small_budget;
     Alcotest.test_case "ers explores rings" `Quick test_ers_explores_rings;
     Alcotest.test_case "stretch curve arithmetic" `Quick test_stretch_curve;
-    Alcotest.test_case "curves are probe-window invariant" `Quick test_curves_window_invariant;
+    Alcotest.test_case "curves are probe-window invariant" `Quick
+      test_curves_match_reference_at_every_window;
     Alcotest.test_case "budget validation" `Quick test_rejects_bad_budget;
     QCheck_alcotest.to_alcotest qcheck_shared_picker_matches_reference;
   ]
