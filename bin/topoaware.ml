@@ -77,18 +77,20 @@ let probe_window_arg =
 
 let domains_arg =
   let doc =
-    "Domain pool hosting the store's shard-parallel phases and the probe plane's      batch prefetch: 0 (the default) reads the TOPOAWARE_DOMAINS environment      variable (else 1); N >= 1 pins an N-domain pool. Changes real wall-clock      only — results and metrics are byte-identical across values (DESIGN.md §12)."
+    (Printf.sprintf
+       "Domain pool hosting the store's shard-parallel phases (probes always run on the \
+        calling domain): 0 (the default) reads the TOPOAWARE_DOMAINS environment variable \
+        (else 1); N in 1..%d pins an N-domain pool. Changes real wall-clock only — results \
+        and metrics are byte-identical across values (DESIGN.md §12)."
+       Engine.Dpool.max_domains)
   in
-  let nonneg =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 0 -> Ok n
-      | Some _ -> Error (`Msg "--domains must be >= 0")
-      | None -> Error (`Msg (Printf.sprintf "invalid --domains value %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
+  (* Checked in a [Term.ret], not in the converter: a converter error also
+     prints the usage lines, and this is a one-line error. *)
+  let check n =
+    if n >= 0 && n <= Engine.Dpool.max_domains then `Ok n
+    else `Error (false, Printf.sprintf "--domains must be in 0..%d" Engine.Dpool.max_domains)
   in
-  Arg.(value & opt nonneg 0 & info [ "domains" ] ~docv:"N" ~doc)
+  Term.(ret (const check $ Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc)))
 
 (* ---- list ---- *)
 
@@ -331,7 +333,6 @@ let churn_cmd =
     else if shards < 1 then `Error (false, "--shards must be >= 1")
     else if not (Float.is_finite digest_window && digest_window >= 0.0) then
       `Error (false, "--digest-window must be finite and >= 0")
-    else if domains < 0 then `Error (false, "--domains must be >= 0")
     else begin
       setup_logs verbose;
       let storm =

@@ -150,8 +150,9 @@ let build ?metrics ?labels ?trace ?(clock = fun () -> 0.0) oracle config =
   if config.domains < 0 then invalid_arg "Builder.build: domains must be >= 0";
   (* domains = 0 defers to the ambient pool (TOPOAWARE_DOMAINS or a
      Dpool.set_default override); n >= 1 pins an interned n-domain pool.
-     Either way the store and prober share one pool, and by the DESIGN.md
-     §12 contract the choice never changes any result or metric. *)
+     Only the store runs on it; the prober measures on the calling
+     domain.  By the DESIGN.md §12 contract the choice never changes any
+     result or metric. *)
   let pool =
     if config.domains = 0 then Engine.Dpool.default ()
     else Engine.Dpool.get ~domains:config.domains
@@ -161,7 +162,7 @@ let build ?metrics ?labels ?trace ?(clock = fun () -> 0.0) oracle config =
       ~default_ttl:config.ttl ~clock ~scheme can
   in
   let prober =
-    Engine.Probe.create ?metrics ?labels ?trace ~clock ~pool ~config:config.probe
+    Engine.Probe.create ?metrics ?labels ?trace ~clock ~config:config.probe
       ~measure:(Oracle.measure oracle) ()
   in
   let vectors = Hashtbl.create (Array.length members) in

@@ -22,11 +22,11 @@ type config = {
       (** probe-plane configuration shared by every RTT measurement the
           overlay spends (landmark vectors, per-slot selection) *)
   domains : int;
-      (** domain pool hosting the store's shard-parallel phases and the
-          prober's batch prefetch: [0] (the default) uses the ambient
-          {!Engine.Dpool.default} pool (the [TOPOAWARE_DOMAINS]
-          environment variable, or 1); [n >= 1] pins the interned
-          [n]-domain pool.  By the determinism contract (DESIGN.md §12)
+      (** domain pool hosting the store's shard-parallel phases; the
+          prober always measures on the calling domain.  [0] (the
+          default) uses the ambient {!Engine.Dpool.default} pool (the
+          [TOPOAWARE_DOMAINS] environment variable, or 1); [n >= 1] pins
+          the interned [n]-domain pool.  By the determinism contract (DESIGN.md §12)
           the value never changes results or metrics — only wall-clock. *)
   seed : int;
 }

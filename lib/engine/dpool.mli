@@ -1,9 +1,10 @@
 (** Domain worker pool with per-shard mailboxes.
 
-    Hosts shard-parallel phases of the engine — soft-state sweep scans,
-    entry rehosting, probe-batch prefetching — on OCaml 5 [Domain]s while
-    keeping the discrete-event engine deterministic.  The contract
-    (DESIGN.md §12 "Domain-parallel hosting") is:
+    Hosts the soft-state store's shard-parallel phases — sweep scans,
+    entry rehosting, hosting-stat chunks — on OCaml 5 [Domain]s while
+    keeping the discrete-event engine deterministic.  The probe plane
+    measures on the calling domain and never dispatches here.  The
+    contract (DESIGN.md §12 "Domain-parallel hosting") is:
 
     - {b Stable placement.}  Task [i] of an [n]-task batch always runs in
       slot [i mod size]: slot 0 is the coordinator (the caller's domain),
@@ -29,13 +30,16 @@
 
 type t
 
+val max_domains : int
+(** 128: the largest pool {!create} accepts (OCaml caps live domains well
+    below structural shard counts). *)
+
 val create : domains:int -> unit -> t
 (** Pool of [domains] execution slots: the coordinator plus
     [domains - 1] spawned worker domains, each owning one mailbox.
     [domains = 1] spawns nothing.  Raises [Invalid_argument] outside
-    [1..128] (OCaml caps live domains well below structural shard
-    counts).  Private pools should be {!shutdown} when done; prefer
-    {!get} for long-lived shared pools. *)
+    [1..]{!max_domains}.  Private pools should be {!shutdown} when done;
+    prefer {!get} for long-lived shared pools. *)
 
 val get : domains:int -> t
 (** The process-wide interned pool of the given size — created on first
@@ -47,9 +51,9 @@ val default : unit -> t
 (** The ambient pool: the {!set_default} override if one is active,
     otherwise [get ~domains:n] with [n] read from the [TOPOAWARE_DOMAINS]
     environment variable (unset, unparsable or out-of-range values mean
-    1).  Store and probe constructors fall back to this, which is how a
-    CI matrix leg exercises the whole test suite under multi-domain
-    hosting without touching call sites. *)
+    1).  Store constructors fall back to this, which is how a CI matrix
+    leg exercises the whole test suite under multi-domain hosting without
+    touching call sites. *)
 
 val set_default : t option -> unit
 (** Override (or, with [None], restore) what {!default} returns —

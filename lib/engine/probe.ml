@@ -40,14 +40,8 @@ type t = {
   measure : int -> int -> float;
   clock : unit -> float;
   faults : Faults.t option;
-  pool : Dpool.t option;
-      (* when present, batch measurements are prefetched in parallel and
-         the classic sequential schedule replayed against them *)
   cache : (int * int, cache_entry) Hashtbl.t;
   obs : instruments option;
-  dobs : (Metrics.counter * Metrics.counter) option;
-      (* (domain_batches, domain_tasks) dispatch accounting; registered
-         only when both metrics and a pool are present *)
   tracer : Trace.t option;
   mutable probes : int;
   mutable failures : int;
@@ -57,8 +51,8 @@ type t = {
   mutable total_elapsed : float;
 }
 
-let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0) ?pool
-    ?(config = default_config) ~measure () =
+let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0)
+    ?pool:(_ : Dpool.t option) ?(config = default_config) ~measure () =
   if config.window < 1 then invalid_arg "Probe.create: window must be >= 1";
   if not (config.timeout > 0.0) then invalid_arg "Probe.create: timeout must be positive";
   if config.retries < 0 then invalid_arg "Probe.create: retries must be >= 0";
@@ -82,21 +76,13 @@ let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0) ?pool
         })
       metrics
   in
-  let dobs =
-    match (metrics, pool) with
-    | Some m, Some _ ->
-      Some (Metrics.counter m ~labels "domain_batches", Metrics.counter m ~labels "domain_tasks")
-    | _ -> None
-  in
   {
     config;
     measure;
     clock;
     faults;
-    pool;
     cache = Hashtbl.create 256;
     obs;
-    dobs;
     tracer = trace;
     probes = 0;
     failures = 0;
@@ -135,16 +121,6 @@ let cache_find t ~src ~dst ~now =
       None
   end
 
-(* Counter-free peek used by the prefetch planner: hit/miss/stale
-   accounting must happen exactly once per probe, during the replay's
-   [cache_find], never here. *)
-let cached_fresh t ~src ~dst ~now =
-  t.config.cache_ttl > 0.0
-  &&
-  match Hashtbl.find_opt t.cache (src, dst) with
-  | Some e -> e.expires > now
-  | None -> false
-
 let[@inline] cache_store t ~src ~dst ~at rtt =
   if t.config.cache_ttl > 0.0 then
     Hashtbl.replace t.cache (src, dst) { rtt; expires = at +. t.config.cache_ttl }
@@ -157,83 +133,6 @@ let invalidate t node =
   in
   List.iter (Hashtbl.remove t.cache) doomed
 
-(* Phase 1 of a pool-backed batch: measure every {e unique, uncached}
-   destination in parallel into flat arrays.  The replay (phase 2)
-   consumes each prefetched RTT on that destination's {e first}
-   measurement and calls [t.measure] directly for any further attempt or
-   duplicate — so as long as the measurement function is deterministic
-   per pair (and domain-safe), the RTT values, the total call count
-   against the underlying oracle, and every downstream decision are
-   byte-identical to the sequential path; only which domain performed a
-   call changes.
-
-   Chunking is fixed at [prefetch_chunk] destinations per task, so the
-   dispatch structure (and the [domain_*] counters) depends only on the
-   batch contents, never on the pool size. *)
-let prefetch_chunk = 8
-
-type prefetched = {
-  uniq : int array;  (* the first [count] are the unique destinations, first occurrence first *)
-  count : int;
-  rtts : float array;  (* [rtts.(i)]: the measured RTT to [uniq.(i)] *)
-  consumed : Bytes.t;  (* byte [i] is set once the replay has used [rtts.(i)] *)
-}
-
-let nothing_prefetched = { uniq = [||]; count = 0; rtts = [||]; consumed = Bytes.empty }
-
-(* Batches are a handful of candidates or landmarks, so membership is a
-   scan of the destinations found so far. *)
-let prefetch t ~src ~dsts ~now =
-  match t.pool with
-  | Some pool when Array.length dsts >= 2 ->
-    let uniq = Array.make (Array.length dsts) 0 in
-    let count = ref 0 in
-    for j = 0 to Array.length dsts - 1 do
-      let dst = dsts.(j) in
-      let i = ref 0 in
-      while !i < !count && uniq.(!i) <> dst do
-        incr i
-      done;
-      if !i = !count && not (cached_fresh t ~src ~dst ~now) then begin
-        uniq.(!count) <- dst;
-        incr count
-      end
-    done;
-    let n = !count in
-    if n < 2 then nothing_prefetched
-    else begin
-      let tasks = (n + prefetch_chunk - 1) / prefetch_chunk in
-      (match t.dobs with
-      | Some (batches, task_count) ->
-        Metrics.incr batches;
-        Metrics.add task_count tasks
-      | None -> ());
-      (* Each task writes its own chunk of [rtts]; the pool's latch
-         publishes them before [Dpool.run] returns. *)
-      let rtts = Array.make n 0.0 in
-      ignore
-        (Dpool.run pool tasks (fun j ->
-             for k = j * prefetch_chunk to min n ((j + 1) * prefetch_chunk) - 1 do
-               rtts.(k) <- t.measure src uniq.(k)
-             done));
-      { uniq; count = n; rtts; consumed = Bytes.make n '\000' }
-    end
-  | Some _ | None -> nothing_prefetched
-
-(* The replay's measurement of [dst]: the prefetched RTT the first time,
-   a real measurement for any retry or duplicate, so the oracle sees the
-   sequential path's call count exactly. *)
-let[@inline] measure_once t pf ~src ~dst =
-  let i = ref 0 in
-  while !i < pf.count && pf.uniq.(!i) <> dst do
-    incr i
-  done;
-  if !i < pf.count && Bytes.get pf.consumed !i = '\000' then begin
-    Bytes.set pf.consumed !i '\001';
-    pf.rtts.(!i)
-  end
-  else t.measure src dst
-
 let run_batch_from t ~start ~src ~dsts =
   let cfg = t.config in
   (* A lost probe with an infinite timeout would never be detected; model
@@ -244,7 +143,6 @@ let run_batch_from t ~start ~src ~dsts =
   let w = max 1 (min cfg.window (max n 1)) in
   let slots = Array.make w start in
   let finished = ref start in
-  let pf = prefetch t ~src ~dsts ~now:start in
   for j = 0 to n - 1 do
     let dst = dsts.(j) in
     t.probes <- t.probes + 1;
@@ -266,7 +164,7 @@ let run_batch_from t ~start ~src ~dsts =
       let at = ref slot_start and attempts = ref 0 and rtt = ref 0.0 and ok = ref false in
       while (not !ok) && !attempts <= cfg.retries do
         incr attempts;
-        rtt := measure_once t pf ~src ~dst;
+        rtt := t.measure src dst;
         obs_incr t (fun o -> o.i_measured);
         let delivered =
           match t.faults with

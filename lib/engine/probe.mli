@@ -10,7 +10,7 @@
     completion time; nothing is scheduled on a simulation.
 
     A {e plain} prober, [create ~measure:(Topology.Oracle.measure oracle) ()],
-    has the default config and no metrics, trace, faults or pool: it
+    has the default config and no metrics, trace or faults: it
     measures exactly what a direct loop over the measurement function
     would, in the same order, and returns each value unchanged.  The
     experiments that need RTTs but not their price create one per row.
@@ -39,17 +39,8 @@
     channel randomness comes from the injector's seeded stream — the same
     seed replays the same batch timings byte for byte.
 
-    With a domain [pool], a batch runs as {e prefetch + ordered replay}
-    (DESIGN.md §12): unique uncached destinations are measured in
-    parallel into flat arrays (destinations, RTTs, consumed flags), then
-    the classic sequential schedule replays verbatim, consuming each
-    prefetched RTT on that destination's first measurement.  Pools of
-    every size, one domain included, take this same path.  Every result, counter, trace span and the underlying
-    oracle's call count stay byte-identical to the pool-less path;
-    parallelism only changes which domain performs a measurement.  This
-    requires the measurement function to be deterministic per [(src,
-    dst)] pair and safe to call from worker domains (e.g.
-    [Topology.Oracle.measure], whose budget counter is atomic). *)
+    Every measurement runs on the calling domain, in submission order;
+    a prober never dispatches work to a domain pool. *)
 
 type config = {
   window : int;  (** concurrent in-flight probes per operation, >= 1 *)
@@ -104,18 +95,13 @@ val create :
     extra delay).  [clock] stamps each batch's start (default: frozen at
     0; pass [fun () -> Sim.now sim] to run under the engine).
 
-    [pool] turns {!run_batch} into prefetch + ordered replay (see the
-    module header); omitted, every measurement runs inline on the calling
-    domain.  With a pool, [measure] must be deterministic per pair and
-    domain-safe.
+    [pool] is ignored; it is kept only so [bench/perf] builds, and
+    ROADMAP item 7 deletes it.
 
     With [metrics], the prober maintains [probe_*] counters and the
-    [probe_queue_wait]/[probe_batch_ms] histograms; with both [metrics]
-    and [pool] it also maintains [domain_batches]/[domain_tasks] —
-    prefetch dispatches and tasks, a function of batch contents alone and
-    hence identical across pool sizes.  With [trace], each fresh
-    measurement emits an [rtt_probe] span whose note carries the queue
-    wait and attempt count ([q=<ms>;try=<n>]).
+    [probe_queue_wait]/[probe_batch_ms] histograms.  With [trace], each
+    fresh measurement emits an [rtt_probe] span whose note carries the
+    queue wait and attempt count ([q=<ms>;try=<n>]).
 
     Raises [Invalid_argument] on out-of-range config fields. *)
 
@@ -128,13 +114,10 @@ val run_batch : t -> src:int -> dsts:int array -> batch
     the returned {!batch} carries the modelled completion time.  Cache
     hits resolve instantly without occupying a window slot.
 
-    Destinations may repeat.  With a pool, the prefetch measures each
-    destination that is uncached at submission once, and only when at
-    least two such destinations exist; a retry or a repeat that misses
-    the cache measures again on the calling domain, as the pool-less path
-    does.  Apart from what metrics, tracing, faults and the cache record,
-    the replay allocates per probe only its result, and the prefetch
-    three arrays of the batch's length. *)
+    Destinations may repeat; each repeat that misses the cache measures
+    again.  Apart from what metrics, tracing, faults and the cache
+    record, a batch allocates its result and window-slot arrays and one
+    result per probe. *)
 
 val rtt : t -> src:int -> dst:int -> (float, failure) result
 (** One-probe {!run_batch}: the same result, counters, [probe_batch_ms]

@@ -31,10 +31,9 @@ type backend =
   | Hierarchical of hierarchical
   | Dense of { nodes : int; all_pairs : float array }  (* nodes^2, row stride nodes *)
 
-(* The measurement budget is an atomic so [measure] is domain-safe: the
-   probe plane's prefetch phase (Engine.Dpool) measures from worker
-   domains, and an atomic sum is independent of execution order — which
-   keeps the counter byte-identical across pool sizes. *)
+(* No pool task measures today: the probe plane measures on the calling
+   domain.  The budget stays an atomic so [measure] remains domain-safe,
+   and an atomic sum is independent of execution order. *)
 type t = { backend : backend; count : int Atomic.t }
 
 let build (topo : Transit_stub.t) =

@@ -34,10 +34,11 @@ val dist : t -> int -> int -> float
     measurement. *)
 
 val measure : t -> int -> int -> float
-(** Same as [dist] but increments the RTT-measurement counter.  The
-    counter is atomic and [dist] is a pure lookup, so [measure] is safe
-    to call from worker domains (the probe plane's parallel prefetch);
-    the count stays independent of execution order. *)
+(** Same as [dist] but increments the RTT-measurement counter.  No pool
+    task measures today (the probe plane measures on the calling
+    domain); the counter stays atomic and [dist] is a pure lookup, so
+    [measure] remains safe to call from any domain and the count stays
+    independent of execution order. *)
 
 val measurements : t -> int
 (** Number of [measure] calls since creation or the last reset. *)

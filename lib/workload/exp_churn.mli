@@ -137,7 +137,7 @@ val ecan_outcomes :
     sets the probe plane's concurrency ({!Engine.Probe}) — it changes
     modelled probe wall-clock only, never which probes are sent;
     [domains] (default 0 = ambient) sets the domain pool hosting the
-    store and prober ({!Core.Builder} [config.domains]) — it changes real
+    store ({!Core.Builder} [config.domains]) — it changes real
     wall-clock only, never any result or metric (DESIGN.md §12).
     [labels] (default [[("experiment", "churn")]]) is the label set the
     whole eCAN stack reports under in the global registry, so other

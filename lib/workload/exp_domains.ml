@@ -4,10 +4,10 @@
    publishes across a sharded store, refreshes, TTL sweeps, probe
    batches through a lossy channel, a membership change with rehosting —
    runs three times, identical in everything except the size of the
-   domain pool hosting the store's shard phases and the prober's
-   prefetch (1, 2 and 4 domains).  Each run reports into its own fresh
-   metrics registry; the experiment then compares the rendered JSON of
-   the three registries byte for byte.  DESIGN.md §12 promises they
+   domain pool hosting the store's shard phases (1, 2 and 4 domains; the
+   prober measures on the calling domain).  Each run reports into its
+   own fresh metrics registry; the experiment then compares the rendered
+   JSON of the three registries byte for byte.  DESIGN.md §12 promises they
    cannot differ; the [domains_identical] gauge (and the bench gate over
    it) holds the implementation to that promise.  Nothing here reads the
    wall clock: the table depends on the scale alone. *)
@@ -33,9 +33,8 @@ let shards = 8
 let vector_of node =
   Array.init vector_dims (fun i -> float_of_int ((node * ((7 * i) + 3)) mod 400))
 
-(* Deterministic per-pair RTT: what the contract requires of a
-   pool-backed measurement function (Probe's prefetch may evaluate it
-   from any worker domain). *)
+(* Deterministic per-pair RTT, so the probe batches repeat exactly
+   across the runs. *)
 let measure src dst = 1.0 +. float_of_int (((src * 31) + (dst * 17)) mod 400)
 
 (* 3-bit region path for a publisher index, spreading regions over the
@@ -71,7 +70,7 @@ let run_once ~scale ~domains =
     Faults.create ~channel:{ Faults.loss = 0.02; delay_min = 1.0; delay_max = 9.0 } ~seed:5 ()
   in
   let prober =
-    Probe.create ~metrics ~labels ~pool ~faults
+    Probe.create ~metrics ~labels ~faults
       ~clock:(fun () -> !clock)
       ~config:
         { Probe.default_config with
@@ -99,7 +98,7 @@ let run_once ~scale ~domains =
         ignore (Store.refresh store ~region:(region_of p) ~node)
       done;
     (* One probe batch per burst: duplicate and repeat destinations mix
-       cache hits, prefetched fresh pairs and lossy retries. *)
+       cache hits, fresh measurements and lossy retries. *)
     let dsts = Array.init 12 (fun i -> ((b * 7) + (i * 13)) mod (2 * substrate)) in
     ignore (Probe.run_batch prober ~src:(b mod substrate) ~dsts);
     purged := !purged + List.length (Store.sweep_expired store)

@@ -1,7 +1,8 @@
 (* Domain-parallel hosting (DESIGN.md §12): the Dpool primitive's
    ordering guarantees, the Sim (time, seq) merge order that anchors the
-   determinism contract, and byte-identity of store / probe / whole
-   experiments across pool sizes. *)
+   determinism contract, byte-identity of the store and of whole
+   experiments across pool sizes, and a probe plane that stays on the
+   calling domain whatever pool it is given. *)
 
 module Dpool = Engine.Dpool
 module Sim = Engine.Sim
@@ -179,22 +180,36 @@ let qcheck_store_pool_identity =
       let json4, purges4 = store_workload ~seed ~pool:(Dpool.get ~domains:4) in
       json1 = json4 && purges1 = purges4)
 
-(* ---- probe phased path vs classic path ---- *)
+(* ---- the probe plane stays on the calling domain ---- *)
 
-let qcheck_probe_phased_identity =
-  (* Same seeded lossy channel, same batches: the pool-backed prefetch +
-     replay must reproduce the pool-less path's results, failure set,
-     cache accounting and measurement-call count. *)
-  QCheck.Test.make ~name:"probe: prefetch + replay matches the sequential path" ~count:25
+let with_default_pool ~domains f =
+  Dpool.set_default (Some (Dpool.get ~domains));
+  Fun.protect ~finally:(fun () -> Dpool.set_default None) f
+
+(* Each call measures the destination at the current submission position
+   (a retry) or at a later one. *)
+let in_submission_order dsts calls =
+  let n = Array.length dsts in
+  let rec from j = function
+    | [] -> true
+    | d :: rest ->
+      let k = ref j in
+      while !k < n && dsts.(!k) <> d do
+        incr k
+      done;
+      !k < n && from !k rest
+  in
+  from 0 calls
+
+let qcheck_probe_calling_domain =
+  (* A 4-domain pool, passed as [~pool] or only installed as the ambient
+     default, must leave every measurement on the calling domain, in
+     submission order, with the results, counters, spans and call log of
+     a pool-less prober. *)
+  QCheck.Test.make ~name:"probe: a pool leaves measurements on the calling domain" ~count:25
     QCheck.(pair (int_range 0 10_000) (int_range 1 24))
     (fun (seed, batchlen) ->
-      (* [measure] runs on the pool's worker domains: the counter must be
-         atomic or concurrent increments get lost. *)
-      let count = Atomic.make 0 in
-      let measure src dst =
-        Atomic.incr count;
-        1.0 +. float_of_int (((src * 31) + (dst * 17)) mod 97)
-      in
+      let caller = Domain.self () in
       let config =
         { Probe.default_config with
           Probe.window = 3;
@@ -203,22 +218,40 @@ let qcheck_probe_phased_identity =
           cache_ttl = 500.0 }
       in
       let run pool =
-        Atomic.set count 0;
+        let calls = ref [] and off_caller = ref 0 in
+        let measure src dst =
+          if Domain.self () <> caller then incr off_caller;
+          calls := dst :: !calls;
+          1.0 +. float_of_int (((src * 31) + (dst * 17)) mod 97)
+        in
+        let metrics = Metrics.create () and trace = Engine.Trace.create () in
         let faults =
           Faults.create ~channel:{ Faults.loss = 0.15; delay_min = 0.0; delay_max = 30.0 }
             ~seed ()
         in
-        let p = Probe.create ?pool ~faults ~config ~measure () in
+        let p = Probe.create ~metrics ~trace ?pool ~faults ~config ~measure () in
         let rng = Rng.create (seed + 1) in
+        let ordered = ref true in
         let batches =
           List.init 4 (fun b ->
+              calls := [];
               let dsts = Array.init batchlen (fun _ -> Rng.int rng 40) in
-              (Probe.run_batch p ~src:b ~dsts).Probe.results)
+              let results = (Probe.run_batch p ~src:b ~dsts).Probe.results in
+              ordered := !ordered && in_submission_order dsts (List.rev !calls);
+              (results, List.rev !calls))
         in
-        (batches, Probe.probes p, Probe.failures p, Probe.cache_hits p, Probe.cache_misses p,
-         Probe.cache_stale p, Atomic.get count)
+        ( (batches, Probe.probes p, Probe.failures p, Probe.cache_hits p, Probe.cache_misses p,
+           Probe.cache_stale p, Probe.total_elapsed p),
+          Json.to_string (Metrics.to_json metrics),
+          Engine.Trace.spans trace,
+          !off_caller,
+          !ordered )
       in
-      run None = run (Some (Dpool.get ~domains:4)))
+      let reference = run None in
+      let passed = with_default_pool ~domains:4 (fun () -> run (Some (Dpool.get ~domains:4))) in
+      let ambient = with_default_pool ~domains:4 (fun () -> run None) in
+      let _, _, _, off_caller, ordered = reference in
+      off_caller = 0 && ordered && passed = reference && ambient = reference)
 
 (* ---- whole experiments across pool sizes ---- *)
 
@@ -233,10 +266,6 @@ let experiment_json name =
   let json = Json.to_string (Metrics.to_json Metrics.global) in
   Metrics.reset Metrics.global;
   json
-
-let with_default_pool ~domains f =
-  Dpool.set_default (Some (Dpool.get ~domains));
-  Fun.protect ~finally:(fun () -> Dpool.set_default None) f
 
 let qcheck_experiment_pool_identity =
   QCheck.Test.make ~name:"experiments: domains=4 metrics JSON equals domains=1" ~count:3
@@ -260,6 +289,6 @@ let suite =
       test_same_instant_merge_order;
     Alcotest.test_case "sim zero-delay effects merge last" `Quick test_merge_order_from_handlers;
     QCheck_alcotest.to_alcotest qcheck_store_pool_identity;
-    QCheck_alcotest.to_alcotest qcheck_probe_phased_identity;
+    QCheck_alcotest.to_alcotest qcheck_probe_calling_domain;
     QCheck_alcotest.to_alcotest qcheck_experiment_pool_identity;
   ]
