@@ -80,15 +80,20 @@ let domains_arg =
     (Printf.sprintf
        "Domain pool hosting the store's shard-parallel phases (probes always run on the \
         calling domain): 0 (the default) reads the TOPOAWARE_DOMAINS environment variable \
-        (else 1); N in 1..%d pins an N-domain pool. Changes real wall-clock only — results \
-        and metrics are byte-identical across values (DESIGN.md §12)."
+        (else 1); N in 1..%d makes an N-domain pool the ambient one. Changes real wall-clock \
+        only — results and metrics are byte-identical across values (DESIGN.md §12)."
        Engine.Dpool.max_domains)
   in
   (* Checked in a [Term.ret], not in the converter: a converter error also
-     prints the usage lines, and this is a one-line error. *)
+     prints the usage lines, and this is a one-line error.  N >= 1 becomes
+     the ambient pool every store of the run falls back to. *)
   let check n =
-    if n >= 0 && n <= Engine.Dpool.max_domains then `Ok n
-    else `Error (false, Printf.sprintf "--domains must be in 0..%d" Engine.Dpool.max_domains)
+    if n < 0 || n > Engine.Dpool.max_domains then
+      `Error (false, Printf.sprintf "--domains must be in 0..%d" Engine.Dpool.max_domains)
+    else begin
+      if n >= 1 then Engine.Dpool.set_default (Some (Engine.Dpool.get ~domains:n));
+      `Ok ()
+    end
   in
   Term.(ret (const check $ Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc)))
 
@@ -252,7 +257,7 @@ let build_cmd =
   let size_arg =
     Arg.(value & opt int 1024 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
   in
-  let run verbose variant latency seed scale strategy size probe_window domains =
+  let run verbose variant latency seed scale strategy size probe_window () =
     setup_logs verbose;
     let oracle = Workload.Ctx.oracle ~scale variant latency in
     let size = size / scale in
@@ -269,7 +274,6 @@ let build_cmd =
             Builder.overlay_size = size;
             strategy;
             probe = { Engine.Probe.default_config with Engine.Probe.window = probe_window };
-            domains;
             seed;
           }
       in
@@ -325,7 +329,7 @@ let churn_cmd =
              ~doc:"Notification digest window in virtual ms (0 disables batching).")
   in
   let run verbose seed scale crashes leaves joins loss staleness shards digest_window
-      probe_window domains =
+      probe_window () =
     (* written so that NaN fails every range test *)
     let in_unit x = x >= 0.0 && x <= 1.0 in
     if not (in_unit loss) then `Error (false, "--loss must be in [0,1]")
@@ -345,8 +349,8 @@ let churn_cmd =
         }
       in
       let channel = { Engine.Faults.loss; delay_min = 5.0; delay_max = 50.0 } in
-      Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~probe_window ~domains
-        ~storm ~channel ppf;
+      Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~probe_window ~storm
+        ~channel ppf;
       `Ok ()
     end
   in

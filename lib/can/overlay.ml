@@ -131,6 +131,8 @@ let path_key bits len =
   done;
   !acc
 
+let region_key bits = path_key bits (Array.length bits)
+
 let zone_of_path ~dims bits =
   let z = ref (Zone.full dims) in
   Array.iteri
@@ -152,14 +154,14 @@ let iter_prefix_keys path f =
     path
 
 let index_add t n =
-  Hashtbl.replace t.by_path (path_key n.path (Array.length n.path)) n.id;
+  Hashtbl.replace t.by_path (region_key n.path) n.id;
   iter_prefix_keys n.path (fun key ->
       match Hashtbl.find_opt t.prefix_members key with
       | Some m -> Members.add m n.id
       | None -> Hashtbl.replace t.prefix_members key (Members.singleton n.id))
 
 let index_remove t n =
-  Hashtbl.remove t.by_path (path_key n.path (Array.length n.path));
+  Hashtbl.remove t.by_path (region_key n.path);
   iter_prefix_keys n.path (fun key ->
       match Hashtbl.find_opt t.prefix_members key with
       | Some m ->
@@ -541,7 +543,7 @@ let leave t id =
   end
 
 let members_with_prefix t bits =
-  match Hashtbl.find_opt t.prefix_members (path_key bits (Array.length bits)) with
+  match Hashtbl.find_opt t.prefix_members (region_key bits) with
   | Some m -> Members.newest_first m
   | None -> [||]
 

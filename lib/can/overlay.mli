@@ -145,6 +145,16 @@ val path_of_point_into : t -> Geometry.Point.t -> int array -> unit
 val zone_of_path : dims:int -> int array -> Geometry.Zone.t
 (** The dyadic box a path denotes. *)
 
+val path_key : int array -> int -> int
+(** [path_key bits len] encodes the first [len] bits of a path (MSB
+    first) as an int behind a leading sentinel bit, so paths of different
+    lengths never collide.  The one key every per-region table uses: this
+    overlay's prefix index, the soft-state store's maps and the bus's
+    subscriptions. *)
+
+val region_key : int array -> int
+(** [path_key bits (Array.length bits)]. *)
+
 module Members : sig
   type t
   (** The members of one path prefix, the set behind

@@ -25,9 +25,13 @@ type config = {
       (** domain pool hosting the store's shard-parallel phases; the
           prober always measures on the calling domain.  [0] (the
           default) uses the ambient {!Engine.Dpool.default} pool (the
-          [TOPOAWARE_DOMAINS] environment variable, or 1); [n >= 1] pins
-          the interned [n]-domain pool.  By the determinism contract (DESIGN.md §12)
-          the value never changes results or metrics — only wall-clock. *)
+          [TOPOAWARE_DOMAINS] environment variable or a
+          {!Engine.Dpool.set_default} override, else 1); [n >= 1] pins the
+          interned [n]-domain pool.  Outside the tests, only [bench/perf]
+          and [exp_alloc]'s fixture set it; the CLI's [--domains]
+          installs the ambient pool instead.  By the
+          determinism contract (DESIGN.md §12) the value never changes
+          results or metrics — only wall-clock. *)
   seed : int;
 }
 

@@ -27,12 +27,10 @@ val start :
     (a crashed node) notifies its [Departure_of] watchers.  When the
     builder's store is sharded ([config.shards] > 1), each shard gets its
     own sweep timer, staggered evenly across the sweep period, so one
-    sweep event never walks the whole store.  (Staggering composes with
-    domain-parallel hosting: each per-shard sweep event scans its shard's
-    heap on the shard's home pool slot and applies the purges on the
-    coordinator, per the DESIGN.md §12 contract — timers decide {e when}
-    a shard is swept, the pool decides {e where} the scan runs, and
-    neither choice affects results.)  [channel] and
+    sweep event never walks the whole store.  (A per-shard sweep event
+    scans and purges its shard on the coordinator, between pool batches,
+    per the DESIGN.md §12 contract, so it never dispatches to the domain
+    pool.)  [channel] and
     [digest_window] are passed to {!Pubsub.Bus.create} — wire
     {!Engine.Faults.perturb} into [channel] to subject notification
     delivery to loss and extra delay; a positive [digest_window] batches

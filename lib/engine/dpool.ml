@@ -5,19 +5,11 @@
    coordinator once the latch opens (no data races: each result slot is
    written by exactly one domain and read only after the latch). *)
 
-type mailbox = {
-  mu : Mutex.t;
-  cond : Condition.t;
-  jobs : (unit -> unit) Queue.t;
-  mutable stop : bool;
-}
+type mailbox = { mu : Mutex.t; cond : Condition.t; jobs : (unit -> unit) Queue.t }
 
 type t = {
   domains : int;
   boxes : mailbox array;  (* length domains - 1; slot w > 0 -> boxes.(w - 1) *)
-  handles : unit Domain.t array;
-  shut_mu : Mutex.t;
-  mutable shut : bool;
 }
 
 (* Re-entrancy guard: a task calling back into the pool would wait on a
@@ -25,34 +17,28 @@ type t = {
    nested dispatch to inline execution instead. *)
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
+(* Workers live for the process: every pool is interned. *)
 let worker_loop box =
   Domain.DLS.set in_worker true;
-  let rec loop () =
+  while true do
     Mutex.lock box.mu;
-    while Queue.is_empty box.jobs && not box.stop do
+    while Queue.is_empty box.jobs do
       Condition.wait box.cond box.mu
     done;
-    if Queue.is_empty box.jobs then Mutex.unlock box.mu (* stop and drained *)
-    else begin
-      let job = Queue.pop box.jobs in
-      Mutex.unlock box.mu;
-      job ();
-      loop ()
-    end
-  in
-  loop ()
+    let job = Queue.pop box.jobs in
+    Mutex.unlock box.mu;
+    job ()
+  done
 
 let max_domains = 128
 
-let create ~domains () =
-  if domains < 1 || domains > max_domains then
-    invalid_arg "Dpool.create: domains out of [1,128]";
+let create ~domains =
   let boxes =
     Array.init (domains - 1) (fun _ ->
-        { mu = Mutex.create (); cond = Condition.create (); jobs = Queue.create (); stop = false })
+        { mu = Mutex.create (); cond = Condition.create (); jobs = Queue.create () })
   in
-  let handles = Array.map (fun b -> Domain.spawn (fun () -> worker_loop b)) boxes in
-  { domains; boxes; handles; shut_mu = Mutex.create (); shut = false }
+  Array.iter (fun b -> ignore (Domain.spawn (fun () -> worker_loop b))) boxes;
+  { domains; boxes }
 
 let size t = t.domains
 
@@ -123,55 +109,21 @@ let run t n f =
       results
   end
 
-let run_on t ~slot f =
-  if t.domains = 1 || slot mod t.domains = 0 || Domain.DLS.get in_worker then f ()
-  else begin
-    let box = t.boxes.((slot mod t.domains) - 1) in
-    let result = ref None in
-    let error = ref None in
-    let latch = { lmu = Mutex.create (); lcond = Condition.create (); left = 1 } in
-    post box (fun () ->
-        (match f () with v -> result := Some v | exception e -> error := Some e);
-        latch_done latch);
-    latch_wait latch;
-    match !error with
-    | Some e -> raise e
-    | None -> ( match !result with Some v -> v | None -> assert false)
-  end
-
-let shutdown t =
-  Mutex.lock t.shut_mu;
-  let was = t.shut in
-  t.shut <- true;
-  Mutex.unlock t.shut_mu;
-  if not was then begin
-    Array.iter
-      (fun box ->
-        Mutex.lock box.mu;
-        box.stop <- true;
-        Condition.broadcast box.cond;
-        Mutex.unlock box.mu)
-      t.boxes;
-    Array.iter Domain.join t.handles
-  end
-
 (* ---- interned pools & the ambient default ---- *)
 
 let interned : (int, t) Hashtbl.t = Hashtbl.create 4
 let interned_mu = Mutex.create ()
 
 let get ~domains =
-  Mutex.lock interned_mu;
-  let pool =
-    match Hashtbl.find_opt interned domains with
-    | Some p -> p
-    | None ->
-      let p = try create ~domains () with e -> Mutex.unlock interned_mu; raise e in
-      Hashtbl.replace interned domains p;
-      p
-  in
-  Mutex.unlock interned_mu;
-  pool
+  if domains < 1 || domains > max_domains then
+    invalid_arg "Dpool.get: domains out of [1,128]";
+  Mutex.protect interned_mu (fun () ->
+      match Hashtbl.find_opt interned domains with
+      | Some p -> p
+      | None ->
+        let p = create ~domains in
+        Hashtbl.replace interned domains p;
+        p)
 
 let env_domains () =
   match Sys.getenv_opt "TOPOAWARE_DOMAINS" with

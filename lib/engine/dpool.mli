@@ -1,17 +1,17 @@
 (** Domain worker pool with per-shard mailboxes.
 
-    Hosts the soft-state store's shard-parallel phases — sweep scans,
-    entry rehosting, hosting-stat chunks — on OCaml 5 [Domain]s while
-    keeping the discrete-event engine deterministic.  The probe plane
-    measures on the calling domain and never dispatches here.  The
-    contract (DESIGN.md §12 "Domain-parallel hosting") is:
+    Hosts the soft-state store's shard-parallel phases — whole-store
+    sweep scans, entry rehosting, hosting-stat chunks — on OCaml 5
+    [Domain]s while keeping the discrete-event engine deterministic.  The
+    probe plane and single-shard sweeps run on the calling domain and
+    never dispatch here.  The contract (DESIGN.md §12 "Domain-parallel
+    hosting") is:
 
     - {b Stable placement.}  Task [i] of an [n]-task batch always runs in
       slot [i mod size]: slot 0 is the coordinator (the caller's domain),
-      slot [w > 0] is worker domain [w]'s mailbox.  A shard therefore has
-      one home domain for the pool's lifetime and its mutable state
-      (expiry heap, host index) is only ever touched from that domain or
-      from the coordinator between batches.
+      slot [w > 0] is worker domain [w]'s mailbox.  Shard [i]'s mutable
+      state (expiry heap, host index) is therefore touched only from
+      slot [i mod size] during a batch, the coordinator otherwise.
     - {b Deterministic merge.}  {!run} returns results indexed by task,
       never by completion order; callers apply cross-shard effects
       sequentially on the coordinator, in task order, so observable state
@@ -26,26 +26,24 @@
 
     Tasks must not block on the pool they run in: a {!run} issued from
     inside a pool task degrades to inline execution rather than
-    deadlocking on its own mailbox. *)
+    deadlocking on its own mailbox.
+
+    Every pool is interned ({!get}): its worker domains are spawned on
+    first request and live for the process. *)
 
 type t
 
 val max_domains : int
-(** 128: the largest pool {!create} accepts (OCaml caps live domains well
+(** 128: the largest pool {!get} accepts (OCaml caps live domains well
     below structural shard counts). *)
 
-val create : domains:int -> unit -> t
-(** Pool of [domains] execution slots: the coordinator plus
-    [domains - 1] spawned worker domains, each owning one mailbox.
-    [domains = 1] spawns nothing.  Raises [Invalid_argument] outside
-    [1..]{!max_domains}.  Private pools should be {!shutdown} when done;
-    prefer {!get} for long-lived shared pools. *)
-
 val get : domains:int -> t
-(** The process-wide interned pool of the given size — created on first
-    request, reused afterwards, never shut down.  Use this from
-    configuration knobs (e.g. the builder's [domains] field) so repeated
-    builds do not spawn domains past the runtime's limit. *)
+(** The process-wide pool of [domains] execution slots: the coordinator
+    plus [domains - 1] worker domains, each owning one mailbox —
+    spawned on first request, reused afterwards, never shut down, so
+    repeated builds do not spawn domains past the runtime's limit.
+    [domains = 1] spawns nothing.  Raises [Invalid_argument] outside
+    [1..]{!max_domains}. *)
 
 val default : unit -> t
 (** The ambient pool: the {!set_default} override if one is active,
@@ -70,14 +68,3 @@ val run : t -> int -> (int -> 'a) -> 'a array
     exception of the lowest-indexed failed task after the batch drains
     (other tasks may or may not have run — tasks must tolerate that).
     [run t 0 f] is [[||]].  Raises [Invalid_argument] on negative [n]. *)
-
-val run_on : t -> slot:int -> (unit -> 'a) -> 'a
-(** [run_on t ~slot f] evaluates [f ()] in slot [slot mod size t] and
-    waits for the result — the single-shard dispatch used when a
-    maintenance timer sweeps one shard: the work still runs on the
-    shard's home domain.  Slot 0 (and any slot on a size-1 pool) runs
-    inline. *)
-
-val shutdown : t -> unit
-(** Stop and join the pool's worker domains.  Idempotent.  Only for
-    pools made with {!create}; interned pools live for the process. *)

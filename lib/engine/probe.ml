@@ -2,12 +2,13 @@ type config = {
   window : int;
   timeout : float;
   retries : int;
-  backoff : float;
   cache_ttl : float;
 }
 
-let default_config =
-  { window = 1; timeout = infinity; retries = 0; backoff = 50.0; cache_ttl = 0.0 }
+let default_config = { window = 1; timeout = infinity; retries = 0; cache_ttl = 0.0 }
+
+(* Backoff before retry k (1-based) is [backoff *. 2. ** (k - 1)] ms. *)
+let backoff = 50.0
 
 type failure = { src : int; dst : int; attempts : int }
 
@@ -56,7 +57,6 @@ let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0)
   if config.window < 1 then invalid_arg "Probe.create: window must be >= 1";
   if not (config.timeout > 0.0) then invalid_arg "Probe.create: timeout must be positive";
   if config.retries < 0 then invalid_arg "Probe.create: retries must be >= 0";
-  if config.backoff < 0.0 then invalid_arg "Probe.create: backoff must be >= 0";
   if config.cache_ttl < 0.0 then invalid_arg "Probe.create: cache_ttl must be >= 0";
   let obs =
     Option.map
@@ -185,7 +185,7 @@ let run_batch_from t ~start ~src ~dsts =
           at := !at +. detect;
           if !attempts <= cfg.retries then begin
             obs_incr t (fun o -> o.i_retries);
-            at := !at +. (cfg.backoff *. (2.0 ** float_of_int (!attempts - 1)))
+            at := !at +. (backoff *. (2.0 ** float_of_int (!attempts - 1)))
           end
         end
       done;

@@ -20,7 +20,8 @@
     the window queue FIFO and start as slots free up.  Each attempt is
     subject to an optional per-probe [timeout] and an optional lossy/slow
     channel ({!Faults.perturb}); failed attempts are retried up to
-    [retries] times with deterministic exponential backoff, and retry
+    [retries] times with deterministic exponential backoff (50 ms before
+    the first retry, doubling before each further one), and retry
     exhaustion surfaces as a typed [Error].  Successful measurements can
     be remembered in a TTL'd per-[(src, dst)] RTT cache with hit/miss/
     stale accounting.
@@ -47,14 +48,12 @@ type config = {
   timeout : float;
       (** per-attempt timeout (ms, > 0); [infinity] = wait forever *)
   retries : int;  (** extra attempts after the first, >= 0 *)
-  backoff : float;
-      (** backoff before retry [k] (1-based) is [backoff *. 2. ** (k - 1)] ms *)
   cache_ttl : float;  (** RTT cache entry lifetime (ms); 0 disables the cache *)
 }
 
 val default_config : config
-(** [window = 1], [timeout = infinity], [retries = 0], [backoff = 50.0],
-    [cache_ttl = 0.0] — the seed's sequential, uncached, reliable path. *)
+(** [window = 1], [timeout = infinity], [retries = 0], [cache_ttl = 0.0]
+    — the seed's sequential, uncached, reliable path. *)
 
 type failure = {
   src : int;

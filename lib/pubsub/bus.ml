@@ -75,8 +75,6 @@ type t = {
   obs : obs option;
 }
 
-let region_key bits = Array.fold_left (fun acc b -> (acc lsl 1) lor b) 1 bits
-
 (* A delivery's Notify span names the subject entry and its region, so
    trace analyses ([Engine.Repair]) can join it against the Map_publish
    spans of the same region. *)
@@ -174,7 +172,7 @@ let subscribe t ~subscriber ~region ~condition ~handler =
     }
   in
   t.next_id <- t.next_id + 1;
-  let key = region_key region in
+  let key = Can.Overlay.region_key region in
   let r =
     match Hashtbl.find t.regions key with
     | r -> r
@@ -220,7 +218,7 @@ let maybe_compact_near r =
 let unsubscribe t sub =
   if sub.active then begin
     sub.active <- false;
-    let key = region_key sub.region in
+    let key = Can.Overlay.region_key sub.region in
     match Hashtbl.find t.regions key with
     | exception Not_found -> ()
     | r ->
@@ -237,7 +235,9 @@ let unsubscribe t sub =
   end
 
 let subscription_count t ~region =
-  match Hashtbl.find_opt t.regions (region_key region) with Some r -> r.live | None -> 0
+  match Hashtbl.find_opt t.regions (Can.Overlay.region_key region) with
+  | Some r -> r.live
+  | None -> 0
 
 (* One notification onto the channel: the sent count, the latency floor,
    the channel's draw and, on a loss, the drop count.  Returns the
@@ -311,7 +311,7 @@ let deliver_digest t sim sub ~host event =
   | None -> ()
   | Some total ->
     let total = Float.max 0.0 total in
-    let key = region_key sub.region in
+    let key = Can.Overlay.region_key sub.region in
     let bkey = (sub.subscriber, key) in
     (match Hashtbl.find_opt t.pending bkey with
     | Some batch -> batch.items <- { it_event = event; it_sub = sub; it_delay = total } :: batch.items
@@ -350,7 +350,7 @@ let walk_near t r ~vector ~host event =
   done
 
 let notify t ~region ~vector ~host event =
-  match Hashtbl.find t.regions (region_key region) with
+  match Hashtbl.find t.regions (Can.Overlay.region_key region) with
   | exception Not_found -> ()
   | r -> (
     match event with

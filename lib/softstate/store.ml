@@ -110,20 +110,11 @@ type t = {
       (* described node -> region key -> entry; reverse index so the
          per-node operations avoid scanning every map *)
   pool : Engine.Dpool.t;
-      (* hosts shard-parallel phases (sweep scans, rehost, stats); shard
-         i's heap is only ever touched from slot i of this pool *)
+      (* hosts whole-store phases (sweep scans, rehost, stats); shard i's
+         heap is touched from slot i of this pool during a batch, from the
+         coordinator otherwise *)
   obs : obs option;
 }
-
-(* Same encoding as Can.Overlay: sentinel bit + path bits. *)
-let prefix_key path len =
-  let acc = ref 1 in
-  for i = 0 to len - 1 do
-    acc := (!acc lsl 1) lor path.(i)
-  done;
-  !acc
-
-let region_key bits = prefix_key bits (Array.length bits)
 
 (* The key is the sentinel-prefixed region path, so taking it mod the
    shard count spreads regions by their prefix bits; sibling regions land
@@ -176,17 +167,9 @@ let pool_run t n f =
   | None -> ());
   Engine.Dpool.run t.pool n f
 
-let pool_run_on t ~slot f =
-  (match t.obs with
-  | Some o ->
-    Engine.Metrics.incr o.domain_batches;
-    Engine.Metrics.add o.domain_tasks 1
-  | None -> ());
-  Engine.Dpool.run_on t.pool ~slot f
-
 let can t = t.can
 let shard_count t = Array.length t.shards
-let shard_of_region t region = shard_of_key t (region_key region)
+let shard_of_region t region = shard_of_key t (Can_overlay.region_key region)
 
 (* The map's volume fraction of its region at condense rate 1. *)
 let base_fraction = 0.125
@@ -198,7 +181,7 @@ let map_box t region =
   Zone.shrink zone (map_fraction t)
 
 let map_for t region =
-  let key = region_key region in
+  let key = Can_overlay.region_key region in
   match Hashtbl.find_opt t.maps key with
   | Some m -> m
   | None ->
@@ -272,7 +255,7 @@ let remove_entry t ~key m (entry : Entry.t) =
   index_remove t entry.Entry.node ~key
 
 let publish t ~region ~node ~vector =
-  let key = region_key region in
+  let key = Can_overlay.region_key region in
   let m = map_for t region in
   (* A re-publish is a refresh-by-replacement: the piggybacked load
      statistics survive the new entry. *)
@@ -323,7 +306,7 @@ let publish_all t ~span_bits ~node ~vector =
   List.iter (fun region -> publish t ~region ~node ~vector) (enclosing_regions ~span_bits path)
 
 let unpublish t ~region ~node =
-  let key = region_key region in
+  let key = Can_overlay.region_key region in
   match Hashtbl.find_opt t.maps key with
   | None -> ()
   | Some m ->
@@ -344,7 +327,7 @@ let unpublish_everywhere t node =
       keyed
 
 let with_live_entry t ~region ~node f =
-  match Hashtbl.find_opt t.maps (region_key region) with
+  match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | None -> ()
   | Some m ->
     (match Hashtbl.find_opt m.entries node with
@@ -354,7 +337,7 @@ let with_live_entry t ~region ~node f =
 (* One probe: the map by the prefix's key, then the entry. *)
 let refresh_prefix t ~path ~len ~node =
   if len < 0 || len > Array.length path then invalid_arg "Store.refresh_prefix: len out of range";
-  let key = prefix_key path len in
+  let key = Can_overlay.path_key path len in
   match Hashtbl.find t.maps key with
   | exception Not_found -> false
   | m -> (
@@ -376,7 +359,7 @@ let update_stats t ~region ~node ~load ~capacity =
       e.Entry.capacity <- capacity)
 
 let find t ~region ~node =
-  match Hashtbl.find_opt t.maps (region_key region) with
+  match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | None -> None
   | Some m ->
     (match Hashtbl.find_opt m.entries node with
@@ -384,7 +367,7 @@ let find t ~region ~node =
     | Some _ | None -> None)
 
 let region_box t region =
-  match Hashtbl.find_opt t.maps (region_key region) with
+  match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | Some m -> m.box
   | None -> map_box t region
 
@@ -458,7 +441,7 @@ module Topk = struct
 end
 
 let lookup t ~region ~vector ?(max_results = 16) ?(ttl = 2) ?max_load () =
-  match Hashtbl.find_opt t.maps (region_key region) with
+  match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | None -> []
   | Some m ->
     let now = t.clock () in
@@ -519,7 +502,7 @@ let lookup t ~region ~vector ?(max_results = 16) ?(ttl = 2) ?max_load () =
     Topk.to_list top
 
 let region_entries t region =
-  match Hashtbl.find_opt t.maps (region_key region) with
+  match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | None -> []
   | Some m -> Hashtbl.fold (fun _ e acc -> if live t e then e :: acc else acc) m.entries []
 
@@ -587,8 +570,8 @@ let hosting_stats t =
   Prelude.Stats.summarize (Array.of_list counts)
 
 (* Sweeping is split into a {e scan} phase that may run on the shard's
-   home domain and an {e apply} phase that always runs on the
-   coordinator (DESIGN.md §12).
+   pool slot and an {e apply} phase that always runs on the coordinator
+   (DESIGN.md §12).
 
    Scan pops the shard's heap while the minimum stamp is due.  Each
    popped record is checked against the current map contents: only a
@@ -640,12 +623,6 @@ let apply_purges t due =
       (Hashtbl.find t.regions key, cur))
     due
 
-let sweep_shard_raw t i now =
-  (* Single-shard sweep: the scan still runs on the shard's home domain
-     (slot i of the pool), the apply runs here. *)
-  let due, visited = pool_run_on t ~slot:i (fun () -> scan_shard_due t i now) in
-  (apply_purges t due, visited)
-
 let observe_sweep t ~visited ~purged =
   match t.obs with
   | None -> ()
@@ -659,14 +636,17 @@ let observe_sweep t ~visited ~purged =
 
 let sweep_shard t i =
   if i < 0 || i >= Array.length t.shards then invalid_arg "Store.sweep_shard: shard out of range";
-  let purged, visited = sweep_shard_raw t i (t.clock ()) in
+  (* Between batches the coordinator owns every shard (DESIGN.md §12);
+     a one-task batch could only block it while a worker scanned. *)
+  let due, visited = scan_shard_due t i (t.clock ()) in
+  let purged = apply_purges t due in
   observe_sweep t ~visited ~purged;
   purged
 
 let sweep_expired t =
   let now = t.clock () in
   (* One batch: shard i's scan is task i (stable placement keeps each heap
-     on its home slot), then the purges apply sequentially in shard order —
+     on its slot), then the purges apply sequentially in shard order —
      the same order the sequential per-shard loop used. *)
   let scans = pool_run t (Array.length t.shards) (fun i -> scan_shard_due t i now) in
   let visited = Array.fold_left (fun acc (_, v) -> acc + v) 0 scans in

@@ -52,13 +52,15 @@ val create :
     scheduled (see {!sweep_shard}).
 
     [pool] (default {!Engine.Dpool.default}[ ()]) hosts the store's
-    shard-parallel phases: sweep {e scans}, {!rehost} and the
-    {!hosting_stats} counting pass fan out one read-only (or
+    shard-parallel phases: the {!sweep_expired} {e scans}, {!rehost} and
+    the {!hosting_stats} counting pass fan out one read-only (or
     shard-disjoint) task per shard, while every mutation of shared state
-    is applied on the calling domain in shard order.  The contract
-    (DESIGN.md §12) guarantees results — including all metrics below —
-    are byte-identical across pool sizes; shard [i]'s expiry heap is only
-    ever touched from slot [i mod size] of the pool.
+    is applied on the calling domain in shard order.  {!sweep_shard}
+    runs on the calling domain.  The contract (DESIGN.md §12) guarantees
+    results — including all metrics below — are byte-identical across
+    pool sizes; shard [i]'s expiry heap is touched only from slot
+    [i mod size] of the pool during a batch and from the calling domain
+    otherwise.
 
     [condense] (default 1.0) is the paper's map condense/reduction rate:
     the map of a region occupies the sub-box of the region with volume
@@ -75,8 +77,8 @@ val create :
     (plus any [labels]); [store_sweep_visited] counts expiry-heap records
     popped by sweeps — it scales with the number of expired entries (plus
     superseded stamps), not with the total entry population.  It also
-    maintains [domain_batches] / [domain_tasks]: pool dispatches and
-    tasks issued by the shard-parallel phases.  These count {e dispatch
+    maintains [domain_batches] / [domain_tasks]: pool batches and tasks
+    issued by the shard-parallel phases ({!sweep_shard} issues none).  These count {e dispatch
     structure} (batches per call site, tasks per shard/chunk), which
     depends only on the data and the shard count — never on the pool
     size — so they stay byte-identical between single- and multi-domain
@@ -218,15 +220,16 @@ val sweep_expired : t -> (int array * Entry.t) list
     shards in index order).
 
     Runs as one pool batch of shard-count scan tasks: each shard's heap
-    is popped and its due entries collected on the shard's home slot
+    is popped and its due entries collected on the shard's pool slot
     (reads only), then all purges are applied on the calling domain in
     shard order — reproducing the sequential purge order exactly. *)
 
 val sweep_shard : t -> int -> (int array * Entry.t) list
 (** Sweep a single shard (raises [Invalid_argument] out of range) — the
     unit of work a maintenance plane schedules independently per shard so
-    no single sweep touches the whole store.  The scan runs on the
-    shard's home pool slot, the purges apply on the calling domain. *)
+    no single sweep touches the whole store.  Scan and purges both run
+    on the calling domain, between pool batches, and dispatch nothing to
+    the pool. *)
 
 val inject_staleness : t -> rng:Prelude.Rng.t -> fraction:float -> int
 (** Fault injection: age a random [fraction] of all live entries to

@@ -211,7 +211,7 @@ let storm_timeline sim ~storm ~measure ~converged =
 
 let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
     ?(channel = Faults.reliable) ?(shards = 1) ?(digest_window = 0.0) ?(probe_window = 1)
-    ?(domains = 0) ?(labels = [ ("experiment", "churn") ])
+    ?(labels = [ ("experiment", "churn") ])
     ?(strategy = Builder.default_config.Builder.strategy) oracle =
   let sim = Sim.create () in
   let faults = Faults.create ~channel ~seed:(seed * 1009 + 1) () in
@@ -221,7 +221,6 @@ let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
       ttl;
       shards;
       probe = { Engine.Probe.default_config with Engine.Probe.window = probe_window };
-      domains;
       strategy;
       seed = seed * 1009 + 2 }
   in
@@ -360,12 +359,11 @@ let ring_outcome ~size ~seed ~storm ~pick:policy kind oracle =
 let default_channel = { Faults.loss = 0.05; delay_min = 5.0; delay_max = 50.0 }
 
 let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0)
-    ?(probe_window = 1) ?(domains = 0) ~storm ~channel ppf =
+    ?(probe_window = 1) ~storm ~channel ppf =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 96 (768 / scale) in
   let ecan_o, can_o =
-    ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window ~probe_window ~domains
-      oracle
+    ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window ~probe_window oracle
   in
   let ring kind = ring_outcome ~size ~seed ~storm ~pick:hybrid kind oracle in
   let chord_o = ring Backend.Chord in

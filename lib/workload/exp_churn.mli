@@ -121,7 +121,6 @@ val ecan_outcomes :
   ?shards:int ->
   ?digest_window:float ->
   ?probe_window:int ->
-  ?domains:int ->
   ?labels:(string * string) list ->
   ?strategy:Core.Strategy.t ->
   Topology.Oracle.t ->
@@ -135,14 +134,14 @@ val ecan_outcomes :
     batches notifications into per-(subscriber, region) digests
     ({!Pubsub.Bus.create}); [probe_window] (default 1, i.e. sequential)
     sets the probe plane's concurrency ({!Engine.Probe}) — it changes
-    modelled probe wall-clock only, never which probes are sent;
-    [domains] (default 0 = ambient) sets the domain pool hosting the
-    store ({!Core.Builder} [config.domains]) — it changes real
-    wall-clock only, never any result or metric (DESIGN.md §12).
-    [labels] (default [[("experiment", "churn")]]) is the label set the
-    whole eCAN stack reports under in the global registry, so other
-    experiments (e.g. the big-scale rows) can reuse this driver without
-    colliding with the churn experiment's instruments.  [strategy]
+    modelled probe wall-clock only, never which probes are sent.  The
+    store runs on the ambient {!Engine.Dpool.default} pool, whose size
+    changes real wall-clock only, never any result or metric
+    (DESIGN.md §12).  [labels] (default [[("experiment", "churn")]]) is
+    the label set the whole eCAN stack reports under in the global
+    registry, so other experiments (e.g. the big-scale rows) can reuse
+    this driver without colliding with the churn experiment's
+    instruments.  [strategy]
     (default: the builder's default hybrid selection) overrides the
     neighbor-selection strategy — the degree experiment sweeps RTT
     budgets through it. *)
@@ -179,11 +178,10 @@ val run_custom :
   ?shards:int ->
   ?digest_window:float ->
   ?probe_window:int ->
-  ?domains:int ->
   storm:Engine.Faults.storm ->
   channel:Engine.Faults.channel ->
   Format.formatter ->
   unit
 (** [run] with an explicit storm, channel, store sharding, digest window
-    and domain pool (the CLI hook; the maintenance-plane knobs only
+    and probe window (the CLI hook; the maintenance-plane knobs only
     affect the eCAN row). *)

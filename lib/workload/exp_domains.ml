@@ -49,7 +49,7 @@ type one = {
   probes : int;
 }
 
-let run_once ~scale ~domains =
+let run_pool ~scale ~domains =
   let metrics = Metrics.create () in
   let labels = [ ("experiment", "domains") ] in
   let pool = Dpool.get ~domains in
@@ -73,11 +73,7 @@ let run_once ~scale ~domains =
     Probe.create ~metrics ~labels ~faults
       ~clock:(fun () -> !clock)
       ~config:
-        { Probe.default_config with
-          Probe.window = 4;
-          timeout = 600.0;
-          retries = 1;
-          cache_ttl = 2_500.0 }
+        { Probe.window = 4; timeout = 600.0; retries = 1; cache_ttl = 2_500.0 }
       ~measure ()
   in
   let bursts = max 6 (24 / scale) in
@@ -124,7 +120,7 @@ let run_once ~scale ~domains =
   }
 
 let run ?(scale = 1) ppf =
-  let runs = List.map (fun d -> run_once ~scale ~domains:d) [ 1; 2; 4 ] in
+  let runs = List.map (fun d -> run_pool ~scale ~domains:d) [ 1; 2; 4 ] in
   let base = List.hd runs in
   let identical = List.for_all (fun r -> String.equal r.json base.json) runs in
   (* The deterministic facts go to the global registry (and hence the

@@ -178,7 +178,7 @@ type stats = {
 
 type kind = Ecan_aware | Ecan_random | Can_greedy | Chord_row | Pastry_row | Koorde_row
 
-let run_row ?metrics ~domains ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind =
+let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind =
   let sim = Sim.create () in
   let tracer = Trace.create ~capacity:(1 lsl 17) ~clock:(fun () -> Sim.now sim) () in
   let labels = [ ("experiment", "mcast"); ("backend", label) ] in
@@ -188,7 +188,6 @@ let run_row ?metrics ~domains ~oracle ~size ~seed ~degree ~subscribers ~events ~
       Builder.overlay_size = size;
       ttl;
       shards;
-      domains;
       seed = (seed * 3307) + 2;
     }
   in
@@ -344,7 +343,7 @@ let run_row ?metrics ~domains ~oracle ~size ~seed ~degree ~subscribers ~events ~
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rows ~scale ~seed ~degree ?policy ~domains ?metrics
+let rows ~scale ~seed ~degree ?policy ?metrics
     (size, group_size, static_pubs, churn_pubs, crashes, leaves, joins) =
   if degree < 1 then invalid_arg "Exp_mcast: degree must be >= 1";
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
@@ -388,12 +387,11 @@ let rows ~scale ~seed ~degree ?policy ~domains ?metrics
   in
   List.map
     (fun (kind, label) ->
-      run_row ?metrics ~domains ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind)
+      run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind)
     row_kinds
 
-let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?(domains = 0) ?metrics
-    () =
-  rows ~scale ~seed ~degree ?policy ~domains ?metrics (sizes ~scale ?group_size ())
+let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?metrics () =
+  rows ~scale ~seed ~degree ?policy ?metrics (sizes ~scale ?group_size ())
 
 let pct arr p = if Array.length arr = 0 then Float.nan else Stats.percentile arr p
 
@@ -420,7 +418,7 @@ let run_custom ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ppf =
   let ((size, group_size, static_pubs, churn_pubs, crashes, leaves, joins) as dims) =
     sizes ~scale ?group_size ()
   in
-  let stats = rows ~scale ~seed ~degree ?policy ~domains:0 ~metrics dims in
+  let stats = rows ~scale ~seed ~degree ?policy ~metrics dims in
   let table =
     Tableout.create
       ~title:

@@ -54,7 +54,6 @@ val data :
   ?group_size:int ->
   ?degree:int ->
   ?policy:Engine.Mcast.policy ->
-  ?domains:int ->
   ?metrics:Engine.Metrics.t ->
   unit ->
   stats list
@@ -62,11 +61,11 @@ val data :
     order.  [policy] restricts the eCAN pair to one placement arm
     (default: both, first [Aware] then [Random]).  [degree] is the tree
     fanout bound (default 3), [group_size] the subscriber count (default
-    scales with [scale], clamped to the overlay).  [domains] pins the
-    store's domain pool as {!Core.Builder.config}[.domains] — the
-    determinism contract (DESIGN §12) holds: with a fresh [metrics]
-    registry the metrics JSON is byte-identical across [domains] values
-    and across repeated same-seed runs. *)
+    scales with [scale], clamped to the overlay).  The stores run on the
+    ambient {!Engine.Dpool.default} pool and the determinism contract
+    (DESIGN §12) holds: with a fresh [metrics] registry the metrics JSON
+    is byte-identical across pool sizes and across repeated same-seed
+    runs. *)
 
 val record_stats : Engine.Metrics.t -> stats -> unit
 (** Record one row's summary gauges ([mcast_delivery_p50_ms] /

@@ -115,7 +115,7 @@ let adaptive_p90 =
       | None -> None);
   }
 
-let run_one ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg =
+let run_config ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 24 (96 / scale) in
   let sim = Sim.create () in
@@ -154,7 +154,7 @@ let run_one ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg =
   { config = cfg; report; final_refresh; final_sweep; adaptations; notifications; drops }
 
 let run ?(scale = 1) ?(seed = 11) ppf =
-  let results = List.map (run_one ~scale ~seed) (grid @ [ adaptive; adaptive_p90 ]) in
+  let results = List.map (run_config ~scale ~seed) (grid @ [ adaptive; adaptive_p90 ]) in
   let size = max 24 (96 / scale) in
   let table =
     Tableout.create

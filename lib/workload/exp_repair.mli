@@ -45,7 +45,7 @@ val adaptive : config
     (refresh clamped below the soft-state TTL so live entries never
     flap). *)
 
-val run_one : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config -> result
+val run_config : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config -> result
 (** One storm under one configuration.  Deterministic: the same (scale,
     seed, config) always yields the same report and — with a fresh
     [metrics] registry — byte-identical metrics JSON.  [metrics] defaults

@@ -47,7 +47,7 @@ type run_stats = {
   total_expired : int;
 }
 
-let run_one ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
+let run_mode ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
   let rng = Rng.create 21 in
   let can = Can_overlay.create ~dims:2 0 in
   for id = 1 to substrate - 1 do
@@ -111,10 +111,10 @@ let run ?(scale = 1) ppf =
   let subscribers = max 4 (48 / scale) in
   let bursts = 8 in
   let seed_stats =
-    run_one ~mode:"seed" ~shards:1 ~digest_window:0.0 ~publishers ~subscribers ~bursts
+    run_mode ~mode:"seed" ~shards:1 ~digest_window:0.0 ~publishers ~subscribers ~bursts
   in
   let digest_stats =
-    run_one ~mode:"digest" ~shards:4 ~digest_window:window ~publishers ~subscribers ~bursts
+    run_mode ~mode:"digest" ~shards:4 ~digest_window:window ~publishers ~subscribers ~bursts
   in
   let table =
     Tableout.create

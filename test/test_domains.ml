@@ -49,16 +49,6 @@ let test_nested_run_inlines () =
     (Array.init 6 (fun i -> (i * 40) + 6))
     out
 
-let test_run_on_slot () =
-  let pool = Dpool.get ~domains:3 in
-  for slot = 0 to 7 do
-    Alcotest.(check int) "run_on returns the task's value" (slot * 3)
-      (Dpool.run_on pool ~slot (fun () -> slot * 3))
-  done;
-  (match Dpool.run_on pool ~slot:1 (fun () -> failwith "on") with
-  | _ -> Alcotest.fail "expected an exception"
-  | exception Failure msg -> Alcotest.(check string) "run_on re-raises" "on" msg)
-
 let test_env_default () =
   let original = Sys.getenv_opt "TOPOAWARE_DOMAINS" in
   let restore () =
@@ -79,6 +69,18 @@ let test_env_default () =
         (fun () ->
           Alcotest.(check int) "set_default overrides the env" 2
             (Dpool.size (Dpool.default ()))))
+
+(* A CI leg sets TOPOAWARE_DOMAINS; a value [default] cannot use would
+   silently fall back to 1 and turn a multi-domain leg into a second
+   single-domain one. *)
+let test_env_leg () =
+  match Sys.getenv_opt "TOPOAWARE_DOMAINS" with
+  | None | Some "" -> ()
+  | Some v ->
+    Alcotest.(check (option int))
+      "the ambient pool has TOPOAWARE_DOMAINS domains"
+      (int_of_string_opt (String.trim v))
+      (Some (Dpool.size (Dpool.default ())))
 
 let test_interning () =
   Alcotest.(check bool) "same size interns to the same pool" true
@@ -172,6 +174,50 @@ let store_workload ~seed ~pool =
   | Error e -> Alcotest.fail ("store invariants: " ^ e));
   (Json.to_string (Metrics.to_json metrics), List.rev !purge_log)
 
+(* Between batches the coordinator owns every shard, so a single-shard
+   sweep scans on the calling domain: on a 4-domain pool, sweeping every
+   shard purges exactly what a 1-domain store purges, and the dispatch
+   counters do not move. *)
+let test_sweep_shard_inline () =
+  let sweep_every_shard pool =
+    let metrics = Metrics.create () in
+    let rng = Rng.create 17 in
+    let can = Can_overlay.create ~dims:2 0 in
+    for id = 1 to 47 do
+      ignore (Can_overlay.join can id (Point.random rng 2))
+    done;
+    let clock = ref 0.0 in
+    let store =
+      Store.create ~metrics ~pool ~shards:8 ~default_ttl:2_000.0
+        ~clock:(fun () -> !clock)
+        ~scheme:(Number.default_scheme ~max_latency:400.0 ())
+        can
+    in
+    for p = 0 to 63 do
+      clock := float_of_int p *. 50.0;
+      Store.publish store ~region:(region_of p) ~node:(1_000 + p) ~vector:(vector_of (1_000 + p))
+    done;
+    clock := 4_000.0;
+    let dispatches () =
+      ( Metrics.count (Metrics.counter metrics "domain_batches"),
+        Metrics.count (Metrics.counter metrics "domain_tasks") )
+    in
+    let before = dispatches () in
+    let purged =
+      List.init (Store.shard_count store) (fun i ->
+          List.map
+            (fun (region, (e : Store.Entry.t)) -> (region, e.Store.Entry.node))
+            (Store.sweep_shard store i))
+    in
+    Alcotest.(check (pair int int)) "sweep_shard dispatches nothing" before (dispatches ());
+    purged
+  in
+  let purged1 = sweep_every_shard (Dpool.get ~domains:1) in
+  let purged4 = sweep_every_shard (Dpool.get ~domains:4) in
+  Alcotest.(check bool) "some entries expired" true (List.exists (fun l -> l <> []) purged4);
+  Alcotest.(check (list (list (pair (array int) int))))
+    "4 domains purge what 1 domain purges" purged1 purged4
+
 let qcheck_store_pool_identity =
   QCheck.Test.make ~name:"store: pool of 4 is byte-identical to pool of 1" ~count:10
     QCheck.(int_range 0 10_000)
@@ -211,11 +257,7 @@ let qcheck_probe_calling_domain =
     (fun (seed, batchlen) ->
       let caller = Domain.self () in
       let config =
-        { Probe.default_config with
-          Probe.window = 3;
-          timeout = 80.0;
-          retries = 2;
-          cache_ttl = 500.0 }
+        { Probe.window = 3; timeout = 80.0; retries = 2; cache_ttl = 500.0 }
       in
       let run pool =
         let calls = ref [] and off_caller = ref 0 in
@@ -282,7 +324,7 @@ let suite =
     Alcotest.test_case "dpool raises the lowest-index error" `Quick
       test_run_exception_lowest_index;
     Alcotest.test_case "dpool nested run degrades inline" `Quick test_nested_run_inlines;
-    Alcotest.test_case "dpool run_on targets a slot" `Quick test_run_on_slot;
+    Alcotest.test_case "store: sweep_shard dispatches nothing" `Quick test_sweep_shard_inline;
     Alcotest.test_case "dpool default obeys TOPOAWARE_DOMAINS" `Quick test_env_default;
     Alcotest.test_case "dpool interns by size" `Quick test_interning;
     Alcotest.test_case "sim merges same-instant events by seq" `Quick
@@ -291,4 +333,5 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_store_pool_identity;
     QCheck_alcotest.to_alcotest qcheck_probe_calling_domain;
     QCheck_alcotest.to_alcotest qcheck_experiment_pool_identity;
+    Alcotest.test_case "dpool default is the TOPOAWARE_DOMAINS leg" `Quick test_env_leg;
   ]

@@ -352,13 +352,17 @@ let test_exp_mcast_metrics_deterministic () =
     && contains "mcast_regrafts" json1)
 
 let test_exp_mcast_domains_identical () =
-  (* The determinism contract: pinning the store's domain pool at 1 or 4
-     must not change a byte of the metrics dump. *)
+  (* The determinism contract: an ambient domain pool of 1 or 4 must not
+     change a byte of the metrics dump. *)
   let dump domains =
-    let metrics = Metrics.create () in
-    let stats = Workload.Exp_mcast.data ~scale:exp_scale ~domains ~metrics () in
-    List.iter (Workload.Exp_mcast.record_stats metrics) stats;
-    Json.to_string (Metrics.to_json metrics)
+    Engine.Dpool.set_default (Some (Engine.Dpool.get ~domains));
+    Fun.protect
+      ~finally:(fun () -> Engine.Dpool.set_default None)
+      (fun () ->
+        let metrics = Metrics.create () in
+        let stats = Workload.Exp_mcast.data ~scale:exp_scale ~metrics () in
+        List.iter (Workload.Exp_mcast.record_stats metrics) stats;
+        Json.to_string (Metrics.to_json metrics))
   in
   Alcotest.(check string) "domains 1 vs 4 byte-identical" (dump 1) (dump 4)
 

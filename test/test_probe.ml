@@ -10,9 +10,8 @@ module Ts = Topology.Transit_stub
 module Landmarks = Landmark.Landmarks
 module Rng = Prelude.Rng
 
-let cfg ?(window = 1) ?(timeout = infinity) ?(retries = 0) ?(backoff = 50.0) ?(cache_ttl = 0.0)
-    () =
-  { Probe.window; timeout; retries; backoff; cache_ttl }
+let cfg ?(window = 1) ?(timeout = infinity) ?(retries = 0) ?(cache_ttl = 0.0) () =
+  { Probe.window; timeout; retries; cache_ttl }
 
 (* Synthetic measurement function: deterministic per-pair RTT plus a log
    of every call, so tests can check order and count byte for byte. *)
@@ -66,7 +65,7 @@ let test_retry_exhaustion () =
   let measure _ _ = 10.0 in
   let p =
     Probe.create ~faults
-      ~config:(cfg ~timeout:100.0 ~retries:2 ~backoff:50.0 ())
+      ~config:(cfg ~timeout:100.0 ~retries:2 ())
       ~measure ()
   in
   (match Probe.rtt p ~src:1 ~dst:2 with
