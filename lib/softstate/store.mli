@@ -78,8 +78,9 @@ val create :
     popped by sweeps — it scales with the number of expired entries (plus
     superseded stamps), not with the total entry population.  It also
     maintains [domain_batches] / [domain_tasks]: pool batches and tasks
-    issued by the shard-parallel phases ({!sweep_shard} issues none).  These count {e dispatch
-    structure} (batches per call site, tasks per shard/chunk), which
+    issued by the shard-parallel phases ({!sweep_shard} issues none).
+    These count {e dispatch structure} (batches per call site, tasks per
+    shard/chunk), which
     depends only on the data and the shard count — never on the pool
     size — so they stay byte-identical between single- and multi-domain
     runs and serve as regression gates on the parallel plumbing.  With
