@@ -86,6 +86,8 @@ module Cursor = struct
     c.hops.(c.len) <- id;
     c.len <- c.len + 1
 
+  let length c = c.len
+  let get c i = c.hops.(i)
   let last c = c.hops.(c.len - 1)
 
   let hops c =
@@ -254,29 +256,52 @@ let path_of_point t ~depth point =
   path_of_point_into t point bits;
   bits
 
+(* The owner of [point] whose path begins with the [depth] bits that
+   [key], [lo] and [hi] describe, probing from depth [depth] down. *)
+let rec descend t point lo hi depth key =
+  if depth > max_depth then failwith "Can.owner_of: tree deeper than max_depth"
+  else begin
+    match Hashtbl.find_opt t.by_path key with
+    | Some id -> id
+    | None ->
+      let dim = Zone.split_dim_at_depth t.dims depth in
+      let mid = (lo.(dim) +. hi.(dim)) /. 2.0 in
+      if point.(dim) >= mid then begin
+        lo.(dim) <- mid;
+        descend t point lo hi (depth + 1) ((key lsl 1) lor 1)
+      end
+      else begin
+        hi.(dim) <- mid;
+        descend t point lo hi (depth + 1) (key lsl 1)
+      end
+  end
+
 let owner_of t point =
   if Array.length point <> t.dims then invalid_arg "Can.owner_of: dimension mismatch";
-  let lo = Array.make t.dims 0.0 and hi = Array.make t.dims 1.0 in
-  (* [key] is the path key of the first [depth] bits of the point *)
-  let rec descend depth key =
-    if depth > max_depth then failwith "Can.owner_of: tree deeper than max_depth"
+  descend t point (Array.make t.dims 0.0) (Array.make t.dims 1.0) 0 1
+
+(* While the point takes the prefix's bits, the walk narrows [lo]/[hi]
+   exactly as [descend] would, without probing: when the prefix has
+   members, no member's path is a proper prefix of it (zones tile the
+   space), so every probe above its depth would miss. *)
+let rec narrow t ~prefix point lo hi depth key =
+  if depth = Array.length prefix then
+    if depth = 0 || Hashtbl.mem t.prefix_members key then descend t point lo hi depth key
+    else owner_of t point
+  else begin
+    let dim = Zone.split_dim_at_depth t.dims depth in
+    let mid = (lo.(dim) +. hi.(dim)) /. 2.0 in
+    let bit = if point.(dim) >= mid then 1 else 0 in
+    if bit <> prefix.(depth) then owner_of t point
     else begin
-      match Hashtbl.find_opt t.by_path key with
-      | Some id -> id
-      | None ->
-        let dim = Zone.split_dim_at_depth t.dims depth in
-        let mid = (lo.(dim) +. hi.(dim)) /. 2.0 in
-        if point.(dim) >= mid then begin
-          lo.(dim) <- mid;
-          descend (depth + 1) ((key lsl 1) lor 1)
-        end
-        else begin
-          hi.(dim) <- mid;
-          descend (depth + 1) (key lsl 1)
-        end
+      if bit = 1 then lo.(dim) <- mid else hi.(dim) <- mid;
+      narrow t ~prefix point lo hi (depth + 1) ((key lsl 1) lor bit)
     end
-  in
-  descend 0 1
+  end
+
+let owner_within t ~prefix point =
+  if Array.length point <> t.dims then invalid_arg "Can.owner_of: dimension mismatch";
+  narrow t ~prefix point (Array.make t.dims 0.0) (Array.make t.dims 1.0) 0 1
 
 (* [Zone.min_torus_dist zone point], computed inline so the distance
    stays an unboxed float.  The operations are Zone's and Point's, in the

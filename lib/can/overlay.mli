@@ -60,6 +60,12 @@ val owner_of : t -> Geometry.Point.t -> int
 (** The member whose zone contains the point (O(depth), via the split
     tree — no routing). *)
 
+val owner_within : t -> prefix:int array -> Geometry.Point.t -> int
+(** [owner_within t ~prefix p] is [owner_of t p], found faster when [p]
+    lies in the zone of the path prefix [prefix] and some member's path
+    begins with it: the descent then starts at the prefix's depth, with
+    no probe above it.  Otherwise it is the plain {!owner_of} descent. *)
+
 val join : t -> ?start:int -> int -> Geometry.Point.t -> int list
 (** [join t ~start id p]: new member [id] picks point [p], the overlay
     routes from [start] (default: the first member) to the owner of [p],
@@ -109,6 +115,13 @@ module Cursor : sig
   val hops : t -> int list
   (** The hops pushed since the last {!start}, in order, as a fresh
       list. *)
+
+  val length : t -> int
+  (** The number of hops pushed since the last {!start}. *)
+
+  val get : t -> int -> int
+  (** [get c i] is the [i]-th hop pushed since the last {!start}, for
+      [0 <= i < length c]. *)
 end
 
 val greedy_step : t -> Cursor.t -> revisit:bool -> node -> Geometry.Point.t -> int

@@ -59,18 +59,33 @@ type t = {
 
 let vector_of t node = Hashtbl.find t.vectors node
 
-(* [take_others ~node entries out 0] writes the first entries of
-   [entries] that are not [node]'s own into [out], in order, until [out]
-   is full, and returns how many it wrote. *)
-let rec take_others ~node entries out i =
-  match entries with
-  | (e : Store.Entry.t) :: rest when i < Array.length out ->
-    if e.Store.Entry.node = node then take_others ~node rest out i
+(* [count_others ~node ~rtts 0 entries] is how many of [entries] that are
+   not [node]'s own a slot probes: at most [rtts]. *)
+let rec count_others ~node ~rtts n = function
+  | (e : Store.Entry.t) :: rest when n < rtts ->
+    count_others ~node ~rtts (if e.Store.Entry.node = node then n else n + 1) rest
+  | _ -> n
+
+(* [fill_others ~node dsts 0 entries] writes the nodes of the first
+   entries that are not [node]'s own into [dsts], in order, until it is
+   full. *)
+let rec fill_others ~node dsts i = function
+  | (e : Store.Entry.t) :: rest when i < Array.length dsts ->
+    if e.Store.Entry.node = node then fill_others ~node dsts i rest
     else begin
-      out.(i) <- e;
-      take_others ~node rest out (i + 1)
+      dsts.(i) <- e.Store.Entry.node;
+      fill_others ~node dsts (i + 1) rest
     end
-  | _ -> i
+  | _ -> ()
+
+(* The head of [!entries] that is not [node]'s own; [entries] moves past
+   it. *)
+let rec next_other ~node entries =
+  match !entries with
+  | (e : Store.Entry.t) :: rest ->
+    entries := rest;
+    if e.Store.Entry.node = node then next_other ~node entries else e
+  | [] -> assert false (* [count_others] counted every entry asked for *)
 
 (* Common shape of the soft-state strategies: one map lookup, then at most
    [rtts] RTT probes, choosing the candidate minimising [score]. *)
@@ -80,12 +95,7 @@ let lookup_probe_selector t ~rtts ~lookup_results ~lookup_ttl ~score : Ecan_exp.
   let entries =
     Store.lookup t.store ~region ~vector ~max_results:lookup_results ~ttl:lookup_ttl ()
   in
-  let probed =
-    match entries with
-    | [] -> [||]
-    | first :: _ -> Array.make (min rtts (List.length entries)) first
-  in
-  match take_others ~node entries probed 0 with
+  match count_others ~node ~rtts 0 entries with
   | 0 ->
     (* An empty map (nothing published yet, or over-condensed past the
        lookup's TTL reach): degrade to a blind pick. *)
@@ -95,16 +105,16 @@ let lookup_probe_selector t ~rtts ~lookup_results ~lookup_ttl ~score : Ecan_exp.
        window 1 this is the seed's sequential measurement loop, at wider
        windows the slot's selection cost collapses toward the max RTT. *)
     let dsts = Array.make n 0 in
-    for i = 0 to n - 1 do
-      dsts.(i) <- probed.(i).Store.Entry.node
-    done;
+    fill_others ~node dsts 0 entries;
     let batch = Engine.Probe.run_batch t.prober ~src:node ~dsts in
+    let probed = ref entries in
     let best = ref (-1) and best_score = ref infinity in
     for i = 0 to n - 1 do
+      let entry = next_other ~node probed in
       match batch.Engine.Probe.results.(i) with
       | Error _ -> ()
       | Ok rtt ->
-        let s = score ~rtt ~entry:probed.(i) in
+        let s = score ~rtt ~entry in
         if !best < 0 || not (!best_score <= s) then begin
           best := i;
           best_score := s

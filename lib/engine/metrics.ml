@@ -8,8 +8,14 @@ let canonical labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels
 type counter = { mutable c_value : int }
 type gauge = { mutable g_value : float }
 
+(* Samples in observation order, in fixed-size chunks: sample [i] is
+   [chunks.(i / histogram_chunk).(i mod histogram_chunk)].  Growing
+   adds a chunk and never copies a sample; only the spine of chunk
+   pointers doubles. *)
+let histogram_chunk = 1024
+
 type histogram = {
-  mutable samples : float array;
+  mutable chunks : float array array;
   mutable h_len : int;
 }
 
@@ -63,7 +69,7 @@ let histogram t ?(labels = []) name =
   | Some (Histogram h) -> h
   | Some _ -> invalid_arg (Printf.sprintf "Metrics.histogram: %S registered as another kind" name)
   | None ->
-    let h = { samples = [||]; h_len = 0 } in
+    let h = { chunks = [||]; h_len = 0 } in
     Hashtbl.replace t.instruments key (Histogram h);
     h
 
@@ -75,18 +81,27 @@ let set g v = g.g_value <- v
 let value g = g.g_value
 
 let observe h x =
-  if h.h_len = Array.length h.samples then begin
-    let ncap = max 64 (2 * h.h_len) in
-    let ndata = Array.make ncap 0.0 in
-    Array.blit h.samples 0 ndata 0 h.h_len;
-    h.samples <- ndata
+  let c = h.h_len / histogram_chunk and i = h.h_len mod histogram_chunk in
+  if i = 0 then begin
+    if c = Array.length h.chunks then begin
+      let spine = Array.make (max 4 (2 * c)) [||] in
+      Array.blit h.chunks 0 spine 0 c;
+      h.chunks <- spine
+    end;
+    h.chunks.(c) <- Array.make histogram_chunk 0.0
   end;
-  h.samples.(h.h_len) <- x;
+  h.chunks.(c).(i) <- x;
   h.h_len <- h.h_len + 1
 
 let observations h = h.h_len
 
-let samples h = Array.sub h.samples 0 h.h_len
+let samples h =
+  let xs = Array.make h.h_len 0.0 in
+  for c = 0 to ((h.h_len + histogram_chunk - 1) / histogram_chunk) - 1 do
+    let off = c * histogram_chunk in
+    Array.blit h.chunks.(c) 0 xs off (min histogram_chunk (h.h_len - off))
+  done;
+  xs
 
 let hmean h = Stats.mean (samples h)
 

@@ -32,7 +32,13 @@ type gauge
 (** Last-write-wins float. *)
 
 type histogram
-(** Retains every observed sample (exact quantiles, deterministic JSON). *)
+(** Retains every observed sample (exact quantiles, deterministic JSON),
+    in chunks of {!histogram_chunk} samples: recording never copies the
+    samples already held, and a histogram holds at most one partly
+    filled chunk. *)
+
+val histogram_chunk : int
+(** Samples per chunk of a histogram's storage (1024). *)
 
 val create : unit -> t
 (** Fresh empty registry. *)

@@ -47,13 +47,15 @@ let to_unit s n =
   if n < 0 || n >= cell_count s then invalid_arg "Number.to_unit: landmark number out of range";
   float_of_int n /. float_of_int (cell_count s)
 
-let position_in_zone s zone vec =
+let position_of_number s zone n =
   let dz = Geometry.Zone.dims zone in
   (* Landmark number -> scalar in [0,1) -> cell along the curve of the
      region's dimensionality -> affine position inside the region. *)
-  let u = to_unit s (number s vec) in
+  let u = to_unit s n in
   let zone_cells = 1 lsl (dz * s.zone_bits) in
   let cell = int_of_float (u *. float_of_int zone_cells) in
   let cell = if cell >= zone_cells then zone_cells - 1 else cell in
   let unit_pos = point_of_index s ~bits:s.zone_bits ~dims:dz cell in
   Geometry.Zone.subzone zone unit_pos
+
+let position_in_zone s zone vec = position_of_number s zone (number s vec)

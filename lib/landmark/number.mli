@@ -51,3 +51,8 @@ val position_in_zone : scheme -> Geometry.Zone.t -> float array -> Geometry.Poin
     where in region [z] the soft-state entry for a node with landmark
     vector [vec] is stored.  Vectors close in landmark space map to close
     positions in [z]. *)
+
+val position_of_number : scheme -> Geometry.Zone.t -> int -> Geometry.Point.t
+(** [position_of_number scheme z n] is [position_in_zone scheme z vec]
+    for any [vec] whose landmark {!number} is [n], so a caller placing
+    one vector in many regions computes the number once. *)

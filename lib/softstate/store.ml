@@ -16,53 +16,140 @@ module Entry = struct
   }
 end
 
-(* A host bucket: a compact growable array of entries with swap-remove.
-   The seed kept [Entry.t list ref]s and rebuilt each list with
-   [List.filter] on every retraction — O(bucket) allocation per
-   unpublish.  Buckets have no observable order (every reader either
-   counts, tests membership, or re-sorts by vector distance), so
-   swap-remove is free to reorder.  A removed slot keeps its stale
-   pointer until the next add overwrites it; retention is bounded by the
-   bucket's high-water capacity. *)
-module Bucket = struct
-  type t = { mutable arr : Entry.t array; mutable len : int }
+(* The store's entries, one per slot of a slab that every map shares.
+   Beside each slot's [Entry.t] the slab keeps flat copies of what the
+   Table 1 scan reads: the described node, the expiry stamp (an unboxed
+   float array) and the landmark vector ([stride] floats from
+   [slot * stride]).  A lookup so reads contiguous arrays and touches an
+   entry record only for [max_load] and for the entries it returns.
+   Every write of an entry's stamp goes through [set_expires], which
+   writes the copy too.  A freed slot holds [vacant] and goes on a free
+   stack that the next publish pops; the arrays keep the store's
+   high-water size.  One slab for the store, not one per map: most maps
+   hold a handful of entries, and per-map arrays would each carry their
+   own growth slack. *)
+module Slab = struct
+  let vacant =
+    {
+      Entry.node = -1;
+      vector = [||];
+      number = 0;
+      position = [||];
+      host = -1;
+      expires = neg_infinity;
+      load = 0.0;
+      capacity = 0.0;
+    }
 
-  let create () = { arr = [||]; len = 0 }
+  type t = {
+    mutable stride : int;  (* landmark-vector length of every entry; -1 before the first *)
+    mutable ents : Entry.t array;
+    mutable nodes : int array;
+    mutable stamps : float array;
+    mutable vecs : float array;
+    mutable used : int;  (* slots ever handed out *)
+    mutable free : int array;
+    mutable nfree : int;
+  }
 
-  let add b (e : Entry.t) =
-    if b.len = Array.length b.arr then begin
-      let narr = Array.make (max 4 (2 * b.len)) e in
-      Array.blit b.arr 0 narr 0 b.len;
-      b.arr <- narr
+  let create () =
+    {
+      stride = -1;
+      ents = [||];
+      nodes = [||];
+      stamps = [||];
+      vecs = [||];
+      used = 0;
+      free = [||];
+      nfree = 0;
+    }
+
+  let grow s =
+    let cap = max 4 (2 * s.used) in
+    let ents = Array.make cap vacant and nodes = Array.make cap 0 in
+    let stamps = Array.make cap 0.0 and vecs = Array.make (cap * s.stride) 0.0 in
+    Array.blit s.ents 0 ents 0 s.used;
+    Array.blit s.nodes 0 nodes 0 s.used;
+    Array.blit s.stamps 0 stamps 0 s.used;
+    Array.blit s.vecs 0 vecs 0 (s.used * s.stride);
+    s.ents <- ents;
+    s.nodes <- nodes;
+    s.stamps <- stamps;
+    s.vecs <- vecs
+
+  let alloc s (e : Entry.t) =
+    let slot =
+      if s.nfree > 0 then begin
+        s.nfree <- s.nfree - 1;
+        s.free.(s.nfree)
+      end
+      else begin
+        if s.used = Array.length s.ents then grow s;
+        s.used <- s.used + 1;
+        s.used - 1
+      end
+    in
+    s.ents.(slot) <- e;
+    s.nodes.(slot) <- e.Entry.node;
+    s.stamps.(slot) <- e.Entry.expires;
+    Array.blit e.Entry.vector 0 s.vecs (slot * s.stride) s.stride;
+    slot
+
+  let release s slot =
+    s.ents.(slot) <- vacant;
+    if s.nfree = Array.length s.free then begin
+      let free = Array.make (max 4 (2 * s.nfree)) 0 in
+      Array.blit s.free 0 free 0 s.nfree;
+      s.free <- free
     end;
-    b.arr.(b.len) <- e;
+    s.free.(s.nfree) <- slot;
+    s.nfree <- s.nfree + 1
+end
+
+(* A host bucket: the slots of the entries a host holds in one map, in a
+   compact growable array with swap-remove.  Buckets have no observable
+   order (every reader either counts, tests membership, or re-sorts by
+   vector distance), so swap-remove is free to reorder. *)
+module Bucket = struct
+  type t = { mutable slots : int array; mutable len : int }
+
+  let create () = { slots = [||]; len = 0 }
+
+  let add b slot =
+    if b.len = Array.length b.slots then begin
+      let slots = Array.make (max 4 (2 * b.len)) 0 in
+      Array.blit b.slots 0 slots 0 b.len;
+      b.slots <- slots
+    end;
+    b.slots.(b.len) <- slot;
     b.len <- b.len + 1
 
-  let remove_node b node =
+  let remove b slot =
     let i = ref 0 in
-    while !i < b.len && b.arr.(!i).Entry.node <> node do
+    while !i < b.len && b.slots.(!i) <> slot do
       incr i
     done;
     if !i < b.len then begin
       b.len <- b.len - 1;
-      b.arr.(!i) <- b.arr.(b.len)
+      b.slots.(!i) <- b.slots.(b.len)
     end
 
   let iter f b =
     for i = 0 to b.len - 1 do
-      f b.arr.(i)
+      f b.slots.(i)
     done
 
-  let exists p b =
-    let rec go i = i < b.len && (p b.arr.(i) || go (i + 1)) in
+  let mem b slot =
+    let rec go i = i < b.len && (b.slots.(i) = slot || go (i + 1)) in
     go 0
 end
 
 type region_map = {
+  region : int array;  (* the region's path bits *)
   box : Zone.t;
   shard : int;  (* owning shard index, fixed by the region key *)
-  entries : (int, Entry.t) Hashtbl.t;  (* by described node *)
-  by_host : (int, Bucket.t) Hashtbl.t;  (* overlay host -> entries *)
+  entries : (int, int) Hashtbl.t;  (* described node -> slot *)
+  by_host : (int, Bucket.t) Hashtbl.t;  (* overlay host -> slots *)
 }
 
 (* An expiry-heap record.  Records are never removed eagerly: a refresh,
@@ -97,6 +184,84 @@ type obs = {
   tracer : Engine.Trace.t option;
 }
 
+(* The lookup order: ascending (vector distance, node id).  A map holds
+   one entry per node, so this is a total order, and it is the order
+   [compare] gives on (distance, node, entry) tuples ([Float.compare]
+   orders floats, NaN included, as polymorphic compare does).  [d < d']
+   and [d > d'] decide two ordered distances as [Float.compare] would;
+   equal distances and NaNs take the full comparison.  Inlined, so the
+   distances it reads from the top-k buffer stay unboxed. *)
+let[@inline] precedes d (node : int) d' node' =
+  d < d'
+  || ((not (d > d'))
+     &&
+     let c = Float.compare d d' in
+     c < 0 || (c = 0 && node < node'))
+
+(* The [cap] least (distance, node) pairs offered so far, ascending, with
+   the slots they came from.  The arrays grow on demand up to [cap], so a
+   large [max_results] costs nothing until entries arrive. *)
+module Topk = struct
+  type t = {
+    mutable cap : int;
+    mutable dist : float array;
+    mutable nodes : int array;
+    mutable slots : int array;
+    mutable len : int;
+  }
+
+  let create () = { cap = 0; dist = [||]; nodes = [||]; slots = [||]; len = 0 }
+
+  let reset k cap =
+    k.cap <- cap;
+    k.len <- 0
+
+  let grow k =
+    let size = min k.cap (max 8 (2 * k.len)) in
+    let dist = Array.make size 0.0 and nodes = Array.make size 0 and slots = Array.make size 0 in
+    Array.blit k.dist 0 dist 0 k.len;
+    Array.blit k.nodes 0 nodes 0 k.len;
+    Array.blit k.slots 0 slots 0 k.len;
+    k.dist <- dist;
+    k.nodes <- nodes;
+    k.slots <- slots
+
+  (* Inlined into [lookup], so [d] arrives unboxed. *)
+  let[@inline] offer k d node slot =
+    let last = k.len - 1 in
+    (* [pos] is a free slot at the end, or the evicted maximum's *)
+    let pos =
+      if k.len < k.cap then begin
+        if k.len = Array.length k.nodes then grow k;
+        k.len <- k.len + 1;
+        last + 1
+      end
+      else if k.cap > 0 && precedes d node k.dist.(last) k.nodes.(last) then last
+      else -1
+    in
+    if pos >= 0 then begin
+      (* [0 <= !i <= pos < len <= length] of all three arrays *)
+      let dist = k.dist and nodes = k.nodes and slots = k.slots in
+      let i = ref pos in
+      while
+        !i > 0
+        && precedes d node (Array.unsafe_get dist (!i - 1)) (Array.unsafe_get nodes (!i - 1))
+      do
+        Array.unsafe_set dist !i (Array.unsafe_get dist (!i - 1));
+        Array.unsafe_set nodes !i (Array.unsafe_get nodes (!i - 1));
+        Array.unsafe_set slots !i (Array.unsafe_get slots (!i - 1));
+        decr i
+      done;
+      Array.unsafe_set dist !i d;
+      Array.unsafe_set nodes !i node;
+      Array.unsafe_set slots !i slot
+    end
+
+  let to_list k (ents : Entry.t array) =
+    let rec go i acc = if i < 0 then acc else go (i - 1) (ents.(k.slots.(i)) :: acc) in
+    go (k.len - 1) []
+end
+
 type t = {
   can : Can_overlay.t;
   scheme : Number.scheme;
@@ -104,7 +269,7 @@ type t = {
   default_ttl : float;
   clock : unit -> float;
   maps : (int, region_map) Hashtbl.t;  (* region path key *)
-  regions : (int, int array) Hashtbl.t;  (* region path key -> path bits *)
+  slab : Slab.t;  (* every map's entries *)
   shards : shard array;
   node_index : (int, (int, Entry.t) Hashtbl.t) Hashtbl.t;
       (* described node -> region key -> entry; reverse index so the
@@ -113,6 +278,11 @@ type t = {
       (* hosts whole-store phases (sweep scans, rehost, stats); shard i's
          heap is touched from slot i of this pool during a batch, from the
          coordinator otherwise *)
+  top : Topk.t;
+  visit : Can_overlay.Cursor.t;
+      (* [lookup]'s result buffer and visited hosts, reused from lookup to
+         lookup: a lookup runs on the calling domain and calls nothing
+         that could start another one *)
   obs : obs option;
 }
 
@@ -147,12 +317,14 @@ let create ?metrics ?(labels = []) ?trace ?pool ?(shards = 1) ?(condense = 1.0)
     default_ttl;
     clock;
     maps = Hashtbl.create 256;
-    regions = Hashtbl.create 256;
+    slab = Slab.create ();
     shards =
       Array.init shards (fun _ ->
           { expiry = Heap.create ~capacity:256 (); hosts = Hashtbl.create 64 });
     node_index = Hashtbl.create 256;
     pool = (match pool with Some p -> p | None -> Engine.Dpool.default ());
+    top = Topk.create ();
+    visit = Can_overlay.Cursor.create ();
     obs;
   }
 
@@ -180,13 +352,16 @@ let map_box t region =
   let zone = Can_overlay.zone_of_path ~dims:(Can_overlay.dims t.can) region in
   Zone.shrink zone (map_fraction t)
 
-let map_for t region =
-  let key = Can_overlay.region_key region in
-  match Hashtbl.find_opt t.maps key with
-  | Some m -> m
-  | None ->
+(* The map of the region made of the first [len] bits of [path], whose
+   key is [key]. *)
+let map_for t ~key path len =
+  match Hashtbl.find t.maps key with
+  | m -> m
+  | exception Not_found ->
+    let region = Array.sub path 0 len in
     let m =
       {
+        region;
         box = map_box t region;
         shard = shard_of_key t key;
         (* [entries]'s capacity is load-bearing: its iteration order feeds
@@ -198,22 +373,30 @@ let map_for t region =
       }
     in
     Hashtbl.replace t.maps key m;
-    Hashtbl.replace t.regions key (Array.copy region);
     m
 
 let live t (e : Entry.t) = e.Entry.expires > t.clock ()
 
+(* Every write of a stored entry's stamp; the slab's copy follows. *)
+let set_expires t slot (e : Entry.t) at =
+  e.Entry.expires <- at;
+  t.slab.Slab.stamps.(slot) <- at
+
 let schedule_expiry t ~key m (e : Entry.t) =
   Heap.push t.shards.(m.shard).expiry e.Entry.expires { hr_key = key; hr_entry = e }
 
+(* The owner of a position inside the map's box: the overlay's descent
+   from the region's depth. *)
+let owner_in_map t m position = Can_overlay.owner_within t.can ~prefix:m.region position
+
 (* [host] owns the entry's position now.  A new bucket goes on the host's
    record, made now if the host has none. *)
-let host_add t ~key m host entry =
+let host_add t ~key m host slot =
   match Hashtbl.find_opt m.by_host host with
-  | Some b -> Bucket.add b entry
+  | Some b -> Bucket.add b slot
   | None ->
     let b = Bucket.create () in
-    Bucket.add b entry;
+    Bucket.add b slot;
     Hashtbl.replace m.by_host host b;
     let hosts = t.shards.(m.shard).hosts in
     (match Hashtbl.find hosts host with
@@ -225,9 +408,9 @@ let host_add t ~key m host entry =
 (* Emptied buckets stay in the table: a host that cycles between zero and
    a few entries reuses its bucket's backing array instead of
    reallocating it on every refill. *)
-let host_remove m host (entry : Entry.t) =
+let host_remove m host slot =
   match Hashtbl.find_opt m.by_host host with
-  | Some b -> Bucket.remove_node b entry.Entry.node
+  | Some b -> Bucket.remove b slot
   | None -> ()
 
 let index_add t node ~key entry =
@@ -249,30 +432,36 @@ let index_remove t node ~key =
    the overlay's point-location walk — and it removes from the exact
    bucket [host_add] used even if ownership drifted since publish
    ({!rehost} refreshes the cache when the overlay changes). *)
-let remove_entry t ~key m (entry : Entry.t) =
-  Hashtbl.remove m.entries entry.Entry.node;
-  host_remove m entry.Entry.host entry;
-  index_remove t entry.Entry.node ~key
+let remove_entry t ~key m slot =
+  let e = t.slab.Slab.ents.(slot) in
+  Hashtbl.remove m.entries e.Entry.node;
+  host_remove m e.Entry.host slot;
+  index_remove t e.Entry.node ~key;
+  Slab.release t.slab slot
 
-let publish t ~region ~node ~vector =
-  let key = Can_overlay.region_key region in
-  let m = map_for t region in
+(* [vector] is already the store's own copy: {!publish_all} shares one
+   between the node's entries in every map it reaches. *)
+let publish_in t ~key m ~node ~vector ~number =
+  if t.slab.Slab.stride < 0 then t.slab.Slab.stride <- Array.length vector
+  else if Array.length vector <> t.slab.Slab.stride then
+    invalid_arg "Store.publish: vector length differs from the stored entries'";
   (* A re-publish is a refresh-by-replacement: the piggybacked load
      statistics survive the new entry. *)
   let old_load, old_capacity =
-    match Hashtbl.find_opt m.entries node with
-    | Some old ->
-      remove_entry t ~key m old;
+    match Hashtbl.find m.entries node with
+    | slot ->
+      let old = t.slab.Slab.ents.(slot) in
+      remove_entry t ~key m slot;
       (old.Entry.load, old.Entry.capacity)
-    | None -> (0.0, 1.0)
+    | exception Not_found -> (0.0, 1.0)
   in
-  let position = Number.position_in_zone t.scheme m.box vector in
-  let host = Can_overlay.owner_of t.can position in
+  let position = Number.position_of_number t.scheme m.box number in
+  let host = owner_in_map t m position in
   let entry =
     {
       Entry.node;
-      vector = Array.copy vector;
-      number = Number.number t.scheme vector;
+      vector;
+      number;
       position;
       host;
       expires = t.clock () +. t.default_ttl;
@@ -280,8 +469,9 @@ let publish t ~region ~node ~vector =
       capacity = old_capacity;
     }
   in
-  Hashtbl.replace m.entries node entry;
-  host_add t ~key m host entry;
+  let slot = Slab.alloc t.slab entry in
+  Hashtbl.replace m.entries node slot;
+  host_add t ~key m host slot;
   index_add t node ~key entry;
   schedule_expiry t ~key m entry;
   match t.obs with
@@ -290,49 +480,61 @@ let publish t ~region ~node ~vector =
     Engine.Metrics.incr o.publishes;
     Option.iter
       (fun tr ->
-        Engine.Trace.emit tr ~peer:node (Engine.Trace.Map_publish { region }) ~node:host)
+        Engine.Trace.emit tr ~peer:node
+          (Engine.Trace.Map_publish { region = m.region })
+          ~node:host)
       o.tracer
 
-let enclosing_regions ~span_bits path =
-  let len = Array.length path in
-  let rec go acc l = if l < 0 then acc else go (Array.sub path 0 l :: acc) (l - span_bits) in
-  (* Regions at digit granularity, from the root down to the node's
-     deepest complete high-order zone. *)
-  go [] (len / span_bits * span_bits)
+let publish t ~region ~node ~vector =
+  let key = Can_overlay.region_key region in
+  let m = map_for t ~key region (Array.length region) in
+  publish_in t ~key m ~node ~vector:(Array.copy vector) ~number:(Number.number t.scheme vector)
 
 let publish_all t ~span_bits ~node ~vector =
   if span_bits < 1 then invalid_arg "Store.publish_all: span_bits must be >= 1";
   let path = (Can_overlay.node t.can node).Can_overlay.path in
-  List.iter (fun region -> publish t ~region ~node ~vector) (enclosing_regions ~span_bits path)
+  let number = Number.number t.scheme vector and vector = Array.copy vector in
+  (* Regions at digit granularity, from the root down to the node's
+     deepest complete high-order zone. *)
+  let deepest = Array.length path / span_bits * span_bits in
+  let rec go len =
+    if len <= deepest then begin
+      let key = Can_overlay.path_key path len in
+      let m = map_for t ~key path len in
+      publish_in t ~key m ~node ~vector ~number;
+      go (len + span_bits)
+    end
+  in
+  go 0
 
 let unpublish t ~region ~node =
   let key = Can_overlay.region_key region in
   match Hashtbl.find_opt t.maps key with
   | None -> ()
   | Some m ->
-    (match Hashtbl.find_opt m.entries node with
-    | Some e -> remove_entry t ~key m e
-    | None -> ())
+    (match Hashtbl.find m.entries node with
+    | slot -> remove_entry t ~key m slot
+    | exception Not_found -> ())
 
 let unpublish_everywhere t node =
   match Hashtbl.find_opt t.node_index node with
   | None -> ()
   | Some inner ->
-    let keyed = Hashtbl.fold (fun key e acc -> (key, e) :: acc) inner [] in
+    let keys = Hashtbl.fold (fun key _ acc -> key :: acc) inner [] in
     List.iter
-      (fun (key, e) ->
+      (fun key ->
         match Hashtbl.find_opt t.maps key with
-        | Some m -> remove_entry t ~key m e
+        | Some m -> remove_entry t ~key m (Hashtbl.find m.entries node)
         | None -> ())
-      keyed
+      keys
 
-let with_live_entry t ~region ~node f =
+let find t ~region ~node =
   match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
-  | None -> ()
+  | None -> None
   | Some m ->
-    (match Hashtbl.find_opt m.entries node with
-    | Some e when live t e -> f e
-    | Some _ | None -> ())
+    (match t.slab.Slab.ents.(Hashtbl.find m.entries node) with
+    | e when live t e -> Some e
+    | _ | (exception Not_found) -> None)
 
 (* One probe: the map by the prefix's key, then the entry. *)
 let refresh_prefix t ~path ~len ~node =
@@ -342,8 +544,9 @@ let refresh_prefix t ~path ~len ~node =
   | exception Not_found -> false
   | m -> (
     match Hashtbl.find m.entries node with
-    | e when live t e ->
-      e.Entry.expires <- t.clock () +. t.default_ttl;
+    | slot when live t t.slab.Slab.ents.(slot) ->
+      let e = t.slab.Slab.ents.(slot) in
+      set_expires t slot e (t.clock () +. t.default_ttl);
       (* Lazy heap discipline: push a record at the new stamp; the record
          from the previous stamp pops as stale. *)
       schedule_expiry t ~key m e;
@@ -354,164 +557,115 @@ let refresh_prefix t ~path ~len ~node =
 let refresh t ~region ~node = refresh_prefix t ~path:region ~len:(Array.length region) ~node
 
 let update_stats t ~region ~node ~load ~capacity =
-  with_live_entry t ~region ~node (fun e ->
-      e.Entry.load <- load;
-      e.Entry.capacity <- capacity)
-
-let find t ~region ~node =
-  match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
-  | None -> None
-  | Some m ->
-    (match Hashtbl.find_opt m.entries node with
-    | Some e when live t e -> Some e
-    | Some _ | None -> None)
+  match find t ~region ~node with
+  | Some e ->
+    e.Entry.load <- load;
+    e.Entry.capacity <- capacity
+  | None -> ()
 
 let region_box t region =
   match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | Some m -> m.box
   | None -> map_box t region
 
-let host_in_box t box vector =
-  Can_overlay.owner_of t.can (Number.position_in_zone t.scheme box vector)
-
-let host_of t ~region ~vector = host_in_box t (region_box t region) vector
+let host_of t ~region ~vector =
+  Can_overlay.owner_within t.can ~prefix:region
+    (Number.position_in_zone t.scheme (region_box t region) vector)
 
 let lookup_route t ~from ~region ~vector =
   Can_overlay.route t.can ~src:from
     (Number.position_in_zone t.scheme (region_box t region) vector)
 
-(* The lookup order: ascending (vector distance, node id).  A map holds
-   one entry per node, so this is a total order, and it is the order
-   [compare] gives on (distance, node, entry) tuples ([Float.compare]
-   orders floats, NaN included, as polymorphic compare does).  Inlined,
-   so the distances it reads from the top-k buffer stay unboxed. *)
-let[@inline] precedes d node d' node' =
-  let c = Float.compare d d' in
-  c < 0 || (c = 0 && node < node')
-
-(* The [cap] least (distance, entry) pairs offered so far, ascending.  The
-   arrays grow on demand up to [cap], so a large [max_results] costs
-   nothing until entries arrive. *)
-module Topk = struct
-  type t = {
-    cap : int;
-    mutable dist : float array;
-    mutable ents : Entry.t array;
-    mutable len : int;
-  }
-
-  let create cap = { cap; dist = [||]; ents = [||]; len = 0 }
-
-  let grow k (e : Entry.t) =
-    let size = min k.cap (max 8 (2 * k.len)) in
-    let dist = Array.make size 0.0 and ents = Array.make size e in
-    Array.blit k.dist 0 dist 0 k.len;
-    Array.blit k.ents 0 ents 0 k.len;
-    k.dist <- dist;
-    k.ents <- ents
-
-  (* Inlined into [lookup], so [d] arrives unboxed. *)
-  let[@inline] offer k d (e : Entry.t) =
-    let node = e.Entry.node in
-    let last = k.len - 1 in
-    (* [slot] is a free slot at the end, or the evicted maximum's *)
-    let slot =
-      if k.len < k.cap then begin
-        if k.len = Array.length k.ents then grow k e;
-        k.len <- k.len + 1;
-        last + 1
-      end
-      else if k.cap > 0 && precedes d node k.dist.(last) k.ents.(last).Entry.node then last
-      else -1
-    in
-    if slot >= 0 then begin
-      let i = ref slot in
-      while !i > 0 && precedes d node k.dist.(!i - 1) k.ents.(!i - 1).Entry.node do
-        k.dist.(!i) <- k.dist.(!i - 1);
-        k.ents.(!i) <- k.ents.(!i - 1);
-        decr i
-      done;
-      k.dist.(!i) <- d;
-      k.ents.(!i) <- e
-    end
-
-  let to_list k =
-    let rec go i acc = if i < 0 then acc else go (i - 1) (k.ents.(i) :: acc) in
-    go (k.len - 1) []
-end
+(* Push the CAN neighbours in [ns] that the lookup has not visited and
+   whose zones meet the map box. *)
+let rec push_ring t box visit = function
+  | [] -> ()
+  | nid :: rest ->
+    if
+      (not (Can_overlay.Cursor.visited visit nid))
+      && Zone.intersects box (Can_overlay.node t.can nid).Can_overlay.zone
+    then Can_overlay.Cursor.push visit nid;
+    push_ring t box visit rest
 
 let lookup t ~region ~vector ?(max_results = 16) ?(ttl = 2) ?max_load () =
   match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | None -> []
   | Some m ->
     let now = t.clock () in
-    let top = Topk.create max_results in
-    let count = ref 0 in
-    (* QoS consultation: with [max_load], entries whose piggybacked load
-       statistic exceeds the bound are invisible to this lookup — an
-       overloaded node never enters the candidate set. *)
-    let offer (e : Entry.t) =
-      if e.Entry.expires > now
-         && match max_load with None -> true | Some bound -> e.Entry.load <= bound
-      then begin
-        incr count;
-        (* [Landmarks.vector_dist], inlined: the same operations in the
-           same order, without boxing the distance across the call. *)
-        let v = e.Entry.vector in
-        if Array.length vector <> Array.length v then
-          invalid_arg "Landmarks.vector_dist: length mismatch";
-        let acc = ref 0.0 in
-        for i = 0 to Array.length vector - 1 do
-          let d = vector.(i) -. v.(i) in
-          acc := !acc +. (d *. d)
+    let slab = t.slab and top = t.top and visit = t.visit in
+    let stride = slab.Slab.stride and stamps = slab.Slab.stamps and vecs = slab.Slab.vecs in
+    Topk.reset top max_results;
+    Can_overlay.Cursor.start visit;
+    Can_overlay.Cursor.push visit
+      (owner_in_map t m (Number.position_in_zone t.scheme m.box vector));
+    (* The visited hosts in [visit], ring by ring: ring [hops] is the run
+       from [ring] to [ring_end].  Table 1's "define a TTL to search
+       outside" widens ring by ring over CAN neighbours whose zones still
+       meet the map box.  Each ring is scanned whole, so [count] holds
+       every admissible live entry seen so far. *)
+    let count = ref 0 and hops = ref 0 and ring = ref 0 and widening = ref true in
+    while !widening do
+      let ring_end = Can_overlay.Cursor.length visit in
+      for r = !ring to ring_end - 1 do
+        match Hashtbl.find m.by_host (Can_overlay.Cursor.get visit r) with
+        | exception Not_found -> ()
+        | b ->
+          for j = 0 to b.Bucket.len - 1 do
+            let slot = b.Bucket.slots.(j) in
+            (* QoS consultation: with [max_load], entries whose
+               piggybacked load statistic exceeds the bound are invisible
+               to this lookup — an overloaded node never enters the
+               candidate set. *)
+            if
+              stamps.(slot) > now
+              &&
+              match max_load with
+              | None -> true
+              | Some bound -> slab.Slab.ents.(slot).Entry.load <= bound
+            then begin
+              incr count;
+              (* [Landmarks.vector_dist], inlined: the same operations in
+                 the same order, without boxing the distance. *)
+              if Array.length vector <> stride then
+                invalid_arg "Landmarks.vector_dist: length mismatch";
+              let base = slot * stride in
+              let acc = ref 0.0 in
+              for i = 0 to stride - 1 do
+                let d = Array.unsafe_get vector i -. Array.unsafe_get vecs (base + i) in
+                acc := !acc +. (d *. d)
+              done;
+              Topk.offer top (sqrt !acc) slab.Slab.nodes.(slot) slot
+            end
+          done
+      done;
+      if !count < max_results && !hops < ttl && ring_end > !ring then begin
+        incr hops;
+        for r = !ring to ring_end - 1 do
+          push_ring t m.box visit
+            (Can_overlay.node t.can (Can_overlay.Cursor.get visit r)).Can_overlay.neighbors
         done;
-        Topk.offer top (sqrt !acc) e
+        ring := ring_end
       end
-    in
-    let visit host =
-      match Hashtbl.find_opt m.by_host host with Some b -> Bucket.iter offer b | None -> ()
-    in
-    let start = host_in_box t m.box vector in
-    visit start;
-    (* Table 1's "define a TTL to search outside": widen ring by ring over
-       CAN neighbors whose zones still intersect the map box.  Each ring
-       is visited whole, so [count] holds every admissible live entry seen
-       so far.  A lookup visits about two hosts, so the visited set is a
-       list. *)
-    let seen = ref [ start ] in
-    let frontier = ref [ start ] in
-    let hops = ref 0 in
-    while !count < max_results && !hops < ttl && !frontier <> [] do
-      incr hops;
-      let next = ref [] in
-      List.iter
-        (fun h ->
-          List.iter
-            (fun nid ->
-              if (not (List.mem nid !seen))
-                 && Zone.intersects m.box (Can_overlay.node t.can nid).Can_overlay.zone
-              then begin
-                seen := nid :: !seen;
-                next := nid :: !next
-              end)
-            (Can_overlay.node t.can h).Can_overlay.neighbors)
-        !frontier;
-      List.iter visit !next;
-      frontier := !next
+      else widening := false
     done;
-    Topk.to_list top
+    Topk.to_list top slab.Slab.ents
 
 let region_entries t region =
   match Hashtbl.find_opt t.maps (Can_overlay.region_key region) with
   | None -> []
-  | Some m -> Hashtbl.fold (fun _ e acc -> if live t e then e :: acc else acc) m.entries []
+  | Some m ->
+    Hashtbl.fold
+      (fun _ slot acc ->
+        let e = t.slab.Slab.ents.(slot) in
+        if live t e then e :: acc else acc)
+      m.entries []
 
 let regions_of t node =
   match Hashtbl.find_opt t.node_index node with
   | None -> []
   | Some inner ->
     Hashtbl.fold
-      (fun key e acc -> if live t e then Hashtbl.find t.regions key :: acc else acc)
+      (fun key e acc -> if live t e then (Hashtbl.find t.maps key).region :: acc else acc)
       inner []
 
 let described_nodes t =
@@ -526,7 +680,7 @@ let entries_at_host t host =
       match Hashtbl.find_opt m.by_host host with
       | Some b ->
         let c = ref 0 in
-        Bucket.iter (fun e -> if live t e then incr c) b;
+        Bucket.iter (fun slot -> if live t t.slab.Slab.ents.(slot) then incr c) b;
         acc + !c
       | None -> acc)
     t.maps 0
@@ -583,8 +737,9 @@ let hosting_stats t =
    in parallel observes exactly the state a sequential sweep would.
    [claimed] replays the sequential semantics for duplicate due records
    of one entry (stamp moved, both stamps due): only the first purges.
-   Cost: O((expired + stale) * log heap) — independent of the number of
-   live entries. *)
+   A candidate is its (region key, slot): no slot is handed out between
+   the scan and the apply.  Cost: O((expired + stale) * log heap) —
+   independent of the number of live entries. *)
 let scan_shard_due t i now =
   let heap = t.shards.(i).expiry in
   let visited = ref 0 in
@@ -598,13 +753,14 @@ let scan_shard_due t i now =
         incr visited;
         (match Hashtbl.find_opt t.maps r.hr_key with
         | Some m ->
-          (match Hashtbl.find_opt m.entries r.hr_entry.Entry.node with
-          | Some cur
-            when cur == r.hr_entry && cur.Entry.expires <= now
-                 && not (Hashtbl.mem claimed (r.hr_key, cur.Entry.node)) ->
-            Hashtbl.replace claimed (r.hr_key, cur.Entry.node) ();
-            due := (r.hr_key, cur) :: !due
-          | Some _ | None -> ())
+          (match Hashtbl.find m.entries r.hr_entry.Entry.node with
+          | slot
+            when t.slab.Slab.ents.(slot) == r.hr_entry
+                 && r.hr_entry.Entry.expires <= now
+                 && not (Hashtbl.mem claimed (r.hr_key, r.hr_entry.Entry.node)) ->
+            Hashtbl.replace claimed (r.hr_key, r.hr_entry.Entry.node) ();
+            due := (r.hr_key, slot) :: !due
+          | _ | (exception Not_found) -> ())
         | None -> ());
         loop ()
       | None -> ())
@@ -617,10 +773,11 @@ let scan_shard_due t i now =
    the deterministic merge point for cross-shard effects. *)
 let apply_purges t due =
   List.map
-    (fun (key, (cur : Entry.t)) ->
+    (fun (key, slot) ->
       let m = Hashtbl.find t.maps key in
-      remove_entry t ~key m cur;
-      (Hashtbl.find t.regions key, cur))
+      let cur = t.slab.Slab.ents.(slot) in
+      remove_entry t ~key m slot;
+      (m.region, cur))
     due
 
 let observe_sweep t ~visited ~purged =
@@ -664,9 +821,10 @@ let inject_staleness t ~rng ~fraction =
   Hashtbl.iter
     (fun key m ->
       Hashtbl.iter
-        (fun _ e ->
+        (fun _ slot ->
+          let e = t.slab.Slab.ents.(slot) in
           if live t e && Prelude.Rng.chance rng fraction then begin
-            e.Entry.expires <- now;
+            set_expires t slot e now;
             schedule_expiry t ~key m e;
             incr aged
           end)
@@ -705,9 +863,10 @@ let rehost_shard t i =
   List.iter
     (fun (key, m, b) ->
       Bucket.iter
-        (fun (e : Entry.t) ->
-          e.Entry.host <- Can_overlay.owner_of t.can e.Entry.position;
-          host_add t ~key m e.Entry.host e)
+        (fun slot ->
+          let e = t.slab.Slab.ents.(slot) in
+          e.Entry.host <- owner_in_map t m e.Entry.position;
+          host_add t ~key m e.Entry.host slot)
         b)
     detached
 
@@ -718,17 +877,49 @@ let rehost t =
      result is independent of the pool size. *)
   ignore (pool_run t (Array.length t.shards) (rehost_shard t))
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The slab's copies of the entry in [slot], bit for bit. *)
+let slot_matches (s : Slab.t) slot (e : Entry.t) =
+  s.Slab.nodes.(slot) = e.Entry.node
+  && same_bits s.Slab.stamps.(slot) e.Entry.expires
+  && Array.length e.Entry.vector = s.Slab.stride
+  &&
+  let rec go i =
+    i >= s.Slab.stride
+    || (same_bits s.Slab.vecs.((slot * s.Slab.stride) + i) e.Entry.vector.(i) && go (i + 1))
+  in
+  go 0
+
 let check_invariants t =
   let ( let* ) r f = Result.bind r f in
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
+  let slab = t.slab in
+  (* every slot is an entry's or free, never both *)
+  let entries = Hashtbl.fold (fun _ m acc -> acc + Hashtbl.length m.entries) t.maps 0 in
+  let* () =
+    if slab.Slab.used = entries + slab.Slab.nfree then Ok ()
+    else err "slab holds %d slots for %d entries and %d free" slab.Slab.used entries slab.Slab.nfree
+  in
+  let* () =
+    let rec go i =
+      if i >= slab.Slab.nfree then Ok ()
+      else if slab.Slab.ents.(slab.Slab.free.(i)) == Slab.vacant then go (i + 1)
+      else err "a free slot holds an entry"
+    in
+    go 0
+  in
   let* () =
     Hashtbl.fold
       (fun key m acc ->
         let* () = acc in
-        let region = Hashtbl.find t.regions key in
         let* () =
-          if Zone.equal m.box (map_box t region) then Ok ()
+          if Zone.equal m.box (map_box t m.region) then Ok ()
           else err "map box drifted for a region"
+        in
+        let* () =
+          if Can_overlay.region_key m.region = key then Ok ()
+          else err "map filed under another region's key"
         in
         let* () =
           if m.shard = shard_of_key t key then Ok ()
@@ -736,16 +927,20 @@ let check_invariants t =
         in
         let* () =
           Hashtbl.fold
-            (fun node e acc ->
+            (fun node slot acc ->
               let* () = acc in
-              if not (Zone.contains m.box e.Entry.position) then
+              let e = slab.Slab.ents.(slot) in
+              if slot >= slab.Slab.used || e.Entry.node <> node then
+                err "entry for node %d is not in its slot" node
+              else if not (slot_matches slab slot e) then
+                err "flat copy of node %d's entry differs from the entry" node
+              else if not (Zone.contains m.box e.Entry.position) then
                 err "entry for node %d outside its map box" node
               else begin
                 let host = Can_overlay.owner_of t.can e.Entry.position in
                 let* () =
                   match Hashtbl.find_opt m.by_host host with
-                  | Some b when Bucket.exists (fun (x : Entry.t) -> x.Entry.node = node) b ->
-                    Ok ()
+                  | Some b when host = e.Entry.host && Bucket.mem b slot -> Ok ()
                   | _ -> err "entry for node %d not indexed under its host" node
                 in
                 (* reverse index agrees with the map *)
@@ -771,8 +966,12 @@ let check_invariants t =
             in
             let rec go i =
               if i >= b.Bucket.len then Ok ()
-              else if Hashtbl.mem m.entries b.Bucket.arr.(i).Entry.node then go (i + 1)
-              else err "host index holds an orphan entry"
+              else begin
+                let slot = b.Bucket.slots.(i) in
+                match Hashtbl.find_opt m.entries slab.Slab.ents.(slot).Entry.node with
+                | Some s when s = slot -> go (i + 1)
+                | Some _ | None -> err "host index holds an orphan entry"
+              end
             in
             go 0)
           m.by_host (Ok ()))
@@ -809,7 +1008,7 @@ let check_invariants t =
             match Hashtbl.find_opt t.maps key with
             | Some m ->
               (match Hashtbl.find_opt m.entries node with
-              | Some e' when e' == e -> Ok ()
+              | Some slot when t.slab.Slab.ents.(slot) == e -> Ok ()
               | Some _ | None -> err "node index holds an orphan entry for node %d" node)
             | None -> err "node index holds an orphan entry for node %d" node)
           inner (Ok ()))
@@ -826,8 +1025,9 @@ let check_invariants t =
           match Hashtbl.find_opt t.maps r.hr_key with
           | Some m when m.shard = si ->
             (match Hashtbl.find_opt m.entries r.hr_entry.Entry.node with
-            | Some cur when cur == r.hr_entry && prio = cur.Entry.expires ->
-              Hashtbl.replace covered (r.hr_key, cur.Entry.node) ()
+            | Some slot
+              when t.slab.Slab.ents.(slot) == r.hr_entry && prio = r.hr_entry.Entry.expires ->
+              Hashtbl.replace covered (r.hr_key, r.hr_entry.Entry.node) ()
             | Some _ | None -> ())
           | Some _ | None -> ())
         shard.expiry)

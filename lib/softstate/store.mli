@@ -16,7 +16,9 @@
     the discrete-event engine or under manual time in tests. *)
 
 module Entry : sig
-  type t = {
+  (** A map entry.  The store keeps flat copies of [node], [expires] and
+      [vector] for its lookups, so only the store writes an entry. *)
+  type t = private {
     node : int;  (** the described node *)
     vector : float array;  (** its landmark vector *)
     number : int;  (** its landmark number *)
@@ -104,12 +106,16 @@ val publish : t -> region:int array -> node:int -> vector:float array -> unit
 (** Insert or overwrite the entry describing [node] in a region's map,
     stamped with the default TTL.  Overwriting is a refresh-by-replacement:
     the replaced entry's load statistics ({!Entry.t.load} /
-    {!Entry.t.capacity}) carry over to the new entry. *)
+    {!Entry.t.capacity}) carry over to the new entry.  The entry holds a
+    copy of [vector].  Every vector a store holds has the length of the
+    first one published: another length raises [Invalid_argument]. *)
 
 val publish_all : t -> span_bits:int -> node:int -> vector:float array -> unit
 (** Publish [node] into every high-order zone enclosing its CAN zone
     (prefixes of its path in steps of [span_bits], including the root
-    region) — at most [O(log n)] maps, as the paper notes. *)
+    region) — at most [O(log n)] maps, as the paper notes.  Each of the
+    node's entries is {!publish}'s, except that they share one copy of
+    [vector]. *)
 
 val unpublish : t -> region:int array -> node:int -> unit
 (** Proactive departure: drop the entry immediately. *)
@@ -163,18 +169,14 @@ val lookup :
     The widening stops on the count of every admissible live entry seen,
     not on the truncated result.
 
-    The lookup keeps only the best [max_results] entries as it goes, in
-    a bounded buffer.  So the entries it examines cost no allocation
-    beyond one boxed distance (2 words) each.  The rest is the result
-    list, fixed per-call scratch (the hashed position, the buffer and
-    the scan closures), and per visited host two list cells (the
-    visited set and the ring frontier) plus the option its bucket lookup
-    returns, about 8 words; each widening ring adds its own closures.
-    On the [alloc] experiment's fixture (256-member CAN, root map,
-    default bounds) a lookup that stays on its start host and examines
-    16 entries allocates 253 words; the fixture's lookups visit 1 to 12
-    hosts, mostly 4 to 6, and average 331 words
-    ([alloc_minor_words_per_lookup]).
+    The lookup reads the store's flat copies of the entries' stamps,
+    vectors and node ids, and keeps only the best [max_results] entries
+    as it goes, in a bounded buffer the store reuses.  So what it
+    allocates is the hashed position and its owner descent, about 84
+    words, and the result list, 3 words per entry returned, however many
+    hosts and entries it examines.  On the [alloc] experiment's fixture
+    (256-member CAN, root map, default bounds) a lookup allocates 132
+    words ([alloc_minor_words_per_lookup]).
 
     [max_load] consults the load statistics piggybacked on the entries
     ({!Entry.t.load}, kept fresh by {!update_stats}): entries whose load
@@ -258,4 +260,6 @@ val rehost : t -> unit
 val check_invariants : t -> (unit, string) result
 (** Entry positions lie in their map boxes; hosting matches CAN ownership;
     per-host index agrees with the maps, and each shard's host index
-    names exactly the buckets its maps hold. *)
+    names exactly the buckets its maps hold.  The store's flat copy of
+    each entry's node id, expiry stamp and vector equals the entry's, bit
+    for bit, and every storage slot is either an entry's or free. *)

@@ -437,6 +437,43 @@ let test_node_mem_edges () =
     (Can_overlay.node_ids t);
   check_ok (Can_overlay.check_invariants t)
 
+(* The region-depth descent against the root descent.  Prefixes are cut
+   from a member's path (members below them), extended past a leaf's path
+   (no members: a leaf owns their whole zone) or drawn at random; points
+   lie in the prefix's zone, on its low and high faces included, where a
+   point's own path may leave the prefix. *)
+let qcheck_owner_within_matches_owner_of =
+  QCheck.Test.make ~name:"owner_within = owner_of on points of the prefix's zone" ~count:100
+    QCheck.(triple (int_range 0 10_000) (int_range 1 3) (int_range 1 80))
+    (fun (seed, dims, n) ->
+      let t, rng = build ~dims ~n ~seed in
+      let next = ref n in
+      for _ = 1 to Rng.int rng n do
+        let ids = Can_overlay.node_ids t in
+        if Rng.chance rng 0.5 && Array.length ids > 1 then
+          ignore (Can_overlay.leave t (Rng.pick rng ids))
+        else begin
+          ignore (Can_overlay.join t !next (Point.random rng dims));
+          incr next
+        end
+      done;
+      let bits k = Array.init k (fun _ -> Rng.int rng 2) in
+      let prefix () =
+        let path = (Can_overlay.node t (Rng.pick rng (Can_overlay.node_ids t))).Can_overlay.path in
+        match Rng.int rng 3 with
+        | 0 -> Array.sub path 0 (Rng.int rng (Array.length path + 1))
+        | 1 -> Array.append path (bits (1 + Rng.int rng 3))
+        | _ -> bits (Rng.int rng 12)
+      in
+      let coord () = match Rng.int rng 4 with 0 -> 0.0 | 1 -> 1.0 | _ -> Rng.float rng 1.0 in
+      List.for_all
+        (fun _ ->
+          let prefix = prefix () in
+          let zone = Can_overlay.zone_of_path ~dims prefix in
+          let point = Zone.subzone zone (Array.init dims (fun _ -> coord ())) in
+          Can_overlay.owner_within t ~prefix point = Can_overlay.owner_of t point)
+        (List.init 40 Fun.id))
+
 (* Generic hop-bound and churn-invariant properties live in the shared
    backend-conformance suite (test_conformance.ml); the remaining route
    test here asserts the CAN-specific neighbor-link structure. *)
@@ -461,4 +498,5 @@ let suite =
     Alcotest.test_case "leave everyone" `Quick test_leave_everyone;
     Alcotest.test_case "interleaved churn" `Slow test_churn_interleaved;
     Alcotest.test_case "node and mem outside the membership" `Quick test_node_mem_edges;
+    QCheck_alcotest.to_alcotest qcheck_owner_within_matches_owner_of;
   ]

@@ -143,6 +143,37 @@ let qcheck_quantile_bounds =
       && s.Metrics.min <= s.Metrics.p50
       && s.Metrics.p99 <= s.Metrics.max)
 
+(* ---- chunked histogram storage ---- *)
+
+(* Around the chunk boundaries the histogram answers what the Stats
+   functions compute from the list of observed values. *)
+let test_histogram_chunks () =
+  let c = Metrics.histogram_chunk in
+  List.iter
+    (fun n ->
+      let rng = Rng.create n in
+      let xs = Array.init n (fun _ -> Rng.float rng 1000.0) in
+      let h = Metrics.histogram (Metrics.create ()) "chunked" in
+      Array.iter (Metrics.observe h) xs;
+      let name what = Printf.sprintf "%s after %d" what n in
+      let same what a b = Alcotest.(check (float 0.0)) (name what) a b in
+      Alcotest.(check (array (float 0.0))) (name "samples") xs (Metrics.samples h);
+      Alcotest.(check int) (name "observations") n (Metrics.observations h);
+      same "hmean" (Prelude.Stats.mean xs) (Metrics.hmean h);
+      List.iter
+        (fun p -> same "quantile" (Prelude.Stats.percentile xs p) (Metrics.quantile h p))
+        [ 0.0; 37.5; 50.0; 99.0; 100.0 ];
+      let s = Metrics.summarize_histogram h in
+      Alcotest.(check int) (name "summary n") n s.Metrics.n;
+      same "summary mean" (Prelude.Stats.mean xs) s.Metrics.mean;
+      same "summary min" (if n = 0 then 0.0 else Array.fold_left Float.min xs.(0) xs) s.Metrics.min;
+      same "summary max" (if n = 0 then 0.0 else Array.fold_left Float.max xs.(0) xs) s.Metrics.max;
+      same "summary p50" (Prelude.Stats.percentile xs 50.0) s.Metrics.p50;
+      same "summary p90" (Prelude.Stats.percentile xs 90.0) s.Metrics.p90;
+      same "summary p95" (Prelude.Stats.percentile xs 95.0) s.Metrics.p95;
+      same "summary p99" (Prelude.Stats.percentile xs 99.0) s.Metrics.p99)
+    [ 0; 1; c - 1; c; c + 1; (3 * c) + 5 ]
+
 (* ---- tracer ---- *)
 
 let test_trace_basic () =
@@ -369,4 +400,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_note_reference;
     Alcotest.test_case "one literal JSONL line per span kind" `Quick test_trace_jsonl_literals;
     Alcotest.test_case "route observer accounting" `Quick test_route_obs;
+    Alcotest.test_case "chunked histograms = Stats on the observed values" `Quick
+      test_histogram_chunks;
   ]

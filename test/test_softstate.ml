@@ -391,9 +391,11 @@ let qcheck_sweep_matches_scan_model =
 
 (* Reference model of [Store.lookup]: the collect-then-sort procedure,
    rebuilt from public functions.  A host's bucket is the region's live
-   entries whose cached host it is; the rings widen over CAN neighbours
-   whose zones meet the map box; every admissible entry found is sorted
-   by (distance, node, entry) with [compare] and the list truncated. *)
+   entries whose cached host it is; the lookup starts at the root
+   descent's owner of the vector's position in the map box; the rings
+   widen over CAN neighbours whose zones meet the map box; every
+   admissible entry found is sorted by (distance, node, entry) with
+   [compare] and the list truncated. *)
 let reference_lookup store ~region ~vector ~max_results ~ttl ~max_load =
   match Store.region_entries store region with
   | [] -> []
@@ -416,7 +418,7 @@ let reference_lookup store ~region ~vector ~max_results ~ttl ~max_load =
           live
       end
     in
-    let start = Store.host_of store ~region ~vector in
+    let start = Can_overlay.owner_of can (Number.position_in_zone scheme box vector) in
     visit start;
     let frontier = ref [ start ] and hops = ref 0 in
     while !count < max_results && !hops < ttl && !frontier <> [] do
@@ -450,6 +452,10 @@ let grid_vector rng pool =
   if Rng.chance rng 0.5 then pool.(Rng.int rng (Array.length pool))
   else Array.init 5 (fun _ -> float_of_int (10 * Rng.int rng 4))
 
+(* Between lookups the script runs the store's writers: every writer of
+   an entry's stamp (publish, refresh, refresh_prefix, inject_staleness),
+   the removals (unpublish, unpublish_everywhere, both sweeps), load
+   statistics, membership changes with their rehost, and the clock. *)
 let qcheck_lookup_matches_reference =
   QCheck.Test.make ~name:"lookup = collect-then-sort reference model, order and entries" ~count:60
     QCheck.(triple (int_range 0 10_000) (int_range 1 4) (int_range 8 48))
@@ -457,8 +463,9 @@ let qcheck_lookup_matches_reference =
       let store, can, now, rng = setup ~shards ~ttl:100.0 ~n ~seed () in
       let pool = Array.init 4 (fun _ -> Array.init 5 (fun _ -> float_of_int (10 * Rng.int rng 4))) in
       let publish node =
-        if Rng.chance rng 0.7 then
-          Store.publish_all store ~span_bits:(1 + Rng.int rng 2) ~node ~vector:(grid_vector rng pool)
+        if Can_overlay.mem can node && Rng.chance rng 0.7 then
+          Store.publish_all store ~span_bits:(1 + Rng.int rng 2) ~node
+            ~vector:(grid_vector rng pool)
         else Store.publish store ~region:[||] ~node ~vector:(grid_vector rng pool);
         if Rng.chance rng 0.5 then
           Store.update_stats store ~region:[||] ~node ~load:(Rng.float rng 1.0) ~capacity:1.0
@@ -473,27 +480,53 @@ let qcheck_lookup_matches_reference =
         if Rng.chance rng 0.4 then publish node
       done;
       now := 120.0;
-      if Rng.chance rng 0.5 then begin
-        for id = n to n + 3 do
-          ignore (Can_overlay.join can id (Point.random rng 2))
+      let next_id = ref n in
+      let churn () =
+        for _ = 1 to 1 + Rng.int rng 3 do
+          ignore (Can_overlay.join can !next_id (Point.random rng 2));
+          incr next_id
         done;
-        ignore (Can_overlay.leave can (Rng.int rng n));
+        let ids = Can_overlay.node_ids can in
+        ignore (Can_overlay.leave can (Rng.pick rng ids));
         Store.rehost store
-      end;
+      in
+      if Rng.chance rng 0.5 then churn ();
       let regions = [| [||]; [| 0 |]; [| 1 |]; [| 0; 1 |]; [| 1; 1 |]; [| 1; 0; 1; 1; 0 |] |] in
+      let pick_region () = regions.(Rng.int rng (Array.length regions)) in
+      let write () =
+        let node = Rng.int rng !next_id in
+        match Rng.int rng 11 with
+        | 0 -> publish node
+        | 1 -> ignore (Store.refresh store ~region:(pick_region ()) ~node)
+        | 2 ->
+          let path = regions.(5) in
+          let len = Rng.int rng (Array.length path + 1) in
+          ignore (Store.refresh_prefix store ~path ~len ~node)
+        | 3 -> ignore (Store.inject_staleness store ~rng ~fraction:(Rng.float rng 0.5))
+        | 4 -> Store.unpublish store ~region:(pick_region ()) ~node
+        | 5 -> Store.unpublish_everywhere store node
+        | 6 -> ignore (Store.sweep_shard store (Rng.int rng shards))
+        | 7 -> ignore (Store.sweep_expired store)
+        | 8 -> churn ()
+        | _ -> now := !now +. Rng.float rng 40.0
+      in
       let same a b = List.length a = List.length b && List.for_all2 ( == ) a b in
       List.for_all
         (fun _ ->
-          let region = regions.(Rng.int rng (Array.length regions)) in
+          for _ = 1 to Rng.int rng 4 do
+            write ()
+          done;
+          let region = pick_region () in
           let vector = grid_vector rng pool in
           let max_results =
             match Rng.int rng 4 with 0 -> 0 | 1 -> 1 | 2 -> 2 + Rng.int rng 8 | _ -> 4 * n
           in
           let ttl = Rng.int rng 4 in
           let max_load = if Rng.chance rng 0.3 then Some (Rng.float rng 1.0) else None in
-          same
-            (Store.lookup store ~region ~vector ~max_results ~ttl ?max_load ())
-            (reference_lookup store ~region ~vector ~max_results ~ttl ~max_load))
+          Store.check_invariants store = Ok ()
+          && same
+               (Store.lookup store ~region ~vector ~max_results ~ttl ?max_load ())
+               (reference_lookup store ~region ~vector ~max_results ~ttl ~max_load))
         (List.init 12 Fun.id))
 
 let qcheck_host_index_consistent =
