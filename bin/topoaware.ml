@@ -75,28 +75,6 @@ let probe_window_arg =
   in
   Arg.(value & opt positive_int 1 & info [ "probe-window" ] ~docv:"W" ~doc)
 
-let domains_arg =
-  let doc =
-    (Printf.sprintf
-       "Domain pool hosting the store's shard-parallel phases (probes always run on the \
-        calling domain): 0 (the default) reads the TOPOAWARE_DOMAINS environment variable \
-        (else 1); N in 1..%d makes an N-domain pool the ambient one. Changes real wall-clock \
-        only — results and metrics are byte-identical across values (DESIGN.md §12)."
-       Engine.Dpool.max_domains)
-  in
-  (* Checked in a [Term.ret], not in the converter: a converter error also
-     prints the usage lines, and this is a one-line error.  N >= 1 becomes
-     the ambient pool every store of the run falls back to. *)
-  let check n =
-    if n < 0 || n > Engine.Dpool.max_domains then
-      `Error (false, Printf.sprintf "--domains must be in 0..%d" Engine.Dpool.max_domains)
-    else begin
-      if n >= 1 then Engine.Dpool.set_default (Some (Engine.Dpool.get ~domains:n));
-      `Ok ()
-    end
-  in
-  Term.(ret (const check $ Arg.(value & opt int 0 & info [ "domains" ] ~docv:"N" ~doc)))
-
 (* ---- list ---- *)
 
 let list_cmd =
@@ -257,7 +235,7 @@ let build_cmd =
   let size_arg =
     Arg.(value & opt int 1024 & info [ "nodes" ] ~docv:"N" ~doc:"Overlay size.")
   in
-  let run verbose variant latency seed scale strategy size probe_window () =
+  let run verbose variant latency seed scale strategy size probe_window =
     setup_logs verbose;
     let oracle = Workload.Ctx.oracle ~scale variant latency in
     let size = size / scale in
@@ -295,7 +273,7 @@ let build_cmd =
     Term.(
       ret
         (const run $ verbose_arg $ variant_arg $ latency_arg $ seed_arg $ scale_arg $ strategy_arg
-        $ size_arg $ probe_window_arg $ domains_arg))
+        $ size_arg $ probe_window_arg))
 
 (* ---- churn ---- *)
 
@@ -329,7 +307,7 @@ let churn_cmd =
              ~doc:"Notification digest window in virtual ms (0 disables batching).")
   in
   let run verbose seed scale crashes leaves joins loss staleness shards digest_window
-      probe_window () =
+      probe_window =
     (* written so that NaN fails every range test *)
     let in_unit x = x >= 0.0 && x <= 1.0 in
     if not (in_unit loss) then `Error (false, "--loss must be in [0,1]")
@@ -362,7 +340,7 @@ let churn_cmd =
     Term.(
       ret
         (const run $ verbose_arg $ seed_arg $ scale_arg $ crashes_arg $ leaves_arg $ joins_arg
-        $ loss_arg $ stale_arg $ shards_arg $ digest_arg $ probe_window_arg $ domains_arg))
+        $ loss_arg $ stale_arg $ shards_arg $ digest_arg $ probe_window_arg))
 
 (* ---- repair ---- *)
 

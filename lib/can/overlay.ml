@@ -98,6 +98,17 @@ module Cursor = struct
     !acc
 end
 
+(* Exact path key -> owner id.  A path key is already a distinct int per
+   path, so it is its own hash: a probe pays no [caml_hash] and no
+   polymorphic compare.  The table is never iterated, so its bucket order
+   is unobservable. *)
+module Path_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (k : int) = k
+end)
+
 type t = {
   dims : int;
   nodes : (int, node) Hashtbl.t;
@@ -105,7 +116,7 @@ type t = {
       (* dense id -> node view of [nodes] ([absent] where no member);
          written only by [create], [join] and [leave] *)
   cursor : Cursor.t;  (* the visited set and hops of this overlay's own routes *)
-  by_path : (int, int) Hashtbl.t;  (* exact path key -> owner id *)
+  by_path : int Path_tbl.t;  (* exact path key -> owner id *)
   prefix_members : (int, Members.t) Hashtbl.t;  (* prefix key -> member ids *)
   mutable rep : int;  (* arbitrary live member, default routing start *)
   obs : Engine.Route_obs.t;
@@ -156,14 +167,14 @@ let iter_prefix_keys path f =
     path
 
 let index_add t n =
-  Hashtbl.replace t.by_path (region_key n.path) n.id;
+  Path_tbl.replace t.by_path (region_key n.path) n.id;
   iter_prefix_keys n.path (fun key ->
       match Hashtbl.find_opt t.prefix_members key with
       | Some m -> Members.add m n.id
       | None -> Hashtbl.replace t.prefix_members key (Members.singleton n.id))
 
 let index_remove t n =
-  Hashtbl.remove t.by_path (region_key n.path);
+  Path_tbl.remove t.by_path (region_key n.path);
   iter_prefix_keys n.path (fun key ->
       match Hashtbl.find_opt t.prefix_members key with
       | Some m ->
@@ -180,7 +191,7 @@ let create ?metrics ?(labels = []) ?trace ~dims first =
       nodes = Hashtbl.create 64;
       by_id = Array.make (max 64 (first + 1)) absent;
       cursor = Cursor.create ();
-      by_path = Hashtbl.create 64;
+      by_path = Path_tbl.create 64;
       prefix_members = Hashtbl.create 64;
       rep = first;
       obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"can";
@@ -261,7 +272,7 @@ let path_of_point t ~depth point =
 let rec descend t point lo hi depth key =
   if depth > max_depth then failwith "Can.owner_of: tree deeper than max_depth"
   else begin
-    match Hashtbl.find_opt t.by_path key with
+    match Path_tbl.find_opt t.by_path key with
     | Some id -> id
     | None ->
       let dim = Zone.split_dim_at_depth t.dims depth in
@@ -497,7 +508,7 @@ let sibling_of t n =
   else begin
     let bits = Array.copy n.path in
     bits.(len - 1) <- 1 - bits.(len - 1);
-    match Hashtbl.find_opt t.by_path (path_key bits len) with
+    match Path_tbl.find_opt t.by_path (path_key bits len) with
     | Some id -> Some (node t id)
     | None -> None
   end

@@ -92,9 +92,8 @@ val leave : t -> int -> leave_effect
     Every route of an overlay ({!route}, {!route_proximity} and the walk
     inside {!join}) shares one {!Cursor.t} of the overlay: a
     generation-stamped visited set and a hop buffer, so a route allocates
-    only the hop list it returns.  Routing is therefore coordinator-only:
-    no route may run from a [Dpool] task (none does), and a [dist]
-    callback must not route on the same overlay. *)
+    only the hop list it returns.  So no two routes of one overlay may
+    interleave: a [dist] callback must not route on the same overlay. *)
 
 module Cursor : sig
   type t

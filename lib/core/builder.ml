@@ -157,18 +157,8 @@ let build ?metrics ?labels ?trace ?(clock = fun () -> 0.0) oracle config =
   let landmarks = Landmarks.choose landmark_rng oracle config.landmark_count in
   let max_latency = Number.calibrate_max_latency oracle (Landmarks.nodes landmarks) in
   let scheme = Number.default_scheme ~curve:config.curve ~max_latency () in
-  if config.domains < 0 then invalid_arg "Builder.build: domains must be >= 0";
-  (* domains = 0 defers to the ambient pool (TOPOAWARE_DOMAINS or a
-     Dpool.set_default override); n >= 1 pins an interned n-domain pool.
-     Only the store runs on it; the prober measures on the calling
-     domain.  By the DESIGN.md §12 contract the choice never changes any
-     result or metric. *)
-  let pool =
-    if config.domains = 0 then Engine.Dpool.default ()
-    else Engine.Dpool.get ~domains:config.domains
-  in
   let store =
-    Store.create ?metrics ?labels ?trace ~pool ~shards:config.shards ~condense:config.condense
+    Store.create ?metrics ?labels ?trace ~shards:config.shards ~condense:config.condense
       ~default_ttl:config.ttl ~clock ~scheme can
   in
   let prober =

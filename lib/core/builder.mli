@@ -22,16 +22,8 @@ type config = {
       (** probe-plane configuration shared by every RTT measurement the
           overlay spends (landmark vectors, per-slot selection) *)
   domains : int;
-      (** domain pool hosting the store's shard-parallel phases; the
-          prober always measures on the calling domain.  [0] (the
-          default) uses the ambient {!Engine.Dpool.default} pool (the
-          [TOPOAWARE_DOMAINS] environment variable or a
-          {!Engine.Dpool.set_default} override, else 1); [n >= 1] pins the
-          interned [n]-domain pool.  Outside the tests, only [bench/perf]
-          and [exp_alloc]'s fixture set it; the CLI's [--domains]
-          installs the ambient pool instead.  By the
-          determinism contract (DESIGN.md §12) the value never changes
-          results or metrics — only wall-clock. *)
+      (** ignored: the store runs on the calling domain (DESIGN.md §12).
+          Kept only so [bench/perf] builds; ROADMAP item 7 deletes it. *)
   seed : int;
 }
 
@@ -39,7 +31,7 @@ val default_config : config
 (** Table 2 defaults: 2-d eCAN, span 2, 4096 members, 15 landmarks,
     [Hybrid {rtts = 10}], condense 1.0, ttl 600,000 ms, 1 shard, Hilbert,
     probe {!Engine.Probe.default_config} (sequential, uncached — the seed
-    path), domains 0 (ambient pool), seed 42. *)
+    path), domains 0 (ignored), seed 42. *)
 
 type join_cost = {
   vector_ms : float;  (** modelled wall-clock of the landmark-vector batch *)

@@ -27,10 +27,7 @@ val start :
     (a crashed node) notifies its [Departure_of] watchers.  When the
     builder's store is sharded ([config.shards] > 1), each shard gets its
     own sweep timer, staggered evenly across the sweep period, so one
-    sweep event never walks the whole store.  (A per-shard sweep event
-    scans and purges its shard on the coordinator, between pool batches,
-    per the DESIGN.md §12 contract, so it never dispatches to the domain
-    pool.)  [channel] and
+    sweep event never walks the whole store.  [channel] and
     [digest_window] are passed to {!Pubsub.Bus.create} — wire
     {!Engine.Faults.perturb} into [channel] to subject notification
     delivery to loss and extra delay; a positive [digest_window] batches

@@ -101,10 +101,9 @@ val route : t -> src:int -> Geometry.Point.t -> int list option
 
     Each expressway owns one route cursor — the target's split bits, a
     {!Can.Overlay.Cursor.t} of visit stamps and a hop buffer — reused by
-    every route, so a route allocates only the list it returns.  Routing
-    is therefore coordinator-only: no route may run from a [Dpool] task
-    (none does today).  Expressways over the same CAN have separate
-    cursors and may route in any interleaving. *)
+    every route, so a route allocates only the list it returns, and two
+    routes of one expressway may not interleave.  Expressways over the
+    same CAN have separate cursors and may route in any interleaving. *)
 
 val table_size : t -> int -> int
 (** Number of filled entries (routing state) of a node. *)

@@ -40,8 +40,7 @@
     channel randomness comes from the injector's seeded stream — the same
     seed replays the same batch timings byte for byte.
 
-    Every measurement runs on the calling domain, in submission order;
-    a prober never dispatches work to a domain pool. *)
+    Every measurement runs in submission order on the caller. *)
 
 type config = {
   window : int;  (** concurrent in-flight probes per operation, >= 1 *)
@@ -94,8 +93,8 @@ val create :
     extra delay).  [clock] stamps each batch's start (default: frozen at
     0; pass [fun () -> Sim.now sim] to run under the engine).
 
-    [pool] is ignored; it is kept only so [bench/perf] builds, and
-    ROADMAP item 7 deletes it.
+    [pool] is ignored ({!Dpool} is a stub); it is kept only so
+    [bench/perf] builds, and ROADMAP item 7 deletes it.
 
     With [metrics], the prober maintains [probe_*] counters and the
     [probe_queue_wait]/[probe_batch_ms] histograms.  With [trace], each

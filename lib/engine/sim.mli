@@ -7,13 +7,9 @@
     fire in the order they were scheduled — the total order is the pair
     [(time, seq)] where [seq] is the global scheduling sequence number.
 
-    This ordering is the spine of the {e determinism contract} for
-    domain-parallel hosting (DESIGN.md §12): shard work may fan out to
-    worker domains between events, but every cross-shard {e effect} is
-    applied on the coordinator — either sequentially in task order inside
-    the current event, or by scheduling a new event here.  Each timestamp
-    runs to completion before the clock advances, and same-instant events
-    merge by [(time, seq)], so multi-domain runs replay the single-domain
+    This ordering is the spine of the {e determinism contract}
+    (DESIGN.md §12): a seed fixes every event, and same-instant events
+    merge by [(time, seq)], so two runs with one seed replay the same
     event order byte for byte. *)
 
 type t

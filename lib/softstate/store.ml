@@ -179,8 +179,6 @@ type obs = {
   refreshes : Engine.Metrics.counter;
   expired : Engine.Metrics.counter;
   sweep_visited : Engine.Metrics.counter;
-  domain_batches : Engine.Metrics.counter;
-  domain_tasks : Engine.Metrics.counter;
   tracer : Engine.Trace.t option;
 }
 
@@ -274,15 +272,10 @@ type t = {
   node_index : (int, (int, Entry.t) Hashtbl.t) Hashtbl.t;
       (* described node -> region key -> entry; reverse index so the
          per-node operations avoid scanning every map *)
-  pool : Engine.Dpool.t;
-      (* hosts whole-store phases (sweep scans, rehost, stats); shard i's
-         heap is touched from slot i of this pool during a batch, from the
-         coordinator otherwise *)
   top : Topk.t;
   visit : Can_overlay.Cursor.t;
       (* [lookup]'s result buffer and visited hosts, reused from lookup to
-         lookup: a lookup runs on the calling domain and calls nothing
-         that could start another one *)
+         lookup: a lookup calls nothing that could start another one *)
   obs : obs option;
 }
 
@@ -291,8 +284,8 @@ type t = {
    on different shards and each shard's heap is swept independently. *)
 let shard_of_key t key = key mod Array.length t.shards
 
-let create ?metrics ?(labels = []) ?trace ?pool ?(shards = 1) ?(condense = 1.0)
-    ?(default_ttl = 600_000.0) ?(clock = fun () -> 0.0) ~scheme can =
+let create ?metrics ?(labels = []) ?trace ?pool:(_ : Engine.Dpool.t option) ?(shards = 1)
+    ?(condense = 1.0) ?(default_ttl = 600_000.0) ?(clock = fun () -> 0.0) ~scheme can =
   if shards < 1 then invalid_arg "Store.create: shards must be >= 1";
   if condense <= 0.0 then invalid_arg "Store.create: condense must be positive";
   if default_ttl <= 0.0 then invalid_arg "Store.create: ttl must be positive";
@@ -304,8 +297,6 @@ let create ?metrics ?(labels = []) ?trace ?pool ?(shards = 1) ?(condense = 1.0)
           refreshes = Engine.Metrics.counter m ~labels "store_refreshes";
           expired = Engine.Metrics.counter m ~labels "store_expired";
           sweep_visited = Engine.Metrics.counter m ~labels "store_sweep_visited";
-          domain_batches = Engine.Metrics.counter m ~labels "domain_batches";
-          domain_tasks = Engine.Metrics.counter m ~labels "domain_tasks";
           tracer = trace;
         })
       metrics
@@ -322,22 +313,10 @@ let create ?metrics ?(labels = []) ?trace ?pool ?(shards = 1) ?(condense = 1.0)
       Array.init shards (fun _ ->
           { expiry = Heap.create ~capacity:256 (); hosts = Hashtbl.create 64 });
     node_index = Hashtbl.create 256;
-    pool = (match pool with Some p -> p | None -> Engine.Dpool.default ());
     top = Topk.create ();
     visit = Can_overlay.Cursor.create ();
     obs;
   }
-
-(* Dispatch accounting: batch/task counts depend only on the call sites
-   and shard count, never on the pool size, so they are byte-identical
-   across single- and multi-domain runs. *)
-let pool_run t n f =
-  (match t.obs with
-  | Some o ->
-    Engine.Metrics.incr o.domain_batches;
-    Engine.Metrics.add o.domain_tasks n
-  | None -> ());
-  Engine.Dpool.run t.pool n f
 
 let can t = t.can
 let shard_count t = Array.length t.shards
@@ -685,27 +664,26 @@ let entries_at_host t host =
       | None -> acc)
     t.maps 0
 
-(* Per-host entry counts for every overlay node, computed in shard-count
-   many read-only chunks (the chunk count is tied to the shard count, not
-   the pool size, so dispatch accounting stays pool-size-invariant).
-   Task j counts the j-th contiguous slice of the node-id array; the
-   slices concatenate back in node order, identical to a sequential
-   map. *)
+(* Per-host live-entry counts for every overlay node, in node-id order:
+   one pass over every map's host buckets.  A bucket of a host that is
+   no longer a member (it left before a [rehost]) counts for no one. *)
 let host_counts t =
-  let ids = Can_overlay.node_ids t.can in
-  let n = Array.length ids in
-  if n = 0 then [||]
-  else begin
-    let chunks = min n (Array.length t.shards) in
-    let per = (n + chunks - 1) / chunks in
-    let slices =
-      pool_run t chunks (fun j ->
-          let lo = j * per in
-          let hi = min n (lo + per) in
-          Array.init (max 0 (hi - lo)) (fun k -> entries_at_host t ids.(lo + k)))
-    in
-    Array.concat (Array.to_list slices)
-  end
+  let now = t.clock () and stamps = t.slab.Slab.stamps in
+  let counts = Hashtbl.create 1024 in
+  Hashtbl.iter
+    (fun _ m ->
+      Hashtbl.iter
+        (fun host b ->
+          let c = ref 0 in
+          Bucket.iter (fun slot -> if stamps.(slot) > now then incr c) b;
+          if !c > 0 then
+            Hashtbl.replace counts host
+              (!c + Option.value ~default:0 (Hashtbl.find_opt counts host)))
+        m.by_host)
+    t.maps;
+  Array.map
+    (fun id -> Option.value ~default:0 (Hashtbl.find_opt counts id))
+    (Can_overlay.node_ids t.can)
 
 let avg_entries_per_node t =
   let counts = host_counts t in
@@ -723,93 +701,54 @@ let hosting_stats t =
   in
   Prelude.Stats.summarize (Array.of_list counts)
 
-(* Sweeping is split into a {e scan} phase that may run on the shard's
-   pool slot and an {e apply} phase that always runs on the coordinator
-   (DESIGN.md §12).
-
-   Scan pops the shard's heap while the minimum stamp is due.  Each
-   popped record is checked against the current map contents: only a
-   record whose entry is still exactly the one in the map, and whose
-   current stamp is due, is a purge candidate; everything else is a stale
-   record from a superseded stamp.  The scan mutates nothing but the
-   shard-private heap — map reads are concurrent-safe because nothing
-   writes the maps while a scan batch is in flight — so scanning shards
-   in parallel observes exactly the state a sequential sweep would.
-   [claimed] replays the sequential semantics for duplicate due records
-   of one entry (stamp moved, both stamps due): only the first purges.
-   A candidate is its (region key, slot): no slot is handed out between
-   the scan and the apply.  Cost: O((expired + stale) * log heap) —
-   independent of the number of live entries. *)
-let scan_shard_due t i now =
-  let heap = t.shards.(i).expiry in
-  let visited = ref 0 in
-  let claimed = Hashtbl.create 64 in
-  let due = ref [] in
-  let rec loop () =
-    match Heap.peek heap with
-    | Some (prio, _) when prio <= now ->
-      (match Heap.pop heap with
-      | Some (_, r) ->
-        incr visited;
-        (match Hashtbl.find_opt t.maps r.hr_key with
-        | Some m ->
-          (match Hashtbl.find m.entries r.hr_entry.Entry.node with
-          | slot
-            when t.slab.Slab.ents.(slot) == r.hr_entry
-                 && r.hr_entry.Entry.expires <= now
-                 && not (Hashtbl.mem claimed (r.hr_key, r.hr_entry.Entry.node)) ->
-            Hashtbl.replace claimed (r.hr_key, r.hr_entry.Entry.node) ();
-            due := (r.hr_key, slot) :: !due
-          | _ | (exception Not_found) -> ())
-        | None -> ());
-        loop ()
-      | None -> ())
-    | Some _ | None -> ()
-  in
-  loop ();
-  (List.rev !due, !visited)
-
-(* Apply a scan's purge candidates in scan order, on the coordinator —
-   the deterministic merge point for cross-shard effects. *)
-let apply_purges t due =
-  List.map
-    (fun (key, slot) ->
-      let m = Hashtbl.find t.maps key in
-      let cur = t.slab.Slab.ents.(slot) in
-      remove_entry t ~key m slot;
-      (m.region, cur))
-    due
-
-let observe_sweep t ~visited ~purged =
-  match t.obs with
+(* Sweep shards [lo..hi] in index order.  Each shard pops its heap while
+   the minimum stamp is due and purges at once each record whose entry is
+   still exactly the one in its map and whose current stamp is due; every
+   other record is stale, from a superseded stamp, a retraction or an
+   earlier purge of the same entry.  Cost: O((expired + stale) * log
+   heap), independent of the number of live entries. *)
+let sweep_range t lo hi =
+  let now = t.clock () in
+  let visited = ref 0 and purged = ref [] in
+  for i = lo to hi do
+    let heap = t.shards.(i).expiry in
+    let rec loop () =
+      match Heap.peek heap with
+      | Some (prio, _) when prio <= now ->
+        (match Heap.pop heap with
+        | Some (_, r) ->
+          incr visited;
+          (match Hashtbl.find_opt t.maps r.hr_key with
+          | Some m ->
+            (match Hashtbl.find m.entries r.hr_entry.Entry.node with
+            | slot when t.slab.Slab.ents.(slot) == r.hr_entry && r.hr_entry.Entry.expires <= now ->
+              remove_entry t ~key:r.hr_key m slot;
+              purged := (m.region, r.hr_entry) :: !purged
+            | _ | (exception Not_found) -> ())
+          | None -> ());
+          loop ()
+        | None -> ())
+      | Some _ | None -> ()
+    in
+    loop ()
+  done;
+  let purged = List.rev !purged in
+  (match t.obs with
   | None -> ()
   | Some o ->
-    Engine.Metrics.add o.sweep_visited visited;
+    Engine.Metrics.add o.sweep_visited !visited;
     Engine.Metrics.add o.expired (List.length purged);
     Option.iter
       (fun tr ->
         Engine.Trace.emit tr (Engine.Trace.Ttl_sweep { purged = List.length purged }) ~node:(-1))
-      o.tracer
+      o.tracer);
+  purged
 
 let sweep_shard t i =
   if i < 0 || i >= Array.length t.shards then invalid_arg "Store.sweep_shard: shard out of range";
-  (* Between batches the coordinator owns every shard (DESIGN.md §12);
-     a one-task batch could only block it while a worker scanned. *)
-  let due, visited = scan_shard_due t i (t.clock ()) in
-  let purged = apply_purges t due in
-  observe_sweep t ~visited ~purged;
-  purged
+  sweep_range t i i
 
-let sweep_expired t =
-  let now = t.clock () in
-  (* One batch: shard i's scan is task i (stable placement keeps each heap
-     on its slot), then the purges apply sequentially in shard order —
-     the same order the sequential per-shard loop used. *)
-  let scans = pool_run t (Array.length t.shards) (fun i -> scan_shard_due t i now) in
-  let visited = Array.fold_left (fun acc (_, v) -> acc + v) 0 scans in
-  let purged = List.concat_map (fun (due, _) -> apply_purges t due) (Array.to_list scans) in
-  observe_sweep t ~visited ~purged;
-  purged
+let sweep_expired t = sweep_range t 0 (Array.length t.shards - 1)
 
 let expire_sweep t = List.length (sweep_expired t)
 
@@ -871,11 +810,9 @@ let rehost_shard t i =
     detached
 
 let rehost t =
-  (* Shard-disjoint: task i re-places entries of the maps shard i owns and
-     writes only their buckets and shard i's host index.  [owner_of] is a
-     pure read of the overlay, and bucket order is unobservable, so the
-     result is independent of the pool size. *)
-  ignore (pool_run t (Array.length t.shards) (rehost_shard t))
+  for i = 0 to Array.length t.shards - 1 do
+    rehost_shard t i
+  done
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 

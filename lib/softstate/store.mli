@@ -53,16 +53,9 @@ val create :
     sharding never changes which entries exist, only how sweep work is
     scheduled (see {!sweep_shard}).
 
-    [pool] (default {!Engine.Dpool.default}[ ()]) hosts the store's
-    shard-parallel phases: the {!sweep_expired} {e scans}, {!rehost} and
-    the {!hosting_stats} counting pass fan out one read-only (or
-    shard-disjoint) task per shard, while every mutation of shared state
-    is applied on the calling domain in shard order.  {!sweep_shard}
-    runs on the calling domain.  The contract (DESIGN.md §12) guarantees
-    results — including all metrics below — are byte-identical across
-    pool sizes; shard [i]'s expiry heap is touched only from slot
-    [i mod size] of the pool during a batch and from the calling domain
-    otherwise.
+    [pool] is ignored ({!Engine.Dpool} is a stub): every phase runs on
+    the calling domain (DESIGN.md §12).  It is kept only so [bench/perf]
+    builds, and ROADMAP item 7 deletes it.
 
     [condense] (default 1.0) is the paper's map condense/reduction rate:
     the map of a region occupies the sub-box of the region with volume
@@ -78,14 +71,7 @@ val create :
     [store_refreshes] / [store_expired] / [store_sweep_visited] counters
     (plus any [labels]); [store_sweep_visited] counts expiry-heap records
     popped by sweeps — it scales with the number of expired entries (plus
-    superseded stamps), not with the total entry population.  It also
-    maintains [domain_batches] / [domain_tasks]: pool batches and tasks
-    issued by the shard-parallel phases ({!sweep_shard} issues none).
-    These count {e dispatch structure} (batches per call site, tasks per
-    shard/chunk), which
-    depends only on the data and the shard count — never on the pool
-    size — so they stay byte-identical between single- and multi-domain
-    runs and serve as regression gates on the parallel plumbing.  With
+    superseded stamps), not with the total entry population.  With
     [trace], every {!publish} emits a [Map_publish {region}] span (node
     = map host, peer = described node) and every sweep a
     [Ttl_sweep {purged}] span. *)
@@ -220,19 +206,16 @@ val sweep_expired : t -> (int array * Entry.t) list
     notifications for the region's subscribers.  Sweeps every shard; the
     cost is O(expired · log heap), independent of the live population, and
     the purge order is deterministic (ascending expiry within a shard,
-    shards in index order).
-
-    Runs as one pool batch of shard-count scan tasks: each shard's heap
-    is popped and its due entries collected on the shard's pool slot
-    (reads only), then all purges are applied on the calling domain in
-    shard order — reproducing the sequential purge order exactly. *)
+    shards in index order).  It is {!sweep_shard} over shards
+    [0 .. shard_count - 1] in order, observed as one sweep: one
+    [Ttl_sweep] span. *)
 
 val sweep_shard : t -> int -> (int array * Entry.t) list
 (** Sweep a single shard (raises [Invalid_argument] out of range) — the
     unit of work a maintenance plane schedules independently per shard so
-    no single sweep touches the whole store.  Scan and purges both run
-    on the calling domain, between pool batches, and dispatch nothing to
-    the pool. *)
+    no single sweep touches the whole store.  Each due heap record is
+    purged as it is popped; a later due record of an entry already
+    purged finds no entry and is skipped. *)
 
 val inject_staleness : t -> rng:Prelude.Rng.t -> fraction:float -> int
 (** Fault injection: age a random [fraction] of all live entries to
@@ -251,11 +234,7 @@ val rehost : t -> unit
     one it had when it was first given a bucket or last re-placed
     ([Can.Overlay] makes a new node record on every join and a new path
     array on every zone change, and never writes one in place).
-
-    Shard-parallel, one pool batch of shard-count tasks: task [i] reads
-    and writes only shard [i]'s host index and the buckets of the maps
-    shard [i] owns, so no two tasks share state and the result is
-    independent of the pool size. *)
+    Shards are re-placed in index order. *)
 
 val check_invariants : t -> (unit, string) result
 (** Entry positions lie in their map boxes; hosting matches CAN ownership;

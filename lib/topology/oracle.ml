@@ -31,10 +31,7 @@ type backend =
   | Hierarchical of hierarchical
   | Dense of { nodes : int; all_pairs : float array }  (* nodes^2, row stride nodes *)
 
-(* No pool task measures today: the probe plane measures on the calling
-   domain.  The budget stays an atomic so [measure] remains domain-safe,
-   and an atomic sum is independent of execution order. *)
-type t = { backend : backend; count : int Atomic.t }
+type t = { backend : backend; mutable count : int  (* measurements so far *) }
 
 let build (topo : Transit_stub.t) =
   let n = Graph.node_count topo.graph in
@@ -102,7 +99,7 @@ let build (topo : Transit_stub.t) =
           aw;
           tr;
         };
-    count = Atomic.make 0;
+    count = 0;
   }
 
 let of_graph graph =
@@ -114,7 +111,7 @@ let of_graph graph =
     Dijkstra.distances_into ws graph src row;
     Array.blit row 0 all_pairs (src * n) n
   done;
-  { backend = Dense { nodes = n; all_pairs }; count = Atomic.make 0 }
+  { backend = Dense { nodes = n; all_pairs }; count = 0 }
 
 let topology t =
   match t.backend with Hierarchical h -> Some h.topo | Dense _ -> None
@@ -149,11 +146,11 @@ let dist t u v =
   end
 
 let measure t u v =
-  Atomic.incr t.count;
+  t.count <- t.count + 1;
   dist t u v
 
-let measurements t = Atomic.get t.count
-let reset_measurements t = Atomic.set t.count 0
+let measurements t = t.count
+let reset_measurements t = t.count <- 0
 
 let nearest t u candidates =
   let best = ref None in

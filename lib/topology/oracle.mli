@@ -34,11 +34,7 @@ val dist : t -> int -> int -> float
     measurement. *)
 
 val measure : t -> int -> int -> float
-(** Same as [dist] but increments the RTT-measurement counter.  No pool
-    task measures today (the probe plane measures on the calling
-    domain); the counter stays atomic and [dist] is a pure lookup, so
-    [measure] remains safe to call from any domain and the count stays
-    independent of execution order. *)
+(** Same as [dist] but increments the RTT-measurement counter. *)
 
 val measurements : t -> int
 (** Number of [measure] calls since creation or the last reset. *)

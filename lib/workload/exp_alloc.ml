@@ -6,11 +6,9 @@
    counter read immediately around the measured calls only — fixture
    rebuilding between measured windows is excluded.  Minor-word counts
    are a pure function of the allocations the measured code performs, so
-   for a seeded, single-domain workload they are exactly reproducible
-   and [bench/compare.exe] holds them to exact integer equality (its
-   allocation-budget section).  The store runs on an explicit 1-domain
-   pool so the budget is independent of the TOPOAWARE_DOMAINS matrix
-   leg, per the DESIGN.md §12 pool-size-transparency contract.
+   for a seeded workload they are exactly reproducible and
+   [bench/compare.exe] holds them to exact integer equality (its
+   allocation-budget section).
 
    The budgets are words per op, truncated: [alloc_minor_words_per_route]
    (one eCAN expressway route), [alloc_minor_words_per_can_route] (one
@@ -109,9 +107,7 @@ let route_op () =
 let can_route_op () =
   let can = substrate_can 91 in
   let store =
-    Store.create ~pool:(Engine.Dpool.get ~domains:1)
-      ~scheme:(Number.default_scheme ~max_latency:400.0 ())
-      can
+    Store.create ~scheme:(Number.default_scheme ~max_latency:400.0 ()) can
   in
   for node = 0 to substrate - 1 do
     Store.publish_all store ~span_bits:2 ~node ~vector:(vector_of node)
@@ -155,7 +151,6 @@ let sweep_op () =
   let clock = ref 0.0 in
   let store =
     Store.create ~shards:4 ~default_ttl:sweep_ttl
-      ~pool:(Engine.Dpool.get ~domains:1)
       ~clock:(fun () -> !clock)
       ~scheme:(Number.default_scheme ~max_latency:400.0 ())
       can
@@ -199,9 +194,7 @@ let sssp_op () =
 let lookup_op () =
   let can = substrate_can 51 in
   let store =
-    Store.create ~pool:(Engine.Dpool.get ~domains:1)
-      ~scheme:(Number.default_scheme ~max_latency:400.0 ())
-      can
+    Store.create ~scheme:(Number.default_scheme ~max_latency:400.0 ()) can
   in
   for node = 0 to substrate - 1 do
     Store.publish_all store ~span_bits:2 ~node ~vector:(vector_of node)
@@ -237,9 +230,7 @@ let rehost_op () =
   for _ = 1 to rehost_rounds do
     let can = substrate_can 71 in
     let store =
-      Store.create ~pool:(Engine.Dpool.get ~domains:1)
-        ~scheme:(Number.default_scheme ~max_latency:400.0 ())
-        can
+      Store.create ~scheme:(Number.default_scheme ~max_latency:400.0 ()) can
     in
     for node = 0 to substrate - 1 do
       Store.publish_all store ~span_bits:2 ~node ~vector:(vector_of node)
@@ -255,9 +246,7 @@ let rehost_op () =
    next one round-robin, so the region always holds [substrate]. *)
 let resubscribe_op () =
   let store =
-    Store.create ~pool:(Engine.Dpool.get ~domains:1)
-      ~scheme:(Number.default_scheme ~max_latency:400.0 ())
-      (substrate_can 81)
+    Store.create ~scheme:(Number.default_scheme ~max_latency:400.0 ()) (substrate_can 81)
   in
   let bus = Bus.create store in
   let handler _ = () in
@@ -272,15 +261,14 @@ let resubscribe_op () =
       Bus.unsubscribe bus subs.(i);
       subs.(i) <- subscribe i)
 
-(* A [substrate]-member build with the default Hybrid strategy on a
-   pinned 1-domain pool, every member published. *)
+(* A [substrate]-member build with the default Hybrid strategy, every
+   member published. *)
 let fixture_build oracle seed =
   Builder.build oracle
     {
       Builder.default_config with
       Builder.overlay_size = substrate;
       landmark_count = 8;
-      domains = 1;
       seed;
     }
 

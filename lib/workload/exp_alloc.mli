@@ -10,8 +10,7 @@
     [_resubscribe] as counters, which
     [bench/compare.exe]'s allocation-budget section holds to {e exact}
     integer equality: any allocation regression on a hot path fails the
-    gate.  Single-domain by construction (explicit 1-domain pool), so
-    the numbers are identical across TOPOAWARE_DOMAINS legs. *)
+    gate. *)
 
 val run : ?scale:int -> Format.formatter -> unit
 (** Registry entry; [scale] is accepted for registry uniformity but the

@@ -11,8 +11,7 @@
    and distance queries against the flat layouts.
 
    Every printed cell and recorded metric is deterministic: the metrics
-   are labelled with the node count and are byte-identical across runs
-   and domain-pool sizes. *)
+   are labelled with the node count and are byte-identical across runs. *)
 
 module Ts = Topology.Transit_stub
 module Oracle = Topology.Oracle

@@ -5,7 +5,7 @@
     at a scale the boxed seed representations could not reach in CI.
 
     Records [bigscale_*] gauges labelled [nodes=N] into the global
-    registry (deterministic, pool-size-invariant). *)
+    registry (deterministic from the seed and scale). *)
 
 val run : ?scale:int -> Format.formatter -> unit
 (** Registry entry.  [scale <= 8] runs the 2^14 and 2^17 rows with a

@@ -134,10 +134,7 @@ val ecan_outcomes :
     batches notifications into per-(subscriber, region) digests
     ({!Pubsub.Bus.create}); [probe_window] (default 1, i.e. sequential)
     sets the probe plane's concurrency ({!Engine.Probe}) — it changes
-    modelled probe wall-clock only, never which probes are sent.  The
-    store runs on the ambient {!Engine.Dpool.default} pool, whose size
-    changes real wall-clock only, never any result or metric
-    (DESIGN.md §12).  [labels] (default [[("experiment", "churn")]]) is
+    modelled probe wall-clock only, never which probes are sent.  [labels] (default [[("experiment", "churn")]]) is
     the label set the whole eCAN stack reports under in the global
     registry, so other experiments (e.g. the big-scale rows) can reuse
     this driver without colliding with the churn experiment's

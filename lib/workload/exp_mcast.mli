@@ -61,11 +61,9 @@ val data :
     order.  [policy] restricts the eCAN pair to one placement arm
     (default: both, first [Aware] then [Random]).  [degree] is the tree
     fanout bound (default 3), [group_size] the subscriber count (default
-    scales with [scale], clamped to the overlay).  The stores run on the
-    ambient {!Engine.Dpool.default} pool and the determinism contract
-    (DESIGN §12) holds: with a fresh [metrics] registry the metrics JSON
-    is byte-identical across pool sizes and across repeated same-seed
-    runs. *)
+    scales with [scale], clamped to the overlay).  The determinism
+    contract (DESIGN §12) holds: with a fresh [metrics] registry the
+    metrics JSON is byte-identical across repeated same-seed runs. *)
 
 val record_stats : Engine.Metrics.t -> stats -> unit
 (** Record one row's summary gauges ([mcast_delivery_p50_ms] /

@@ -43,8 +43,6 @@ let all =
       (fun ?scale ppf -> Exp_mcast.run ?scale ppf);
     entry "degree" "Constant-degree frontier: choice budget k vs stretch / maintenance / repair"
       (fun ?scale ppf -> Exp_degree.run ?scale ppf);
-    entry "domains" "Domain-parallel hosting: byte-identical metrics across pool sizes"
-      (fun ?scale ppf -> Exp_domains.run ?scale ppf);
     entry "alloc" "Allocation budget: exact minor words per hot-path op"
       (fun ?scale ppf -> Exp_alloc.run ?scale ppf);
     entry "bigscale" "Raw speed: churn rows on 2^14..2^17-node transit-stub topologies"

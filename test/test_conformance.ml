@@ -4,14 +4,13 @@
    oracle, join/leave, stabilization, invariants — so the properties the
    per-backend suites used to copy (routes terminate within the hop
    bound, routes end at the oracle's owner, churn preserves invariants,
-   same-seed and domains-1-vs-4 metrics JSON are byte-identical per
-   DESIGN §12) are written exactly once. *)
+   same-seed metrics JSON is byte-identical per DESIGN §12) are written
+   exactly once. *)
 
 module Rng = Prelude.Rng
 module Point = Geometry.Point
 module Metrics = Engine.Metrics
 module Trace = Engine.Trace
-module Dpool = Engine.Dpool
 module Json = Prelude.Json
 
 type backend = {
@@ -202,45 +201,38 @@ let qcheck_churn_preserves_invariants (name, make) =
       done;
       !ok)
 
-(* ---- determinism: same seed and domains 1 vs 4 give byte-identical
-   metrics JSON (DESIGN §12) ---- *)
+(* ---- determinism: two runs with one seed give byte-identical metrics
+   JSON (DESIGN §12) ---- *)
 
-let with_default_pool ~domains f =
-  Dpool.set_default (Some (Dpool.get ~domains));
-  Fun.protect ~finally:(fun () -> Dpool.set_default None) f
-
-let workload_json make ~seed ~domains =
-  with_default_pool ~domains (fun () ->
-      let m = Metrics.create () in
-      let b = make ~seed ~n:32 in
-      let labels = [ ("overlay", b.name) ] in
-      let routes = Metrics.counter m ~labels "conf_routes" in
-      let failures = Metrics.counter m ~labels "conf_failures" in
-      let hops = Metrics.histogram m ~labels "conf_hops" in
-      let rng = Rng.create (seed + 4) in
-      let next_id = ref 20_000 in
-      for step = 1 to 24 do
-        (if step mod 3 = 0 then begin
-           if Array.length (b.members ()) > 8 then b.leave (Rng.pick rng (b.members ()));
-           b.join !next_id;
-           incr next_id;
-           b.stabilize ()
-         end);
-        let key = Rng.int rng b.key_space in
-        match b.route ~src:(Rng.pick rng (b.members ())) ~key with
-        | Some h ->
-          Metrics.incr routes;
-          Metrics.observe hops (float_of_int (List.length h - 1))
-        | None -> Metrics.incr failures
-      done;
-      Json.to_string (Metrics.to_json m))
+let workload_json make ~seed =
+  let m = Metrics.create () in
+  let b = make ~seed ~n:32 in
+  let labels = [ ("overlay", b.name) ] in
+  let routes = Metrics.counter m ~labels "conf_routes" in
+  let failures = Metrics.counter m ~labels "conf_failures" in
+  let hops = Metrics.histogram m ~labels "conf_hops" in
+  let rng = Rng.create (seed + 4) in
+  let next_id = ref 20_000 in
+  for step = 1 to 24 do
+    (if step mod 3 = 0 then begin
+       if Array.length (b.members ()) > 8 then b.leave (Rng.pick rng (b.members ()));
+       b.join !next_id;
+       incr next_id;
+       b.stabilize ()
+     end);
+    let key = Rng.int rng b.key_space in
+    match b.route ~src:(Rng.pick rng (b.members ())) ~key with
+    | Some h ->
+      Metrics.incr routes;
+      Metrics.observe hops (float_of_int (List.length h - 1))
+    | None -> Metrics.incr failures
+  done;
+  Json.to_string (Metrics.to_json m)
 
 let test_deterministic_json (name, make) () =
-  let a = workload_json make ~seed:97 ~domains:1 in
-  let b = workload_json make ~seed:97 ~domains:1 in
-  Alcotest.(check string) (name ^ " same seed is byte-identical") a b;
-  let c = workload_json make ~seed:97 ~domains:4 in
-  Alcotest.(check string) (name ^ " domains 1 vs 4 is byte-identical") a c
+  let a = workload_json make ~seed:97 in
+  let b = workload_json make ~seed:97 in
+  Alcotest.(check string) (name ^ " same seed is byte-identical") a b
 
 (* ---- route accounting: every overlay reports its routes through the
    same observer (route_requests / route_failures / route_hops labeled
@@ -376,7 +368,7 @@ let suite =
         QCheck_alcotest.to_alcotest (qcheck_lookup_matches_oracle entry);
         QCheck_alcotest.to_alcotest (qcheck_churn_preserves_invariants entry);
         Alcotest.test_case
-          (name ^ ": metrics JSON deterministic across seed and domains")
+          (name ^ ": metrics JSON deterministic across same-seed runs")
           `Quick
           (test_deterministic_json entry);
       ])

@@ -1,7 +1,7 @@
 (* Engine.Mcast + Workload.Exp_mcast: tree invariants under seeded churn
    storms, placement/relay semantics on a toy line network, regraft
    latency through the trace analyzer, and the experiment's determinism
-   contract (same-seed byte-identical metrics, domains 1 vs 4). *)
+   contract (same-seed byte-identical metrics). *)
 
 module Mcast = Engine.Mcast
 module Trace = Engine.Trace
@@ -351,21 +351,6 @@ let test_exp_mcast_metrics_deterministic () =
     && contains "mcast_link_stress" json1
     && contains "mcast_regrafts" json1)
 
-let test_exp_mcast_domains_identical () =
-  (* The determinism contract: an ambient domain pool of 1 or 4 must not
-     change a byte of the metrics dump. *)
-  let dump domains =
-    Engine.Dpool.set_default (Some (Engine.Dpool.get ~domains));
-    Fun.protect
-      ~finally:(fun () -> Engine.Dpool.set_default None)
-      (fun () ->
-        let metrics = Metrics.create () in
-        let stats = Workload.Exp_mcast.data ~scale:exp_scale ~metrics () in
-        List.iter (Workload.Exp_mcast.record_stats metrics) stats;
-        Json.to_string (Metrics.to_json metrics))
-  in
-  Alcotest.(check string) "domains 1 vs 4 byte-identical" (dump 1) (dump 4)
-
 let suite =
   [
     Alcotest.test_case "create/subscribe/drop/regraft validation" `Quick test_validation;
@@ -381,6 +366,4 @@ let suite =
       test_exp_mcast_ordering;
     Alcotest.test_case "exp: metrics byte-identical across same-seed runs" `Slow
       test_exp_mcast_metrics_deterministic;
-    Alcotest.test_case "exp: metrics byte-identical across domain pools" `Slow
-      test_exp_mcast_domains_identical;
   ]

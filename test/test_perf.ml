@@ -8,7 +8,6 @@ module Dijkstra = Topology.Dijkstra
 module Waxman = Topology.Waxman
 module Rng = Prelude.Rng
 module Metrics = Engine.Metrics
-module Dpool = Engine.Dpool
 module Json = Prelude.Json
 
 (* ---- CSR vs edge-list model ---- *)
@@ -148,8 +147,7 @@ let qcheck_workspace_reuse_is_pure =
 (* The fixtures are `bench --only NAME --scale 16 --json` dumps captured
    before the CSR/flat-oracle/bucket-store refactor.  The raw-speed pass
    is gated on not changing a single metrics byte, so each experiment is
-   replayed through the same harness test_domains uses and compared
-   byte-for-byte. *)
+   replayed through the registry and compared byte-for-byte. *)
 let experiment_json name =
   Metrics.reset Metrics.global;
   let buf = Buffer.create 4096 in
@@ -162,10 +160,6 @@ let experiment_json name =
   Metrics.reset Metrics.global;
   json
 
-let with_default_pool ~domains f =
-  Dpool.set_default (Some (Dpool.get ~domains));
-  Fun.protect ~finally:(fun () -> Dpool.set_default None) f
-
 let read_fixture name =
   let path = Filename.concat "fixtures" ("identity_" ^ name ^ ".json") in
   let ic = open_in_bin path in
@@ -175,7 +169,7 @@ let read_fixture name =
 
 let test_fixture_identity name () =
   let expected = read_fixture name in
-  let got = with_default_pool ~domains:1 (fun () -> experiment_json name) in
+  let got = experiment_json name in
   (* bench/main.exe terminates the dump with a newline. *)
   Alcotest.(check string) (name ^ " metrics JSON is byte-identical") expected (got ^ "\n")
 
@@ -191,4 +185,4 @@ let suite =
   @ List.map
       (fun name ->
         Alcotest.test_case ("fixture identity: " ^ name) `Slow (test_fixture_identity name))
-      [ "storm"; "churn"; "cache"; "repair"; "domains"; "mcast"; "degree" ]
+      [ "storm"; "churn"; "cache"; "repair"; "mcast"; "degree" ]

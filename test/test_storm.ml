@@ -521,7 +521,6 @@ let qcheck_index_matches_scans =
           span_bits;
           landmark_count = 4;
           strategy = Core.Strategy.Random_pick;
-          domains = 1;
           seed;
         }
       in
