@@ -138,19 +138,22 @@ let circular_dist t a b =
   let d = abs (a - b) in
   min d (t.id_space - d)
 
+(* The numerically closest node is the key's ring successor or its
+   predecessor in the sorted index; on a tie the smaller Pastry id wins. *)
 let owner_of t key =
   let arr = index t in
-  if Array.length arr = 0 then failwith "Pastry.owner_of: empty mesh";
+  let n = Array.length arr in
+  if n = 0 then failwith "Pastry.owner_of: empty mesh";
   let key = ((key mod t.id_space) + t.id_space) mod t.id_space in
-  let best = ref None in
-  Array.iter
-    (fun (pid, id) ->
-      let d = circular_dist t pid key in
-      match !best with
-      | Some (bd, bpid, _) when (bd, bpid) <= (d, pid) -> ()
-      | _ -> best := Some (d, pid, id))
-    arr;
-  match !best with Some (_, _, id) -> id | None -> assert false
+  (* First index whose id is >= key; n wraps to the lowest id. *)
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if fst arr.(mid) < key then lo := mid + 1 else hi := mid
+  done;
+  let s_pid, s_id = arr.(!lo mod n) and p_pid, p_id = arr.((!lo + n - 1) mod n) in
+  let ds = circular_dist t s_pid key and dp = circular_dist t p_pid key in
+  if ds < dp || (ds = dp && s_pid < p_pid) then s_id else p_id
 
 let members_with_prefix t digits =
   let len = Array.length digits in

@@ -97,6 +97,34 @@ let test_remove_node () =
         (List.nth hops (List.length hops - 1))
   done
 
+(* [owner_of] against a scan of every member: the smallest (circular
+   distance, Pastry id).  A 16-id space makes equal distances on both
+   sides of a key common, and keys outside [0, 16) wrap around. *)
+let qcheck_owner_matches_scan =
+  QCheck.Test.make ~name:"owner_of = closest-id scan (ties, wrap-around)" ~count:300
+    QCheck.(pair (int_range 1 12) small_nat)
+    (fun (n, seed) ->
+      let t = Mesh.create ~digit_bits:1 ~num_digits:4 () in
+      let rng = Rng.create seed in
+      for id = 0 to n - 1 do
+        Mesh.add_node t ~rng id
+      done;
+      let space = 16 in
+      let scan key =
+        let k = ((key mod space) + space) mod space in
+        let rank id =
+          let pid = Mesh.pastry_id t id in
+          let d = abs (pid - k) in
+          (min d (space - d), pid)
+        in
+        Array.fold_left
+          (fun best id -> if rank id < rank best then id else best)
+          0 (Mesh.node_ids t)
+      in
+      List.for_all
+        (fun key -> Mesh.owner_of t key = scan key)
+        (List.init (3 * space) (fun i -> i - space)))
+
 (* Generic routing/owner/log-hop properties live in the shared
    backend-conformance suite (test_conformance.ml). *)
 let suite =
@@ -108,4 +136,5 @@ let suite =
     Alcotest.test_case "table invariants" `Quick test_invariants;
     Alcotest.test_case "leaf sets" `Quick test_leaves;
     Alcotest.test_case "node removal" `Quick test_remove_node;
+    QCheck_alcotest.to_alcotest qcheck_owner_matches_scan;
   ]
