@@ -183,8 +183,9 @@ let () =
     dump "-" "removed (in baseline, missing from fresh run)" !removed;
     dump "+" "added (in fresh run, not in baseline)" !added;
     prerr_endline
-      "  deliberate change? regenerate both baselines with:\n\
-      \      dune exec bench/main.exe -- --scale 8 --json BENCH_BASELINE.json\n\
+      "  deliberate change? regenerate the baselines and the pinned scale-8 stdout with:\n\
+      \      dune exec bench/main.exe -- --scale 8 --json BENCH_BASELINE.json \
+       | sed '$d' > BENCH_BASELINE.txt\n\
       \      dune exec bench/main.exe -- --only join --scale 2 --json \
        BENCH_JOIN_BASELINE.json";
     problem "instrument set drift: %d removed, %d added" (List.length !removed)

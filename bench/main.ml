@@ -48,7 +48,7 @@ let () =
     | None -> Registry.run_all ~scale:!scale
     | Some id ->
       (match Registry.find id with
-      | Some e -> e.Registry.run ~scale:!scale
+      | Some e -> Registry.print e ~scale:!scale
       | None ->
         Format.eprintf "unknown experiment %S; known:@." id;
         List.iter (fun e -> Format.eprintf "  %s@." e.Registry.name) Registry.all;

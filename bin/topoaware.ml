@@ -99,7 +99,7 @@ let experiment_cmd =
     else begin
       match Workload.Registry.find id with
       | Some e ->
-        e.Workload.Registry.run ~scale ppf;
+        Workload.Registry.print e ~scale ppf;
         `Ok ()
       | None -> `Error (false, Printf.sprintf "unknown experiment %S (try 'list')" id)
     end
@@ -327,8 +327,9 @@ let churn_cmd =
         }
       in
       let channel = { Engine.Faults.loss; delay_min = 5.0; delay_max = 50.0 } in
-      Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~probe_window ~storm
-        ~channel ppf;
+      Workload.Tableout.render ppf
+        (Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~probe_window ~storm
+           ~channel ());
       `Ok ()
     end
   in
@@ -347,7 +348,7 @@ let churn_cmd =
 let repair_cmd =
   let run verbose seed scale =
     setup_logs verbose;
-    Workload.Exp_repair.run ~scale ~seed ppf
+    Workload.Tableout.render ppf (Workload.Exp_repair.run ~scale ~seed ())
   in
   Cmd.v
     (Cmd.info "repair"
@@ -383,7 +384,7 @@ let cache_cmd =
     else if replicas < 1 then `Error (false, "--replicas must be >= 1")
     else begin
       setup_logs verbose;
-      Workload.Exp_cache.run_custom ~scale ~seed ~zipf_s ?clients ~replicas ppf;
+      Workload.Tableout.render ppf (Workload.Exp_cache.run ~scale ~seed ~zipf_s ?clients ~replicas ());
       `Ok ()
     end
   in
@@ -403,7 +404,7 @@ let cache_cmd =
 let degree_cmd =
   let run verbose seed scale =
     setup_logs verbose;
-    Workload.Exp_degree.run_custom ~scale ~seed ppf;
+    Workload.Tableout.render ppf (Workload.Exp_degree.run ~scale ~seed ());
     `Ok ()
   in
   Cmd.v
@@ -440,7 +441,7 @@ let mcast_cmd =
     else if degree < 1 then `Error (false, "--degree must be >= 1")
     else begin
       setup_logs verbose;
-      Workload.Exp_mcast.run_custom ~scale ~seed ?group_size ~degree ?policy ppf;
+      Workload.Tableout.render ppf (Workload.Exp_mcast.run ~scale ~seed ?group_size ~degree ?policy ());
       `Ok ()
     end
   in

@@ -37,4 +37,4 @@ let () =
 
   (* Chord and Pastry under the same three policies (the workload module
      drives both and prints its own table). *)
-  Workload.Exp_xoverlay.run ~scale:2 ppf
+  Workload.Tableout.render ppf (Workload.Exp_xoverlay.run ~scale:2 ())

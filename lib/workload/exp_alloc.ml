@@ -312,35 +312,30 @@ let leave_op () =
   done;
   int_of_float !total / leave_rounds
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   ignore scale;
-  let route_words = route_op () in
-  let can_route_words = can_route_op () in
-  let rtt_hit_words = rtt_hit_op () in
-  let sweep_words = sweep_op () in
-  let sssp_words = sssp_op () in
-  let lookup_words = lookup_op () in
-  let join_words = join_op () in
-  let rehost_words = rehost_op () in
-  let resubscribe_words = resubscribe_op () in
-  let slot_select_words = slot_select_op () in
-  let leave_words = leave_op () in
-  let metrics = Metrics.global in
-  let c name v = Metrics.add (Metrics.counter metrics name) v in
-  c "alloc_minor_words_per_route" route_words;
-  c "alloc_minor_words_per_can_route" can_route_words;
-  c "alloc_minor_words_per_rtt_hit" rtt_hit_words;
-  c "alloc_minor_words_per_sweep" sweep_words;
-  c "alloc_minor_words_per_sssp" sssp_words;
-  c "alloc_minor_words_per_lookup" lookup_words;
-  c "alloc_minor_words_per_join" join_words;
-  c "alloc_minor_words_per_rehost" rehost_words;
-  c "alloc_minor_words_per_resubscribe" resubscribe_words;
-  c "alloc_minor_words_per_slot_select" slot_select_words;
-  c "alloc_minor_words_per_leave" leave_words;
-  Metrics.set
-    (Metrics.gauge metrics "alloc_sweep_words_per_entry")
-    (float_of_int sweep_words /. float_of_int sweep_burst);
+  (* Every op is measured, in this order, before any budget is recorded. *)
+  let budgets =
+    List.map
+      (fun (op, budget, measure) -> (op, "alloc_minor_words_per_" ^ budget, measure ()))
+      [
+        ("ecan route (1 message)", "route", route_op);
+        ("can route (store lookup_route)", "can_route", can_route_op);
+        ("probe rtt (fresh cache hit)", "rtt_hit", rtt_hit_op);
+        (Printf.sprintf "ttl sweep (%d expired)" sweep_burst, "sweep", sweep_op);
+        ("dijkstra sssp (reused workspace)", "sssp", sssp_op);
+        ("soft-state lookup (root map)", "lookup", lookup_op);
+        (Printf.sprintf "can join (%d members)" substrate, "join", join_op);
+        ("store rehost (after 1 join)", "rehost", rehost_op);
+        ( Printf.sprintf "bus resubscribe (%d subscribers)" substrate,
+          "resubscribe",
+          resubscribe_op );
+        ( Printf.sprintf "slot select (hybrid, %d members)" substrate,
+          "slot_select",
+          slot_select_op );
+        (Printf.sprintf "maintained leave (%d members)" substrate, "leave", leave_op);
+      ]
+  in
   let table =
     Tableout.create
       ~title:
@@ -352,25 +347,18 @@ let run ?(scale = 1) ppf =
            resubscribe_runs slot_runs leave_rounds)
       ~columns:[ "op"; "minor words/op" ]
   in
-  Tableout.add_row table [ "ecan route (1 message)"; Tableout.cell_i route_words ];
-  Tableout.add_row table [ "can route (store lookup_route)"; Tableout.cell_i can_route_words ];
-  Tableout.add_row table [ "probe rtt (fresh cache hit)"; Tableout.cell_i rtt_hit_words ];
-  Tableout.add_row table
-    [ Printf.sprintf "ttl sweep (%d expired)" sweep_burst; Tableout.cell_i sweep_words ];
-  Tableout.add_row table [ "dijkstra sssp (reused workspace)"; Tableout.cell_i sssp_words ];
-  Tableout.add_row table [ "soft-state lookup (root map)"; Tableout.cell_i lookup_words ];
-  Tableout.add_row table
-    [ Printf.sprintf "can join (%d members)" substrate; Tableout.cell_i join_words ];
-  Tableout.add_row table [ "store rehost (after 1 join)"; Tableout.cell_i rehost_words ];
-  Tableout.add_row table
-    [
-      Printf.sprintf "bus resubscribe (%d subscribers)" substrate;
-      Tableout.cell_i resubscribe_words;
-    ];
-  Tableout.add_row table
-    [ Printf.sprintf "slot select (hybrid, %d members)" substrate; Tableout.cell_i slot_select_words ];
-  Tableout.add_row table
-    [ Printf.sprintf "maintained leave (%d members)" substrate; Tableout.cell_i leave_words ];
-  Tableout.render ppf table;
-  Format.fprintf ppf
-    "  exact budgets: gated by bench/compare.exe's allocation-budget section (integer equality).@."
+  List.iter
+    (fun (op, name, words) ->
+      Metrics.add (Metrics.counter Metrics.global name) words;
+      if name = "alloc_minor_words_per_sweep" then
+        Metrics.set
+          (Metrics.gauge Metrics.global "alloc_sweep_words_per_entry")
+          (float_of_int words /. float_of_int sweep_burst);
+      Tableout.add_row table
+        [ Tableout.text op; Tableout.named ~labels:[] name Tableout.Count (Tableout.fixed 0) ])
+    budgets;
+  [
+    Tableout.table table;
+    Tableout.note
+      "  exact budgets: gated by bench/compare.exe's allocation-budget section (integer equality).";
+  ]

@@ -90,11 +90,7 @@ let backend_of (s : Backend.service) =
 type stats = {
   label : string;
   requests : int;
-  hits : int;
-  misses : int;
   replications : int;
-  sheds : int;
-  failovers : int;
   mean_ms : float;
   p50_ms : float;
   p99_ms : float;
@@ -135,11 +131,7 @@ let run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~req
   {
     label;
     requests = Cache.requests cache;
-    hits = Cache.hits cache;
-    misses = Cache.misses cache;
     replications = Cache.replications cache;
-    sheds = Cache.sheds cache;
-    failovers = Cache.failovers cache;
     mean_ms = Stats.mean latencies;
     p50_ms = Stats.percentile latencies 50.0;
     p99_ms = Stats.percentile latencies 99.0;
@@ -210,16 +202,7 @@ let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?met
     =
   rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace (sizes ~scale ?clients ())
 
-let record_stats metrics s =
-  let labels = [ ("backend", s.label) ] in
-  let g name v = Metrics.set (Metrics.gauge metrics ~labels name) v in
-  g "cache_p50_ms" s.p50_ms;
-  g "cache_p99_ms" s.p99_ms;
-  g "cache_mean_ms" s.mean_ms;
-  g "cache_hit_rate" s.hit_rate;
-  g "cache_max_node_load" (float_of_int s.max_load)
-
-let run_custom ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ppf =
+let run ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) () =
   let metrics = Metrics.global in
   let ((size, clients, universe, rounds, threshold) as dims) = sizes ~scale ?clients () in
   let stats = rows ~scale ~seed ~zipf_s ~replicas ~metrics dims in
@@ -236,18 +219,24 @@ let run_custom ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3
   in
   List.iter
     (fun s ->
-      record_stats metrics s;
+      let g name fmt v = Tableout.gauge ~labels:[ ("backend", s.label) ] name fmt v in
+      (* The cache's own counters, under the run's labels. *)
+      let counter name =
+        Tableout.named
+          ~labels:[ ("experiment", "cache"); ("backend", s.label) ]
+          name Tableout.Count (Tableout.fixed 0)
+      in
       Tableout.add_row table
         [
-          s.label;
-          (if s.label = "ecan aware r1" then "1" else string_of_int replicas);
-          Tableout.cell_f s.p50_ms;
-          Tableout.cell_f s.p99_ms;
-          Tableout.cell_f s.mean_ms;
-          Printf.sprintf "%.1f" (100.0 *. s.hit_rate);
-          Tableout.cell_i s.max_load;
-          Tableout.cell_i s.replications;
-          Tableout.cell_i s.sheds;
+          Tableout.text s.label;
+          Tableout.text (if s.label = "ecan aware r1" then "1" else string_of_int replicas);
+          g "cache_p50_ms" Tableout.cell_f s.p50_ms;
+          g "cache_p99_ms" Tableout.cell_f s.p99_ms;
+          g "cache_mean_ms" Tableout.cell_f s.mean_ms;
+          g "cache_hit_rate" (fun v -> Printf.sprintf "%.1f" (100.0 *. v)) s.hit_rate;
+          g "cache_max_node_load" (Tableout.fixed 0) (float_of_int s.max_load);
+          counter "cache_replications";
+          counter "cache_sheds";
         ])
     stats;
   (* Headline gauges the CI gate holds: topology-aware beats random on
@@ -261,13 +250,13 @@ let run_custom ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3
     g "cache_repl_load_ratio"
       (float_of_int norepl.max_load /. float_of_int (max 1 aware.max_load))
   | _ -> ());
-  Tableout.render ppf table;
-  Format.fprintf ppf
-    "  homes and schedule are identical for the ecan/can rows, so hit rates match and the \
-     latency gap is neighbor selection.@.";
-  Format.fprintf ppf
-    "  copies: hot-key replications triggered at %d served requests/node; max load: most \
-     requests served by one node.@."
-    threshold
-
-let run ?scale ?seed ppf = run_custom ?scale ?seed ppf
+  [
+    Tableout.table table;
+    Tableout.note
+      "  homes and schedule are identical for the ecan/can rows, so hit rates match and the \
+       latency gap is neighbor selection.";
+    Tableout.note
+      "  copies: hot-key replications triggered at %d served requests/node; max load: most \
+       requests served by one node."
+      threshold;
+  ]

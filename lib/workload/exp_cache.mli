@@ -14,11 +14,7 @@
 type stats = {
   label : string;
   requests : int;
-  hits : int;
-  misses : int;
   replications : int;
-  sheds : int;
-  failovers : int;
   mean_ms : float;
   p50_ms : float;
   p99_ms : float;
@@ -43,13 +39,13 @@ val data :
     three and the last share the same CAN substrate and key homes, so
     their hit rates are equal by construction. *)
 
-val run_custom :
+val run :
   ?scale:int -> ?seed:int -> ?zipf_s:float -> ?clients:int -> ?replicas:int ->
-  Format.formatter -> unit
-(** {!data} into a rendered table, per-backend [cache_*] gauges and the
-    headline comparison gauges in {!Engine.Metrics.global}. *)
-
-val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
+  unit -> Tableout.block list
+(** {!data} as a table whose cells are per-backend [cache_*] gauges and
+    the cache's own counters, plus the headline comparison gauges, in
+    {!Engine.Metrics.global}; the registry entry runs it with its
+    defaults. *)
 
 val backend_of : Backend.service -> Engine.Cache.backend
 (** The cache rows' projection of the shared service adapter: [near] is

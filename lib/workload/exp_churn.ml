@@ -359,7 +359,7 @@ let ring_outcome ~size ~seed ~storm ~pick:policy kind oracle =
 let default_channel = { Faults.loss = 0.05; delay_min = 5.0; delay_max = 50.0 }
 
 let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0)
-    ?(probe_window = 1) ~storm ~channel ppf =
+    ?(probe_window = 1) ~storm ~channel () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 96 (768 / scale) in
   let ecan_o, can_o =
@@ -386,38 +386,29 @@ let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0)
         [ "overlay"; "stretch pre"; "storm"; "repaired"; "repair ms"; "work"; "notifs"; "drops"; "ok" ]
   in
   let row o =
+    let g name fmt v = Tableout.gauge ~labels:[ ("overlay", o.overlay) ] name fmt v in
+    let count name n = g name (Tableout.fixed 0) (float_of_int n) in
     Tableout.add_row table
       [
-        o.overlay;
-        Tableout.cell_f o.stretch_before;
-        Tableout.cell_f o.stretch_storm;
-        Tableout.cell_f o.stretch_repaired;
-        (if Float.is_nan o.repair_ms then "-" else Printf.sprintf "%.0f" o.repair_ms);
-        Tableout.cell_i o.repair_work;
-        Tableout.cell_i o.notifications;
-        Tableout.cell_i o.drops;
-        (if o.converged then "yes" else "NO");
+        Tableout.text o.overlay;
+        g "churn_stretch_before" Tableout.cell_f o.stretch_before;
+        g "churn_stretch_storm" Tableout.cell_f o.stretch_storm;
+        g "churn_stretch_repaired" Tableout.cell_f o.stretch_repaired;
+        g "churn_repair_ms" (Tableout.fixed 0) o.repair_ms;
+        count "churn_repair_work" o.repair_work;
+        count "churn_notifications" o.notifications;
+        count "churn_drops" o.drops;
+        g "churn_converged" Tableout.yes_no (if o.converged then 1.0 else 0.0);
       ]
   in
-  let record o =
-    let labels = [ ("overlay", o.overlay) ] in
-    let g = Sweep.gauge ~labels in
-    g "churn_stretch_before" o.stretch_before;
-    g "churn_stretch_storm" o.stretch_storm;
-    g "churn_stretch_repaired" o.stretch_repaired;
-    g "churn_repair_ms" o.repair_ms;
-    g "churn_repair_work" (float_of_int o.repair_work);
-    g "churn_notifications" (float_of_int o.notifications);
-    g "churn_drops" (float_of_int o.drops);
-    g "churn_converged" (if o.converged then 1.0 else 0.0)
-  in
-  List.iter record [ ecan_o; can_o; chord_o; pastry_o; koorde_o ];
   List.iter row [ ecan_o; can_o; chord_o; pastry_o; koorde_o ];
-  Tableout.render ppf table;
-  Format.fprintf ppf
-    "  repair ms: storm end to first passing convergence oracle (probe every %.0fs).@."
-    (probe_period /. 1000.0);
-  Format.fprintf ppf
-    "  work: slot re-selections (eCAN) / stabilisation selector calls (Chord, Pastry, Koorde).@."
+  [
+    Tableout.table table;
+    Tableout.note "  repair ms: storm end to first passing convergence oracle (probe every %.0fs)."
+      (probe_period /. 1000.0);
+    Tableout.note
+      "  work: slot re-selections (eCAN) / stabilisation selector calls (Chord, Pastry, Koorde).";
+  ]
 
-let run ?scale ?seed ppf = run_custom ?scale ?seed ~storm:Faults.default_storm ~channel:default_channel ppf
+let run ?scale ?seed () =
+  run_custom ?scale ?seed ~storm:Faults.default_storm ~channel:default_channel ()

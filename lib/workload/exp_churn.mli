@@ -165,7 +165,7 @@ val ring_outcome :
     random ones.  [repair_work] counts selection calls after the initial
     build. *)
 
-val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
+val run : ?scale:int -> ?seed:int -> unit -> Tableout.block list
 (** The registry entry: default storm and channel, tsk-large/manual
     topology, overlay size scaled by [scale]. *)
 
@@ -177,8 +177,8 @@ val run_custom :
   ?probe_window:int ->
   storm:Engine.Faults.storm ->
   channel:Engine.Faults.channel ->
-  Format.formatter ->
-  unit
+  unit ->
+  Tableout.block list
 (** [run] with an explicit storm, channel, store sharding, digest window
     and probe window (the CLI hook; the maintenance-plane knobs only
     affect the eCAN row). *)

@@ -6,7 +6,7 @@ let rates = [ 0.0625; 0.25; 1.0; 2.0; 4.0; 8.0 ]
 let overlay_size = 4096
 let measure_pairs = 1024
 
-let fig16 ?(scale = 1) ppf =
+let fig16 ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 128 (overlay_size / scale) in
   let table =
@@ -30,21 +30,16 @@ let fig16 ?(scale = 1) ppf =
           }
       in
       let hosting = Store.hosting_stats b.Builder.store in
-      (* Headline numbers per reduction rate go to the global registry. *)
       let labels = [ ("condense", Printf.sprintf "%.4f" condense) ] in
-      let stretch =
-        Sweep.mean
-          (Sweep.route ~pairs:measure_pairs b ~record:(Sweep.Gauge ("condense_stretch", labels)))
-      in
-      Sweep.gauge ~labels "condense_entries_per_host" hosting.Prelude.Stats.mean;
-      Sweep.gauge ~labels "condense_hosting_nodes" (float_of_int hosting.Prelude.Stats.count);
+      let stretch = Sweep.mean (Sweep.route ~pairs:measure_pairs b) in
+      let g name fmt v = Tableout.gauge ~labels name fmt v in
       Tableout.add_row table
         [
-          Printf.sprintf "%.2f" condense;
-          Tableout.cell_f hosting.Prelude.Stats.mean;
-          Tableout.cell_f hosting.Prelude.Stats.p90;
-          Tableout.cell_i hosting.Prelude.Stats.count;
-          Tableout.cell_f stretch;
+          Tableout.text (Printf.sprintf "%.2f" condense);
+          g "condense_entries_per_host" Tableout.cell_f hosting.Prelude.Stats.mean;
+          g "condense_entries_p90" Tableout.cell_f hosting.Prelude.Stats.p90;
+          g "condense_hosting_nodes" (Tableout.fixed 0) (float_of_int hosting.Prelude.Stats.count);
+          g "condense_stretch" Tableout.cell_f stretch;
         ])
     rates;
-  Tableout.render ppf table
+  [ Tableout.table table ]

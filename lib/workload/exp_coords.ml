@@ -11,7 +11,7 @@ let query_count = 60
 let estimate_pairs = 2000
 let budgets = [ 1; 5; 10; 20 ]
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let rng = Rng.create 2718 in
   let n = Oracle.node_count oracle in
@@ -38,9 +38,12 @@ let run ?(scale = 1) ppf =
       Hashtbl.replace coords node
         (Coordinates.position ~iterations:200 embedding rng ~measured:(Hashtbl.find vectors node)))
     nodes;
-  Format.fprintf ppf
-    "@.  %d landmark vectors measured concurrently: %.0f ms modelled wall-clock (sequential would sum every RTT)@."
-    size vectors_ms;
+  let vectors_line =
+    Tableout.note
+      "  %d landmark vectors measured concurrently: %.0f ms modelled wall-clock (sequential would \
+       sum every RTT)"
+      size vectors_ms
+  in
   (* 1. raw estimation accuracy over random pairs *)
   let errors =
     Array.init estimate_pairs (fun _ ->
@@ -52,10 +55,20 @@ let run ?(scale = 1) ppf =
         else 0.0)
   in
   let err = Stats.summarize errors in
-  Sweep.gauge ~labels:[ ("experiment", "coords") ] "coords_estimate_error" err.Stats.mean;
-  Format.fprintf ppf
-    "@.== Ablation: GNP coordinates (%d-d, %d landmarks) ==@.  distance estimation relative error: mean %.3f  p50 %.3f  p90 %.3f@."
-    embedding.Coordinates.dims landmark_count err.Stats.mean err.Stats.p50 err.Stats.p90;
+  let error_lines =
+    [
+      Tableout.note "";
+      Tableout.note "== Ablation: GNP coordinates (%d-d, %d landmarks) =="
+        embedding.Coordinates.dims landmark_count;
+      Tableout.line
+        [
+          Tableout.text "  distance estimation relative error: mean ";
+          Tableout.gauge ~labels:[ ("experiment", "coords") ] "coords_estimate_error"
+            Tableout.cell_f err.Stats.mean;
+          Tableout.text (Printf.sprintf "  p50 %.3f  p90 %.3f" err.Stats.p50 err.Stats.p90);
+        ];
+    ]
+  in
   (* 2. NN pre-selection quality: rank candidates by landmark-vector
      distance vs by coordinate distance, probe top-k by RTT *)
   let queries = Rng.sample rng (min query_count size) nodes in
@@ -68,14 +81,10 @@ let run ?(scale = 1) ppf =
   let by_vector = avg (fun node -> Hashtbl.find vectors node) in
   let by_coords = avg (fun node -> Hashtbl.find coords node) in
   let table =
-    Tableout.create ~title:"NN-search stretch by pre-selection signal"
-      ~columns:[ "RTT budget"; "landmark vectors (paper)"; "GNP coordinates" ]
+    Sweep.nn_table ~experiment:"coords" ~title:"NN-search stretch by pre-selection signal"
+      ~first:"RTT budget" ~budgets
+      [
+        ("landmark vectors (paper)", "vectors", by_vector); ("GNP coordinates", "coords", by_coords);
+      ]
   in
-  List.iteri
-    (fun i b ->
-      Sweep.nn_gauge ~experiment:"coords" ~algo:"vectors" b by_vector.(i);
-      Sweep.nn_gauge ~experiment:"coords" ~algo:"coords" b by_coords.(i);
-      Tableout.add_row table
-        [ Tableout.cell_i b; Tableout.cell_f by_vector.(i); Tableout.cell_f by_coords.(i) ])
-    budgets;
-  Tableout.render ppf table
+  (Tableout.note "" :: vectors_line :: error_lines) @ [ Tableout.table table ]

@@ -14,9 +14,7 @@ let probes_to_reach curve target =
   in
   scan 0
 
-let cell = function Some k -> string_of_int k | None -> "> budget"
-
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let ers, hybrid = Exp_nn.data ~scale Ctx.Tsk_large in
   let table =
     Tableout.create
@@ -25,14 +23,17 @@ let run ?(scale = 1) ppf =
   in
   List.iter
     (fun target ->
-      Tableout.add_row table
-        [
-          Printf.sprintf "%.1f" target;
-          cell (probes_to_reach ers target);
-          cell (probes_to_reach hybrid target);
-        ])
+      let target_s = Printf.sprintf "%.1f" target in
+      let cell algo curve =
+        match probes_to_reach curve target with
+        | Some k ->
+          Tableout.gauge
+            ~labels:[ ("experiment", "cost"); ("algo", algo); ("target", target_s) ]
+            "cost_probes_to_target" (Tableout.fixed 0) (float_of_int k)
+        | None -> Tableout.text "> budget"
+      in
+      Tableout.add_row table [ Tableout.text target_s; cell "ers" ers; cell "hybrid" hybrid ])
     targets;
-  Tableout.render ppf table;
   (* Measured cost of a soft-state join: landmark probes + per-region
      publishes + one lookup and a few RTT probes per table slot. *)
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
@@ -71,23 +72,39 @@ let run ?(scale = 1) ppf =
   let mean_hops =
     if !lookups = 0 then 0.0 else float_of_int !lookup_hops /. float_of_int !lookups
   in
-  (* The join row goes to the global registry as gauges, so the bench
-     snapshot holds this experiment. *)
-  let g = Sweep.gauge ~labels:[ ("experiment", "cost") ] in
-  g "cost_join_rtt_probes" (float_of_int rtt_messages);
-  g "cost_join_map_publishes" (float_of_int regions);
-  g "cost_join_slots_filled" (float_of_int slots);
-  g "cost_join_lookups" (float_of_int !lookups);
-  g "cost_join_lookup_hops_mean" mean_hops;
-  Format.fprintf ppf
-    "  Soft-state join cost (measured, %d-node overlay): %d RTT probes (landmarks +@.\
-    \  per-slot selection), %d map publishes, %d expressway slots filled via@.\
-    \  %d map lookups averaging %.1f overlay hops each.@."
-    size rtt_messages regions slots !lookups mean_hops;
-  (* Probe-plane pricing of the same join: at the default window of 1 the
-     probes are sequential, so the wall-clock is the sum of their RTTs —
-     the `join` experiment shows the concurrent-window collapse. *)
-  Format.fprintf ppf
-    "  Modelled join wall-clock at probe window 1: %.1f ms landmark vector +@.\
-    \  %.1f ms slot selection (see the `join` experiment for wider windows).@."
-    join_cost.Builder.vector_ms join_cost.Builder.selection_ms
+  let g name fmt v = Tableout.gauge ~labels:[ ("experiment", "cost") ] name fmt v in
+  let count name n = g name (Tableout.fixed 0) (float_of_int n) in
+  let text = Tableout.text and line = Tableout.line in
+  [
+    Tableout.table table;
+    line
+      [
+        text (Printf.sprintf "  Soft-state join cost (measured, %d-node overlay): " size);
+        count "cost_join_rtt_probes" rtt_messages;
+        text " RTT probes (landmarks +";
+      ];
+    line
+      [
+        text "  per-slot selection), ";
+        count "cost_join_map_publishes" regions;
+        text " map publishes, ";
+        count "cost_join_slots_filled" slots;
+        text " expressway slots filled via";
+      ];
+    line
+      [
+        text "  ";
+        count "cost_join_lookups" !lookups;
+        text " map lookups averaging ";
+        g "cost_join_lookup_hops_mean" (Tableout.fixed 1) mean_hops;
+        text " overlay hops each.";
+      ];
+    (* Probe-plane pricing of the same join: at the default window of 1
+       the probes are sequential, so the wall-clock is the sum of their
+       RTTs — the `join` experiment shows the concurrent-window
+       collapse. *)
+    Tableout.note "  Modelled join wall-clock at probe window 1: %.1f ms landmark vector +"
+      join_cost.Builder.vector_ms;
+    Tableout.note "  %.1f ms slot selection (see the `join` experiment for wider windows)."
+      join_cost.Builder.selection_ms;
+  ]

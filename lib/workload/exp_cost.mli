@@ -10,4 +10,4 @@
     [cost_join_slots_filled], [cost_join_lookups] and
     [cost_join_lookup_hops_mean]. *)
 
-val run : ?scale:int -> Format.formatter -> unit
+val run : ?scale:int -> unit -> Tableout.block list

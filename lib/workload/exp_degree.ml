@@ -138,19 +138,7 @@ let data ?(scale = 1) ?(seed = 11) () =
       [ ecan_row; can_row; chord_row; pastry_row; koorde_row ])
     ks
 
-let record_row metrics r =
-  let labels = [ ("backend", r.backend); ("k", string_of_int r.k) ] in
-  let g name v = Metrics.set (Metrics.gauge metrics ~labels name) v in
-  g "degree_stretch_aware" r.aware;
-  g "degree_stretch_random" r.random;
-  g "degree_stretch_ratio" (r.random /. r.aware);
-  g "degree_repair_ms" r.repair_ms;
-  g "degree_work" (float_of_int r.work);
-  g "degree_converged" (if r.converged then 1.0 else 0.0);
-  if r.probes >= 0 then g "degree_probes" (float_of_int r.probes)
-
-let run_custom ?(scale = 1) ?(seed = 11) ppf =
-  let metrics = Metrics.global in
+let run ?(scale = 1) ?(seed = 11) () =
   let rows = data ~scale ~seed () in
   let size = size_of ~scale in
   let table =
@@ -165,18 +153,22 @@ let run_custom ?(scale = 1) ?(seed = 11) ppf =
   in
   List.iter
     (fun r ->
-      record_row metrics r;
+      let g name fmt v =
+        Tableout.gauge ~labels:[ ("backend", r.backend); ("k", string_of_int r.k) ] name fmt v
+      in
+      let count = Tableout.fixed 0 in
       Tableout.add_row table
         [
-          r.backend;
-          string_of_int r.k;
-          Tableout.cell_f r.aware;
-          Tableout.cell_f r.random;
-          Printf.sprintf "%.2f" (r.random /. r.aware);
-          (if r.probes >= 0 then string_of_int r.probes else "-");
-          (if Float.is_nan r.repair_ms then "-" else Printf.sprintf "%.0f" r.repair_ms);
-          Tableout.cell_i r.work;
-          (if r.converged then "yes" else "NO");
+          Tableout.text r.backend;
+          Tableout.text (string_of_int r.k);
+          g "degree_stretch_aware" Tableout.cell_f r.aware;
+          g "degree_stretch_random" Tableout.cell_f r.random;
+          g "degree_stretch_ratio" (Tableout.fixed 2) (r.random /. r.aware);
+          (if r.probes >= 0 then g "degree_probes" count (float_of_int r.probes)
+           else Tableout.text "-");
+          g "degree_repair_ms" count r.repair_ms;
+          g "degree_work" count (float_of_int r.work);
+          g "degree_converged" Tableout.yes_no (if r.converged then 1.0 else 0.0);
         ])
     rows;
   (* Headline gauges the CI gate holds: what topology-aware selection
@@ -188,15 +180,15 @@ let run_custom ?(scale = 1) ?(seed = 11) ppf =
     (fun r ->
       if r.backend = "koorde" then
         Metrics.set
-          (Metrics.gauge metrics (Printf.sprintf "degree_random_over_aware_k%d" r.k))
+          (Metrics.gauge Metrics.global (Printf.sprintf "degree_random_over_aware_k%d" r.k))
           (r.random /. r.aware))
     rows;
-  Tableout.render ppf table;
-  Format.fprintf ppf
-    "  aware/random: mean pre-storm stretch with landmark+RTT vs random selection under \
-     the same k-probe budget; can is the zero-flexibility control (ratio 1.0).@.";
-  Format.fprintf ppf
-    "  probes: RTT measurements across build + stabilisation (Chord/Pastry/Koorde); \
-     repair ms / work as in the churn table.@."
-
-let run ?scale ?seed ppf = run_custom ?scale ?seed ppf
+  [
+    Tableout.table table;
+    Tableout.note
+      "  aware/random: mean pre-storm stretch with landmark+RTT vs random selection under the \
+       same k-probe budget; can is the zero-flexibility control (ratio 1.0).";
+    Tableout.note
+      "  probes: RTT measurements across build + stabilisation (Chord/Pastry/Koorde); repair ms \
+       / work as in the churn table.";
+  ]

@@ -27,10 +27,8 @@ val data : ?scale:int -> ?seed:int -> unit -> row list
     [experiment=degree] / [k=<k>] labels (never colliding with the churn
     experiment's instruments). *)
 
-val run_custom : ?scale:int -> ?seed:int -> Format.formatter -> unit
-(** {!data} into a rendered table, per-cell [degree_*] gauges (labelled
-    [backend] / [k]) and the headline [degree_random_over_aware_k<k>]
-    gauges for the Koorde rows in {!Engine.Metrics.global}. *)
-
-val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
-(** The registry entry. *)
+val run : ?scale:int -> ?seed:int -> unit -> Tableout.block list
+(** {!data} as a table whose cells are [degree_*] gauges (labelled
+    [backend] / [k]), plus the headline [degree_random_over_aware_k<k>]
+    gauges for the Koorde rows in {!Engine.Metrics.global}; the registry
+    entry. *)

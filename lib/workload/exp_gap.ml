@@ -4,7 +4,7 @@ module Strategy = Core.Strategy
 let overlay_size = 4096
 let measure_pairs = 1024
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let size = max 128 (overlay_size / scale) in
   let table =
     Tableout.create
@@ -34,32 +34,25 @@ let run ?(scale = 1) ppf =
             seed = 42;
           }
       in
-      let cell ?fill strategy =
-        Sweep.mean
-          (Sweep.route ?fill ~pairs:measure_pairs b
-             ~record:
-               (Sweep.Gauge
-                  ( "gap_stretch",
-                    [
-                      ("experiment", "gap");
-                      ("variant", Ctx.variant_name variant);
-                      ("strategy", strategy);
-                    ] )))
+      let labels = [ ("experiment", "gap"); ("variant", Ctx.variant_name variant) ] in
+      let mean ?fill () = Sweep.mean (Sweep.route ?fill ~pairs:measure_pairs b) in
+      let random = mean () in
+      let optimal = mean ~fill:Strategy.Optimal () in
+      let hybrid = mean ~fill:(Strategy.hybrid ~rtts:10 ()) () in
+      let stretch strategy v =
+        Tableout.gauge ~labels:(("strategy", strategy) :: labels) "gap_stretch" Tableout.cell_f v
       in
-      let random = cell "random" in
-      let optimal = cell ~fill:Strategy.Optimal "optimal" in
-      let hybrid = cell ~fill:(Strategy.hybrid ~rtts:10 ()) "hybrid" in
-      let pct v = Printf.sprintf "%.1f" (100.0 *. v) in
+      let pct name v = Tableout.gauge ~labels name (Tableout.fixed 1) (100.0 *. v) in
       Tableout.add_row table
         [
-          Ctx.variant_name variant;
-          Tableout.cell_f optimal;
-          Tableout.cell_f hybrid;
-          Tableout.cell_f random;
+          Tableout.text (Ctx.variant_name variant);
+          stretch "optimal" optimal;
+          stretch "hybrid" hybrid;
+          stretch "random" random;
           (* stretch of 1.0 = IP shortest path *)
-          pct (optimal -. 1.0);
-          pct ((hybrid -. optimal) /. optimal);
-          pct ((random -. hybrid) /. random);
+          pct "gap_structural_pct" (optimal -. 1.0);
+          pct "gap_generation_pct" ((hybrid -. optimal) /. optimal);
+          pct "gap_cut_pct" ((random -. hybrid) /. random);
         ])
     [ Ctx.Tsk_large; Ctx.Tsk_small ];
-  Tableout.render ppf table
+  [ Tableout.table table ]

@@ -24,18 +24,17 @@ let run_lookups route ~dims ~seed =
 
 (* Both variants record into the process-global registry: per-overlay
    [route_hops] histograms keyed by size and fan-out, which is what
-   [bench --json] serializes.  The rendered table reads its means back
-   from the same histograms. *)
+   [bench --json] serializes.  Each returns the table cell that prints
+   its histogram's mean. *)
+let hops_cell labels = Tableout.named ~labels "route_hops" Tableout.Mean Tableout.cell_f
+
 let can_hops ~dims ~n ~seed =
   let labels = [ ("dims", string_of_int dims); ("nodes", string_of_int n) ] in
   let t = build_can ~metrics:Metrics.global ~labels ~dims ~n ~seed () in
   let ids = Can_overlay.node_ids t in
   let rng = Rng.create (seed + 2) in
   run_lookups (fun p -> Can_overlay.route t ~src:(Rng.pick rng ids) p) ~dims ~seed;
-  let hist =
-    Metrics.histogram Metrics.global ~labels:(("overlay", "can") :: labels) "route_hops"
-  in
-  Metrics.hmean hist
+  hops_cell (("overlay", "can") :: labels)
 
 let ecan_hops ?(span_bits = 2) ~n ~seed () =
   let labels =
@@ -49,12 +48,9 @@ let ecan_hops ?(span_bits = 2) ~n ~seed () =
   let ids = Can_overlay.node_ids t in
   let rng = Rng.create (seed + 2) in
   run_lookups (fun p -> Ecan_exp.route e ~src:(Rng.pick rng ids) p) ~dims:2 ~seed;
-  let hist =
-    Metrics.histogram Metrics.global ~labels:(("overlay", "ecan") :: labels) "route_hops"
-  in
-  Metrics.hmean hist
+  hops_cell (("overlay", "ecan") :: labels)
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let sizes =
     List.sort_uniq compare
       (List.map (fun n -> max 64 (n / scale)) [ 256; 512; 1024; 2048; 4096; 8192 ])
@@ -67,14 +63,9 @@ let run ?(scale = 1) ppf =
   List.iter
     (fun n ->
       let seed = 1000 + n in
-      let cells =
-        List.map (fun dims -> Tableout.cell_f (can_hops ~dims ~n ~seed)) [ 2; 3; 4; 5 ]
-      in
+      let cells = List.map (fun dims -> can_hops ~dims ~n ~seed) [ 2; 3; 4; 5 ] in
       Tableout.add_row table
-        ((Tableout.cell_i n :: cells)
-        @ [
-            Tableout.cell_f (ecan_hops ~n ~seed ());
-            Tableout.cell_f (ecan_hops ~span_bits:3 ~n ~seed ());
-          ]))
+        ((Tableout.text (string_of_int n) :: cells)
+        @ [ ecan_hops ~n ~seed (); ecan_hops ~span_bits:3 ~n ~seed () ]))
     sizes;
-  Tableout.render ppf table
+  [ Tableout.table table ]

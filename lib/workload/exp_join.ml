@@ -21,7 +21,6 @@ let joins_per_window = 16
 
 type sample = {
   vector_ms : float;  (* modelled wall-clock of the landmark-vector batch *)
-  selection_ms : float;  (* modelled wall-clock of per-slot candidate probing *)
   max_lmk : float;  (* ground truth: slowest landmark RTT *)
   sum_lmk : float;  (* ground truth: sum of landmark RTTs *)
   probes : int;  (* RTT measurements this join spent *)
@@ -67,14 +66,13 @@ let run_window ~scale ~window oracle =
       Metrics.observe sel_hist cost.Builder.selection_ms;
       {
         vector_ms = cost.Builder.vector_ms;
-        selection_ms = cost.Builder.selection_ms;
         max_lmk;
         sum_lmk;
         probes;
       })
     joiners
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let lcount = Builder.default_config.Builder.landmark_count in
   let windows = [ 1; lcount ] in
@@ -88,19 +86,21 @@ let run ?(scale = 1) ppf =
       ~columns:
         [ "window"; "vector ms"; "max lmk RTT"; "sum lmk RTT"; "selection ms"; "probes/join" ]
   in
+  let ms = Tableout.fixed 1 in
   List.iter
     (fun (w, samples) ->
+      let labels = [ ("experiment", "join"); ("window", string_of_int w) ] in
+      let g name f = Tableout.gauge ~labels name ms (mean f samples) in
       Tableout.add_row table
         [
-          string_of_int w;
-          Printf.sprintf "%.1f" (mean (fun s -> s.vector_ms) samples);
-          Printf.sprintf "%.1f" (mean (fun s -> s.max_lmk) samples);
-          Printf.sprintf "%.1f" (mean (fun s -> s.sum_lmk) samples);
-          Printf.sprintf "%.1f" (mean (fun s -> s.selection_ms) samples);
-          Printf.sprintf "%.1f" (mean (fun s -> float_of_int s.probes) samples);
+          Tableout.text (string_of_int w);
+          Tableout.named ~labels "join_vector_ms" Tableout.Mean ms;
+          g "join_max_lmk_rtt_ms" (fun s -> s.max_lmk);
+          g "join_sum_lmk_rtt_ms" (fun s -> s.sum_lmk);
+          Tableout.named ~labels "join_selection_ms" Tableout.Mean ms;
+          g "join_probes_per_join" (fun s -> float_of_int s.probes);
         ])
     per_window;
-  Tableout.render ppf table;
   let seq = List.assoc 1 per_window and con = List.assoc lcount per_window in
   let seq_vec = mean (fun s -> s.vector_ms) seq and con_vec = mean (fun s -> s.vector_ms) con in
   let speedup = if con_vec > 0.0 then seq_vec /. con_vec else 0.0 in
@@ -109,10 +109,21 @@ let run ?(scale = 1) ppf =
     List.for_all (fun s -> s.max_lmk > 0.0 && s.vector_ms <= 2.0 *. s.max_lmk) con
   in
   let labels = [ ("experiment", "join") ] in
-  Sweep.gauge ~labels "join_vector_speedup" speedup;
-  Sweep.gauge ~labels "join_probe_counts_equal" (if counts_equal then 1.0 else 0.0);
-  Format.fprintf ppf
-    "  Vector phase collapses %.1f ms -> %.1f ms (%.1fx) when the %d landmark probes@.\
-    \  fly concurrently; probe counts identical across windows: %b; window-%d vector@.\
-    \  phase within 2x of the slowest landmark RTT on every join: %b.@."
-    seq_vec con_vec speedup lcount counts_equal lcount within_2x
+  let text = Tableout.text and line = Tableout.line in
+  [
+    Tableout.table table;
+    line
+      [
+        text (Printf.sprintf "  Vector phase collapses %.1f ms -> %.1f ms (" seq_vec con_vec);
+        Tableout.gauge ~labels "join_vector_speedup" ms speedup;
+        text (Printf.sprintf "x) when the %d landmark probes" lcount);
+      ];
+    line
+      [
+        text "  fly concurrently; probe counts identical across windows: ";
+        Tableout.gauge ~labels "join_probe_counts_equal" (fun v -> string_of_bool (v = 1.0))
+          (if counts_equal then 1.0 else 0.0);
+        text (Printf.sprintf "; window-%d vector" lcount);
+      ];
+    Tableout.note "  phase within 2x of the slowest landmark RTT on every join: %b." within_2x;
+  ]

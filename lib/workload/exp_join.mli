@@ -7,4 +7,4 @@
     windows.  Records [join_vector_ms]/[join_selection_ms] histograms per
     window plus [join_vector_speedup] into {!Engine.Metrics.global}. *)
 
-val run : ?scale:int -> Format.formatter -> unit
+val run : ?scale:int -> unit -> Tableout.block list

@@ -163,16 +163,12 @@ type stats = {
   static_lat : float array;  (* per static-phase delivery, ms *)
   static_stretch : float array;
   static_delivered : int;
-  static_missed : int;
   static_stress_max : int;
   static_stress_mean : float;  (* traversals per distinct physical link *)
   static_traversals : int;  (* total physical link traversals *)
   static_cost_ms : float;  (* stress-weighted link latency (network cost) *)
   churn_lat : float array;
-  churn_delivered : int;
-  churn_missed : int;
   regrafts : int;
-  relays : int;
   regraft : Repair.dist;  (* orphanhood durations via the trace analyzer *)
 }
 
@@ -266,8 +262,7 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
   sync_watches ();
   let static_lat = ref [] and static_stretch = ref [] in
   let churn_lat = ref [] in
-  let static_delivered = ref 0 and static_missed = ref 0 in
-  let churn_delivered = ref 0 and churn_missed = ref 0 in
+  let static_delivered = ref 0 in
   let static_stress_max = ref 0 and static_links = ref 0 and static_traversals = ref 0 in
   let static_cost = ref 0.0 in
   let fire ev =
@@ -282,14 +277,8 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
             static_stretch := stretch :: !static_stretch
           end)
         d.Mcast.delivered;
-      let nd = List.length d.Mcast.delivered and nm = List.length d.Mcast.missed in
-      if churn then begin
-        churn_delivered := !churn_delivered + nd;
-        churn_missed := !churn_missed + nm
-      end
-      else begin
-        static_delivered := !static_delivered + nd;
-        static_missed := !static_missed + nm;
+      if not churn then begin
+        static_delivered := !static_delivered + List.length d.Mcast.delivered;
         static_stress_max := max !static_stress_max d.Mcast.max_stress;
         static_links := !static_links + d.Mcast.link_count;
         static_traversals := !static_traversals + d.Mcast.traversals;
@@ -324,7 +313,6 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
     static_lat = Array.of_list (List.rev !static_lat);
     static_stretch = Array.of_list (List.rev !static_stretch);
     static_delivered = !static_delivered;
-    static_missed = !static_missed;
     static_stress_max = !static_stress_max;
     static_stress_mean =
       (if !static_links = 0 then 0.0
@@ -332,10 +320,7 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
     static_traversals = !static_traversals;
     static_cost_ms = !static_cost;
     churn_lat = Array.of_list (List.rev !churn_lat);
-    churn_delivered = !churn_delivered;
-    churn_missed = !churn_missed;
     regrafts = Mcast.regrafts tree;
-    relays = Mcast.relays_recruited tree;
     regraft = report.Repair.regraft;
   }
 
@@ -395,25 +380,7 @@ let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?metrics ()
 
 let pct arr p = if Array.length arr = 0 then Float.nan else Stats.percentile arr p
 
-let record_stats metrics s =
-  let labels = [ ("backend", s.label) ] in
-  let g name v = Metrics.set (Metrics.gauge metrics ~labels name) v in
-  g "mcast_delivery_p50_ms" (pct s.static_lat 50.0);
-  g "mcast_delivery_p99_ms" (pct s.static_lat 99.0);
-  g "mcast_stretch_p50" (pct s.static_stretch 50.0);
-  g "mcast_stretch_p99" (pct s.static_stretch 99.0);
-  g "mcast_stress_mean" s.static_stress_mean;
-  g "mcast_stress_max" (float_of_int s.static_stress_max);
-  g "mcast_traversals" (float_of_int s.static_traversals);
-  g "mcast_cost_ms" s.static_cost_ms;
-  g "mcast_churn_delivery_p50_ms" (pct s.churn_lat 50.0);
-  g "mcast_churn_delivery_p99_ms" (pct s.churn_lat 99.0);
-  if s.regraft.Repair.n > 0 then begin
-    g "mcast_regraft_p50_ms" s.regraft.Repair.p50;
-    g "mcast_regraft_p99_ms" s.regraft.Repair.p99
-  end
-
-let run_custom ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ppf =
+let run ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy () =
   let metrics = Metrics.global in
   let ((size, group_size, static_pubs, churn_pubs, crashes, leaves, joins) as dims) =
     sizes ~scale ?group_size ()
@@ -434,20 +401,36 @@ let run_custom ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ppf =
   in
   List.iter
     (fun s ->
-      record_stats metrics s;
+      let labels = [ ("backend", s.label) ] in
+      let g name fmt v = Tableout.gauge ~labels name fmt v in
+      (* Gauges no column prints. *)
+      let set name v = Metrics.set (Metrics.gauge metrics ~labels name) v in
+      set "mcast_stretch_p99" (pct s.static_stretch 99.0);
+      set "mcast_stress_max" (float_of_int s.static_stress_max);
+      set "mcast_traversals" (float_of_int s.static_traversals);
+      set "mcast_churn_delivery_p50_ms" (pct s.churn_lat 50.0);
+      set "mcast_churn_delivery_p99_ms" (pct s.churn_lat 99.0);
+      if s.regraft.Repair.n > 0 then set "mcast_regraft_p99_ms" s.regraft.Repair.p99;
+      (* The tree's own counters, under the run's labels. *)
+      let counter name =
+        Tableout.named
+          ~labels:[ ("experiment", "mcast"); ("backend", s.label) ]
+          name Tableout.Count (Tableout.fixed 0)
+      in
       Tableout.add_row table
         [
-          s.label;
-          Tableout.cell_f (pct s.static_lat 50.0);
-          Tableout.cell_f (pct s.static_lat 99.0);
-          Printf.sprintf "%.2f" (pct s.static_stretch 50.0);
-          Printf.sprintf "%.0f" s.static_cost_ms;
-          Printf.sprintf "%.2f" s.static_stress_mean;
-          Tableout.cell_i (s.static_delivered + s.churn_delivered);
-          Tableout.cell_i (s.static_missed + s.churn_missed);
-          Tableout.cell_i s.regrafts;
-          (if s.regraft.Repair.n > 0 then Printf.sprintf "%.0f" s.regraft.Repair.p50
-           else "-");
+          Tableout.text s.label;
+          g "mcast_delivery_p50_ms" Tableout.cell_f (pct s.static_lat 50.0);
+          g "mcast_delivery_p99_ms" Tableout.cell_f (pct s.static_lat 99.0);
+          g "mcast_stretch_p50" (Tableout.fixed 2) (pct s.static_stretch 50.0);
+          g "mcast_cost_ms" (Tableout.fixed 0) s.static_cost_ms;
+          g "mcast_stress_mean" (Tableout.fixed 2) s.static_stress_mean;
+          counter "mcast_delivered";
+          counter "mcast_missed";
+          counter "mcast_regrafts";
+          (if s.regraft.Repair.n > 0 then
+             g "mcast_regraft_p50_ms" (Tableout.fixed 0) s.regraft.Repair.p50
+           else Tableout.text "-");
         ])
     stats;
   (* Headline gauges the CI gate holds: map-placed trees beat random
@@ -466,12 +449,12 @@ let run_custom ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ppf =
     g "mcast_delivered_equal"
       (if random.static_delivered = aware.static_delivered then 1.0 else 0.0)
   | _ -> ());
-  Tableout.render ppf table;
-  Format.fprintf ppf
-    "  p50/p99/stretch/stress from the static phase (identical group, so the aware/random \
-     gap is pure placement); deliv/miss include the churn phase.@.";
-  Format.fprintf ppf
-    "  regrafts re-attach orphaned subtrees after Departure_of watches fire; rg p50 is \
-     orphanhood in ms (crash: TTL expiry + sweep, leave: one notification).@."
-
-let run ?scale ?seed ppf = run_custom ?scale ?seed ppf
+  [
+    Tableout.table table;
+    Tableout.note
+      "  p50/p99/stretch/stress from the static phase (identical group, so the aware/random gap \
+       is pure placement); deliv/miss include the churn phase.";
+    Tableout.note
+      "  regrafts re-attach orphaned subtrees after Departure_of watches fire; rg p50 is \
+       orphanhood in ms (crash: TTL expiry + sweep, leave: one notification).";
+  ]

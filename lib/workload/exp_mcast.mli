@@ -14,9 +14,9 @@
     latency includes the soft-state plane's genuine detection delay.
 
     Per-row metrics land under [experiment=mcast] / [backend=<label>]
-    (the [mcast_*] counters and histograms from {!Engine.Mcast.create}
-    plus gauges recorded by {!record_stats}); {!run_custom} additionally
-    records the headline gauges the CI gate holds —
+    (the [mcast_*] counters and histograms from {!Engine.Mcast.create});
+    {!run} adds the per-row [mcast_*] gauges (labelled
+    [backend=<label>]) and the headline gauges the CI gate holds —
     [mcast_random_over_aware_p50] / [_p99] / [_stretch_p50] / [_stress]
     (all > 1 when placement pays) and [mcast_delivered_equal]. *)
 
@@ -25,7 +25,6 @@ type stats = {
   static_lat : float array;  (** per-delivery latency, ms, static phase *)
   static_stretch : float array;  (** per-delivery stretch vs direct route *)
   static_delivered : int;
-  static_missed : int;
   static_stress_max : int;  (** most traversals of one link in one publish *)
   static_stress_mean : float;  (** traversals per distinct physical link *)
   static_traversals : int;  (** total physical link traversals *)
@@ -34,10 +33,7 @@ type stats = {
           {!Engine.Mcast.delivery}[.cost_ms]) — the aggregate network
           cost the aware/random stress gauge compares *)
   churn_lat : float array;  (** per-delivery latency during the storm *)
-  churn_delivered : int;
-  churn_missed : int;  (** orphaned / unroutable subscriber misses *)
   regrafts : int;  (** orphaned subtrees re-attached *)
-  relays : int;  (** out-of-tree members recruited as interiors *)
   regraft : Engine.Repair.dist;
       (** orphanhood durations (fault to regraft), correlated from the
           [Mcast_regraft] trace spans by {!Engine.Repair.analyze} *)
@@ -65,24 +61,19 @@ val data :
     contract (DESIGN §12) holds: with a fresh [metrics] registry the
     metrics JSON is byte-identical across repeated same-seed runs. *)
 
-val record_stats : Engine.Metrics.t -> stats -> unit
-(** Record one row's summary gauges ([mcast_delivery_p50_ms] /
-    [mcast_delivery_p99_ms], [mcast_stretch_p50] / [_p99],
-    [mcast_stress_mean] / [_max], [mcast_churn_delivery_p50_ms] /
-    [_p99_ms], and — only when the row re-grafted anything —
-    [mcast_regraft_p50_ms] / [_p99_ms]) labelled [backend=<label>]. *)
-
-val run_custom :
+val run :
   ?scale:int ->
   ?seed:int ->
   ?group_size:int ->
   ?degree:int ->
   ?policy:Engine.Mcast.policy ->
-  Format.formatter ->
-  unit
-(** {!data} into a table on the global metrics registry, plus the
-    headline aware-vs-random gauges (recorded only when both eCAN rows
-    ran). *)
+  unit ->
+  Tableout.block list
+(** {!data} as a table whose cells are per-row [mcast_*] gauges and
+    the tree's own counters, labelled [backend=<label>], in
+    {!Engine.Metrics.global}; also the row gauges no column prints
+    ([mcast_stretch_p99], [mcast_stress_max], [mcast_traversals],
+    [mcast_churn_delivery_p50_ms] / [_p99_ms] and, only when the row
+    re-grafted anything, [mcast_regraft_p99_ms]) and the headline
+    aware-vs-random gauges (only when both eCAN rows ran). *)
 
-val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
-(** {!run_custom} with defaults — the registry entry point. *)

@@ -73,45 +73,40 @@ let ers_checkpoints = [ 1; 2; 5; 10; 20; 50; 100; 200; 500; 1000; 2000; 4000 ]
 
 let at curve k = curve.(min (k - 1) (Array.length curve - 1))
 
-(* Every printed cell is also an [nn_stretch] gauge. *)
-let comparison_figure ~fig ~title ~scale variant ppf =
-  let c = compute ~scale variant in
-  let table =
-    Tableout.create ~title ~columns:[ "RTT measurements"; "ERS stretch"; "lmk+RTT stretch" ]
+(* One row per checkpoint; a column reads its curve at each one. *)
+let figure ~fig ~title checkpoints columns =
+  let column (header, algo, curve) =
+    (header, algo, Array.of_list (List.map (at curve) checkpoints))
   in
-  List.iter
-    (fun k ->
-      Sweep.nn_gauge ~experiment:fig ~algo:"ers" k (at c.ers k);
-      Sweep.nn_gauge ~experiment:fig ~algo:"hybrid" k (at c.hybrid k);
-      Tableout.add_row table
-        [ Tableout.cell_i k; Tableout.cell_f (at c.ers k); Tableout.cell_f (at c.hybrid k) ])
-    hybrid_checkpoints;
-  Tableout.render ppf table
+  [
+    Tableout.table
+      (Sweep.nn_table ~experiment:fig ~title ~first:"RTT measurements" ~budgets:checkpoints
+         (List.map column columns));
+  ]
 
-let ers_figure ~fig ~title ~scale variant ppf =
+let comparison_figure ~fig ~title ~scale variant =
   let c = compute ~scale variant in
-  let table = Tableout.create ~title ~columns:[ "RTT measurements"; "ERS stretch" ] in
-  List.iter
-    (fun k ->
-      if k <= Array.length c.ers then begin
-        Sweep.nn_gauge ~experiment:fig ~algo:"ers" k (at c.ers k);
-        Tableout.add_row table [ Tableout.cell_i k; Tableout.cell_f (at c.ers k) ]
-      end)
-    ers_checkpoints;
-  Tableout.render ppf table
+  figure ~fig ~title hybrid_checkpoints
+    [ ("ERS stretch", "ers", c.ers); ("lmk+RTT stretch", "hybrid", c.hybrid) ]
 
-let fig3 ?(scale = 1) ppf =
-  comparison_figure ~fig:"fig3" ~scale Ctx.Tsk_large ppf
+let ers_figure ~fig ~title ~scale variant =
+  let c = compute ~scale variant in
+  figure ~fig ~title
+    (List.filter (fun k -> k <= Array.length c.ers) ers_checkpoints)
+    [ ("ERS stretch", "ers", c.ers) ]
+
+let fig3 ?(scale = 1) () =
+  comparison_figure ~fig:"fig3" ~scale Ctx.Tsk_large
     ~title:"Figure 3: nearest-neighbor stretch, ERS vs landmark+RTT (tsk-large)"
 
-let fig4 ?(scale = 1) ppf =
-  ers_figure ~fig:"fig4" ~scale Ctx.Tsk_large ppf
+let fig4 ?(scale = 1) () =
+  ers_figure ~fig:"fig4" ~scale Ctx.Tsk_large
     ~title:"Figure 4: expanding-ring search alone, deep budgets (tsk-large)"
 
-let fig5 ?(scale = 1) ppf =
-  comparison_figure ~fig:"fig5" ~scale Ctx.Tsk_small ppf
+let fig5 ?(scale = 1) () =
+  comparison_figure ~fig:"fig5" ~scale Ctx.Tsk_small
     ~title:"Figure 5: nearest-neighbor stretch, ERS vs landmark+RTT (tsk-small)"
 
-let fig6 ?(scale = 1) ppf =
-  ers_figure ~fig:"fig6" ~scale Ctx.Tsk_small ppf
+let fig6 ?(scale = 1) () =
+  ers_figure ~fig:"fig6" ~scale Ctx.Tsk_small
     ~title:"Figure 6: expanding-ring search alone, deep budgets (tsk-small)"

@@ -6,16 +6,16 @@
     averaged over query nodes, as a function of the RTT-measurement
     budget. *)
 
-val fig3 : ?scale:int -> Format.formatter -> unit
+val fig3 : ?scale:int -> unit -> Tableout.block list
 (** ERS vs hybrid on tsk-large (moderate budgets). *)
 
-val fig4 : ?scale:int -> Format.formatter -> unit
+val fig4 : ?scale:int -> unit -> Tableout.block list
 (** ERS alone on tsk-large, budgets into the thousands. *)
 
-val fig5 : ?scale:int -> Format.formatter -> unit
+val fig5 : ?scale:int -> unit -> Tableout.block list
 (** Hybrid on tsk-small. *)
 
-val fig6 : ?scale:int -> Format.formatter -> unit
+val fig6 : ?scale:int -> unit -> Tableout.block list
 (** ERS alone on tsk-small, budgets into the thousands. *)
 
 val data : ?scale:int -> Ctx.topology_variant -> float array * float array

@@ -23,7 +23,7 @@ let sub_dist a b lo hi =
   done;
   sqrt !acc
 
-let nn_ablation ~scale oracle ppf =
+let nn_ablation ~scale oracle =
   let rng = Rng.create 1618 in
   let n = Oracle.node_count oracle in
   let size = max 256 (population / scale) in
@@ -83,35 +83,18 @@ let nn_ablation ~scale oracle ppf =
     avg (fun query -> Search.hill_climb_curve prober can ~query ~budget:max_budget)
   in
   let ers = avg (fun query -> Search.ers_curve prober can ~query ~budget:max_budget) in
-  let table =
-    Tableout.create
-      ~title:
-        (Printf.sprintf "Section 5.5 optimisations: NN-search stretch (%d candidates)" size)
-      ~columns:
-        [ "RTT budget"; "hybrid (paper)"; "landmark groups"; "hierarchical"; "hill climbing"; "ERS" ]
-  in
-  let columns =
-    [
-      ("hybrid", plain);
-      ("groups", grouped);
-      ("hierarchical", hierarchical);
-      ("hill-climb", hill);
-      ("ers", ers);
-    ]
-  in
-  List.iteri
-    (fun i b ->
-      Tableout.add_row table
-        (Tableout.cell_i b
-        :: List.map
-             (fun (algo, curve) ->
-               Sweep.nn_gauge ~experiment:"optim" ~algo b curve.(i);
-               Tableout.cell_f curve.(i))
-             columns))
-    budgets;
-  Tableout.render ppf table
+  Tableout.table
+    (Sweep.nn_table ~experiment:"optim" ~first:"RTT budget" ~budgets
+       ~title:(Printf.sprintf "Section 5.5 optimisations: NN-search stretch (%d candidates)" size)
+       [
+         ("hybrid (paper)", "hybrid", plain);
+         ("landmark groups", "groups", grouped);
+         ("hierarchical", "hierarchical", hierarchical);
+         ("hill climbing", "hill-climb", hill);
+         ("ERS", "ers", ers);
+       ])
 
-let curve_ablation ~scale oracle ppf =
+let curve_ablation ~scale oracle =
   let size = max 128 (2048 / scale) in
   let table =
     Tableout.create
@@ -121,7 +104,7 @@ let curve_ablation ~scale oracle ppf =
       ~columns:[ "curve"; "stretch"; "p90 stretch" ]
   in
   List.iter
-    (fun (name, curve) ->
+    (fun (curve_name, curve) ->
       let b =
         Builder.build oracle
           {
@@ -132,21 +115,21 @@ let curve_ablation ~scale oracle ppf =
             seed = 42;
           }
       in
-      let r =
-        Sweep.route ~pairs:1024 b
-          ~record:
-            (Sweep.Gauge ("optim_curve_stretch", [ ("experiment", "optim"); ("curve", name) ]))
+      let r = (Sweep.route ~pairs:1024 b).Measure.stretch in
+      let g name v =
+        Tableout.gauge ~labels:[ ("experiment", "optim"); ("curve", curve_name) ] name
+          Tableout.cell_f v
       in
       Tableout.add_row table
         [
-          name;
-          Tableout.cell_f r.Measure.stretch.Prelude.Stats.mean;
-          Tableout.cell_f r.Measure.stretch.Prelude.Stats.p90;
+          Tableout.text curve_name;
+          g "optim_curve_stretch" r.Prelude.Stats.mean;
+          g "optim_curve_stretch_p90" r.Prelude.Stats.p90;
         ])
     [ ("hilbert", Number.Hilbert_curve); ("z-order", Number.Z_curve) ];
-  Tableout.render ppf table
+  Tableout.table table
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
-  nn_ablation ~scale oracle ppf;
-  curve_ablation ~scale oracle ppf
+  let nn = nn_ablation ~scale oracle in
+  [ nn; curve_ablation ~scale oracle ]

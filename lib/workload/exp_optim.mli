@@ -10,4 +10,4 @@
       number / map placement curve, measured end-to-end on eCAN routing
       stretch. *)
 
-val run : ?scale:int -> Format.formatter -> unit
+val run : ?scale:int -> unit -> Tableout.block list

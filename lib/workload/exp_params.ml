@@ -1,11 +1,11 @@
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let table =
     Tableout.create ~title:"Table 2: experiment parameters (defaults and sweep ranges)"
       ~columns:[ "parameter"; "default"; "range" ]
   in
   let scaled n = max 128 (n / scale) in
   List.iter
-    (fun row -> Tableout.add_row table row)
+    (fun row -> Tableout.add_row table (List.map Tableout.text row))
     [
       [ "# overlay nodes"; string_of_int (scaled 4096);
         Printf.sprintf "%d - %d" (scaled 512) (scaled 8192) ];
@@ -18,4 +18,4 @@ let run ?(scale = 1) ppf =
       [ "link latencies"; "GT-ITM random"; "GT-ITM random / manual 20-5-2-1 ms" ];
       [ "routes measured"; "2x overlay size"; "fixed" ];
     ];
-  Tableout.render ppf table
+  [ Tableout.table table ]

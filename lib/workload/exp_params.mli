@@ -1,4 +1,4 @@
 (** Table 2: the experiment parameter space — defaults and the ranges the
     other experiments actually sweep. *)
 
-val run : ?scale:int -> Format.formatter -> unit
+val run : ?scale:int -> unit -> Tableout.block list

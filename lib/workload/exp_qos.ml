@@ -71,7 +71,7 @@ let publish_loads builder capacities transits =
         (Store.regions_of store id))
     ids
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 128 (overlay_size / scale) in
   let builder =
@@ -108,18 +108,20 @@ let run ?(scale = 1) ppf =
            (int_of_float (100.0 *. high_capacity_fraction)))
       ~columns:[ "selection"; "stretch"; "max load/cap"; "p99 load/cap"; "p90 load/cap" ]
   in
-  let row name (stretch : Stats.summary) (load : Stats.summary) =
-    Sweep.gauge ~labels:[ ("experiment", "qos"); ("selection", name) ] "qos_stretch"
-      stretch.Stats.mean;
+  let row selection (stretch : Stats.summary) (load : Stats.summary) =
+    let g name v =
+      Tableout.gauge ~labels:[ ("experiment", "qos"); ("selection", selection) ] name
+        Tableout.cell_f v
+    in
     Tableout.add_row table
       [
-        name;
-        Tableout.cell_f stretch.Stats.mean;
-        Tableout.cell_f load.Stats.max;
-        Tableout.cell_f load.Stats.p99;
-        Tableout.cell_f load.Stats.p90;
+        Tableout.text selection;
+        g "qos_stretch" stretch.Stats.mean;
+        g "qos_load_max" load.Stats.max;
+        g "qos_load_p99" load.Stats.p99;
+        g "qos_load_p90" load.Stats.p90;
       ]
   in
   row "proximity only (hybrid)" stretch1 load1;
   row "load-aware (w=2.0)" stretch2 load2;
-  Tableout.render ppf table
+  [ Tableout.table table ]

@@ -3,7 +3,6 @@ module Maintenance = Core.Maintenance
 module Sim = Engine.Sim
 module Faults = Engine.Faults
 module Repair = Engine.Repair
-module Bus = Pubsub.Bus
 module Rng = Prelude.Rng
 
 type config = {
@@ -20,8 +19,6 @@ type result = {
   final_refresh : float;
   final_sweep : float;
   adaptations : int;
-  notifications : int;
-  drops : int;
 }
 
 (* A deliberately short soft-state timeline: with a 30 s TTL the refresh
@@ -142,8 +139,6 @@ let run_config ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg 
   Maintenance.subscribe_all_slots m;
   Exp_churn.install_ecan_storm faults ~sim ~storm ~rng:(Rng.create ((seed * 3001) + 3)) m b;
   Sim.run ~until:(storm.Faults.start +. storm.Faults.spread +. settle) sim;
-  let bus = Maintenance.bus m in
-  let notifications = Bus.sent_count bus and drops = Bus.dropped_count bus in
   let final_refresh = Maintenance.refresh_period m and final_sweep = Maintenance.sweep_period m in
   let adaptations =
     match Maintenance.controller m with Some c -> Repair.adjustments c | None -> 0
@@ -151,9 +146,9 @@ let run_config ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg 
   Maintenance.stop m;
   let report = Repair.analyze (Engine.Trace.spans tracer) in
   Repair.record_metrics ~labels metrics report;
-  { config = cfg; report; final_refresh; final_sweep; adaptations; notifications; drops }
+  { config = cfg; report; final_refresh; final_sweep; adaptations }
 
-let run ?(scale = 1) ?(seed = 11) ppf =
+let run ?(scale = 1) ?(seed = 11) () =
   let results = List.map (run_config ~scale ~seed) (grid @ [ adaptive; adaptive_p90 ]) in
   let size = max 24 (96 / scale) in
   let table =
@@ -169,31 +164,58 @@ let run ?(scale = 1) ?(seed = 11) ppf =
           "final r/s";
         ]
   in
+  (* The analyzer's counters and histograms ({!Repair.record_metrics})
+     and the run's outcome gauges, under each config's labels. *)
+  let labels r = [ ("config", r.config.label); ("experiment", "repair") ] in
+  let ms = Tableout.fixed 0 and s v = Printf.sprintf "%.1f" (v /. 1000.0) in
+  let stat r name stat = Tableout.named ~labels:(labels r) name stat ms in
+  let rows =
+    List.map
+      (fun r ->
+        let g name fmt v = Tableout.gauge ~labels:(labels r) name fmt v in
+        ( r,
+          ( g "repair_final_refresh_ms" s r.final_refresh,
+            g "repair_final_sweep_ms" s r.final_sweep,
+            g "repair_adaptations" ms (float_of_int r.adaptations) ) ))
+      results
+  in
   List.iter
-    (fun r ->
-      let d = r.report.Repair.repair in
+    (fun (r, (refresh, sweep, adaptations)) ->
       Tableout.add_row table
         [
-          r.config.label;
-          Tableout.cell_i (List.length r.report.Repair.records);
-          Tableout.cell_i (List.length r.report.Repair.records - r.report.Repair.unrepaired);
-          Printf.sprintf "%.0f" r.report.Repair.detection.Repair.p50;
-          Printf.sprintf "%.0f" d.Repair.p50;
-          Printf.sprintf "%.0f" d.Repair.p95;
-          Printf.sprintf "%.0f" d.Repair.p99;
-          Printf.sprintf "%.0f" d.Repair.max;
-          Tableout.cell_i r.adaptations;
-          Printf.sprintf "%.1f/%.1f" (r.final_refresh /. 1000.0) (r.final_sweep /. 1000.0);
+          Tableout.text r.config.label;
+          stat r "repair_faults" Tableout.Count;
+          stat r "repair_repaired" Tableout.Count;
+          stat r "repair_detection_ms" Tableout.P50;
+          stat r "repair_latency_ms" Tableout.P50;
+          stat r "repair_latency_ms" Tableout.P95;
+          stat r "repair_latency_ms" Tableout.P99;
+          stat r "repair_latency_ms" Tableout.Max;
+          adaptations;
+          Tableout.cat [ refresh; Tableout.text "/"; sweep ];
         ])
-    results;
-  Tableout.render ppf table;
-  Format.fprintf ppf
-    "  latencies in ms from fault injection; det = first notification sent, p50..max = last delivery (full repair).@.";
-  let find label = List.find (fun r -> r.config.label = label) results in
-  let hand = find hand_picked.label and ad = find adaptive.label in
-  Format.fprintf ppf
-    "  adaptive p99 %.0f ms vs hand-picked (%s) %.0f ms after %d adjustments (final refresh/sweep %.1f/%.1f s).@."
-    ad.report.Repair.repair.Repair.p99 hand_picked.label hand.report.Repair.repair.Repair.p99
-    ad.adaptations
-    (ad.final_refresh /. 1000.0)
-    (ad.final_sweep /. 1000.0)
+    rows;
+  let find label = List.find (fun (r, _) -> r.config.label = label) rows in
+  let hand, _ = find hand_picked.label in
+  let ad, (refresh, sweep, adaptations) = find adaptive.label in
+  let text = Tableout.text in
+  [
+    Tableout.table table;
+    Tableout.note
+      "  latencies in ms from fault injection; det = first notification sent, p50..max = last \
+       delivery (full repair).";
+    Tableout.line
+      [
+        text "  adaptive p99 ";
+        stat ad "repair_latency_ms" Tableout.P99;
+        text (Printf.sprintf " ms vs hand-picked (%s) " hand_picked.label);
+        stat hand "repair_latency_ms" Tableout.P99;
+        text " ms after ";
+        adaptations;
+        text " adjustments (final refresh/sweep ";
+        refresh;
+        text "/";
+        sweep;
+        text " s).";
+      ];
+  ]

@@ -29,8 +29,6 @@ type result = {
   final_refresh : float;  (** period armed when the run ended *)
   final_sweep : float;
   adaptations : int;  (** controller decisions that moved a period (0 when fixed) *)
-  notifications : int;
-  drops : int;
 }
 
 val grid : config list
@@ -51,7 +49,7 @@ val run_config : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config 
     [metrics] registry — byte-identical metrics JSON.  [metrics] defaults
     to {!Engine.Metrics.global}. *)
 
-val run : ?scale:int -> ?seed:int -> Format.formatter -> unit
+val run : ?scale:int -> ?seed:int -> unit -> Tableout.block list
 (** The whole sweep into one table: {!grid}, {!adaptive}, and an
     adaptive run that decides on the delivered window's 90th percentile
     and also tunes the bus digest window.  The adaptive row's p99 is

@@ -6,7 +6,16 @@ let rtt_budget = 10
 let landmark_count = 15
 let measure_pairs = 1024
 
-let figure ~title ~scale latency ppf =
+(* Paper sizes that scale to the same overlay size share one row: the
+   last of them, so its seed is the one the row was always left with. *)
+let scaled_sizes ~scale =
+  List.fold_right
+    (fun n acc ->
+      let size = max 128 (n / scale) in
+      if List.mem_assoc size acc then acc else (size, n) :: acc)
+    sizes []
+
+let figure ~experiment ~title ~scale latency =
   let table =
     Tableout.create ~title
       ~columns:
@@ -19,8 +28,7 @@ let figure ~title ~scale latency ppf =
         ]
   in
   List.iter
-    (fun n ->
-      let size = max 128 (n / scale) in
+    (fun (size, n) ->
       let cells variant =
         let oracle = Ctx.oracle ~scale variant latency in
         let b =
@@ -37,18 +45,17 @@ let figure ~title ~scale latency ppf =
               seed = 42 + n;
             }
         in
-        (* Per-configuration means go to the global registry. *)
         let cell ?fill strategy =
-          Sweep.mean
-            (Sweep.route ?fill ~pairs:measure_pairs b
-               ~record:
-                 (Sweep.Gauge
-                    ( "scale_stretch",
-                      [
-                        ("variant", Ctx.variant_name variant);
-                        ("nodes", string_of_int size);
-                        ("strategy", strategy);
-                      ] )))
+          Tableout.gauge
+            ~labels:
+              [
+                ("experiment", experiment);
+                ("variant", Ctx.variant_name variant);
+                ("nodes", string_of_int size);
+                ("strategy", strategy);
+              ]
+            "scale_stretch" Tableout.cell_f
+            (Sweep.mean (Sweep.route ?fill ~pairs:measure_pairs b))
         in
         let random = cell "random" in
         let hybrid = cell ~fill:(Strategy.hybrid ~rtts:rtt_budget ()) "hybrid" in
@@ -58,19 +65,15 @@ let figure ~title ~scale latency ppf =
       let small_hybrid, small_random = cells Ctx.Tsk_small in
       Tableout.add_row table
         [
-          Tableout.cell_i size;
-          Tableout.cell_f large_hybrid;
-          Tableout.cell_f small_hybrid;
-          Tableout.cell_f large_random;
-          Tableout.cell_f small_random;
+          Tableout.text (string_of_int size); large_hybrid; small_hybrid; large_random; small_random;
         ])
-    sizes;
-  Tableout.render ppf table
+    (scaled_sizes ~scale);
+  [ Tableout.table table ]
 
-let fig14 ?(scale = 1) ppf =
-  figure ~scale Topology.Transit_stub.Gtitm_random ppf
+let fig14 ?(scale = 1) () =
+  figure ~experiment:"fig14" ~scale Topology.Transit_stub.Gtitm_random
     ~title:"Figure 14: stretch vs overlay size (GT-ITM latencies, hybrid vs random neighbors)"
 
-let fig15 ?(scale = 1) ppf =
-  figure ~scale Topology.Transit_stub.Manual ppf
+let fig15 ?(scale = 1) () =
+  figure ~experiment:"fig15" ~scale Topology.Transit_stub.Manual
     ~title:"Figure 15: stretch vs overlay size (manual latencies, hybrid vs random neighbors)"

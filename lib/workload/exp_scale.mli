@@ -2,8 +2,8 @@
     neighbor-selection against the random-neighbor baseline, on both
     topology variants. *)
 
-val fig14 : ?scale:int -> Format.formatter -> unit
+val fig14 : ?scale:int -> unit -> Tableout.block list
 (** GT-ITM random latencies. *)
 
-val fig15 : ?scale:int -> Format.formatter -> unit
+val fig15 : ?scale:int -> unit -> Tableout.block list
 (** Manual latencies. *)

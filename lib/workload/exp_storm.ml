@@ -38,10 +38,7 @@ let vector_of node =
 type run_stats = {
   mode : string;
   entries : int;  (** soft-state entries published over the run *)
-  sent : int;
-  delivered : int;
   scheduled : int;  (** engine delivery events the bus scheduled *)
-  digests : int;
   first_visited : int;  (** heap records popped by the first sweep *)
   first_expired : int;  (** entries that had actually expired by then *)
   total_expired : int;
@@ -63,11 +60,10 @@ let run_mode ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
       ~scheme can
   in
   let bus = Bus.create ~metrics ~labels ~sim ~digest_window store in
-  let delivered = ref 0 in
   for s = 0 to subscribers - 1 do
     ignore
       (Bus.subscribe bus ~subscriber:s ~region:[||] ~condition:Bus.Any_new_entry
-         ~handler:(fun _ -> incr delivered))
+         ~handler:ignore)
   done;
   (* Publish bursts: every burst is [publishers] fresh ids, all at the
      same virtual instant, [burst_gap] apart. *)
@@ -96,16 +92,13 @@ let run_mode ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
   {
     mode;
     entries = bursts * publishers;
-    sent = Bus.sent_count bus;
-    delivered = !delivered;
     scheduled;
-    digests = Bus.batched_count bus;
     first_visited;
     first_expired;
     total_expired = first_expired + rest_expired;
   }
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let scale = max 1 scale in
   let publishers = max 8 (64 / scale) in
   let subscribers = max 4 (48 / scale) in
@@ -134,38 +127,43 @@ let run ?(scale = 1) ppf =
           "sweep1 expired";
         ]
   in
+  let count = Tableout.fixed 0 in
   let row s =
+    let labels = [ ("mode", s.mode) ] in
+    let g name v = Tableout.gauge ~labels name count (float_of_int v) in
+    (* The bus's own counters, under the run's labels. *)
+    let bus name =
+      Tableout.named ~labels:(("experiment", "storm") :: labels) name Tableout.Count count
+    in
+    Metrics.set
+      (Metrics.gauge Metrics.global ~labels "storm_total_expired")
+      (float_of_int s.total_expired);
     Tableout.add_row table
       [
-        s.mode;
-        Tableout.cell_i s.entries;
-        Tableout.cell_i s.sent;
-        Tableout.cell_i s.delivered;
-        Tableout.cell_i s.scheduled;
-        Tableout.cell_i s.digests;
-        Tableout.cell_i s.first_visited;
-        Tableout.cell_i s.first_expired;
+        Tableout.text s.mode;
+        g "storm_entries" s.entries;
+        bus "notify_sent";
+        bus "notify_delivered";
+        g "storm_sched_events" s.scheduled;
+        bus "notify_batched";
+        g "storm_sweep1_visited" s.first_visited;
+        g "storm_sweep1_expired" s.first_expired;
       ]
   in
-  let record s =
-    let labels = [ ("mode", s.mode) ] in
-    let g = Sweep.gauge ~labels in
-    g "storm_entries" (float_of_int s.entries);
-    g "storm_sched_events" (float_of_int s.scheduled);
-    g "storm_sweep1_visited" (float_of_int s.first_visited);
-    g "storm_sweep1_expired" (float_of_int s.first_expired);
-    g "storm_total_expired" (float_of_int s.total_expired)
-  in
-  record seed_stats;
-  record digest_stats;
   row seed_stats;
   row digest_stats;
   let ratio = float_of_int seed_stats.scheduled /. float_of_int (max 1 digest_stats.scheduled) in
-  Sweep.gauge "storm_sched_ratio" ratio;
-  Tableout.render ppf table;
-  Format.fprintf ppf
-    "  sched events: engine delivery events (digest mode batches per subscriber+region) — %.1fx fewer.@."
-    ratio;
-  Format.fprintf ppf
-    "  sweep1: runs when only the first burst (%d of %d entries) has expired; the heap visits only those.@."
-    seed_stats.first_expired seed_stats.entries
+  [
+    Tableout.table table;
+    Tableout.line
+      [
+        Tableout.text
+          "  sched events: engine delivery events (digest mode batches per subscriber+region) — ";
+        Tableout.gauge ~labels:[] "storm_sched_ratio" (Tableout.fixed 1) ratio;
+        Tableout.text "x fewer.";
+      ];
+    Tableout.note
+      "  sweep1: runs when only the first burst (%d of %d entries) has expired; the heap visits \
+       only those."
+      seed_stats.first_expired seed_stats.entries;
+  ]

@@ -7,5 +7,5 @@
     the population has expired), and records both into the global metrics
     registry under [experiment=storm]. *)
 
-val run : ?scale:int -> Format.formatter -> unit
+val run : ?scale:int -> unit -> Tableout.block list
 (** Registry entry; [scale] divides the publisher/subscriber counts. *)

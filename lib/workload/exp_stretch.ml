@@ -6,9 +6,14 @@ let rtt_budgets = [ 1; 2; 5; 10; 20; 40 ]
 let landmark_counts = [ 10; 20 ]
 let measure_pairs = 2048
 
-let figure ~fig ~title ~scale variant latency ppf =
+let figure ~scale number variant latency latency_name =
+  let fig = Printf.sprintf "fig%d" number in
   let oracle = Ctx.oracle ~scale variant latency in
   let size = max 128 (overlay_size / scale) in
+  let title =
+    Printf.sprintf "Figure %d: routing stretch vs RTT budget (%s, %s latencies, %d nodes)" number
+      (Ctx.variant_name variant) latency_name size
+  in
   (* One build per landmark count; strategies are swapped by rebuilding
      the routing tables over the same overlay and soft state. *)
   let builders =
@@ -31,14 +36,12 @@ let figure ~fig ~title ~scale variant latency ppf =
   in
   let table = Tableout.create ~title ~columns in
   (* Each cell's per-pair stretches go to a [route_stretch] histogram
-     keyed by figure, landmark count and RTT budget. *)
+     keyed by figure, landmark count and RTT budget; the cell prints its
+     mean. *)
   let cell ~fill landmark_count rtts b =
-    Tableout.cell_f
-      (Sweep.mean
-         (Sweep.route ~fill ~pairs:measure_pairs b
-            ~record:
-              (Sweep.Histogram
-                 [ ("fig", fig); ("landmarks", string_of_int landmark_count); ("rtts", rtts) ])))
+    let labels = [ ("fig", fig); ("landmarks", string_of_int landmark_count); ("rtts", rtts) ] in
+    ignore (Sweep.route ~fill ~pairs:measure_pairs ~labels b);
+    Tableout.named ~labels "route_stretch" Tableout.Mean Tableout.cell_f
   in
   (* The optimal curve is flat in the RTT budget. *)
   let lm_ref, reference = List.hd builders in
@@ -51,34 +54,16 @@ let figure ~fig ~title ~scale variant latency ppf =
             cell ~fill:(Strategy.hybrid ~rtts ()) landmark_count (string_of_int rtts) b)
           builders
       in
-      Tableout.add_row table ((Tableout.cell_i rtts :: cells) @ [ optimal ]))
+      Tableout.add_row table ((Tableout.text (string_of_int rtts) :: cells) @ [ optimal ]))
     rtt_budgets;
-  Tableout.render ppf table
+  [ Tableout.table table ]
 
-let fig10 ?(scale = 1) ppf =
-  figure ~fig:"fig10" ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random ppf
-    ~title:
-      (Printf.sprintf
-         "Figure 10: routing stretch vs RTT budget (tsk-large, GT-ITM latencies, %d nodes)"
-         (max 128 (overlay_size / scale)))
+let fig10 ?(scale = 1) () =
+  figure ~scale 10 Ctx.Tsk_large Topology.Transit_stub.Gtitm_random "GT-ITM"
 
-let fig11 ?(scale = 1) ppf =
-  figure ~fig:"fig11" ~scale Ctx.Tsk_large Topology.Transit_stub.Manual ppf
-    ~title:
-      (Printf.sprintf
-         "Figure 11: routing stretch vs RTT budget (tsk-large, manual latencies, %d nodes)"
-         (max 128 (overlay_size / scale)))
+let fig11 ?(scale = 1) () = figure ~scale 11 Ctx.Tsk_large Topology.Transit_stub.Manual "manual"
 
-let fig12 ?(scale = 1) ppf =
-  figure ~fig:"fig12" ~scale Ctx.Tsk_small Topology.Transit_stub.Gtitm_random ppf
-    ~title:
-      (Printf.sprintf
-         "Figure 12: routing stretch vs RTT budget (tsk-small, GT-ITM latencies, %d nodes)"
-         (max 128 (overlay_size / scale)))
+let fig12 ?(scale = 1) () =
+  figure ~scale 12 Ctx.Tsk_small Topology.Transit_stub.Gtitm_random "GT-ITM"
 
-let fig13 ?(scale = 1) ppf =
-  figure ~fig:"fig13" ~scale Ctx.Tsk_small Topology.Transit_stub.Manual ppf
-    ~title:
-      (Printf.sprintf
-         "Figure 13: routing stretch vs RTT budget (tsk-small, manual latencies, %d nodes)"
-         (max 128 (overlay_size / scale)))
+let fig13 ?(scale = 1) () = figure ~scale 13 Ctx.Tsk_small Topology.Transit_stub.Manual "manual"

@@ -5,14 +5,14 @@
     One figure per (topology variant, latency model) combination, 4096
     overlay nodes by default. *)
 
-val fig10 : ?scale:int -> Format.formatter -> unit
+val fig10 : ?scale:int -> unit -> Tableout.block list
 (** tsk-large, GT-ITM random latencies. *)
 
-val fig11 : ?scale:int -> Format.formatter -> unit
+val fig11 : ?scale:int -> unit -> Tableout.block list
 (** tsk-large, manual latencies. *)
 
-val fig12 : ?scale:int -> Format.formatter -> unit
+val fig12 : ?scale:int -> unit -> Tableout.block list
 (** tsk-small, GT-ITM random latencies. *)
 
-val fig13 : ?scale:int -> Format.formatter -> unit
+val fig13 : ?scale:int -> unit -> Tableout.block list
 (** tsk-small, manual latencies. *)

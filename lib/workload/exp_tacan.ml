@@ -67,7 +67,7 @@ let build_overlay oracle ~size ~point_of =
   done;
   can
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let size = max 128 (overlay_size / scale) in
   let rng = Rng.create 999 in
@@ -93,20 +93,22 @@ let run ?(scale = 1) ppf =
       ~columns:
         [ "layout"; "top-10% nodes own"; "max neighbors"; "mean neighbors"; "max/mean volume" ]
   in
-  let row name s =
-    let labels = [ ("experiment", "tacan"); ("layout", name) ] in
-    Sweep.gauge ~labels "tacan_top10_share" s.top10_volume_share;
-    Sweep.gauge ~labels "tacan_max_neighbors" (float_of_int s.max_neighbors);
+  let row layout s =
+    let g name fmt v =
+      Tableout.gauge ~labels:[ ("experiment", "tacan"); ("layout", layout) ] name fmt v
+    in
     Tableout.add_row table
       [
-        name;
-        Printf.sprintf "%.1f%% of space" (100.0 *. s.top10_volume_share);
-        Tableout.cell_i s.max_neighbors;
-        Tableout.cell_f s.mean_neighbors;
-        Tableout.cell_f s.volume_imbalance;
+        Tableout.text layout;
+        g "tacan_top10_share"
+          (fun v -> Printf.sprintf "%.1f%% of space" (100.0 *. v))
+          s.top10_volume_share;
+        g "tacan_max_neighbors" (Tableout.fixed 0) (float_of_int s.max_neighbors);
+        g "tacan_mean_neighbors" Tableout.cell_f s.mean_neighbors;
+        g "tacan_volume_imbalance" Tableout.cell_f s.volume_imbalance;
       ]
   in
   row "uniform CAN" (layout_stats uniform);
   row "TA-CAN (ordering bins)" (layout_stats tacan_ordering);
   row "TA-CAN (landmark numbers)" (layout_stats tacan);
-  Tableout.render ppf table
+  [ Tableout.table table ]

@@ -45,7 +45,7 @@ let build_can members ~point_of =
   done;
   can
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let size = max 128 (overlay_size / scale) in
   let rng = Rng.create 909 in
@@ -97,20 +97,21 @@ let run ?(scale = 1) ppf =
            size)
       ~columns:[ "technique"; "stretch"; "p90 stretch"; "hops"; "max neighbors" ]
   in
-  let row name o =
-    Sweep.gauge ~labels:[ ("experiment", "taxonomy"); ("technique", name) ] "taxonomy_stretch"
-      o.stretch.Stats.mean;
+  let row technique o =
+    let g name fmt v =
+      Tableout.gauge ~labels:[ ("experiment", "taxonomy"); ("technique", technique) ] name fmt v
+    in
     Tableout.add_row table
       [
-        name;
-        Tableout.cell_f o.stretch.Stats.mean;
-        Tableout.cell_f o.stretch.Stats.p90;
-        Tableout.cell_f o.hops.Stats.mean;
-        Tableout.cell_i o.max_neighbors;
+        Tableout.text technique;
+        g "taxonomy_stretch" Tableout.cell_f o.stretch.Stats.mean;
+        g "taxonomy_stretch_p90" Tableout.cell_f o.stretch.Stats.p90;
+        g "taxonomy_hops" Tableout.cell_f o.hops.Stats.mean;
+        g "taxonomy_max_neighbors" (Tableout.fixed 0) (float_of_int o.max_neighbors);
       ]
   in
   row "topology-blind CAN" baseline;
   row "geographic layout (TA-CAN)" geographic;
   row "proximity routing" proximity_routing;
   row "proximity neighbor selection" pns;
-  Tableout.render ppf table
+  [ Tableout.table table ]

@@ -19,30 +19,21 @@ let waxman_oracle ~scale =
     Hashtbl.replace oracle_cache scale o;
     o
 
-let nn_table oracle ppf =
+let nn_table oracle =
   let max_budget = List.fold_left max 1 budgets in
   let ers, hybrid =
     Exp_nn.stretch_curves ~seed:616 ~query_count ~ers_budget:max_budget ~hybrid_budget:max_budget
       oracle
   in
   let ers = Sweep.nn_average ~budgets ers and hybrid = Sweep.nn_average ~budgets hybrid in
-  let table =
-    Tableout.create
-      ~title:
-        (Printf.sprintf "Waxman flat topology (%d nodes): NN-search stretch"
-           (Oracle.node_count oracle))
-      ~columns:[ "RTT measurements"; "ERS stretch"; "lmk+RTT stretch" ]
-  in
-  List.iteri
-    (fun i b ->
-      Sweep.nn_gauge ~experiment:"waxman" ~algo:"ers" b ers.(i);
-      Sweep.nn_gauge ~experiment:"waxman" ~algo:"hybrid" b hybrid.(i);
-      Tableout.add_row table
-        [ Tableout.cell_i b; Tableout.cell_f ers.(i); Tableout.cell_f hybrid.(i) ])
-    budgets;
-  Tableout.render ppf table
+  Tableout.table
+    (Sweep.nn_table ~experiment:"waxman" ~first:"RTT measurements" ~budgets
+       ~title:
+         (Printf.sprintf "Waxman flat topology (%d nodes): NN-search stretch"
+            (Oracle.node_count oracle))
+       [ ("ERS stretch", "ers", ers); ("lmk+RTT stretch", "hybrid", hybrid) ])
 
-let routing_table oracle ~scale ppf =
+let routing_table oracle ~scale =
   let size = max 128 (1024 / scale) in
   let b =
     Builder.build oracle
@@ -55,10 +46,10 @@ let routing_table oracle ~scale ppf =
       }
   in
   let cell ?fill strategy =
-    Sweep.mean
-      (Sweep.route ?fill ~pairs:1024 b
-         ~record:
-           (Sweep.Gauge ("waxman_stretch", [ ("experiment", "waxman"); ("strategy", strategy) ])))
+    Tableout.gauge
+      ~labels:[ ("experiment", "waxman"); ("strategy", strategy) ]
+      "waxman_stretch" Tableout.cell_f
+      (Sweep.mean (Sweep.route ?fill ~pairs:1024 b))
   in
   let random = cell "random" in
   let hybrid = cell ~fill:(Strategy.hybrid ~rtts:10 ()) "hybrid" in
@@ -68,11 +59,10 @@ let routing_table oracle ~scale ppf =
       ~title:(Printf.sprintf "Waxman flat topology: eCAN routing stretch (%d nodes)" size)
       ~columns:[ "random"; "hybrid (lmk+RTT)"; "optimal" ]
   in
-  Tableout.add_row table
-    [ Tableout.cell_f random; Tableout.cell_f hybrid; Tableout.cell_f optimal ];
-  Tableout.render ppf table
+  Tableout.add_row table [ random; hybrid; optimal ];
+  Tableout.table table
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = waxman_oracle ~scale in
-  nn_table oracle ppf;
-  routing_table oracle ~scale ppf
+  let nn = nn_table oracle in
+  [ nn; routing_table oracle ~scale ]

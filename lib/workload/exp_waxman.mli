@@ -3,4 +3,4 @@
     pick up.  Reports NN-search stretch of ERS vs landmark+RTT and
     routing stretch of random vs hybrid vs optimal selection. *)
 
-val run : ?scale:int -> Format.formatter -> unit
+val run : ?scale:int -> unit -> Tableout.block list

@@ -14,11 +14,11 @@ let landmark_count = 15
 let rtt_budget = 10
 let route_count = 2048
 
-(* Every mean-stretch cell goes to the global registry as an
-   [xover_stretch] gauge, so the bench snapshot holds this experiment. *)
-let record ~overlay ~pick (s : Stats.summary) =
-  Sweep.gauge ~labels:[ ("experiment", "xover"); ("overlay", overlay); ("pick", pick) ]
-    "xover_stretch" s.Stats.mean
+(* A mean-stretch cell: the [xover_stretch] gauge. *)
+let stretch_cell ~overlay ~pick (s : Stats.summary) =
+  Tableout.gauge
+    ~labels:[ ("experiment", "xover"); ("overlay", overlay); ("pick", pick) ]
+    "xover_stretch" Tableout.cell_f s.Stats.mean
 
 let random_pick rng : Backend.pick = fun ~node:_ ~candidates -> Some (Rng.pick rng candidates)
 
@@ -106,7 +106,7 @@ let pastry_prefixmap_stretch oracle prober members scheme vector_of =
     ~route:(Mesh.route mesh) ~owner:(Mesh.owner_of mesh)
     ~key_space:(1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh))
 
-let run ?(scale = 1) ppf =
+let run ?(scale = 1) () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 128 (overlay_size / scale) in
   let rng = Rng.create 777 in
@@ -150,16 +150,14 @@ let run ?(scale = 1) ppf =
             sampled_stretch oracle members ~seed:route_seed ~what:(name ^ " " ^ pick_name)
               ~route:be.Backend.route ~owner:be.Backend.owner ~key_space:be.Backend.key_space
           in
-          record ~overlay:(String.lowercase_ascii name) ~pick:pick_name s;
-          Tableout.cell_f s.Stats.mean)
+          stretch_cell ~overlay:(String.lowercase_ascii name) ~pick:pick_name s)
         (strategies ())
     in
-    Tableout.add_row table (name :: cells)
+    Tableout.add_row table (Tableout.text name :: cells)
   in
   row "Chord" Backend.Chord ~key_seed:31337 ~route_seed:555;
   row "Pastry" Backend.Pastry ~key_seed:31338 ~route_seed:556;
   row "Koorde" (Backend.Koorde 4) ~key_seed:31343 ~route_seed:557;
-  Tableout.render ppf table;
   (* The ring-map variant exercises the actual on-ring storage path. *)
   let scheme =
     Number.default_scheme
@@ -170,20 +168,22 @@ let run ?(scale = 1) ppf =
     ringmap_stretch oracle prober members scheme vector_of Backend.Chord ~key_seed:31339
       ~fallback_seed:31340 ~route_seed:555
   in
-  record ~overlay:"chord" ~pick:"stored map" ringmap;
-  Format.fprintf ppf
-    "  Chord with the map stored on the ring itself: stretch %.3f (vs idealised hybrid above)@."
-    ringmap.Stats.mean;
   let prefixmap = pastry_prefixmap_stretch oracle prober members scheme vector_of in
-  record ~overlay:"pastry" ~pick:"stored map" prefixmap;
-  Format.fprintf ppf
-    "  Pastry with maps stored under the prefixes:   stretch %.3f (vs idealised hybrid above)@."
-    prefixmap.Stats.mean;
   let koordemap =
     ringmap_stretch oracle prober members scheme vector_of (Backend.Koorde 4) ~key_seed:31344
       ~fallback_seed:31345 ~route_seed:557
   in
-  record ~overlay:"koorde" ~pick:"stored map" koordemap;
-  Format.fprintf ppf
-    "  Koorde with the map stored on its ring:       stretch %.3f (vs idealised hybrid above)@."
-    koordemap.Stats.mean
+  let stored lead overlay s =
+    Tableout.line
+      [
+        Tableout.text lead;
+        stretch_cell ~overlay ~pick:"stored map" s;
+        Tableout.text " (vs idealised hybrid above)";
+      ]
+  in
+  [
+    Tableout.table table;
+    stored "  Chord with the map stored on the ring itself: stretch " "chord" ringmap;
+    stored "  Pastry with maps stored under the prefixes:   stretch " "pastry" prefixmap;
+    stored "  Koorde with the map stored on its ring:       stretch " "koorde" koordemap;
+  ]

@@ -4,4 +4,4 @@
     the constant-degree frontier, only ~k candidates per node) under
     random / hybrid / optimal selection and reports routing stretch. *)
 
-val run : ?scale:int -> Format.formatter -> unit
+val run : ?scale:int -> unit -> Tableout.block list

@@ -1,10 +1,10 @@
 type entry = {
   name : string;
   title : string;
-  run : scale:int -> Format.formatter -> unit;
+  run : scale:int -> Tableout.block list;
 }
 
-let entry name title run = { name; title; run = (fun ~scale ppf -> run ?scale:(Some scale) ppf) }
+let entry name title run = { name; title; run = (fun ~scale -> run ?scale:(Some scale) ()) }
 
 let all =
   [
@@ -32,30 +32,30 @@ let all =
     entry "join" "Join latency: concurrent landmark probing through the probe plane" Exp_join.run;
     entry "waxman" "Robustness: flat Waxman topology (no hierarchy)" Exp_waxman.run;
     entry "churn" "Robustness: churn & fault storms, soft-state repair (all overlays)"
-      (fun ?scale ppf -> Exp_churn.run ?scale ppf);
+      (fun ?scale () -> Exp_churn.run ?scale ());
     entry "storm" "Maintenance plane: digest batching & heap-swept TTL under burst load"
       Exp_storm.run;
     entry "repair" "Repair latency: trace-driven tail analysis & adaptive maintenance tuning"
-      (fun ?scale ppf -> Exp_repair.run ?scale ppf);
+      (fun ?scale () -> Exp_repair.run ?scale ());
     entry "cache" "Service layer: topology-aware Zipf content cache (all overlays)"
-      (fun ?scale ppf -> Exp_cache.run ?scale ppf);
+      (fun ?scale () -> Exp_cache.run ?scale ());
     entry "mcast" "Dissemination trees: map-placed vs random relays under churn (all overlays)"
-      (fun ?scale ppf -> Exp_mcast.run ?scale ppf);
+      (fun ?scale () -> Exp_mcast.run ?scale ());
     entry "degree" "Constant-degree frontier: choice budget k vs stretch / maintenance / repair"
-      (fun ?scale ppf -> Exp_degree.run ?scale ppf);
+      (fun ?scale () -> Exp_degree.run ?scale ());
     entry "alloc" "Allocation budget: exact minor words per hot-path op"
-      (fun ?scale ppf -> Exp_alloc.run ?scale ppf);
-    entry "bigscale" "Raw speed: churn rows on 2^14..2^17-node transit-stub topologies"
-      (fun ?scale ppf -> Exp_bigscale.run ?scale ppf);
+      Exp_alloc.run;
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
+
+let print e ~scale ppf = Tableout.render ppf (e.run ~scale)
 
 let run_all ?(scale = 1) ppf =
   List.iter
     (fun e ->
       Format.fprintf ppf "@.>>> %s — %s@." e.name e.title;
-      e.run ~scale ppf;
+      print e ~scale ppf;
       (* keep the output flowing for long runs under tee *)
       Format.pp_print_flush ppf ())
     all

@@ -4,7 +4,7 @@
 type entry = {
   name : string;  (** experiment id, e.g. "fig10" *)
   title : string;  (** one-line description *)
-  run : scale:int -> Format.formatter -> unit;
+  run : scale:int -> Tableout.block list;  (** the experiment's printed output *)
 }
 
 val all : entry list
@@ -12,5 +12,8 @@ val all : entry list
 
 val find : string -> entry option
 
+val print : entry -> scale:int -> Format.formatter -> unit
+(** Run one experiment and {!Tableout.render} its output. *)
+
 val run_all : ?scale:int -> Format.formatter -> unit
-(** Run the whole suite, printing each experiment's table. *)
+(** Run the whole suite, printing each experiment's header and output. *)

@@ -2,21 +2,16 @@ module Metrics = Engine.Metrics
 module Measure = Core.Measure
 module Search = Proximity.Search
 
-let gauge ?labels name v = Metrics.set (Metrics.gauge Metrics.global ?labels name) v
-
-type record = Gauge of string * Metrics.labels | Histogram of Metrics.labels
-
 let mean (r : Measure.report) = r.Measure.stretch.Prelude.Stats.mean
 
-let route ?fill ?record ~pairs builder =
+let route ?fill ?labels ~pairs builder =
   Option.iter (Core.Builder.rebuild_tables builder) fill;
   let report = Measure.route_stretch ~pairs builder in
-  (match record with
-  | None -> ()
-  | Some (Gauge (name, labels)) -> gauge ~labels name (mean report)
-  | Some (Histogram labels) ->
-    let hist = Metrics.histogram Metrics.global ~labels "route_stretch" in
-    List.iter (Metrics.observe hist) (Measure.stretches report.Measure.samples));
+  Option.iter
+    (fun labels ->
+      let hist = Metrics.histogram Metrics.global ~labels "route_stretch" in
+      List.iter (Metrics.observe hist) (Measure.stretches report.Measure.samples))
+    labels;
   report
 
 let nn_stretch oracle ~candidates ~queries curve =
@@ -36,6 +31,18 @@ let nn_average ~budgets curves =
     curves;
   Array.map (fun v -> v /. float_of_int (List.length curves)) sums
 
-let nn_gauge ~experiment ~algo rtts v =
-  gauge ~labels:[ ("experiment", experiment); ("algo", algo); ("rtts", string_of_int rtts) ]
-    "nn_stretch" v
+let nn_table ~experiment ~title ~first ~budgets columns =
+  let table = Tableout.create ~title ~columns:(first :: List.map (fun (h, _, _) -> h) columns) in
+  List.iteri
+    (fun i b ->
+      let rtts = string_of_int b in
+      Tableout.add_row table
+        (Tableout.text rtts
+        :: List.map
+             (fun (_, algo, values) ->
+               Tableout.gauge
+                 ~labels:[ ("experiment", experiment); ("algo", algo); ("rtts", rtts) ]
+                 "nn_stretch" Tableout.cell_f values.(i))
+             columns))
+    budgets;
+  table

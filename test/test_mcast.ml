@@ -333,7 +333,6 @@ let test_exp_mcast_metrics_deterministic () =
   let dump () =
     let metrics = Metrics.create () in
     let stats = Workload.Exp_mcast.data ~scale:exp_scale ~metrics () in
-    List.iter (Workload.Exp_mcast.record_stats metrics) stats;
     (stats, Json.to_string (Metrics.to_json metrics))
   in
   let stats1, json1 = dump () in

@@ -153,7 +153,7 @@ let experiment_json name =
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   (match Workload.Registry.find name with
-  | Some e -> e.Workload.Registry.run ~scale:16 ppf
+  | Some e -> Workload.Registry.print e ~scale:16 ppf
   | None -> Alcotest.fail ("unknown experiment " ^ name));
   Format.pp_print_flush ppf ();
   let json = Json.to_string (Metrics.to_json Metrics.global) in

@@ -277,6 +277,37 @@ let qcheck_oracle_matches_dijkstra =
       done;
       !ok)
 
+(* The flat oracle at 2^17 stub nodes (8 domains x 8 transit nodes x 32
+   stubs x 64 members, manual latencies): generation and the per-stub
+   and core precompute fit a test, and sampled distances agree with
+   Dijkstra over the whole graph. *)
+let test_oracle_2e17 () =
+  let p =
+    {
+      Ts.transit_domains = 8;
+      transit_nodes_per_domain = 8;
+      stubs_per_transit_node = 32;
+      stub_size = 64;
+      extra_domain_edges = 8;
+      extra_edge_fraction = 0.3;
+      latency = Ts.Manual;
+    }
+  in
+  let t = Ts.generate (Rng.create 20030519) p in
+  let o = Oracle.build t in
+  let n = Graph.node_count t.Ts.graph in
+  Alcotest.(check int) "2^17 stub nodes plus the transit core" ((1 lsl 17) + 64) n;
+  let rng = Rng.create 17 in
+  for _ = 1 to 4 do
+    let src = Rng.int rng n in
+    let d = Dijkstra.distances t.Ts.graph src in
+    for _ = 1 to 64 do
+      let dst = Rng.int rng n in
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "d(%d,%d)" src dst) d.(dst)
+        (Oracle.dist o src dst)
+    done
+  done
+
 let test_oracle_measurement_counter () =
   let rng = Rng.create 6 in
   let t = Ts.generate rng (small_params Ts.Manual) in
@@ -364,6 +395,7 @@ let suite =
     Alcotest.test_case "serialize rejects garbage" `Quick test_serialize_rejects_garbage;
     Alcotest.test_case "serialize file io" `Quick test_serialize_file_io;
     Alcotest.test_case "oracle = dijkstra (exhaustive small)" `Slow test_oracle_matches_dijkstra;
+    Alcotest.test_case "oracle = dijkstra at 2^17 nodes" `Quick test_oracle_2e17;
     Alcotest.test_case "oracle measurement counter" `Quick test_oracle_measurement_counter;
     Alcotest.test_case "oracle nearest" `Quick test_oracle_nearest;
     Alcotest.test_case "oracle nearest tie-break" `Quick test_oracle_nearest_tiebreak;

@@ -9,7 +9,7 @@ let run_entry (e : Workload.Registry.entry) () =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   let instruments_before = Engine.Metrics.size Engine.Metrics.global in
-  e.Workload.Registry.run ~scale:smoke_scale ppf;
+  Workload.Registry.print e ~scale:smoke_scale ppf;
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   Alcotest.(check bool)
@@ -39,7 +39,7 @@ let test_cache_experiment () =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   let before = Engine.Metrics.size Engine.Metrics.global in
-  Workload.Exp_cache.run_custom ~scale:smoke_scale ppf;
+  Workload.Tableout.render ppf (Workload.Exp_cache.run ~scale:smoke_scale ());
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   let contains needle hay =
@@ -69,7 +69,7 @@ let test_degree_experiment () =
   let render () =
     let buf = Buffer.create 1024 in
     let ppf = Format.formatter_of_buffer buf in
-    Workload.Exp_degree.run_custom ~scale:2 ppf;
+    Workload.Tableout.render ppf (Workload.Exp_degree.run ~scale:2 ());
     Format.pp_print_flush ppf ();
     Buffer.contents buf
   in
@@ -93,21 +93,69 @@ let test_degree_experiment () =
         (contains (Printf.sprintf "degree_random_over_aware_k%d" k) json))
     [ 2; 4; 8; 16 ]
 
+let render_to_string render =
+  let buf = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer buf in
+  render ppf;
+  Format.pp_print_flush ppf ();
+  Buffer.contents buf
+
 let test_tableout () =
-  let t = Workload.Tableout.create ~title:"t" ~columns:[ "a"; "bb" ] in
-  Workload.Tableout.add_row t [ "1"; "2" ];
+  let module T = Workload.Tableout in
+  let t = T.create ~title:"t" ~columns:[ "a"; "bb" ] in
+  T.add_row t [ T.text "1"; T.gauge ~labels:[ ("cell", "b") ] "tableout_test" T.cell_f 2.0 ];
   Alcotest.check_raises "cell count enforced"
     (Invalid_argument "Tableout.add_row: cell count mismatch") (fun () ->
-      Workload.Tableout.add_row t [ "only one" ]);
-  let buf = Buffer.create 64 in
-  let ppf = Format.formatter_of_buffer buf in
-  Workload.Tableout.render ppf t;
-  Format.pp_print_flush ppf ();
-  let out = Buffer.contents buf in
-  Alcotest.(check bool) "has title" true
-    (String.length out > 0 && String.index_opt out 't' <> None);
-  Alcotest.(check string) "float cell" "1.500" (Workload.Tableout.cell_f 1.5);
-  Alcotest.(check string) "inf cell" "inf" (Workload.Tableout.cell_f infinity)
+      T.add_row t [ T.text "only one" ]);
+  let out = render_to_string (fun ppf -> T.render ppf [ T.table t; T.line [ T.text "end" ] ]) in
+  Alcotest.(check string) "title, header, rule, row, line"
+    "\n== t ==\n  a  bb   \n  -  -----\n  1  2.000\nend\n" out;
+  Alcotest.(check string) "float cell" "1.500" (T.cell_f 1.5);
+  Alcotest.(check string) "inf cell" "inf" (T.cell_f infinity);
+  Alcotest.(check string) "nan cell" "-" (T.cell_f Float.nan);
+  Alcotest.(check string) "nan fixed cell" "-" (T.fixed 0 Float.nan)
+
+(* Two cells of one table that declare one instrument with different
+   values cannot both be what the instrument holds. *)
+let test_conflicting_cells () =
+  let module T = Workload.Tableout in
+  let t = T.create ~title:"t" ~columns:[ "v" ] in
+  let cell v = T.gauge ~labels:[ ("cell", "same") ] "tableout_test" T.cell_f v in
+  T.add_row t [ cell 1.0 ];
+  T.add_row t [ cell 1.0 ];
+  Alcotest.(check bool) "a second, different value is rejected" true
+    (match T.add_row t [ cell 2.0 ] with
+    | () -> false
+    | exception Invalid_argument _ -> true)
+
+(* Every registered experiment at the smoke scale, in registry order on
+   one registry, as [bench --json] runs them: each experiment's output,
+   re-rendered from the final snapshot after a JSON round trip, is the
+   bytes it printed.  A cell whose instrument a later cell overwrote, or
+   that holds no instrument at all, fails here. *)
+let test_tables_view_the_metrics () =
+  let module Metrics = Engine.Metrics in
+  let module T = Workload.Tableout in
+  Metrics.reset Metrics.global;
+  let printed =
+    List.map
+      (fun (e : Workload.Registry.entry) ->
+        let blocks = e.Workload.Registry.run ~scale:smoke_scale in
+        (e.Workload.Registry.name, blocks, render_to_string (fun ppf -> T.render ppf blocks)))
+      Workload.Registry.all
+  in
+  let snapshot =
+    match Prelude.Json.of_string (Prelude.Json.to_string (Metrics.to_json Metrics.global)) with
+    | Ok j -> j
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (name, blocks, out) ->
+      Alcotest.(check string)
+        (name ^ " re-rendered from the snapshot")
+        out
+        (render_to_string (fun ppf -> T.of_metrics snapshot ppf blocks)))
+    printed
 
 let test_ctx_cache () =
   let o1 = Workload.Ctx.oracle ~scale:smoke_scale Workload.Ctx.Tsk_large Topology.Transit_stub.Manual in
@@ -214,27 +262,23 @@ let test_route_cell () =
   let swept = Builder.build oracle config and by_hand = Builder.build oracle config in
   List.iteri
     (fun i fill ->
-      let labels = [ ("experiment", "sweep-test"); ("cell", string_of_int i) ] in
-      let record =
-        if i mod 2 = 0 then Workload.Sweep.Gauge ("sweep_test_stretch", labels)
-        else Workload.Sweep.Histogram labels
+      let labels =
+        if i mod 2 = 0 then None
+        else Some [ ("experiment", "sweep-test"); ("cell", string_of_int i) ]
       in
-      let got = Workload.Sweep.route ?fill ~record ~pairs:64 swept in
+      let got = Workload.Sweep.route ?fill ?labels ~pairs:64 swept in
       Option.iter (Builder.rebuild_tables by_hand) fill;
       let want = Measure.route_stretch ~pairs:64 by_hand in
       let cell = Printf.sprintf "cell %d" i in
       Alcotest.(check bool) (cell ^ ": same report") true (compare got want = 0);
       Alcotest.(check (float 0.0)) (cell ^ ": mean") want.Measure.stretch.Prelude.Stats.mean
         (Workload.Sweep.mean got);
-      match record with
-      | Workload.Sweep.Gauge (name, labels) ->
-        Alcotest.(check (float 0.0)) (cell ^ ": gauge holds the mean")
-          want.Measure.stretch.Prelude.Stats.mean
-          (Metrics.value (Metrics.gauge Metrics.global ~labels name))
-      | Workload.Sweep.Histogram labels ->
-        Alcotest.(check (array (float 0.0))) (cell ^ ": histogram holds every stretch")
-          (Array.of_list (Measure.stretches want.Measure.samples))
-          (Metrics.samples (Metrics.histogram Metrics.global ~labels "route_stretch")))
+      Option.iter
+        (fun labels ->
+          Alcotest.(check (array (float 0.0))) (cell ^ ": histogram holds every stretch")
+            (Array.of_list (Measure.stretches want.Measure.samples))
+            (Metrics.samples (Metrics.histogram Metrics.global ~labels "route_stretch")))
+        labels)
     [
       None;
       Some Strategy.Optimal;
@@ -252,6 +296,8 @@ let suite =
   :: Alcotest.test_case "cache experiment output & gauges" `Quick test_cache_experiment
   :: Alcotest.test_case "degree experiment output & gauges" `Quick test_degree_experiment
   :: Alcotest.test_case "table rendering" `Quick test_tableout
+  :: Alcotest.test_case "one instrument, two values: rejected" `Quick test_conflicting_cells
+  :: Alcotest.test_case "every table is a view of the metrics" `Slow test_tables_view_the_metrics
   :: Alcotest.test_case "context cache" `Quick test_ctx_cache
   :: Alcotest.test_case "route cell = rebuild then measure" `Quick test_route_cell
   :: QCheck_alcotest.to_alcotest qcheck_nn_average
