@@ -201,14 +201,17 @@ let entries t id =
   done;
   !acc
 
-let build_table_for t ~selector id =
-  drop_table t id;
-  ignore (table t id);
+let iter_selections t id f =
   iter_slots t id (fun ~row ~digit ->
       let region = region_prefix t id ~row ~digit in
       let candidates = Can_overlay.members_with_prefix t.can region in
-      if Array.length candidates > 0 then
-        set_entry t id ~row ~digit (selector ~node:id ~region ~candidates))
+      if Array.length candidates > 0 then f ~row ~digit ~region ~candidates)
+
+let build_table_for t ~selector id =
+  drop_table t id;
+  ignore (table t id);
+  iter_selections t id (fun ~row ~digit ~region ~candidates ->
+      set_entry t id ~row ~digit (selector ~node:id ~region ~candidates))
 
 let build_tables t ~selector =
   Array.iter (build_table_for t ~selector) (Can_overlay.node_ids t.can)

@@ -85,11 +85,22 @@ val referrers : t -> int -> (int * int * int) list
 val entries : t -> int -> (int * int * int) list
 (** All filled entries of a node as [(row, digit, target)]. *)
 
+val iter_selections :
+  t -> int -> (row:int -> digit:int -> region:int array -> candidates:int array -> unit) -> unit
+(** [iter_selections t id f] calls [f] once for every selector call
+    [build_table_for t ~selector id] would make, in the same order: the
+    slots of {!iter_slots} whose region has members, with the region's
+    prefix and its {!Can.Overlay.members_with_prefix}.  It writes no
+    table. *)
+
 val build_table_for : t -> selector:selector -> int -> unit
 (** (Re)build one node's table from the current overlay state. *)
 
 val build_tables : t -> selector:selector -> unit
-(** (Re)build every member's table. *)
+(** (Re)build every member's table: {!build_table_for} over
+    {!Can.Overlay.node_ids}, in that order.  A whole fill with the same
+    overlay therefore asks its selector about the slots of
+    {!iter_selections} over the same ids, in the same order. *)
 
 val route : t -> src:int -> Geometry.Point.t -> int list option
 (** Expressway routing: hop along the table entry that extends the shared
