@@ -34,14 +34,36 @@ type instruments = {
   i_batch_ms : Metrics.histogram;
 }
 
-type cache_entry = { rtt : float; expires : float }
+type cache_entry = { mutable rtt : float; mutable expires : float }
+
+(* The RTT cache's key: [src] in the high 31 bits, [dst] in the low 31,
+   so a lookup hashes one int and allocates nothing. *)
+let key_bits = 31
+let key_mask = (1 lsl key_bits) - 1
+
+let cache_key src dst =
+  if src lsr key_bits <> 0 || dst lsr key_bits <> 0 then
+    invalid_arg "Probe: node id outside [0, 2^31) in the RTT cache";
+  (src lsl key_bits) lor dst
+
+module Key_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Buckets are picked by the hash's low bits, and the key's low bits
+     are [dst]'s: fold the multiplied high half down so [src] counts. *)
+  let hash k =
+    let h = k * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 32)
+end)
 
 type t = {
   config : config;
   measure : int -> int -> float;
   clock : unit -> float;
   faults : Faults.t option;
-  cache : (int * int, cache_entry) Hashtbl.t;
+  cache : cache_entry Key_tbl.t;
   obs : instruments option;
   tracer : Trace.t option;
   mutable probes : int;
@@ -81,7 +103,7 @@ let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0)
     measure;
     clock;
     faults;
-    cache = Hashtbl.create 256;
+    cache = Key_tbl.create 256;
     obs;
     tracer = trace;
     probes = 0;
@@ -104,34 +126,41 @@ let[@inline] obs_observe t f v = match t.obs with Some o -> Metrics.observe (f o
 let cache_find t ~src ~dst ~now =
   if t.config.cache_ttl <= 0.0 then None
   else begin
-    match Hashtbl.find_opt t.cache (src, dst) with
-    | Some e when e.expires > now ->
+    match Key_tbl.find t.cache (cache_key src dst) with
+    | e when e.expires > now ->
       t.cache_hits <- t.cache_hits + 1;
       obs_incr t (fun o -> o.i_cache_hits);
       Some e.rtt
-    | Some _ ->
+    | _ ->
       t.cache_stale <- t.cache_stale + 1;
       t.cache_misses <- t.cache_misses + 1;
       obs_incr t (fun o -> o.i_cache_stale);
       obs_incr t (fun o -> o.i_cache_misses);
       None
-    | None ->
+    | exception Not_found ->
       t.cache_misses <- t.cache_misses + 1;
       obs_incr t (fun o -> o.i_cache_misses);
       None
   end
 
+(* A re-measured pair updates its entry in place. *)
 let[@inline] cache_store t ~src ~dst ~at rtt =
-  if t.config.cache_ttl > 0.0 then
-    Hashtbl.replace t.cache (src, dst) { rtt; expires = at +. t.config.cache_ttl }
+  if t.config.cache_ttl > 0.0 then begin
+    let key = cache_key src dst and expires = at +. t.config.cache_ttl in
+    match Key_tbl.find t.cache key with
+    | e ->
+      e.rtt <- rtt;
+      e.expires <- expires
+    | exception Not_found -> Key_tbl.add t.cache key { rtt; expires }
+  end
 
 let invalidate t node =
   let doomed =
-    Hashtbl.fold
-      (fun ((a, b) as k) _ acc -> if a = node || b = node then k :: acc else acc)
+    Key_tbl.fold
+      (fun k _ acc -> if k lsr key_bits = node || k land key_mask = node then k :: acc else acc)
       t.cache []
   in
-  List.iter (Hashtbl.remove t.cache) doomed
+  List.iter (Key_tbl.remove t.cache) doomed
 
 let run_batch_from t ~start ~src ~dsts =
   let cfg = t.config in
@@ -218,7 +247,9 @@ let run_batch t ~src ~dsts = run_batch_from t ~start:(t.clock ()) ~src ~dsts
    [start -. start], and no span.  Anything else is that batch. *)
 let rtt t ~src ~dst =
   let start = t.clock () in
-  match if t.config.cache_ttl > 0.0 then Hashtbl.find t.cache (src, dst) else raise Not_found with
+  match
+    if t.config.cache_ttl > 0.0 then Key_tbl.find t.cache (cache_key src dst) else raise Not_found
+  with
   | e when e.expires > start ->
     let none = start -. start in
     t.probes <- t.probes + 1;

@@ -24,7 +24,10 @@
     the first retry, doubling before each further one), and retry
     exhaustion surfaces as a typed [Error].  Successful measurements can
     be remembered in a TTL'd per-[(src, dst)] RTT cache with hit/miss/
-    stale accounting.
+    stale accounting.  The cache keys a pair by one int, so with the
+    cache on ([cache_ttl > 0]) every probe's [src] and [dst] must lie in
+    [\[0, 2^31)]: {!run_batch} and {!rtt} raise [Invalid_argument]
+    otherwise.  Re-measuring a cached pair updates its entry in place.
 
     Timing is modelled, not executed: a batch submitted at virtual time
     [t] deterministically computes each member's completion time from the

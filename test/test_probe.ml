@@ -350,6 +350,27 @@ let qcheck_embed_measures_reference_matrix =
       n1 = want_n && log1 = expected_log
       && t1.Landmark.Coordinates.landmark_coords = tl.Landmark.Coordinates.landmark_coords)
 
+(* The cache packs a pair into one int: the largest ids stay distinct
+   pairs, and ids it cannot pack are refused rather than aliased. *)
+let test_cache_key_range () =
+  let measure, calls = synthetic () in
+  let p = Probe.create ~config:(cfg ~cache_ttl:infinity ()) ~measure () in
+  let top = (1 lsl 31) - 1 in
+  ignore (Probe.rtt p ~src:top ~dst:0);
+  ignore (Probe.rtt p ~src:0 ~dst:top);
+  ignore (Probe.rtt p ~src:top ~dst:0);
+  Alcotest.(check (list (pair int int))) "two pairs, one hit" [ (top, 0); (0, top) ] (calls ());
+  Probe.invalidate p top;
+  ignore (Probe.rtt p ~src:0 ~dst:top);
+  Alcotest.(check int) "invalidate drops the pair by either end" 3 (List.length (calls ()));
+  let refused = Invalid_argument "Probe: node id outside [0, 2^31) in the RTT cache" in
+  Alcotest.check_raises "negative src" refused (fun () -> ignore (Probe.rtt p ~src:(-1) ~dst:0));
+  Alcotest.check_raises "dst of 2^31" refused (fun () ->
+      ignore (Probe.run_batch p ~src:0 ~dsts:[| 1 lsl 31 |]));
+  let uncached = Probe.create ~measure () in
+  Alcotest.(check bool) "no cache, no range check" true
+    (Result.is_ok (Probe.rtt uncached ~src:(-1) ~dst:(1 lsl 31)))
+
 let suite =
   [
     Alcotest.test_case "window 1 = sequential loop" `Quick test_window1_matches_sequential;
@@ -359,6 +380,7 @@ let suite =
     Alcotest.test_case "timeout without faults" `Quick test_timeout_without_faults;
     Alcotest.test_case "cache hit and stale" `Quick test_cache_hit_and_stale;
     Alcotest.test_case "cache invalidate" `Quick test_cache_invalidate;
+    Alcotest.test_case "cache key range" `Quick test_cache_key_range;
     Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "metrics instruments" `Quick test_metrics_instruments;
     Alcotest.test_case "vector_via = vector" `Quick test_vector_via_equivalence;
