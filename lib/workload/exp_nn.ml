@@ -35,34 +35,53 @@ let stretch_curves ?metrics ?labels ~seed ~query_count ~ers_budget ~hybrid_budge
   (ers, hybrid)
 
 (* Shared per-variant computation: average best-so-far stretch for both
-   algorithms, over the same query set, cached across the four figures. *)
-type curves = { ers : float array; hybrid : float array }
+   algorithms, over the same query set, cached across the four figures,
+   with the probes each algorithm spent. *)
+type curves = { ers : float array; hybrid : float array; probes : (string * int) list }
 
 let cache : (string, curves) Hashtbl.t = Hashtbl.create 4
 
+let probe_counter metrics ~labels algo =
+  Engine.Metrics.counter metrics ~labels:(("algo", algo) :: labels) "rtt_probes"
+
 let compute ?(scale = 1) variant =
   let key = Printf.sprintf "%s/%d" (Ctx.variant_name variant) scale in
-  match Hashtbl.find_opt cache key with
-  | Some c -> c
-  | None ->
-    let oracle = Ctx.oracle ~scale variant Topology.Transit_stub.Gtitm_random in
-    let ers_budget = min max_ers_budget (Oracle.node_count oracle - 1) in
-    (* Probe counts per algorithm go to the global registry ([rtt_probes]
-       labeled algo/variant) — the measurement cost the figures trade
-       against. *)
-    let ers, hybrid =
-      stretch_curves ~metrics:Engine.Metrics.global
-        ~labels:[ ("variant", Ctx.variant_name variant) ]
-        ~seed:777 ~query_count ~ers_budget ~hybrid_budget:max_hybrid_budget oracle
-    in
-    (* Every budget up to the last, summed newest query first: the order
-       the baseline's fig3-fig6 [nn_stretch] floats were recorded in. *)
-    let average budget curves =
-      Sweep.nn_average ~budgets:(List.init budget succ) (List.rev curves)
-    in
-    let c = { ers = average ers_budget ers; hybrid = average max_hybrid_budget hybrid } in
-    Hashtbl.replace cache key c;
-    c
+  let labels = [ ("variant", Ctx.variant_name variant) ] in
+  let c =
+    match Hashtbl.find_opt cache key with
+    | Some c -> c
+    | None ->
+      let oracle = Ctx.oracle ~scale variant Topology.Transit_stub.Gtitm_random in
+      let ers_budget = min max_ers_budget (Oracle.node_count oracle - 1) in
+      let metrics = Engine.Metrics.create () in
+      let ers, hybrid =
+        stretch_curves ~metrics ~labels ~seed:777 ~query_count ~ers_budget
+          ~hybrid_budget:max_hybrid_budget oracle
+      in
+      (* Every budget up to the last, summed newest query first: the order
+         the baseline's fig3-fig6 [nn_stretch] floats were recorded in. *)
+      let average budget curves =
+        Sweep.nn_average ~budgets:(List.init budget succ) (List.rev curves)
+      in
+      let probes =
+        List.map
+          (fun algo -> (algo, Engine.Metrics.count (probe_counter metrics ~labels algo)))
+          [ "ers"; "hybrid" ]
+      in
+      let c = { ers = average ers_budget ers; hybrid = average max_hybrid_budget hybrid; probes } in
+      Hashtbl.replace cache key c;
+      c
+  in
+  (* Probe counts per algorithm go to the global registry ([rtt_probes]
+     labeled algo/variant) — the measurement cost the figures trade
+     against — on every call, cached or not, as the counts themselves:
+     after a [Metrics.reset] the next figure records them again. *)
+  List.iter
+    (fun (algo, n) ->
+      let counter = probe_counter Engine.Metrics.global ~labels algo in
+      Engine.Metrics.add counter (n - Engine.Metrics.count counter))
+    c.probes;
+  c
 
 let data ?(scale = 1) variant =
   let c = compute ~scale variant in

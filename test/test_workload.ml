@@ -290,6 +290,38 @@ let test_route_cell () =
   Alcotest.(check bool) "builder rng end state" true
     (Prelude.Rng.bits64 swept.Builder.rng = Prelude.Rng.bits64 by_hand.Builder.rng)
 
+(* The global registry's JSON after calling each of [runs] in order. *)
+let registry_after runs =
+  let module Metrics = Engine.Metrics in
+  List.iter (fun run -> run ()) runs;
+  Prelude.Json.to_string (Metrics.to_json Metrics.global)
+
+let has_instrument json name =
+  let needle = Printf.sprintf "\"name\":\"%s\"" name in
+  let n = String.length needle in
+  let rec go i = i + n <= String.length json && (String.sub json i n = needle || go (i + 1)) in
+  go 0
+
+(* fig3's curves are cached per variant; their probe counts are recorded
+   on every run, so a run after a reset leaves what the first left. *)
+let test_nn_rerun_after_reset () =
+  let module Metrics = Engine.Metrics in
+  let fig3 () = ignore (Workload.Exp_nn.fig3 ~scale:smoke_scale ()) in
+  let first = registry_after [ (fun () -> Metrics.reset Metrics.global); fig3 ] in
+  let again = registry_after [ (fun () -> Metrics.reset Metrics.global); fig3 ] in
+  Alcotest.(check bool) "rtt_probes recorded" true (has_instrument first "rtt_probes");
+  Alcotest.(check string) "same snapshot after a reset" first again
+
+(* Allocation budgets are measurements: a second run in one process
+   records them again, not their sum. *)
+let test_alloc_rerun () =
+  let module Metrics = Engine.Metrics in
+  let alloc () = ignore (Workload.Exp_alloc.run ()) in
+  let first = registry_after [ (fun () -> Metrics.reset Metrics.global); alloc ] in
+  Alcotest.(check string) "same snapshot on a second run" first (registry_after [ alloc ]);
+  Alcotest.(check string) "same snapshot after a reset" first
+    (registry_after [ (fun () -> Metrics.reset Metrics.global); alloc ])
+
 let suite =
   Alcotest.test_case "nn data curves" `Quick test_nn_data_curves
   :: Alcotest.test_case "registry lookup" `Quick test_registry_lookup
@@ -299,6 +331,9 @@ let suite =
   :: Alcotest.test_case "one instrument, two values: rejected" `Quick test_conflicting_cells
   :: Alcotest.test_case "every table is a view of the metrics" `Slow test_tables_view_the_metrics
   :: Alcotest.test_case "context cache" `Quick test_ctx_cache
+  :: Alcotest.test_case "fig3 after a reset records its probes again" `Quick
+       test_nn_rerun_after_reset
+  :: Alcotest.test_case "alloc twice records the same budgets" `Quick test_alloc_rerun
   :: Alcotest.test_case "route cell = rebuild then measure" `Quick test_route_cell
   :: QCheck_alcotest.to_alcotest qcheck_nn_average
   :: List.map
