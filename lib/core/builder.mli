@@ -81,7 +81,15 @@ val selector : t -> Strategy.t -> Ecan.Expressway.selector
     different strategy without reconstructing the overlay). *)
 
 val rebuild_tables : t -> Strategy.t -> unit
-(** Re-run neighbor selection for every member under a new strategy. *)
+(** Re-run neighbor selection for every member under a new strategy
+    ({!build} fills its tables the same way).  The result is exactly
+    [Ecan.Expressway.build_tables t.ecan ~selector:(selector t strategy)]:
+    the same entries, referrer order, probes, counters, spans and rng
+    draws.  Under [Hybrid] and [Load_aware] it gets there in two passes
+    (DESIGN.md §13, "Region-ordered fill"): every slot's map lookup
+    first, grouped by region, then the node-by-node probes and picks,
+    reading each slot's candidates from one flat buffer of
+    [min rtts lookup_results] int32 cells per slot. *)
 
 val join_node : t -> int -> join_cost
 (** Dynamic join of a fresh physical node: measures its landmark vector
