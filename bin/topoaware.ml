@@ -71,7 +71,7 @@ let latency_arg =
 
 let probe_window_arg =
   let doc =
-    "Probe-plane concurrency: how many RTT probes fly at once (1 = sequential).      Changes modelled probe wall-clock only, never which probes are sent."
+    "Probe-plane concurrency: how many RTT probes fly at once (1 = sequential). Changes modelled probe wall-clock only, never which probes are sent."
   in
   Arg.(value & opt positive_int 1 & info [ "probe-window" ] ~docv:"W" ~doc)
 
@@ -306,8 +306,7 @@ let churn_cmd =
          & info [ "digest-window" ] ~docv:"MS"
              ~doc:"Notification digest window in virtual ms (0 disables batching).")
   in
-  let run verbose seed scale crashes leaves joins loss staleness shards digest_window
-      probe_window =
+  let run verbose seed scale crashes leaves joins loss staleness shards digest_window =
     (* written so that NaN fails every range test *)
     let in_unit x = x >= 0.0 && x <= 1.0 in
     if not (in_unit loss) then `Error (false, "--loss must be in [0,1]")
@@ -328,8 +327,7 @@ let churn_cmd =
       in
       let channel = { Engine.Faults.loss; delay_min = 5.0; delay_max = 50.0 } in
       Workload.Tableout.render ppf
-        (Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~probe_window ~storm
-           ~channel ());
+        (Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~storm ~channel ());
       `Ok ()
     end
   in
@@ -341,7 +339,7 @@ let churn_cmd =
     Term.(
       ret
         (const run $ verbose_arg $ seed_arg $ scale_arg $ crashes_arg $ leaves_arg $ joins_arg
-        $ loss_arg $ stale_arg $ shards_arg $ digest_arg $ probe_window_arg))
+        $ loss_arg $ stale_arg $ shards_arg $ digest_arg))
 
 (* ---- repair ---- *)
 

@@ -102,23 +102,20 @@ let choose t ~node ~candidates ~dsts ~load_weight ~loads ~base =
   match Array.length dsts with
   | 0 -> Some (Rng.pick t.rng candidates)
   | n ->
-    let batch = Engine.Probe.run_batch t.prober ~src:node ~dsts in
-    let best = ref (-1) and best_score = ref infinity in
+    let rtts = (Engine.Probe.run_batch t.prober ~src:node ~dsts).Engine.Probe.results in
+    let best = ref 0 and best_score = ref infinity in
     for i = 0 to n - 1 do
-      match batch.Engine.Probe.results.(i) with
-      | Error _ -> ()
-      | Ok rtt ->
-        let s =
-          match load_weight with
-          | None -> rtt
-          | Some w -> rtt *. (1.0 +. (w *. loads.(base + i)))
-        in
-        if !best < 0 || not (!best_score <= s) then begin
-          best := i;
-          best_score := s
-        end
+      let s =
+        match load_weight with
+        | None -> rtts.(i)
+        | Some w -> rtts.(i) *. (1.0 +. (w *. loads.(base + i)))
+      in
+      if i = 0 || not (!best_score <= s) then begin
+        best := i;
+        best_score := s
+      end
     done;
-    if !best < 0 then None else Some dsts.(!best)
+    Some dsts.(!best)
 
 (* Common shape of the soft-state strategies: one map lookup, then at most
    [rtts] RTT probes, choosing the candidate with the least score.

@@ -111,9 +111,7 @@ let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?rtt
   t
 
 let config t = t.config
-let root t = t.root
 let size t = Hashtbl.length t.nodes
-let publishes t = t.publish_seq
 let regrafts t = t.regraft_count
 let relays_recruited t = t.relay_count
 

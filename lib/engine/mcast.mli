@@ -117,7 +117,6 @@ val create :
     member. *)
 
 val config : t -> config
-val root : t -> int
 
 val subscribe : t -> int -> unit
 (** Join the group: attach the node under a parent chosen by the
@@ -165,7 +164,6 @@ val children : t -> int -> int list
 (** A node's children in attach order; [[]] if absent. *)
 
 val size : t -> int
-val publishes : t -> int
 val regrafts : t -> int
 val relays_recruited : t -> int
 

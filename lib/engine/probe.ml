@@ -1,32 +1,16 @@
-type config = {
-  window : int;
-  timeout : float;
-  retries : int;
-  cache_ttl : float;
-}
+type config = { window : int; cache_ttl : float }
 
-let default_config = { window = 1; timeout = infinity; retries = 0; cache_ttl = 0.0 }
+let default_config = { window = 1; cache_ttl = 0.0 }
 
-(* Backoff before retry k (1-based) is [backoff *. 2. ** (k - 1)] ms. *)
-let backoff = 50.0
+type failure = |
 
-type failure = { src : int; dst : int; attempts : int }
-
-type batch = {
-  results : (float, failure) result array;
-  started : float;
-  finished : float;
-}
+type batch = { results : float array; started : float; finished : float }
 
 let elapsed b = b.finished -. b.started
 
 type instruments = {
   i_submitted : Metrics.counter;
   i_measured : Metrics.counter;
-  i_retries : Metrics.counter;
-  i_timeouts : Metrics.counter;
-  i_losses : Metrics.counter;
-  i_failures : Metrics.counter;
   i_cache_hits : Metrics.counter;
   i_cache_misses : Metrics.counter;
   i_cache_stale : Metrics.counter;
@@ -62,23 +46,19 @@ type t = {
   config : config;
   measure : int -> int -> float;
   clock : unit -> float;
-  faults : Faults.t option;
   cache : cache_entry Key_tbl.t;
   obs : instruments option;
   tracer : Trace.t option;
   mutable probes : int;
-  mutable failures : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_stale : int;
   mutable total_elapsed : float;
 }
 
-let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0)
-    ?pool:(_ : Dpool.t option) ?(config = default_config) ~measure () =
+let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?pool:(_ : Dpool.t option)
+    ?(config = default_config) ~measure () =
   if config.window < 1 then invalid_arg "Probe.create: window must be >= 1";
-  if not (config.timeout > 0.0) then invalid_arg "Probe.create: timeout must be positive";
-  if config.retries < 0 then invalid_arg "Probe.create: retries must be >= 0";
   if config.cache_ttl < 0.0 then invalid_arg "Probe.create: cache_ttl must be >= 0";
   let obs =
     Option.map
@@ -86,10 +66,6 @@ let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0)
         {
           i_submitted = Metrics.counter m ~labels "probe_submitted";
           i_measured = Metrics.counter m ~labels "probe_measured";
-          i_retries = Metrics.counter m ~labels "probe_retries";
-          i_timeouts = Metrics.counter m ~labels "probe_timeouts";
-          i_losses = Metrics.counter m ~labels "probe_losses";
-          i_failures = Metrics.counter m ~labels "probe_failures";
           i_cache_hits = Metrics.counter m ~labels "probe_cache_hits";
           i_cache_misses = Metrics.counter m ~labels "probe_cache_misses";
           i_cache_stale = Metrics.counter m ~labels "probe_cache_stale";
@@ -102,12 +78,10 @@ let create ?metrics ?(labels = []) ?trace ?faults ?(clock = fun () -> 0.0)
     config;
     measure;
     clock;
-    faults;
     cache = Key_tbl.create 256;
     obs;
     tracer = trace;
     probes = 0;
-    failures = 0;
     cache_hits = 0;
     cache_misses = 0;
     cache_stale = 0;
@@ -163,13 +137,9 @@ let invalidate t node =
   List.iter (Key_tbl.remove t.cache) doomed
 
 let run_batch_from t ~start ~src ~dsts =
-  let cfg = t.config in
-  (* A lost probe with an infinite timeout would never be detected; model
-     detection as instant so the schedule stays finite. *)
-  let detect = if Float.is_finite cfg.timeout then cfg.timeout else 0.0 in
   let n = Array.length dsts in
-  let results = Array.make n (Error { src; dst = -1; attempts = 0 }) in
-  let w = max 1 (min cfg.window (max n 1)) in
+  let results = Array.make n 0.0 in
+  let w = max 1 (min t.config.window (max n 1)) in
   let slots = Array.make w start in
   let finished = ref start in
   for j = 0 to n - 1 do
@@ -179,7 +149,7 @@ let run_batch_from t ~start ~src ~dsts =
     match cache_find t ~src ~dst ~now:start with
     | Some rtt ->
       (* Served from memory: no slot, no time, no measurement. *)
-      results.(j) <- Ok rtt
+      results.(j) <- rtt
     | None ->
       let si = ref 0 in
       for i = 1 to w - 1 do
@@ -187,53 +157,19 @@ let run_batch_from t ~start ~src ~dsts =
       done;
       let slot_start = slots.(!si) in
       obs_observe t (fun o -> o.i_queue_wait) (slot_start -. start);
-      (* The attempt schedule from the slot's start: measure, let the
-         channel decide the attempt's fate, and either complete or burn
-         the timeout + backoff and try again. *)
-      let at = ref slot_start and attempts = ref 0 and rtt = ref 0.0 and ok = ref false in
-      while (not !ok) && !attempts <= cfg.retries do
-        incr attempts;
-        rtt := t.measure src dst;
-        obs_incr t (fun o -> o.i_measured);
-        let delivered =
-          match t.faults with
-          | None -> true
-          | Some f -> (
-            match Faults.perturb f !rtt with
-            | Some d ->
-              rtt := d;
-              true
-            | None -> false)
-        in
-        if delivered && !rtt <= cfg.timeout then begin
-          at := !at +. !rtt;
-          ok := true
-        end
-        else begin
-          if delivered then obs_incr t (fun o -> o.i_timeouts) else obs_incr t (fun o -> o.i_losses);
-          at := !at +. detect;
-          if !attempts <= cfg.retries then begin
-            obs_incr t (fun o -> o.i_retries);
-            at := !at +. (backoff *. (2.0 ** float_of_int (!attempts - 1)))
-          end
-        end
-      done;
-      if !ok then begin
-        cache_store t ~src ~dst ~at:!at !rtt;
-        results.(j) <- Ok !rtt;
-        match t.tracer with
-        | Some tr ->
-          let queued = { Trace.queue_ms = slot_start -. start; attempt = !attempts } in
-          Trace.emit tr ~at:slot_start ~dur:!rtt ~peer:dst (Trace.Rtt_probe queued) ~node:src
-        | None -> ()
-      end
-      else begin
-        t.failures <- t.failures + 1;
-        obs_incr t (fun o -> o.i_failures);
-        results.(j) <- Error { src; dst; attempts = !attempts }
-      end;
-      slots.(!si) <- !at;
-      if !at > !finished then finished := !at
+      let rtt = t.measure src dst in
+      obs_incr t (fun o -> o.i_measured);
+      let at = slot_start +. rtt in
+      cache_store t ~src ~dst ~at rtt;
+      results.(j) <- rtt;
+      (match t.tracer with
+      | Some tr ->
+        Trace.emit tr ~at:slot_start ~dur:rtt ~peer:dst
+          (Trace.Rtt_probe { queue_ms = slot_start -. start })
+          ~node:src
+      | None -> ());
+      slots.(!si) <- at;
+      if at > !finished then finished := at
   done;
   obs_observe t (fun o -> o.i_batch_ms) (!finished -. start);
   t.total_elapsed <- t.total_elapsed +. (!finished -. start);
@@ -262,10 +198,9 @@ let rtt t ~src ~dst =
     | None -> ());
     t.total_elapsed <- t.total_elapsed +. none;
     Ok e.rtt
-  | _ | (exception Not_found) -> (run_batch_from t ~start ~src ~dsts:[| dst |]).results.(0)
+  | _ | (exception Not_found) -> Ok (run_batch_from t ~start ~src ~dsts:[| dst |]).results.(0)
 
 let probes t = t.probes
-let failures t = t.failures
 let cache_hits t = t.cache_hits
 let cache_misses t = t.cache_misses
 let cache_stale t = t.cache_stale

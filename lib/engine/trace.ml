@@ -2,12 +2,11 @@ module Json = Prelude.Json
 
 type change = Published | Departed | Load_changed
 type fault = Crash | Leave | Join | Expire of float | Channel_drop
-type queued = { queue_ms : float; attempt : int }
 type outcome = Hit | Miss | Shed
 
 type kind =
   | Route_hop
-  | Rtt_probe of queued
+  | Rtt_probe of { queue_ms : float }
   | Map_publish of { region : int array }
   | Notify of { change : change; entry : int; region : int array }
   | Ttl_sweep of { purged : int }
@@ -43,7 +42,7 @@ let fault_label = function
 (* The one place a payload becomes text: the JSONL export's [note]. *)
 let note = function
   | Route_hop -> ""
-  | Rtt_probe { queue_ms; attempt } -> Printf.sprintf "q=%g;try=%d" queue_ms attempt
+  | Rtt_probe { queue_ms } -> Printf.sprintf "q=%g" queue_ms
   | Map_publish { region } -> region_label region
   | Notify { change; entry; region } ->
     let tag = match change with Published -> "pub" | Departed -> "dep" | Load_changed -> "load" in

@@ -15,7 +15,6 @@
 
 type change = Published | Departed | Load_changed
 type fault = Crash | Leave | Join | Expire of float | Channel_drop
-type queued = { queue_ms : float; attempt : int }
 type outcome = Hit | Miss | Shed
 
 (** What a span records, with its payload.  The note each payload is
@@ -24,10 +23,9 @@ type outcome = Hit | Miss | Shed
     never writes to it afterwards. *)
 type kind =
   | Route_hop  (** one overlay forwarding step; [node] -> [peer] *)
-  | Rtt_probe of queued
+  | Rtt_probe of { queue_ms : float }
       (** one RTT measurement by {!Engine.Probe}; [dur] is the measured RTT,
-          the payload the slot wait and the attempts taken
-          [[q=<queue_ms>;try=<attempt>]] *)
+          the payload the wait for a window slot [[q=<queue_ms>]] *)
   | Map_publish of { region : int array }
       (** a soft-state entry was (re)published; [node] = map host, [peer]
           = described member [[<region label>]] *)

@@ -32,7 +32,3 @@ let euclidean_dist a b =
     acc := !acc +. (d *. d)
   done;
   sqrt !acc
-
-let pp ppf p =
-  Format.fprintf ppf "(%s)"
-    (String.concat ", " (Array.to_list (Array.map (Format.sprintf "%.4f") p)))

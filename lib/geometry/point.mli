@@ -26,5 +26,3 @@ val torus_dist : t -> t -> float
 val euclidean_dist : t -> t -> float
 (** Plain Euclidean distance (no wrap-around); also accepts points outside
     the unit box, as used for landmark vectors. *)
-
-val pp : Format.formatter -> t -> unit

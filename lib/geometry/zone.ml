@@ -91,8 +91,3 @@ let min_torus_dist z p =
   sqrt !acc
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
-
-let pp ppf z =
-  Format.fprintf ppf "[%s]"
-    (String.concat "; "
-       (List.init (dims z) (fun i -> Format.sprintf "%.4g,%.4g" z.lo.(i) z.hi.(i))))

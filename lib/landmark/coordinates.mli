@@ -20,7 +20,7 @@ type t = {
 val embed_landmarks : Prelude.Rng.t -> Engine.Probe.t -> int array -> t
 (** [embed_landmarks rng prober landmark_nodes] measures every ordered
     landmark pair through [prober] (one {!Engine.Probe.rtt} each, row by
-    row; a pair whose probe fails reads [infinity]) and fits
+    row) and fits
     5-dimensional coordinates in 2000 descent rounds. *)
 
 val position : ?iterations:int -> t -> Prelude.Rng.t -> measured:float array -> float array

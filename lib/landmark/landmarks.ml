@@ -10,10 +10,7 @@ let count t = Array.length t.nodes
 let nodes t = Array.copy t.nodes
 
 let vector_via t prober node =
-  let batch = Engine.Probe.run_batch prober ~src:node ~dsts:t.nodes in
-  Array.map
-    (function Ok rtt -> rtt | Error _ -> Float.infinity)
-    batch.Engine.Probe.results
+  (Engine.Probe.run_batch prober ~src:node ~dsts:t.nodes).Engine.Probe.results
 
 let vector_memo t prober =
   let vectors = Hashtbl.create 256 in

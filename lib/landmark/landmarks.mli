@@ -23,11 +23,9 @@ val vector_via : t -> Engine.Probe.t -> int -> float array
     function (typically [Topology.Oracle.measure oracle], so the probes
     feed the oracle's measurement counter) and models the batch's
     wall-clock under its concurrency window (completion = max RTT when
-    the window covers the landmark set, the sum at window 1).  A probe
-    that exhausts its retries yields [infinity] in that component (the
-    landmark looks unreachable, i.e. maximally far).  With a default
-    prober (window 1, no cache, reliable channel) the vector is the
-    landmark RTTs measured one after another in landmark order. *)
+    the window covers the landmark set, the sum at window 1).  With a
+    default prober (window 1, no cache) the vector is the landmark RTTs
+    measured one after another in landmark order. *)
 
 val vector_memo : t -> Engine.Probe.t -> int -> float array
 (** [vector_memo t prober] is {!vector_via} behind a table of its own: a

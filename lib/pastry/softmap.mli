@@ -19,8 +19,6 @@ type t
 
 val create : scheme:Landmark.Number.scheme -> Mesh.t -> t
 
-val mesh : t -> Mesh.t
-
 val store_id_of : t -> prefix:int array -> float array -> int
 (** The id an entry with this vector is stored under within a region:
     the region prefix digits followed by the landmark number's digits

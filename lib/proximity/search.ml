@@ -26,9 +26,7 @@ let rec take k = function
    most [budget] measurements.  Batches model message phases: each drains
    through the probe plane, which measures in submission order and prices
    the batch under its window; the modelled wall-clock accumulates into
-   [curve.elapsed].  A probe the plane fails (retry exhaustion under an
-   injected channel) still spends budget but cannot improve the
-   best-so-far. *)
+   [curve.elapsed]. *)
 let curve_of_batches ?counter prober ~query ~budget batches =
   let found = ref [] and dist = ref [] in
   let best_node = ref (-1) and best_dist = ref infinity in
@@ -44,11 +42,11 @@ let curve_of_batches ?counter prober ~query ~budget batches =
           (fun i node ->
             incr spent;
             count_probe counter;
-            (match b.Probe.results.(i) with
-            | Ok d when d < !best_dist ->
+            let d = b.Probe.results.(i) in
+            if d < !best_dist then begin
               best_dist := d;
               best_node := node
-            | Ok _ | Error _ -> ());
+            end;
             found := !best_node :: !found;
             dist := !best_dist :: !dist)
           batch)

@@ -46,8 +46,7 @@ val ers_curve :
     window, and the modelled wall-clock accumulates into
     [curve.elapsed].  Budget accounting, probe order and probed values
     do not depend on the window, so the curve itself is the same for
-    every window — the plane only prices it.  A probe the prober fails
-    spends budget without improving the best-so-far.  With [metrics],
+    every window — the plane only prices it.  With [metrics],
     each probe increments an [rtt_probes] counter labeled
     [algo=<algorithm>] plus any extra [labels]. *)
 

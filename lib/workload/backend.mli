@@ -96,8 +96,8 @@ val service_rtt :
 (** [service_rtt ~labels ~clock oracle] is the RTT the service rows rank
     copies and relays by: a fresh prober over [oracle] (its [probe_*]
     instruments under [labels] when [metrics] is given) that caches each
-    measured RTT for 600 s of [clock] time.  A probe that exhausts its
-    retries answers [None]. *)
+    measured RTT for 600 s of [clock] time.  A probe always succeeds, so
+    the answer is always [Some]. *)
 
 val mix62 : int -> int
 (** SplitMix64 finalizer, truncated to 62 bits: spreads consecutive key

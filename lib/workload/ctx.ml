@@ -8,11 +8,6 @@ let variant_name = function Tsk_large -> "tsk-large" | Tsk_small -> "tsk-small"
 
 let latency_name = function Ts.Gtitm_random -> "gt-itm" | Ts.Manual -> "manual"
 
-let params variant latency =
-  match variant with
-  | Tsk_large -> Ts.tsk_large ~latency ()
-  | Tsk_small -> Ts.tsk_small ~latency ()
-
 let topo_seed = 20030519
 (* Fixed: every experiment runs over the same physical networks. *)
 

@@ -5,10 +5,6 @@ type topology_variant = Tsk_large | Tsk_small
 
 val variant_name : topology_variant -> string
 
-val params :
-  topology_variant -> Topology.Transit_stub.latency_model -> Topology.Transit_stub.params
-(** The paper's preset for a variant, with the requested latency model. *)
-
 val oracle :
   ?scale:int ->
   topology_variant ->

@@ -210,7 +210,7 @@ let storm_timeline sim ~storm ~measure ~converged =
 (* ------------------------------------------------------------------ *)
 
 let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
-    ?(channel = Faults.reliable) ?(shards = 1) ?(digest_window = 0.0) ?(probe_window = 1)
+    ?(channel = Faults.reliable) ?(shards = 1) ?(digest_window = 0.0)
     ?(labels = [ ("experiment", "churn") ])
     ?(strategy = Builder.default_config.Builder.strategy) oracle =
   let sim = Sim.create () in
@@ -220,7 +220,6 @@ let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
       Builder.overlay_size = size;
       ttl;
       shards;
-      probe = { Engine.Probe.default_config with Engine.Probe.window = probe_window };
       strategy;
       seed = seed * 1009 + 2 }
   in
@@ -358,12 +357,12 @@ let ring_outcome ~size ~seed ~storm ~pick:policy kind oracle =
 
 let default_channel = { Faults.loss = 0.05; delay_min = 5.0; delay_max = 50.0 }
 
-let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0)
-    ?(probe_window = 1) ~storm ~channel () =
+let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0) ~storm ~channel
+    () =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 96 (768 / scale) in
   let ecan_o, can_o =
-    ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window ~probe_window oracle
+    ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window oracle
   in
   let ring kind = ring_outcome ~size ~seed ~storm ~pick:hybrid kind oracle in
   let chord_o = ring Backend.Chord in

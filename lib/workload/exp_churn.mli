@@ -120,7 +120,6 @@ val ecan_outcomes :
   ?channel:Engine.Faults.channel ->
   ?shards:int ->
   ?digest_window:float ->
-  ?probe_window:int ->
   ?labels:(string * string) list ->
   ?strategy:Core.Strategy.t ->
   Topology.Oracle.t ->
@@ -132,13 +131,13 @@ val ecan_outcomes :
     (default 1) shards the soft-state store's TTL machinery
     ({!Softstate.Store.create}); [digest_window] (default 0, i.e. off)
     batches notifications into per-(subscriber, region) digests
-    ({!Pubsub.Bus.create}); [probe_window] (default 1, i.e. sequential)
-    sets the probe plane's concurrency ({!Engine.Probe}) — it changes
-    modelled probe wall-clock only, never which probes are sent.  [labels] (default [[("experiment", "churn")]]) is
-    the label set the whole eCAN stack reports under in the global
-    registry, so other experiments (e.g. the big-scale rows) can reuse
-    this driver without colliding with the churn experiment's
-    instruments.  [strategy]
+    ({!Pubsub.Bus.create}).  The probe plane keeps its default config
+    (window 1, uncached): the window only prices modelled probe
+    wall-clock, which no row reports.  [labels] (default
+    [[("experiment", "churn")]]) is the label set the whole eCAN stack
+    reports under in the global registry, so other experiments (e.g. the
+    big-scale rows) can reuse this driver without colliding with the
+    churn experiment's instruments.  [strategy]
     (default: the builder's default hybrid selection) overrides the
     neighbor-selection strategy — the degree experiment sweeps RTT
     budgets through it. *)
@@ -174,11 +173,10 @@ val run_custom :
   ?seed:int ->
   ?shards:int ->
   ?digest_window:float ->
-  ?probe_window:int ->
   storm:Engine.Faults.storm ->
   channel:Engine.Faults.channel ->
   unit ->
   Tableout.block list
-(** [run] with an explicit storm, channel, store sharding, digest window
-    and probe window (the CLI hook; the maintenance-plane knobs only
-    affect the eCAN row). *)
+(** [run] with an explicit storm, channel, store sharding and digest
+    window (the CLI hook; the maintenance-plane knobs only affect the
+    eCAN row). *)

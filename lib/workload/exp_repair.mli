@@ -31,12 +31,6 @@ type result = {
   adaptations : int;  (** controller decisions that moved a period (0 when fixed) *)
 }
 
-val grid : config list
-(** The fixed-period sweep: refresh {20 s, 40 s} x sweep {2.5 s, 5 s,
-    10 s} x digest {0, 50 ms}, twelve configurations including the
-    hand-picked churn-experiment constants (20 s / 5 s / no digests,
-    labelled ["r20/s5/d0"]). *)
-
 val adaptive : config
 (** The adaptive run: starts from the hand-picked constants and lets a
     bounded controller retune them from observed repair latencies
@@ -50,7 +44,10 @@ val run_config : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config 
     to {!Engine.Metrics.global}. *)
 
 val run : ?scale:int -> ?seed:int -> unit -> Tableout.block list
-(** The whole sweep into one table: {!grid}, {!adaptive}, and an
+(** The whole sweep into one table: the fixed-period grid (refresh
+    {20 s, 40 s} x sweep {2.5 s, 5 s, 10 s} x digest {0, 50 ms}, twelve
+    configurations including the hand-picked churn-experiment constants,
+    labelled ["r20/s5/d0"]), {!adaptive}, and an
     adaptive run that decides on the delivered window's 90th percentile
     and also tunes the bus digest window.  The adaptive row's p99 is
     compared against the hand-picked constants'. *)

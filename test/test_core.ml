@@ -525,7 +525,7 @@ let fill_twin ~seed ~strategy ~window ~condense ~churn =
       (small_config strategy) with
       Builder.overlay_size = 72;
       condense;
-      probe = { Engine.Probe.default_config with Engine.Probe.window; cache_ttl = 1e9 };
+      probe = { Engine.Probe.window; cache_ttl = 1e9 };
       seed;
     }
   in
@@ -592,7 +592,7 @@ let fill_vs_reference ~seed ~strategy ~window ~condense ~churn =
       ( "probe counters",
         bytes
           Engine.Probe.
-            (probes p, failures p, cache_hits p, cache_misses p, cache_stale p, total_elapsed p) );
+            (probes p, cache_hits p, cache_misses p, cache_stale p, total_elapsed p) );
       ("metrics", Prelude.Json.to_string (Engine.Metrics.to_json m));
       ("trace", Engine.Trace.to_jsonl t);
     ]

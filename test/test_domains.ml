@@ -8,7 +8,6 @@
 module Sim = Engine.Sim
 module Metrics = Engine.Metrics
 module Probe = Engine.Probe
-module Faults = Engine.Faults
 module Store = Softstate.Store
 module Can_overlay = Can.Overlay
 module Builder = Core.Builder
@@ -171,8 +170,9 @@ let test_second_due_record_skipped () =
   Alcotest.(check (list (pair (array int) int))) "nothing left" [] (purged_nodes (Store.sweep_expired store));
   Alcotest.(check bool) "entry gone" true (Store.find store ~region ~node:1_000 = None)
 
-(* Each call measures the destination at the current submission position
-   (a retry) or at a later one. *)
+(* The calls are a subsequence of the destinations: each measures one at
+   a later submission position than the call before (cache hits skip
+   theirs). *)
 let in_submission_order dsts calls =
   let n = Array.length dsts in
   let rec from j = function
@@ -182,35 +182,39 @@ let in_submission_order dsts calls =
       while !k < n && dsts.(!k) <> d do
         incr k
       done;
-      !k < n && from !k rest
+      !k < n && from (!k + 1) rest
   in
   from 0 calls
 
 (* [bench/perf] passes [~pool]; a prober given one measures, like one
-   without, in submission order, and returns the same results. *)
+   without, in submission order, and returns the same results, over
+   random windows, cache TTLs and invalidations. *)
 let qcheck_probe_submission_order =
   QCheck.Test.make
     ~name:"probe: a pool leaves measurements on the caller, in submission order" ~count:25
     QCheck.(pair (int_range 0 10_000) (int_range 1 24))
     (fun (seed, batchlen) ->
-      let config = { Probe.window = 3; timeout = 80.0; retries = 2; cache_ttl = 500.0 } in
+      let pick = Rng.create seed in
+      let ttls = [| 0.0; 30.0; 500.0; infinity |] in
+      let config =
+        { Probe.window = 1 + Rng.int pick 4; cache_ttl = ttls.(Rng.int pick (Array.length ttls)) }
+      in
       let run pool =
-        let calls = ref [] in
+        let calls = ref [] and now = ref 0.0 in
         let measure src dst =
           calls := dst :: !calls;
           1.0 +. float_of_int (((src * 31) + (dst * 17)) mod 97)
         in
-        let faults =
-          Faults.create ~channel:{ Faults.loss = 0.15; delay_min = 0.0; delay_max = 30.0 } ~seed ()
-        in
-        let p = Probe.create ?pool ~faults ~config ~measure () in
+        let p = Probe.create ?pool ~clock:(fun () -> !now) ~config ~measure () in
         let rng = Rng.create (seed + 1) in
         List.map
           (fun b ->
             calls := [];
+            now := !now +. Rng.float rng 50.0;
+            if Rng.chance rng 0.3 then Probe.invalidate p (Rng.int rng 40);
             let dsts = Array.init batchlen (fun _ -> Rng.int rng 40) in
-            let results = (Probe.run_batch p ~src:b ~dsts).Probe.results in
-            (results, in_submission_order dsts (List.rev !calls)))
+            let batch = Probe.run_batch p ~src:b ~dsts in
+            (batch, in_submission_order dsts (List.rev !calls)))
           [ 0; 1; 2; 3 ]
       in
       let reference = run None in

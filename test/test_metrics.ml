@@ -226,7 +226,7 @@ let json_note j =
 let test_trace_jsonl () =
   let t = Trace.create () in
   Trace.emit t ~at:1.5 ~dur:0.25 ~peer:7
-    (Trace.Rtt_probe { Trace.queue_ms = 0.5; attempt = 2 })
+    (Trace.Rtt_probe { queue_ms = 0.5 })
     ~node:3;
   let lines = String.split_on_char '\n' (String.trim (Trace.to_jsonl t)) in
   Alcotest.(check int) "one line per span" 1 (List.length lines);
@@ -241,7 +241,7 @@ let test_trace_jsonl () =
     Alcotest.(check (option (float 1e-9))) "ts in us" (Some 1500.0) (num "ts");
     Alcotest.(check (option (float 1e-9))) "dur in us" (Some 250.0) (num "dur");
     Alcotest.(check (option (float 1e-9))) "tid is node" (Some 3.0) (num "tid");
-    Alcotest.(check (option string)) "payload rendered as the note" (Some "q=0.5;try=2")
+    Alcotest.(check (option string)) "payload rendered as the note" (Some "q=0.5")
       (json_note j)
 
 (* Reference model for the note renderer: every note format written out
@@ -253,8 +253,7 @@ let ref_region bits =
 
 let ref_note = function
   | Trace.Route_hop -> ""
-  | Trace.Rtt_probe { Trace.queue_ms; attempt } ->
-    Printf.sprintf "q=%g;try=%d" queue_ms attempt
+  | Trace.Rtt_probe { queue_ms } -> Printf.sprintf "q=%g" queue_ms
   | Trace.Map_publish { region } -> ref_region region
   | Trace.Notify { change; entry; region } ->
     let tag =
@@ -282,8 +281,7 @@ let gen_kind =
     oneof
       [
         return Trace.Route_hop;
-        map2 (fun queue_ms attempt -> Trace.Rtt_probe { Trace.queue_ms; attempt }) ms
-          (int_range 1 5);
+        map (fun queue_ms -> Trace.Rtt_probe { queue_ms }) ms;
         map (fun region -> Trace.Map_publish { region }) region;
         map3
           (fun change entry region -> Trace.Notify { change; entry; region })
@@ -330,7 +328,7 @@ let test_trace_jsonl_literals () =
       (line kind)
   in
   expect "route_hop" "" Trace.Route_hop;
-  expect "rtt_probe" "q=12.75;try=3" (Trace.Rtt_probe { Trace.queue_ms = 12.75; attempt = 3 });
+  expect "rtt_probe" "q=12.75" (Trace.Rtt_probe { queue_ms = 12.75 });
   expect "map_publish" "root" (Trace.Map_publish { region = [||] });
   expect "map_publish" "0110" (Trace.Map_publish { region = [| 0; 1; 1; 0 |] });
   expect "notify" "pub:42@01"

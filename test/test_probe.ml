@@ -1,17 +1,14 @@
 (* Tests for the probe plane: window queueing arithmetic, the window-1
-   sequential-equivalence contract, retries/timeouts and the TTL'd RTT
-   cache. *)
+   sequential-equivalence contract and the TTL'd RTT cache. *)
 
 module Probe = Engine.Probe
-module Faults = Engine.Faults
 module Metrics = Engine.Metrics
 module Oracle = Topology.Oracle
 module Ts = Topology.Transit_stub
 module Landmarks = Landmark.Landmarks
 module Rng = Prelude.Rng
 
-let cfg ?(window = 1) ?(timeout = infinity) ?(retries = 0) ?(cache_ttl = 0.0) () =
-  { Probe.window; timeout; retries; cache_ttl }
+let cfg ?(window = 1) ?(cache_ttl = 0.0) () = { Probe.window; cache_ttl }
 
 (* Synthetic measurement function: deterministic per-pair RTT plus a log
    of every call, so tests can check order and count byte for byte. *)
@@ -34,8 +31,7 @@ let test_window1_matches_sequential () =
      plain loop over the same destinations. *)
   let ref_measure, ref_calls = synthetic () in
   let expected = Array.map (fun d -> ref_measure 7 d) dsts in
-  Alcotest.(check (array (float 0.0))) "same values in same order" expected
-    (Array.map ok b.Probe.results);
+  Alcotest.(check (array (float 0.0))) "same values in same order" expected b.Probe.results;
   Alcotest.(check (list (pair int int))) "same measurement call sequence" (ref_calls ())
     (calls ());
   Alcotest.(check (float 1e-9)) "window 1 prices the sum"
@@ -46,8 +42,7 @@ let test_wide_window_prices_max () =
   let measure _ dst = float_of_int dst in
   let p = Probe.create ~config:(cfg ~window:10 ()) ~measure () in
   let b = Probe.run_batch p ~src:0 ~dsts:[| 10; 30; 20 |] in
-  Alcotest.(check (array (float 0.0))) "results unchanged" [| 10.0; 30.0; 20.0 |]
-    (Array.map ok b.Probe.results);
+  Alcotest.(check (array (float 0.0))) "results unchanged" [| 10.0; 30.0; 20.0 |] b.Probe.results;
   Alcotest.(check (float 1e-9)) "batch finishes at the max RTT" 30.0 (Probe.elapsed b)
 
 let test_window2_queueing () =
@@ -57,35 +52,6 @@ let test_window2_queueing () =
   let p = Probe.create ~config:(cfg ~window:2 ()) ~measure () in
   let b = Probe.run_batch p ~src:0 ~dsts:[| 10; 20; 30 |] in
   Alcotest.(check (float 1e-9)) "exact queueing schedule" 40.0 (Probe.elapsed b)
-
-let test_retry_exhaustion () =
-  let faults =
-    Faults.create ~channel:{ Faults.loss = 1.0; delay_min = 0.0; delay_max = 0.0 } ~seed:5 ()
-  in
-  let measure _ _ = 10.0 in
-  let p =
-    Probe.create ~faults
-      ~config:(cfg ~timeout:100.0 ~retries:2 ())
-      ~measure ()
-  in
-  (match Probe.rtt p ~src:1 ~dst:2 with
-  | Ok _ -> Alcotest.fail "expected retry exhaustion"
-  | Error f ->
-    Alcotest.(check int) "src" 1 f.Probe.src;
-    Alcotest.(check int) "dst" 2 f.Probe.dst;
-    Alcotest.(check int) "attempts = retries + 1" 3 f.Probe.attempts);
-  Alcotest.(check int) "failure counted" 1 (Probe.failures p);
-  (* 3 timeouts of 100 ms plus backoffs 50 and 100 between attempts. *)
-  Alcotest.(check (float 1e-9)) "exhaustion schedule" 450.0 (Probe.total_elapsed p)
-
-let test_timeout_without_faults () =
-  let p =
-    Probe.create ~config:(cfg ~timeout:100.0 ()) ~measure:(fun _ dst -> float_of_int dst) ()
-  in
-  (match Probe.rtt p ~src:0 ~dst:200 with
-  | Ok _ -> Alcotest.fail "expected timeout"
-  | Error f -> Alcotest.(check int) "single attempt" 1 f.Probe.attempts);
-  Alcotest.(check bool) "fast probe still succeeds" true (Probe.rtt p ~src:0 ~dst:50 = Ok 50.0)
 
 let test_cache_hit_and_stale () =
   let now = ref 0.0 in
@@ -155,14 +121,9 @@ let qcheck_cache_equivalence =
    duplicate destinations and destinations fresh in the cache, so the
    twins stay in step across mixed scripts. *)
 let qcheck_rtt_is_one_probe_batch =
-  let twin ~config ~loss now =
+  let twin ~config now =
     let reads = ref 0 and calls = ref 0 in
     let metrics = Metrics.create () and trace = Engine.Trace.create () in
-    let faults =
-      if loss > 0.0 then
-        Some (Faults.create ~channel:{ Faults.loss; delay_min = 0.0; delay_max = 20.0 } ~seed:7 ())
-      else None
-    in
     let measure a b =
       incr calls;
       float_of_int ((((a * 31) + (b * 7)) mod 23) + 1)
@@ -171,7 +132,7 @@ let qcheck_rtt_is_one_probe_batch =
       incr reads;
       !now
     in
-    (Probe.create ~metrics ~trace ?faults ~clock ~config ~measure (), metrics, trace, reads, calls)
+    (Probe.create ~metrics ~trace ~clock ~config ~measure (), metrics, trace, reads, calls)
   in
   QCheck.Test.make ~name:"rtt = one-probe run_batch, cache hits included" ~count:150
     QCheck.(pair (int_range 0 10_000) (int_range 1 60))
@@ -179,19 +140,13 @@ let qcheck_rtt_is_one_probe_batch =
       let rng = Rng.create seed in
       let ttls = [| 0.0; 0.0; 30.0; 200.0; infinity |] in
       let config =
-        cfg ~window:(1 + Rng.int rng 3)
-          ~timeout:(if Rng.chance rng 0.5 then infinity else 15.0)
-          ~retries:(Rng.int rng 3)
-          ~cache_ttl:ttls.(Rng.int rng (Array.length ttls))
-          ()
+        cfg ~window:(1 + Rng.int rng 3) ~cache_ttl:ttls.(Rng.int rng (Array.length ttls)) ()
       in
-      let loss = if Rng.chance rng 0.5 then 0.0 else 0.3 in
       let now = ref 0.0 in
-      let a, ma, ta, reads_a, calls_a = twin ~config ~loss now in
-      let b, mb, tb, reads_b, calls_b = twin ~config ~loss now in
+      let a, ma, ta, reads_a, calls_a = twin ~config now in
+      let b, mb, tb, reads_b, calls_b = twin ~config now in
       let same_state () =
         Probe.probes a = Probe.probes b
-        && Probe.failures a = Probe.failures b
         && Probe.cache_hits a = Probe.cache_hits b
         && Probe.cache_misses a = Probe.cache_misses b
         && Probe.cache_stale a = Probe.cache_stale b
@@ -226,7 +181,7 @@ let qcheck_rtt_is_one_probe_batch =
           end
           else begin
             let dst = Rng.int rng 5 in
-            [| Probe.rtt a ~src ~dst |] = batch b [| dst |]
+            [| ok (Probe.rtt a ~src ~dst) |] = batch b [| dst |]
           end
         in
         agree && same_state ()
@@ -242,15 +197,24 @@ let test_config_validation () =
   let measure _ _ = 1.0 in
   Alcotest.check_raises "window" (Invalid_argument "Probe.create: window must be >= 1")
     (fun () -> ignore (Probe.create ~config:(cfg ~window:0 ()) ~measure ()));
-  Alcotest.check_raises "timeout" (Invalid_argument "Probe.create: timeout must be positive")
-    (fun () -> ignore (Probe.create ~config:(cfg ~timeout:0.0 ()) ~measure ()));
-  Alcotest.check_raises "retries" (Invalid_argument "Probe.create: retries must be >= 0")
-    (fun () -> ignore (Probe.create ~config:(cfg ~retries:(-1) ()) ~measure ()))
+  Alcotest.check_raises "cache_ttl" (Invalid_argument "Probe.create: cache_ttl must be >= 0")
+    (fun () -> ignore (Probe.create ~config:(cfg ~cache_ttl:(-1.0) ()) ~measure ()))
 
 let test_metrics_instruments () =
   let m = Metrics.create () in
   let p = Probe.create ~metrics:m ~config:(cfg ~window:2 ~cache_ttl:100.0 ()) ~measure:(fun _ d -> float_of_int d) () in
   ignore (Probe.run_batch p ~src:0 ~dsts:[| 1; 2; 1 |]);
+  Alcotest.(check (list string)) "exactly the seven probe instruments"
+    [
+      "probe_batch_ms";
+      "probe_cache_hits";
+      "probe_cache_misses";
+      "probe_cache_stale";
+      "probe_measured";
+      "probe_queue_wait";
+      "probe_submitted";
+    ]
+    (List.map (fun (e : Metrics.snapshot_entry) -> e.name) (Metrics.snapshot m));
   let count name = Metrics.count (Metrics.counter m name) in
   Alcotest.(check int) "submitted" 3 (count "probe_submitted");
   Alcotest.(check int) "measured (third probe cached)" 2 (count "probe_measured");
@@ -376,8 +340,6 @@ let suite =
     Alcotest.test_case "window 1 = sequential loop" `Quick test_window1_matches_sequential;
     Alcotest.test_case "wide window prices the max" `Quick test_wide_window_prices_max;
     Alcotest.test_case "window 2 queueing schedule" `Quick test_window2_queueing;
-    Alcotest.test_case "retry exhaustion" `Quick test_retry_exhaustion;
-    Alcotest.test_case "timeout without faults" `Quick test_timeout_without_faults;
     Alcotest.test_case "cache hit and stale" `Quick test_cache_hit_and_stale;
     Alcotest.test_case "cache invalidate" `Quick test_cache_invalidate;
     Alcotest.test_case "cache key range" `Quick test_cache_key_range;
