@@ -23,7 +23,7 @@ type config = {
           overlay spends (landmark vectors, per-slot selection) *)
   domains : int;
       (** ignored: the store runs on the calling domain (DESIGN.md §12).
-          Kept only so [bench/perf] builds; ROADMAP item 7 deletes it. *)
+          Kept only so [bench/perf] builds; ROADMAP item 3 deletes it. *)
   seed : int;
 }
 

@@ -88,8 +88,6 @@ let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?pool:(_ : Dp
     total_elapsed = 0.0;
   }
 
-let config t = t.config
-
 let[@inline] obs_incr t f = match t.obs with Some o -> Metrics.incr (f o) | None -> ()
 let[@inline] obs_observe t f v = match t.obs with Some o -> Metrics.observe (f o) v | None -> ()
 

@@ -95,8 +95,6 @@ val create :
 
     Raises [Invalid_argument] on out-of-range config fields. *)
 
-val config : t -> config
-
 val run_batch : t -> src:int -> dsts:int array -> batch
 (** Synchronously measure [src]'s RTT to every destination, modelling the
     batch's wall-clock cost under the window's schedule.  The

@@ -9,69 +9,20 @@ type timer = { mutable ev : event; mutable alive : bool }
 (* [alive] is the user-visible cancellation flag (periodic timers stay
    alive across firings); [ev] is the currently queued event. *)
 
-(* Specialised binary min-heap ordered by (time, seq): FIFO among events
-   scheduled for the same instant. *)
-module Queue = struct
-  type t = { mutable data : event array; mutable size : int }
+module Heap = Prelude.Heap
 
-  let dummy = { time = 0.0; seq = 0; run = ignore; active = false }
-  let create () = { data = [||]; size = 0 }
+(* The queue's order: FIFO among events scheduled for the same instant. *)
+let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-  let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-  let push q e =
-    if q.size = Array.length q.data then begin
-      let ncap = max 16 (2 * q.size) in
-      let ndata = Array.make ncap dummy in
-      Array.blit q.data 0 ndata 0 q.size;
-      q.data <- ndata
-    end;
-    q.data.(q.size) <- e;
-    q.size <- q.size + 1;
-    let i = ref (q.size - 1) in
-    while !i > 0 && before q.data.(!i) q.data.((!i - 1) / 2) do
-      let p = (!i - 1) / 2 in
-      let tmp = q.data.(!i) in
-      q.data.(!i) <- q.data.(p);
-      q.data.(p) <- tmp;
-      i := p
-    done
-
-  let pop q =
-    if q.size = 0 then None
-    else begin
-      let top = q.data.(0) in
-      q.size <- q.size - 1;
-      if q.size > 0 then begin
-        q.data.(0) <- q.data.(q.size);
-        let i = ref 0 in
-        let continue = ref true in
-        while !continue do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let m = ref !i in
-          if l < q.size && before q.data.(l) q.data.(!m) then m := l;
-          if r < q.size && before q.data.(r) q.data.(!m) then m := r;
-          if !m = !i then continue := false
-          else begin
-            let tmp = q.data.(!i) in
-            q.data.(!i) <- q.data.(!m);
-            q.data.(!m) <- tmp;
-            i := !m
-          end
-        done
-      end;
-      Some top
-    end
-
-  let peek q = if q.size = 0 then None else Some q.data.(0)
-end
+(* A periodic timer's event before its first arming. *)
+let dummy = { time = 0.0; seq = 0; run = ignore; active = false }
 
 type counters = { run : Metrics.counter; cancelled : Metrics.counter }
 
 type t = {
   mutable clock : float;
   mutable next_seq : int;
-  queue : Queue.t;
+  queue : event Heap.t;
   counters : counters option;
 }
 
@@ -82,14 +33,14 @@ let create ?metrics () =
         { run = Metrics.counter m "sim_events_run"; cancelled = Metrics.counter m "sim_events_cancelled" })
       metrics
   in
-  { clock = 0.0; next_seq = 0; queue = Queue.create (); counters }
+  { clock = 0.0; next_seq = 0; queue = Heap.create ~before (); counters }
 
 let now t = t.clock
 
 let enqueue t time run =
   let e = { time; seq = t.next_seq; run; active = true } in
   t.next_seq <- t.next_seq + 1;
-  Queue.push t.queue e;
+  Heap.push t.queue e;
   e
 
 let schedule_at t time run =
@@ -102,7 +53,7 @@ let schedule t ~delay run =
 
 let every t ~period run =
   if period <= 0.0 then invalid_arg "Sim.every: period must be positive";
-  let timer = { ev = Queue.dummy; alive = true } in
+  let timer = { ev = dummy; alive = true } in
   let rec fire () =
     if timer.alive then begin
       (* Re-arm BEFORE running the callback.  A [cancel] issued from inside
@@ -121,12 +72,12 @@ let cancel timer =
   timer.alive <- false;
   timer.ev.active <- false
 
-let pending t = t.queue.Queue.size
+let pending t = Heap.length t.queue
 
-let next_time t = Option.map (fun e -> e.time) (Queue.peek t.queue)
+let next_time t = Option.map (fun e -> e.time) (Heap.peek t.queue)
 
 let step t =
-  match Queue.pop t.queue with
+  match Heap.pop t.queue with
   | None -> false
   | Some e ->
     t.clock <- e.time;
@@ -140,7 +91,7 @@ let step t =
 
 let run ?until t =
   let continue () =
-    match (Queue.peek t.queue, until) with
+    match (Heap.peek t.queue, until) with
     | None, _ -> false
     | Some e, Some limit when e.time > limit -> false
     | Some _, _ -> true

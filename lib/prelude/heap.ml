@@ -1,21 +1,24 @@
-type 'a entry = { prio : float; value : 'a }
+type 'a t = {
+  before : 'a -> 'a -> bool;
+  mutable data : 'a array;
+  mutable size : int;
+  hint : int;
+}
 
-type 'a t = { mutable data : 'a entry array; mutable size : int; hint : int }
-
-(* The entry array cannot be preallocated without a value to fill it
-   with, so a [capacity] hint takes effect on the first push: [grow]
-   jumps straight to the hint instead of walking the doubling ladder
-   (and its grow-copies) up from 16. *)
-let create ?(capacity = 0) () = { data = [||]; size = 0; hint = capacity }
+(* The array cannot be preallocated without an element to fill it with,
+   so a [capacity] hint takes effect on the first push: [grow] jumps
+   straight to the hint instead of walking the doubling ladder (and its
+   grow-copies) up from 16. *)
+let create ?(capacity = 0) ~before () = { before; data = [||]; size = 0; hint = capacity }
 
 let length h = h.size
 let is_empty h = h.size = 0
 
-let grow h entry =
+let grow h x =
   let cap = Array.length h.data in
   if h.size = cap then begin
     let ncap = if cap = 0 then max 16 h.hint else cap * 2 in
-    let ndata = Array.make ncap entry in
+    let ndata = Array.make ncap x in
     Array.blit h.data 0 ndata 0 h.size;
     h.data <- ndata
   end
@@ -23,7 +26,7 @@ let grow h entry =
 let rec sift_up h i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if h.data.(i).prio < h.data.(parent).prio then begin
+    if h.before h.data.(i) h.data.(parent) then begin
       let tmp = h.data.(i) in
       h.data.(i) <- h.data.(parent);
       h.data.(parent) <- tmp;
@@ -34,8 +37,8 @@ let rec sift_up h i =
 let rec sift_down h i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let smallest = ref i in
-  if l < h.size && h.data.(l).prio < h.data.(!smallest).prio then smallest := l;
-  if r < h.size && h.data.(r).prio < h.data.(!smallest).prio then smallest := r;
+  if l < h.size && h.before h.data.(l) h.data.(!smallest) then smallest := l;
+  if r < h.size && h.before h.data.(r) h.data.(!smallest) then smallest := r;
   if !smallest <> i then begin
     let tmp = h.data.(i) in
     h.data.(i) <- h.data.(!smallest);
@@ -43,10 +46,9 @@ let rec sift_down h i =
     sift_down h !smallest
   end
 
-let push h prio value =
-  let entry = { prio; value } in
-  grow h entry;
-  h.data.(h.size) <- entry;
+let push h x =
+  grow h x;
+  h.data.(h.size) <- x;
   h.size <- h.size + 1;
   sift_up h (h.size - 1)
 
@@ -59,16 +61,12 @@ let pop h =
       h.data.(0) <- h.data.(h.size);
       sift_down h 0
     end;
-    Some (top.prio, top.value)
+    Some top
   end
 
-let peek h = if h.size = 0 then None else Some (h.data.(0).prio, h.data.(0).value)
+let peek h = if h.size = 0 then None else Some h.data.(0)
 
 let iter f h =
   for i = 0 to h.size - 1 do
-    f h.data.(i).prio h.data.(i).value
+    f h.data.(i)
   done
-
-let clear h =
-  h.data <- [||];
-  h.size <- 0

@@ -2,22 +2,18 @@ type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-(* SplitMix64 step: used to expand the seed into the 256-bit Xoshiro state
-   and to derive independent sub-generators. *)
-let splitmix64 state =
-  let z = Int64.add !state golden_gamma in
-  state := z;
+let splitmix64 x =
+  let z = Int64.add x golden_gamma in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
+(* SplitMix64 expands the seed into the 256-bit Xoshiro state (and so
+   derives independent sub-generators): its k-th output is the one from
+   state [seed + k * golden_gamma]. *)
 let of_seed64 seed =
-  let st = ref seed in
-  let s0 = splitmix64 st in
-  let s1 = splitmix64 st in
-  let s2 = splitmix64 st in
-  let s3 = splitmix64 st in
-  { s0; s1; s2; s3 }
+  let out k = splitmix64 (Int64.add seed (Int64.mul (Int64.of_int k) golden_gamma)) in
+  { s0 = out 0; s1 = out 1; s2 = out 2; s3 = out 3 }
 
 let create seed = of_seed64 (Int64.of_int seed)
 

@@ -22,6 +22,12 @@ val copy : t -> t
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val splitmix64 : int64 -> int64
+(** [splitmix64 x] is SplitMix64's output from state [x]: [x] plus the
+    golden gamma, through the multiply-xorshift finalizer.  The
+    generator seeds itself with it; as a hash it spreads consecutive
+    integers over all 64 bits. *)
+
 val int : t -> int -> int
 (** [int t bound] draws uniformly from [0, bound).  [bound] must be > 0;
     raises [Invalid_argument] otherwise.  Unbiased (rejection sampling). *)

@@ -152,27 +152,25 @@ type region_map = {
   by_host : (int, Bucket.t) Hashtbl.t;  (* overlay host -> slots *)
 }
 
-(* An expiry-heap record.  Records are never removed eagerly: a refresh,
-   re-publish or retraction leaves the old record in the heap and it is
-   recognised as stale when popped (the map no longer holds that exact
-   entry, or the entry's current [expires] stamp moved past the record's
-   priority). *)
-type hrec = { hr_key : int; hr_entry : Entry.t }
+(* An expiry-heap record: the entry and the stamp it had when the record
+   was pushed, which orders the heap.  Records are never removed eagerly:
+   a refresh, re-publish or retraction leaves the old record in the heap
+   and it is recognised as stale when popped (the map no longer holds
+   that exact entry, or the entry's current [expires] stamp moved past
+   [hr_prio]). *)
+type hrec = { hr_key : int; hr_prio : float; hr_entry : Entry.t }
 
-(* A host's record in a shard's host index: the keys of the shard's maps
-   where the host has a bucket, and the CAN node record and path array
-   the host had when the record was made.  [Can.Overlay] makes a new node
+let earlier a b = a.hr_prio < b.hr_prio
+
+(* A host's record in the store's host index: the keys of the maps where
+   the host has a bucket, and the CAN node record and path array the host
+   had when the record was made.  [Can.Overlay] makes a new node
    record on every join, and gives a member a new path array on every
    zone change without writing one in place; a member only takes over an
    array that was a leaving node's.  So while the host's node and path
    are physically these, it has been a member throughout and its zone is
    unchanged, and every entry in those buckets still lies in it. *)
 type host_rec = { node : Can_overlay.node; placed : int array; mutable keys : int list }
-
-type shard = {
-  expiry : hrec Heap.t;
-  hosts : (int, host_rec) Hashtbl.t;  (* host -> its buckets in this shard *)
-}
 
 type obs = {
   publishes : Engine.Metrics.counter;
@@ -268,7 +266,8 @@ type t = {
   clock : unit -> float;
   maps : (int, region_map) Hashtbl.t;  (* region path key *)
   slab : Slab.t;  (* every map's entries *)
-  shards : shard array;
+  shards : hrec Heap.t array;  (* each shard's expiry heap *)
+  hosts : (int, host_rec) Hashtbl.t;  (* host -> the maps where it has a bucket *)
   node_index : (int, (int, Entry.t) Hashtbl.t) Hashtbl.t;
       (* described node -> region key -> entry; reverse index so the
          per-node operations avoid scanning every map *)
@@ -309,9 +308,8 @@ let create ?metrics ?(labels = []) ?trace ?pool:(_ : Engine.Dpool.t option) ?(sh
     clock;
     maps = Hashtbl.create 256;
     slab = Slab.create ();
-    shards =
-      Array.init shards (fun _ ->
-          { expiry = Heap.create ~capacity:256 (); hosts = Hashtbl.create 64 });
+    shards = Array.init shards (fun _ -> Heap.create ~capacity:256 ~before:earlier ());
+    hosts = Hashtbl.create 64;
     node_index = Hashtbl.create 256;
     top = Topk.create ();
     visit = Can_overlay.Cursor.create ();
@@ -362,7 +360,7 @@ let set_expires t slot (e : Entry.t) at =
   t.slab.Slab.stamps.(slot) <- at
 
 let schedule_expiry t ~key m (e : Entry.t) =
-  Heap.push t.shards.(m.shard).expiry e.Entry.expires { hr_key = key; hr_entry = e }
+  Heap.push t.shards.(m.shard) { hr_key = key; hr_prio = e.Entry.expires; hr_entry = e }
 
 (* The owner of a position inside the map's box: the overlay's descent
    from the region's depth. *)
@@ -377,12 +375,11 @@ let host_add t ~key m host slot =
     let b = Bucket.create () in
     Bucket.add b slot;
     Hashtbl.replace m.by_host host b;
-    let hosts = t.shards.(m.shard).hosts in
-    (match Hashtbl.find hosts host with
+    (match Hashtbl.find t.hosts host with
     | hr -> hr.keys <- key :: hr.keys
     | exception Not_found ->
       let node = Can_overlay.node t.can host in
-      Hashtbl.replace hosts host { node; placed = node.Can_overlay.path; keys = [ key ] })
+      Hashtbl.replace t.hosts host { node; placed = node.Can_overlay.path; keys = [ key ] })
 
 (* Emptied buckets stay in the table: a host that cycles between zero and
    a few entries reuses its bucket's backing array instead of
@@ -711,23 +708,21 @@ let sweep_range t lo hi =
   let now = t.clock () in
   let visited = ref 0 and purged = ref [] in
   for i = lo to hi do
-    let heap = t.shards.(i).expiry in
+    let heap = t.shards.(i) in
     let rec loop () =
       match Heap.peek heap with
-      | Some (prio, _) when prio <= now ->
-        (match Heap.pop heap with
-        | Some (_, r) ->
-          incr visited;
-          (match Hashtbl.find_opt t.maps r.hr_key with
-          | Some m ->
-            (match Hashtbl.find m.entries r.hr_entry.Entry.node with
-            | slot when t.slab.Slab.ents.(slot) == r.hr_entry && r.hr_entry.Entry.expires <= now ->
-              remove_entry t ~key:r.hr_key m slot;
-              purged := (m.region, r.hr_entry) :: !purged
-            | _ | (exception Not_found) -> ())
-          | None -> ());
-          loop ()
-        | None -> ())
+      | Some r when r.hr_prio <= now ->
+        ignore (Heap.pop heap);
+        incr visited;
+        (match Hashtbl.find_opt t.maps r.hr_key with
+        | Some m ->
+          (match Hashtbl.find m.entries r.hr_entry.Entry.node with
+          | slot when t.slab.Slab.ents.(slot) == r.hr_entry && r.hr_entry.Entry.expires <= now ->
+            remove_entry t ~key:r.hr_key m slot;
+            purged := (m.region, r.hr_entry) :: !purged
+          | _ | (exception Not_found) -> ())
+        | None -> ());
+        loop ()
       | Some _ | None -> ()
     in
     loop ()
@@ -776,20 +771,19 @@ let inject_staleness t ~rng ~fraction =
    stale buckets are detached before any entry is re-placed, so a
    re-placed entry never lands in a bucket that is about to be
    detached. *)
-let rehost_shard t i =
-  let hosts = t.shards.(i).hosts in
+let rehost t =
   let stale =
     Hashtbl.fold
       (fun host hr acc ->
         match Can_overlay.node t.can host with
         | n when n == hr.node && n.Can_overlay.path == hr.placed -> acc
         | _ | (exception Not_found) -> (host, hr) :: acc)
-      hosts []
+      t.hosts []
   in
   let detached =
     List.concat_map
       (fun (host, hr) ->
-        Hashtbl.remove hosts host;
+        Hashtbl.remove t.hosts host;
         List.map
           (fun key ->
             let m = Hashtbl.find t.maps key in
@@ -808,11 +802,6 @@ let rehost_shard t i =
           host_add t ~key m e.Entry.host slot)
         b)
     detached
-
-let rehost t =
-  for i = 0 to Array.length t.shards - 1 do
-    rehost_shard t i
-  done
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
@@ -890,16 +879,15 @@ let check_invariants t =
               end)
             m.entries (Ok ())
         in
-        (* no orphans in the host index; every bucket is on its host's
-           record in the owning shard *)
-        let hosts = t.shards.(m.shard).hosts in
+        (* no orphans in the host buckets; every bucket is on its host's
+           record in the host index *)
         Hashtbl.fold
           (fun host (b : Bucket.t) acc ->
             let* () = acc in
             let* () =
-              match Hashtbl.find_opt hosts host with
+              match Hashtbl.find_opt t.hosts host with
               | Some hr when List.mem key hr.keys -> Ok ()
-              | Some _ | None -> err "bucket of host %d missing from its shard's host index" host
+              | Some _ | None -> err "bucket of host %d missing from the host index" host
             in
             let rec go i =
               if i >= b.Bucket.len then Ok ()
@@ -916,23 +904,19 @@ let check_invariants t =
   in
   (* every host-index record names buckets that exist *)
   let* () =
-    Array.fold_left
-      (fun acc shard ->
+    Hashtbl.fold
+      (fun host hr acc ->
         let* () = acc in
-        Hashtbl.fold
-          (fun host hr acc ->
-            let* () = acc in
-            if
-              List.for_all
-                (fun key ->
-                  match Hashtbl.find_opt t.maps key with
-                  | Some m -> Hashtbl.mem m.by_host host
-                  | None -> false)
-                hr.keys
-            then Ok ()
-            else err "host index of host %d names a missing bucket" host)
-          shard.hosts (Ok ()))
-      (Ok ()) t.shards
+        if
+          List.for_all
+            (fun key ->
+              match Hashtbl.find_opt t.maps key with
+              | Some m -> Hashtbl.mem m.by_host host
+              | None -> false)
+            hr.keys
+        then Ok ()
+        else err "host index of host %d names a missing bucket" host)
+      t.hosts (Ok ())
   in
   (* no orphans in the reverse index *)
   let* () =
@@ -956,18 +940,18 @@ let check_invariants t =
      fresh record would make the entry immortal to sweeps) *)
   let covered = Hashtbl.create 256 in
   Array.iteri
-    (fun si shard ->
+    (fun si heap ->
       Heap.iter
-        (fun prio r ->
+        (fun r ->
           match Hashtbl.find_opt t.maps r.hr_key with
           | Some m when m.shard = si ->
             (match Hashtbl.find_opt m.entries r.hr_entry.Entry.node with
             | Some slot
-              when t.slab.Slab.ents.(slot) == r.hr_entry && prio = r.hr_entry.Entry.expires ->
+              when t.slab.Slab.ents.(slot) == r.hr_entry && r.hr_prio = r.hr_entry.Entry.expires ->
               Hashtbl.replace covered (r.hr_key, r.hr_entry.Entry.node) ()
             | Some _ | None -> ())
           | Some _ | None -> ())
-        shard.expiry)
+        heap)
     t.shards;
   Hashtbl.fold
     (fun key m acc ->

@@ -55,7 +55,7 @@ val create :
 
     [pool] is ignored ({!Engine.Dpool} is a stub): every phase runs on
     the calling domain (DESIGN.md §12).  It is kept only so [bench/perf]
-    builds, and ROADMAP item 7 deletes it.
+    builds, and ROADMAP item 3 deletes it.
 
     [condense] (default 1.0) is the paper's map condense/reduction rate:
     the map of a region occupies the sub-box of the region with volume
@@ -233,12 +233,13 @@ val rehost : t -> unit
     moved when its CAN node record or path array is not physically the
     one it had when it was first given a bucket or last re-placed
     ([Can.Overlay] makes a new node record on every join and a new path
-    array on every zone change, and never writes one in place).
-    Shards are re-placed in index order. *)
+    array on every zone change, and never writes one in place).  One
+    store-wide host index records, per host, the maps where it holds a
+    bucket, so a rehost reads no shard. *)
 
 val check_invariants : t -> (unit, string) result
 (** Entry positions lie in their map boxes; hosting matches CAN ownership;
-    per-host index agrees with the maps, and each shard's host index
-    names exactly the buckets its maps hold.  The store's flat copy of
+    per-host index agrees with the maps, and the store's host index
+    names exactly the buckets the maps hold.  The store's flat copy of
     each entry's node id, expiry stamp and vector equals the entry's, bit
     for bit, and every storage slot is either an entry's or free. *)

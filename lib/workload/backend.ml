@@ -224,12 +224,7 @@ let service_rtt ?metrics ~labels ~clock oracle =
   fun ~src ~dst ->
     match Engine.Probe.rtt prober ~src ~dst with Ok r -> Some r | Error _ -> None
 
-let mix62 k =
-  let z = Int64.add (Int64.of_int k) 0x9E3779B97F4A7C15L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  let z = Int64.logxor z (Int64.shift_right_logical z 31) in
-  Int64.to_int (Int64.shift_right_logical z 2)
+let mix62 k = Int64.to_int (Int64.shift_right_logical (Prelude.Rng.splitmix64 (Int64.of_int k)) 2)
 
 (* Placement skips hosts whose published load crossed 0.99: the §6
    load/capacity fields doing service-layer work. *)

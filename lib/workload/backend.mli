@@ -100,7 +100,7 @@ val service_rtt :
     the answer is always [Some]. *)
 
 val mix62 : int -> int
-(** SplitMix64 finalizer, truncated to 62 bits: spreads consecutive key
+(** {!Prelude.Rng.splitmix64}, truncated to 62 bits: spreads consecutive key
     ids over the key space so homes are uniform whatever the key order. *)
 
 val builder_service :

@@ -44,14 +44,6 @@ let test_stats_single_sample () =
   Alcotest.(check (float 0.0)) "p50" 7.0 s.Stats.p50;
   Alcotest.(check (float 0.0)) "stddev" 0.0 s.Stats.stddev
 
-let test_heap_clear () =
-  let h = Heap.create () in
-  Heap.push h 1.0 "a";
-  Heap.push h 2.0 "b";
-  Heap.clear h;
-  Alcotest.(check bool) "empty after clear" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop on empty" true (Heap.pop h = None)
-
 (* ---- geometry ---- *)
 
 let test_zone_split_dim_cycles () =
@@ -302,7 +294,6 @@ let suite =
     Alcotest.test_case "rng degenerate range" `Quick test_rng_int_in_singleton;
     Alcotest.test_case "rng float_in bounds" `Quick test_rng_float_in_bounds;
     Alcotest.test_case "stats single sample" `Quick test_stats_single_sample;
-    Alcotest.test_case "heap clear" `Quick test_heap_clear;
     Alcotest.test_case "zone split dim cycles" `Quick test_zone_split_dim_cycles;
     Alcotest.test_case "1-d zones" `Quick test_zone_1d;
     Alcotest.test_case "1-d hilbert is identity" `Quick test_hilbert_single_bit_dims;

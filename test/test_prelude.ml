@@ -99,6 +99,18 @@ let test_rng_shuffle_permutation () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" arr sorted
 
+(* The first outputs of SplitMix64 seeded with 0 (Vigna's reference
+   splitmix64.c), reached as the outputs from states 0, gamma, 2 gamma. *)
+let test_rng_splitmix64 () =
+  let gamma = 0x9E3779B97F4A7C15L in
+  List.iteri
+    (fun k expect ->
+      Alcotest.(check int64)
+        (Printf.sprintf "output %d" k)
+        expect
+        (Rng.splitmix64 (Int64.mul (Int64.of_int k) gamma)))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ]
+
 let test_rng_exponential () =
   let rng = Rng.create 19 in
   let acc = ref 0.0 in
@@ -163,12 +175,15 @@ let test_stats_online_matches_batch () =
   Alcotest.(check (float 1e-9)) "online mean" (Stats.mean xs) (Stats.Online.mean o);
   Alcotest.(check (float 1e-6)) "online var" (Stats.variance xs) (Stats.Online.variance o)
 
+(* A heap of (priority, value) pairs ordered by priority alone. *)
+let by_prio (p, _) (q, _) = p < q
+
 let test_heap_ordering () =
-  let h = Heap.create () in
+  let h = Heap.create ~before:by_prio () in
   let rng = Rng.create 29 in
   let n = 1000 in
   for i = 0 to n - 1 do
-    Heap.push h (Rng.float rng 100.0) i
+    Heap.push h (Rng.float rng 100.0, i)
   done;
   Alcotest.(check int) "length" n (Heap.length h);
   let last = ref neg_infinity in
@@ -182,10 +197,10 @@ let test_heap_ordering () =
   Alcotest.(check bool) "empty at end" true (Heap.is_empty h)
 
 let test_heap_peek () =
-  let h = Heap.create () in
+  let h = Heap.create ~before:by_prio () in
   Alcotest.(check bool) "empty peek" true (Heap.peek h = None);
-  Heap.push h 2.0 "b";
-  Heap.push h 1.0 "a";
+  Heap.push h (2.0, "b");
+  Heap.push h (1.0, "a");
   (match Heap.peek h with
   | Some (p, v) ->
     Alcotest.(check (float 0.0)) "peek prio" 1.0 p;
@@ -197,8 +212,8 @@ let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.0) small_int))
     (fun entries ->
-      let h = Heap.create () in
-      List.iter (fun (p, v) -> Heap.push h p v) entries;
+      let h = Heap.create ~before:by_prio () in
+      List.iter (Heap.push h) entries;
       let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc) in
       let popped = drain [] in
       let sorted = List.sort compare (List.map fst entries) in
@@ -218,6 +233,7 @@ let suite =
     Alcotest.test_case "rng sample full population" `Quick test_rng_sample_full;
     Alcotest.test_case "rng shuffle is a permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "rng exponential mean" `Quick test_rng_exponential;
+    Alcotest.test_case "rng splitmix64 reference outputs" `Quick test_rng_splitmix64;
     Alcotest.test_case "stats mean/var" `Quick test_stats_mean_var;
     Alcotest.test_case "stats percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats percentile edge cases" `Quick test_stats_percentile_edge_cases;

@@ -403,8 +403,8 @@ let qcheck_heap_length_tracks =
     QCheck.(list (float_bound_exclusive 100.0))
     (fun xs ->
       let module Heap = Prelude.Heap in
-      let h = Heap.create () in
-      List.iteri (fun i x -> Heap.push h x i) xs;
+      let h = Heap.create ~before:(fun (p, _) (q, _) -> p < q) () in
+      List.iteri (fun i x -> Heap.push h (x, i)) xs;
       let n = List.length xs in
       let ok = ref (Heap.length h = n) in
       for expect = n - 1 downto 0 do
@@ -412,6 +412,209 @@ let qcheck_heap_length_tracks =
         if Heap.length h <> expect then ok := false
       done;
       !ok)
+
+(* The float-priority heap that ran the store's expiry heaps before the
+   heap took its order at creation, kept verbatim as the reference for
+   the order of equal priorities. *)
+module Ref_heap = struct
+  type 'a entry = { prio : float; value : 'a }
+  type 'a t = { mutable data : 'a entry array; mutable size : int }
+
+  let create () = { data = [||]; size = 0 }
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if h.data.(i).prio < h.data.(parent).prio then begin
+        let tmp = h.data.(i) in
+        h.data.(i) <- h.data.(parent);
+        h.data.(parent) <- tmp;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.size && h.data.(l).prio < h.data.(!smallest).prio then smallest := l;
+    if r < h.size && h.data.(r).prio < h.data.(!smallest).prio then smallest := r;
+    if !smallest <> i then begin
+      let tmp = h.data.(i) in
+      h.data.(i) <- h.data.(!smallest);
+      h.data.(!smallest) <- tmp;
+      sift_down h !smallest
+    end
+
+  let push h prio value =
+    let entry = { prio; value } in
+    if h.size = Array.length h.data then begin
+      let ndata = Array.make (max 16 (2 * h.size)) entry in
+      Array.blit h.data 0 ndata 0 h.size;
+      h.data <- ndata
+    end;
+    h.data.(h.size) <- entry;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    if h.size = 0 then None
+    else begin
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      if h.size > 0 then begin
+        h.data.(0) <- h.data.(h.size);
+        sift_down h 0
+      end;
+      Some (top.prio, top.value)
+    end
+end
+
+(* Random interleaved pushes ([Some p], a priority out of four, so most
+   pushes tie) and pops ([None]); every pop must return the reference's
+   element, ties included. *)
+let qcheck_heap_matches_reference =
+  QCheck.Test.make ~name:"heap pops what the float-priority heap popped, ties included" ~count:300
+    QCheck.(list_of_size (Gen.int_range 0 300) (option ~ratio:0.7 (int_bound 3)))
+    (fun ops ->
+      let module Heap = Prelude.Heap in
+      let h = Heap.create ~before:(fun (p, _) (q, _) -> p < q) () and r = Ref_heap.create () in
+      let ok = ref true in
+      let pop_both () = if Heap.pop h <> Ref_heap.pop r then ok := false in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some p ->
+            Heap.push h (float_of_int p, i);
+            Ref_heap.push r (float_of_int p) i
+          | None -> pop_both ())
+        ops;
+      while not (Heap.is_empty h) do
+        pop_both ()
+      done;
+      !ok && Ref_heap.pop r = None)
+
+(* A list-scan event queue: fire the least [(time, seq)] queued event,
+   [seq] counting every enqueue, and re-arm a periodic timer before its
+   callback runs.  The reference for [Sim]'s order. *)
+module Ref_sim = struct
+  type ev = { time : float; seq : int; run : unit -> unit; mutable active : bool }
+  type timer = { mutable ev : ev option; mutable alive : bool }
+  type t = { mutable clock : float; mutable seq : int; mutable queue : ev list }
+
+  let create () = { clock = 0.0; seq = 0; queue = [] }
+
+  let enqueue t time run =
+    let e = { time; seq = t.seq; run; active = true } in
+    t.seq <- t.seq + 1;
+    t.queue <- e :: t.queue;
+    e
+
+  let schedule_at t time run = { ev = Some (enqueue t time run); alive = true }
+
+  let every t ~period run =
+    let timer = { ev = None; alive = true } in
+    let rec fire () =
+      if timer.alive then begin
+        timer.ev <- Some (enqueue t (t.clock +. period) fire);
+        run ()
+      end
+    in
+    timer.ev <- Some (enqueue t (t.clock +. period) fire);
+    timer
+
+  let cancel timer =
+    timer.alive <- false;
+    Option.iter (fun e -> e.active <- false) timer.ev
+
+  let run t =
+    let rec loop () =
+      match t.queue with
+      | [] -> ()
+      | e0 :: _ ->
+        let e =
+          List.fold_left
+            (fun m e -> if e.time < m.time || (e.time = m.time && e.seq < m.seq) then e else m)
+            e0 t.queue
+        in
+        t.queue <- List.filter (fun e' -> e' != e) t.queue;
+        t.clock <- e.time;
+        if e.active then begin
+          e.active <- false;
+          e.run ()
+        end;
+        loop ()
+    in
+    loop ()
+end
+
+(* One random schedule, driven through either engine: [starts] events
+   at small integer times (so many share an instant); event [i] with
+   [i < Array.length specs] schedules more events [delays] from now,
+   0 included, and cancels event [target] if it exists; a periodic timer
+   schedules one more event [spawn] from each beat, and cancels itself
+   after [beats] beats.  Returns the (time, event) firing log, the
+   periodic timer's beats as event -1. *)
+let run_schedule ~now ~at ~every ~cancel ~run (starts, specs, (period, beats, spawn)) =
+  let log = ref [] and timers = Hashtbl.create 64 and next = ref 0 in
+  let rec add time =
+    let id = !next in
+    incr next;
+    Hashtbl.replace timers id (at time (fun () -> fire id))
+  and fire id =
+    log := (now (), id) :: !log;
+    if id < Array.length specs then begin
+      let delays, target = specs.(id) in
+      List.iter (fun d -> add (now () +. float_of_int d)) delays;
+      Option.iter (fun k -> Option.iter cancel (Hashtbl.find_opt timers k)) target
+    end
+  in
+  List.iter (fun t -> add (float_of_int t)) starts;
+  let count = ref 0 in
+  let rec periodic =
+    lazy
+      (every (float_of_int period) (fun () ->
+           log := (now (), -1) :: !log;
+           add (now () +. float_of_int spawn);
+           incr count;
+           if !count >= beats then cancel (Lazy.force periodic)))
+  in
+  ignore (Lazy.force periodic);
+  run ();
+  List.rev !log
+
+let qcheck_sim_time_seq_order =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (list_size (int_range 1 20) (int_bound 4))
+        (array_size (int_range 0 40)
+           (pair (list_size (int_bound 3) (int_bound 2)) (option ~ratio:0.3 (int_bound 60))))
+        (triple (int_range 1 3) (int_range 1 4) (int_bound 3)))
+  in
+  QCheck.Test.make ~name:"sim fires random schedules in (time, seq) order" ~count:200
+    (QCheck.make gen)
+    (fun input ->
+      let sim = Sim.create () in
+      let got =
+        run_schedule
+          ~now:(fun () -> Sim.now sim)
+          ~at:(Sim.schedule_at sim)
+          ~every:(fun period f -> Sim.every sim ~period f)
+          ~cancel:Sim.cancel
+          ~run:(fun () -> Sim.run sim)
+          input
+      in
+      let r = Ref_sim.create () in
+      let expect =
+        run_schedule
+          ~now:(fun () -> r.Ref_sim.clock)
+          ~at:(Ref_sim.schedule_at r)
+          ~every:(fun period f -> Ref_sim.every r ~period f)
+          ~cancel:Ref_sim.cancel
+          ~run:(fun () -> Ref_sim.run r)
+          input
+      in
+      got = expect && Sim.pending sim = 0)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
@@ -440,4 +643,6 @@ let suite =
       qcheck_keyring_arc_bruteforce koorde_width;
       qcheck_keyring_successor_bruteforce koorde_width;
       qcheck_keyring_charge_bruteforce koorde_width;
+      qcheck_heap_matches_reference;
+      qcheck_sim_time_seq_order;
     ]

@@ -322,8 +322,24 @@ let test_alloc_rerun () =
   Alcotest.(check string) "same snapshot after a reset" first
     (registry_after [ (fun () -> Metrics.reset Metrics.global); alloc ])
 
+(* [Backend.mix62] as it was written out before it shared
+   [Rng.splitmix64]: cache and multicast homes hash keys with it, so it
+   must not move by a bit. *)
+let test_mix62_bits () =
+  let mix62 k =
+    let z = Int64.add (Int64.of_int k) 0x9E3779B97F4A7C15L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    let z = Int64.logxor z (Int64.shift_right_logical z 31) in
+    Int64.to_int (Int64.shift_right_logical z 2)
+  in
+  List.iter
+    (fun k -> Alcotest.(check int) (string_of_int k) (mix62 k) (Workload.Backend.mix62 k))
+    (max_int :: min_int :: List.init 4096 (fun k -> k - 64))
+
 let suite =
   Alcotest.test_case "nn data curves" `Quick test_nn_data_curves
+  :: Alcotest.test_case "backend mix62 keeps its bits" `Quick test_mix62_bits
   :: Alcotest.test_case "registry lookup" `Quick test_registry_lookup
   :: Alcotest.test_case "cache experiment output & gauges" `Quick test_cache_experiment
   :: Alcotest.test_case "degree experiment output & gauges" `Quick test_degree_experiment
