@@ -45,6 +45,7 @@ module Store = Softstate.Store
 module Bus = Pubsub.Bus
 module Number = Landmark.Number
 module Point = Geometry.Point
+module Zone = Geometry.Zone
 module Rng = Prelude.Rng
 module Metrics = Engine.Metrics
 
@@ -66,6 +67,9 @@ let slot_samples = 64 (* distinct seeded (node, region) table slots *)
 let slot_runs = 256
 let fill_runs = 4 (* whole Hybrid table fills of the slot fixture *)
 let leave_rounds = 4 (* fresh maintained builds, one measured departure each *)
+let cache_keys = 64 (* keys, each fetched once before the measured window *)
+let cache_samples = 64 (* distinct seeded (client, key) requests *)
+let cache_runs = 256
 
 let vector_of node = Array.init 5 (fun i -> float_of_int ((node * ((7 * i) + 3)) mod 400))
 
@@ -88,13 +92,19 @@ let substrate_can seed =
   done;
   can
 
-let route_op () =
+(* The route fixture: an expressway with seeded random tables over the
+   [substrate] CAN. *)
+let route_fixture () =
   let can = substrate_can 31 in
   let e = Ecan_exp.create ~span_bits:2 can in
   let sel = Rng.create 32 in
   Ecan_exp.build_tables e ~selector:(fun ~node:_ ~region:_ ~candidates ->
       Some (Rng.pick sel candidates));
-  let members = Can_overlay.node_ids can in
+  e
+
+let route_op () =
+  let e = route_fixture () in
+  let members = Can_overlay.node_ids (Ecan_exp.can e) in
   let qrng = Rng.create 33 in
   let queries =
     Array.init route_samples (fun _ -> (Rng.pick qrng members, Point.random qrng 2))
@@ -104,6 +114,46 @@ let route_op () =
       let src, point = queries.(!cursor mod route_samples) in
       incr cursor;
       ignore (Ecan_exp.route e ~src point))
+
+(* A cache with metrics on the route fixture: each key homes at the
+   owner of a seeded point, a copy is reached by an expressway route to
+   its holder's zone centre, and every key is fetched once before the
+   measured window, so each measured request is a hit on its one copy. *)
+let cache_request_op () =
+  let e = route_fixture () in
+  let can = Ecan_exp.can e in
+  let krng = Rng.create 132 in
+  let homes = Array.init cache_keys (fun _ -> Can_overlay.owner_of can (Point.random krng 2)) in
+  let centres =
+    Array.init substrate (fun id -> Zone.center (Can_overlay.node can id).Can_overlay.zone)
+  in
+  let backend =
+    {
+      Engine.Cache.name = "ecan";
+      member = Can_overlay.mem can;
+      home_of = (fun key -> homes.(key));
+      route_to = (fun ~src ~dst -> Ecan_exp.route e ~src centres.(dst));
+      near = (fun ~node:_ ~exclude:_ -> None);
+      publish_load = (fun ~node:_ ~load:_ -> ());
+    }
+  in
+  let cache =
+    Engine.Cache.create ~metrics:(Metrics.create ())
+      ~link:(fun u v -> float_of_int (1 + (((u * 7) + v) mod 50)))
+      backend
+  in
+  let members = Can_overlay.node_ids can in
+  let requests =
+    Array.init cache_samples (fun _ -> (Rng.pick krng members, Rng.int krng cache_keys))
+  in
+  for key = 0 to cache_keys - 1 do
+    ignore (Engine.Cache.request cache ~client:members.(0) ~key)
+  done;
+  let cursor = ref 0 in
+  words_per_op ~runs:cache_runs (fun () ->
+      let client, key = requests.(!cursor mod cache_samples) in
+      incr cursor;
+      ignore (Engine.Cache.request cache ~client ~key))
 
 (* The lookup fixture's store; each query routes from a seeded member to
    the map host of a seeded vector in a seeded region. *)
@@ -350,6 +400,7 @@ let run ?(scale = 1) () =
           slot_select_op );
         (Printf.sprintf "fill slot (hybrid, %d members)" substrate, "fill_slot", fill_slot_op);
         (Printf.sprintf "maintained leave (%d members)" substrate, "leave", leave_op);
+        ("cache request (hit, metrics on)", "cache_request", cache_request_op);
       ]
   in
   let table =
@@ -358,9 +409,9 @@ let run ?(scale = 1) () =
         (Printf.sprintf
            "Allocation budget: minor words per hot-path op (%d routes of each kind, %d RTT hits, %d \
             sweeps x %d entries, %d SSSP, %d lookups, %d joins, %d rehosts, %d resubscribes, %d \
-            slot selections, %d table fills, %d leaves)"
+            slot selections, %d table fills, %d leaves, %d cache requests)"
            route_runs rtt_runs sweep_rounds sweep_burst sssp_runs lookup_runs join_rounds rehost_rounds
-           resubscribe_runs slot_runs fill_runs leave_rounds)
+           resubscribe_runs slot_runs fill_runs leave_rounds cache_runs)
       ~columns:[ "op"; "minor words/op" ]
   in
   List.iter
