@@ -14,7 +14,8 @@ module Heap = Prelude.Heap
 (* The queue's order: FIFO among events scheduled for the same instant. *)
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
 
-(* A periodic timer's event before its first arming. *)
+(* A periodic timer's event before its first arming, and the filler of
+   the queue's vacant slots. *)
 let dummy = { time = 0.0; seq = 0; run = ignore; active = false }
 
 type counters = { run : Metrics.counter; cancelled : Metrics.counter }
@@ -33,7 +34,7 @@ let create ?metrics () =
         { run = Metrics.counter m "sim_events_run"; cancelled = Metrics.counter m "sim_events_cancelled" })
       metrics
   in
-  { clock = 0.0; next_seq = 0; queue = Heap.create ~before (); counters }
+  { clock = 0.0; next_seq = 0; queue = Heap.create ~before ~dummy (); counters }
 
 let now t = t.clock
 

@@ -16,11 +16,14 @@
 
 type 'a t
 
-val create : ?capacity:int -> before:('a -> 'a -> bool) -> unit -> 'a t
+val create : ?capacity:int -> before:('a -> 'a -> bool) -> dummy:'a -> unit -> 'a t
 (** Fresh empty heap ordered by [before] ([before a b]: [a] pops first).
-    [capacity] (default 0) sizes the first backing array allocation so
-    heaps with a known steady-state population skip the grow-copy
-    doublings; it never limits growth. *)
+    [dummy] fills every vacant slot of the backing array, so an element
+    that {!pop} has returned is no longer reachable from the heap; it is
+    never returned or passed to [before].  [capacity] (default 0) sizes
+    the first backing array allocation so heaps with a known
+    steady-state population skip the grow-copy doublings; it never
+    limits growth. *)
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

@@ -179,7 +179,7 @@ let test_stats_online_matches_batch () =
 let by_prio (p, _) (q, _) = p < q
 
 let test_heap_ordering () =
-  let h = Heap.create ~before:by_prio () in
+  let h = Heap.create ~before:by_prio ~dummy:(nan, -1) () in
   let rng = Rng.create 29 in
   let n = 1000 in
   for i = 0 to n - 1 do
@@ -197,7 +197,7 @@ let test_heap_ordering () =
   Alcotest.(check bool) "empty at end" true (Heap.is_empty h)
 
 let test_heap_peek () =
-  let h = Heap.create ~before:by_prio () in
+  let h = Heap.create ~before:by_prio ~dummy:(nan, "") () in
   Alcotest.(check bool) "empty peek" true (Heap.peek h = None);
   Heap.push h (2.0, "b");
   Heap.push h (1.0, "a");
@@ -208,11 +208,35 @@ let test_heap_peek () =
   | None -> Alcotest.fail "peek on non-empty");
   Alcotest.(check int) "peek does not pop" 2 (Heap.length h)
 
+(* A popped element is unreachable from the heap: after [k] of [n]
+   boxed elements are popped and a full major collection, exactly the
+   popped ones are gone from a weak array that saw every push. *)
+let test_heap_releases_popped () =
+  let n = 1000 and k = 700 in
+  let h = Heap.create ~before:(fun a b -> !a < !b) ~dummy:(ref (-1)) () in
+  let seen = Weak.create n in
+  let push_all () =
+    for i = n - 1 downto 0 do
+      let x = ref i in
+      Weak.set seen i (Some x);
+      Heap.push h x
+    done
+  in
+  push_all ();
+  for _ = 1 to k do
+    ignore (Heap.pop h)
+  done;
+  Gc.full_major ();
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) (Printf.sprintf "element %d reachable" i) (i >= k) (Weak.check seen i)
+  done;
+  Alcotest.(check int) "live elements" (n - k) (Heap.length h)
+
 let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
     QCheck.(list (pair (float_bound_exclusive 1000.0) small_int))
     (fun entries ->
-      let h = Heap.create ~before:by_prio () in
+      let h = Heap.create ~before:by_prio ~dummy:(nan, -1) () in
       List.iter (Heap.push h) entries;
       let rec drain acc = match Heap.pop h with None -> List.rev acc | Some (p, _) -> drain (p :: acc) in
       let popped = drain [] in
@@ -242,4 +266,5 @@ let suite =
     Alcotest.test_case "heap ordering" `Quick test_heap_ordering;
     Alcotest.test_case "heap peek" `Quick test_heap_peek;
     QCheck_alcotest.to_alcotest qcheck_heap_sorts;
+    Alcotest.test_case "heap releases popped elements" `Quick test_heap_releases_popped;
   ]

@@ -403,7 +403,7 @@ let qcheck_heap_length_tracks =
     QCheck.(list (float_bound_exclusive 100.0))
     (fun xs ->
       let module Heap = Prelude.Heap in
-      let h = Heap.create ~before:(fun (p, _) (q, _) -> p < q) () in
+      let h = Heap.create ~before:(fun (p, _) (q, _) -> p < q) ~dummy:(nan, -1) () in
       List.iteri (fun i x -> Heap.push h (x, i)) xs;
       let n = List.length xs in
       let ok = ref (Heap.length h = n) in
@@ -477,7 +477,8 @@ let qcheck_heap_matches_reference =
     QCheck.(list_of_size (Gen.int_range 0 300) (option ~ratio:0.7 (int_bound 3)))
     (fun ops ->
       let module Heap = Prelude.Heap in
-      let h = Heap.create ~before:(fun (p, _) (q, _) -> p < q) () and r = Ref_heap.create () in
+      let h = Heap.create ~before:(fun (p, _) (q, _) -> p < q) ~dummy:(nan, -1) ()
+      and r = Ref_heap.create () in
       let ok = ref true in
       let pop_both () = if Heap.pop h <> Ref_heap.pop r then ok := false in
       List.iteri
