@@ -119,6 +119,9 @@ type t = {
   by_path : int Path_tbl.t;  (* exact path key -> owner id *)
   prefix_members : (int, Members.t) Hashtbl.t;  (* prefix key -> member ids *)
   mutable rep : int;  (* arbitrary live member, default routing start *)
+  mutable depth_mark : int;
+      (* no member's path is longer: only [join] lengthens paths, and
+         only [join] raises it *)
   obs : Engine.Route_obs.t;
   join_hops : Engine.Metrics.histogram option;
 }
@@ -194,6 +197,7 @@ let create ?metrics ?(labels = []) ?trace ~dims first =
       by_path = Path_tbl.create 64;
       prefix_members = Hashtbl.create 64;
       rep = first;
+      depth_mark = 0;
       obs = Engine.Route_obs.create metrics ~labels ~trace ~overlay:"can";
       join_hops =
         Option.map
@@ -209,6 +213,7 @@ let create ?metrics ?(labels = []) ?trace ~dims first =
 
 let dims t = t.dims
 let size t = Hashtbl.length t.nodes
+let depth_mark t = t.depth_mark
 let mem t id = id >= 0 && id < Array.length t.by_id && Array.unsafe_get t.by_id id != absent
 
 let node t id =
@@ -243,9 +248,9 @@ let path_bit ~dims zone depth point =
    time with two float locals; [owner_of] interleaves the dimensions and
    keeps them in two flat arrays. *)
 
-let path_of_point_into t point bits =
+let path_of_point_into t ~depth point bits =
   if Array.length point <> t.dims then invalid_arg "Can.path_of_point: dimension mismatch";
-  let depth = Array.length bits in
+  if depth < 0 || depth > Array.length bits then invalid_arg "Can.path_of_point: bad depth";
   for dim = 0 to min t.dims depth - 1 do
     let lo = ref 0.0 and hi = ref 1.0 and d = ref dim in
     while !d < depth do
@@ -264,7 +269,7 @@ let path_of_point_into t point bits =
 
 let path_of_point t ~depth point =
   let bits = Array.make depth 0 in
-  path_of_point_into t point bits;
+  path_of_point_into t ~depth point bits;
   bits
 
 (* The owner of [point] whose path begins with the [depth] bits that
@@ -453,6 +458,7 @@ let join t ?start id point =
   owner.path <- Array.append owner.path [| 1 - bit |];
   index_add t owner;
   let newcomer = { id; zone = new_zone; path = Array.append (Array.sub owner.path 0 depth) [| bit |]; neighbors = [] } in
+  t.depth_mark <- max t.depth_mark (depth + 1);
   Hashtbl.replace t.nodes id newcomer;
   set_node t id newcomer;
   index_add t newcomer;
@@ -639,6 +645,15 @@ let check_invariants t =
           let* () = acc in
           if t.by_id.(id) == n then Ok () else err "id array disagrees at %d" id)
         t.nodes (Ok ())
+  in
+  let* () =
+    Array.fold_left
+      (fun acc id ->
+        let* () = acc in
+        let len = Array.length (node t id).path in
+        if len <= t.depth_mark then Ok ()
+        else err "node %d: path length %d past the depth mark %d" id len t.depth_mark)
+      (Ok ()) all
   in
   let* () =
     (* Prefix index agrees with the node set. *)

@@ -46,6 +46,11 @@ val create :
 val dims : t -> int
 val size : t -> int
 
+val depth_mark : t -> int
+(** A high-water mark of member path length: no member's path is longer.
+    Only {!join} raises it, to the depth of the split it makes; a
+    {!leave} never lowers it. *)
+
 val mem : t -> int -> bool
 (** O(1): an array load.  [false] for negative ids, ids beyond every
     member's and departed ids. *)
@@ -149,10 +154,12 @@ val path_of_point : t -> depth:int -> Geometry.Point.t -> int array
 (** First [depth] split bits of the point's location — the target "digit
     string" used by eCAN expressway routing. *)
 
-val path_of_point_into : t -> Geometry.Point.t -> int array -> unit
-(** [path_of_point_into t p bits] writes the first [Array.length bits]
-    split bits of [p] into [bits], the same bits as {!path_of_point}, and
-    allocates nothing. *)
+val path_of_point_into : t -> depth:int -> Geometry.Point.t -> int array -> unit
+(** [path_of_point_into t ~depth p bits] writes the first [depth] split
+    bits of [p] into [bits], the same bits as {!path_of_point}, and
+    allocates nothing; [bits] past [depth] are left as they were.  A bit
+    at depth [d] depends only on [p] and [d].  Raises [Invalid_argument]
+    unless [0 <= depth <= Array.length bits]. *)
 
 val zone_of_path : dims:int -> int array -> Geometry.Zone.t
 (** The dyadic box a path denotes. *)
@@ -208,5 +215,6 @@ val members_with_prefix : t -> int array -> int array
 val check_invariants : t -> (unit, string) result
 (** Testing hook: zones tile the space (volumes sum to 1, paths form an
     exact prefix-free tree cover), every node's zone matches its path,
-    neighbor lists are symmetric and geometrically correct, and the dense
-    id array holds exactly the members. *)
+    neighbor lists are symmetric and geometrically correct, the dense id
+    array holds exactly the members, and no member's path is longer than
+    {!depth_mark}. *)

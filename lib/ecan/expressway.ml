@@ -18,14 +18,18 @@ type record = {
 type t = {
   can : Can_overlay.t;
   span_bits : int;
-  records : (int, record) Hashtbl.t;
-      (* node -> its record.  [set_entry] is the only writer of entries,
-         so the referrer lists always hold exactly the filled slots. *)
+  mutable records : record array;
+      (* id -> its record, [no_record] for an id without one; grown like
+         [Can.Overlay]'s id array.  [set_entry] is the only writer of
+         entries, so the referrer lists always hold exactly the filled
+         slots. *)
   cursor : Can_overlay.Cursor.t;
   target : int array;
       (* The route cursor: visit stamps, hop buffer and the target's
-         [max_depth] split bits, reused by every [route] of this
-         expressway (routing is coordinator-only, see the .mli). *)
+         split bits, reused by every [route] of this expressway (routing
+         is coordinator-only, see the .mli).  A route fills the bits down
+         to the CAN's depth mark only: [express_step] reads a bit only
+         above a member's path length. *)
   obs : Engine.Route_obs.t;
 }
 
@@ -40,7 +44,7 @@ let create ?metrics ?(labels = []) ?trace ?(span_bits = 2) can =
   {
     can;
     span_bits;
-    records = Hashtbl.create 256;
+    records = [||];
     cursor = Can_overlay.Cursor.create ();
     target = Array.make Can_overlay.max_depth 0;
     obs;
@@ -97,16 +101,23 @@ let slot_code holder slot = (holder lsl 16) lor slot
 let code_holder code = code lsr 16
 let code_slot code = code land 0xffff
 
-let record_of t id = try Hashtbl.find t.records id with Not_found -> no_record
+let record_of t id =
+  if id >= 0 && id < Array.length t.records then Array.unsafe_get t.records id else no_record
 
 (* [id]'s record, made without a table if it has none. *)
 let record t id =
-  match Hashtbl.find t.records id with
-  | r -> r
-  | exception Not_found ->
+  let r = record_of t id in
+  if r != no_record then r
+  else begin
     let r = { holder = id; nrows = -1; slots = [||]; head = -1 } in
-    Hashtbl.replace t.records id r;
+    if id >= Array.length t.records then begin
+      let records = Array.make (max (id + 1) (2 * Array.length t.records)) no_record in
+      Array.blit t.records 0 records 0 (Array.length t.records);
+      t.records <- records
+    end;
+    t.records.(id) <- r;
     r
+  end
 
 let entry_at slot = 3 * slot
 let next_at slot = (3 * slot) + 1
@@ -265,7 +276,7 @@ let rec walk t point (u : Can_overlay.node) guard =
 let route t ~src point =
   if Array.length point <> Can_overlay.dims t.can then
     invalid_arg "Ecan.route: dimension mismatch";
-  Can_overlay.path_of_point_into t.can point t.target;
+  Can_overlay.path_of_point_into t.can ~depth:(Can_overlay.depth_mark t.can) point t.target;
   Can_overlay.Cursor.start t.cursor;
   let reached = walk t point (Can_overlay.node t.can src) (4 * Can_overlay.size t.can) in
   Engine.Route_obs.observe t.obs

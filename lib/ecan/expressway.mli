@@ -71,7 +71,9 @@ val set_entry : t -> int -> row:int -> digit:int -> int option -> unit
     {!build_table_for} fills through it too — so the reverse-entry index
     behind {!referrers} always holds exactly the filled slots.  An update
     is O(1); it allocates only when a node first gets a table or first
-    becomes a target, never per write. *)
+    becomes a target, never per write.  Records are kept in an array
+    indexed by node id, so its memory grows with the largest id that
+    holds a table or is a target. *)
 
 val referrers : t -> int -> (int * int * int) list
 (** [referrers t target]: the slots [(holder, row, digit)] whose entry is
@@ -113,7 +115,10 @@ val route : t -> src:int -> Geometry.Point.t -> int list option
     Each expressway owns one route cursor — the target's split bits, a
     {!Can.Overlay.Cursor.t} of visit stamps and a hop buffer — reused by
     every route, so a route allocates only the list it returns, and two
-    routes of one expressway may not interleave.  Expressways over the
+    routes of one expressway may not interleave.  A route fills the
+    target's split bits only down to {!Can.Overlay.depth_mark}: a hop
+    compares digits only above the visited member's path length, so
+    deeper bits are never read.  Expressways over the
     same CAN have separate cursors and may route in any interleaving. *)
 
 val table_size : t -> int -> int

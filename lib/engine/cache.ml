@@ -32,6 +32,19 @@ type observer = {
   o_load_max : Metrics.gauge;
 }
 
+(* Int keys are their own hash: a probe pays no [caml_hash] and no
+   polymorphic compare.  No table below is read in bucket order: keys
+   are sorted before they are returned. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (k : int) = k
+end)
+
+(* A node's load: requests served in all, and per key. *)
+type load = { mutable served : int; per_key : int ref Int_tbl.t }
+
 type t = {
   backend : backend;
   config : config;
@@ -39,9 +52,8 @@ type t = {
   rtt : src:int -> dst:int -> float option;
   obs : observer option;
   trace : Trace.t option;
-  copies : (int, int list) Hashtbl.t;  (* key -> holders, placement order *)
-  served : (int, int) Hashtbl.t;  (* node -> requests served *)
-  hot : (int, (int, int) Hashtbl.t) Hashtbl.t;  (* node -> key -> requests served *)
+  copies : int list Int_tbl.t;  (* key -> holders, placement order *)
+  loads : load Int_tbl.t;  (* node -> its load, once it has served *)
   mutable max_load : int;
   mutable requests : int;
   mutable hits : int;
@@ -80,9 +92,8 @@ let create ?metrics ?(labels = []) ?trace ?clock:_ ?rtt ?(config = default_confi
     rtt;
     obs;
     trace;
-    copies = Hashtbl.create 1024;
-    served = Hashtbl.create 256;
-    hot = Hashtbl.create 256;
+    copies = Int_tbl.create 1024;
+    loads = Int_tbl.create 256;
     max_load = 0;
     requests = 0;
     hits = 0;
@@ -101,25 +112,26 @@ let failovers t = t.failovers
 let replications t = t.replications
 let max_load t = t.max_load
 
-let replicas_of t key = Option.value ~default:[] (Hashtbl.find_opt t.copies key)
+let replicas_of t key = try Int_tbl.find t.copies key with Not_found -> []
 
-let stored_keys t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.copies [])
+let stored_keys t = List.sort compare (Int_tbl.fold (fun k _ acc -> k :: acc) t.copies [])
 
-let load_of t node = try Hashtbl.find t.served node with Not_found -> 0
+let load_of t node = try (Int_tbl.find t.loads node).served with Not_found -> 0
 
 let bump_load t node key =
-  let served = 1 + load_of t node in
-  Hashtbl.replace t.served node served;
-  let per_key =
-    match Hashtbl.find_opt t.hot node with
-    | Some h -> h
-    | None ->
-      let h = Hashtbl.create 64 in
-      Hashtbl.replace t.hot node h;
-      h
+  let load =
+    match Int_tbl.find t.loads node with
+    | load -> load
+    | exception Not_found ->
+      let load = { served = 0; per_key = Int_tbl.create 64 } in
+      Int_tbl.add t.loads node load;
+      load
   in
-  Hashtbl.replace per_key key (1 + Option.value ~default:0 (Hashtbl.find_opt per_key key));
+  let served = load.served + 1 in
+  load.served <- served;
+  (match Int_tbl.find load.per_key key with
+  | count -> incr count
+  | exception Not_found -> Int_tbl.add load.per_key key (ref 1));
   if served > t.max_load then begin
     t.max_load <- served;
     Option.iter (fun o -> Metrics.set o.o_load_max (float_of_int served)) t.obs
@@ -129,10 +141,10 @@ let bump_load t node key =
 (* Hottest keys of a node: count descending, key ascending —
    a total order, so the scan is deterministic. *)
 let hottest_keys t node limit =
-  match Hashtbl.find_opt t.hot node with
-  | None -> []
-  | Some per_key ->
-    Hashtbl.fold (fun k c acc -> (-c, k) :: acc) per_key []
+  match Int_tbl.find t.loads node with
+  | exception Not_found -> []
+  | load ->
+    Int_tbl.fold (fun k c acc -> (- !c, k) :: acc) load.per_key []
     |> List.sort compare
     |> List.filteri (fun i _ -> i < limit)
     |> List.map snd
@@ -149,7 +161,7 @@ let replicate_hot t node served =
       if List.length holders < t.config.replicas && List.mem node holders then
         match t.backend.near ~node ~exclude:holders with
         | Some target when t.backend.member target && not (List.mem target holders) ->
-          Hashtbl.replace t.copies key (holders @ [ target ]);
+          Int_tbl.replace t.copies key (holders @ [ target ]);
           t.replications <- t.replications + 1;
           Option.iter (fun o -> Metrics.incr o.o_replications) t.obs;
           Option.iter
@@ -182,7 +194,7 @@ let rank_copies t ~client holders =
   match holders with
   | [] -> ([], false)
   | [ node ] ->
-    ignore (score t ~client node);
+    ignore (t.rtt ~src:client ~dst:node);
     (holders, false)
   | _ :: _ :: _ ->
     let scored = List.map (score t ~client) holders in
@@ -232,7 +244,7 @@ let miss t ~client ~key =
   | None -> failwith "Cache.request: key home unroutable"
   | Some hops_list ->
     let latency = Route_obs.latency t.link hops_list +. t.config.origin_ms in
-    Hashtbl.replace t.copies key [ home ];
+    Int_tbl.replace t.copies key [ home ];
     finish t ~client ~key ~served_by:home ~hit:false ~shed:false
       ~hops:(List.length hops_list - 1) ~latency
 
@@ -240,7 +252,7 @@ let request t ~client ~key =
   if not (t.backend.member client) then invalid_arg "Cache.request: client is not a member";
   let stored = replicas_of t key in
   let holders = live_holders t.backend.member stored in
-  if holders != stored && holders <> [] then Hashtbl.replace t.copies key holders;
+  if holders != stored && holders <> [] then Int_tbl.replace t.copies key holders;
   match holders with
   | [] -> miss t ~client ~key
   | holders ->
@@ -248,7 +260,7 @@ let request t ~client ~key =
     let rec serve failed = function
       | [] ->
         (* every copy unroutable: drop them all and refetch from origin *)
-        Hashtbl.remove t.copies key;
+        Int_tbl.remove t.copies key;
         if failed then begin
           t.failovers <- t.failovers + 1;
           Option.iter (fun o -> Metrics.incr o.o_failovers) t.obs
@@ -266,7 +278,7 @@ let request t ~client ~key =
             ~latency:(Route_obs.latency t.link hops_list)
         | None ->
           (* unreachable copy: prune it and fail over to the next *)
-          Hashtbl.replace t.copies key
+          Int_tbl.replace t.copies key
             (List.filter (fun n -> n <> copy) (replicas_of t key));
           serve true rest)
     in
