@@ -376,6 +376,24 @@ let test_leave_everyone () =
     ids;
   Alcotest.(check int) "one left" 1 (Can_overlay.size t)
 
+let test_depth_mark () =
+  Alcotest.(check int) "a lone member's path is empty" 0
+    (Can_overlay.depth_mark (Can_overlay.create ~dims:2 0));
+  let t, _ = build ~dims:2 ~n:40 ~seed:53 in
+  let deepest () =
+    Array.fold_left
+      (fun m id -> max m (Array.length (Can_overlay.node t id).Can_overlay.path))
+      0 (Can_overlay.node_ids t)
+  in
+  let mark = Can_overlay.depth_mark t in
+  Alcotest.(check int) "joins raise it to the deepest path" (deepest ()) mark;
+  Array.iteri
+    (fun i id -> if i >= 2 then ignore (Can_overlay.leave t id))
+    (Can_overlay.node_ids t);
+  Alcotest.(check int) "leaves keep it" mark (Can_overlay.depth_mark t);
+  Alcotest.(check bool) "the overlay is shallower than the mark" true (deepest () < mark);
+  check_ok (Can_overlay.check_invariants t)
+
 let test_churn_interleaved () =
   let rng = Rng.create 52 in
   let t = Can_overlay.create ~dims:2 0 in
@@ -499,4 +517,5 @@ let suite =
     Alcotest.test_case "interleaved churn" `Slow test_churn_interleaved;
     Alcotest.test_case "node and mem outside the membership" `Quick test_node_mem_edges;
     QCheck_alcotest.to_alcotest qcheck_owner_within_matches_owner_of;
+    Alcotest.test_case "depth mark: joins raise it, leaves keep it" `Quick test_depth_mark;
   ]
