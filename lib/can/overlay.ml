@@ -115,6 +115,10 @@ type t = {
   mutable by_id : node array;
       (* dense id -> node view of [nodes] ([absent] where no member);
          written only by [create], [join] and [leave] *)
+  mutable bounds : float array;
+      (* id -> a copy of its zone, [lo] then [hi], at [2 * dims * id] *)
+  mutable paths : int array;
+      (* id -> a copy of its path: [path_key] at [2 * id], length after *)
   cursor : Cursor.t;  (* the visited set and hops of this overlay's own routes *)
   by_path : int Path_tbl.t;  (* exact path key -> owner id *)
   prefix_members : (int, Members.t) Hashtbl.t;  (* prefix key -> member ids *)
@@ -130,11 +134,18 @@ let max_depth = 60
 
 let absent = { id = -1; zone = Zone.full 1; path = [||]; neighbors = [] }
 
+(* [a] grown to [width * cap] elements, the new ones [fill]. *)
+let grown a ~width ~cap fill =
+  let b = Array.make (width * cap) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
 let set_node t id n =
   if id >= Array.length t.by_id then begin
-    let by_id = Array.make (max (id + 1) (2 * Array.length t.by_id)) absent in
-    Array.blit t.by_id 0 by_id 0 (Array.length t.by_id);
-    t.by_id <- by_id
+    let cap = max (id + 1) (2 * Array.length t.by_id) in
+    t.by_id <- grown t.by_id ~width:1 ~cap absent;
+    t.bounds <- grown t.bounds ~width:(2 * t.dims) ~cap 0.0;
+    t.paths <- grown t.paths ~width:2 ~cap 0
   end;
   t.by_id.(id) <- n
 
@@ -148,6 +159,19 @@ let path_key bits len =
   !acc
 
 let region_key bits = path_key bits (Array.length bits)
+
+(* The one writer of a member's zone and path: its node record and the
+   id-indexed copies that routes read. *)
+let place t n zone path =
+  n.zone <- zone;
+  n.path <- path;
+  let d = t.dims and base = 2 * t.dims * n.id in
+  for i = 0 to d - 1 do
+    t.bounds.(base + i) <- zone.Zone.lo.(i);
+    t.bounds.(base + d + i) <- zone.Zone.hi.(i)
+  done;
+  t.paths.(2 * n.id) <- region_key path;
+  t.paths.((2 * n.id) + 1) <- Array.length path
 
 let zone_of_path ~dims bits =
   let z = ref (Zone.full dims) in
@@ -185,14 +209,25 @@ let index_remove t n =
         if m.Members.len = 0 then Hashtbl.remove t.prefix_members key
       | None -> ())
 
+let add_member t id zone path =
+  let n = { id; zone; path; neighbors = [] } in
+  Hashtbl.replace t.nodes id n;
+  set_node t id n;
+  place t n zone path;
+  index_add t n;
+  n
+
 let create ?metrics ?(labels = []) ?trace ~dims first =
   if dims < 1 then invalid_arg "Can.create: dims must be >= 1";
   if first < 0 then invalid_arg "Can.create: negative node id";
+  let cap = max 64 (first + 1) in
   let t =
     {
       dims;
       nodes = Hashtbl.create 64;
-      by_id = Array.make (max 64 (first + 1)) absent;
+      by_id = Array.make cap absent;
+      bounds = Array.make (2 * dims * cap) 0.0;
+      paths = Array.make (2 * cap) 0;
       cursor = Cursor.create ();
       by_path = Path_tbl.create 64;
       prefix_members = Hashtbl.create 64;
@@ -205,10 +240,7 @@ let create ?metrics ?(labels = []) ?trace ~dims first =
           metrics;
     }
   in
-  let n = { id = first; zone = Zone.full dims; path = [||]; neighbors = [] } in
-  Hashtbl.replace t.nodes first n;
-  set_node t first n;
-  index_add t n;
+  ignore (add_member t first (Zone.full dims) [||]);
   t
 
 let dims t = t.dims
@@ -244,33 +276,31 @@ let path_bit ~dims zone depth point =
    identical: the midpoint and the chosen half are computed from the same
    float values Zone.split would have stored.  Dimension [dim] is split
    at depths [dim], [dim + dims], ... and its bounds depend on no other
-   dimension, so [path_of_point_into] fills the bits one dimension at a
+   dimension, so [path_bits_of_point] packs the bits one dimension at a
    time with two float locals; [owner_of] interleaves the dimensions and
    keeps them in two flat arrays. *)
 
-let path_of_point_into t ~depth point bits =
+let path_bits_of_point t ~depth point =
   if Array.length point <> t.dims then invalid_arg "Can.path_of_point: dimension mismatch";
-  if depth < 0 || depth > Array.length bits then invalid_arg "Can.path_of_point: bad depth";
+  if depth < 0 || depth > max_depth then invalid_arg "Can.path_of_point: bad depth";
+  let bits = ref 0 in
   for dim = 0 to min t.dims depth - 1 do
     let lo = ref 0.0 and hi = ref 1.0 and d = ref dim in
     while !d < depth do
       let mid = (!lo +. !hi) /. 2.0 in
       if point.(dim) >= mid then begin
         lo := mid;
-        bits.(!d) <- 1
+        bits := !bits lor (1 lsl (depth - 1 - !d))
       end
-      else begin
-        hi := mid;
-        bits.(!d) <- 0
-      end;
+      else hi := mid;
       d := !d + t.dims
     done
-  done
+  done;
+  !bits
 
 let path_of_point t ~depth point =
-  let bits = Array.make depth 0 in
-  path_of_point_into t ~depth point bits;
-  bits
+  let bits = path_bits_of_point t ~depth point in
+  Array.init depth (fun d -> (bits lsr (depth - 1 - d)) land 1)
 
 (* The owner of [point] whose path begins with the [depth] bits that
    [key], [lo] and [hi] describe, probing from depth [depth] down. *)
@@ -319,14 +349,18 @@ let owner_within t ~prefix point =
   if Array.length point <> t.dims then invalid_arg "Can.owner_of: dimension mismatch";
   narrow t ~prefix point (Array.make t.dims 0.0) (Array.make t.dims 1.0) 0 1
 
-(* [Zone.min_torus_dist zone point], computed inline so the distance
-   stays an unboxed float.  The operations are Zone's and Point's, in the
-   same order; [if b > a then a else b] is [Float.min a b] on the
-   non-negative, non-NaN axis distances that occur here. *)
-let[@inline] zone_dist zone point =
+(* [Zone.min_torus_dist] of member [id]'s zone and [point], computed
+   inline from the bounds copy so the distance stays an unboxed float.
+   The operations are Zone's and Point's, in the same order; [if b > a
+   then a else b] is [Float.min a b] on the non-negative, non-NaN axis
+   distances that occur here. *)
+let[@inline] zone_dist t id point =
+  let bounds = t.bounds and dims = t.dims in
+  let base = 2 * dims * id in
   let acc = ref 0.0 in
-  for i = 0 to Array.length point - 1 do
-    let p = point.(i) and lo = zone.Zone.lo.(i) and hi = zone.Zone.hi.(i) in
+  for i = 0 to dims - 1 do
+    let p = point.(i) and lo = Array.unsafe_get bounds (base + i)
+    and hi = Array.unsafe_get bounds (base + dims + i) in
     let d =
       if p >= lo && p <= hi then 0.0
       else begin
@@ -340,6 +374,37 @@ let[@inline] zone_dist zone point =
     acc := !acc +. (d *. d)
   done;
   sqrt !acc
+
+(* [Zone.contains] of member [id]'s zone, read from the bounds copy. *)
+let contains t id point =
+  let bounds = t.bounds and dims = t.dims in
+  let base = 2 * dims * id in
+  let i = ref 0 in
+  while
+    !i < dims
+    && point.(!i) >= Array.unsafe_get bounds (base + !i)
+    && point.(!i) < Array.unsafe_get bounds (base + dims + !i)
+  do
+    incr i
+  done;
+  !i = dims
+
+(* [Zone.intersects box] of member [id]'s zone, read from the copy. *)
+let zone_meets t id (box : Zone.t) =
+  let bounds = t.bounds and dims = t.dims in
+  let base = 2 * dims * id in
+  let i = ref 0 in
+  while
+    !i < dims
+    && box.lo.(!i) < Array.unsafe_get bounds (base + dims + !i)
+    && Array.unsafe_get bounds (base + !i) < box.hi.(!i)
+  do
+    incr i
+  done;
+  !i = dims
+
+let path_key_of t id = t.paths.(2 * id)
+let path_length t id = t.paths.((2 * id) + 1)
 
 let[@inline] nonempty = function [] -> false | _ :: _ -> true
 
@@ -357,7 +422,7 @@ let greedy_step t c ~revisit u point =
       ns := rest;
       let unvisited = not (Cursor.visited c vid) in
       if unvisited || revisit then begin
-        let d = zone_dist (node t vid).zone point in
+        let d = zone_dist t vid point in
         if unvisited && (!best_id < 0 || d < !best_d || (d = !best_d && vid < !best_id)) then begin
           best_d := d;
           best_id := vid
@@ -372,7 +437,7 @@ let greedy_step t c ~revisit u point =
 
 let rec greedy_walk t c point u =
   Cursor.push c u.id;
-  Zone.contains u.zone point
+  contains t u.id point
   ||
   let next = greedy_step t c ~revisit:false u point in
   next >= 0 && greedy_walk t c point (node t next)
@@ -394,9 +459,9 @@ let route t ~src point =
    back to the greedy step. *)
 let rec proximity_walk t c ~dist point u =
   Cursor.push c u.id;
-  Zone.contains u.zone point
+  contains t u.id point
   ||
-  let here = zone_dist u.zone point in
+  let here = zone_dist t u.id point in
   let ns = ref u.neighbors in
   let best_r = ref 0.0 and best_id = ref (-1) in
   while nonempty !ns do
@@ -405,7 +470,7 @@ let rec proximity_walk t c ~dist point u =
     | vid :: rest ->
       ns := rest;
       if not (Cursor.visited c vid) then begin
-        let zd = zone_dist (node t vid).zone point in
+        let zd = zone_dist t vid point in
         if zd < here then begin
           let pd = Float.max 1e-9 (dist u.id vid) in
           let ratio = (here -. zd) /. pd in
@@ -454,14 +519,12 @@ let join t ?start id point =
   index_remove t owner;
   let old_neighbor_ids = owner.neighbors in
   List.iter (fun c -> unlink t owner.id c) old_neighbor_ids;
-  owner.zone <- old_zone;
-  owner.path <- Array.append owner.path [| 1 - bit |];
+  place t owner old_zone (Array.append owner.path [| 1 - bit |]);
   index_add t owner;
-  let newcomer = { id; zone = new_zone; path = Array.append (Array.sub owner.path 0 depth) [| bit |]; neighbors = [] } in
   t.depth_mark <- max t.depth_mark (depth + 1);
-  Hashtbl.replace t.nodes id newcomer;
-  set_node t id newcomer;
-  index_add t newcomer;
+  let newcomer =
+    add_member t id new_zone (Array.append (Array.sub owner.path 0 depth) [| bit |])
+  in
   List.iter
     (fun cid ->
       let c = node t cid in
@@ -486,8 +549,7 @@ let merge_siblings t sibling child =
   sibling.neighbors <- [];
   child.neighbors <- [];
   index_remove t sibling;
-  sibling.zone <- parent_zone;
-  sibling.path <- parent_path;
+  place t sibling parent_zone parent_path;
   index_add t sibling;
   List.iter
     (fun cid ->
@@ -569,8 +631,7 @@ let leave t id =
         List.iter (fun cid -> unlink t x.id cid) x_neighbors;
         index_remove t x;
         index_remove t m;
-        m.zone <- x.zone;
-        m.path <- x.path;
+        place t m x.zone x.path;
         index_add t m;
         List.iter
           (fun cid ->
@@ -645,6 +706,24 @@ let check_invariants t =
           let* () = acc in
           if t.by_id.(id) == n then Ok () else err "id array disagrees at %d" id)
         t.nodes (Ok ())
+  in
+  let* () =
+    (* The id-indexed copies equal the node records bit for bit. *)
+    Array.fold_left
+      (fun acc id ->
+        let* () = acc in
+        let n = node t id in
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        if
+          not
+            (Array.for_all2 same
+               (Array.sub t.bounds (2 * t.dims * id) (2 * t.dims))
+               (Array.append n.zone.lo n.zone.hi))
+        then err "node %d: bounds copy differs from its zone" id
+        else if path_key_of t id <> region_key n.path || path_length t id <> Array.length n.path
+        then err "node %d: path copy differs from its path" id
+        else Ok ())
+      (Ok ()) all
   in
   let* () =
     Array.fold_left

@@ -61,6 +61,30 @@ val node : t -> int -> node
 val node_ids : t -> int array
 (** Current members, in unspecified order. *)
 
+(** {2 Id-indexed copies}
+
+    Beside each node record the overlay keeps flat, id-indexed copies of
+    its zone bounds ([2 * dims] floats per id) and of its path (its
+    {!path_key} and length), so a route hop reads two arrays instead of
+    a node record, its path array, its zone record and two bound arrays.
+    One internal helper writes a member's zone and path, record and
+    copies together, for {!create}, the split in {!join} and both merges
+    and the takeover in {!leave}; {!check_invariants} compares them bit
+    for bit.  The readers below are for members only: a departed id's
+    copies are stale. *)
+
+val contains : t -> int -> Geometry.Point.t -> bool
+(** [contains t id p] is [Zone.contains (node t id).zone p]. *)
+
+val zone_meets : t -> int -> Geometry.Zone.t -> bool
+(** [zone_meets t id box] is [Zone.intersects box (node t id).zone]. *)
+
+val path_key_of : t -> int -> int
+(** [path_key_of t id] is [region_key (node t id).path]. *)
+
+val path_length : t -> int -> int
+(** [path_length t id] is [Array.length (node t id).path]. *)
+
 val owner_of : t -> Geometry.Point.t -> int
 (** The member whose zone contains the point (O(depth), via the split
     tree — no routing). *)
@@ -133,7 +157,9 @@ val greedy_step : t -> Cursor.t -> revisit:bool -> node -> Geometry.Point.t -> i
     [p]: the neighbor not visited by [c] whose zone is nearest [p] on the
     torus, ties to the lower id.  When every neighbor is visited it is
     [-1], or with [revisit] the nearest neighbor overall (same tie
-    rule); [-1] also when [u] has no neighbors.  Allocates nothing. *)
+    rule); [-1] also when [u] has no neighbors.  Zone distances are read
+    from the bounds copies, so it dereferences no neighbor's record.
+    Allocates nothing. *)
 
 val route : t -> src:int -> Geometry.Point.t -> int list option
 (** Greedy routing from [src] to the owner of a point.  Returns the hop
@@ -154,12 +180,11 @@ val path_of_point : t -> depth:int -> Geometry.Point.t -> int array
 (** First [depth] split bits of the point's location — the target "digit
     string" used by eCAN expressway routing. *)
 
-val path_of_point_into : t -> depth:int -> Geometry.Point.t -> int array -> unit
-(** [path_of_point_into t ~depth p bits] writes the first [depth] split
-    bits of [p] into [bits], the same bits as {!path_of_point}, and
-    allocates nothing; [bits] past [depth] are left as they were.  A bit
-    at depth [d] depends only on [p] and [d].  Raises [Invalid_argument]
-    unless [0 <= depth <= Array.length bits]. *)
+val path_bits_of_point : t -> depth:int -> Geometry.Point.t -> int
+(** [path_bits_of_point t ~depth p] packs the bits of {!path_of_point}
+    into one int, the first bit most significant, with no sentinel bit,
+    and allocates nothing.  A bit at depth [d] depends only on [p] and
+    [d].  Raises [Invalid_argument] unless [0 <= depth <= max_depth]. *)
 
 val zone_of_path : dims:int -> int array -> Geometry.Zone.t
 (** The dyadic box a path denotes. *)
@@ -216,5 +241,6 @@ val check_invariants : t -> (unit, string) result
 (** Testing hook: zones tile the space (volumes sum to 1, paths form an
     exact prefix-free tree cover), every node's zone matches its path,
     neighbor lists are symmetric and geometrically correct, the dense id
-    array holds exactly the members, and no member's path is longer than
-    {!depth_mark}. *)
+    array holds exactly the members, every member's bounds and path
+    copies equal its zone and path bit for bit, and no member's path is
+    longer than {!depth_mark}. *)

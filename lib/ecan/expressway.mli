@@ -67,13 +67,15 @@ val entry : t -> int -> row:int -> digit:int -> int option
 val set_entry : t -> int -> row:int -> digit:int -> int option -> unit
 (** Overwrite one entry (used by pub/sub driven re-selection).  Raises
     [Invalid_argument] if the slot does not exist or the target is
-    negative.  This is the one writer of table entries —
-    {!build_table_for} fills through it too — so the reverse-entry index
-    behind {!referrers} always holds exactly the filled slots.  An update
-    is O(1); it allocates only when a node first gets a table or first
-    becomes a target, never per write.  Records are kept in an array
-    indexed by node id, so its memory grows with the largest id that
-    holds a table or is a target. *)
+    negative.  This is the one writer of single entries —
+    {!build_table_for} clears a table and fills it through it — so the
+    reverse-entry index behind {!referrers} always holds exactly the
+    filled slots.  An update is O(1); it allocates only when a node
+    first gets a table or first becomes a target, never per write.  A
+    node's entries are one flat [int array] (slot [row * fan + digit])
+    and its referrer links a record; both live in arrays indexed by node
+    id, so their memory grows with the largest id that holds a table or
+    is a target. *)
 
 val referrers : t -> int -> (int * int * int) list
 (** [referrers t target]: the slots [(holder, row, digit)] whose entry is
@@ -96,7 +98,9 @@ val iter_selections :
     table. *)
 
 val build_table_for : t -> selector:selector -> int -> unit
-(** (Re)build one node's table from the current overlay state. *)
+(** (Re)build one node's table from the current overlay state.  The
+    table is cleared first; its arrays are reused when the node's row
+    count is unchanged and reallocated for the current rows otherwise. *)
 
 val build_tables : t -> selector:selector -> unit
 (** (Re)build every member's table: {!build_table_for} over
@@ -110,16 +114,29 @@ val route : t -> src:int -> Geometry.Point.t -> int list option
     ({!Can.Overlay.greedy_step} with revisits) when no table entry helps.
     Entries that point at departed, visited or the current node count as
     missing.  Returns the hop list including both endpoints, or [None]
-    after [4 * size] hops without reaching the owner.
+    after [4 * size] hops without reaching the owner.  Raises
+    [Not_found] if [src] is not a member.
 
-    Each expressway owns one route cursor — the target's split bits, a
-    {!Can.Overlay.Cursor.t} of visit stamps and a hop buffer — reused by
-    every route, so a route allocates only the list it returns, and two
-    routes of one expressway may not interleave.  A route fills the
-    target's split bits only down to {!Can.Overlay.depth_mark}: a hop
-    compares digits only above the visited member's path length, so
-    deeper bits are never read.  Expressways over the
-    same CAN have separate cursors and may route in any interleaving. *)
+    Each expressway owns one route cursor — a {!Can.Overlay.Cursor.t} of
+    visit stamps and a hop buffer — reused by every route, so a route
+    allocates only the list it returns, and two routes of one expressway
+    may not interleave.  A route packs the target's split bits into one
+    int, only down to {!Can.Overlay.depth_mark}: a hop compares digits
+    only above the visited member's path length.  A hop reads the CAN's
+    flat copies ({!Can.Overlay.contains}, {!Can.Overlay.path_key_of},
+    {!Can.Overlay.path_length}) and the member's entry array, finding the
+    first differing digit by one XOR of the packed paths, so it reads no
+    node record unless it falls back to a greedy hop.  Expressways over
+    the same CAN have separate cursors and may route in any
+    interleaving. *)
 
 val table_size : t -> int -> int
 (** Number of filled entries (routing state) of a node. *)
+
+val check_invariants : t -> (unit, string) result
+(** Testing hook: each node's entry array holds one int per slot of its
+    table's rows (none without a table), its referrer links two, and
+    the reverse-entry index holds exactly the filled slots: every link
+    on a node's referrer list is a slot whose entry is that node, with a
+    consistent back link, and there are as many links as filled
+    slots. *)

@@ -134,7 +134,7 @@ let bump_load t node key =
   | exception Not_found -> Int_tbl.add load.per_key key (ref 1));
   if served > t.max_load then begin
     t.max_load <- served;
-    Option.iter (fun o -> Metrics.set o.o_load_max (float_of_int served)) t.obs
+    match t.obs with Some o -> Metrics.set o.o_load_max (float_of_int served) | None -> ()
   end;
   served
 
@@ -163,11 +163,10 @@ let replicate_hot t node served =
         | Some target when t.backend.member target && not (List.mem target holders) ->
           Int_tbl.replace t.copies key (holders @ [ target ]);
           t.replications <- t.replications + 1;
-          Option.iter (fun o -> Metrics.incr o.o_replications) t.obs;
-          Option.iter
-            (fun tr ->
-              Trace.emit tr ~peer:target (Trace.Cache_replicate { key }) ~node)
-            t.trace
+          (match t.obs with Some o -> Metrics.incr o.o_replications | None -> ());
+          (match t.trace with
+          | Some tr -> Trace.emit tr ~peer:target (Trace.Cache_replicate { key }) ~node
+          | None -> ())
         | Some _ | None -> ())
     (hottest_keys t node t.config.hot_keys)
 
@@ -185,24 +184,23 @@ let by_pref a b =
   let c = Bool.compare a.over b.over in
   if c <> 0 then c else by_rtt a b
 
-(* Rank the key's copies for a client: cool (below-threshold) copies
+(* The key's copies ranked for a client: cool (below-threshold) copies
    before hot ones, then by client->copy RTT (unknown RTT last), ties to
-   the lower id.  The first reachable copy in this order serves; [shed]
-   says it is not the RTT-nearest copy.  [t.rtt] is called once per
-   holder, in holder order. *)
+   the lower id.  The first reachable copy in this order serves.  [t.rtt]
+   is called once per holder, in holder order. *)
+let ranked t ~client holders = List.sort by_pref (List.map (score t ~client) holders)
+
+let rec nearer_after first = function
+  | [] -> false
+  | s :: rest -> by_rtt s first < 0 || nearer_after first rest
+
+(* Serving a ranking's head is a shed when some later copy is
+   RTT-nearer. *)
+let head_sheds = function [] -> false | first :: rest -> nearer_after first rest
+
 let rank_copies t ~client holders =
-  match holders with
-  | [] -> ([], false)
-  | [ node ] ->
-    ignore (t.rtt ~src:client ~dst:node);
-    (holders, false)
-  | _ :: _ :: _ ->
-    let scored = List.map (score t ~client) holders in
-    let order = List.sort by_pref scored in
-    let nearest =
-      List.fold_left (fun m s -> if by_rtt s m < 0 then s else m) (List.hd scored) scored
-    in
-    (List.map (fun s -> s.id) order, (List.hd order).id <> nearest.id)
+  let order = ranked t ~client holders in
+  (List.map (fun s -> s.id) order, head_sheds order)
 
 (* The holders that are still members, calling [member] once per holder
    in order; the list itself when none has gone. *)
@@ -213,26 +211,22 @@ let rec live_holders member = function
     let rest' = live_holders member rest in
     if not alive then rest' else if rest' == rest then holders else node :: rest'
 
-let emit_request t ~client ~served_by ~latency outcome key =
-  Option.iter
-    (fun tr ->
-      Trace.emit tr ~dur:latency ~peer:served_by (Trace.Cache_request { outcome; key })
-        ~node:client)
-    t.trace
-
 let finish t ~client ~key ~served_by ~hit ~shed ~hops ~latency =
   t.requests <- t.requests + 1;
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
   if shed then t.sheds <- t.sheds + 1;
-  Option.iter
-    (fun o ->
-      Metrics.incr o.o_requests;
-      Metrics.incr (if hit then o.o_hits else o.o_misses);
-      if shed then Metrics.incr o.o_sheds;
-      Metrics.observe o.o_latency latency)
-    t.obs;
-  let outcome = if not hit then Trace.Miss else if shed then Trace.Shed else Trace.Hit in
-  emit_request t ~client ~served_by ~latency outcome key;
+  (match t.obs with
+  | Some o ->
+    Metrics.incr o.o_requests;
+    Metrics.incr (if hit then o.o_hits else o.o_misses);
+    if shed then Metrics.incr o.o_sheds;
+    Metrics.observe o.o_latency latency
+  | None -> ());
+  (match t.trace with
+  | Some tr ->
+    let outcome = if not hit then Trace.Miss else if shed then Trace.Shed else Trace.Hit in
+    Trace.emit tr ~dur:latency ~peer:served_by (Trace.Cache_request { outcome; key }) ~node:client
+  | None -> ());
   let served = bump_load t served_by key in
   if t.config.replicas > 1 && served mod t.config.load_threshold = 0 then
     replicate_hot t served_by served;
@@ -248,6 +242,30 @@ let miss t ~client ~key =
     finish t ~client ~key ~served_by:home ~hit:false ~shed:false
       ~hops:(List.length hops_list - 1) ~latency
 
+let count_failover t =
+  t.failovers <- t.failovers + 1;
+  match t.obs with Some o -> Metrics.incr o.o_failovers | None -> ()
+
+(* Serve from the first routable copy of [order]; [failed] once a copy
+   was skipped. *)
+let rec serve t ~client ~key ~shed ~failed = function
+  | [] ->
+    (* every copy unroutable: drop them all and refetch from origin *)
+    Int_tbl.remove t.copies key;
+    if failed then count_failover t;
+    miss t ~client ~key
+  | copy :: rest -> (
+    match t.backend.route_to ~src:client ~dst:copy with
+    | Some hops_list ->
+      if failed then count_failover t;
+      finish t ~client ~key ~served_by:copy ~hit:true ~shed
+        ~hops:(List.length hops_list - 1)
+        ~latency:(Route_obs.latency t.link hops_list)
+    | None ->
+      (* unreachable copy: prune it and fail over to the next *)
+      Int_tbl.replace t.copies key (List.filter (fun n -> n <> copy) (replicas_of t key));
+      serve t ~client ~key ~shed ~failed:true rest)
+
 let request t ~client ~key =
   if not (t.backend.member client) then invalid_arg "Cache.request: client is not a member";
   let stored = replicas_of t key in
@@ -255,34 +273,12 @@ let request t ~client ~key =
   if holders != stored && holders <> [] then Int_tbl.replace t.copies key holders;
   match holders with
   | [] -> miss t ~client ~key
-  | holders ->
-    let order, shed = rank_copies t ~client holders in
-    let rec serve failed = function
-      | [] ->
-        (* every copy unroutable: drop them all and refetch from origin *)
-        Int_tbl.remove t.copies key;
-        if failed then begin
-          t.failovers <- t.failovers + 1;
-          Option.iter (fun o -> Metrics.incr o.o_failovers) t.obs
-        end;
-        miss t ~client ~key
-      | copy :: rest -> (
-        match t.backend.route_to ~src:client ~dst:copy with
-        | Some hops_list ->
-          if failed then begin
-            t.failovers <- t.failovers + 1;
-            Option.iter (fun o -> Metrics.incr o.o_failovers) t.obs
-          end;
-          finish t ~client ~key ~served_by:copy ~hit:true ~shed
-            ~hops:(List.length hops_list - 1)
-            ~latency:(Route_obs.latency t.link hops_list)
-        | None ->
-          (* unreachable copy: prune it and fail over to the next *)
-          Int_tbl.replace t.copies key
-            (List.filter (fun n -> n <> copy) (replicas_of t key));
-          serve true rest)
-    in
-    serve false order
+  | [ node ] ->
+    ignore (t.rtt ~src:client ~dst:node);
+    serve t ~client ~key ~shed:false ~failed:false holders
+  | _ :: _ :: _ ->
+    let order = ranked t ~client holders in
+    serve t ~client ~key ~shed:(head_sheds order) ~failed:false (List.map (fun s -> s.id) order)
 
 let check_invariants t =
   let result = ref (Ok ()) in

@@ -175,16 +175,54 @@ let run_batch_from t ~start ~src ~dsts =
 
 let run_batch t ~src ~dsts = run_batch_from t ~start:(t.clock ()) ~src ~dsts
 
-(* A fresh cache hit is served here with exactly what [run_batch] does
-   for a one-probe batch that hits: one clock read, the submitted and
-   hit counts, a [probe_batch_ms] sample and [total_elapsed] term of
-   [start -. start], and no span.  Anything else is that batch. *)
+(* Stands for "no cache entry" in [rtt]; never written. *)
+let no_entry = { rtt = nan; expires = neg_infinity }
+
+(* An untraced miss, served with exactly what [run_batch] does for a
+   one-probe batch that misses: one slot starting at [start], so a zero
+   queue wait, and a batch that ends when the probe does.  [e] is the
+   pair's stale entry, updated in place, or [no_entry]. *)
+let rtt_miss t ~src ~dst ~start e =
+  let ttl = t.config.cache_ttl in
+  t.probes <- t.probes + 1;
+  (match t.obs with Some o -> Metrics.incr o.i_submitted | None -> ());
+  if ttl > 0.0 then begin
+    if e != no_entry then begin
+      t.cache_stale <- t.cache_stale + 1;
+      match t.obs with Some o -> Metrics.incr o.i_cache_stale | None -> ()
+    end;
+    t.cache_misses <- t.cache_misses + 1;
+    match t.obs with Some o -> Metrics.incr o.i_cache_misses | None -> ()
+  end;
+  (match t.obs with Some o -> Metrics.observe o.i_queue_wait (start -. start) | None -> ());
+  let rtt = t.measure src dst in
+  (match t.obs with Some o -> Metrics.incr o.i_measured | None -> ());
+  let at = start +. rtt in
+  if ttl > 0.0 then begin
+    if e != no_entry then begin
+      e.rtt <- rtt;
+      e.expires <- at +. ttl
+    end
+    else Key_tbl.add t.cache (cache_key src dst) { rtt; expires = at +. ttl }
+  end;
+  let elapsed = (if at > start then at else start) -. start in
+  (match t.obs with Some o -> Metrics.observe o.i_batch_ms elapsed | None -> ());
+  t.total_elapsed <- t.total_elapsed +. elapsed;
+  Ok rtt
+
+(* One table probe answers [rtt]: a fresh hit is served here with
+   exactly what [run_batch] does for a one-probe batch that hits: one
+   clock read, the submitted and hit counts, a [probe_batch_ms] sample
+   and [total_elapsed] term of [start -. start], and no span.  An
+   untraced miss is [rtt_miss]; a traced one is that batch, for its
+   span. *)
 let rtt t ~src ~dst =
   let start = t.clock () in
-  match
-    if t.config.cache_ttl > 0.0 then Key_tbl.find t.cache (cache_key src dst) else raise Not_found
-  with
-  | e when e.expires > start ->
+  let e =
+    if t.config.cache_ttl <= 0.0 then no_entry
+    else try Key_tbl.find t.cache (cache_key src dst) with Not_found -> no_entry
+  in
+  if e.expires > start then begin
     let none = start -. start in
     t.probes <- t.probes + 1;
     t.cache_hits <- t.cache_hits + 1;
@@ -196,7 +234,11 @@ let rtt t ~src ~dst =
     | None -> ());
     t.total_elapsed <- t.total_elapsed +. none;
     Ok e.rtt
-  | _ | (exception Not_found) -> Ok (run_batch_from t ~start ~src ~dsts:[| dst |]).results.(0)
+  end
+  else
+    match t.tracer with
+    | None -> rtt_miss t ~src ~dst ~start e
+    | Some _ -> Ok (run_batch_from t ~start ~src ~dsts:[| dst |]).results.(0)
 
 let probes t = t.probes
 let cache_hits t = t.cache_hits

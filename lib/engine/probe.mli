@@ -108,8 +108,12 @@ val run_batch : t -> src:int -> dsts:int array -> batch
 
 val rtt : t -> src:int -> dst:int -> (float, failure) result
 (** One-probe {!run_batch}: the same RTT (always [Ok]), counters,
-    [probe_batch_ms] sample, spans, {!total_elapsed} and single clock
-    read.  A fresh cache hit is served without building the batch. *)
+    [probe_queue_wait] and [probe_batch_ms] samples, spans,
+    {!total_elapsed} and single clock read, in the same order.  It
+    probes the RTT cache once: a fresh hit is read, and without a
+    tracer a miss is measured and stored in place (a stale entry
+    updated, an absent one added), building no batch.  With a tracer a
+    miss runs the one-probe batch itself, for its [Rtt_probe] span. *)
 
 val probes : t -> int
 (** Probes submitted so far (cache hits included). *)

@@ -557,13 +557,11 @@ let lookup_route t ~from ~region ~vector =
     (Number.position_in_zone t.scheme (region_box t region) vector)
 
 (* Push the CAN neighbours in [ns] that the lookup has not visited and
-   whose zones meet the map box. *)
+   whose zones meet the map box (read from the CAN's bounds copies). *)
 let rec push_ring t box visit = function
   | [] -> ()
   | nid :: rest ->
-    if
-      (not (Can_overlay.Cursor.visited visit nid))
-      && Zone.intersects box (Can_overlay.node t.can nid).Can_overlay.zone
+    if (not (Can_overlay.Cursor.visited visit nid)) && Can_overlay.zone_meets t.can nid box
     then Can_overlay.Cursor.push visit nid;
     push_ring t box visit rest
 

@@ -110,20 +110,23 @@ let qcheck_cache_equivalence =
       && List.length (calls_b ()) = distinct
       && Probe.cache_hits cached = List.length plan - distinct)
 
-(* [rtt] serves a fresh cache hit without building a batch; it must be
-   indistinguishable from the one-probe batch.  Twin probers see the same
-   (src, dst, clock) script, one through [rtt] and one through
-   [run_batch ~dsts:[|dst|]], and must agree on everything observable:
-   results, counts, modelled time, histogram samples, spans, measurement
-   calls and clock reads.
+(* [rtt] serves a fresh cache hit, and an untraced miss, without
+   building a batch; it must be indistinguishable from the one-probe
+   batch.  Twin probers see the same (src, dst, clock) script, one
+   through [rtt] and one through [run_batch ~dsts:[|dst|]], and must
+   agree on everything observable: results, counts, modelled time,
+   histogram samples, spans, measurement calls and clock reads.  Half
+   the cases trace (a traced miss is the batch itself); TTLs of 0 never
+   cache, and clock advances past short TTLs leave stale entries.
 
    Some steps submit a multi-destination batch to both instead, with
    duplicate destinations and destinations fresh in the cache, so the
    twins stay in step across mixed scripts. *)
 let qcheck_rtt_is_one_probe_batch =
-  let twin ~config now =
+  let twin ~config ~traced now =
     let reads = ref 0 and calls = ref 0 in
     let metrics = Metrics.create () and trace = Engine.Trace.create () in
+    let trace_opt = if traced then Some trace else None in
     let measure a b =
       incr calls;
       float_of_int ((((a * 31) + (b * 7)) mod 23) + 1)
@@ -132,19 +135,19 @@ let qcheck_rtt_is_one_probe_batch =
       incr reads;
       !now
     in
-    (Probe.create ~metrics ~trace ~clock ~config ~measure (), metrics, trace, reads, calls)
+    (Probe.create ~metrics ?trace:trace_opt ~clock ~config ~measure (), metrics, trace, reads, calls)
   in
   QCheck.Test.make ~name:"rtt = one-probe run_batch, cache hits included" ~count:150
-    QCheck.(pair (int_range 0 10_000) (int_range 1 60))
-    (fun (seed, steps) ->
+    QCheck.(triple (int_range 0 10_000) (int_range 1 60) bool)
+    (fun (seed, steps, traced) ->
       let rng = Rng.create seed in
       let ttls = [| 0.0; 0.0; 30.0; 200.0; infinity |] in
       let config =
         cfg ~window:(1 + Rng.int rng 3) ~cache_ttl:ttls.(Rng.int rng (Array.length ttls)) ()
       in
       let now = ref 0.0 in
-      let a, ma, ta, reads_a, calls_a = twin ~config now in
-      let b, mb, tb, reads_b, calls_b = twin ~config now in
+      let a, ma, ta, reads_a, calls_a = twin ~config ~traced now in
+      let b, mb, tb, reads_b, calls_b = twin ~config ~traced now in
       let same_state () =
         Probe.probes a = Probe.probes b
         && Probe.cache_hits a = Probe.cache_hits b

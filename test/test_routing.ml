@@ -259,12 +259,18 @@ let qcheck_join_routes_match_reference =
 
 (* Churn on sparse ids up to 2^14, from [first] up: joiners get tables
    and entries get targets that never joined, so the expressway's record
-   array grows between routes.  Half the members leave at one point, so
-   the overlay can get shallower than its depth mark.  Every step checks
-   the mark and the overlay's invariants, then routes against the
-   reference, which always fills all [max_depth] target bits. *)
+   array grows between routes.  Members leave one at a time (sibling
+   merges and takeovers, whose survivors get their tables rebuilt) and
+   half of them at one point, so the overlay can get shallower than its
+   depth mark.  Entries are pointed at members, at ids that never joined
+   and at nothing.  Every step checks the mark, both invariant checks
+   and every member's slots against [model], a table of the entries
+   each write left, then routes against the reference, which always
+   fills all [max_depth] target bits. *)
 let sparse_churn rng e ~first =
   let t = Ecan.can e in
+  let span = Ecan.span_bits e in
+  let fan = 1 lsl span in
   let used = Hashtbl.create 64 in
   let rec fresh_id () =
     let id = first + Rng.int rng ((1 lsl 14) - first) in
@@ -279,29 +285,82 @@ let sparse_churn rng e ~first =
       (fun m id -> max m (Array.length (Can_overlay.node t id).Can_overlay.path))
       0 (Can_overlay.node_ids t)
   in
+  let each_slot f =
+    for row = 0 to (Can_overlay.depth_mark t / span) + 1 do
+      for digit = 0 to fan - 1 do
+        f row digit
+      done
+    done
+  in
+  let model = Hashtbl.create 256 in
+  Array.iter
+    (fun id ->
+      each_slot (fun row digit ->
+          Option.iter (Hashtbl.replace model (id, row, digit)) (Ecan.entry e id ~row ~digit)))
+    (Can_overlay.node_ids t);
+  let write id row digit = function
+    | Some v -> Hashtbl.replace model (id, row, digit) v
+    | None -> Hashtbl.remove model (id, row, digit)
+  in
+  let rebuild id =
+    each_slot (fun row digit -> Hashtbl.remove model (id, row, digit));
+    Ecan.build_table_for e id ~selector:(fun ~node ~region ~candidates ->
+        let len = Array.length region in
+        let digit = ref 0 in
+        for i = len - span to len - 1 do
+          digit := (!digit lsl 1) lor region.(i)
+        done;
+        let v = random_selector rng ~node ~region ~candidates in
+        write id ((len / span) - 1) !digit v;
+        v)
+  in
+  let set_random value =
+    let id = Rng.pick rng (Can_overlay.node_ids t) in
+    (* A table built before its node's path grew is short: slots past it
+       do not exist. *)
+    let row = Rng.int rng (max 1 (Ecan.rows e id)) and digit = Rng.int rng fan in
+    match Ecan.set_entry e id ~row ~digit value with
+    | () -> write id row digit value
+    | exception Invalid_argument _ -> ()
+  in
+  let model_agrees () =
+    Array.for_all
+      (fun id ->
+        let ok = ref true in
+        each_slot (fun row digit ->
+            if Ecan.entry e id ~row ~digit <> Hashtbl.find_opt model (id, row, digit) then
+              ok := false);
+        !ok)
+      (Can_overlay.node_ids t)
+  in
   List.for_all
     (fun step ->
-      (match Rng.int rng 4 with
+      (match Rng.int rng 7 with
       | 0 -> (
         let id = fresh_id () in
         match Can_overlay.join t id (Point.random rng 2) with
-        | _ -> Ecan.build_table_for e ~selector:(random_selector rng) id
+        | hops ->
+          rebuild id;
+          (* the split owner's path grew: a rebuilt table gets a row *)
+          if Rng.bool rng then rebuild (List.nth hops (List.length hops - 1))
         | exception Failure _ -> ())
-      | 1 -> (
-        let id = Rng.pick rng (Can_overlay.node_ids t) in
-        let rows = Ecan.rows e id in
-        (* A table built before its node's path grew is short: slots
-           past it do not exist. *)
-        try
-          Ecan.set_entry e id ~row:(Rng.int rng (max 1 rows))
-            ~digit:(Rng.int rng (1 lsl Ecan.span_bits e))
-            (Some (fresh_id ()))
-        with Invalid_argument _ -> ())
+      | 1 -> set_random (Some (fresh_id ()))
+      | 2 -> set_random None
+      | 3 -> set_random (Some (Rng.pick rng (Can_overlay.node_ids t)))
+      | 4 when Can_overlay.size t > 2 ->
+        let { Can_overlay.survivor; backfilled } =
+          Can_overlay.leave t (Rng.pick rng (Can_overlay.node_ids t))
+        in
+        rebuild survivor;
+        Option.iter rebuild backfilled
+      | 5 -> rebuild (Rng.pick rng (Can_overlay.node_ids t))
       | _ -> ());
       if step = 10 then ignore (leave_some rng t ~count:(Can_overlay.size t / 2));
       let ids = Can_overlay.node_ids t in
       deepest () <= Can_overlay.depth_mark t
       && Can_overlay.check_invariants t = Ok ()
+      && Ecan.check_invariants e = Ok ()
+      && model_agrees ()
       && List.for_all
            (fun _ ->
              let src = Rng.pick rng ids and p = target rng in
@@ -371,12 +430,10 @@ let qcheck_path_of_point_matches_reference =
       let rng = Rng.create seed in
       let t = Can_overlay.create ~dims 0 in
       let p = Point.random rng dims in
-      let bits = Array.make Can_overlay.max_depth 7 in
-      Can_overlay.path_of_point_into t ~depth p bits;
       let expected = ref_path_of_point ~dims ~depth p in
       Can_overlay.path_of_point t ~depth p = expected
-      && Array.sub bits 0 depth = expected
-      && Array.for_all (( = ) 7) (Array.sub bits depth (Can_overlay.max_depth - depth)))
+      && Can_overlay.path_bits_of_point t ~depth p
+         = Array.fold_left (fun acc b -> (acc lsl 1) lor b) 0 expected)
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
