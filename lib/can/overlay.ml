@@ -246,7 +246,7 @@ let create ?metrics ?(labels = []) ?trace ~dims first =
 let dims t = t.dims
 let size t = Hashtbl.length t.nodes
 let depth_mark t = t.depth_mark
-let mem t id = id >= 0 && id < Array.length t.by_id && Array.unsafe_get t.by_id id != absent
+let[@inline] mem t id = id >= 0 && id < Array.length t.by_id && Array.unsafe_get t.by_id id != absent
 
 let node t id =
   if id < 0 || id >= Array.length t.by_id then raise Not_found;
@@ -375,8 +375,9 @@ let[@inline] zone_dist t id point =
   done;
   sqrt !acc
 
-(* [Zone.contains] of member [id]'s zone, read from the bounds copy. *)
-let contains t id point =
+(* [Zone.contains] of member [id]'s zone, read from the bounds copy.
+   Unchecked: [id] must be a member. *)
+let[@inline] member_contains t id point =
   let bounds = t.bounds and dims = t.dims in
   let base = 2 * dims * id in
   let i = ref 0 in
@@ -389,8 +390,17 @@ let contains t id point =
   done;
   !i = dims
 
-(* [Zone.intersects box] of member [id]'s zone, read from the copy. *)
+(* The exported readers of the copies check membership, as [node]
+   does, so no id reads outside the arrays or a departed id's stale
+   copy. *)
+let[@inline] check_member t id = if not (mem t id) then raise Not_found
+
+let contains t id point =
+  check_member t id;
+  member_contains t id point
+
 let zone_meets t id (box : Zone.t) =
+  check_member t id;
   let bounds = t.bounds and dims = t.dims in
   let base = 2 * dims * id in
   let i = ref 0 in
@@ -403,8 +413,13 @@ let zone_meets t id (box : Zone.t) =
   done;
   !i = dims
 
-let path_key_of t id = t.paths.(2 * id)
-let path_length t id = t.paths.((2 * id) + 1)
+let path_key_of t id =
+  check_member t id;
+  Array.unsafe_get t.paths (2 * id)
+
+let path_length t id =
+  check_member t id;
+  Array.unsafe_get t.paths ((2 * id) + 1)
 
 let[@inline] nonempty = function [] -> false | _ :: _ -> true
 
@@ -437,7 +452,7 @@ let greedy_step t c ~revisit u point =
 
 let rec greedy_walk t c point u =
   Cursor.push c u.id;
-  contains t u.id point
+  member_contains t u.id point
   ||
   let next = greedy_step t c ~revisit:false u point in
   next >= 0 && greedy_walk t c point (node t next)
@@ -459,7 +474,7 @@ let route t ~src point =
    back to the greedy step. *)
 let rec proximity_walk t c ~dist point u =
   Cursor.push c u.id;
-  contains t u.id point
+  member_contains t u.id point
   ||
   let here = zone_dist t u.id point in
   let ns = ref u.neighbors in

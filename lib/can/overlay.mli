@@ -11,6 +11,10 @@
     [join] and [route] walk the overlay hop by hop so logical path lengths
     are faithful. *)
 
+(** A member's record.  It is [private]: only the overlay writes its
+    fields, and one internal helper writes [zone] and [path] together
+    with their id-indexed copies (see {!contains}).  The zone's and
+    path's arrays are the overlay's own: read them, never write them. *)
 type node = private {
   id : int;
   mutable zone : Geometry.Zone.t;
@@ -70,8 +74,8 @@ val node_ids : t -> int array
     One internal helper writes a member's zone and path, record and
     copies together, for {!create}, the split in {!join} and both merges
     and the takeover in {!leave}; {!check_invariants} compares them bit
-    for bit.  The readers below are for members only: a departed id's
-    copies are stale. *)
+    for bit.  The readers below raise [Not_found] for non-members, like
+    {!node}: a departed id's copies are stale and are never read. *)
 
 val contains : t -> int -> Geometry.Point.t -> bool
 (** [contains t id p] is [Zone.contains (node t id).zone p]. *)

@@ -184,23 +184,9 @@ let by_pref a b =
   let c = Bool.compare a.over b.over in
   if c <> 0 then c else by_rtt a b
 
-(* The key's copies ranked for a client: cool (below-threshold) copies
-   before hot ones, then by client->copy RTT (unknown RTT last), ties to
-   the lower id.  The first reachable copy in this order serves.  [t.rtt]
-   is called once per holder, in holder order. *)
-let ranked t ~client holders = List.sort by_pref (List.map (score t ~client) holders)
-
 let rec nearer_after first = function
   | [] -> false
   | s :: rest -> by_rtt s first < 0 || nearer_after first rest
-
-(* Serving a ranking's head is a shed when some later copy is
-   RTT-nearer. *)
-let head_sheds = function [] -> false | first :: rest -> nearer_after first rest
-
-let rank_copies t ~client holders =
-  let order = ranked t ~client holders in
-  (List.map (fun s -> s.id) order, head_sheds order)
 
 (* The holders that are still members, calling [member] once per holder
    in order; the list itself when none has gone. *)
@@ -266,6 +252,27 @@ let rec serve t ~client ~key ~shed ~failed = function
       Int_tbl.replace t.copies key (List.filter (fun n -> n <> copy) (replicas_of t key));
       serve t ~client ~key ~shed ~failed:true rest)
 
+(* Rank the key's copies for [client] — cool (below-threshold) copies
+   before hot ones, then by client->copy RTT (unknown RTT last), ties to
+   the lower id — and pass [k] the ids in that order and whether serving
+   the first is a shed: some later copy is RTT-nearer.  [t.rtt] is
+   called once per holder, in holder order; a single copy is its own
+   order and no shed, so it is not scored.  [k] is handed [t], [client]
+   and [key] back, so [request] passes [serve] without a closure. *)
+let rank t ~client ~key holders k =
+  match holders with
+  | [ node ] ->
+    ignore (t.rtt ~src:client ~dst:node);
+    k t ~client ~key ~shed:false holders
+  | _ -> (
+    match List.sort by_pref (List.map (score t ~client) holders) with
+    | [] -> k t ~client ~key ~shed:false []
+    | first :: rest as order ->
+      k t ~client ~key ~shed:(nearer_after first rest) (List.map (fun s -> s.id) order))
+
+let rank_copies t ~client holders =
+  rank t ~client ~key:0 holders (fun _ ~client:_ ~key:_ ~shed order -> (order, shed))
+
 let request t ~client ~key =
   if not (t.backend.member client) then invalid_arg "Cache.request: client is not a member";
   let stored = replicas_of t key in
@@ -273,12 +280,9 @@ let request t ~client ~key =
   if holders != stored && holders <> [] then Int_tbl.replace t.copies key holders;
   match holders with
   | [] -> miss t ~client ~key
-  | [ node ] ->
-    ignore (t.rtt ~src:client ~dst:node);
-    serve t ~client ~key ~shed:false ~failed:false holders
-  | _ :: _ :: _ ->
-    let order = ranked t ~client holders in
-    serve t ~client ~key ~shed:(head_sheds order) ~failed:false (List.map (fun s -> s.id) order)
+  | _ :: _ ->
+    rank t ~client ~key holders (fun t ~client ~key ~shed order ->
+        serve t ~client ~key ~shed ~failed:false order)
 
 let check_invariants t =
   let result = ref (Ok ()) in

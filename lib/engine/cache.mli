@@ -143,7 +143,7 @@ val rank_copies : t -> client:int -> int list -> int list * bool
     copies before hot ones, then by the [rtt] ranking ([None] last), ties
     to the lower id — and whether the first of them is not the
     RTT-nearest copy (a shed).  Calls [rtt] once per holder, in list
-    order.  Exposed for tests. *)
+    order.  It is the ranking {!request} runs, exposed for tests. *)
 
 val check_invariants : t -> (unit, string) result
 (** Copy lists are duplicate-free, never exceed [config.replicas], and

@@ -89,42 +89,19 @@ let create ?metrics ?(labels = []) ?trace ?(clock = fun () -> 0.0) ?pool:(_ : Dp
   }
 
 let[@inline] obs_incr t f = match t.obs with Some o -> Metrics.incr (f o) | None -> ()
-let[@inline] obs_observe t f v = match t.obs with Some o -> Metrics.observe (f o) v | None -> ()
 
-(* The cache is keyed directionally: re-probing the same destination from
-   the same source is the reuse pattern (selection and maintenance re-rank
-   the same candidates), and a directional key never assumes the
+(* Stands for "no cache entry"; never written. *)
+let no_entry = { rtt = nan; expires = neg_infinity }
+
+(* The pair's cache entry, or [no_entry] when caching is off or the pair
+   has none.  One table probe: a miss updates what it finds here.  The
+   cache is keyed directionally: re-probing the same destination from
+   the same source is the reuse pattern (selection and maintenance
+   re-rank the same candidates), and a directional key never assumes the
    measurement function is symmetric. *)
-let cache_find t ~src ~dst ~now =
-  if t.config.cache_ttl <= 0.0 then None
-  else begin
-    match Key_tbl.find t.cache (cache_key src dst) with
-    | e when e.expires > now ->
-      t.cache_hits <- t.cache_hits + 1;
-      obs_incr t (fun o -> o.i_cache_hits);
-      Some e.rtt
-    | _ ->
-      t.cache_stale <- t.cache_stale + 1;
-      t.cache_misses <- t.cache_misses + 1;
-      obs_incr t (fun o -> o.i_cache_stale);
-      obs_incr t (fun o -> o.i_cache_misses);
-      None
-    | exception Not_found ->
-      t.cache_misses <- t.cache_misses + 1;
-      obs_incr t (fun o -> o.i_cache_misses);
-      None
-  end
-
-(* A re-measured pair updates its entry in place. *)
-let[@inline] cache_store t ~src ~dst ~at rtt =
-  if t.config.cache_ttl > 0.0 then begin
-    let key = cache_key src dst and expires = at +. t.config.cache_ttl in
-    match Key_tbl.find t.cache key with
-    | e ->
-      e.rtt <- rtt;
-      e.expires <- expires
-    | exception Not_found -> Key_tbl.add t.cache key { rtt; expires }
-  end
+let[@inline] find_entry t ~src ~dst =
+  if t.config.cache_ttl <= 0.0 then no_entry
+  else try Key_tbl.find t.cache (cache_key src dst) with Not_found -> no_entry
 
 let invalidate t node =
   let doomed =
@@ -133,6 +110,53 @@ let invalidate t node =
       t.cache []
   in
   List.iter (Key_tbl.remove t.cache) doomed
+
+(* The steps [run_batch_from] and [rtt] share.  They match on [t.obs]
+   in place: a closure argument, as [obs_incr] takes, would keep them
+   from being inlined, and inlined they take and return their floats
+   unboxed, so a step allocates nothing itself. *)
+
+(* A probe served from the fresh entry [e]: no slot, no time, no
+   measurement. *)
+let[@inline] hit t e =
+  t.cache_hits <- t.cache_hits + 1;
+  (match t.obs with Some o -> Metrics.incr o.i_cache_hits | None -> ());
+  e.rtt
+
+(* A probe of a batch started at [start] that found no fresh entry,
+   measured in the slot free from [slot_start].  [e] is what
+   [find_entry] found: a stale entry, updated in place, or [no_entry],
+   for which a new entry is added. *)
+let[@inline] miss t ~src ~dst ~start ~slot_start e =
+  let ttl = t.config.cache_ttl in
+  let stale = ttl > 0.0 && e != no_entry in
+  if stale then t.cache_stale <- t.cache_stale + 1;
+  if ttl > 0.0 then t.cache_misses <- t.cache_misses + 1;
+  (match t.obs with
+  | Some o ->
+    if stale then Metrics.incr o.i_cache_stale;
+    if ttl > 0.0 then Metrics.incr o.i_cache_misses;
+    Metrics.observe o.i_queue_wait (slot_start -. start)
+  | None -> ());
+  let rtt = t.measure src dst in
+  (match t.obs with Some o -> Metrics.incr o.i_measured | None -> ());
+  let at = slot_start +. rtt in
+  if stale then begin
+    e.rtt <- rtt;
+    e.expires <- at +. ttl
+  end
+  else if ttl > 0.0 then Key_tbl.add t.cache (cache_key src dst) { rtt; expires = at +. ttl };
+  (match t.tracer with
+  | Some tr ->
+    Trace.emit tr ~at:slot_start ~dur:rtt ~peer:dst
+      (Trace.Rtt_probe { queue_ms = slot_start -. start })
+      ~node:src
+  | None -> ());
+  rtt
+
+let[@inline] end_batch t ~start ~finished =
+  (match t.obs with Some o -> Metrics.observe o.i_batch_ms (finished -. start) | None -> ());
+  t.total_elapsed <- t.total_elapsed +. (finished -. start)
 
 let run_batch_from t ~start ~src ~dsts =
   let n = Array.length dsts in
@@ -144,101 +168,46 @@ let run_batch_from t ~start ~src ~dsts =
     let dst = dsts.(j) in
     t.probes <- t.probes + 1;
     obs_incr t (fun o -> o.i_submitted);
-    match cache_find t ~src ~dst ~now:start with
-    | Some rtt ->
-      (* Served from memory: no slot, no time, no measurement. *)
-      results.(j) <- rtt
-    | None ->
+    let e = find_entry t ~src ~dst in
+    if e.expires > start then results.(j) <- hit t e
+    else begin
       let si = ref 0 in
       for i = 1 to w - 1 do
         if slots.(i) < slots.(!si) then si := i
       done;
       let slot_start = slots.(!si) in
-      obs_observe t (fun o -> o.i_queue_wait) (slot_start -. start);
-      let rtt = t.measure src dst in
-      obs_incr t (fun o -> o.i_measured);
-      let at = slot_start +. rtt in
-      cache_store t ~src ~dst ~at rtt;
+      let rtt = miss t ~src ~dst ~start ~slot_start e in
       results.(j) <- rtt;
-      (match t.tracer with
-      | Some tr ->
-        Trace.emit tr ~at:slot_start ~dur:rtt ~peer:dst
-          (Trace.Rtt_probe { queue_ms = slot_start -. start })
-          ~node:src
-      | None -> ());
+      let at = slot_start +. rtt in
       slots.(!si) <- at;
       if at > !finished then finished := at
+    end
   done;
-  obs_observe t (fun o -> o.i_batch_ms) (!finished -. start);
-  t.total_elapsed <- t.total_elapsed +. (!finished -. start);
+  end_batch t ~start ~finished:!finished;
   { results; started = start; finished = !finished }
 
 let run_batch t ~src ~dsts = run_batch_from t ~start:(t.clock ()) ~src ~dsts
 
-(* Stands for "no cache entry" in [rtt]; never written. *)
-let no_entry = { rtt = nan; expires = neg_infinity }
-
-(* An untraced miss, served with exactly what [run_batch] does for a
-   one-probe batch that misses: one slot starting at [start], so a zero
-   queue wait, and a batch that ends when the probe does.  [e] is the
-   pair's stale entry, updated in place, or [no_entry]. *)
-let rtt_miss t ~src ~dst ~start e =
-  let ttl = t.config.cache_ttl in
-  t.probes <- t.probes + 1;
-  (match t.obs with Some o -> Metrics.incr o.i_submitted | None -> ());
-  if ttl > 0.0 then begin
-    if e != no_entry then begin
-      t.cache_stale <- t.cache_stale + 1;
-      match t.obs with Some o -> Metrics.incr o.i_cache_stale | None -> ()
-    end;
-    t.cache_misses <- t.cache_misses + 1;
-    match t.obs with Some o -> Metrics.incr o.i_cache_misses | None -> ()
-  end;
-  (match t.obs with Some o -> Metrics.observe o.i_queue_wait (start -. start) | None -> ());
-  let rtt = t.measure src dst in
-  (match t.obs with Some o -> Metrics.incr o.i_measured | None -> ());
-  let at = start +. rtt in
-  if ttl > 0.0 then begin
-    if e != no_entry then begin
-      e.rtt <- rtt;
-      e.expires <- at +. ttl
-    end
-    else Key_tbl.add t.cache (cache_key src dst) { rtt; expires = at +. ttl }
-  end;
-  let elapsed = (if at > start then at else start) -. start in
-  (match t.obs with Some o -> Metrics.observe o.i_batch_ms elapsed | None -> ());
-  t.total_elapsed <- t.total_elapsed +. elapsed;
-  Ok rtt
-
-(* One table probe answers [rtt]: a fresh hit is served here with
-   exactly what [run_batch] does for a one-probe batch that hits: one
-   clock read, the submitted and hit counts, a [probe_batch_ms] sample
-   and [total_elapsed] term of [start -. start], and no span.  An
-   untraced miss is [rtt_miss]; a traced one is that batch, for its
-   span. *)
+(* [rtt] is a one-probe [run_batch] without the batch's arrays and
+   record: one clock read, one table probe, and the probe's one slot
+   starting at [start], so a zero queue wait and a batch that ends when
+   the probe does. *)
 let rtt t ~src ~dst =
   let start = t.clock () in
-  let e =
-    if t.config.cache_ttl <= 0.0 then no_entry
-    else try Key_tbl.find t.cache (cache_key src dst) with Not_found -> no_entry
-  in
+  t.probes <- t.probes + 1;
+  obs_incr t (fun o -> o.i_submitted);
+  let e = find_entry t ~src ~dst in
   if e.expires > start then begin
-    let none = start -. start in
-    t.probes <- t.probes + 1;
-    t.cache_hits <- t.cache_hits + 1;
-    (match t.obs with
-    | Some o ->
-      Metrics.incr o.i_submitted;
-      Metrics.incr o.i_cache_hits;
-      Metrics.observe o.i_batch_ms none
-    | None -> ());
-    t.total_elapsed <- t.total_elapsed +. none;
-    Ok e.rtt
+    let rtt = hit t e in
+    end_batch t ~start ~finished:start;
+    Ok rtt
   end
-  else
-    match t.tracer with
-    | None -> rtt_miss t ~src ~dst ~start e
-    | Some _ -> Ok (run_batch_from t ~start ~src ~dsts:[| dst |]).results.(0)
+  else begin
+    let rtt = miss t ~src ~dst ~start ~slot_start:start e in
+    let at = start +. rtt in
+    end_batch t ~start ~finished:(if at > start then at else start);
+    Ok rtt
+  end
 
 let probes t = t.probes
 let cache_hits t = t.cache_hits

@@ -110,10 +110,10 @@ val rtt : t -> src:int -> dst:int -> (float, failure) result
 (** One-probe {!run_batch}: the same RTT (always [Ok]), counters,
     [probe_queue_wait] and [probe_batch_ms] samples, spans,
     {!total_elapsed} and single clock read, in the same order.  It
-    probes the RTT cache once: a fresh hit is read, and without a
-    tracer a miss is measured and stored in place (a stale entry
-    updated, an absent one added), building no batch.  With a tracer a
-    miss runs the one-probe batch itself, for its [Rtt_probe] span. *)
+    probes the RTT cache once and builds no batch: a fresh hit is read,
+    and a miss runs the batch's own miss step, which measures, stores in
+    place (a stale entry updated, an absent one added) and emits the
+    [Rtt_probe] span. *)
 
 val probes : t -> int
 (** Probes submitted so far (cache hits included). *)

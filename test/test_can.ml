@@ -418,14 +418,22 @@ let test_churn_interleaved () =
 
 let not_found f = match f () with _ -> false | exception Not_found -> true
 
-(* [node] and [mem] read a dense id-indexed array: every id outside the
-   membership, in or beyond the array, must read as absent. *)
+(* [node], [mem] and the copies' readers read dense id-indexed arrays:
+   every id outside the membership, in or beyond the arrays, must read
+   as absent. *)
 let test_node_mem_edges () =
   let t, rng = build ~dims:2 ~n:16 ~seed:9 in
   let absent id =
     Alcotest.(check bool) (Printf.sprintf "mem %d" id) false (Can_overlay.mem t id);
     Alcotest.(check bool) (Printf.sprintf "node %d raises" id) true
-      (not_found (fun () -> Can_overlay.node t id))
+      (not_found (fun () -> Can_overlay.node t id));
+    (* the copies' readers raise too, reading nothing outside the arrays *)
+    let box = Zone.full 2 and p = [| 0.5; 0.5 |] in
+    Alcotest.(check bool) (Printf.sprintf "copy readers of %d raise" id) true
+      (not_found (fun () -> Can_overlay.contains t id p)
+      && not_found (fun () -> Can_overlay.zone_meets t id box)
+      && not_found (fun () -> Can_overlay.path_key_of t id)
+      && not_found (fun () -> Can_overlay.path_length t id))
   in
   absent (-1);
   absent min_int;

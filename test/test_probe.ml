@@ -110,14 +110,14 @@ let qcheck_cache_equivalence =
       && List.length (calls_b ()) = distinct
       && Probe.cache_hits cached = List.length plan - distinct)
 
-(* [rtt] serves a fresh cache hit, and an untraced miss, without
-   building a batch; it must be indistinguishable from the one-probe
-   batch.  Twin probers see the same (src, dst, clock) script, one
-   through [rtt] and one through [run_batch ~dsts:[|dst|]], and must
-   agree on everything observable: results, counts, modelled time,
-   histogram samples, spans, measurement calls and clock reads.  Half
-   the cases trace (a traced miss is the batch itself); TTLs of 0 never
-   cache, and clock advances past short TTLs leave stale entries.
+(* [rtt] serves a fresh cache hit, and a miss, without building a
+   batch; it must be indistinguishable from the one-probe batch.  Twin
+   probers see the same (src, dst, clock) script, one through [rtt] and
+   one through [run_batch ~dsts:[|dst|]], and must agree on everything
+   observable: results, counts, modelled time, histogram samples,
+   spans, measurement calls and clock reads.  Half the cases trace, so
+   a miss's [Rtt_probe] span is compared too; TTLs of 0 never cache,
+   and clock advances past short TTLs leave stale entries.
 
    Some steps submit a multi-destination batch to both instead, with
    duplicate destinations and destinations fresh in the cache, so the
