@@ -420,10 +420,6 @@ let run ?(scale = 1) () =
          it, so a second run in one process records the same value. *)
       let counter = Metrics.counter Metrics.global name in
       Metrics.add counter (words - Metrics.count counter);
-      if name = "alloc_minor_words_per_sweep" then
-        Metrics.set
-          (Metrics.gauge Metrics.global "alloc_sweep_words_per_entry")
-          (float_of_int words /. float_of_int sweep_burst);
       Tableout.add_row table
         [ Tableout.text op; Tableout.named ~labels:[] name Tableout.Count (Tableout.fixed 0) ])
     budgets;
