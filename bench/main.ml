@@ -6,11 +6,13 @@
      dune exec bench/main.exe -- --scale 4     -- quarter-size workloads
      dune exec bench/main.exe -- --only fig10  -- a single experiment
      dune exec bench/main.exe -- --json out.json -- also dump the metrics
-                                                    registry as JSON
+                                                    as JSON
 
    Any other argument, a flag without its value, an unknown experiment
    or a --json file that cannot be opened for writing is an error
-   (exit 2), reported before any experiment runs. *)
+   (exit 2), reported before any experiment runs.  So is (after the
+   runs) an instrument that two experiments recorded with different
+   values. *)
 
 module Registry = Workload.Registry
 
@@ -48,7 +50,11 @@ let () =
     | None -> Registry.run_all ~scale:!scale
     | Some id ->
       (match Registry.find id with
-      | Some e -> Registry.print e ~scale:!scale
+      | Some e ->
+        fun ppf ->
+          let run = Workload.Run.create ~scale:!scale in
+          Registry.print e run ppf;
+          [ run.Workload.Run.metrics ]
       | None ->
         Format.eprintf "unknown experiment %S; known:@." id;
         List.iter (fun e -> Format.eprintf "  %s@." e.Registry.name) Registry.all;
@@ -66,14 +72,20 @@ let () =
           exit 2)
       !json
   in
-  run ppf;
-  (* The experiments record into the process-global registry as they run;
-     the dump is deterministic (sorted instruments, fixed float format),
-     so same-seed runs produce byte-identical files. *)
+  let registries = run ppf in
+  (* Each experiment records into its own run's registry; the dump is
+     their union, where an instrument two experiments share must hold
+     one value.  It is deterministic (sorted instruments, fixed float
+     format), so same-seed runs produce byte-identical files. *)
   Option.iter
     (fun (path, oc) ->
-      output_string oc (Prelude.Json.to_string (Engine.Metrics.to_json Engine.Metrics.global));
-      output_char oc '\n';
-      close_out oc;
-      Format.fprintf ppf "metrics written to %s@." path)
+      match Engine.Metrics.union registries with
+      | Ok metrics ->
+        output_string oc (Prelude.Json.to_string (Engine.Metrics.to_json metrics));
+        output_char oc '\n';
+        close_out oc;
+        Format.fprintf ppf "metrics written to %s@." path
+      | Error key ->
+        Format.eprintf "two experiments recorded different values for %s@." key;
+        exit 2)
     json

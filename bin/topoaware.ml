@@ -23,6 +23,11 @@ open Cmdliner
 
 let ppf = Format.std_formatter
 
+(* Run one experiment on a fresh run at [scale] and print its output. *)
+let render ~scale experiment =
+  let run = Workload.Run.create ~scale in
+  Workload.Tableout.render run.Workload.Run.metrics ppf (experiment run)
+
 let setup_logs verbose =
   Logs.set_reporter (Logs_fmt.reporter ());
   Logs.set_level (Some (if verbose then Logs.Debug else Logs.Warning))
@@ -93,13 +98,13 @@ let experiment_cmd =
   in
   let run id scale =
     if id = "all" then begin
-      Workload.Registry.run_all ~scale ppf;
+      ignore (Workload.Registry.run_all ~scale ppf);
       `Ok ()
     end
     else begin
       match Workload.Registry.find id with
       | Some e ->
-        Workload.Registry.print e ~scale ppf;
+        Workload.Registry.print e (Workload.Run.create ~scale) ppf;
         `Ok ()
       | None -> `Error (false, Printf.sprintf "unknown experiment %S (try 'list')" id)
     end
@@ -326,8 +331,7 @@ let churn_cmd =
         }
       in
       let channel = { Engine.Faults.loss; delay_min = 5.0; delay_max = 50.0 } in
-      Workload.Tableout.render ppf
-        (Workload.Exp_churn.run_custom ~scale ~seed ~shards ~digest_window ~storm ~channel ());
+      render ~scale (Workload.Exp_churn.run_custom ~seed ~shards ~digest_window ~storm ~channel);
       `Ok ()
     end
   in
@@ -346,7 +350,7 @@ let churn_cmd =
 let repair_cmd =
   let run verbose seed scale =
     setup_logs verbose;
-    Workload.Tableout.render ppf (Workload.Exp_repair.run ~scale ~seed ())
+    render ~scale (Workload.Exp_repair.run ~seed)
   in
   Cmd.v
     (Cmd.info "repair"
@@ -382,7 +386,7 @@ let cache_cmd =
     else if replicas < 1 then `Error (false, "--replicas must be >= 1")
     else begin
       setup_logs verbose;
-      Workload.Tableout.render ppf (Workload.Exp_cache.run ~scale ~seed ~zipf_s ?clients ~replicas ());
+      render ~scale (Workload.Exp_cache.run ~seed ~zipf_s ?clients ~replicas);
       `Ok ()
     end
   in
@@ -402,7 +406,7 @@ let cache_cmd =
 let degree_cmd =
   let run verbose seed scale =
     setup_logs verbose;
-    Workload.Tableout.render ppf (Workload.Exp_degree.run ~scale ~seed ());
+    render ~scale (Workload.Exp_degree.run ~seed);
     `Ok ()
   in
   Cmd.v
@@ -439,7 +443,7 @@ let mcast_cmd =
     else if degree < 1 then `Error (false, "--degree must be >= 1")
     else begin
       setup_logs verbose;
-      Workload.Tableout.render ppf (Workload.Exp_mcast.run ~scale ~seed ?group_size ~degree ?policy ());
+      render ~scale (Workload.Exp_mcast.run ~seed ?group_size ~degree ?policy);
       `Ok ()
     end
   in

@@ -37,4 +37,5 @@ let () =
 
   (* Chord and Pastry under the same three policies (the workload module
      drives both and prints its own table). *)
-  Workload.Tableout.render ppf (Workload.Exp_xoverlay.run ~scale:2 ())
+  let run = Workload.Run.create ~scale:2 in
+  Workload.Tableout.render run.Workload.Run.metrics ppf (Workload.Exp_xoverlay.run run)

@@ -25,10 +25,6 @@ type t = { instruments : (string * labels, instrument) Hashtbl.t }
 
 let create () = { instruments = Hashtbl.create 64 }
 
-let global = create ()
-
-let reset t = Hashtbl.reset t.instruments
-
 let size t = Hashtbl.length t.instruments
 
 let validate_name name =
@@ -106,6 +102,30 @@ let samples h =
 let hmean h = Stats.mean (samples h)
 
 let quantile h p = Stats.percentile (samples h) p
+
+let key_name (name, labels) =
+  Printf.sprintf "%s{%s}" name (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
+
+let same a b =
+  match (a, b) with
+  | Counter a, Counter b -> a.c_value = b.c_value
+  | Gauge a, Gauge b -> Float.equal a.g_value b.g_value
+  | Histogram a, Histogram b ->
+    a.h_len = b.h_len && Array.for_all2 Float.equal (samples a) (samples b)
+  | _ -> false
+
+exception Conflict of string
+
+let union ts =
+  let u = create () in
+  let add key inst =
+    match Hashtbl.find_opt u.instruments key with
+    | None -> Hashtbl.replace u.instruments key inst
+    | Some prev -> if not (same prev inst) then raise (Conflict (key_name key))
+  in
+  match List.iter (fun t -> Hashtbl.iter add t.instruments) ts with
+  | () -> Ok u
+  | exception Conflict key -> Error key
 
 (* ---- snapshots ---- *)
 

@@ -43,13 +43,6 @@ val histogram_chunk : int
 val create : unit -> t
 (** Fresh empty registry. *)
 
-val global : t
-(** The process-wide default registry.  Experiments record here unless
-    handed an explicit registry; [bench --json] serializes it. *)
-
-val reset : t -> unit
-(** Drop every instrument (tests, or isolating bench sections). *)
-
 val size : t -> int
 (** Number of registered instruments. *)
 
@@ -98,6 +91,13 @@ type hist_summary = {
 (** All-zero when the histogram is empty. *)
 
 val summarize_histogram : histogram -> hist_summary
+
+val union : t list -> (t, string) result
+(** One registry holding every instrument of the given ones, which it
+    shares rather than copies.  An instrument found in two of them must
+    hold the same value in both (counts, gauge values, or every sample
+    in order); otherwise the result is [Error key], [key] printed as
+    [name{k=v,...}]. *)
 
 type snapshot_value = Counter_v of int | Gauge_v of float | Histogram_v of hist_summary
 

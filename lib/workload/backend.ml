@@ -215,9 +215,9 @@ type service = {
   on_join : int -> unit;
 }
 
-let service_rtt ?metrics ~labels ~clock oracle =
+let service_rtt ~metrics ~labels ~clock oracle =
   let prober =
-    Engine.Probe.create ?metrics ~labels ~clock
+    Engine.Probe.create ~metrics ~labels ~clock
       ~config:{ Engine.Probe.default_config with Engine.Probe.cache_ttl = 600_000.0 }
       ~measure:(Oracle.measure oracle) ()
   in

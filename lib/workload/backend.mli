@@ -86,16 +86,16 @@ type service = {
 }
 
 val service_rtt :
-  ?metrics:Engine.Metrics.t ->
+  metrics:Engine.Metrics.t ->
   labels:Engine.Metrics.labels ->
   clock:(unit -> float) ->
   Topology.Oracle.t ->
   src:int ->
   dst:int ->
   float option
-(** [service_rtt ~labels ~clock oracle] is the RTT the service rows rank
-    copies and relays by: a fresh prober over [oracle] (its [probe_*]
-    instruments under [labels] when [metrics] is given) that caches each
+(** [service_rtt ~metrics ~labels ~clock oracle] is the RTT the service
+    rows rank copies and relays by: a fresh prober over [oracle] (its
+    [probe_*] instruments in [metrics] under [labels]) that caches each
     measured RTT for 600 s of [clock] time.  A probe always succeeds, so
     the answer is always [Some]. *)
 

@@ -377,8 +377,7 @@ let leave_op () =
   done;
   int_of_float !total / leave_rounds
 
-let run ?(scale = 1) () =
-  ignore scale;
+let run { Run.metrics; _ } =
   (* Every op is measured, in this order, before any budget is recorded. *)
   let budgets =
     List.map
@@ -416,10 +415,7 @@ let run ?(scale = 1) () =
   in
   List.iter
     (fun (op, name, words) ->
-      (* A budget is a measurement, not a tally: the counter is set to
-         it, so a second run in one process records the same value. *)
-      let counter = Metrics.counter Metrics.global name in
-      Metrics.add counter (words - Metrics.count counter);
+      Metrics.add (Metrics.counter metrics name) words;
       Tableout.add_row table
         [ Tableout.text op; Tableout.named ~labels:[] name Tableout.Count (Tableout.fixed 0) ])
     budgets;

@@ -12,7 +12,6 @@
     integer equality: any allocation regression on a hot path fails the
     gate. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
-(** Registry entry; [scale] is accepted for registry uniformity but the
-    op fixtures are fixed-size (budgets must be exact, not
-    scale-dependent). *)
+val run : Run.t -> Tableout.block list
+(** Registry entry; the run's scale is ignored: the op fixtures are
+    fixed-size (budgets must be exact, not scale-dependent). *)

@@ -99,13 +99,13 @@ type stats = {
   key_digest : int;
 }
 
-let run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs backend =
+let run_backend metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs backend =
   let now = ref 0.0 in
   let clock () = !now in
   let labels = [ ("experiment", "cache"); ("backend", label) ] in
-  let rtt = Backend.service_rtt ?metrics ~labels ~clock oracle in
+  let rtt = Backend.service_rtt ~metrics ~labels ~clock oracle in
   let cache =
-    Cache.create ?metrics ~labels ?trace ~rtt
+    Cache.create ~metrics ~labels ?trace ~rtt
       ~config:
         {
           Cache.default_config with
@@ -157,7 +157,7 @@ let sizes ~scale ?clients () =
   let threshold = max 8 (clients * rounds / 256) in
   (size, clients, universe, rounds, threshold)
 
-let rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace
+let rows { Run.scale; metrics } ~seed ~zipf_s ~replicas ?trace
     (size, clients, universe, rounds, threshold) =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let b =
@@ -174,7 +174,7 @@ let rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace
   let attach = Array.init clients (fun c -> b.Builder.members.(c mod size)) in
   let go ~label ~replicas backend =
     Array.iter (fun node -> Backend.publish_load b ~node ~load:0.0) b.Builder.members;
-    run_backend ?metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs backend
+    run_backend metrics ?trace ~label ~replicas ~threshold ~oracle ~attach ~reqs backend
   in
   let service name route = backend_of (Backend.builder_service ~name ~route b) in
   let ecan name = service name (Ecan_exp.route b.Builder.ecan) in
@@ -198,14 +198,12 @@ let rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace
   Builder.rebuild_tables b b.Builder.config.Builder.strategy;
   (aware :: random :: can_row :: ring_rows) @ [ aware_norepl ]
 
-let data ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?metrics ?trace ()
-    =
-  rows ~scale ~seed ~zipf_s ~replicas ?metrics ?trace (sizes ~scale ?clients ())
+let data ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ?trace run =
+  rows run ~seed ~zipf_s ~replicas ?trace (sizes ~scale:run.Run.scale ?clients ())
 
-let run ?(scale = 1) ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) () =
-  let metrics = Metrics.global in
+let run ?(seed = 42) ?(zipf_s = 0.9) ?clients ?(replicas = 3) ({ Run.scale; metrics } as run) =
   let ((size, clients, universe, rounds, threshold) as dims) = sizes ~scale ?clients () in
-  let stats = rows ~scale ~seed ~zipf_s ~replicas ~metrics dims in
+  let stats = rows run ~seed ~zipf_s ~replicas dims in
   let table =
     Tableout.create
       ~title:

@@ -24,28 +24,25 @@ type stats = {
 }
 
 val data :
-  ?scale:int ->
   ?seed:int ->
   ?zipf_s:float ->
   ?clients:int ->
   ?replicas:int ->
-  ?metrics:Engine.Metrics.t ->
   ?trace:Engine.Trace.t ->
-  unit ->
+  Run.t ->
   stats list
 (** Run every backend over the shared schedule and return the rows in
     order: eCAN aware, eCAN random-tables, plain CAN, Chord, Pastry,
     Koorde, eCAN aware with [replicas = 1] (replication disabled).  The first
     three and the last share the same CAN substrate and key homes, so
-    their hit rates are equal by construction. *)
+    their hit rates are equal by construction.  Every row records into
+    the run's registry. *)
 
 val run :
-  ?scale:int -> ?seed:int -> ?zipf_s:float -> ?clients:int -> ?replicas:int ->
-  unit -> Tableout.block list
+  ?seed:int -> ?zipf_s:float -> ?clients:int -> ?replicas:int -> Run.t -> Tableout.block list
 (** {!data} as a table whose cells are per-backend [cache_*] gauges and
     the cache's own counters, plus the headline comparison gauges, in
-    {!Engine.Metrics.global}; the registry entry runs it with its
-    defaults. *)
+    the run's registry; the registry entry runs it with its defaults. *)
 
 val backend_of : Backend.service -> Engine.Cache.backend
 (** The cache rows' projection of the shared service adapter: [near] is

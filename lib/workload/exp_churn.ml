@@ -212,7 +212,7 @@ let storm_timeline sim ~storm ~measure ~converged =
 let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
     ?(channel = Faults.reliable) ?(shards = 1) ?(digest_window = 0.0)
     ?(labels = [ ("experiment", "churn") ])
-    ?(strategy = Builder.default_config.Builder.strategy) oracle =
+    ?(strategy = Builder.default_config.Builder.strategy) ~metrics oracle =
   let sim = Sim.create () in
   let faults = Faults.create ~channel ~seed:(seed * 1009 + 1) () in
   let config =
@@ -223,11 +223,10 @@ let ecan_outcomes ?(size = 256) ?(seed = 11) ?(storm = Faults.default_storm)
       strategy;
       seed = seed * 1009 + 2 }
   in
-  (* The whole eCAN stack reports into the global registry under an
+  (* The whole eCAN stack reports into [metrics] under an
      [experiment=churn] label (callers driving other experiments pass
      their own label set), so [bench --json] carries the storm's
      route/publish/notify traffic alongside the table below. *)
-  let metrics = Engine.Metrics.global in
   let b =
     Builder.build ~metrics ~labels ~clock:(fun () -> Sim.now sim) oracle config
   in
@@ -357,12 +356,12 @@ let ring_outcome ~size ~seed ~storm ~pick:policy kind oracle =
 
 let default_channel = { Faults.loss = 0.05; delay_min = 5.0; delay_max = 50.0 }
 
-let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0) ~storm ~channel
-    () =
+let run_custom ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0) ~storm ~channel
+    { Run.scale; metrics } =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 96 (768 / scale) in
   let ecan_o, can_o =
-    ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window oracle
+    ecan_outcomes ~size ~seed ~storm ~channel ~shards ~digest_window ~metrics oracle
   in
   let ring kind = ring_outcome ~size ~seed ~storm ~pick:hybrid kind oracle in
   let chord_o = ring Backend.Chord in
@@ -409,5 +408,4 @@ let run_custom ?(scale = 1) ?(seed = 11) ?(shards = 1) ?(digest_window = 0.0) ~s
       "  work: slot re-selections (eCAN) / stabilisation selector calls (Chord, Pastry, Koorde).";
   ]
 
-let run ?scale ?seed () =
-  run_custom ?scale ?seed ~storm:Faults.default_storm ~channel:default_channel ()
+let run ?seed run = run_custom ?seed ~storm:Faults.default_storm ~channel:default_channel run

@@ -122,6 +122,7 @@ val ecan_outcomes :
   ?digest_window:float ->
   ?labels:(string * string) list ->
   ?strategy:Core.Strategy.t ->
+  metrics:Engine.Metrics.t ->
   Topology.Oracle.t ->
   outcome * outcome
 (** Drive an eCAN (with pub/sub repair, liveness polling, TTL sweeps and
@@ -135,9 +136,9 @@ val ecan_outcomes :
     (window 1, uncached): the window only prices modelled probe
     wall-clock, which no row reports.  [labels] (default
     [[("experiment", "churn")]]) is the label set the whole eCAN stack
-    reports under in the global registry, so other experiments (e.g. the
-    big-scale rows) can reuse this driver without colliding with the
-    churn experiment's instruments.  [strategy]
+    reports under in [metrics], so other experiments (e.g. the degree
+    sweep) can reuse this driver without colliding with the churn
+    experiment's instruments.  [strategy]
     (default: the builder's default hybrid selection) overrides the
     neighbor-selection strategy — the degree experiment sweeps RTT
     budgets through it. *)
@@ -164,18 +165,17 @@ val ring_outcome :
     random ones.  [repair_work] counts selection calls after the initial
     build. *)
 
-val run : ?scale:int -> ?seed:int -> unit -> Tableout.block list
+val run : ?seed:int -> Run.t -> Tableout.block list
 (** The registry entry: default storm and channel, tsk-large/manual
-    topology, overlay size scaled by [scale]. *)
+    topology, overlay size scaled by the run's scale. *)
 
 val run_custom :
-  ?scale:int ->
   ?seed:int ->
   ?shards:int ->
   ?digest_window:float ->
   storm:Engine.Faults.storm ->
   channel:Engine.Faults.channel ->
-  unit ->
+  Run.t ->
   Tableout.block list
 (** [run] with an explicit storm, channel, store sharding and digest
     window (the CLI hook; the maintenance-plane knobs only affect the

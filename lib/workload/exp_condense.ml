@@ -6,7 +6,7 @@ let rates = [ 0.0625; 0.25; 1.0; 2.0; 4.0; 8.0 ]
 let overlay_size = 4096
 let measure_pairs = 1024
 
-let fig16 ?(scale = 1) () =
+let fig16 { Run.scale; _ } =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 128 (overlay_size / scale) in
   let table =

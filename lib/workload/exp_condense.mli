@@ -1,4 +1,4 @@
 (** Figure 16: effect of the map condense/reduction rate — entries per
     node against routing stretch (tsk-large, manual latencies). *)
 
-val fig16 : ?scale:int -> unit -> Tableout.block list
+val fig16 : Run.t -> Tableout.block list

@@ -11,7 +11,7 @@ let query_count = 60
 let estimate_pairs = 2000
 let budgets = [ 1; 5; 10; 20 ]
 
-let run ?(scale = 1) () =
+let run { Run.scale; _ } =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let rng = Rng.create 2718 in
   let n = Oracle.node_count oracle in

@@ -3,4 +3,4 @@
     nearest-neighbor search, plus the raw distance-estimation accuracy of
     the coordinate embedding. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
+val run : Run.t -> Tableout.block list

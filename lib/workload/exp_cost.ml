@@ -14,8 +14,8 @@ let probes_to_reach curve target =
   in
   scan 0
 
-let run ?(scale = 1) () =
-  let ers, hybrid = Exp_nn.data ~scale Ctx.Tsk_large in
+let run ({ Run.scale; _ } as run) =
+  let ers, hybrid = Exp_nn.data run Ctx.Tsk_large in
   let table =
     Tableout.create
       ~title:"Messaging cost: probes needed to find a neighbor within a stretch target (tsk-large)"

@@ -78,7 +78,9 @@ let ring_like_row ~name ~k ~seed ~size ~storm kind oracle =
     converged = aware_o.Exp_churn.converged;
   }
 
-let data ?(scale = 1) ?(seed = 11) () =
+(* One row per (backend, k) cell, eCAN/CAN/Chord/Pastry/Koorde at each
+   k in ascending-k order. *)
+let data ~scale ~seed metrics =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = size_of ~scale in
   let storm = Faults.default_storm in
@@ -102,7 +104,7 @@ let data ?(scale = 1) ?(seed = 11) () =
       let labels = [ ("experiment", "degree"); ("k", string_of_int k) ] in
       let ecan_o, can_o =
         Exp_churn.ecan_outcomes ~size ~seed ~storm ~labels
-          ~strategy:(Strategy.hybrid ~rtts:k ()) oracle
+          ~strategy:(Strategy.hybrid ~rtts:k ()) ~metrics oracle
       in
       let ecan_row =
         {
@@ -138,8 +140,8 @@ let data ?(scale = 1) ?(seed = 11) () =
       [ ecan_row; can_row; chord_row; pastry_row; koorde_row ])
     ks
 
-let run ?(scale = 1) ?(seed = 11) () =
-  let rows = data ~scale ~seed () in
+let run ?(seed = 11) { Run.scale; metrics } =
+  let rows = data ~scale ~seed metrics in
   let size = size_of ~scale in
   let table =
     Tableout.create
@@ -180,7 +182,7 @@ let run ?(scale = 1) ?(seed = 11) () =
     (fun r ->
       if r.backend = "koorde" then
         Metrics.set
-          (Metrics.gauge Metrics.global (Printf.sprintf "degree_random_over_aware_k%d" r.k))
+          (Metrics.gauge metrics (Printf.sprintf "degree_random_over_aware_k%d" r.k))
           (r.random /. r.aware))
     rows;
   [

@@ -4,7 +4,7 @@ module Strategy = Core.Strategy
 let overlay_size = 4096
 let measure_pairs = 1024
 
-let run ?(scale = 1) () =
+let run { Run.scale; _ } =
   let size = max 128 (overlay_size / scale) in
   let table =
     Tableout.create

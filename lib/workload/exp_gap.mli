@@ -4,4 +4,4 @@
     landmark+RTT proximity generation (hybrid vs optimal), against the
     random-selection baseline. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
+val run : Run.t -> Tableout.block list

@@ -31,7 +31,7 @@ let mean f xs = List.fold_left (fun a x -> a +. f x) 0.0 xs /. float_of_int (Lis
 (* Build a fresh overlay whose probe plane runs [window] concurrent
    probes, then join the same fresh nodes one by one, recording the
    modelled join cost against the ground-truth landmark RTTs. *)
-let run_window ~scale ~window oracle =
+let run_window { Run.scale; metrics } ~window oracle =
   let size = max 128 (1024 / scale) in
   let labels = [ ("experiment", "join"); ("window", string_of_int window) ] in
   let config =
@@ -43,7 +43,7 @@ let run_window ~scale ~window oracle =
       seed = 42;
     }
   in
-  let b = Builder.build ~metrics:Metrics.global ~labels oracle config in
+  let b = Builder.build ~metrics ~labels oracle config in
   let can = Ecan_exp.can b.Builder.ecan in
   let joiners = ref [] in
   let i = ref 0 in
@@ -53,8 +53,8 @@ let run_window ~scale ~window oracle =
   done;
   let joiners = List.rev !joiners in
   let lms = Landmarks.nodes b.Builder.landmarks in
-  let vec_hist = Metrics.histogram Metrics.global ~labels "join_vector_ms" in
-  let sel_hist = Metrics.histogram Metrics.global ~labels "join_selection_ms" in
+  let vec_hist = Metrics.histogram metrics ~labels "join_vector_ms" in
+  let sel_hist = Metrics.histogram metrics ~labels "join_selection_ms" in
   List.map
     (fun node ->
       let max_lmk = Array.fold_left (fun a l -> Float.max a (Oracle.dist oracle node l)) 0.0 lms in
@@ -72,11 +72,11 @@ let run_window ~scale ~window oracle =
       })
     joiners
 
-let run ?(scale = 1) () =
+let run ({ Run.scale; _ } as run) =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let lcount = Builder.default_config.Builder.landmark_count in
   let windows = [ 1; lcount ] in
-  let per_window = List.map (fun w -> (w, run_window ~scale ~window:w oracle)) windows in
+  let per_window = List.map (fun w -> (w, run_window run ~window:w oracle)) windows in
   let table =
     Tableout.create
       ~title:

@@ -5,6 +5,6 @@
     slowest one — roughly an L-fold join-latency improvement — while the
     number of RTT measurements per join stays byte-identical across
     windows.  Records [join_vector_ms]/[join_selection_ms] histograms per
-    window plus [join_vector_speedup] into {!Engine.Metrics.global}. *)
+    window plus [join_vector_speedup] into the run's registry. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
+val run : Run.t -> Tableout.block list

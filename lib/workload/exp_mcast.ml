@@ -174,7 +174,7 @@ type stats = {
 
 type kind = Ecan_aware | Ecan_random | Can_greedy | Chord_row | Pastry_row | Koorde_row
 
-let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind =
+let run_row metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind =
   let sim = Sim.create () in
   let tracer = Trace.create ~capacity:(1 lsl 17) ~clock:(fun () -> Sim.now sim) () in
   let labels = [ ("experiment", "mcast"); ("backend", label) ] in
@@ -188,15 +188,15 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
     }
   in
   let b =
-    Builder.build ?metrics ~labels ~trace:tracer ~clock:(fun () -> Sim.now sim) oracle bconfig
+    Builder.build ~metrics ~labels ~trace:tracer ~clock:(fun () -> Sim.now sim) oracle bconfig
   in
   let m =
-    Maintenance.start ~sim ?metrics ~labels ~trace:tracer ~refresh_period:refresh
+    Maintenance.start ~sim ~metrics ~labels ~trace:tracer ~refresh_period:refresh
       ~sweep_period:sweep b
   in
   Maintenance.subscribe_all_slots m;
   let bus = Maintenance.bus m in
-  let rtt = Backend.service_rtt ?metrics ~labels ~clock:(fun () -> Sim.now sim) oracle in
+  let rtt = Backend.service_rtt ~metrics ~labels ~clock:(fun () -> Sim.now sim) oracle in
   let service =
     match kind with
     | Ecan_aware | Ecan_random ->
@@ -211,7 +211,7 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
   in
   let policy = match kind with Ecan_random -> Mcast.Random | _ -> Mcast.Aware in
   let tree =
-    Mcast.create ?metrics ~labels ~trace:tracer
+    Mcast.create ~metrics ~labels ~trace:tracer
       ~clock:(fun () -> Sim.now sim)
       ~rtt
       ~config:{ Mcast.degree; policy; seed = (seed * 3307) + 5 }
@@ -307,7 +307,7 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
   | Error e -> failwith ("Exp_mcast: tree invariant broken: " ^ e));
   Maintenance.stop m;
   let report = Repair.analyze (Trace.spans tracer) in
-  Option.iter (fun mreg -> Repair.record_metrics ~labels mreg report) metrics;
+  Repair.record_metrics ~labels metrics report;
   {
     label;
     static_lat = Array.of_list (List.rev !static_lat);
@@ -328,7 +328,7 @@ let run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kin
 (* The experiment                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let rows ~scale ~seed ~degree ?policy ?metrics
+let rows { Run.scale; metrics } ~seed ~degree ?policy
     (size, group_size, static_pubs, churn_pubs, crashes, leaves, joins) =
   if degree < 1 then invalid_arg "Exp_mcast: degree must be >= 1";
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
@@ -372,20 +372,19 @@ let rows ~scale ~seed ~degree ?policy ?metrics
   in
   List.map
     (fun (kind, label) ->
-      run_row ?metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind)
+      run_row metrics ~oracle ~size ~seed ~degree ~subscribers ~events ~label kind)
     row_kinds
 
-let data ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy ?metrics () =
-  rows ~scale ~seed ~degree ?policy ?metrics (sizes ~scale ?group_size ())
+let data ?(seed = 42) ?group_size ?(degree = 3) ?policy run =
+  rows run ~seed ~degree ?policy (sizes ~scale:run.Run.scale ?group_size ())
 
 let pct arr p = if Array.length arr = 0 then Float.nan else Stats.percentile arr p
 
-let run ?(scale = 1) ?(seed = 42) ?group_size ?(degree = 3) ?policy () =
-  let metrics = Metrics.global in
+let run ?(seed = 42) ?group_size ?(degree = 3) ?policy ({ Run.scale; metrics } as run) =
   let ((size, group_size, static_pubs, churn_pubs, crashes, leaves, joins) as dims) =
     sizes ~scale ?group_size ()
   in
-  let stats = rows ~scale ~seed ~degree ?policy ~metrics dims in
+  let stats = rows run ~seed ~degree ?policy dims in
   let table =
     Tableout.create
       ~title:

@@ -45,33 +45,31 @@ val backend_of : Backend.service -> Engine.Mcast.backend
     apply [on_remove]/[on_join] themselves on each churn event. *)
 
 val data :
-  ?scale:int ->
   ?seed:int ->
   ?group_size:int ->
   ?degree:int ->
   ?policy:Engine.Mcast.policy ->
-  ?metrics:Engine.Metrics.t ->
-  unit ->
+  Run.t ->
   stats list
 (** Run the comparison and return one {!stats} per backend row, in table
     order.  [policy] restricts the eCAN pair to one placement arm
     (default: both, first [Aware] then [Random]).  [degree] is the tree
     fanout bound (default 3), [group_size] the subscriber count (default
-    scales with [scale], clamped to the overlay).  The determinism
-    contract (DESIGN §12) holds: with a fresh [metrics] registry the
-    metrics JSON is byte-identical across repeated same-seed runs. *)
+    scales with the run's scale, clamped to the overlay).  Every row
+    records into the run's registry.  The determinism contract (DESIGN
+    §12) holds: on a fresh run the metrics JSON is byte-identical across
+    repeated same-seed runs. *)
 
 val run :
-  ?scale:int ->
   ?seed:int ->
   ?group_size:int ->
   ?degree:int ->
   ?policy:Engine.Mcast.policy ->
-  unit ->
+  Run.t ->
   Tableout.block list
 (** {!data} as a table whose cells are per-row [mcast_*] gauges and
-    the tree's own counters, labelled [backend=<label>], in
-    {!Engine.Metrics.global}; also the row gauges no column prints
+    the tree's own counters, labelled [backend=<label>], in the run's
+    registry; also the row gauges no column prints
     ([mcast_stretch_p99], [mcast_stress_max], [mcast_traversals],
     [mcast_churn_delivery_p50_ms] / [_p99_ms] and, only when the row
     re-grafted anything, [mcast_regraft_p99_ms]) and the headline

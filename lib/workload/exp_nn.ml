@@ -35,56 +35,51 @@ let stretch_curves ?metrics ?labels ~seed ~query_count ~ers_budget ~hybrid_budge
   (ers, hybrid)
 
 (* Shared per-variant computation: average best-so-far stretch for both
-   algorithms, over the same query set, cached across the four figures,
-   with the probes each algorithm spent. *)
+   algorithms, over the same query set, cached across the four figures
+   by every input it reads, with the probes each algorithm spent. *)
 type curves = { ers : float array; hybrid : float array; probes : (string * int) list }
 
 let cache : (string, curves) Hashtbl.t = Hashtbl.create 4
 
+let seed = 777
+
 let probe_counter metrics ~labels algo =
   Engine.Metrics.counter metrics ~labels:(("algo", algo) :: labels) "rtt_probes"
 
-let compute ?(scale = 1) variant =
-  let key = Printf.sprintf "%s/%d" (Ctx.variant_name variant) scale in
+(* The probes per algorithm ([rtt_probes] labeled algo/variant) are the
+   measurement cost the figures trade against: the searches count them
+   into the run's registry, and a run served from the cache gets the
+   cached counts instead. *)
+let compute { Run.scale; metrics } variant =
+  let key = Printf.sprintf "%s/%d/%d" (Ctx.variant_name variant) scale seed in
   let labels = [ ("variant", Ctx.variant_name variant) ] in
-  let c =
-    match Hashtbl.find_opt cache key with
-    | Some c -> c
-    | None ->
-      let oracle = Ctx.oracle ~scale variant Topology.Transit_stub.Gtitm_random in
-      let ers_budget = min max_ers_budget (Oracle.node_count oracle - 1) in
-      let metrics = Engine.Metrics.create () in
-      let ers, hybrid =
-        stretch_curves ~metrics ~labels ~seed:777 ~query_count ~ers_budget
-          ~hybrid_budget:max_hybrid_budget oracle
-      in
-      (* Every budget up to the last, summed newest query first: the order
-         the baseline's fig3-fig6 [nn_stretch] floats were recorded in. *)
-      let average budget curves =
-        Sweep.nn_average ~budgets:(List.init budget succ) (List.rev curves)
-      in
-      let probes =
-        List.map
-          (fun algo -> (algo, Engine.Metrics.count (probe_counter metrics ~labels algo)))
-          [ "ers"; "hybrid" ]
-      in
-      let c = { ers = average ers_budget ers; hybrid = average max_hybrid_budget hybrid; probes } in
-      Hashtbl.replace cache key c;
-      c
-  in
-  (* Probe counts per algorithm go to the global registry ([rtt_probes]
-     labeled algo/variant) — the measurement cost the figures trade
-     against — on every call, cached or not, as the counts themselves:
-     after a [Metrics.reset] the next figure records them again. *)
-  List.iter
-    (fun (algo, n) ->
-      let counter = probe_counter Engine.Metrics.global ~labels algo in
-      Engine.Metrics.add counter (n - Engine.Metrics.count counter))
-    c.probes;
-  c
+  match Hashtbl.find_opt cache key with
+  | Some c ->
+    List.iter (fun (algo, n) -> Engine.Metrics.add (probe_counter metrics ~labels algo) n) c.probes;
+    c
+  | None ->
+    let oracle = Ctx.oracle ~scale variant Topology.Transit_stub.Gtitm_random in
+    let ers_budget = min max_ers_budget (Oracle.node_count oracle - 1) in
+    let ers, hybrid =
+      stretch_curves ~metrics ~labels ~seed ~query_count ~ers_budget
+        ~hybrid_budget:max_hybrid_budget oracle
+    in
+    (* Every budget up to the last, summed newest query first: the order
+       the baseline's fig3-fig6 [nn_stretch] floats were recorded in. *)
+    let average budget curves =
+      Sweep.nn_average ~budgets:(List.init budget succ) (List.rev curves)
+    in
+    let probes =
+      List.map
+        (fun algo -> (algo, Engine.Metrics.count (probe_counter metrics ~labels algo)))
+        [ "ers"; "hybrid" ]
+    in
+    let c = { ers = average ers_budget ers; hybrid = average max_hybrid_budget hybrid; probes } in
+    Hashtbl.replace cache key c;
+    c
 
-let data ?(scale = 1) variant =
-  let c = compute ~scale variant in
+let data run variant =
+  let c = compute run variant in
   (c.ers, c.hybrid)
 
 let hybrid_checkpoints = [ 1; 2; 3; 5; 8; 10; 15; 20; 30; 40 ]
@@ -103,29 +98,29 @@ let figure ~fig ~title checkpoints columns =
          (List.map column columns));
   ]
 
-let comparison_figure ~fig ~title ~scale variant =
-  let c = compute ~scale variant in
+let comparison_figure ~fig ~title run variant =
+  let c = compute run variant in
   figure ~fig ~title hybrid_checkpoints
     [ ("ERS stretch", "ers", c.ers); ("lmk+RTT stretch", "hybrid", c.hybrid) ]
 
-let ers_figure ~fig ~title ~scale variant =
-  let c = compute ~scale variant in
+let ers_figure ~fig ~title run variant =
+  let c = compute run variant in
   figure ~fig ~title
     (List.filter (fun k -> k <= Array.length c.ers) ers_checkpoints)
     [ ("ERS stretch", "ers", c.ers) ]
 
-let fig3 ?(scale = 1) () =
-  comparison_figure ~fig:"fig3" ~scale Ctx.Tsk_large
+let fig3 run =
+  comparison_figure ~fig:"fig3" run Ctx.Tsk_large
     ~title:"Figure 3: nearest-neighbor stretch, ERS vs landmark+RTT (tsk-large)"
 
-let fig4 ?(scale = 1) () =
-  ers_figure ~fig:"fig4" ~scale Ctx.Tsk_large
+let fig4 run =
+  ers_figure ~fig:"fig4" run Ctx.Tsk_large
     ~title:"Figure 4: expanding-ring search alone, deep budgets (tsk-large)"
 
-let fig5 ?(scale = 1) () =
-  comparison_figure ~fig:"fig5" ~scale Ctx.Tsk_small
+let fig5 run =
+  comparison_figure ~fig:"fig5" run Ctx.Tsk_small
     ~title:"Figure 5: nearest-neighbor stretch, ERS vs landmark+RTT (tsk-small)"
 
-let fig6 ?(scale = 1) () =
-  ers_figure ~fig:"fig6" ~scale Ctx.Tsk_small
+let fig6 run =
+  ers_figure ~fig:"fig6" run Ctx.Tsk_small
     ~title:"Figure 6: expanding-ring search alone, deep budgets (tsk-small)"

@@ -6,22 +6,24 @@
     averaged over query nodes, as a function of the RTT-measurement
     budget. *)
 
-val fig3 : ?scale:int -> unit -> Tableout.block list
+val fig3 : Run.t -> Tableout.block list
 (** ERS vs hybrid on tsk-large (moderate budgets). *)
 
-val fig4 : ?scale:int -> unit -> Tableout.block list
+val fig4 : Run.t -> Tableout.block list
 (** ERS alone on tsk-large, budgets into the thousands. *)
 
-val fig5 : ?scale:int -> unit -> Tableout.block list
+val fig5 : Run.t -> Tableout.block list
 (** Hybrid on tsk-small. *)
 
-val fig6 : ?scale:int -> unit -> Tableout.block list
+val fig6 : Run.t -> Tableout.block list
 (** ERS alone on tsk-small, budgets into the thousands. *)
 
-val data : ?scale:int -> Ctx.topology_variant -> float array * float array
+val data : Run.t -> Ctx.topology_variant -> float array * float array
 (** The averaged best-so-far stretch curves [(ers, hybrid)] behind the
-    figures ([curve.(k-1)] = stretch after [k] measurements), cached per
-    variant; used by the cost experiment. *)
+    figures ([curve.(k-1)] = stretch after [k] measurements), cached by
+    variant, scale and seed; used by the cost experiment.  Records the
+    probes each algorithm spent as [rtt_probes] counters in the run's
+    registry, cached or not. *)
 
 val stretch_curves :
   ?metrics:Engine.Metrics.t ->

@@ -129,7 +129,7 @@ let curve_ablation ~scale oracle =
     [ ("hilbert", Number.Hilbert_curve); ("z-order", Number.Z_curve) ];
   Tableout.table table
 
-let run ?(scale = 1) () =
+let run { Run.scale; _ } =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let nn = nn_ablation ~scale oracle in
   [ nn; curve_ablation ~scale oracle ]

@@ -1,4 +1,4 @@
-let run ?(scale = 1) () =
+let run { Run.scale; _ } =
   let table =
     Tableout.create ~title:"Table 2: experiment parameters (defaults and sweep ranges)"
       ~columns:[ "parameter"; "default"; "range" ]

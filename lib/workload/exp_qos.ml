@@ -71,7 +71,7 @@ let publish_loads builder capacities transits =
         (Store.regions_of store id))
     ids
 
-let run ?(scale = 1) () =
+let run { Run.scale; _ } =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 128 (overlay_size / scale) in
   let builder =

@@ -3,4 +3,4 @@
     proximity information; a load-aware selection trades a little network
     distance for spare forwarding capacity, flattening hot spots. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
+val run : Run.t -> Tableout.block list

@@ -112,7 +112,7 @@ let adaptive_p90 =
       | None -> None);
   }
 
-let run_config ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg =
+let run_config ?(seed = 11) { Run.scale; metrics } cfg =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 24 (96 / scale) in
   let sim = Sim.create () in
@@ -148,9 +148,9 @@ let run_config ?(scale = 1) ?(seed = 11) ?(metrics = Engine.Metrics.global) cfg 
   Repair.record_metrics ~labels metrics report;
   { config = cfg; report; final_refresh; final_sweep; adaptations }
 
-let run ?(scale = 1) ?(seed = 11) () =
-  let results = List.map (run_config ~scale ~seed) (grid @ [ adaptive; adaptive_p90 ]) in
-  let size = max 24 (96 / scale) in
+let run ?(seed = 11) run =
+  let results = List.map (run_config ~seed run) (grid @ [ adaptive; adaptive_p90 ]) in
+  let size = max 24 (96 / run.Run.scale) in
   let table =
     Tableout.create
       ~title:

@@ -37,13 +37,13 @@ val adaptive : config
     (refresh clamped below the soft-state TTL so live entries never
     flap). *)
 
-val run_config : ?scale:int -> ?seed:int -> ?metrics:Engine.Metrics.t -> config -> result
-(** One storm under one configuration.  Deterministic: the same (scale,
-    seed, config) always yields the same report and — with a fresh
-    [metrics] registry — byte-identical metrics JSON.  [metrics] defaults
-    to {!Engine.Metrics.global}. *)
+val run_config : ?seed:int -> Run.t -> config -> result
+(** One storm under one configuration, recording into the run's
+    registry.  Deterministic: the same (scale, seed, config) always
+    yields the same report and — on a fresh run — byte-identical metrics
+    JSON. *)
 
-val run : ?scale:int -> ?seed:int -> unit -> Tableout.block list
+val run : ?seed:int -> Run.t -> Tableout.block list
 (** The whole sweep into one table: the fixed-period grid (refresh
     {20 s, 40 s} x sweep {2.5 s, 5 s, 10 s} x digest {0, 50 ms}, twelve
     configurations including the hand-picked churn-experiment constants,

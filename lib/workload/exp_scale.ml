@@ -70,10 +70,10 @@ let figure ~experiment ~title ~scale latency =
     (scaled_sizes ~scale);
   [ Tableout.table table ]
 
-let fig14 ?(scale = 1) () =
+let fig14 { Run.scale; _ } =
   figure ~experiment:"fig14" ~scale Topology.Transit_stub.Gtitm_random
     ~title:"Figure 14: stretch vs overlay size (GT-ITM latencies, hybrid vs random neighbors)"
 
-let fig15 ?(scale = 1) () =
+let fig15 { Run.scale; _ } =
   figure ~experiment:"fig15" ~scale Topology.Transit_stub.Manual
     ~title:"Figure 15: stretch vs overlay size (manual latencies, hybrid vs random neighbors)"

@@ -44,14 +44,13 @@ type run_stats = {
   total_expired : int;
 }
 
-let run_mode ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
+let run_mode metrics ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
   let rng = Rng.create 21 in
   let can = Can_overlay.create ~dims:2 0 in
   for id = 1 to substrate - 1 do
     ignore (Can_overlay.join can id (Point.random rng 2))
   done;
   let sim = Sim.create () in
-  let metrics = Metrics.global in
   let labels = [ ("experiment", "storm"); ("mode", mode) ] in
   let scheme = Number.default_scheme ~max_latency () in
   let store =
@@ -98,16 +97,16 @@ let run_mode ~mode ~shards ~digest_window ~publishers ~subscribers ~bursts =
     total_expired = first_expired + rest_expired;
   }
 
-let run ?(scale = 1) () =
+let run { Run.scale; metrics } =
   let scale = max 1 scale in
   let publishers = max 8 (64 / scale) in
   let subscribers = max 4 (48 / scale) in
   let bursts = 8 in
   let seed_stats =
-    run_mode ~mode:"seed" ~shards:1 ~digest_window:0.0 ~publishers ~subscribers ~bursts
+    run_mode metrics ~mode:"seed" ~shards:1 ~digest_window:0.0 ~publishers ~subscribers ~bursts
   in
   let digest_stats =
-    run_mode ~mode:"digest" ~shards:4 ~digest_window:window ~publishers ~subscribers ~bursts
+    run_mode metrics ~mode:"digest" ~shards:4 ~digest_window:window ~publishers ~subscribers ~bursts
   in
   let table =
     Tableout.create
@@ -136,7 +135,7 @@ let run ?(scale = 1) () =
       Tableout.named ~labels:(("experiment", "storm") :: labels) name Tableout.Count count
     in
     Metrics.set
-      (Metrics.gauge Metrics.global ~labels "storm_total_expired")
+      (Metrics.gauge metrics ~labels "storm_total_expired")
       (float_of_int s.total_expired);
     Tableout.add_row table
       [

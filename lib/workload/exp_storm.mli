@@ -4,8 +4,9 @@
     once with a sharded store plus a nonzero digest window.  Reports the
     scheduled-event collapse from digest batching and the sweep cost of
     the expiry heap (records visited by a sweep when only a fraction of
-    the population has expired), and records both into the global metrics
+    the population has expired), and records both into the run's
     registry under [experiment=storm]. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
-(** Registry entry; [scale] divides the publisher/subscriber counts. *)
+val run : Run.t -> Tableout.block list
+(** Registry entry; the run's scale divides the publisher/subscriber
+    counts. *)

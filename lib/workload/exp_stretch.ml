@@ -6,7 +6,7 @@ let rtt_budgets = [ 1; 2; 5; 10; 20; 40 ]
 let landmark_counts = [ 10; 20 ]
 let measure_pairs = 2048
 
-let figure ~scale number variant latency latency_name =
+let figure { Run.scale; metrics } number variant latency latency_name =
   let fig = Printf.sprintf "fig%d" number in
   let oracle = Ctx.oracle ~scale variant latency in
   let size = max 128 (overlay_size / scale) in
@@ -40,7 +40,8 @@ let figure ~scale number variant latency latency_name =
      mean. *)
   let cell ~fill landmark_count rtts b =
     let labels = [ ("fig", fig); ("landmarks", string_of_int landmark_count); ("rtts", rtts) ] in
-    ignore (Sweep.route ~fill ~pairs:measure_pairs ~labels b);
+    let into = Engine.Metrics.histogram metrics ~labels "route_stretch" in
+    ignore (Sweep.route ~fill ~into ~pairs:measure_pairs b);
     Tableout.named ~labels "route_stretch" Tableout.Mean Tableout.cell_f
   in
   (* The optimal curve is flat in the RTT budget. *)
@@ -58,12 +59,7 @@ let figure ~scale number variant latency latency_name =
     rtt_budgets;
   [ Tableout.table table ]
 
-let fig10 ?(scale = 1) () =
-  figure ~scale 10 Ctx.Tsk_large Topology.Transit_stub.Gtitm_random "GT-ITM"
-
-let fig11 ?(scale = 1) () = figure ~scale 11 Ctx.Tsk_large Topology.Transit_stub.Manual "manual"
-
-let fig12 ?(scale = 1) () =
-  figure ~scale 12 Ctx.Tsk_small Topology.Transit_stub.Gtitm_random "GT-ITM"
-
-let fig13 ?(scale = 1) () = figure ~scale 13 Ctx.Tsk_small Topology.Transit_stub.Manual "manual"
+let fig10 run = figure run 10 Ctx.Tsk_large Topology.Transit_stub.Gtitm_random "GT-ITM"
+let fig11 run = figure run 11 Ctx.Tsk_large Topology.Transit_stub.Manual "manual"
+let fig12 run = figure run 12 Ctx.Tsk_small Topology.Transit_stub.Gtitm_random "GT-ITM"
+let fig13 run = figure run 13 Ctx.Tsk_small Topology.Transit_stub.Manual "manual"

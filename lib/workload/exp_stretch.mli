@@ -5,14 +5,14 @@
     One figure per (topology variant, latency model) combination, 4096
     overlay nodes by default. *)
 
-val fig10 : ?scale:int -> unit -> Tableout.block list
+val fig10 : Run.t -> Tableout.block list
 (** tsk-large, GT-ITM random latencies. *)
 
-val fig11 : ?scale:int -> unit -> Tableout.block list
+val fig11 : Run.t -> Tableout.block list
 (** tsk-large, manual latencies. *)
 
-val fig12 : ?scale:int -> unit -> Tableout.block list
+val fig12 : Run.t -> Tableout.block list
 (** tsk-small, GT-ITM random latencies. *)
 
-val fig13 : ?scale:int -> unit -> Tableout.block list
+val fig13 : Run.t -> Tableout.block list
 (** tsk-small, manual latencies. *)

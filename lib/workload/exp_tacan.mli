@@ -10,4 +10,4 @@ val tacan_point : Landmark.Number.scheme -> Prelude.Rng.t -> float array -> floa
     ({!Landmark.Number.position_in_zone}), jittered uniformly within its
     grid cell so points stay distinct. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
+val run : Run.t -> Tableout.block list

@@ -45,7 +45,7 @@ let build_can members ~point_of =
   done;
   can
 
-let run ?(scale = 1) () =
+let run { Run.scale; _ } =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Gtitm_random in
   let size = max 128 (overlay_size / scale) in
   let rng = Rng.create 909 in

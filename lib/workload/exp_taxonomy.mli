@@ -4,4 +4,4 @@
     aware forwarding), (3) proximity-neighbor selection (the paper's
     approach), against a topology-blind baseline. *)
 
-val run : ?scale:int -> unit -> Tableout.block list
+val run : Run.t -> Tableout.block list

@@ -1,23 +1,10 @@
 module Oracle = Topology.Oracle
-module Waxman = Topology.Waxman
 module Builder = Core.Builder
 module Strategy = Core.Strategy
-module Rng = Prelude.Rng
 
 let landmark_count = 15
 let query_count = 60
 let budgets = [ 1; 5; 10; 20; 40 ]
-
-let oracle_cache : (int, Oracle.t) Hashtbl.t = Hashtbl.create 2
-
-let waxman_oracle ~scale =
-  match Hashtbl.find_opt oracle_cache scale with
-  | Some o -> o
-  | None ->
-    let params = Waxman.default ~nodes:(max 200 (2000 / scale)) () in
-    let o = Oracle.of_graph (Waxman.generate (Rng.create 515) params) in
-    Hashtbl.replace oracle_cache scale o;
-    o
 
 let nn_table oracle =
   let max_budget = List.fold_left max 1 budgets in
@@ -62,7 +49,7 @@ let routing_table oracle ~scale =
   Tableout.add_row table [ random; hybrid; optimal ];
   Tableout.table table
 
-let run ?(scale = 1) () =
-  let oracle = waxman_oracle ~scale in
+let run { Run.scale; _ } =
+  let oracle = Ctx.waxman ~scale in
   let nn = nn_table oracle in
   [ nn; routing_table oracle ~scale ]

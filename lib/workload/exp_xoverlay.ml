@@ -106,7 +106,7 @@ let pastry_prefixmap_stretch oracle prober members scheme vector_of =
     ~route:(Mesh.route mesh) ~owner:(Mesh.owner_of mesh)
     ~key_space:(1 lsl (Mesh.digit_bits mesh * Mesh.num_digits mesh))
 
-let run ?(scale = 1) () =
+let run { Run.scale; _ } =
   let oracle = Ctx.oracle ~scale Ctx.Tsk_large Topology.Transit_stub.Manual in
   let size = max 128 (overlay_size / scale) in
   let rng = Rng.create 777 in

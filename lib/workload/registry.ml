@@ -1,10 +1,10 @@
 type entry = {
   name : string;
   title : string;
-  run : scale:int -> Tableout.block list;
+  run : Run.t -> Tableout.block list;
 }
 
-let entry name title run = { name; title; run = (fun ~scale -> run ?scale:(Some scale) ()) }
+let entry name title run = { name; title; run }
 
 let all =
   [
@@ -32,30 +32,32 @@ let all =
     entry "join" "Join latency: concurrent landmark probing through the probe plane" Exp_join.run;
     entry "waxman" "Robustness: flat Waxman topology (no hierarchy)" Exp_waxman.run;
     entry "churn" "Robustness: churn & fault storms, soft-state repair (all overlays)"
-      (fun ?scale () -> Exp_churn.run ?scale ());
+      Exp_churn.run;
     entry "storm" "Maintenance plane: digest batching & heap-swept TTL under burst load"
       Exp_storm.run;
     entry "repair" "Repair latency: trace-driven tail analysis & adaptive maintenance tuning"
-      (fun ?scale () -> Exp_repair.run ?scale ());
+      Exp_repair.run;
     entry "cache" "Service layer: topology-aware Zipf content cache (all overlays)"
-      (fun ?scale () -> Exp_cache.run ?scale ());
+      Exp_cache.run;
     entry "mcast" "Dissemination trees: map-placed vs random relays under churn (all overlays)"
-      (fun ?scale () -> Exp_mcast.run ?scale ());
+      Exp_mcast.run;
     entry "degree" "Constant-degree frontier: choice budget k vs stretch / maintenance / repair"
-      (fun ?scale () -> Exp_degree.run ?scale ());
+      Exp_degree.run;
     entry "alloc" "Allocation budget: exact minor words per hot-path op"
       Exp_alloc.run;
   ]
 
 let find name = List.find_opt (fun e -> e.name = name) all
 
-let print e ~scale ppf = Tableout.render ppf (e.run ~scale)
+let print e run ppf = Tableout.render run.Run.metrics ppf (e.run run)
 
-let run_all ?(scale = 1) ppf =
-  List.iter
+let run_all ~scale ppf =
+  List.map
     (fun e ->
+      let run = Run.create ~scale in
       Format.fprintf ppf "@.>>> %s — %s@." e.name e.title;
-      print e ~scale ppf;
+      print e run ppf;
       (* keep the output flowing for long runs under tee *)
-      Format.pp_print_flush ppf ())
+      Format.pp_print_flush ppf ();
+      run.Run.metrics)
     all

@@ -4,7 +4,7 @@
 type entry = {
   name : string;  (** experiment id, e.g. "fig10" *)
   title : string;  (** one-line description *)
-  run : scale:int -> Tableout.block list;  (** the experiment's printed output *)
+  run : Run.t -> Tableout.block list;  (** the experiment's printed output *)
 }
 
 val all : entry list
@@ -12,8 +12,11 @@ val all : entry list
 
 val find : string -> entry option
 
-val print : entry -> scale:int -> Format.formatter -> unit
-(** Run one experiment and {!Tableout.render} its output. *)
+val print : entry -> Run.t -> Format.formatter -> unit
+(** Run one experiment on the run and {!Tableout.render} its output
+    into the run's registry. *)
 
-val run_all : ?scale:int -> Format.formatter -> unit
-(** Run the whole suite, printing each experiment's header and output. *)
+val run_all : scale:int -> Format.formatter -> Engine.Metrics.t list
+(** Run the whole suite, each experiment on a fresh run at [scale],
+    printing each experiment's header and output; returns the runs'
+    registries in suite order. *)

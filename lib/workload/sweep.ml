@@ -4,14 +4,12 @@ module Search = Proximity.Search
 
 let mean (r : Measure.report) = r.Measure.stretch.Prelude.Stats.mean
 
-let route ?fill ?labels ~pairs builder =
+let route ?fill ?into ~pairs builder =
   Option.iter (Core.Builder.rebuild_tables builder) fill;
   let report = Measure.route_stretch ~pairs builder in
   Option.iter
-    (fun labels ->
-      let hist = Metrics.histogram Metrics.global ~labels "route_stretch" in
-      List.iter (Metrics.observe hist) (Measure.stretches report.Measure.samples))
-    labels;
+    (fun hist -> List.iter (Metrics.observe hist) (Measure.stretches report.Measure.samples))
+    into;
   report
 
 let nn_stretch oracle ~candidates ~queries curve =

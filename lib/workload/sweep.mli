@@ -5,17 +5,17 @@
 
 val route :
   ?fill:Core.Strategy.t ->
-  ?labels:Engine.Metrics.labels ->
+  ?into:Engine.Metrics.histogram ->
   pairs:int ->
   Core.Builder.t ->
   Core.Measure.report
-(** [route ?fill ?labels ~pairs b]: one route cell.  With [fill], first
+(** [route ?fill ?into ~pairs b]: one route cell.  With [fill], first
     refill [b]'s tables under that strategy ({!Core.Builder.rebuild_tables},
     which draws its fallback picks from the builder's rng); then measure
-    {!Core.Measure.route_stretch} over [pairs] pairs.  With [labels],
-    every pair's stretch also goes to the [route_stretch] histogram
-    under them in {!Engine.Metrics.global}, so [bench --json] holds the
-    distribution and not only the mean. *)
+    {!Core.Measure.route_stretch} over [pairs] pairs.  With [into] (a
+    histogram of the run's registry), every pair's stretch is also
+    observed there, so [bench --json] holds the distribution and not
+    only the mean. *)
 
 val mean : Core.Measure.report -> float
 (** The report's mean stretch. *)

@@ -4,7 +4,7 @@ module Json = Prelude.Json
 type stat = Count | Mean | P50 | P95 | P99 | Max
 
 (* A numeric cell prints its own gauge, which holds the value the cell
-   wrote, or a statistic of a counter or histogram. *)
+   declares, or a statistic of a counter or histogram. *)
 type read = Own_gauge of float | Stat of stat
 
 type cell =
@@ -18,9 +18,7 @@ let text s = Text s
 let num name labels read fmt =
   Num { name; labels = List.sort_uniq (fun (a, _) (b, _) -> compare a b) labels; read; fmt }
 
-let gauge ~labels name fmt v =
-  Metrics.set (Metrics.gauge Metrics.global ~labels name) v;
-  num name labels (Own_gauge v) fmt
+let gauge ~labels name fmt v = num name labels (Own_gauge v) fmt
 
 let named ~labels name stat fmt = num name labels (Stat stat) fmt
 let cat cells = Cat cells
@@ -29,22 +27,9 @@ type t = { title : string; columns : string list; mutable rows : cell list list 
 
 let create ~title ~columns = { title; columns; rows = [] }
 
-let rec declared = function
-  | Text _ | Num { read = Stat _; _ } -> []
-  | Num { name; labels; read = Own_gauge v; _ } -> [ ((name, labels), v) ]
-  | Cat cells -> List.concat_map declared cells
-
 let add_row t row =
   if List.length row <> List.length t.columns then
     invalid_arg "Tableout.add_row: cell count mismatch";
-  let check seen ((key, v) as cell) =
-    match List.assoc_opt key seen with
-    | Some w when not (Float.equal v w) ->
-      invalid_arg ("Tableout.add_row: two values declared for one " ^ fst key)
-    | _ -> cell :: seen
-  in
-  let seen = List.concat_map declared (List.concat t.rows) in
-  ignore (List.fold_left check seen (List.concat_map declared row));
   t.rows <- row :: t.rows
 
 type block = Table of t | Line of cell list
@@ -87,15 +72,27 @@ let render_with get ppf blocks =
       | Line cells -> Format.fprintf ppf "%s@." (show (Cat cells)))
     blocks
 
-(* Live instruments are read one at a time; interning a missing one
-   grows the registry, so it reads as absent. *)
-let render ppf blocks =
-  let m = Metrics.global in
+(* Every gauge cell writes its value into [m] before any cell is read,
+   so a cell that reads back another value shares its gauge with a cell
+   that declared that value.  Live instruments are read one at a time;
+   interning a missing one grows the registry, so it reads as absent. *)
+let render m ppf blocks =
+  let rec write = function
+    | Text _ | Num { read = Stat _; _ } -> ()
+    | Num { name; labels; read = Own_gauge v; _ } -> Metrics.set (Metrics.gauge m ~labels name) v
+    | Cat cells -> List.iter write cells
+  in
+  List.iter
+    (function Table t -> List.iter (List.iter write) t.rows | Line cells -> List.iter write cells)
+    blocks;
   let get name labels read =
     let size = Metrics.size m in
     let v =
       match read with
-      | Own_gauge _ -> Metrics.value (Metrics.gauge m ~labels name)
+      | Own_gauge v ->
+        let w = Metrics.value (Metrics.gauge m ~labels name) in
+        if not (Float.equal v w) then invalid_arg ("Tableout: two values declared for one " ^ name);
+        w
       | Stat Count -> float_of_int (Metrics.count (Metrics.counter m ~labels name))
       | Stat stat -> (
         let s = Metrics.summarize_histogram (Metrics.histogram m ~labels name) in

@@ -3,7 +3,7 @@
     An experiment prints a list of {!block}s: aligned tables and single
     lines.  Each numeric cell is declared once, with the instrument that
     holds its number, and {!render} prints it by reading that instrument
-    back from {!Engine.Metrics.global}; {!of_metrics} is the same printer
+    back from the run's registry; {!of_metrics} is the same printer
     reading a parsed {!Engine.Metrics.to_json} snapshot instead. *)
 
 type cell
@@ -12,8 +12,8 @@ val text : string -> cell
 (** A cell printed as given (names, labels, settings). *)
 
 val gauge : labels:Engine.Metrics.labels -> string -> (float -> string) -> float -> cell
-(** [gauge ~labels name fmt v] sets the gauge [name] under [labels] to
-    [v] and prints that gauge with [fmt]. *)
+(** [gauge ~labels name fmt v] prints the gauge [name] under [labels]
+    with [fmt]; {!render} first sets it to [v]. *)
 
 (** A counter's count, or a statistic of a histogram's summary. *)
 type stat = Count | Mean | P50 | P95 | P99 | Max
@@ -31,9 +31,7 @@ type t
 val create : title:string -> columns:string list -> t
 
 val add_row : t -> cell list -> unit
-(** Raises [Invalid_argument] unless the row has one cell per column, or
-    when a gauge cell declares another value for an instrument that a
-    cell of the table already declared. *)
+(** Raises [Invalid_argument] unless the row has one cell per column. *)
 
 type block
 
@@ -46,9 +44,11 @@ val line : cell list -> block
 val note : ('a, unit, string, block) format4 -> 'a
 (** A line of text, printf-style. *)
 
-val render : Format.formatter -> block list -> unit
-(** Print the blocks.  Raises [Invalid_argument] when a cell's
-    instrument is missing. *)
+val render : Engine.Metrics.t -> Format.formatter -> block list -> unit
+(** [render m ppf blocks] sets every gauge cell's gauge in [m], then
+    prints the blocks, reading each cell back from [m].  Raises
+    [Invalid_argument] when a cell's instrument is missing, or when two
+    gauge cells declare different values for one gauge. *)
 
 val of_metrics : Prelude.Json.t -> Format.formatter -> block list -> unit
 (** {!render} reading every numeric cell from a snapshot, where a

@@ -370,7 +370,7 @@ let qcheck_cross_backend =
     ~count:3
     (QCheck.int_range 1 1_000)
     (fun seed ->
-      let stats = Workload.Exp_cache.data ~scale:exp_scale ~seed () in
+      let stats = Workload.Exp_cache.data ~seed (Workload.Run.create ~scale:exp_scale) in
       match stats with
       | first :: rest ->
         List.for_all
@@ -386,7 +386,7 @@ let test_exp_cache_ordering () =
   (* Deterministic seed: topology-aware tables beat random tables on the
      delivered latency at the same hit rate, and replication reduces the
      max per-node load vs replicas = 1. *)
-  match Workload.Exp_cache.data ~scale:exp_scale () with
+  match Workload.Exp_cache.data (Workload.Run.create ~scale:exp_scale) with
   | [ aware; random; _can; _chord; _pastry; _koorde; norepl ] ->
     let open Workload.Exp_cache in
     Alcotest.(check bool) "equal hit rates" true (aware.hit_rate = random.hit_rate);
@@ -405,7 +405,7 @@ let test_exp_cache_threshold_follows_clients () =
   let row label stats =
     List.find (fun (s : Workload.Exp_cache.stats) -> s.Workload.Exp_cache.label = label) stats
   in
-  let stats = Workload.Exp_cache.data ~scale:8 ~clients:4 () in
+  let stats = Workload.Exp_cache.data ~clients:4 (Workload.Run.create ~scale:8) in
   Alcotest.(check bool) "ecan aware replicates" true
     ((row "ecan aware" stats).Workload.Exp_cache.replications > 0);
   Alcotest.(check int) "ecan aware r1 does not" 0
@@ -415,9 +415,9 @@ let test_exp_cache_metrics_deterministic () =
   (* Same seed, fresh registries: the whole metrics dump (counters,
      gauges, histograms) is byte-identical across runs. *)
   let dump () =
-    let metrics = Metrics.create () in
-    let stats = Workload.Exp_cache.data ~scale:exp_scale ~metrics () in
-    (stats, Json.to_string (Metrics.to_json metrics))
+    let run = Workload.Run.create ~scale:exp_scale in
+    let stats = Workload.Exp_cache.data run in
+    (stats, Json.to_string (Metrics.to_json run.Workload.Run.metrics))
   in
   let stats1, json1 = dump () in
   let stats2, json2 = dump () in

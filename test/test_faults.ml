@@ -209,7 +209,8 @@ let test_pastry_oracle () =
 let test_ecan_storm_repairs () =
   let oracle = Lazy.force oracle in
   let ecan_o, can_o =
-    Exp_churn.ecan_outcomes ~size:48 ~seed:5 ~storm:small_storm ~channel:lossy oracle
+    Exp_churn.ecan_outcomes ~size:48 ~seed:5 ~storm:small_storm ~channel:lossy
+      ~metrics:(Engine.Metrics.create ()) oracle
   in
   Alcotest.(check bool) "eCAN converges after the storm" true ecan_o.Exp_churn.converged;
   Alcotest.(check bool) "repair latency is finite" false
@@ -239,7 +240,7 @@ let test_sharded_digest_churn () =
   let oracle = Lazy.force oracle in
   let ecan_o, _ =
     Exp_churn.ecan_outcomes ~size:48 ~seed:5 ~storm:small_storm ~channel:lossy ~shards:4
-      ~digest_window:40.0 oracle
+      ~digest_window:40.0 ~metrics:(Engine.Metrics.create ()) oracle
   in
   Alcotest.(check bool) "converges with sharded store + digests" true
     ecan_o.Exp_churn.converged;
@@ -289,7 +290,10 @@ let test_sharded_digest_churn () =
 
 let test_storm_metrics_deterministic () =
   let oracle = Lazy.force oracle in
-  let run () = Exp_churn.ecan_outcomes ~size:48 ~seed:9 ~storm:small_storm ~channel:lossy oracle in
+  let run () =
+    Exp_churn.ecan_outcomes ~size:48 ~seed:9 ~storm:small_storm ~channel:lossy
+      ~metrics:(Engine.Metrics.create ()) oracle
+  in
   let a = run () and b = run () in
   Alcotest.(check bool) "same seed, same metrics" true (a = b);
   let chord () =

@@ -308,7 +308,7 @@ let qcheck_same_seed_same_tree =
 let exp_scale = 32
 
 let test_exp_mcast_ordering () =
-  match Workload.Exp_mcast.data ~scale:exp_scale ~metrics:(Metrics.create ()) () with
+  match Workload.Exp_mcast.data (Workload.Run.create ~scale:exp_scale) with
   | aware :: random :: _ ->
     let open Workload.Exp_mcast in
     Alcotest.(check string) "row order" "ecan aware" aware.label;
@@ -331,9 +331,9 @@ let test_exp_mcast_ordering () =
 
 let test_exp_mcast_metrics_deterministic () =
   let dump () =
-    let metrics = Metrics.create () in
-    let stats = Workload.Exp_mcast.data ~scale:exp_scale ~metrics () in
-    (stats, Json.to_string (Metrics.to_json metrics))
+    let run = Workload.Run.create ~scale:exp_scale in
+    let stats = Workload.Exp_mcast.data run in
+    (stats, Json.to_string (Metrics.to_json run.Workload.Run.metrics))
   in
   let stats1, json1 = dump () in
   let stats2, json2 = dump () in

@@ -51,14 +51,39 @@ let test_instruments () =
   Alcotest.(check (float 1e-9)) "hmean" 2.0 (Metrics.hmean h);
   Alcotest.(check (float 1e-9)) "median" 2.0 (Metrics.quantile h 50.0)
 
-let test_reset () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "c" in
-  Metrics.incr c;
-  Metrics.reset m;
-  Alcotest.(check int) "empty after reset" 0 (Metrics.size m);
-  (* Re-interning after reset starts fresh. *)
-  Alcotest.(check int) "fresh counter" 0 (Metrics.count (Metrics.counter m "c"))
+(* The union [bench --json] dumps: two runs that write one key with one
+   value (fig3 and fig4's [rtt_probes]) give one entry, and a key with
+   two values is refused by name. *)
+let test_union () =
+  let labels = [ ("variant", "tsk-large"); ("algo", "ers") ] in
+  let run own probes =
+    let m = Metrics.create () in
+    Metrics.add (Metrics.counter m ~labels "rtt_probes") probes;
+    Metrics.set (Metrics.gauge m own) 1.5;
+    Metrics.observe (Metrics.histogram m "lat") 2.0;
+    m
+  in
+  let fig3 = run "fig3_only" 4200 and fig4 = run "fig4_only" 4200 in
+  (match Metrics.union [ fig3; fig4 ] with
+  | Error key -> Alcotest.fail ("equal values refused at " ^ key)
+  | Ok u ->
+    Alcotest.(check int) "shared keys merge" 4 (Metrics.size u);
+    let one = run "fig3_only" 4200 in
+    Metrics.set (Metrics.gauge one "fig4_only") 1.5;
+    Alcotest.(check string) "the union dumps as one registry of both"
+      (Json.to_string (Metrics.to_json one))
+      (Json.to_string (Metrics.to_json u)));
+  let refused a b =
+    match Metrics.union [ a; b ] with Ok _ -> "accepted" | Error key -> key
+  in
+  Alcotest.(check string) "a counter with two values"
+    "rtt_probes{algo=ers,variant=tsk-large}" (refused fig3 (run "fig4_only" 4201));
+  let other = run "fig4_only" 4200 in
+  Metrics.observe (Metrics.histogram other "lat") 3.0;
+  Alcotest.(check string) "a histogram with other samples" "lat{}" (refused fig3 other);
+  let kind = Metrics.create () in
+  ignore (Metrics.gauge kind "lat");
+  Alcotest.(check string) "one key as two kinds" "lat{}" (refused fig3 kind)
 
 (* ---- determinism ---- *)
 
@@ -387,7 +412,7 @@ let suite =
     Alcotest.test_case "interning canonicalizes labels" `Quick test_interning;
     Alcotest.test_case "kind mismatch raises" `Quick test_kind_mismatch;
     Alcotest.test_case "counter/gauge/histogram semantics" `Quick test_instruments;
-    Alcotest.test_case "reset" `Quick test_reset;
+    Alcotest.test_case "union of run registries" `Quick test_union;
     Alcotest.test_case "same seed, identical JSON" `Quick test_same_seed_identical_json;
     Alcotest.test_case "registration order irrelevant" `Quick test_registration_order_irrelevant;
     Alcotest.test_case "JSON schema round-trip" `Quick test_json_roundtrip;

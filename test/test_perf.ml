@@ -149,16 +149,14 @@ let qcheck_workspace_reuse_is_pure =
    is gated on not changing a single metrics byte, so each experiment is
    replayed through the registry and compared byte-for-byte. *)
 let experiment_json name =
-  Metrics.reset Metrics.global;
+  let run = Workload.Run.create ~scale:16 in
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   (match Workload.Registry.find name with
-  | Some e -> Workload.Registry.print e ~scale:16 ppf
+  | Some e -> Workload.Registry.print e run ppf
   | None -> Alcotest.fail ("unknown experiment " ^ name));
   Format.pp_print_flush ppf ();
-  let json = Json.to_string (Metrics.to_json Metrics.global) in
-  Metrics.reset Metrics.global;
-  json
+  Json.to_string (Metrics.to_json run.Workload.Run.metrics)
 
 let read_fixture name =
   let path = Filename.concat "fixtures" ("identity_" ^ name ^ ".json") in

@@ -374,9 +374,11 @@ let test_controller_validation () =
    bench baseline gate meaningful. *)
 let test_exp_repair_deterministic () =
   let dump () =
-    let m = Metrics.create () in
-    let r = Exp_repair.run_config ~scale:32 ~seed:7 ~metrics:m Exp_repair.adaptive in
-    (Json.to_string (Metrics.to_json m), r.Exp_repair.adaptations, r.Exp_repair.final_sweep)
+    let run = Workload.Run.create ~scale:32 in
+    let r = Exp_repair.run_config ~seed:7 run Exp_repair.adaptive in
+    ( Json.to_string (Metrics.to_json run.Workload.Run.metrics),
+      r.Exp_repair.adaptations,
+      r.Exp_repair.final_sweep )
   in
   let j1, a1, s1 = dump () and j2, a2, s2 = dump () in
   Alcotest.(check string) "metrics JSON byte-identical" j1 j2;

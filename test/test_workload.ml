@@ -1,15 +1,16 @@
 (* Smoke tests: every registered experiment runs end-to-end at a small
-   scale, produces a non-empty table and leaves the global metrics
-   registry non-empty (and never shrunk).  Catches regressions anywhere in
-   the pipeline (topology, overlays, soft-state, measurement). *)
+   scale, produces a non-empty table and leaves its run's metrics
+   registry non-empty (table2, which prints the parameters as text, has
+   no instrument).  Catches regressions anywhere in the pipeline
+   (topology, overlays, soft-state, measurement). *)
 
 let smoke_scale = 32
 
 let run_entry (e : Workload.Registry.entry) () =
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  let instruments_before = Engine.Metrics.size Engine.Metrics.global in
-  Workload.Registry.print e ~scale:smoke_scale ppf;
+  let run = Workload.Run.create ~scale:smoke_scale in
+  Workload.Registry.print e run ppf;
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   Alcotest.(check bool)
@@ -21,11 +22,10 @@ let run_entry (e : Workload.Registry.entry) () =
     true
     (String.length out > 0
     && (String.index_opt out '=' <> None || String.index_opt out ':' <> None));
-  let instruments_after = Engine.Metrics.size Engine.Metrics.global in
   Alcotest.(check bool)
-    (Printf.sprintf "%s left metrics registry populated" e.Workload.Registry.name)
+    (Printf.sprintf "%s left its run's registry populated" e.Workload.Registry.name)
     true
-    (instruments_after > 0 && instruments_after >= instruments_before)
+    (e.Workload.Registry.name = "table2" || Engine.Metrics.size run.Workload.Run.metrics > 0)
 
 let test_registry_lookup () =
   Alcotest.(check bool) "find fig10" true (Workload.Registry.find "fig10" <> None);
@@ -35,11 +35,12 @@ let test_registry_lookup () =
 
 let test_cache_experiment () =
   (* The cache experiment renders a populated table and records its
-     per-backend gauges into the global registry. *)
+     per-backend gauges into the run's registry. *)
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
-  let before = Engine.Metrics.size Engine.Metrics.global in
-  Workload.Tableout.render ppf (Workload.Exp_cache.run ~scale:smoke_scale ());
+  let run = Workload.Run.create ~scale:smoke_scale in
+  let metrics = run.Workload.Run.metrics in
+  Workload.Tableout.render metrics ppf (Workload.Exp_cache.run run);
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   let contains needle hay =
@@ -50,9 +51,8 @@ let test_cache_experiment () =
   Alcotest.(check bool) "table lists every backend" true
     (contains "ecan aware" out && contains "ecan random" out && contains "can greedy" out
    && contains "chord" out && contains "pastry" out && contains "koorde" out);
-  let after = Engine.Metrics.size Engine.Metrics.global in
-  Alcotest.(check bool) "cache gauges registered" true (after > before);
-  let json = Prelude.Json.to_string (Engine.Metrics.to_json Engine.Metrics.global) in
+  Alcotest.(check bool) "cache gauges registered" true (Engine.Metrics.size metrics > 0);
+  let json = Prelude.Json.to_string (Engine.Metrics.to_json metrics) in
   Alcotest.(check bool) "headline comparison gauges present" true
     (contains "cache_random_over_aware_p99" json && contains "cache_repl_load_ratio" json)
 
@@ -63,28 +63,23 @@ let contains needle hay =
 
 let test_degree_experiment () =
   (* The degree sweep is registered, renders every (backend, k) cell at a
-     real scale, and reruns never shrink the metrics registry (gauges are
-     stable instruments, not fresh ones per run). *)
+     real scale, and a rerun on a fresh run records the same registry. *)
   Alcotest.(check bool) "degree registered" true (Workload.Registry.find "degree" <> None);
   let render () =
     let buf = Buffer.create 1024 in
     let ppf = Format.formatter_of_buffer buf in
-    Workload.Tableout.render ppf (Workload.Exp_degree.run ~scale:2 ());
+    let run = Workload.Run.create ~scale:2 in
+    Workload.Tableout.render run.Workload.Run.metrics ppf (Workload.Exp_degree.run run);
     Format.pp_print_flush ppf ();
-    Buffer.contents buf
+    (Buffer.contents buf, Prelude.Json.to_string (Engine.Metrics.to_json run.Workload.Run.metrics))
   in
-  let before = Engine.Metrics.size Engine.Metrics.global in
-  let out = render () in
+  let out, json = render () in
   List.iter
     (fun b ->
       Alcotest.(check bool) (b ^ " row present") true (contains b out))
     [ "ecan"; "can"; "chord"; "pastry"; "koorde" ];
-  let after_once = Engine.Metrics.size Engine.Metrics.global in
-  Alcotest.(check bool) "degree gauges registered" true (after_once > before);
-  let _ = render () in
-  let after_twice = Engine.Metrics.size Engine.Metrics.global in
-  Alcotest.(check bool) "rerun never shrinks the registry" true (after_twice = after_once);
-  let json = Prelude.Json.to_string (Engine.Metrics.to_json Engine.Metrics.global) in
+  Alcotest.(check bool) "degree gauges registered" true (contains "degree_stretch_aware" json);
+  Alcotest.(check string) "a rerun records the same registry" json (snd (render ()));
   List.iter
     (fun k ->
       Alcotest.(check bool)
@@ -107,7 +102,10 @@ let test_tableout () =
   Alcotest.check_raises "cell count enforced"
     (Invalid_argument "Tableout.add_row: cell count mismatch") (fun () ->
       T.add_row t [ T.text "only one" ]);
-  let out = render_to_string (fun ppf -> T.render ppf [ T.table t; T.line [ T.text "end" ] ]) in
+  let out =
+    render_to_string (fun ppf ->
+        T.render (Engine.Metrics.create ()) ppf [ T.table t; T.line [ T.text "end" ] ])
+  in
   Alcotest.(check string) "title, header, rule, row, line"
     "\n== t ==\n  a  bb   \n  -  -----\n  1  2.000\nend\n" out;
   Alcotest.(check string) "float cell" "1.500" (T.cell_f 1.5);
@@ -115,55 +113,83 @@ let test_tableout () =
   Alcotest.(check string) "nan cell" "-" (T.cell_f Float.nan);
   Alcotest.(check string) "nan fixed cell" "-" (T.fixed 0 Float.nan)
 
-(* Two cells of one table that declare one instrument with different
-   values cannot both be what the instrument holds. *)
+(* Two cells of one output that declare one instrument with different
+   values cannot both be what the instrument holds, whether they sit in
+   one table or in two blocks. *)
 let test_conflicting_cells () =
   let module T = Workload.Tableout in
-  let t = T.create ~title:"t" ~columns:[ "v" ] in
   let cell v = T.gauge ~labels:[ ("cell", "same") ] "tableout_test" T.cell_f v in
-  T.add_row t [ cell 1.0 ];
-  T.add_row t [ cell 1.0 ];
-  Alcotest.(check bool) "a second, different value is rejected" true
-    (match T.add_row t [ cell 2.0 ] with
+  let rejected blocks =
+    let ppf = Format.formatter_of_buffer (Buffer.create 64) in
+    match T.render (Engine.Metrics.create ()) ppf blocks with
     | () -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true
+  in
+  let t = T.create ~title:"t" ~columns:[ "v" ] in
+  T.add_row t [ cell 1.0 ];
+  T.add_row t [ cell 1.0 ];
+  Alcotest.(check bool) "one value, declared twice, prints" false (rejected [ T.table t ]);
+  T.add_row t [ cell 2.0 ];
+  Alcotest.(check bool) "a second, different value in the table is rejected" true
+    (rejected [ T.table t ]);
+  Alcotest.(check bool) "a second, different value on a line is rejected" true
+    (rejected [ T.line [ cell 1.0 ]; T.line [ cell 2.0 ] ])
 
-(* Every registered experiment at the smoke scale, in registry order on
-   one registry, as [bench --json] runs them: each experiment's output,
-   re-rendered from the final snapshot after a JSON round trip, is the
-   bytes it printed.  A cell whose instrument a later cell overwrote, or
-   that holds no instrument at all, fails here. *)
+(* Every registered experiment at the smoke scale, in registry order,
+   each on a fresh run, twice in one process with nothing reset between:
+   the second pass prints the bytes and records the snapshot of the
+   first.  Then, as [bench --json] dumps them, the first pass's
+   registries are merged, and each experiment's output, re-rendered from
+   that union after a JSON round trip, is the bytes it printed.  A cell
+   whose instrument another experiment wrote with another value, or that
+   holds no instrument at all, fails here. *)
 let test_tables_view_the_metrics () =
   let module Metrics = Engine.Metrics in
   let module T = Workload.Tableout in
-  Metrics.reset Metrics.global;
-  let printed =
+  let json m = Prelude.Json.to_string (Metrics.to_json m) in
+  let pass () =
     List.map
       (fun (e : Workload.Registry.entry) ->
-        let blocks = e.Workload.Registry.run ~scale:smoke_scale in
-        (e.Workload.Registry.name, blocks, render_to_string (fun ppf -> T.render ppf blocks)))
+        let run = Workload.Run.create ~scale:smoke_scale in
+        let blocks = e.Workload.Registry.run run in
+        let metrics = run.Workload.Run.metrics in
+        let out = render_to_string (fun ppf -> T.render metrics ppf blocks) in
+        (e.Workload.Registry.name, blocks, out, metrics))
       Workload.Registry.all
   in
+  let first = pass () in
+  List.iter2
+    (fun (name, _, out, m) (_, _, again, m') ->
+      Alcotest.(check string) (name ^ ": a second run prints the same") out again;
+      Alcotest.(check string) (name ^ ": a second run records the same") (json m) (json m'))
+    first (pass ());
+  let union =
+    match Metrics.union (List.map (fun (_, _, _, m) -> m) first) with
+    | Ok u -> u
+    | Error key -> Alcotest.fail ("two experiments recorded different values for " ^ key)
+  in
   let snapshot =
-    match Prelude.Json.of_string (Prelude.Json.to_string (Metrics.to_json Metrics.global)) with
-    | Ok j -> j
-    | Error e -> Alcotest.fail e
+    match Prelude.Json.of_string (json union) with Ok j -> j | Error e -> Alcotest.fail e
   in
   List.iter
-    (fun (name, blocks, out) ->
+    (fun (name, blocks, out, _) ->
       Alcotest.(check string)
         (name ^ " re-rendered from the snapshot")
         out
         (render_to_string (fun ppf -> T.of_metrics snapshot ppf blocks)))
-    printed
+    first
 
 let test_ctx_cache () =
   let o1 = Workload.Ctx.oracle ~scale:smoke_scale Workload.Ctx.Tsk_large Topology.Transit_stub.Manual in
   let o2 = Workload.Ctx.oracle ~scale:smoke_scale Workload.Ctx.Tsk_large Topology.Transit_stub.Manual in
-  Alcotest.(check bool) "cached oracle is shared" true (o1 == o2)
+  Alcotest.(check bool) "cached oracle is shared" true (o1 == o2);
+  Alcotest.(check bool) "cached Waxman oracle is shared" true
+    (Workload.Ctx.waxman ~scale:smoke_scale == Workload.Ctx.waxman ~scale:smoke_scale)
 
 let test_nn_data_curves () =
-  let ers, hybrid = Workload.Exp_nn.data ~scale:smoke_scale Workload.Ctx.Tsk_large in
+  let ers, hybrid =
+    Workload.Exp_nn.data (Workload.Run.create ~scale:smoke_scale) Workload.Ctx.Tsk_large
+  in
   Alcotest.(check bool) "ers curve non-empty" true (Array.length ers > 0);
   Alcotest.(check bool) "hybrid curve non-empty" true (Array.length hybrid > 0);
   (* averages of best-so-far curves are monotone nonincreasing *)
@@ -260,13 +286,14 @@ let test_route_cell () =
     }
   in
   let swept = Builder.build oracle config and by_hand = Builder.build oracle config in
+  let metrics = Metrics.create () in
   List.iteri
     (fun i fill ->
-      let labels =
+      let into =
         if i mod 2 = 0 then None
-        else Some [ ("experiment", "sweep-test"); ("cell", string_of_int i) ]
+        else Some (Metrics.histogram metrics ~labels:[ ("cell", string_of_int i) ] "route_stretch")
       in
-      let got = Workload.Sweep.route ?fill ?labels ~pairs:64 swept in
+      let got = Workload.Sweep.route ?fill ?into ~pairs:64 swept in
       Option.iter (Builder.rebuild_tables by_hand) fill;
       let want = Measure.route_stretch ~pairs:64 by_hand in
       let cell = Printf.sprintf "cell %d" i in
@@ -274,11 +301,11 @@ let test_route_cell () =
       Alcotest.(check (float 0.0)) (cell ^ ": mean") want.Measure.stretch.Prelude.Stats.mean
         (Workload.Sweep.mean got);
       Option.iter
-        (fun labels ->
+        (fun hist ->
           Alcotest.(check (array (float 0.0))) (cell ^ ": histogram holds every stretch")
             (Array.of_list (Measure.stretches want.Measure.samples))
-            (Metrics.samples (Metrics.histogram Metrics.global ~labels "route_stretch")))
-        labels)
+            (Metrics.samples hist))
+        into)
     [
       None;
       Some Strategy.Optimal;
@@ -289,38 +316,6 @@ let test_route_cell () =
     ];
   Alcotest.(check bool) "builder rng end state" true
     (Prelude.Rng.bits64 swept.Builder.rng = Prelude.Rng.bits64 by_hand.Builder.rng)
-
-(* The global registry's JSON after calling each of [runs] in order. *)
-let registry_after runs =
-  let module Metrics = Engine.Metrics in
-  List.iter (fun run -> run ()) runs;
-  Prelude.Json.to_string (Metrics.to_json Metrics.global)
-
-let has_instrument json name =
-  let needle = Printf.sprintf "\"name\":\"%s\"" name in
-  let n = String.length needle in
-  let rec go i = i + n <= String.length json && (String.sub json i n = needle || go (i + 1)) in
-  go 0
-
-(* fig3's curves are cached per variant; their probe counts are recorded
-   on every run, so a run after a reset leaves what the first left. *)
-let test_nn_rerun_after_reset () =
-  let module Metrics = Engine.Metrics in
-  let fig3 () = ignore (Workload.Exp_nn.fig3 ~scale:smoke_scale ()) in
-  let first = registry_after [ (fun () -> Metrics.reset Metrics.global); fig3 ] in
-  let again = registry_after [ (fun () -> Metrics.reset Metrics.global); fig3 ] in
-  Alcotest.(check bool) "rtt_probes recorded" true (has_instrument first "rtt_probes");
-  Alcotest.(check string) "same snapshot after a reset" first again
-
-(* Allocation budgets are measurements: a second run in one process
-   records them again, not their sum. *)
-let test_alloc_rerun () =
-  let module Metrics = Engine.Metrics in
-  let alloc () = ignore (Workload.Exp_alloc.run ()) in
-  let first = registry_after [ (fun () -> Metrics.reset Metrics.global); alloc ] in
-  Alcotest.(check string) "same snapshot on a second run" first (registry_after [ alloc ]);
-  Alcotest.(check string) "same snapshot after a reset" first
-    (registry_after [ (fun () -> Metrics.reset Metrics.global); alloc ])
 
 (* [Backend.mix62] as it was written out before it shared
    [Rng.splitmix64]: cache and multicast homes hash keys with it, so it
@@ -347,9 +342,6 @@ let suite =
   :: Alcotest.test_case "one instrument, two values: rejected" `Quick test_conflicting_cells
   :: Alcotest.test_case "every table is a view of the metrics" `Slow test_tables_view_the_metrics
   :: Alcotest.test_case "context cache" `Quick test_ctx_cache
-  :: Alcotest.test_case "fig3 after a reset records its probes again" `Quick
-       test_nn_rerun_after_reset
-  :: Alcotest.test_case "alloc twice records the same budgets" `Quick test_alloc_rerun
   :: Alcotest.test_case "route cell = rebuild then measure" `Quick test_route_cell
   :: QCheck_alcotest.to_alcotest qcheck_nn_average
   :: List.map
