@@ -86,6 +86,8 @@ let () =
         close_out oc;
         Format.fprintf ppf "metrics written to %s@." path
       | Error key ->
+        close_out oc;
+        Sys.remove path;
         Format.eprintf "two experiments recorded different values for %s@." key;
         exit 2)
     json
